@@ -55,10 +55,10 @@ func main() {
 		return
 	}
 	ropts = ropts.Canon()
-	// Install before any experiment builds an NF: the map core and
-	// interpreter tier are read at construction time, and stats (the
-	// sysctl kernel.bpf_stats_enabled analogue) must flip before build
-	// so every VM the experiments create collects counters.
+	// Install before any experiment builds an NF: a fresh VM starts on
+	// the process default tier, and stats (the sysctl
+	// kernel.bpf_stats_enabled analogue) must flip before build so every
+	// VM the experiments create collects counters.
 	if err := runtime.Install(ropts); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

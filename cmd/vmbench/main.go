@@ -48,7 +48,7 @@ func main() {
 		return
 	}
 	// The tiers under comparison are swept internally; -options only
-	// sets process defaults (map core, stats) for everything else.
+	// sets the process defaults (stats) for everything else.
 	if err := nfruntime.Install(ropts); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

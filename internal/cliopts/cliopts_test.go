@@ -22,7 +22,7 @@ func parse(t *testing.T, args ...string) (*Runtime, *Trace) {
 func TestFlagsOverrideOptionsJSON(t *testing.T) {
 	// Precedence: flag defaults < -options JSON < explicit flags.
 	r, _ := parse(t,
-		"-options", `{"tier": "wire", "map_impl": "flat", "stats": true}`,
+		"-options", `{"tier": "wire", "percpu": true, "stats": true}`,
 		"-interp", "jit")
 	o, err := r.Options()
 	if err != nil {
@@ -31,7 +31,7 @@ func TestFlagsOverrideOptionsJSON(t *testing.T) {
 	if o.Tier != "jit" {
 		t.Fatalf("explicit -interp lost to JSON: tier %q", o.Tier)
 	}
-	if o.MapImpl != "flat" || !o.Stats {
+	if !o.PerCPU || !o.Stats {
 		t.Fatalf("JSON fields without explicit flags dropped: %+v", o)
 	}
 	if o.Shards != 1 {
@@ -55,9 +55,15 @@ func TestBadOptionsRejected(t *testing.T) {
 	if _, err := r.Options(); err == nil {
 		t.Fatal("bad tier in -options accepted")
 	}
-	r, _ = parse(t, "-map-impl", "cuckoo")
+	r, _ = parse(t, "-interp", "turbo")
 	if _, err := r.Options(); err == nil {
-		t.Fatal("bad -map-impl accepted")
+		t.Fatal("bad -interp accepted")
+	}
+	// The schema is strict: a field it no longer has is an error, not
+	// a silently ignored key.
+	r, _ = parse(t, "-options", `{"map_impl": "flat"}`)
+	if _, err := r.Options(); err == nil {
+		t.Fatal("removed map_impl field accepted in -options")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Interpreter-tier differential: every VM-backed NF×flavour replayed
 // under all three execution tiers (predecoded, wire, jit) on
-// bit-identical traces. Like the map-core axis there is no estimate
+// bit-identical traces. Unlike the flavour axis there is no estimate
 // oracle and no metamorphic fallback — the tiers execute the same
 // program over the same helper tables and RNG streams, so the oracle is
 // exactness across the board: verdict-for-verdict, error parity, and

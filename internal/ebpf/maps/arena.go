@@ -46,26 +46,9 @@ func (p *PerCPUArray) LookupArena(key []byte) (int, int, bool) {
 	return p.cpu, off, ok
 }
 
-// FlatHash arena support: all values live in the vals arena.
-
-func (h *FlatHash) ArenaCount() int    { return 1 }
-func (h *FlatHash) Arena(i int) []byte { return h.vals }
-
-// LookupArena resolves key to its slot's value offset.
-func (h *FlatHash) LookupArena(key []byte) (int, int, bool) {
-	if len(key) != h.keySize {
-		return 0, 0, false
-	}
-	i, ok := h.find(key)
-	if !ok {
-		return 0, 0, false
-	}
-	return 0, int(i) * h.valueSize, true
-}
-
-// LRUHash arena support: both cores store all values in one contiguous
-// arena at slot*ValueSize offsets, so the LRU layer forwards to the
-// core and derives offsets from the slot index it already tracks.
+// LRUHash arena support: the core stores all values in one contiguous
+// arena at slot*ValueSize offsets, so the LRU layer forwards to it and
+// derives offsets from the slot index it already tracks.
 
 func (l *LRUHash) ArenaCount() int    { return l.core.ArenaCount() }
 func (l *LRUHash) Arena(i int) []byte { return l.core.Arena(i) }

@@ -89,9 +89,8 @@ const (
 // screening is an unrolled wide compare rather than a per-slot probe
 // walk. Inserts that overflow their L1 bucket spill to L2, then L3,
 // then a stash region sized at maxEntries slots — which makes inserts
-// below capacity infallible, giving BucketHash exactly FlatHash's
-// ErrNoSpace condition (count >= maxEntries) despite the bounded
-// buckets.
+// below capacity infallible: ErrNoSpace means count >= maxEntries and
+// nothing else, despite the bounded buckets.
 //
 // Sticky overflow markers (ovf1/ovf2, set on spill, never cleared) let
 // misses terminate at the first level whose bucket has never
@@ -101,7 +100,7 @@ const (
 // All keys and values live in two contiguous arenas indexed by a global
 // slot number (L1 slots, then L2, L3, stash), so slot indices are
 // stable for the life of an entry and the value arena registers with
-// the VM exactly like the flat table's.
+// the VM as one region.
 type BucketHash struct {
 	keySize, valueSize int
 	maxEntries         int
@@ -158,7 +157,6 @@ func NewBucketHash(keySize, valueSize, maxEntries int) (*BucketHash, error) {
 		ovf1: make([]bool, b1),
 		ovf2: make([]bool, b2),
 	}
-	charge(h.Footprint())
 	return h, nil
 }
 
@@ -169,6 +167,18 @@ func (h *BucketHash) MaxEntries() int { return h.maxEntries }
 
 // Len returns the number of stored entries.
 func (h *BucketHash) Len() int { return h.count }
+
+func bytesEqual(a, b []byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
 
 func (h *BucketHash) tagAt(i int) uint8 {
 	return uint8(h.tags[i>>3] >> ((i & 7) * 8))
@@ -304,8 +314,8 @@ func (h *BucketHash) Lookup(key []byte) []byte {
 	return nil
 }
 
-// Update inserts or overwrites key, with FlatHash's exact error
-// semantics: ErrNoSpace iff the key is absent and count >= maxEntries.
+// Update inserts or overwrites key. ErrNoSpace iff the key is absent
+// and count >= maxEntries.
 func (h *BucketHash) Update(key, value []byte) error {
 	if len(key) != h.keySize {
 		return ErrKeySize
@@ -354,17 +364,8 @@ func (h *BucketHash) LookupArena(key []byte) (int, int, bool) {
 	return 0, s * h.valueSize, true
 }
 
-// lruCore adapters.
-
-func (h *BucketHash) slotCap() int { return h.nslots }
-
-func (h *BucketHash) findSlot(key []byte) (int32, bool) {
-	s := h.lookupSlot(key)
-	if s < 0 {
-		return -1, false
-	}
-	return int32(s), true
-}
+// Slot-level access for the LRU recency layer, which addresses entries
+// by the stable slot index it links its list through.
 
 func (h *BucketHash) insertSlot(key, value []byte) (int32, error) {
 	if s := h.lookupSlot(key); s >= 0 {

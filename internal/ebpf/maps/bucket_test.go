@@ -174,15 +174,15 @@ func TestBucketStashExhaustion(t *testing.T) {
 	}
 }
 
-// TestBucketVsFlatRandomized is the in-package cross-impl differential:
-// identical random op streams against both cores, presence, bytes,
-// errors, and counts compared op for op. (The full NF-level version
-// lives in internal/difftest; this one shrinks failures to a map op.)
+// TestBucketVsFlatRandomized is the cross-implementation differential:
+// identical random op streams against the bucketed core and the flat
+// reference table (flat_test.go), presence, bytes, errors, and counts
+// compared op for op.
 func TestBucketVsFlatRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		flat := Must(NewHashImpl(ImplFlat, 16, 8, 48))
-		bucket := Must(NewHashImpl(ImplBucket, 16, 8, 48))
+		flat := Must(NewFlatHash(16, 8, 48))
+		bucket := Must(NewBucketHash(16, 8, 48))
 		var k [16]byte
 		var v [8]byte
 		for op := 0; op < 3000; op++ {
@@ -209,29 +209,5 @@ func TestBucketVsFlatRandomized(t *testing.T) {
 				t.Fatalf("seed %d op %d: Len flat=%d bucket=%d", seed, op, flat.Len(), bucket.Len())
 			}
 		}
-	}
-}
-
-// TestImplSelector pins the SetImpl plumbing: the default is the
-// bucketed core, NewHash/NewLRUHash honor the selector, and restoring
-// it restores construction.
-func TestImplSelector(t *testing.T) {
-	if CurrentImpl() != ImplBucket {
-		t.Fatalf("default impl %v, want bucket", CurrentImpl())
-	}
-	if _, ok := Must(NewHash(4, 4, 8)).(*BucketHash); !ok {
-		t.Fatal("default NewHash did not build the bucketed core")
-	}
-	SetImpl(ImplFlat)
-	defer SetImpl(ImplBucket)
-	if _, ok := Must(NewHash(4, 4, 8)).(*FlatHash); !ok {
-		t.Fatal("NewHash ignored SetImpl(ImplFlat)")
-	}
-	l := Must(NewLRUHash(4, 4, 8))
-	if _, ok := l.core.(*FlatHash); !ok {
-		t.Fatal("NewLRUHash ignored SetImpl(ImplFlat)")
-	}
-	if ImplBucket.String() != "bucket" || ImplFlat.String() != "flat" {
-		t.Fatal("impl names wrong")
 	}
 }

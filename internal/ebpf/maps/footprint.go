@@ -1,32 +1,5 @@
 package maps
 
-import "sync/atomic"
-
-// Construction-time memory accounting: the runtime options layer
-// meters how many arena bytes one instance's maps allocate so
-// per-tenant map-memory quotas can be enforced at build time (the
-// memlock-style budget a multi-tenant daemon needs). The hook is set
-// only under the runtime build lock; the atomic keeps unscoped
-// concurrent constructions race-free.
-var account atomic.Pointer[func(int)]
-
-// SetAccount installs (or with nil clears) the construction-time byte
-// meter. Every map constructor reports its backing-store footprint
-// through it.
-func SetAccount(fn func(bytes int)) {
-	if fn == nil {
-		account.Store(nil)
-		return
-	}
-	account.Store(&fn)
-}
-
-func charge(bytes int) {
-	if fn := account.Load(); fn != nil {
-		(*fn)(bytes)
-	}
-}
-
 // Footprint returns the map's backing-store size in bytes: arenas,
 // key storage, and index metadata. It is the quantity the map-memory
 // quota meters.
@@ -41,9 +14,6 @@ func (p *PerCPUArray) Footprint() int {
 	return n
 }
 
-// Footprint covers the open-addressed state, key, and value stores.
-func (h *FlatHash) Footprint() int { return len(h.state) + len(h.keys) + len(h.vals) }
-
 // Footprint covers tags, keys, values, and the spill markers.
 func (b *BucketHash) Footprint() int {
 	return len(b.tags)*8 + len(b.keys) + len(b.vals) + len(b.ovf1) + len(b.ovf2)
@@ -51,11 +21,7 @@ func (b *BucketHash) Footprint() int {
 
 // Footprint adds the recency links to the core's stores.
 func (l *LRUHash) Footprint() int {
-	n := 4 * (len(l.prev) + len(l.next))
-	if f, ok := l.core.(interface{ Footprint() int }); ok {
-		n += f.Footprint()
-	}
-	return n
+	return 4*(len(l.prev)+len(l.next)) + l.core.Footprint()
 }
 
 // Footprint sums the per-CPU copies.

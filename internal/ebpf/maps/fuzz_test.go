@@ -187,14 +187,15 @@ func hashSeeds(f *testing.F) {
 	f.Add(seed)
 }
 
-// FuzzHashModel cross-checks the flat open-addressed core against the
-// model: update/overwrite, ErrNoSpace at capacity, tombstone reuse
-// after deletes, and exact entry counts. Pinned to ImplFlat so the
-// conformance reference stays independently fuzzed.
+// FuzzHashModel cross-checks the flat open-addressed reference table
+// (flat_test.go) against the model: update/overwrite, ErrNoSpace at
+// capacity, tombstone reuse after deletes, and exact entry counts — so
+// the reference TestBucketVsFlatRandomized replays against stays
+// independently fuzzed.
 func FuzzHashModel(f *testing.F) {
 	hashSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h := maps.Must(maps.NewHashImpl(maps.ImplFlat, fuzzKeySize, fuzzValueSize, fuzzMaxEntries))
+		h := maps.Must(maps.NewFlatHash(fuzzKeySize, fuzzValueSize, fuzzMaxEntries))
 		driveModel(t, h, newModel(false), data)
 	})
 }
@@ -207,7 +208,7 @@ func FuzzHashModel(f *testing.F) {
 func FuzzBucketHashModel(f *testing.F) {
 	hashSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h := maps.Must(maps.NewHashImpl(maps.ImplBucket, fuzzKeySize, fuzzValueSize, fuzzMaxEntries))
+		h := maps.Must(maps.NewBucketHash(fuzzKeySize, fuzzValueSize, fuzzMaxEntries))
 		driveModel(t, h, newModel(false), data)
 	})
 }

@@ -4,9 +4,9 @@
 // storage so the VM can hand out pointers into them, exactly as
 // bpf_map_lookup_elem does.
 //
-// Two hash cores exist behind one constructor: the cache-line-bucketed
-// wide-compare BucketHash (default) and the original open-addressed
-// FlatHash kept as the conformance reference — see SetImpl.
+// One hash core backs every hash-shaped map: the cache-line-bucketed
+// wide-compare BucketHash. The open-addressed table it replaced
+// survives only as the reference model in this package's tests.
 package maps
 
 import (
@@ -99,9 +99,7 @@ func NewArray(valueSize, n int) (*Array, error) {
 	if int64(valueSize)*int64(n) > maxMapBytes {
 		return nil, fmt.Errorf("%w: array %d x %d bytes exceeds memlock bound", ErrConfig, n, valueSize)
 	}
-	a := &Array{valueSize: valueSize, n: n, data: make([]byte, valueSize*n)}
-	charge(a.Footprint())
-	return a, nil
+	return &Array{valueSize: valueSize, n: n, data: make([]byte, valueSize*n)}, nil
 }
 
 func (a *Array) Type() Type      { return TypeArray }
@@ -212,218 +210,32 @@ func (p *PerCPUArray) Lookup(key []byte) []byte   { return p.per[p.cpu].Lookup(k
 func (p *PerCPUArray) Update(key, v []byte) error { return p.per[p.cpu].Update(key, v) }
 func (p *PerCPUArray) Delete(key []byte) error    { return p.per[p.cpu].Delete(key) }
 
-// --- FlatHash ---
+// --- Hash ---
 
-// FlatHash is the original hash core: fixed key and value sizes,
-// bounded capacity, and open addressing over a power-of-two slot
-// array. Values live in a contiguous arena so lookups can return
-// stable aliasing slices. It is kept unchanged as the conformance
-// reference the bucketed core is differentially replayed against
-// (SetImpl selects which core NewHash builds).
-type FlatHash struct {
-	keySize, valueSize int
-	maxEntries         int
-
-	// Open-addressed index: state 0=empty, 1=used, 2=tombstone.
-	state []uint8
-	keys  []byte // slot i key at i*keySize
-	vals  []byte // slot i value at i*valueSize
-	mask  uint64
-	count int
+// HashMap is what NewHash returns and the per-CPU hash stores per copy:
+// an arena-backed map that can report its entry count.
+type HashMap interface {
+	ArenaMap
+	Len() int
 }
 
-// NewFlatHash creates a flat hash map. Capacity is rounded up so the
-// table stays below ~85% occupancy at maxEntries.
-func NewFlatHash(keySize, valueSize, maxEntries int) (*FlatHash, error) {
-	if keySize <= 0 || valueSize <= 0 || maxEntries <= 0 {
-		return nil, fmt.Errorf("%w: hash %dB keys, %dB values, %d entries",
-			ErrConfig, keySize, valueSize, maxEntries)
+// NewHash creates a hash map (a BucketHash).
+func NewHash(keySize, valueSize, maxEntries int) (HashMap, error) {
+	h, err := NewBucketHash(keySize, valueSize, maxEntries)
+	if err != nil {
+		return nil, err // a bare nil, not a typed nil pointer in the interface
 	}
-	slots := 8
-	for slots < maxEntries*6/5+1 {
-		slots <<= 1
-	}
-	if int64(slots)*int64(keySize) > maxMapBytes || int64(slots)*int64(valueSize) > maxMapBytes {
-		return nil, fmt.Errorf("%w: hash of %d entries exceeds memlock bound", ErrConfig, maxEntries)
-	}
-	h := &FlatHash{
-		keySize: keySize, valueSize: valueSize, maxEntries: maxEntries,
-		state: make([]uint8, slots),
-		keys:  make([]byte, slots*keySize),
-		vals:  make([]byte, slots*valueSize),
-		mask:  uint64(slots - 1),
-	}
-	charge(h.Footprint())
 	return h, nil
 }
-
-func (h *FlatHash) Type() Type      { return TypeHash }
-func (h *FlatHash) KeySize() int    { return h.keySize }
-func (h *FlatHash) ValueSize() int  { return h.valueSize }
-func (h *FlatHash) MaxEntries() int { return h.maxEntries }
-
-// Len returns the number of stored entries.
-func (h *FlatHash) Len() int { return h.count }
-
-// fnv1a is the flat core's slot hash (the kernel uses jhash; any decent
-// mixer works here). The bucketed core uses the wide SlotHash instead.
-func fnv1a(b []byte) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	var x uint64 = offset
-	for _, c := range b {
-		x ^= uint64(c)
-		x *= prime
-	}
-	return x
-}
-
-func (h *FlatHash) keyAt(i uint64) []byte {
-	off := int(i) * h.keySize
-	return h.keys[off : off+h.keySize]
-}
-
-func (h *FlatHash) valAt(i uint64) []byte {
-	off := int(i) * h.valueSize
-	return h.vals[off : off+h.valueSize : off+h.valueSize]
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// find returns (slot, found). When not found, slot is the first
-// insertable position (empty or tombstone) on the probe path, or ^0 if
-// the table is somehow full.
-func (h *FlatHash) find(key []byte) (uint64, bool) {
-	i := fnv1a(key) & h.mask
-	insert := ^uint64(0)
-	for probes := uint64(0); probes <= h.mask; probes++ {
-		switch h.state[i] {
-		case 0:
-			if insert == ^uint64(0) {
-				insert = i
-			}
-			return insert, false
-		case 1:
-			if bytesEqual(h.keyAt(i), key) {
-				return i, true
-			}
-		case 2:
-			if insert == ^uint64(0) {
-				insert = i
-			}
-		}
-		i = (i + 1) & h.mask
-	}
-	return insert, false
-}
-
-// Lookup returns a slice aliasing the stored value, or nil.
-func (h *FlatHash) Lookup(key []byte) []byte {
-	if len(key) != h.keySize {
-		return nil
-	}
-	if i, ok := h.find(key); ok {
-		return h.valAt(i)
-	}
-	return nil
-}
-
-// Update inserts or overwrites key.
-func (h *FlatHash) Update(key, value []byte) error {
-	if len(key) != h.keySize {
-		return ErrKeySize
-	}
-	if len(value) != h.valueSize {
-		return ErrValueSize
-	}
-	i, ok := h.find(key)
-	if ok {
-		copy(h.valAt(i), value)
-		return nil
-	}
-	if h.count >= h.maxEntries || i == ^uint64(0) {
-		return ErrNoSpace
-	}
-	h.state[i] = 1
-	copy(h.keyAt(i), key)
-	copy(h.valAt(i), value)
-	h.count++
-	return nil
-}
-
-// Delete removes key.
-func (h *FlatHash) Delete(key []byte) error {
-	if len(key) != h.keySize {
-		return ErrKeySize
-	}
-	i, ok := h.find(key)
-	if !ok {
-		return ErrNotFound
-	}
-	h.state[i] = 2
-	clear(h.valAt(i))
-	h.count--
-	return nil
-}
-
-// lruCore adapters: the LRU layer addresses flat entries by slot index.
-
-func (h *FlatHash) slotCap() int { return len(h.state) }
-
-func (h *FlatHash) findSlot(key []byte) (int32, bool) {
-	i, ok := h.find(key)
-	if !ok {
-		return -1, false
-	}
-	return int32(i), true
-}
-
-func (h *FlatHash) insertSlot(key, value []byte) (int32, error) {
-	i, ok := h.find(key)
-	if ok {
-		copy(h.valAt(i), value)
-		return int32(i), nil
-	}
-	if i == ^uint64(0) {
-		return -1, ErrNoSpace
-	}
-	h.state[i] = 1
-	copy(h.keyAt(i), key)
-	copy(h.valAt(i), value)
-	h.count++
-	return int32(i), nil
-}
-
-func (h *FlatHash) removeSlot(i int32) {
-	h.state[i] = 2
-	clear(h.valAt(uint64(i)))
-	h.count--
-}
-
-func (h *FlatHash) keyAtSlot(i int32) []byte { return h.keyAt(uint64(i)) }
-func (h *FlatHash) valAtSlot(i int32) []byte { return h.valAt(uint64(i)) }
 
 // --- LRUHash ---
 
 // LRUHash is a hash map that evicts the least recently used entry when
 // full. Recency is tracked with an intrusive doubly-linked list over
-// slot indices, as BPF_MAP_TYPE_LRU_HASH does per CPU. The recency
-// layer is core-agnostic: it runs over whichever hash core SetImpl
-// selected (bucketed by default, flat as the reference).
+// slot indices, as BPF_MAP_TYPE_LRU_HASH does per CPU. Slot indices
+// stay valid for the life of an entry: the core never moves one.
 type LRUHash struct {
-	core       lruCore
+	core       *BucketHash
 	maxEntries int
 	prev, next []int32
 	head, tail int32 // head = most recent
@@ -438,19 +250,14 @@ type LRUHash struct {
 	InsertFails uint64
 }
 
-// NewLRUHash creates an LRU hash map over the core CurrentImpl selects.
+// NewLRUHash creates an LRU hash map.
 func NewLRUHash(keySize, valueSize, maxEntries int) (*LRUHash, error) {
-	return NewLRUHashImpl(CurrentImpl(), keySize, valueSize, maxEntries)
-}
-
-// NewLRUHashImpl creates an LRU hash map over an explicit core.
-func NewLRUHashImpl(impl Impl, keySize, valueSize, maxEntries int) (*LRUHash, error) {
-	core, err := newCore(impl, keySize, valueSize, maxEntries)
+	core, err := NewBucketHash(keySize, valueSize, maxEntries)
 	if err != nil {
 		return nil, err
 	}
-	n := core.slotCap()
-	l := &LRUHash{
+	n := core.nslots
+	return &LRUHash{
 		core:       core,
 		maxEntries: maxEntries,
 		prev:       make([]int32, n),
@@ -458,9 +265,7 @@ func NewLRUHashImpl(impl Impl, keySize, valueSize, maxEntries int) (*LRUHash, er
 		head:       -1,
 		tail:       -1,
 		slotOf:     make(map[string]int32, maxEntries),
-	}
-	charge(4 * (len(l.prev) + len(l.next))) // core charged itself in newCore
-	return l, nil
+	}, nil
 }
 
 func (l *LRUHash) Type() Type      { return TypeLRUHash }

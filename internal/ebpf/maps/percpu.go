@@ -52,27 +52,20 @@ func validCPUs(ncpu int) error {
 
 // --- PerCPUHash ---
 
-// PerCPUHash is a hash map with one private copy per CPU, each backed
-// by the core CurrentImpl selected at construction.
+// PerCPUHash is a hash map with one private copy per CPU.
 type PerCPUHash struct {
 	per []HashMap
 	cpu int
 }
 
-// NewPerCPUHash creates a per-CPU hash with ncpu private copies using
-// the currently selected core.
+// NewPerCPUHash creates a per-CPU hash with ncpu private copies.
 func NewPerCPUHash(keySize, valueSize, maxEntries, ncpu int) (*PerCPUHash, error) {
-	return NewPerCPUHashImpl(CurrentImpl(), keySize, valueSize, maxEntries, ncpu)
-}
-
-// NewPerCPUHashImpl creates a per-CPU hash over an explicit core.
-func NewPerCPUHashImpl(impl Impl, keySize, valueSize, maxEntries, ncpu int) (*PerCPUHash, error) {
 	if err := validCPUs(ncpu); err != nil {
 		return nil, err
 	}
 	p := &PerCPUHash{per: make([]HashMap, ncpu)}
 	for i := range p.per {
-		m, err := NewHashImpl(impl, keySize, valueSize, maxEntries)
+		m, err := NewHash(keySize, valueSize, maxEntries)
 		if err != nil {
 			return nil, err
 		}
@@ -156,17 +149,12 @@ type PerCPULRUHash struct {
 
 // NewPerCPULRUHash creates a per-CPU LRU hash with ncpu private copies.
 func NewPerCPULRUHash(keySize, valueSize, maxEntries, ncpu int) (*PerCPULRUHash, error) {
-	return NewPerCPULRUHashImpl(CurrentImpl(), keySize, valueSize, maxEntries, ncpu)
-}
-
-// NewPerCPULRUHashImpl creates a per-CPU LRU hash over an explicit core.
-func NewPerCPULRUHashImpl(impl Impl, keySize, valueSize, maxEntries, ncpu int) (*PerCPULRUHash, error) {
 	if err := validCPUs(ncpu); err != nil {
 		return nil, err
 	}
 	p := &PerCPULRUHash{per: make([]*LRUHash, ncpu)}
 	for i := range p.per {
-		m, err := NewLRUHashImpl(impl, keySize, valueSize, maxEntries)
+		m, err := NewLRUHash(keySize, valueSize, maxEntries)
 		if err != nil {
 			return nil, err
 		}

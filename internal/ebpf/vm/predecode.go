@@ -10,7 +10,7 @@ package vm
 // feeding a mask, bounded-loop back edges) into single super-ops.
 //
 // The wire-format loop in vm.go stays as the selectable reference slow
-// path (SetWireInterp); the two must be observably identical, and the
+// path (SetTier(TierWire)); the two must be observably identical, and the
 // differential suite cross-checks them instruction for instruction.
 
 import (

@@ -17,7 +17,8 @@ import (
 func newPair(t *testing.T, prog []isa.Instruction, setup func(m *vm.VM)) (fast, wire *vm.VM, fp, wp *vm.Program) {
 	t.Helper()
 	fast, wire = vm.New(), vm.New()
-	wire.SetWireInterp(true)
+	fast.SetTier(vm.TierPredecoded)
+	wire.SetTier(vm.TierWire)
 	var err error
 	for _, m := range []*vm.VM{fast, wire} {
 		if setup != nil {
@@ -424,8 +425,8 @@ func TestWireInterpSelectable(t *testing.T) {
 	b.MovImm(asm.R0, 0)
 	b.Exit()
 	fast, wire, fp, wp := newPair(t, b.MustProgram(), setup)
-	if !wire.WireInterp() || fast.WireInterp() {
-		t.Fatal("WireInterp selection not reflected")
+	if wire.Tier() != vm.TierWire || fast.Tier() != vm.TierPredecoded {
+		t.Fatalf("tier selection not reflected: wire=%v fast=%v", wire.Tier(), fast.Tier())
 	}
 	got, err := runBoth(t, fast, wire, fp, wp, nil)
 	if err != nil {

@@ -53,10 +53,10 @@ func traceProg(t testing.TB, m *vm.VM) *vm.Program {
 // both interpreter loops: packet_in, helper, map ops with miss flags,
 // kfunc, verdict — all carrying the same (Pkt, Flow) tag.
 func TestRunEmitsEventSequence(t *testing.T) {
-	for _, mode := range []string{"predecoded", "wire"} {
-		t.Run(mode, func(t *testing.T) {
+	for _, tier := range []vm.Tier{vm.TierPredecoded, vm.TierWire} {
+		t.Run(tier.String(), func(t *testing.T) {
 			m := vm.New()
-			m.SetWireInterp(mode == "wire")
+			m.SetTier(tier)
 			prog := traceProg(t, m)
 			rec := trace.NewRecorder(trace.Config{Capacity: 64})
 			m.SetRecorder(rec)

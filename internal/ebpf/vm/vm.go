@@ -605,21 +605,9 @@ func (vm *VM) Load(name string, prog []isa.Instruction) (*Program, error) {
 	return p, nil
 }
 
-// SetWireInterp selects (true) or deselects (false) the wire-format
-// reference interpreter for this VM — the two-state compatibility
-// surface over SetTier. Deselecting returns to the predecoded default.
-func (vm *VM) SetWireInterp(on bool) {
-	if on {
-		vm.tier = TierWire
-	} else {
-		vm.tier = TierPredecoded
-	}
-}
-
-// WireInterp reports whether the wire-format loop is selected.
-func (vm *VM) WireInterp() bool { return vm.tier == TierWire }
-
-// SetTier selects the execution tier for this VM.
+// SetTier selects the execution tier for this VM. Load prepares a
+// program for every tier (the jit compiles lazily on first run), so the
+// tier can be set or changed at any point after construction.
 func (vm *VM) SetTier(t Tier) { vm.tier = t }
 
 // Tier returns the selected execution tier.

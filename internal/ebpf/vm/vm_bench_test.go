@@ -189,17 +189,17 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	}
 	for _, bc := range []struct {
 		name  string
-		wire  bool
+		tier  vm.Tier
 		stats bool
 	}{
-		{"off", false, false},
-		{"on", false, true},
-		{"wire/off", true, false},
-		{"wire/on", true, true},
+		{"off", vm.TierPredecoded, false},
+		{"on", vm.TierPredecoded, true},
+		{"wire/off", vm.TierWire, false},
+		{"wire/on", vm.TierWire, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			m, prog := build(b)
-			m.SetWireInterp(bc.wire)
+			m.SetTier(bc.tier)
 			if bc.stats {
 				m.EnableStats()
 			}

@@ -32,11 +32,16 @@ import (
 // Decay base (the paper's b = 1.08).
 const DecayBase = 1.08
 
+// PoolSize is the capacity of the random pool the Kernel and eNetSTL
+// flavours draw decay coins from (the eBPF flavour calls
+// bpf_get_prandom_u32 instead). Exported so a per-tenant rpool quota can
+// be decided without building the NF.
+const PoolSize = 4096
+
 const (
 	fpSeed   = 77
 	tableLen = 64 // decay threshold entries
 	bucketSz = 8  // fp u32 + count u32
-	poolSize = 4096
 )
 
 // Config sizes the sketch.
@@ -105,7 +110,7 @@ func New(flavor nf.Flavor, cfg Config) (*Sketch, error) {
 	case nf.Kernel:
 		s.buf = make([]byte, bufSize(cfg))
 		fillDecayTable(s.buf)
-		s.pool = rpool.Must(rpool.NewPool(poolSize, 0x517cc1b7))
+		s.pool = rpool.Must(rpool.NewPool(PoolSize, 0x517cc1b7))
 		s.Instance = &nf.NativeInstance{NFName: "heavykeeper", Fn: s.updateNative}
 		return s, nil
 	case nf.EBPF, nf.ENetSTL:
@@ -120,7 +125,7 @@ func New(flavor nf.Flavor, cfg Config) (*Sketch, error) {
 			lib := core.Attach(machine, core.Config{})
 			state := maps.Must(maps.NewArray(8, 1))
 			sFD := machine.RegisterMap(state)
-			binary.LittleEndian.PutUint64(state.Data(), core.MustHandle(lib.NewPoolHandle(poolSize, 0x517cc1b7)))
+			binary.LittleEndian.PutUint64(state.Data(), core.MustHandle(lib.NewPoolHandle(PoolSize, 0x517cc1b7)))
 			b = buildProgram(fd, sFD, cfg, true)
 		}
 		ins, err := b.Program()

@@ -70,10 +70,13 @@ type Sketch struct {
 	arr    *maps.Array
 }
 
-const (
-	poolSize = 4096
-	geoSeed  = 0xabcdef
-)
+// PoolSize is the capacity of the geometric pool the Kernel and
+// eNetSTL flavours draw skip counts from (the eBPF flavour calls
+// bpf_get_prandom_u32 instead). Exported so a per-tenant rpool quota can
+// be decided without building the NF.
+const PoolSize = 4096
+
+const geoSeed = 0xabcdef
 
 // DegradeHeadSample is the sketch's opt-in overload degradation (see
 // cmsketch): NitroSketch already samples per row, so the guard thins
@@ -91,7 +94,7 @@ func New(flavor nf.Flavor, cfg Config) (*Sketch, error) {
 	switch flavor {
 	case nf.Kernel:
 		s.native = make([]uint32, cfg.Rows*cfg.Width)
-		s.geo = rpool.Must(rpool.NewGeoPool(poolSize, prob(cfg.ProbLog2), geoSeed))
+		s.geo = rpool.Must(rpool.NewGeoPool(PoolSize, prob(cfg.ProbLog2), geoSeed))
 		s.next = uint64(s.geo.Next()) - 1
 		rows := uint64(cfg.Rows)
 		s.Instance = &nf.NativeInstance{NFName: "nitrosketch", Fn: func(pkt []byte) uint64 {
@@ -133,7 +136,7 @@ func newVM(flavor nf.Flavor, cfg Config, arr *maps.Array) (*Sketch, error) {
 		// next selected (packet,row) pair relative to this packet.
 		state := maps.Must(maps.NewArray(16, 1))
 		stateFD := machine.RegisterMap(state)
-		geo := rpool.Must(rpool.NewGeoPool(poolSize, prob(cfg.ProbLog2), geoSeed))
+		geo := rpool.Must(rpool.NewGeoPool(PoolSize, prob(cfg.ProbLog2), geoSeed))
 		h := machine.AllocHandle(geo)
 		d := state.Data()
 		putLE64(d[0:], uint64(geo.Next())-1) // rel
@@ -182,7 +185,7 @@ func NewOnCPU(flavor nf.Flavor, p *maps.PerCPUArray, cpu int, cfg Config) (*Sket
 	wMask := uint32(cfg.Width - 1)
 	// Offset the seed by CPU so shards draw independent sampling
 	// streams, the way independent per-CPU pools would.
-	s.geo = rpool.Must(rpool.NewGeoPool(poolSize, prob(cfg.ProbLog2), geoSeed+uint64(cpu)))
+	s.geo = rpool.Must(rpool.NewGeoPool(PoolSize, prob(cfg.ProbLog2), geoSeed+uint64(cpu)))
 	s.next = uint64(s.geo.Next()) - 1
 	rows := uint64(cfg.Rows)
 	data := arr.Data()

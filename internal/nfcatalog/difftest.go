@@ -9,7 +9,6 @@ package nfcatalog
 import (
 	"fmt"
 
-	"enetstl/internal/ebpf/maps"
 	"enetstl/internal/ebpf/vm"
 	"enetstl/internal/nf"
 	"enetstl/internal/pktgen"
@@ -98,59 +97,12 @@ func diffOracle(name string) DiffOracle {
 	return OracleExact
 }
 
-// ImplDiffCase is one NF×flavour built once per hash-core
-// implementation over bit-identical trace clones — the old-vs-new
-// conformance axis, orthogonal to DiffCase's flavour axis. The contract
-// is exact for every NF, sampling sketches included: within one
-// flavour the RNG streams are identical, so a map core swap that
-// changes any verdict or any estimator reading is a bug, not noise.
-type ImplDiffCase struct {
-	Name      string // "cmsketch/ebpf"
-	Impls     []maps.Impl
-	Insts     []nf.Instance
-	Traces    []*pktgen.Trace
-	Estimates []func(key []byte) uint32
-}
-
-// ImplDiffCases builds every registered NF in every supported flavour
-// twice — once over the flat reference core, once over the bucketed
-// core — each build on its own clone of the same canonical trace.
-func ImplDiffCases(cfg DiffConfig) ([]ImplDiffCase, error) {
-	cfg = cfg.norm()
-	prev := maps.CurrentImpl()
-	defer maps.SetImpl(prev)
-	var cases []ImplDiffCase
-	for _, name := range Names() {
-		canon := pktgen.Generate(pktgen.Config{
-			Flows: cfg.Flows, Packets: cfg.Packets, ZipfS: cfg.ZipfS, Seed: cfg.Seed})
-		for _, fl := range SupportedFlavors(name) {
-			c := ImplDiffCase{Name: fmt.Sprintf("%s/%v", name, fl)}
-			for _, impl := range []maps.Impl{maps.ImplFlat, maps.ImplBucket} {
-				trace := canon.Clone()
-				maps.SetImpl(impl)
-				b, err := BuildFull(name, fl, trace)
-				if err != nil {
-					maps.SetImpl(prev)
-					return nil, fmt.Errorf("impl diff case %s/%v/%v: %w", name, fl, impl, err)
-				}
-				c.Impls = append(c.Impls, impl)
-				c.Insts = append(c.Insts, b.Inst)
-				c.Traces = append(c.Traces, trace)
-				c.Estimates = append(c.Estimates, b.Est)
-			}
-			cases = append(cases, c)
-		}
-	}
-	return cases, nil
-}
-
 // InterpDiffCase is one VM-backed NF×flavour built once per interpreter
 // tier over bit-identical trace clones — the execution-tier conformance
-// axis, orthogonal to both the flavour axis (DiffCase) and the map-core
-// axis (ImplDiffCase). The contract is exact for every NF, sampling
-// sketches included: the tiers execute the same program over the same
-// helper tables and RNG streams, so any verdict or estimator difference
-// is an interpreter bug, not noise.
+// axis, orthogonal to the flavour axis (DiffCase). The contract is exact
+// for every NF, sampling sketches included: the tiers execute the same
+// program over the same helper tables and RNG streams, so any verdict
+// or estimator difference is an interpreter bug, not noise.
 type InterpDiffCase struct {
 	Name      string // "cmsketch/ebpf"
 	Tiers     []vm.Tier

@@ -1,10 +1,10 @@
 // Package nfd is the long-lived NF daemon: an HTTP control plane that
 // loads, configures, runs, and tears down NF module instances at
-// runtime. A module is one catalog NF built under a per-instance
-// runtime.Options value (tier, map core, shards, quotas, guard,
-// tracing) — the same serializable struct the CLIs parse from flags, so
-// a JSON request body and a flag set construct bit-identically the same
-// instance. Packet streams are pushed in batches over HTTP and replayed
+// runtime. A module is one catalog NF configured by a per-instance
+// runtime.Options value (tier, shards, quotas, guard, tracing) — the
+// same serializable struct the CLIs parse from flags, so a JSON request
+// body and a flag set construct bit-identically the same instance.
+// Packet streams are pushed in batches over HTTP and replayed
 // through the module's persistent instances; the obs plane mounts on
 // the same listener.
 package nfd
@@ -161,9 +161,11 @@ func (r *Registry) Get(id string) (*Module, bool) {
 	return m, ok
 }
 
-// Create builds a module from req: instances constructed under the
-// request's scoped Options (created), then instrumentation attached
-// (attached). Quota breaches surface as runtime.ErrQuota.
+// Create builds a module from req: instances constructed, then the
+// request's Options applied to them — tier and quotas (created), then
+// instrumentation (attached). Quota breaches surface as
+// runtime.ErrQuota. Create takes no lock until the finished module is
+// registered, so concurrent creates build in parallel.
 func (r *Registry) Create(req CreateRequest) (*Module, error) {
 	flavor, err := nf.ParseFlavor(req.Flavor)
 	if err != nil {
@@ -194,40 +196,31 @@ func (r *Registry) Create(req CreateRequest) (*Module, error) {
 		created: time.Now(),
 	}
 
-	// Construction, scoped: tier/map-core selection and the map-memory
-	// and rpool quotas apply to everything built here and nothing else.
-	m.built, err = runtime.Under(o, func() ([]nfcatalog.Built, error) {
-		if shards == 1 {
-			b, err := nfcatalog.BuildFull(req.Name, flavor, seedTrace)
-			if err != nil {
-				return nil, err
-			}
-			return []nfcatalog.Built{b}, nil
+	// Construction takes no options; the tier and the map-memory and
+	// rpool quotas are then applied to exactly what was built.
+	if shards == 1 {
+		b, err := nfcatalog.BuildFull(req.Name, flavor, seedTrace)
+		if err != nil {
+			return nil, err
 		}
-		var sh *nfcatalog.Sharded
-		var err error
+		m.built = []nfcatalog.Built{b}
+	} else {
+		sh := nfcatalog.NewSharded(req.Name, flavor)
 		if o.PerCPU {
-			sh, err = nfcatalog.NewShardedPerCPU(req.Name, flavor, shards)
-			if err != nil {
+			if sh, err = nfcatalog.NewShardedPerCPU(req.Name, flavor, shards); err != nil {
 				return nil, err
 			}
-		} else {
-			sh = nfcatalog.NewSharded(req.Name, flavor)
 		}
 		nfcatalog.PrepareTrace(req.Name, seedTrace)
-		subs := seedTrace.Shard(shards)
-		out := make([]nfcatalog.Built, shards)
-		for i := range out {
-			b, err := sh.BuildFull(i, subs[i])
-			if err != nil {
+		m.built = make([]nfcatalog.Built, shards)
+		for i, sub := range seedTrace.Shard(shards) {
+			if m.built[i], err = sh.BuildFull(i, sub); err != nil {
 				return nil, err
 			}
-			out[i] = b
 		}
 		m.sharded = sh
-		return out, nil
-	})
-	if err != nil {
+	}
+	if err := nfcatalog.Apply(o, req.Name, flavor, m.sharded, m.built...); err != nil {
 		return nil, err
 	}
 	m.state = StateCreated
@@ -371,33 +364,30 @@ func (m *Module) DrainTrace(max int) []trace.Event {
 }
 
 // Publish writes the module's live counters into reg — the per-module
-// gatherer behind the daemon's /metrics.
+// gatherer behind the daemon's /metrics. It holds mu throughout: a
+// batch mutates vm.Stats and the guard's budget, neither of which is
+// safe to read mid-replay, so a scrape waits out the in-flight batch.
 func (m *Module) Publish(reg *telemetry.Registry) {
 	m.mu.Lock()
-	guards := m.guards
-	stats := m.stats
-	rec := m.rec
-	state := m.state
-	batches, packets := m.batches, m.packets
-	m.mu.Unlock()
+	defer m.mu.Unlock()
 	lbl := []telemetry.Label{
 		telemetry.L("module", m.ID), telemetry.L("nf", m.Name),
 		telemetry.L("flavor", m.Flavor),
 	}
 	reg.SetHelp("nfd_module_state", "lifecycle state (created=0 attached=1 running=2 draining=3)")
-	reg.Gauge("nfd_module_state", lbl...).Set(float64(state))
+	reg.Gauge("nfd_module_state", lbl...).Set(float64(m.state))
 	reg.SetHelp("nfd_module_batches_total", "packet batches replayed")
-	reg.Counter("nfd_module_batches_total", lbl...).Add(batches)
+	reg.Counter("nfd_module_batches_total", lbl...).Add(m.batches)
 	reg.SetHelp("nfd_module_packets_total", "packets pushed through the module")
-	reg.Counter("nfd_module_packets_total", lbl...).Add(packets)
-	for _, g := range guards {
+	reg.Counter("nfd_module_packets_total", lbl...).Add(m.packets)
+	for _, g := range m.guards {
 		g.Publish(reg)
 	}
-	if stats != nil {
-		stats.Publish(reg)
+	if m.stats != nil {
+		m.stats.Publish(reg)
 	}
-	if rec != nil {
-		rec.Publish(reg)
+	if m.rec != nil {
+		m.rec.Publish(reg)
 	}
 }
 

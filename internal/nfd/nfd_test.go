@@ -117,11 +117,20 @@ func TestCreateRejections(t *testing.T) {
 		{"bad flavor", `{"name": "bloom", "flavor": "turbo"}`},
 		{"bad options", `{"name": "bloom", "flavor": "kernel", "options": {"tier": "turbo"}}`},
 		{"unknown field", `{"name": "bloom", "flavor": "kernel", "nope": 1}`},
+		{"negative quota", `{"name": "bloom", "flavor": "kernel", "options": {"quota": {"rpool_cap": -1}}}`},
 	}
 	for _, c := range cases {
 		if code, _ := do(t, "POST", ts.URL+"/modules", c.body, nil); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", c.name, code)
 		}
+	}
+	// map_impl left the options schema with the selectable flat core. A
+	// client still sending it gets a 400 that names the field, not a
+	// module silently built on the only core there is.
+	code, data := do(t, "POST", ts.URL+"/modules",
+		`{"name": "conntrack", "flavor": "ebpf", "options": {"map_impl": "flat"}}`, nil)
+	if code != http.StatusBadRequest || !strings.Contains(string(data), "map_impl") {
+		t.Errorf("removed option map_impl: status %d body %s, want 400 naming the field", code, data)
 	}
 	// Batches bounce off missing modules.
 	if code, _ := do(t, "POST", ts.URL+"/modules/ghost-1/packets", `{"packets": 10}`, nil); code != http.StatusNotFound {
@@ -174,7 +183,8 @@ func TestConcurrentCreateDelete(t *testing.T) {
 // TestQuotaEnforcement pins the 429 semantics: a quota-limited module
 // sheds (429 with partial results) while an unlimited sibling on the
 // same daemon replays the same stream untouched, and the shed counters
-// are visible at /metrics. Construction-time quotas 429 at create.
+// are visible at /metrics. Quotas measured on the built module (map
+// memory, rpool capacity) 429 at create.
 func TestQuotaEnforcement(t *testing.T) {
 	_, ts := newTestServer(t)
 
@@ -219,8 +229,8 @@ func TestQuotaEnforcement(t *testing.T) {
 		t.Fatal("/metrics missing nf_guard_shed_total for the limited module")
 	}
 
-	// Construction-time quota: a map-memory ceiling no flow table fits
-	// under fails the create with 429, not 400.
+	// A map-memory ceiling no flow table fits under fails the create
+	// with 429, not 400.
 	if code, data := do(t, "POST", ts.URL+"/modules",
 		`{"name": "conntrack", "flavor": "kernel",
 		  "options": {"quota": {"map_bytes": 64}}}`, nil); code != http.StatusTooManyRequests {
@@ -238,13 +248,13 @@ func TestGoldenJSONEqualsOptions(t *testing.T) {
 	const nfName = "cmsketch"
 	seedSpec := runtime.TraceSpec{Flows: 64, Packets: 800, Seed: 11}
 	batchSpec := runtime.TraceSpec{Flows: 64, Packets: 2000, Zipf: 1.1, Seed: 11}
-	opts := runtime.Options{Tier: "jit", MapImpl: "flat"}
+	opts := runtime.Options{Tier: "jit"}
 
 	// HTTP path: JSON-built module, one batch.
 	var st nfd.Status
 	if code, data := do(t, "POST", ts.URL+"/modules",
 		`{"name": "cmsketch", "flavor": "enetstl",
-		  "options": {"tier": "jit", "map_impl": "flat"},
+		  "options": {"tier": "jit"},
 		  "trace": {"flows": 64, "packets": 800, "seed": 11}}`, &st); code != http.StatusCreated {
 		t.Fatalf("create: status %d: %s", code, data)
 	}
@@ -284,7 +294,7 @@ func TestGoldenJSONEqualsOptions(t *testing.T) {
 	}
 
 	// Estimator state: both instances saw the same stream through the
-	// same tier and map core, so per-flow estimates must match exactly.
+	// same tier, so per-flow estimates must match exactly.
 	for i := 0; i < 8; i++ {
 		var est struct {
 			Estimate uint32 `json:"estimate"`
@@ -324,5 +334,88 @@ func TestShardedModule(t *testing.T) {
 	}
 	if code, _ := do(t, "DELETE", ts.URL+"/modules/"+st.ID, "", nil); code != http.StatusOK {
 		t.Fatalf("delete failed")
+	}
+}
+
+// TestRPoolQuotaAnswers429 is the regression test for the quota panic:
+// a module whose NF draws a random pool larger than quota.rpool_cap
+// used to panic inside the NF constructor, so the client saw a reset
+// connection. Every pool-drawing NF in every flavour must now get an
+// HTTP answer — 429 where a pool is drawn, 201 where none is (the eBPF
+// flavours) — and a refused module must not linger in the registry.
+func TestRPoolQuotaAnswers429(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, name := range []string{"heavykeeper", "nitrosketch"} {
+		for _, flavor := range []string{"kernel", "ebpf", "enetstl"} {
+			body := fmt.Sprintf(
+				`{"name": %q, "flavor": %q, "options": {"quota": {"rpool_cap": 8}}}`, name, flavor)
+			// do fails the test on a transport error, which is what a
+			// panicking handler produces.
+			code, data := do(t, "POST", ts.URL+"/modules", body, nil)
+			want := http.StatusTooManyRequests
+			if flavor == "ebpf" {
+				want = http.StatusCreated
+			}
+			if code != want {
+				t.Errorf("%s/%s under rpool_cap 8: status %d, want %d: %s", name, flavor, code, want, data)
+			}
+			// The same module fits a ceiling at its pool size.
+			body = fmt.Sprintf(
+				`{"name": %q, "flavor": %q, "options": {"quota": {"rpool_cap": 4096}}}`, name, flavor)
+			if code, data := do(t, "POST", ts.URL+"/modules", body, nil); code != http.StatusCreated {
+				t.Errorf("%s/%s under rpool_cap 4096: status %d, want 201: %s", name, flavor, code, data)
+			}
+		}
+	}
+	var list struct {
+		Modules []nfd.Status `json:"modules"`
+	}
+	do(t, "GET", ts.URL+"/modules", "", &list)
+	// 2 eBPF modules under the tight cap + 6 under the fitting one.
+	if len(list.Modules) != 8 {
+		t.Fatalf("%d modules registered, want 8 (refused creates must leave nothing behind)", len(list.Modules))
+	}
+}
+
+// TestBodyLimit: a request body over nfd.MaxBodyBytes is a 413 and the
+// batch it carried is not replayed, not even in part.
+func TestBodyLimit(t *testing.T) {
+	srv, ts := newTestServer(t)
+	var st nfd.Status
+	if code, data := do(t, "POST", ts.URL+"/modules",
+		`{"name": "cmsketch", "flavor": "kernel"}`, &st); code != http.StatusCreated {
+		t.Fatalf("create: status %d: %s", code, data)
+	}
+	if code, data := do(t, "POST", ts.URL+"/modules/"+st.ID+"/packets",
+		`{"flows": 16, "packets": 50}`, nil); code != http.StatusOK {
+		t.Fatalf("ingest: status %d: %s", code, data)
+	}
+
+	// Served straight through the handler: over a socket the server may
+	// answer and close while the client is still writing 16 MiB, and
+	// which of the two the client reports first is a race.
+	oversized := `{"raw": ["` + strings.Repeat("A", nfd.MaxBodyBytes) + `"]}`
+	for _, path := range []string{"/modules/" + st.ID + "/packets", "/modules"} {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(oversized)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %s with a %d-byte body: status %d, want 413: %s",
+				path, len(oversized), rec.Code, rec.Body)
+		}
+	}
+
+	var after nfd.Status
+	do(t, "GET", ts.URL+"/modules/"+st.ID, "", &after)
+	if after.Batches != 1 || after.Packets != 50 {
+		t.Fatalf("counters moved under a refused body: %d batches / %d packets, want 1 / 50",
+			after.Batches, after.Packets)
+	}
+	// A body at the limit is still read to the end: it fails as JSON
+	// (400), not as too large.
+	atLimit := strings.Repeat(" ", nfd.MaxBodyBytes)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/modules", strings.NewReader(atLimit)))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("body of exactly MaxBodyBytes: status %d, want 400", rec.Code)
 	}
 }

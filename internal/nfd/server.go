@@ -10,6 +10,8 @@
 //	GET    /modules/{id}/trace    per-module flight-recorder JSONL
 //	GET    /modules/{id}/estimates?flow=N | ?key=HEX
 //	/metrics /trace /profile /debug/pprof  the obs plane
+//
+// Request bodies are capped at MaxBodyBytes; a larger one is a 413.
 package nfd
 
 import (
@@ -22,12 +24,25 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"time"
 
 	"enetstl/internal/harness"
 	"enetstl/internal/obs"
 	"enetstl/internal/runtime"
 	"enetstl/internal/telemetry"
 )
+
+// MaxBodyBytes caps a request body. The largest body a client has
+// reason to send is a raw packet batch (base64 packets in a JSON list,
+// ~91 bytes per 64-byte packet): 16 MiB holds about 180k packets, far
+// above the benchmark's largest batch (256 packets, ~23 KB).
+const MaxBodyBytes = 16 << 20
+
+// readHeaderTimeout bounds how long a connection may take to deliver
+// its request headers, so idle or trickling clients cannot pin
+// connections open. Bodies are bounded by size, not time: a large batch
+// over a slow link is legitimate.
+const readHeaderTimeout = 10 * time.Second
 
 // Server glues the registry to HTTP and mounts the obs plane on the
 // same mux.
@@ -77,7 +92,7 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.httpSrv = &http.Server{Handler: s.Handler()}
+	s.httpSrv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	go s.httpSrv.Serve(ln) //nolint:errcheck // ErrServerClosed on Shutdown
 	return ln.Addr().String(), nil
 }
@@ -114,16 +129,15 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req CreateRequest
-	if err := decodeStrict(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeStrict(w, r, &req) {
 		return
 	}
 	m, err := s.Registry.Create(req)
 	if err != nil {
 		code := http.StatusBadRequest
 		if errors.Is(err, runtime.ErrQuota) {
-			// Construction-time quota breach (map memory, rpool
-			// capacity): same status as datapath shedding.
+			// The built module breaches its map-memory or rpool quota:
+			// same status as datapath shedding.
 			code = http.StatusTooManyRequests
 		}
 		writeErr(w, code, err)
@@ -163,8 +177,7 @@ func (s *Server) handlePackets(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec runtime.TraceSpec
-	if err := decodeStrict(r, &spec); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeStrict(w, r, &spec) {
 		return
 	}
 	res, err := m.Ingest(spec)
@@ -195,9 +208,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	// Snapshot under mu: vm.Stats is not safe to read while a batch
+	// is mutating it.
 	m.mu.Lock()
 	st := m.stats
-	m.mu.Unlock()
 	out := []statsSnapshot{}
 	if st != nil {
 		for _, name := range st.ProgNames() {
@@ -210,6 +224,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
+	m.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{"module": m.ID, "programs": out})
 }
 
@@ -289,13 +304,23 @@ func (s *Server) handleEstimates(w http.ResponseWriter, r *http.Request) {
 // handler writes harness.BatchResult directly.
 type BatchResponse = harness.BatchResult
 
-func decodeStrict(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// decodeStrict decodes the size-capped JSON body into v, rejecting
+// unknown fields. On failure it has already answered — 413 for a body
+// over MaxBodyBytes, 400 for anything else — and returns false.
+func decodeStrict(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
+	err := dec.Decode(v)
+	if err == nil {
+		return true
 	}
-	return nil
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, code, fmt.Errorf("bad request body: %w", err))
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -9,36 +9,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // ErrConfig reports an invalid pool configuration.
 var ErrConfig = errors.New("rpool: invalid configuration")
-
-// ErrCapLimit reports a pool whose requested capacity exceeds the
-// tenant's quota (runtime.Options Quota.RPoolCap). The runtime layer
-// wraps it into its quota error so daemons can map it to HTTP 429.
-var ErrCapLimit = errors.New("rpool: capacity exceeds quota")
-
-// capLimit is the per-tenant pool-capacity ceiling the runtime options
-// layer installs around scoped builds; 0 means unlimited. Atomic
-// because unscoped constructions may race a scoped build's restore.
-var capLimit atomic.Int64
-
-// SetCapLimit installs a pool-capacity ceiling applied to subsequent
-// NewPool/NewGeoPool calls; 0 removes it.
-func SetCapLimit(n int) { capLimit.Store(int64(n)) }
-
-// CapLimit returns the current pool-capacity ceiling (0 = unlimited).
-func CapLimit() int { return int(capLimit.Load()) }
-
-// checkCap enforces the ceiling.
-func checkCap(size int) error {
-	if lim := capLimit.Load(); lim > 0 && int64(size) > lim {
-		return fmt.Errorf("%w: %d > %d", ErrCapLimit, size, lim)
-	}
-	return nil
-}
 
 // Must unwraps a pool constructor result, panicking on error; for call
 // sites with static, pre-validated parameters.
@@ -81,9 +55,6 @@ type Pool struct {
 func NewPool(size int, seed uint64) (*Pool, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("%w: pool size %d", ErrConfig, size)
-	}
-	if err := checkCap(size); err != nil {
-		return nil, err
 	}
 	if seed == 0 {
 		seed = 0x9e3779b97f4a7c15
@@ -157,9 +128,6 @@ func NewGeoPool(size int, prob float64, seed uint64) (*GeoPool, error) {
 	}
 	if prob <= 0 || prob > 1 {
 		return nil, fmt.Errorf("%w: prob %g not in (0,1]", ErrConfig, prob)
-	}
-	if err := checkCap(size); err != nil {
-		return nil, err
 	}
 	if seed == 0 {
 		seed = 0x9e3779b97f4a7c15

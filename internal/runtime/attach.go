@@ -3,6 +3,7 @@ package runtime
 import (
 	"time"
 
+	"enetstl/internal/ebpf/maps"
 	"enetstl/internal/ebpf/vm"
 	"enetstl/internal/nf"
 	"enetstl/internal/trace"
@@ -29,6 +30,40 @@ func VMs(inst nf.Instance) []*vm.VM {
 		}
 	}
 	return out
+}
+
+// Maps collects the maps an instance holds: everything registered on
+// its VMs plus, for a native that owns its map directly (Kernel-flavour
+// conntrack), that map.
+func Maps(inst nf.Instance) []maps.Map {
+	var out []maps.Map
+	for _, m := range VMs(inst) {
+		for _, mp := range m.Maps() {
+			out = append(out, mp)
+		}
+	}
+	if h, ok := inst.(interface{ Map() maps.ArenaMap }); ok {
+		if mp := h.Map(); mp != nil {
+			out = append(out, mp)
+		}
+	}
+	return out
+}
+
+// MapBytes sums the backing-store footprint of the distinct maps in ms
+// — the figure quota.map_bytes is held against. Distinct, because the
+// copies of a sharded module's per-CPU map are reachable both from the
+// shared map and from each shard's VM.
+func MapBytes(ms []maps.Map) int {
+	seen := make(map[maps.Map]struct{}, len(ms))
+	n := 0
+	for _, m := range ms {
+		if _, dup := seen[m]; !dup {
+			seen[m] = struct{}{}
+			n += maps.FootprintOf(m)
+		}
+	}
+	return n
 }
 
 // AttachStats attaches one shared Stats to every VM backing inst and

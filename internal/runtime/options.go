@@ -1,17 +1,21 @@
 // Package runtime defines the unified options-based configuration
-// surface for constructing NF instances. One serializable Options
-// struct replaces the historical sprawl of process-global setters
-// (vm.SetDefaultTier, maps.SetImpl, vm.SetWireInterp, ...): every
-// builder — the nfd daemon's JSON module API, the nfrun/enetstl-bench
-// CLIs, the benchmark harnesses — resolves the same struct, so a JSON
-// request body and a CLI invocation construct bit-identically the same
-// instance.
+// surface for NF instances. One serializable Options struct is what
+// every builder resolves — the nfd daemon's JSON module API, the
+// nfrun/enetstl-bench CLIs, the benchmark harness — so a JSON request
+// body and a CLI invocation describe bit-identically the same instance.
 //
-// The legacy globals remain as compat shims: Defaults() reads them, so
-// a process that still calls vm.SetDefaultTier gets that tier as the
-// baseline every Options resolution inherits. New code should never
-// touch the globals directly; per-instance configuration goes through
-// Under, which scopes the construction-time knobs to one build.
+// Options configure the built instance, not the build: NF constructors
+// take no options and read no per-instance global. The tier is pinned
+// on the finished instance's VMs, stats/recorder/guard are attached to
+// it (attach.go), and the construction-side quotas are measured on it
+// (Maps, MapBytes, Quota.Check). Nothing here takes a lock or writes
+// process state, so any number of instances can be configured
+// concurrently.
+//
+// Two process-wide defaults remain for the batch CLIs, written once in
+// main through Install before anything is built: the tier a fresh VM
+// starts on (vm.SetDefaultTier — what an empty Options.Tier resolves
+// to) and the global VM stats switch.
 package runtime
 
 import (
@@ -19,17 +23,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 
-	"enetstl/internal/ebpf/maps"
 	"enetstl/internal/ebpf/vm"
 	"enetstl/internal/guard"
-	"enetstl/internal/rpool"
 	"enetstl/internal/trace"
 )
 
-// ErrQuota reports a per-tenant resource quota breach at construction
-// time (map memory, rpool capacity). The daemon maps it to HTTP 429.
+// ErrQuota reports a per-tenant resource quota breach found on a built
+// instance (map memory, rpool capacity). The daemon maps it to HTTP 429.
 var ErrQuota = errors.New("runtime: quota exceeded")
 
 // Options is the per-instance runtime configuration. The zero value
@@ -40,9 +41,6 @@ type Options struct {
 	// Tier selects the VM execution tier for VM-backed flavours:
 	// "wire" | "predecoded" | "jit". Empty inherits the process default.
 	Tier string `json:"tier,omitempty"`
-	// MapImpl selects the hash map core: "bucket" | "flat". Empty
-	// inherits the process default.
-	MapImpl string `json:"map_impl,omitempty"`
 	// Shards is the RSS shard count (instances replaying concurrently
 	// over a flow-hash-partitioned stream). 0 and 1 both mean unsharded.
 	Shards int `json:"shards,omitempty"`
@@ -50,14 +48,14 @@ type Options struct {
 	// (private per-shard copies) where the NF has per-CPU wiring.
 	PerCPU bool `json:"percpu,omitempty"`
 	// Stats enables per-instance VM statistics (the bpf_stats
-	// analogue), attached at build time without the global registry.
+	// analogue), attached to the instance without the global registry.
 	Stats bool `json:"stats,omitempty"`
 	// Trace attaches a flight recorder with this configuration.
 	Trace *TraceOptions `json:"trace,omitempty"`
 	// Guard fronts the instance with the overload-guard plane.
 	Guard *GuardOptions `json:"guard,omitempty"`
 	// Quota sets per-tenant resource ceilings, enforced via the guard
-	// plane (insn budget) and at construction (map memory, rpool).
+	// plane (insn budget) and on the built instance (map memory, rpool).
 	Quota *Quota `json:"quota,omitempty"`
 }
 
@@ -121,12 +119,30 @@ type Quota struct {
 	// token-bucket budget (instructions per arrival tick) on the
 	// instance's guard. Excess packets are shed, never queued.
 	InsnBudget uint64 `json:"insn_budget,omitempty"`
-	// MapBytes caps the summed arena footprint of every map the
-	// instance constructs; breaching it fails the build with ErrQuota.
+	// MapBytes caps the summed footprint of every map the instance
+	// holds (MapBytes); a breach refuses the instance with ErrQuota.
 	MapBytes int `json:"map_bytes,omitempty"`
-	// RPoolCap caps the capacity of any single random pool the
-	// instance constructs; breaching it fails the build with ErrQuota.
+	// RPoolCap caps the capacity of any single random pool the instance
+	// draws from; a breach refuses the instance with ErrQuota.
 	RPoolCap int `json:"rpool_cap,omitempty"`
+}
+
+// Check holds the construction-side ceilings against what a build
+// produced: mapBytes is the summed footprint of the instance's maps
+// (MapBytes), poolCap the capacity of the largest random pool it draws
+// (0 for none). A nil quota and zero fields are unlimited; a breach is
+// an ErrQuota.
+func (q *Quota) Check(mapBytes, poolCap int) error {
+	if q == nil {
+		return nil
+	}
+	if q.MapBytes > 0 && mapBytes > q.MapBytes {
+		return fmt.Errorf("%w: maps use %d bytes, quota %d", ErrQuota, mapBytes, q.MapBytes)
+	}
+	if q.RPoolCap > 0 && poolCap > q.RPoolCap {
+		return fmt.Errorf("%w: random pool of %d entries, quota %d", ErrQuota, poolCap, q.RPoolCap)
+	}
+	return nil
 }
 
 // GuardConfig resolves the guard configuration the instance should run
@@ -146,8 +162,8 @@ func (o Options) GuardConfig() (cfg guard.Config, ok bool) {
 	return cfg, ok
 }
 
-// ResolveTier parses the tier, falling back to the process default for
-// the empty string (the vm.SetDefaultTier compat shim).
+// ResolveTier parses the tier, falling back to the process default
+// (vm.DefaultTier) for the empty string.
 func (o Options) ResolveTier() (vm.Tier, error) {
 	if o.Tier == "" {
 		return vm.DefaultTier(), nil
@@ -155,26 +171,9 @@ func (o Options) ResolveTier() (vm.Tier, error) {
 	return vm.ParseTier(o.Tier)
 }
 
-// ResolveMapImpl parses the map core selector, falling back to the
-// process default for the empty string (the maps.SetImpl compat shim).
-func (o Options) ResolveMapImpl() (maps.Impl, error) {
-	switch o.MapImpl {
-	case "":
-		return maps.CurrentImpl(), nil
-	case "bucket":
-		return maps.ImplBucket, nil
-	case "flat":
-		return maps.ImplFlat, nil
-	}
-	return 0, fmt.Errorf("runtime: unknown map_impl %q (bucket|flat)", o.MapImpl)
-}
-
 // Validate checks every field without resolving process defaults.
 func (o Options) Validate() error {
 	if _, err := o.ResolveTier(); err != nil {
-		return err
-	}
-	if _, err := o.ResolveMapImpl(); err != nil {
 		return err
 	}
 	if o.Shards < 0 {
@@ -197,27 +196,18 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Defaults returns the Options a zero struct resolves to right now:
-// the process-global tier and map core the legacy setters control.
-// This is the compat-shim direction — old code that flips a global
-// changes what empty Options fields mean.
+// Defaults returns the Options a zero struct resolves to right now: the
+// process default tier, the one inheritable field.
 func Defaults() Options {
-	return Options{
-		Tier:    vm.DefaultTier().String(),
-		MapImpl: maps.CurrentImpl().String(),
-	}
+	return Options{Tier: vm.DefaultTier().String()}
 }
 
 // Canon returns o with inheritable empty fields pinned to their
 // current resolution, so the JSON form is self-contained: two Canon
 // outputs are equal iff they construct identical instances.
 func (o Options) Canon() Options {
-	d := Defaults()
 	if o.Tier == "" {
-		o.Tier = d.Tier
-	}
-	if o.MapImpl == "" {
-		o.MapImpl = d.MapImpl
+		o.Tier = Defaults().Tier
 	}
 	if o.Shards == 0 {
 		o.Shards = 1
@@ -246,83 +236,18 @@ func FromJSON(data []byte) (Options, error) {
 	return o, nil
 }
 
-// Install makes o the process-wide default through the compat shims —
-// the sanctioned "configure everything this process builds" entry the
-// batch CLIs use in place of calling the global setters directly.
-// Per-instance configuration should use Under instead.
+// Install makes o's tier the process default and, with o.Stats, turns
+// the global VM stats switch on. It is the batch CLIs' startup call —
+// once in main, before anything is built — and the only writer of those
+// two defaults. Everything else in o applies per instance.
 func Install(o Options) error {
 	tier, err := o.ResolveTier()
 	if err != nil {
 		return err
 	}
-	impl, err := o.ResolveMapImpl()
-	if err != nil {
-		return err
-	}
 	vm.SetDefaultTier(tier)
-	maps.SetImpl(impl)
 	if o.Stats {
 		vm.SetGlobalStats(true)
 	}
-	if q := o.Quota; q != nil && q.RPoolCap > 0 {
-		rpool.SetCapLimit(q.RPoolCap)
-	}
 	return nil
-}
-
-// buildMu serializes scoped builds: Under briefly retargets the
-// construction-time shims (tier, map core, rpool cap, map-memory
-// meter), and the lock keeps concurrent builders — the daemon creates
-// modules from concurrent HTTP handlers — from observing each other's
-// settings. Replay never takes this lock; it guards construction only.
-var buildMu sync.Mutex
-
-// Under runs build with o's construction-time settings in effect and
-// the previous settings restored afterwards, enforcing the map-memory
-// and rpool-capacity quotas against everything the build constructs.
-// This is how per-instance configuration reaches constructors that
-// read the package globals deep inside NF builders, without the
-// configuration leaking to any other build.
-func Under[T any](o Options, build func() (T, error)) (T, error) {
-	var zero T
-	tier, err := o.ResolveTier()
-	if err != nil {
-		return zero, err
-	}
-	impl, err := o.ResolveMapImpl()
-	if err != nil {
-		return zero, err
-	}
-
-	buildMu.Lock()
-	defer buildMu.Unlock()
-	prevTier, prevImpl, prevCap := vm.DefaultTier(), maps.CurrentImpl(), rpool.CapLimit()
-	defer func() {
-		vm.SetDefaultTier(prevTier)
-		maps.SetImpl(prevImpl)
-		rpool.SetCapLimit(prevCap)
-		maps.SetAccount(nil)
-	}()
-	vm.SetDefaultTier(tier)
-	maps.SetImpl(impl)
-
-	var mapBytes int
-	var rpoolCap int
-	if q := o.Quota; q != nil {
-		rpoolCap = q.RPoolCap
-	}
-	rpool.SetCapLimit(rpoolCap)
-	maps.SetAccount(func(n int) { mapBytes += n })
-
-	v, err := build()
-	if err != nil {
-		if errors.Is(err, rpool.ErrCapLimit) {
-			return zero, fmt.Errorf("%w: %v", ErrQuota, err)
-		}
-		return zero, err
-	}
-	if q := o.Quota; q != nil && q.MapBytes > 0 && mapBytes > q.MapBytes {
-		return zero, fmt.Errorf("%w: maps use %d arena bytes, quota %d", ErrQuota, mapBytes, q.MapBytes)
-	}
-	return v, nil
 }

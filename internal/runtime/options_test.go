@@ -2,26 +2,20 @@ package runtime
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
-	"sync"
+	"strings"
 	"testing"
-
-	"enetstl/internal/ebpf/maps"
-	"enetstl/internal/ebpf/vm"
-	"enetstl/internal/rpool"
 )
 
 func TestJSONRoundTrip(t *testing.T) {
 	o := Options{
-		Tier:    "jit",
-		MapImpl: "flat",
-		Shards:  4,
-		PerCPU:  true,
-		Stats:   true,
-		Trace:   &TraceOptions{Capacity: 4096, SampleRate: 0.5, Seed: 9},
-		Guard:   &GuardOptions{Enabled: true, InsnBudget: 1000, WatchdogFactor: 16},
-		Quota:   &Quota{InsnBudget: 500, MapBytes: 1 << 20, RPoolCap: 1 << 12},
+		Tier:   "jit",
+		Shards: 4,
+		PerCPU: true,
+		Stats:  true,
+		Trace:  &TraceOptions{Capacity: 4096, SampleRate: 0.5, Seed: 9},
+		Guard:  &GuardOptions{Enabled: true, InsnBudget: 1000, WatchdogFactor: 16},
+		Quota:  &Quota{InsnBudget: 500, MapBytes: 1 << 20, RPoolCap: 1 << 12},
 	}
 	data, err := o.JSON()
 	if err != nil {
@@ -34,6 +28,16 @@ func TestJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(o, back) {
 		t.Fatalf("round trip diverged:\n  in  %+v\n  out %+v", o, back)
 	}
+	// The literal above sets every top-level field; a field added to
+	// Options without a round-trip case fails here.
+	if n := reflect.TypeOf(o).NumField(); n != 7 {
+		t.Fatalf("Options has %d top-level fields, this test covers 7", n)
+	}
+	for i := 0; i < reflect.ValueOf(o).NumField(); i++ {
+		if reflect.ValueOf(o).Field(i).IsZero() {
+			t.Fatalf("round-trip literal leaves %s unset", reflect.TypeOf(o).Field(i).Name)
+		}
+	}
 }
 
 func TestFromJSONStrict(t *testing.T) {
@@ -43,17 +47,23 @@ func TestFromJSONStrict(t *testing.T) {
 	if _, err := FromJSON([]byte(`{"tier": "turbo"}`)); err == nil {
 		t.Fatal("bad tier accepted")
 	}
+	// map_impl left the schema with the selectable flat core: naming it
+	// is an error that says so, not a silently inherited default.
+	_, err := FromJSON([]byte(`{"map_impl": "flat"}`))
+	if err == nil || !strings.Contains(err.Error(), "map_impl") {
+		t.Fatalf("removed field map_impl: err = %v, want an error naming it", err)
+	}
 }
 
 func TestValidate(t *testing.T) {
 	bad := []Options{
 		{Tier: "turbo"},
-		{MapImpl: "cuckoo"},
 		{Shards: -1},
 		{Trace: &TraceOptions{SampleRate: 1.5}},
 		{Trace: &TraceOptions{Capacity: -1}},
 		{Guard: &GuardOptions{ResumeFrac: 2}},
 		{Quota: &Quota{MapBytes: -1}},
+		{Quota: &Quota{RPoolCap: -1}},
 	}
 	for _, o := range bad {
 		if err := o.Validate(); err == nil {
@@ -68,8 +78,18 @@ func TestValidate(t *testing.T) {
 func TestCanonPinsDefaults(t *testing.T) {
 	c := Options{}.Canon()
 	d := Defaults()
-	if c.Tier != d.Tier || c.MapImpl != d.MapImpl || c.Shards != 1 {
-		t.Fatalf("Canon() = %+v, want tier %q impl %q shards 1", c, d.Tier, d.MapImpl)
+	if d.Tier == "" {
+		t.Fatal("Defaults() leaves the tier unresolved")
+	}
+	if want := (Options{Tier: d.Tier, Shards: 1}); !reflect.DeepEqual(c, want) {
+		t.Fatalf("Canon() = %+v, want %+v", c, want)
+	}
+	if !reflect.DeepEqual(d, Options{Tier: d.Tier}) {
+		t.Fatalf("Defaults() = %+v sets more than the tier", d)
+	}
+	// Explicit values survive canonicalisation.
+	if c := (Options{Tier: "wire", Shards: 4}).Canon(); c.Tier != "wire" || c.Shards != 4 {
+		t.Fatalf("Canon() overwrote explicit fields: %+v", c)
 	}
 }
 
@@ -91,89 +111,22 @@ func TestGuardConfigQuotaForcesGuard(t *testing.T) {
 	}
 }
 
-func TestUnderScopesAndRestores(t *testing.T) {
-	prevTier, prevImpl := vm.DefaultTier(), maps.CurrentImpl()
-	want, err := vm.ParseTier("jit")
-	if err != nil {
-		t.Fatal(err)
+func TestQuotaCheck(t *testing.T) {
+	var none *Quota
+	if err := none.Check(1<<30, 1<<30); err != nil {
+		t.Fatalf("nil quota refused: %v", err)
 	}
-	_, err = Under(Options{Tier: "jit", MapImpl: "flat"}, func() (int, error) {
-		if got := vm.DefaultTier(); got != want {
-			t.Errorf("inside Under: tier %v, want jit", got)
-		}
-		if got := maps.CurrentImpl(); got != maps.ImplFlat {
-			t.Errorf("inside Under: impl %v, want flat", got)
-		}
-		return 0, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	if err := (&Quota{}).Check(1<<30, 1<<30); err != nil {
+		t.Fatalf("zero quota refused: %v", err)
 	}
-	if vm.DefaultTier() != prevTier || maps.CurrentImpl() != prevImpl {
-		t.Fatalf("Under leaked: tier %v impl %v", vm.DefaultTier(), maps.CurrentImpl())
+	q := &Quota{MapBytes: 100, RPoolCap: 10}
+	if err := q.Check(100, 10); err != nil {
+		t.Fatalf("at-limit usage refused: %v", err)
 	}
-}
-
-func TestUnderMapBytesQuota(t *testing.T) {
-	_, err := Under(Options{Quota: &Quota{MapBytes: 64}}, func() (maps.Map, error) {
-		return maps.NewBucketHash(16, 8, 1024)
-	})
-	if !errors.Is(err, ErrQuota) {
+	if err := q.Check(101, 0); !errors.Is(err, ErrQuota) {
 		t.Fatalf("map-bytes breach: err = %v, want ErrQuota", err)
 	}
-	// The same build fits an ample quota.
-	m, err := Under(Options{Quota: &Quota{MapBytes: 1 << 24}}, func() (maps.Map, error) {
-		return maps.NewBucketHash(16, 8, 1024)
-	})
-	if err != nil || m == nil {
-		t.Fatalf("ample quota rejected: %v", err)
-	}
-}
-
-func TestUnderRPoolQuota(t *testing.T) {
-	_, err := Under(Options{Quota: &Quota{RPoolCap: 8}}, func() (*rpool.Pool, error) {
-		return rpool.NewPool(1024, 1)
-	})
-	if !errors.Is(err, ErrQuota) {
+	if err := q.Check(0, 11); !errors.Is(err, ErrQuota) {
 		t.Fatalf("rpool breach: err = %v, want ErrQuota", err)
-	}
-	if rpool.CapLimit() != 0 {
-		t.Fatalf("rpool cap leaked: %d", rpool.CapLimit())
-	}
-	p, err := Under(Options{Quota: &Quota{RPoolCap: 2048}}, func() (*rpool.Pool, error) {
-		return rpool.NewPool(1024, 1)
-	})
-	if err != nil || p == nil {
-		t.Fatalf("fitting rpool rejected: %v", err)
-	}
-}
-
-func TestUnderConcurrent(t *testing.T) {
-	// Concurrent scoped builds must each observe their own settings —
-	// the daemon creates modules from concurrent HTTP handlers.
-	tiers := []string{"wire", "predecoded", "jit"}
-	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	for i := 0; i < 64; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			name := tiers[i%len(tiers)]
-			want, _ := vm.ParseTier(name)
-			_, err := Under(Options{Tier: name}, func() (int, error) {
-				if got := vm.DefaultTier(); got != want {
-					return 0, fmt.Errorf("goroutine %d: tier %v, want %v", i, got, want)
-				}
-				return 0, nil
-			})
-			if err != nil {
-				errs <- err
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
 	}
 }
