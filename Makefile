@@ -55,6 +55,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBitops$$' -fuzztime $(FUZZTIME) ./internal/bitops/
 	$(GO) test -run '^$$' -fuzz '^FuzzBitmapScan$$' -fuzztime $(FUZZTIME) ./internal/bitops/
 	$(GO) test -run '^$$' -fuzz '^FuzzJITCrossCheck$$' -fuzztime $(FUZZTIME) ./internal/difftest/
+	$(GO) test -run '^$$' -fuzz '^FuzzCuckooImage$$' -fuzztime $(FUZZTIME) ./internal/nf/cuckooswitch/
+	$(GO) test -run '^$$' -fuzz '^FuzzCuckooImage$$' -fuzztime $(FUZZTIME) ./internal/nf/cuckoofilter/
+	$(GO) test -run '^$$' -fuzz '^FuzzCreateRequest$$' -fuzztime $(FUZZTIME) ./internal/nfd/
+	$(GO) test -run '^$$' -fuzz '^FuzzIngestBody$$' -fuzztime $(FUZZTIME) ./internal/nfd/
 
 # 1500 packets is the smallest trace that exercises every fault site
 # (rpool refills happen once per ~4096 draws).

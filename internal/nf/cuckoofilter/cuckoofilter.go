@@ -118,7 +118,6 @@ func (f *Filter) Insert(key []byte) bool {
 	fp, i1r := mix(key)
 	i1 := i1r & mask
 	if f.tryPlace(i1, fp) || f.tryPlace(altBucket(i1, fp, mask), fp) {
-		f.sync()
 		return true
 	}
 	b := i1
@@ -128,35 +127,36 @@ func (f *Filter) Insert(key []byte) bool {
 		f.rng ^= f.rng >> 7
 		f.rng ^= f.rng << 17
 		victim := int(f.rng) & (Slots - 1)
-		cur, f.bucket(b)[victim] = f.bucket(b)[victim], cur
+		evicted := f.bucket(b)[victim]
+		f.put(b, victim, cur)
+		cur = evicted
 		b = altBucket(b, cur, mask)
 		if f.tryPlace(b, cur) {
-			f.sync()
 			return true
 		}
 	}
-	f.sync()
 	return false
 }
 
 func (f *Filter) tryPlace(b uint32, fp uint16) bool {
-	bk := f.bucket(b)
-	for i := range bk {
-		if bk[i] == 0 {
-			bk[i] = fp
+	for i, have := range f.bucket(b) {
+		if have == 0 {
+			f.put(b, i, fp)
 			return true
 		}
 	}
 	return false
 }
 
-func (f *Filter) sync() {
-	if f.arr == nil {
-		return
-	}
-	data := f.arr.Data()
-	for i, v := range f.table {
-		binary.LittleEndian.PutUint16(data[i*2:], v)
+// put is the only writer of table slots: fp goes into slot i of bucket
+// b and, when a datapath map is attached, little-endian to the same
+// offset of its arena, so the image the program reads never differs
+// from the native table.
+func (f *Filter) put(b uint32, i int, fp uint16) {
+	at := int(b)*Slots + i
+	f.table[at] = fp
+	if f.arr != nil {
+		binary.LittleEndian.PutUint16(f.arr.Data()[at*2:], fp)
 	}
 }
 

@@ -9,8 +9,9 @@
 //   - ENetSTL: bytecode; kf_hash_fast64 plus one kf_find_u32 per bucket
 //     (the paper's hw_hash + find_simd composition).
 //
-// Inserts are a control-plane operation (as in the paper's FIB): the
-// table is built natively and copied into the datapath map.
+// Inserts are a control-plane operation (as in the paper's FIB): each
+// slot write goes to the native table and, in place, to the datapath
+// map's arena.
 package cuckooswitch
 
 import (
@@ -63,7 +64,8 @@ type Switch struct {
 	cfg Config
 
 	// table is the logical [buckets][2*Slots]uint32 store; the kernel
-	// flavour reads it directly, VM flavours get a serialized copy.
+	// flavour reads it directly, VM flavours read arr, which put keeps
+	// word-for-word equal to it.
 	table []uint32
 	arr   *maps.Array
 }
@@ -139,7 +141,6 @@ func (s *Switch) Insert(key []byte, value uint32) bool {
 	_, sig, i1r := mix(key)
 	i1 := i1r & mask
 	if s.tryPlace(i1, sig, value) || s.tryPlace(altBucket(i1, sig, mask), sig, value) {
-		s.sync()
 		return true
 	}
 	// Evict: random-walk displacement bounded at 500 kicks.
@@ -148,38 +149,37 @@ func (s *Switch) Insert(key []byte, value uint32) bool {
 	for kick := 0; kick < 500; kick++ {
 		victim := kick % Slots
 		sv, vv := s.sigs(b)[victim], s.vals(b)[victim]
-		s.sigs(b)[victim], s.vals(b)[victim] = curSig, curVal
+		s.put(b, victim, curSig, curVal)
 		curSig, curVal = sv, vv
 		b = altBucket(b, curSig, mask)
 		if s.tryPlace(b, curSig, curVal) {
-			s.sync()
 			return true
 		}
 	}
-	s.sync()
 	return false
 }
 
 func (s *Switch) tryPlace(b, sig uint32, val uint32) bool {
-	sg := s.sigs(b)
-	for i := range sg {
-		if sg[i] == 0 {
-			sg[i] = sig
-			s.vals(b)[i] = val
+	for i, sg := range s.sigs(b) {
+		if sg == 0 {
+			s.put(b, i, sig, val)
 			return true
 		}
 	}
 	return false
 }
 
-// sync serializes the native table into the datapath map arena.
-func (s *Switch) sync() {
-	if s.arr == nil {
-		return
-	}
-	data := s.arr.Data()
-	for i, v := range s.table {
-		binary.LittleEndian.PutUint32(data[i*4:], v)
+// put is the only writer of table slots: (sig, val) go into slot i of
+// bucket b and, when a datapath map is attached, little-endian to the
+// same offsets of its arena — one in-place bpf_map_update_elem, so the
+// image the program reads never differs from the native table.
+func (s *Switch) put(b uint32, i int, sig, val uint32) {
+	at := int(b)*2*Slots + i
+	s.table[at], s.table[at+Slots] = sig, val
+	if s.arr != nil {
+		data := s.arr.Data()
+		binary.LittleEndian.PutUint32(data[at*4:], sig)
+		binary.LittleEndian.PutUint32(data[(at+Slots)*4:], val)
 	}
 }
 

@@ -1,0 +1,148 @@
+package nfd_test
+
+import (
+	"bytes"
+	"encoding/base64"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"enetstl/internal/nfd"
+	"enetstl/internal/runtime"
+)
+
+// The fuzz targets exercise the HTTP/JSON boundary, not allocation
+// size: the daemon has no server-side cap on these request fields yet
+// (ROADMAP item 5), so a body asking for more than fuzzMaxSize flows,
+// packets or ring slots — or for more than fuzzMaxShards instances,
+// each of which is a whole NF build — is skipped rather than served.
+const (
+	fuzzMaxSize   = 1 << 14
+	fuzzMaxShards = 1 << 6
+)
+
+// decodeAsServer decodes body the way decodeStrict does — the first
+// JSON value of the stream — minus the unknown-field check, so the
+// harness sees every size the server would act on. When it fails the
+// server's stricter decode fails too and nothing is built.
+func decodeAsServer(body []byte, v any) bool {
+	return json.NewDecoder(bytes.NewReader(body)).Decode(v) == nil
+}
+
+func tooBig(s runtime.TraceSpec) bool {
+	return s.Flows > fuzzMaxSize || s.Packets > fuzzMaxSize
+}
+
+var answerable = map[int]bool{
+	http.StatusOK: true, http.StatusCreated: true, http.StatusBadRequest: true,
+	http.StatusConflict: true, http.StatusRequestEntityTooLarge: true,
+	http.StatusTooManyRequests: true,
+}
+
+func post(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(body)))
+	return rec
+}
+
+// FuzzCreateRequest feeds arbitrary bytes to POST /modules on a fresh
+// daemon: the handler never panics, answers with one of the documented
+// statuses, and anything but a 201 leaves the registry empty — no
+// partially-created module.
+func FuzzCreateRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"name": "cuckooswitch", "flavor": "ebpf", "trace": {"flows": 64, "packets": 300, "seed": 3}}`,
+		`{"name": "nosuch", "flavor": "kernel"}`,
+		`{"name": "skiplist", "flavor": "ebpf"}`,
+		`{"name": "bloom", "flavor": "turbo"}`,
+		`{"name": "bloom", "flavor": "kernel", "options": {"tier": "turbo"}}`,
+		`{"name": "bloom", "flavor": "kernel", "nope": 1}`,
+		`{"name": "bloom", "flavor": "kernel", "options": {"quota": {"rpool_cap": -1}}}`,
+		`{"name": "conntrack", "flavor": "ebpf", "options": {"map_impl": "flat"}}`,
+		`{"name": "cmsketch", "flavor": "kernel", "options": {"stats": true}, "trace": {"flows": 32, "packets": 100, "seed": 5}}`,
+		`{"name": "cmsketch", "flavor": "enetstl", "options": {"quota": {"insn_budget": 1}}, "trace": {"flows": 64, "packets": 500, "seed": 7}}`,
+		`{"name": "conntrack", "flavor": "kernel", "options": {"quota": {"map_bytes": 64}}}`,
+		`{"name": "cmsketch", "flavor": "enetstl", "options": {"tier": "jit"}, "trace": {"flows": 64, "packets": 800, "seed": 11}}`,
+		`{"name": "conntrack", "flavor": "kernel", "options": {"shards": 4, "percpu": true, "stats": true}, "trace": {"flows": 128, "packets": 1000, "seed": 9}}`,
+		`{"name": "heavykeeper", "flavor": "enetstl", "options": {"quota": {"rpool_cap": 8}}}`,
+		`{"name": "cmsketch", "flavor": "kernel", "options": {"trace": {"capacity": 256, "sample_rate": 0.05}, "guard": {"enabled": true, "auto_budget": 64}}}`,
+		`{"name": "cmsketch", "flavor": "kernel"} trailing`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req nfd.CreateRequest
+		if decodeAsServer(body, &req) {
+			o := req.Options
+			if tooBig(req.Trace) || o.Shards > fuzzMaxShards || (o.Trace != nil && o.Trace.Capacity > fuzzMaxSize) {
+				t.Skip("sizes beyond the harness bound")
+			}
+		}
+		srv := nfd.NewServer()
+		defer srv.Registry.Close()
+		rec := post(srv.Handler(), "/modules", body)
+		if !answerable[rec.Code] {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		mods := srv.Registry.List()
+		if rec.Code == http.StatusCreated {
+			var st nfd.Status
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+				t.Fatalf("201 with a body that is not a Status: %v: %s", err, rec.Body)
+			}
+			if len(mods) != 1 || mods[0].ID != st.ID {
+				t.Fatalf("201 for module %q but the registry lists %+v", st.ID, mods)
+			}
+		} else if len(mods) != 0 {
+			t.Fatalf("status %d left a module behind: %+v", rec.Code, mods)
+		}
+	})
+}
+
+// FuzzIngestBody feeds arbitrary bytes to POST /modules/{id}/packets of
+// one freshly created module: the handler never panics, answers with
+// one of the documented statuses, and a 400 or 413 leaves the module's
+// packet counter where it was.
+func FuzzIngestBody(f *testing.F) {
+	raw := func(sizes ...int) []byte {
+		spec := runtime.TraceSpec{}
+		for i, n := range sizes {
+			spec.Raw = append(spec.Raw, base64.StdEncoding.EncodeToString(bytes.Repeat([]byte{byte(i + 1)}, n)))
+		}
+		body, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return body
+	}
+	f.Add([]byte(`{"flows": 64, "packets": 300, "seed": 3}`))
+	f.Add([]byte(`{"flows": 64, "packets": 2000, "zipf": 1.1, "seed": 11}`))
+	f.Add([]byte(`{"packets": 10}`))
+	f.Add([]byte(`{"flows": 16, "packets": 50, "scenario": "churn"}`))
+	f.Add([]byte(`{"flows": 16, "packets": 50, "scenario": "nosuch"}`))
+	f.Add([]byte(`{"flows": 16, "packets": 50, "nope": 1}`))
+	f.Add(raw(64, 64, 64))
+	f.Add(raw(64, 63))
+	f.Add(bytes.Replace(raw(64, 64), []byte("Ag"), []byte("!g"), 1)) // bad base64 in packet 1
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec runtime.TraceSpec
+		if decodeAsServer(body, &spec) && tooBig(spec) {
+			t.Skip("sizes beyond the harness bound")
+		}
+		srv := nfd.NewServer()
+		defer srv.Registry.Close()
+		m, err := srv.Registry.Create(nfd.CreateRequest{Name: "cuckooswitch", Flavor: "ebpf"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := post(srv.Handler(), "/modules/"+m.ID+"/packets", body)
+		if !answerable[rec.Code] || rec.Code == http.StatusCreated {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		refused := rec.Code == http.StatusBadRequest || rec.Code == http.StatusRequestEntityTooLarge
+		if got := m.Status().Packets; refused && got != 0 {
+			t.Fatalf("status %d moved the packet counter to %d", rec.Code, got)
+		}
+	})
+}

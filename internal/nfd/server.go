@@ -44,6 +44,13 @@ const MaxBodyBytes = 16 << 20
 // over a slow link is legitimate.
 const readHeaderTimeout = 10 * time.Second
 
+// idleTimeout closes a keep-alive connection no request has arrived on
+// for this long, so departed clients do not hold connections for good.
+// There is deliberately no WriteTimeout: it runs from the end of the
+// request headers to the end of the response, so it would cap how long
+// the replay of a legitimate MaxBodyBytes batch may take.
+const idleTimeout = 2 * time.Minute
+
 // Server glues the registry to HTTP and mounts the obs plane on the
 // same mux.
 type Server struct {
@@ -92,7 +99,11 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.httpSrv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	s.httpSrv = &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	go s.httpSrv.Serve(ln) //nolint:errcheck // ErrServerClosed on Shutdown
 	return ln.Addr().String(), nil
 }

@@ -43,13 +43,23 @@ func (s TraceSpec) norm() TraceSpec {
 func (s TraceSpec) Build() (*pktgen.Trace, error) {
 	if len(s.Raw) > 0 {
 		tr := &pktgen.Trace{Packets: make([]pktgen.Packet, len(s.Raw))}
+		// One scratch for every packet: the canonical encoding of PktSize
+		// bytes is 88 characters, which DecodedLen rounds up to PktSize+2.
+		var scratch [nf.PktSize + 2]byte
 		for i, enc := range s.Raw {
-			b, err := base64.StdEncoding.DecodeString(enc)
+			b := scratch[:]
+			if n := base64.StdEncoding.DecodedLen(len(enc)); n > len(b) {
+				// Longer than a packet's encoding: either over-long or
+				// padded out with the newlines the decoder skips. Decode it
+				// in full so the error reports the true length.
+				b = make([]byte, n)
+			}
+			n, err := base64.StdEncoding.Decode(b, []byte(enc))
 			if err != nil {
 				return nil, fmt.Errorf("runtime: raw packet %d: %w", i, err)
 			}
-			if len(b) != nf.PktSize {
-				return nil, fmt.Errorf("runtime: raw packet %d is %d bytes, want %d", i, len(b), nf.PktSize)
+			if n != nf.PktSize {
+				return nil, fmt.Errorf("runtime: raw packet %d is %d bytes, want %d", i, n, nf.PktSize)
 			}
 			copy(tr.Packets[i][:], b)
 		}
