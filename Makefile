@@ -1,9 +1,8 @@
 # Developer entry points. `make check` is the pre-PR gate: formatting,
 # vet, build, full tests, race coverage of the whole module, the
-# differential conformance suite (flavour equivalence + VM-vs-reference
-# sweep), a bounded fuzz smoke over every native fuzz target, quick
-# chaos and adversarial-attack smokes over the full NF catalog, and the
-# benchmark module's own vet + tests.
+# conformance grid (one runner, `nfrun -grid`: difftest, chaos-smoke and
+# attack-smoke are selections of its axes), a bounded fuzz smoke over
+# every native fuzz target, and the benchmark module's own vet + tests.
 
 GO ?= go
 
@@ -33,12 +32,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Differential conformance: every NF in every supported flavour over
-# identical seeded traces, plus generated programs cross-checked between
-# the production VM and the reference interpreter. 4000 packets matches
-# the difftest package defaults; exits non-zero on any divergence.
+# The conformance grid walks every NF in every supported flavour along
+# the axes named by -grid. A failing axis prints `axis=<name> FAILED`
+# ahead of its report, each violation names the case and the variant
+# that diverged, and the exit is non-zero.
+#
+# Differential conformance: flavour against flavour and interpreter tier
+# against tier over identical seeded traces, plus generated programs
+# cross-checked between the production VM and the reference interpreter.
+# 4000 packets matches the grid's defaults.
 difftest:
-	$(GO) run ./cmd/nfrun -difftest -packets 4000 -flows 256 -vm-trials 200
+	$(GO) run ./cmd/nfrun -grid flavour,tier,vm -packets 4000 -flows 256 -vm-trials 200
 
 # Bounded native fuzzing: every Fuzz* target for FUZZTIME each, seeded
 # from the committed corpora under testdata/fuzz/. A crash writes its
@@ -63,13 +67,13 @@ fuzz-smoke:
 # 1500 packets is the smallest trace that exercises every fault site
 # (rpool refills happen once per ~4096 draws).
 chaos-smoke:
-	$(GO) run ./cmd/nfrun -chaos -packets 1500 -flows 256
+	$(GO) run ./cmd/nfrun -grid chaos -packets 1500 -flows 256
 
 # Adversarial grid smoke: every NF/flavour under every scenario, guard
 # off and on. 1500 packets keeps the shedder past its AutoBudget
 # calibration window inside every attack burst.
 attack-smoke:
-	$(GO) run ./cmd/nfrun -attack -packets 1500 -flows 192
+	$(GO) run ./cmd/nfrun -grid attack -packets 1500 -flows 192
 
 # Observability plane end-to-end: replay with the flight recorder and
 # the HTTP server up, then self-scrape /metrics, /trace (filtered

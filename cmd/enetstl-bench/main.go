@@ -14,9 +14,9 @@ import (
 	"time"
 
 	"enetstl/internal/cliopts"
+	"enetstl/internal/difftest"
 	"enetstl/internal/ebpf/vm"
 	"enetstl/internal/experiments"
-	"enetstl/internal/harness"
 	"enetstl/internal/nfcatalog"
 	"enetstl/internal/obs"
 	"enetstl/internal/pktgen"
@@ -143,18 +143,14 @@ func runAttack(packets int, stats bool) {
 	fmt.Println("attack resilience: full NF catalog, guard off vs on, one row per scenario")
 	fmt.Printf("%-16s %6s %10s %10s %10s %10s %10s %11s\n",
 		"scenario", "cases", "packets", "admitted", "shed", "sampled", "degrades", "violations")
-	var total uint64
-	reg := telemetry.NewRegistry()
+	var cfgs []nfcatalog.GridConfig
 	for _, kind := range pktgen.Scenarios() {
-		cases, err := nfcatalog.AttackCases(nfcatalog.AttackConfig{
-			Packets: packets, Scenarios: []pktgen.ScenarioKind{kind}})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		res := harness.Attack(cases)
+		cfgs = append(cfgs, nfcatalog.GridConfig{Packets: packets, Flows: 192,
+			Scenarios: []pktgen.ScenarioKind{kind}})
+	}
+	runGridTable(difftest.AxisAttack, cfgs, stats, func(cfg nfcatalog.GridConfig, rep *difftest.Report) {
 		var admitted, shed, sampled, degrades uint64
-		for _, row := range res.Rows {
+		for _, row := range rep.Rows {
 			if row.GuardOn {
 				admitted += row.Admitted
 				shed += row.Shed
@@ -163,23 +159,8 @@ func runAttack(packets int, stats bool) {
 			}
 		}
 		fmt.Printf("%-16s %6d %10d %10d %10d %10d %10d %11d\n",
-			kind, res.Cases, res.Packets, admitted, shed, sampled, degrades, res.ViolationsTotal)
-		for _, v := range res.Violations {
-			fmt.Printf("    %s\n", v.String())
-		}
-		res.Publish(reg)
-		total += res.ViolationsTotal
-	}
-	if stats {
-		fmt.Println()
-		if err := reg.WriteText(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if total > 0 {
-		os.Exit(1)
-	}
+			cfg.Scenarios[0], rep.Cases, rep.Packets, admitted, shed, sampled, degrades, rep.Total)
+	})
 }
 
 // runFaults replays the full NF catalog (plus the composed apps) under
@@ -190,22 +171,34 @@ func runAttack(packets int, stats bool) {
 func runFaults(packets int, stats bool) {
 	fmt.Println("chaos robustness: full NF catalog + apps, one row per fault schedule")
 	fmt.Printf("%-12s %10s %12s %12s %12s\n", "schedule", "packets", "evaluated", "injected", "violations")
+	var cfgs []nfcatalog.GridConfig
+	for _, sch := range difftest.Schedules() {
+		cfgs = append(cfgs, nfcatalog.GridConfig{Packets: packets, Schedule: sch.Name})
+	}
+	runGridTable(difftest.AxisChaos, cfgs, stats, func(cfg nfcatalog.GridConfig, rep *difftest.Report) {
+		fmt.Printf("%-12s %10d %12d %12d %12d\n",
+			cfg.Schedule, rep.Packets, rep.Evaluated, rep.Injected, rep.Total)
+	})
+}
+
+// runGridTable runs one conformance-grid axis once per config and prints
+// a table row (then any violations) for each; exits non-zero if any run
+// breached its contract.
+func runGridTable(axis string, cfgs []nfcatalog.GridConfig, stats bool, row func(nfcatalog.GridConfig, *difftest.Report)) {
 	var total uint64
 	reg := telemetry.NewRegistry()
-	for _, sch := range harness.ChaosSchedules() {
-		cases, err := nfcatalog.Cases(nfcatalog.CasesConfig{Packets: packets, Apps: true})
+	for _, cfg := range cfgs {
+		rep, err := difftest.Run(axis, cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		res := harness.Chaos(cases, []harness.ChaosSchedule{sch}, 0)
-		fmt.Printf("%-12s %10d %12d %12d %12d\n",
-			sch.Name, res.Packets, res.Evaluated, res.Injected, res.ViolationsTotal)
-		for _, v := range res.Violations {
+		row(cfg, rep)
+		for _, v := range rep.Violations {
 			fmt.Printf("    %s\n", v)
 		}
-		res.Publish(reg)
-		total += res.ViolationsTotal
+		rep.Publish(reg)
+		total += rep.Total
 	}
 	if stats {
 		fmt.Println()

@@ -14,7 +14,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -28,7 +27,6 @@ import (
 	"enetstl/internal/cliopts"
 	"enetstl/internal/difftest"
 	"enetstl/internal/ebpf/isa"
-	"enetstl/internal/ebpf/verifier"
 	"enetstl/internal/ebpf/vm"
 	"enetstl/internal/harness"
 	"enetstl/internal/nf"
@@ -47,11 +45,9 @@ func main() {
 		trials    = flag.Int("trials", 3, "measurement trials")
 		disasm    = flag.Bool("disasm", false, "print the NF's bytecode and exit (VM flavours)")
 		profile   = flag.Bool("profile", false, "attribute execution time to helpers/kfuncs and exit (VM flavours)")
-		chaos     = flag.Bool("chaos", false, "replay every registered NF (all flavours) and the composed apps under the fault-schedule grid, check the robustness contract, and exit")
-		chaosSeed = flag.Uint64("chaos-seed", 0, "fault-plane seed for -chaos (0 = default); a failing seed replays bit-for-bit")
-		difftest  = flag.Bool("difftest", false, "run the differential conformance suite (flavour equivalence over every NF plus a VM-vs-reference sweep) and exit")
-		vmTrials  = flag.Int("vm-trials", 200, "generated programs for the -difftest VM differential sweep")
-		attack    = flag.Bool("attack", false, "replay every registered NF (all flavours) under the adversarial scenario grid, guard off and on, check the overload contract, and exit")
+		grid      = flag.String("grid", "", "run the conformance grid along these comma-separated axes and exit: "+strings.Join(difftest.Axes(), ",")+" (every NF in every flavour: flavour and tier equivalence, the VM-vs-reference sweep, the fault-schedule grid, the adversarial scenarios guard off and on); exits non-zero naming the axis that failed")
+		chaosSeed = flag.Uint64("chaos-seed", 0, "fault-plane seed for the chaos axis (0 = default); a failing seed replays bit-for-bit")
+		vmTrials  = flag.Int("vm-trials", 200, "generated programs for the vm axis")
 		guardOn   = flag.Bool("guard", false, "front the instance with the overload-guard plane (token-bucket shedding, watchdog, degradation) during the replay; single shard only")
 
 		serve       = flag.String("serve", "", "serve the observability plane (/metrics /trace /profile /debug/pprof) on this address during the replay; implies live VM stats")
@@ -94,16 +90,18 @@ func main() {
 	}
 	stats, shards, percpu := ropts.Stats, ropts.Shards, ropts.PerCPU
 
-	if *chaos {
-		runChaos(tfl.Packets(), tfl.Flows(), tfl.Seed(), *chaosSeed, stats)
-		return
-	}
-	if *difftest {
-		runDifftest(tfl.Packets(), tfl.Flows(), tfl.Seed(), tfl.Zipf(), *vmTrials)
-		return
-	}
-	if *attack {
-		runAttack(tfl.Packets(), tfl.Flows(), tfl.Seed(), tfl.Scenario(), stats)
+	if *grid != "" {
+		cfg := nfcatalog.GridConfig{Packets: tfl.Packets(), Flows: tfl.Flows(), Seed: tfl.Seed(),
+			ZipfS: tfl.Zipf(), FaultSeed: *chaosSeed, VMTrials: *vmTrials}
+		if sc := tfl.Scenario(); sc != "" {
+			kind, ok := pktgen.ScenarioFromString(sc)
+			if !ok {
+				fmt.Fprintf(os.Stderr, "unknown scenario %q (syn-flood|churn|hash-collision)\n", sc)
+				os.Exit(2)
+			}
+			cfg.Scenarios = []pktgen.ScenarioKind{kind}
+		}
+		runGrid(strings.Split(*grid, ","), cfg, stats)
 		return
 	}
 
@@ -439,74 +437,34 @@ func runSharded(name string, flavor nf.Flavor, tr *pktgen.Trace, shards, trials 
 	}
 }
 
-// runChaos drives the chaos harness over the full NF catalog and the
-// composed apps, printing the per-site injection counters and any
-// contract violations. Exits non-zero when the contract is violated.
-func runChaos(packets, flows int, traceSeed int64, faultSeed uint64, stats bool) {
-	cases, err := nfcatalog.Cases(nfcatalog.CasesConfig{
-		Packets: packets, Flows: flows, Seed: traceSeed, Apps: true})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	res := harness.Chaos(cases, harness.ChaosSchedules(), faultSeed)
-	fmt.Println(res)
-	for _, c := range res.SiteCounts {
-		fmt.Printf("  site %-14s evaluated=%-8d injected=%d\n", c.Site, c.Evaluated, c.Injected)
-	}
-	if stats {
-		reg := telemetry.NewRegistry()
-		res.Publish(reg)
-		fmt.Println()
-		if err := reg.WriteText(os.Stdout); err != nil {
+// runGrid walks the conformance grid along each named axis in turn and
+// prints its report. A failing axis is announced by an `axis=<name>`
+// line ahead of its report (whose violations each name the case and the
+// variant that diverged), and the exit is non-zero once every axis ran.
+func runGrid(axes []string, cfg nfcatalog.GridConfig, stats bool) {
+	reg := telemetry.NewRegistry()
+	failed := false
+	for _, axis := range axes {
+		rep, err := difftest.Run(axis, cfg)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if res.Failed() {
-		os.Exit(1)
-	}
-}
-
-// runAttack drives the adversarial grid over the full NF catalog: every
-// NF in every flavour under each scenario, once bare and once behind
-// the overload guard, checking the resilience contract (no panics, no
-// XDP_ABORTED, lock balance, estimator bounds over the admitted
-// substream, guard-on bound never looser). Exits non-zero on breach.
-func runAttack(packets, flows int, traceSeed int64, scenario string, stats bool) {
-	cfg := nfcatalog.AttackConfig{Packets: packets, Flows: flows, Seed: traceSeed}
-	if scenario != "" {
-		kind, ok := pktgen.ScenarioFromString(scenario)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown scenario %q (syn-flood|churn|hash-collision)\n", scenario)
 			os.Exit(2)
 		}
-		cfg.Scenarios = []pktgen.ScenarioKind{kind}
-	}
-	cases, err := nfcatalog.AttackCases(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	res := harness.Attack(cases)
-	fmt.Println(res)
-	scenarios := cfg.Scenarios
-	if len(scenarios) == 0 {
-		scenarios = pktgen.Scenarios()
-	}
-	for _, k := range scenarios {
-		fmt.Printf("  scenario %-14s shed=%d\n", k, res.Sheds(k.String()))
+		if rep.Failed() {
+			fmt.Printf("axis=%s FAILED\n", axis)
+			failed = true
+		}
+		fmt.Println(rep)
+		rep.Publish(reg)
 	}
 	if stats {
-		reg := telemetry.NewRegistry()
-		res.Publish(reg)
 		fmt.Println()
 		if err := reg.WriteText(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}
-	if res.Failed() {
+	if failed {
 		os.Exit(1)
 	}
 }
@@ -550,55 +508,5 @@ func runGuarded(name string, flavor nf.Flavor, tr *pktgen.Trace, stats bool, srv
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-	}
-}
-
-// runDifftest runs the three standing differential suites: flavour
-// equivalence over every registered NF, interpreter-tier equivalence
-// (wire vs predecoded vs jit over bit-identical traces), and the
-// generated-program sweep that cross-checks the production VM
-// against the reference interpreter. Exits non-zero on any divergence.
-func runDifftest(packets, flows int, traceSeed int64, zipf float64, vmTrials int) {
-	rep, err := difftest.RunEquivalence(difftest.Config{
-		Packets: packets, Flows: flows, Seed: traceSeed, ZipfS: zipf})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Println(rep)
-
-	trep, err := difftest.RunInterpEquivalence(difftest.Config{
-		Packets: packets, Flows: flows, Seed: traceSeed, ZipfS: zipf})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Println(trep)
-
-	ctx := make([]byte, 64)
-	for i := range ctx {
-		ctx[i] = byte(i*7 + 1)
-	}
-	executed, rejected, diverged := 0, 0, 0
-	for s := uint64(0); s < uint64(vmTrials); s++ {
-		prog, err := difftest.GenProgram(s)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seed %d: %v\n", s, err)
-			os.Exit(1)
-		}
-		switch err := difftest.CrossCheck(prog, ctx); {
-		case err == nil:
-			executed++
-		case errors.Is(err, verifier.ErrRejected):
-			rejected++
-		default:
-			diverged++
-			fmt.Fprintf(os.Stderr, "seed %d: %v\n", s, err)
-		}
-	}
-	fmt.Printf("vmdiff: %d programs executed, %d rejected, %d divergences\n",
-		executed, rejected, diverged)
-	if rep.Failed() || trep.Failed() || diverged > 0 {
-		os.Exit(1)
 	}
 }

@@ -26,7 +26,7 @@ func TestGoldenTraces(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := RecordTrace(prog, genCtx())
+			got := RecordTrace(prog, vmCtx())
 			path := goldenPath(seed)
 			if *update {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -45,7 +45,7 @@ func TestGoldenTraces(t *testing.T) {
 			}
 			// The trace pins the reference; CrossCheck pins the real VM to
 			// the reference, closing the loop.
-			if err := CrossCheck(prog, genCtx()); err != nil {
+			if err := CrossCheck(prog, vmCtx()); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		})

@@ -1,22 +1,10 @@
 package difftest
 
 import (
-	"errors"
 	"testing"
 
-	"enetstl/internal/ebpf/isa"
-	"enetstl/internal/ebpf/verifier"
+	"enetstl/internal/nfcatalog"
 )
-
-// genCtx builds the deterministic 64-byte context every differential
-// run shares.
-func genCtx() []byte {
-	ctx := make([]byte, 64)
-	for i := range ctx {
-		ctx[i] = byte(i*7 + 1)
-	}
-	return ctx
-}
 
 // TestVMDifferential cross-checks the production interpreter against
 // the reference interpreter on a seeded corpus of generated
@@ -27,24 +15,12 @@ func TestVMDifferential(t *testing.T) {
 	if testing.Short() {
 		trials = 50
 	}
-	executed, rejected := 0, 0
-	for seed := uint64(0); seed < uint64(trials); seed++ {
-		prog, err := GenProgram(seed)
-		if err != nil {
-			t.Fatalf("seed %d: generator emitted an unassemblable program: %v", seed, err)
-		}
-		err = CrossCheck(prog, genCtx())
-		if errors.Is(err, verifier.ErrRejected) {
-			rejected++
-			continue
-		}
-		if err != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, err, isa.Disassemble(prog))
-		}
-		executed++
+	rep := runAxis(t, AxisVM, nfcatalog.GridConfig{VMTrials: trials})
+	t.Log(rep)
+	if rep.Failed() {
+		t.Fatalf("vm divergences:\n%s", rep)
 	}
-	t.Logf("vm differential: %d executed, %d rejected", executed, rejected)
-	if executed < trials*3/4 {
-		t.Fatalf("only %d/%d generated programs executed — generator validity regressed", executed, trials)
+	if rep.Replays < trials*3/4 {
+		t.Fatalf("only %d/%d generated programs executed — generator validity regressed", rep.Replays, trials)
 	}
 }

@@ -132,6 +132,28 @@ func TestVerifierRejectsBadRegisterFields(t *testing.T) {
 	}
 }
 
+// TestVerifierRejectsJMP32ControlOps pins the fix for a FuzzVerifier
+// finding (testdata/fuzz/FuzzVerifier/jmp32-ja-self-jump): the verifier
+// read ja/call/exit op bits in the JMP32 class as the JMP operation
+// while every executor falls through them, so it verified a path the
+// VM never takes. The three encodings are not part of this ISA.
+func TestVerifierRejectsJMP32ControlOps(t *testing.T) {
+	for _, op := range []uint8{isa.JmpJA, isa.JmpCall, isa.JmpExit} {
+		for _, srcBit := range []uint8{0, isa.SrcX} {
+			ins := isa.Instruction{Op: isa.ClassJMP32 | op | srcBit, Imm: int32(vm.HelperMapLookup)}
+			prog := []isa.Instruction{
+				{Op: isa.ClassALU64 | isa.ALUMov, Dst: isa.R0, Imm: 0},
+				ins,
+				{Op: isa.ClassJMP | isa.JmpExit},
+			}
+			err := verifier.Verify(vm.New(), prog, verifier.Options{CtxSize: 64})
+			if !errors.Is(err, verifier.ErrRejected) {
+				t.Errorf("opcode %#x: want ErrRejected, got %v", ins.Op, err)
+			}
+		}
+	}
+}
+
 // TestDecodeEncodeRoundTrip keeps the fuzz codec honest: every register
 // nibble, offset, and immediate must survive a round trip, otherwise the
 // fuzzer silently explores a smaller space than it reports.

@@ -246,6 +246,15 @@ func Verify(machine *vm.VM, prog []isa.Instruction, opts Options) error {
 		if !prog[i].Dst.Valid() || !prog[i].Src.Valid() {
 			return rejectf(i, "bad register field (dst r%d, src r%d)", prog[i].Dst, prog[i].Src)
 		}
+		// ja, call and exit exist in the JMP class only. The executors
+		// fall through a JMP32 carrying those op bits, so reading them
+		// here as the JMP operation would verify a path that never runs.
+		if prog[i].Class() == isa.ClassJMP32 {
+			switch prog[i].JmpOp() {
+			case isa.JmpJA, isa.JmpCall, isa.JmpExit:
+				return rejectf(i, "unsupported JMP32 instruction %#x", prog[i].Op)
+			}
+		}
 		if prog[i].IsLoadImm64() {
 			if i+1 >= len(prog) {
 				return rejectf(i, "truncated ld_imm64")

@@ -1,14 +1,10 @@
 package harness_test
 
-// The attack-grid tests live in the external test package for the same
-// reason as the chaos tests: the case list comes from nfcatalog, which
-// imports harness.
-
 import (
 	"strings"
 	"testing"
 
-	"enetstl/internal/harness"
+	"enetstl/internal/difftest"
 	"enetstl/internal/nfcatalog"
 	"enetstl/internal/pktgen"
 	"enetstl/internal/telemetry"
@@ -21,11 +17,7 @@ import (
 // against the admitted substream — with the guard-on bound never looser
 // than guard-off.
 func TestAttackAllNFs(t *testing.T) {
-	cases, err := nfcatalog.AttackCases(nfcatalog.AttackConfig{Packets: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := harness.Attack(cases)
+	res := runAxis(t, difftest.AxisAttack, nfcatalog.GridConfig{Packets: 2000, Flows: 192})
 	t.Logf("%s", res)
 	if res.Failed() {
 		t.Fatalf("attack contract violated:\n%s", res)
@@ -42,18 +34,14 @@ func TestAttackAllNFs(t *testing.T) {
 // TestAttackDeterministic pins the replay guarantee: the same seed
 // produces the identical shed/admit/degrade row set.
 func TestAttackDeterministic(t *testing.T) {
-	run := func() *harness.AttackResult {
-		cases, err := nfcatalog.AttackCases(nfcatalog.AttackConfig{
-			Packets: 800, Scenarios: []pktgen.ScenarioKind{pktgen.ScenarioSYNFlood}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return harness.Attack(cases)
+	run := func() *difftest.Report {
+		return runAxis(t, difftest.AxisAttack, nfcatalog.GridConfig{Packets: 800, Flows: 192,
+			Scenarios: []pktgen.ScenarioKind{pktgen.ScenarioSYNFlood}})
 	}
 	a, b := run(), run()
-	if a.ViolationsTotal != b.ViolationsTotal || len(a.Rows) != len(b.Rows) {
+	if a.Total != b.Total || len(a.Rows) != len(b.Rows) {
 		t.Fatalf("not deterministic: %d/%d vs %d/%d violations/rows",
-			a.ViolationsTotal, len(a.Rows), b.ViolationsTotal, len(b.Rows))
+			a.Total, len(a.Rows), b.Total, len(b.Rows))
 	}
 	for i := range a.Rows {
 		if a.Rows[i] != b.Rows[i] {
@@ -64,12 +52,8 @@ func TestAttackDeterministic(t *testing.T) {
 
 // TestAttackPublish smoke-checks the result export.
 func TestAttackPublish(t *testing.T) {
-	cases, err := nfcatalog.AttackCases(nfcatalog.AttackConfig{
-		Packets: 600, Scenarios: []pktgen.ScenarioKind{pktgen.ScenarioChurn}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := harness.Attack(cases[:2])
+	res := runAxis(t, difftest.AxisAttack, nfcatalog.GridConfig{Packets: 600, Flows: 192,
+		Scenarios: []pktgen.ScenarioKind{pktgen.ScenarioChurn}})
 	reg := telemetry.NewRegistry()
 	res.Publish(reg)
 	if !strings.Contains(reg.Text(), "attack_violations_total") {

@@ -1,28 +1,35 @@
 package harness_test
 
-// The chaos tests live in the external test package because they build
-// their case list from nfcatalog, which itself imports harness.
+// The chaos and attack tests drive those axes of the conformance grid
+// (internal/difftest) end to end. They predate the grid and stay in this
+// directory, as an external test package, under the test IDs they have
+// always had.
 
 import (
 	"strings"
 	"testing"
 
+	"enetstl/internal/difftest"
 	"enetstl/internal/faultinject"
-	"enetstl/internal/harness"
 	"enetstl/internal/nfcatalog"
 	"enetstl/internal/telemetry"
 )
+
+func runAxis(t *testing.T, axis string, cfg nfcatalog.GridConfig) *difftest.Report {
+	t.Helper()
+	rep, err := difftest.Run(axis, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
 
 // TestChaosAllNFs replays every registered NF (all flavours) and the
 // composed apps under the full schedule grid and requires a clean run:
 // no panics, no errors, no XDP_ABORTED verdicts, balanced locks, and
 // green data-structure invariants.
 func TestChaosAllNFs(t *testing.T) {
-	cases, err := nfcatalog.Cases(nfcatalog.CasesConfig{Packets: 1500, Apps: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := harness.Chaos(cases, harness.ChaosSchedules(), 0x9e3779b9)
+	res := runAxis(t, difftest.AxisChaos, nfcatalog.GridConfig{Packets: 1500, FaultSeed: 0x9e3779b9})
 	t.Logf("%s", res)
 	if res.Failed() {
 		t.Fatalf("chaos contract violated:\n%s", res)
@@ -48,12 +55,8 @@ func TestChaosAllNFs(t *testing.T) {
 // TestChaosDeterministic pins the replay guarantee: two runs with the
 // same seed inject the identical fault counts.
 func TestChaosDeterministic(t *testing.T) {
-	run := func() *harness.ChaosResult {
-		cases, err := nfcatalog.Cases(nfcatalog.CasesConfig{Packets: 400})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return harness.Chaos(cases, harness.ChaosSchedules(), 7)
+	run := func() *difftest.Report {
+		return runAxis(t, difftest.AxisChaos, nfcatalog.GridConfig{Packets: 400, FaultSeed: 7})
 	}
 	a, b := run(), run()
 	if a.Injected != b.Injected || a.Evaluated != b.Evaluated {
@@ -73,12 +76,8 @@ func TestChaosDeterministic(t *testing.T) {
 // TestChaosPublish checks that the injected-fault counters land in the
 // metrics exposition.
 func TestChaosPublish(t *testing.T) {
-	cases, err := nfcatalog.Cases(nfcatalog.CasesConfig{Packets: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One NF is enough to exercise the exposition path.
-	res := harness.Chaos(cases[:3], harness.ChaosSchedules(), 11)
+	// One schedule is enough to exercise the exposition path.
+	res := runAxis(t, difftest.AxisChaos, nfcatalog.GridConfig{Packets: 300, FaultSeed: 11, Schedule: "mixed-storm"})
 	reg := telemetry.NewRegistry()
 	res.Publish(reg)
 	text := reg.Text()

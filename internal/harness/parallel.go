@@ -8,6 +8,7 @@ import (
 	"enetstl/internal/ebpf/vm"
 	"enetstl/internal/nf"
 	"enetstl/internal/pktgen"
+	"enetstl/internal/runtime"
 	"enetstl/internal/trace"
 )
 
@@ -179,7 +180,7 @@ func parallelRun(tr *pktgen.Trace, shards int, build ShardBuilder, trials int, t
 		recs = make([]*trace.Recorder, len(insts))
 		for s, inst := range insts {
 			recs[s] = trace.NewRecorder(tcfg.ForShard(s))
-			for _, m := range vmsOf(inst) {
+			for _, m := range runtime.VMs(inst) {
 				m.SetRecorder(recs[s])
 			}
 		}
@@ -207,19 +208,20 @@ func parallelRun(tr *pktgen.Trace, shards int, build ShardBuilder, trials int, t
 		out.Verdicts.Other += sr.Verdicts.Other
 	}
 	for _, inst := range insts {
-		v, ok := inst.(interface{ VM() *vm.VM })
-		if !ok || v.VM() == nil || v.VM().Stats() == nil {
-			continue
+		for _, m := range runtime.VMs(inst) {
+			if m.Stats() == nil {
+				continue
+			}
+			if out.Stats == nil {
+				out.Stats = vm.NewStats()
+			}
+			out.Stats.Merge(m.Stats())
 		}
-		if out.Stats == nil {
-			out.Stats = vm.NewStats()
-		}
-		out.Stats.Merge(v.VM().Stats())
 	}
 	if recs != nil {
 		chunks := make([][]trace.Event, len(recs))
 		for s, rec := range recs {
-			for _, m := range vmsOf(insts[s]) {
+			for _, m := range runtime.VMs(insts[s]) {
 				m.SetRecorder(nil)
 			}
 			chunks[s] = rec.Drain(0)

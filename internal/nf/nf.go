@@ -130,3 +130,26 @@ func (n *NativeInstance) Flavor() Flavor { return Kernel }
 func (n *NativeInstance) Process(pkt []byte) (uint64, error) {
 	return n.Fn(pkt), nil
 }
+
+// VMs collects the machines backing an instance: the instance's own
+// and, for pipelines (anything with Stages), every stage's. Wrappers
+// that delegate VM()/Stages() — the overload guard, obs.Instrument —
+// are seen through. This is the one place that duck typing is spelled;
+// runtime.VMs is its name for callers above the runtime layer.
+func VMs(inst Instance) []*vm.VM {
+	var out []*vm.VM
+	add := func(i Instance) {
+		if v, ok := i.(interface{ VM() *vm.VM }); ok {
+			if m := v.VM(); m != nil {
+				out = append(out, m)
+			}
+		}
+	}
+	add(inst)
+	if s, ok := inst.(interface{ Stages() []Instance }); ok {
+		for _, st := range s.Stages() {
+			add(st)
+		}
+	}
+	return out
+}

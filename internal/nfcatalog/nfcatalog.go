@@ -1,21 +1,22 @@
 // Package nfcatalog is the single registry of runnable NF instances:
 // it knows how to construct every network function in every flavour
 // (with the trace-derived table contents and op mixes each needs) and
-// how to wire each one into the chaos harness — which native fault
-// hooks to arm and which structural invariants to check. The nfrun CLI
-// and the chaos tests both build from here, so "every registered NF"
-// means the same set everywhere.
+// what comes with each one — the native fault hooks to arm, the
+// structural invariants to check, the control-plane estimator and the
+// error bound that estimator must hold. It also enumerates the
+// conformance grid (Cells): every NF in every flavour it supports over
+// one prepared trace. The daemon, the CLIs and internal/difftest all
+// build from here, so "every registered NF" means the same set
+// everywhere.
 package nfcatalog
 
 import (
 	"encoding/binary"
 	"fmt"
 
-	"enetstl/internal/apps"
 	"enetstl/internal/ebpf/maps"
 	"enetstl/internal/faultinject"
 	"enetstl/internal/guard"
-	"enetstl/internal/harness"
 	"enetstl/internal/nf"
 	"enetstl/internal/nf/bloom"
 	"enetstl/internal/nf/cmsketch"
@@ -45,15 +46,18 @@ func Names() []string {
 }
 
 // Built is one constructed NF plus its full wiring: the chaos-plane
-// fault hooks and invariant check, the control-plane estimator the
-// differential harness probes after a replay, and the guard policy
-// opt-ins. The daemon and the CLIs both consume it, so "an NF with its
-// wiring" means the same thing over HTTP and over flags.
+// fault hooks and invariant check, the control-plane estimator with the
+// error bound the conformance grid holds it to after a replay, and the
+// guard policy opt-ins. The daemon and the CLIs both consume it, so "an
+// NF with its wiring" means the same thing over HTTP and over flags.
 type Built struct {
 	Inst  nf.Instance
 	Arm   func(p *faultinject.Plane)
 	Check func() error
 	Est   func(key []byte) uint32
+	// Bound is the oracle for Est (bound.go); nil for NFs whose
+	// verdicts carry the whole signal.
+	Bound Bound
 	// GuardWire wires the NF's overload-guard opt-ins (degradation
 	// policy, watermark probes) into a guard fronting this instance; nil
 	// for NFs with no bespoke policy (generic budget shedding still
@@ -103,6 +107,19 @@ func BuildFull(name string, flavor nf.Flavor, trace *pktgen.Trace) (Built, error
 	return construct(name, flavor, trace)
 }
 
+// Sketch geometry, stated once: construct, the per-CPU wiring and the
+// estimator oracles all read these.
+var (
+	cmsketchCfg    = cmsketch.Config{Rows: 8, Width: 4096}
+	nitrosketchCfg = nitrosketch.Config{Rows: 8, Width: 4096, ProbLog2: 4}
+	spacesavingCfg = spacesaving.Config{Slots: 64}
+)
+
+// VBFSets is the number of sets vbf's flows are spread over at preload:
+// flow f is inserted into set f%VBFSets. Exported for the verdict-stream
+// oracle in internal/difftest, which reads set membership off verdicts.
+const VBFSets = 32
+
 // construct builds the instance and preloads its tables from the
 // trace's flow table. It never mutates the trace, so sharded replay
 // can call it once per shard on already-prepared sub-traces: the flow
@@ -130,18 +147,18 @@ func construct(name string, flavor nf.Flavor, trace *pktgen.Trace) (Built, error
 		}
 		return Built{Inst: s.Instance}, nil
 	case "cmsketch":
-		s, err := cmsketch.New(flavor, cmsketch.Config{Rows: 8, Width: 4096})
+		s, err := cmsketch.New(flavor, cmsketchCfg)
 		if err != nil {
 			return Built{}, err
 		}
-		return Built{Inst: s.Instance, Est: s.Estimate,
+		return Built{Inst: s.Instance, Est: s.Estimate, Bound: countMinBound(s.Estimate),
 			GuardWire: func(g *guard.Guard) { g.SetHeadSample(s.DegradeHeadSample()) }}, nil
 	case "nitrosketch":
-		s, err := nitrosketch.New(flavor, nitrosketch.Config{Rows: 8, Width: 4096, ProbLog2: 4})
+		s, err := nitrosketch.New(flavor, nitrosketchCfg)
 		if err != nil {
 			return Built{}, err
 		}
-		return Built{Inst: s.Instance, Est: s.Estimate, Arm: func(p *faultinject.Plane) {
+		return Built{Inst: s.Instance, Est: s.Estimate, Bound: nitroBound(s.Estimate), Arm: func(p *faultinject.Plane) {
 			if g := s.GeoPool(); g != nil {
 				g.FailRefill = p.Site(faultinject.SiteRefill).Fire
 			}
@@ -161,9 +178,9 @@ func construct(name string, flavor nf.Flavor, trace *pktgen.Trace) (Built, error
 			return Built{}, err
 		}
 		for i := range trace.FlowKeys {
-			v.Insert(trace.FlowKeys[i][:], i%32)
+			v.Insert(trace.FlowKeys[i][:], i%VBFSets)
 		}
-		return Built{Inst: v.Instance, Est: v.Query}, nil
+		return Built{Inst: v.Instance, Est: v.Query, Bound: vbfBound(v.Query)}, nil
 	case "eiffel":
 		q, err := eiffel.New(flavor, eiffel.Config{Levels: 2})
 		if err != nil {
@@ -196,7 +213,7 @@ func construct(name string, flavor nf.Flavor, trace *pktgen.Trace) (Built, error
 		if err != nil {
 			return Built{}, err
 		}
-		return Built{Inst: h.Instance, Est: h.Estimate, Arm: func(p *faultinject.Plane) {
+		return Built{Inst: h.Instance, Est: h.Estimate, Bound: heavyKeeperBound(h.Estimate), Arm: func(p *faultinject.Plane) {
 			if pl := h.Pool(); pl != nil {
 				pl.FailRefill = p.Site(faultinject.SiteRefill).Fire
 			}
@@ -208,11 +225,11 @@ func construct(name string, flavor nf.Flavor, trace *pktgen.Trace) (Built, error
 		}
 		return Built{Inst: f.Instance}, nil
 	case "spacesaving":
-		s, err := spacesaving.New(flavor, spacesaving.Config{Slots: 64})
+		s, err := spacesaving.New(flavor, spacesavingCfg)
 		if err != nil {
 			return Built{}, err
 		}
-		return Built{Inst: s.Instance, Est: s.Estimate}, nil
+		return Built{Inst: s.Instance, Est: s.Estimate, Bound: spaceSavingBound(s.Estimate)}, nil
 	case "conntrack":
 		// Sized below the flow count so the LRU churns and the update
 		// path stays hot for the whole replay.
@@ -268,88 +285,6 @@ func construct(name string, flavor nf.Flavor, trace *pktgen.Trace) (Built, error
 	return Built{}, fmt.Errorf("unknown NF %q", name)
 }
 
-// CasesConfig shapes the chaos case set.
-type CasesConfig struct {
-	Packets int   // per-case trace length (default 2000)
-	Flows   int   // distinct flows (default 256)
-	Seed    int64 // trace seed (default 1)
-	// Apps includes the composed applications alongside the single NFs.
-	Apps bool
-}
-
-func (c CasesConfig) norm() CasesConfig {
-	if c.Packets <= 0 {
-		c.Packets = 2000
-	}
-	if c.Flows <= 0 {
-		c.Flows = 256
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
-// Cases builds every registered NF in every flavour it supports (plus,
-// optionally, the composed apps in both their versions) as chaos
-// cases, each with its own freshly generated trace so per-NF op mixes
-// don't interfere. Unsupported name/flavour combinations (skiplist's
-// paper-P1 pure-eBPF gap) are skipped; real construction failures are
-// returned.
-func Cases(cfg CasesConfig) ([]harness.ChaosCase, error) {
-	cfg = cfg.norm()
-	var cases []harness.ChaosCase
-	for _, name := range Names() {
-		for _, fl := range []nf.Flavor{nf.Kernel, nf.EBPF, nf.ENetSTL} {
-			if name == "skiplist" && fl == nf.EBPF {
-				continue // not implementable in pure eBPF (paper P1)
-			}
-			if name == "conntrack" && fl == nf.ENetSTL {
-				continue // pure maps+helpers NF; no eNetSTL flavour
-			}
-			trace := pktgen.Generate(pktgen.Config{
-				Flows: cfg.Flows, Packets: cfg.Packets, ZipfS: 1.1, Seed: cfg.Seed})
-			b, err := BuildFull(name, fl, trace)
-			if err != nil {
-				return nil, fmt.Errorf("chaos case %s/%v: %w", name, fl, err)
-			}
-			cases = append(cases, harness.ChaosCase{
-				Name:  fmt.Sprintf("%s/%v", name, fl),
-				Inst:  b.Inst,
-				Trace: trace,
-				Arm:   b.Arm,
-				Check: b.Check,
-			})
-		}
-	}
-	if cfg.Apps {
-		for _, enetstl := range []bool{false, true} {
-			trace := pktgen.Generate(pktgen.Config{
-				Flows: cfg.Flows, Packets: cfg.Packets, ZipfS: 1.1, Seed: cfg.Seed})
-			for _, mk := range []struct {
-				name string
-				make func() (*apps.App, error)
-			}{
-				{"katran", func() (*apps.App, error) { return apps.NewKatran(enetstl, trace.FlowKeys) }},
-				{"rakelimit", func() (*apps.App, error) { return apps.NewRakeLimit(enetstl) }},
-				{"polycube", func() (*apps.App, error) { return apps.NewPolycube(enetstl, trace.FlowKeys) }},
-				{"sketchsuite", func() (*apps.App, error) { return apps.NewSketchSuite(enetstl) }},
-			} {
-				a, err := mk.make()
-				if err != nil {
-					return nil, fmt.Errorf("chaos case app %s: %w", mk.name, err)
-				}
-				cases = append(cases, harness.ChaosCase{
-					Name:  fmt.Sprintf("%s/%v", mk.name, a.Flavor()),
-					Inst:  a,
-					Trace: trace,
-				})
-			}
-		}
-	}
-	return cases, nil
-}
-
 // Sharded wires one NF into harness.ParallelRun: Build is the
 // per-shard constructor (harness.ShardBuilder) and Estimate merges the
 // per-shard sketch estimators by summation — a count-min/VBF estimate
@@ -400,8 +335,7 @@ func NewShardedPerCPU(name string, flavor nf.Flavor, shards int) (*Sharded, erro
 		}
 		return &Sharded{Name: name, Flavor: flavor, percpu: p}, nil
 	case "cmsketch":
-		// Same geometry as the shared-table construct() path.
-		cfg := cmsketch.Config{Rows: 8, Width: 4096}
+		cfg := cmsketchCfg
 		p, err := maps.NewPerCPUArray(cfg.Rows*cfg.Width*4, 1, shards)
 		if err != nil {
 			return nil, err
@@ -417,7 +351,7 @@ func NewShardedPerCPU(name string, flavor nf.Flavor, shards int) (*Sharded, erro
 			estCPU: func(key []byte) uint32 { return cmsketch.EstimatePerCPU(p, cfg, key) },
 		}, nil
 	case "nitrosketch":
-		cfg := nitrosketch.Config{Rows: 8, Width: 4096, ProbLog2: 4}
+		cfg := nitrosketchCfg
 		p, err := maps.NewPerCPUArray(cfg.Rows*cfg.Width*4, 1, shards)
 		if err != nil {
 			return nil, err

@@ -7,7 +7,6 @@ package nfcatalog
 
 import (
 	"enetstl/internal/ebpf/maps"
-	"enetstl/internal/guard"
 	"enetstl/internal/nf"
 	"enetstl/internal/nf/heavykeeper"
 	"enetstl/internal/nf/nitrosketch"
@@ -87,23 +86,6 @@ func (s *Sharded) perCPUCopies() []maps.Map {
 		}
 	}
 	return out
-}
-
-// GuardPolicy returns the catalog's uniform guard policy — budgets
-// calibrate per instance, so one config fits a skiplist and a count-min
-// sketch alike. Callers overlay runtime.Options guard/quota settings on
-// top of it.
-func GuardPolicy() guard.Config { return attackGuardConfig() }
-
-// WireGuard applies the NF's bespoke guard opt-ins (degradation policy,
-// watermark probes) plus the catalog's shed-rate mark to g — the same
-// wiring BuildGuarded performs, exposed for callers that construct the
-// guard themselves (the daemon, which derives its config from Options).
-func (b Built) WireGuard(g *guard.Guard) {
-	if b.GuardWire != nil {
-		b.GuardWire(g)
-	}
-	addShedRateMark(g)
 }
 
 // BuildFull constructs shard's instance like Build but returns the full

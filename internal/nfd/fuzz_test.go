@@ -12,28 +12,6 @@ import (
 	"enetstl/internal/runtime"
 )
 
-// The fuzz targets exercise the HTTP/JSON boundary, not allocation
-// size: the daemon has no server-side cap on these request fields yet
-// (ROADMAP item 5), so a body asking for more than fuzzMaxSize flows,
-// packets or ring slots — or for more than fuzzMaxShards instances,
-// each of which is a whole NF build — is skipped rather than served.
-const (
-	fuzzMaxSize   = 1 << 14
-	fuzzMaxShards = 1 << 6
-)
-
-// decodeAsServer decodes body the way decodeStrict does — the first
-// JSON value of the stream — minus the unknown-field check, so the
-// harness sees every size the server would act on. When it fails the
-// server's stricter decode fails too and nothing is built.
-func decodeAsServer(body []byte, v any) bool {
-	return json.NewDecoder(bytes.NewReader(body)).Decode(v) == nil
-}
-
-func tooBig(s runtime.TraceSpec) bool {
-	return s.Flows > fuzzMaxSize || s.Packets > fuzzMaxSize
-}
-
 var answerable = map[int]bool{
 	http.StatusOK: true, http.StatusCreated: true, http.StatusBadRequest: true,
 	http.StatusConflict: true, http.StatusRequestEntityTooLarge: true,
@@ -68,17 +46,13 @@ func FuzzCreateRequest(f *testing.F) {
 		`{"name": "heavykeeper", "flavor": "enetstl", "options": {"quota": {"rpool_cap": 8}}}`,
 		`{"name": "cmsketch", "flavor": "kernel", "options": {"trace": {"capacity": 256, "sample_rate": 0.05}, "guard": {"enabled": true, "auto_budget": 64}}}`,
 		`{"name": "cmsketch", "flavor": "kernel"} trailing`,
+		`{"name": "bloom", "flavor": "kernel", "trace": {"flows": 9999999999}}`,
+		`{"name": "bloom", "flavor": "kernel", "options": {"shards": 65}}`,
+		`{"name": "bloom", "flavor": "kernel", "options": {"trace": {"capacity": 1073741824}}}`,
 	} {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var req nfd.CreateRequest
-		if decodeAsServer(body, &req) {
-			o := req.Options
-			if tooBig(req.Trace) || o.Shards > fuzzMaxShards || (o.Trace != nil && o.Trace.Capacity > fuzzMaxSize) {
-				t.Skip("sizes beyond the harness bound")
-			}
-		}
 		srv := nfd.NewServer()
 		defer srv.Registry.Close()
 		rec := post(srv.Handler(), "/modules", body)
@@ -125,11 +99,8 @@ func FuzzIngestBody(f *testing.F) {
 	f.Add(raw(64, 64, 64))
 	f.Add(raw(64, 63))
 	f.Add(bytes.Replace(raw(64, 64), []byte("Ag"), []byte("!g"), 1)) // bad base64 in packet 1
+	f.Add([]byte(`{"flows": 16, "packets": 9999999999}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var spec runtime.TraceSpec
-		if decodeAsServer(body, &spec) && tooBig(spec) {
-			t.Skip("sizes beyond the harness bound")
-		}
 		srv := nfd.NewServer()
 		defer srv.Registry.Close()
 		m, err := srv.Registry.Create(nfd.CreateRequest{Name: "cuckooswitch", Flavor: "ebpf"})

@@ -171,10 +171,10 @@ func (r *Registry) Create(req CreateRequest) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !knownName(req.Name) {
-		return nil, fmt.Errorf("unknown NF %q", req.Name)
-	}
-	if !flavorSupported(req.Name, flavor) {
+	if !nfcatalog.Supports(req.Name, flavor) {
+		if len(nfcatalog.SupportedFlavors(req.Name)) == 0 {
+			return nil, fmt.Errorf("unknown NF %q", req.Name)
+		}
 		return nil, fmt.Errorf("%s has no %s flavour", req.Name, flavor)
 	}
 	o := req.Options
@@ -448,22 +448,4 @@ func (r *Registry) Publish(reg *telemetry.Registry) {
 	for _, m := range mods {
 		m.Publish(reg)
 	}
-}
-
-func knownName(name string) bool {
-	for _, n := range nfcatalog.Names() {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
-func flavorSupported(name string, fl nf.Flavor) bool {
-	for _, f := range nfcatalog.SupportedFlavors(name) {
-		if f == fl {
-			return true
-		}
-	}
-	return false
 }

@@ -419,3 +419,58 @@ func TestBodyLimit(t *testing.T) {
 		t.Fatalf("body of exactly MaxBodyBytes: status %d, want 400", rec.Code)
 	}
 }
+
+// TestRequestCeilings: the daemon caps what a body asks for, not only
+// the body — a field over its runtime ceiling is a 400 naming the field,
+// what it asked for and the most it may, on create and on ingest alike,
+// and nothing is built or counted. A field exactly at its ceiling is
+// not refused on that ground.
+func TestRequestCeilings(t *testing.T) {
+	_, ts := newTestServer(t)
+	var st nfd.Status
+	if code, data := do(t, "POST", ts.URL+"/modules",
+		`{"name": "cmsketch", "flavor": "kernel"}`, &st); code != http.StatusCreated {
+		t.Fatalf("create: status %d: %s", code, data)
+	}
+	over := func(n int) string { return fmt.Sprint(n + 1) }
+	for _, tc := range []struct {
+		path, body, field string
+		max               int
+	}{
+		{"/modules", `{"name": "bloom", "flavor": "kernel", "trace": {"flows": ` + over(runtime.MaxTraceFlows) + `}}`,
+			"trace.flows", runtime.MaxTraceFlows},
+		{"/modules", `{"name": "bloom", "flavor": "kernel", "trace": {"packets": ` + over(runtime.MaxTracePackets) + `}}`,
+			"trace.packets", runtime.MaxTracePackets},
+		{"/modules", `{"name": "bloom", "flavor": "kernel", "options": {"shards": ` + over(runtime.MaxShards) + `}}`,
+			"options.shards", runtime.MaxShards},
+		{"/modules", `{"name": "bloom", "flavor": "kernel", "options": {"trace": {"capacity": ` + over(runtime.MaxTraceCapacity) + `}}}`,
+			"options.trace.capacity", runtime.MaxTraceCapacity},
+		{"/modules/" + st.ID + "/packets", `{"flows": 16, "packets": ` + over(runtime.MaxTracePackets) + `}`,
+			"trace.packets", runtime.MaxTracePackets},
+		{"/modules/" + st.ID + "/packets", `{"flows": ` + over(runtime.MaxTraceFlows) + `, "packets": 10}`,
+			"trace.flows", runtime.MaxTraceFlows},
+	} {
+		var got struct {
+			Error, Reason, Field string
+			Got, Max             int
+		}
+		code, data := do(t, "POST", ts.URL+tc.path, tc.body, &got)
+		if code != http.StatusBadRequest {
+			t.Errorf("POST %s %s: status %d, want 400: %s", tc.path, tc.body, code, data)
+			continue
+		}
+		if got.Reason != "over_limit" || got.Field != tc.field || got.Got != tc.max+1 || got.Max != tc.max || got.Error == "" {
+			t.Errorf("POST %s %s: reason %+v, want over_limit on %s (%d > %d)", tc.path, tc.body, got, tc.field, tc.max+1, tc.max)
+		}
+	}
+	var list struct{ Modules []nfd.Status }
+	do(t, "GET", ts.URL+"/modules", "", &list)
+	if len(list.Modules) != 1 || list.Modules[0].Packets != 0 {
+		t.Fatalf("refused requests left their mark: %+v", list.Modules)
+	}
+	if code, data := do(t, "POST", ts.URL+"/modules",
+		fmt.Sprintf(`{"name": "bloom", "flavor": "kernel", "options": {"shards": %d}, "trace": {"flows": 8, "packets": 8}}`,
+			runtime.MaxShards), nil); code != http.StatusCreated {
+		t.Fatalf("shards at the ceiling: status %d: %s", code, data)
+	}
+}

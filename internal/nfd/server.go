@@ -193,7 +193,14 @@ func (s *Server) handlePackets(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := m.Ingest(spec)
 	if err != nil {
-		writeErr(w, http.StatusConflict, err)
+		code := http.StatusConflict
+		var lim *runtime.LimitError
+		if errors.As(err, &lim) {
+			// The batch asks for more than a ceiling allows: the
+			// request is at fault, not the module's state.
+			code = http.StatusBadRequest
+		}
+		writeErr(w, code, err)
 		return
 	}
 	code := http.StatusOK
@@ -342,6 +349,17 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v) //nolint:errcheck // client gone
 }
 
+// writeErr answers with the error text and, for a request over one of
+// the runtime ceilings, the machine-readable reason: which field, what
+// it asked for, and the most it may.
 func writeErr(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+	body := map[string]any{"error": err.Error()}
+	var lim *runtime.LimitError
+	if errors.As(err, &lim) {
+		body["reason"] = "over_limit"
+		body["field"] = lim.Field
+		body["got"] = lim.Got
+		body["max"] = lim.Max
+	}
+	writeJSON(w, code, body)
 }

@@ -10,27 +10,10 @@ import (
 )
 
 // VMs collects the machines backing an instance: the instance's own
-// and, for pipelines, every stage's — the duck typing the chaos and
-// guard planes already use, exported once so every attacher (stats,
-// recorders, guards, the daemon) walks instances the same way.
-func VMs(inst nf.Instance) []*vm.VM {
-	var out []*vm.VM
-	if v, ok := inst.(interface{ VM() *vm.VM }); ok {
-		if m := v.VM(); m != nil {
-			out = append(out, m)
-		}
-	}
-	if s, ok := inst.(interface{ Stages() []nf.Instance }); ok {
-		for _, st := range s.Stages() {
-			if v, ok := st.(interface{ VM() *vm.VM }); ok {
-				if m := v.VM(); m != nil {
-					out = append(out, m)
-				}
-			}
-		}
-	}
-	return out
-}
+// and, for pipelines, every stage's (nf.VMs), so every attacher — stats,
+// recorders, guards, the daemon, the conformance grid — walks instances
+// the same way.
+func VMs(inst nf.Instance) []*vm.VM { return nf.VMs(inst) }
 
 // Maps collects the maps an instance holds: everything registered on
 // its VMs plus, for a native that owns its map directly (Kernel-flavour

@@ -33,6 +33,42 @@ import (
 // instance (map memory, rpool capacity). The daemon maps it to HTTP 429.
 var ErrQuota = errors.New("runtime: quota exceeded")
 
+// Ceilings on what one request may ask for. The daemon caps a body at
+// 16 MiB, but these four fields are sizes the server allocates on the
+// client's word, so a 60-byte body could otherwise ask for gigabytes.
+// They are constants, not settings: each sits well above what any
+// caller in the tree uses (the benchmark's largest trace is 4096
+// packets over 4096 flows), and MaxTracePackets above the ~184k raw
+// packets a 16 MiB body can carry, so no legitimate request meets one.
+// MaxTraceFlows is the tightest because a module's tables are preloaded
+// from the whole flow table once per shard, and a cuckoo table past
+// capacity pays 500 kicks for every insert it then refuses.
+const (
+	MaxTraceFlows    = 1 << 14
+	MaxTracePackets  = 1 << 18
+	MaxShards        = 64 // every shard is a whole NF build
+	MaxTraceCapacity = 1 << 18
+)
+
+// LimitError reports a request field above its ceiling. The daemon
+// answers it with 400 and serves the fields alongside the message, so
+// a client can tell which knob to turn without parsing prose.
+type LimitError struct {
+	Field    string // JSON path of the offending field
+	Got, Max int
+}
+
+func (e *LimitError) Error() string {
+	return fmt.Sprintf("runtime: %s %d exceeds the limit %d", e.Field, e.Got, e.Max)
+}
+
+func checkLimit(field string, got, max int) error {
+	if got > max {
+		return &LimitError{Field: field, Got: got, Max: max}
+	}
+	return nil
+}
+
 // Options is the per-instance runtime configuration. The zero value
 // means "inherit the process defaults" for every field; the JSON
 // encoding is the schema the nfd daemon accepts and the -options flag
@@ -179,12 +215,18 @@ func (o Options) Validate() error {
 	if o.Shards < 0 {
 		return fmt.Errorf("runtime: negative shards %d", o.Shards)
 	}
+	if err := checkLimit("options.shards", o.Shards, MaxShards); err != nil {
+		return err
+	}
 	if t := o.Trace; t != nil {
 		if t.SampleRate < 0 || t.SampleRate > 1 {
 			return fmt.Errorf("runtime: trace sample_rate %v outside [0,1]", t.SampleRate)
 		}
 		if t.Capacity < 0 {
 			return fmt.Errorf("runtime: negative trace capacity %d", t.Capacity)
+		}
+		if err := checkLimit("options.trace.capacity", t.Capacity, MaxTraceCapacity); err != nil {
+			return err
 		}
 	}
 	if g := o.Guard; g != nil && (g.ResumeFrac < 0 || g.ResumeFrac > 1) {

@@ -64,6 +64,8 @@ func TestValidate(t *testing.T) {
 		{Guard: &GuardOptions{ResumeFrac: 2}},
 		{Quota: &Quota{MapBytes: -1}},
 		{Quota: &Quota{RPoolCap: -1}},
+		{Shards: MaxShards + 1},
+		{Trace: &TraceOptions{Capacity: MaxTraceCapacity + 1}},
 	}
 	for _, o := range bad {
 		if err := o.Validate(); err == nil {
@@ -72,6 +74,10 @@ func TestValidate(t *testing.T) {
 	}
 	if err := (Options{}).Validate(); err != nil {
 		t.Fatalf("zero Options rejected: %v", err)
+	}
+	atCeilings := Options{Shards: MaxShards, Trace: &TraceOptions{Capacity: MaxTraceCapacity}}
+	if err := atCeilings.Validate(); err != nil {
+		t.Fatalf("options at their ceilings rejected: %v", err)
 	}
 }
 

@@ -42,6 +42,9 @@ func (s TraceSpec) norm() TraceSpec {
 // Build materializes the trace.
 func (s TraceSpec) Build() (*pktgen.Trace, error) {
 	if len(s.Raw) > 0 {
+		if err := checkLimit("trace.raw", len(s.Raw), MaxTracePackets); err != nil {
+			return nil, err
+		}
 		tr := &pktgen.Trace{Packets: make([]pktgen.Packet, len(s.Raw))}
 		// One scratch for every packet: the canonical encoding of PktSize
 		// bytes is 88 characters, which DecodedLen rounds up to PktSize+2.
@@ -66,6 +69,12 @@ func (s TraceSpec) Build() (*pktgen.Trace, error) {
 		return tr, nil
 	}
 	s = s.norm()
+	if err := checkLimit("trace.flows", s.Flows, MaxTraceFlows); err != nil {
+		return nil, err
+	}
+	if err := checkLimit("trace.packets", s.Packets, MaxTracePackets); err != nil {
+		return nil, err
+	}
 	cfg := pktgen.Config{Flows: s.Flows, Packets: s.Packets, ZipfS: s.Zipf, Seed: s.Seed}
 	if s.Scenario == "" {
 		return pktgen.Generate(cfg), nil

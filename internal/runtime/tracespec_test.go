@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"encoding/base64"
+	"errors"
 	"testing"
 
 	"enetstl/internal/nf"
@@ -72,5 +73,31 @@ func TestRawBuildAllocs(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Fatalf("256-packet raw build made %.0f allocations, want <= 2", allocs)
+	}
+}
+
+// TestBuildCeilings: a spec asking for more flows or packets than the
+// fixed ceilings is refused with a LimitError naming the field before
+// anything is generated; a spec at the ceilings builds.
+func TestBuildCeilings(t *testing.T) {
+	for _, tc := range []struct {
+		spec  TraceSpec
+		field string
+		max   int
+	}{
+		{TraceSpec{Flows: MaxTraceFlows + 1, Packets: 1}, "trace.flows", MaxTraceFlows},
+		{TraceSpec{Flows: 1, Packets: MaxTracePackets + 1}, "trace.packets", MaxTracePackets},
+		{TraceSpec{Flows: 1, Packets: MaxTracePackets + 1, Scenario: "churn"}, "trace.packets", MaxTracePackets},
+		{TraceSpec{Raw: make([]string, MaxTracePackets+1)}, "trace.raw", MaxTracePackets},
+	} {
+		_, err := tc.spec.Build()
+		var lim *LimitError
+		if !errors.As(err, &lim) || lim.Field != tc.field || lim.Got != tc.max+1 || lim.Max != tc.max {
+			t.Errorf("%s over its ceiling: error %v, want a LimitError for %d > %d", tc.field, err, tc.max+1, tc.max)
+		}
+	}
+	tr, err := TraceSpec{Flows: MaxTraceFlows, Packets: MaxTracePackets}.Build()
+	if err != nil || len(tr.Packets) != MaxTracePackets || len(tr.FlowKeys) != MaxTraceFlows {
+		t.Fatalf("spec at the ceilings: %v", err)
 	}
 }
