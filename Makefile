@@ -10,11 +10,11 @@ GO ?= go
 # e.g. `make fuzz-smoke FUZZTIME=2m`.
 FUZZTIME ?= 10s
 
-.PHONY: all check fmt vet build test race difftest fuzz-smoke bench bench-telemetry bench-trace bench-vm bench-vm-smoke bench-test chaos-smoke attack-smoke obs-smoke nfd-smoke
+.PHONY: all check fmt vet build test race difftest fuzz-smoke bench bench-telemetry bench-trace bench-test chaos-smoke attack-smoke obs-smoke nfd-smoke
 
 all: check
 
-check: fmt vet build test race difftest fuzz-smoke chaos-smoke attack-smoke obs-smoke nfd-smoke bench-vm-smoke bench-test
+check: fmt vet build test race difftest fuzz-smoke chaos-smoke attack-smoke obs-smoke nfd-smoke bench-test
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -88,6 +88,8 @@ obs-smoke:
 nfd-smoke:
 	$(GO) run ./cmd/nfd -smoke
 
+# Ungated developer aid (the in-package BenchmarkDispatch* micros); the
+# committed performance numbers are bench/'s (BENCHMARK.json).
 bench:
 	$(GO) test -bench . -benchmem ./internal/ebpf/vm/
 
@@ -99,21 +101,6 @@ bench-telemetry:
 # as TestTraceDisabledOverhead in the full test suite).
 bench-trace:
 	$(GO) test -run XX -bench BenchmarkTraceOverhead -count 5 ./internal/ebpf/vm/
-
-# Three-tier interpreter comparison (wire vs predecoded vs jit): the
-# BenchmarkDispatch* suite for the per-micro detail, then the
-# interleaved vmbench harness which refreshes the committed
-# BENCH_vm.json artifact and enforces the >=4x jit-vs-wire micro
-# geomean the block compiler promises. Absolute numbers are
-# host-dependent; only the ratios within one invocation are meaningful.
-bench-vm:
-	$(GO) test -run XX -bench 'BenchmarkDispatch' ./internal/ebpf/vm/
-	$(GO) run ./cmd/vmbench -out BENCH_vm.json -min-geomean 4.0
-
-# Smoke variant for `make check`: short samples, no artifact rewrite,
-# no ratio enforcement (short samples are too noisy to gate on).
-bench-vm-smoke:
-	$(GO) run ./cmd/vmbench -quick
 
 # bench/ is a module of its own (replace enetstl => ../) that imports
 # internal packages, so `go build ./...` and `go test ./...` at the root

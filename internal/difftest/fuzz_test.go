@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"enetstl/internal/ebpf/asm"
 	"enetstl/internal/ebpf/isa"
 	"enetstl/internal/ebpf/verifier"
 )
@@ -55,22 +57,136 @@ func encodeFuzzProg(prog []isa.Instruction) []byte {
 	return out
 }
 
+// fuzzSeed is one named program of the committed corpus.
+type fuzzSeed struct {
+	name string // file name under testdata/fuzz/FuzzJITCrossCheck
+	prog []isa.Instruction
+}
+
+func shape(name string, build func(b *asm.Builder)) fuzzSeed {
+	b := asm.New()
+	build(b)
+	return fuzzSeed{name: "shape-" + name, prog: b.MustProgram()}
+}
+
+// shapeSeeds are hand-built programs for the instruction shapes that
+// once had a dedicated fast path — a fused kind in the predecoded loop
+// or a superblock in the jit — and lost it because no catalog NF
+// contains them. They now run through the standalone decodes, the
+// generic ALU pair and the generic block driver; as seeds (and as
+// inputs of the jit parity tests) they keep all four machines compared
+// on exactly those shapes.
+func shapeSeeds() []fuzzSeed {
+	return []fuzzSeed{
+		shape("add-chain", func(b *asm.Builder) {
+			b.MovImm(asm.R0, 1)
+			for i := int32(1); i <= 5; i++ {
+				b.AddImm(asm.R0, i)
+			}
+			b.Exit()
+		}),
+		shape("add-add", func(b *asm.Builder) {
+			b.MovImm(asm.R0, 1)
+			b.AddImm(asm.R0, 2)
+			b.AddImm(asm.R0, -3)
+			b.Exit()
+		}),
+		shape("hash-mix-quad", func(b *asm.Builder) {
+			b.MovImm(asm.R0, 7)
+			b.MovImm(asm.R7, 0x9e37)
+			for i := int32(0); i < 2; i++ {
+				b.AddImm(asm.R0, 3+i) // add+xor ...
+				b.Xor(asm.R0, asm.R7)
+				b.LshImm(asm.R0, 1) // ... shl+add: the quad
+				b.Add(asm.R0, asm.R7)
+			}
+			b.Xor(asm.R0, asm.R7) // xor+mul
+			b.MulImm(asm.R0, 31)
+			b.Exit()
+		}),
+		shape("ldx-and-widths", func(b *asm.Builder) {
+			b.Mov(asm.R6, asm.R1)
+			b.StoreImm(asm.R10, -8, 0x12345678, 8)
+			b.MovImm(asm.R0, 0)
+			for _, size := range []int{1, 2, 4, 8} {
+				b.Load(asm.R7, asm.R6, int16(size), size) // off the context
+				b.AndImm(asm.R7, 0x7f7f7f7f)
+				b.Add(asm.R0, asm.R7)
+				b.Load(asm.R8, asm.R10, -8, size) // off a stack slot
+				b.AndImm(asm.R8, 0x0ff0)
+				b.Add(asm.R0, asm.R8)
+				b.Store(asm.R10, -16, asm.R0, 8) // load-mask, accumulate, store back
+			}
+			b.Exit()
+		}),
+		shape("counted-loop-imm", func(b *asm.Builder) {
+			b.MovImm(asm.R0, 0)
+			b.MovImm(asm.R7, 0)
+			b.Label("top")
+			b.AddImm(asm.R0, 3)
+			b.AddImm(asm.R7, 1)
+			b.JmpImm(asm.JLT, asm.R7, 8, "top")
+			b.Exit()
+		}),
+		shape("counted-loop-reg", func(b *asm.Builder) {
+			b.MovImm(asm.R0, 0)
+			b.MovImm(asm.R7, 0)
+			b.MovImm(asm.R8, 5)
+			b.Label("top")
+			b.AddImm(asm.R0, 2)
+			b.AddImm(asm.R7, 1)
+			b.Jmp(asm.JNE, asm.R7, asm.R8, "top")
+			b.Exit()
+		}),
+		shape("two-block-cycle", func(b *asm.Builder) {
+			b.MovImm(asm.R0, 0)
+			b.MovImm(asm.R7, 0)
+			b.Label("head")
+			b.JmpImm(asm.JGE, asm.R7, 8, "done")
+			b.AddImm(asm.R0, 3)
+			b.AddImm(asm.R7, 1)
+			b.Ja("head")
+			b.Label("done")
+			b.Exit()
+		}),
+		shape("seven-unit-block", func(b *asm.Builder) {
+			b.MovImm(asm.R0, 1)
+			b.MovImm(asm.R7, 2)
+			b.Add(asm.R0, asm.R7)
+			b.LshImm(asm.R0, 3)
+			b.Xor(asm.R0, asm.R7)
+			b.SubImm(asm.R0, 5)
+			b.Or(asm.R0, asm.R7)
+			b.Exit()
+		}),
+	}
+}
+
+// corpusSeeds is the committed seed corpus: eight generated
+// verifier-valid programs, then the shape seeds.
+func corpusSeeds(tb testing.TB) []fuzzSeed {
+	var seeds []fuzzSeed
+	for seed := uint64(0); seed < 8; seed++ {
+		prog, err := GenProgram(seed)
+		if err != nil {
+			tb.Fatalf("seed %d: %v", seed, err)
+		}
+		seeds = append(seeds, fuzzSeed{name: fmt.Sprintf("gen-seed-%d", seed), prog: prog})
+	}
+	return append(seeds, shapeSeeds()...)
+}
+
 // FuzzJITCrossCheck feeds arbitrary bytecode through the full
 // differential driver: any program the verifier accepts is executed on
 // all three production tiers (predecoded, wire, jit) and the reference
 // interpreter, and the complete final state — registers, stack,
 // context, map arena, retired instruction count, error text — must
-// agree. The jit tier's block compiler is the newest and most intricate
-// of the four, so in practice this is the jit-vs-reference oracle; the
-// committed corpus under testdata/fuzz seeds it with generated
-// verifier-valid programs so coverage starts deep in the accept space.
+// agree. The committed corpus under testdata/fuzz seeds it with
+// generated verifier-valid programs, so coverage starts deep in the
+// accept space, and with the shapes that have no dedicated path.
 func FuzzJITCrossCheck(f *testing.F) {
-	for seed := uint64(0); seed < 8; seed++ {
-		prog, err := GenProgram(seed)
-		if err != nil {
-			f.Fatalf("seed %d: %v", seed, err)
-		}
-		f.Add(encodeFuzzProg(prog))
+	for _, s := range corpusSeeds(f) {
+		f.Add(encodeFuzzProg(s.prog))
 	}
 	ctx := jitCtx()
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -84,34 +200,33 @@ func FuzzJITCrossCheck(f *testing.F) {
 	})
 }
 
-// TestRegenJITFuzzCorpus rewrites the committed seed corpus from the
-// program generator. Run with ENETSTL_REGEN_FUZZ_CORPUS=1 after
-// changing the generator or the wire encoding; otherwise it only
-// asserts the committed corpus exists and decodes.
+// TestRegenJITFuzzCorpus rewrites the committed seed corpus from
+// corpusSeeds. Run with ENETSTL_REGEN_FUZZ_CORPUS=1 after changing the
+// generator, the shapes or the wire encoding; otherwise it asserts
+// every seed's committed file is what a regeneration would write.
 func TestRegenJITFuzzCorpus(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzJITCrossCheck")
-	if os.Getenv("ENETSTL_REGEN_FUZZ_CORPUS") != "" {
+	regen := os.Getenv("ENETSTL_REGEN_FUZZ_CORPUS") != ""
+	if regen {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		for seed := uint64(0); seed < 8; seed++ {
-			prog, err := GenProgram(seed)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", encodeFuzzProg(prog))
-			name := filepath.Join(dir, fmt.Sprintf("gen-seed-%d", seed))
-			if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
+	}
+	for _, s := range corpusSeeds(t) {
+		body := []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", encodeFuzzProg(s.prog)))
+		name := filepath.Join(dir, s.name)
+		if regen {
+			if err := os.WriteFile(name, body, 0o644); err != nil {
 				t.Fatal(err)
 			}
+			continue
 		}
-		return
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("committed fuzz corpus missing (run with ENETSTL_REGEN_FUZZ_CORPUS=1 to rebuild): %v", err)
-	}
-	if len(ents) == 0 {
-		t.Fatal("committed fuzz corpus is empty")
+		got, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatalf("committed fuzz corpus incomplete (run with ENETSTL_REGEN_FUZZ_CORPUS=1 to rebuild): %v", err)
+		}
+		if !bytes.Equal(got, body) {
+			t.Errorf("%s is stale: run with ENETSTL_REGEN_FUZZ_CORPUS=1 to rebuild", name)
+		}
 	}
 }

@@ -20,17 +20,10 @@ package vm
 // would. When a closure faults mid-block, it records how much of the
 // pre-charge must be refunded so the net charge equals the wire loop's.
 //
-// Two layers of superinstruction sit on top of the per-unit closures:
-// adjacent infallible units combine into single closures for the hot
-// shapes (the hash-mix quad, stack load-mask-accumulate[-store] runs),
-// and loop-shaped blocks — a back edge targeting the block's own
-// leader, or a conditional exit whose fall-through body jumps straight
-// back — compile into self-iterating superblocks that keep the whole
-// loop inside one closure invocation. The budget therefore lives in
-// jitState: a superblock pre-charges each further iteration itself and
-// hands control back to the driver the moment the remaining budget
-// cannot cover one, so the fastLoop exhaustion tail sees exactly the
-// state the per-block driver would have produced.
+// One superinstruction sits on top of the per-unit closures: runs of
+// helper or kfunc calls, each with its map-pointer and key-address
+// set-up, compile into one closure (combineCalls). Everything else is
+// one closure per unit under the generic block driver.
 
 import (
 	"encoding/binary"
@@ -58,14 +51,11 @@ type jitProg struct {
 }
 
 // jitState is the machine state block closures execute against. One
-// instance lives in the VM so running a program never allocates. The
-// remaining budget is part of the state so self-iterating superblocks
-// can pre-charge their own back edges without a driver round trip.
+// instance lives in the VM so running a program never allocates.
 type jitState struct {
 	r      [16]uint64
 	stk    []byte
 	ret    uint64
-	budget int
 	refund int32 // pre-charged budget units to return after a fault
 }
 
@@ -103,28 +93,28 @@ func (vm *VM) execJIT(p *Program, ctx []byte) (uint64, error) {
 	st.r[isa.R10] = vm.stackID<<RegionShift + StackSize
 	st.stk = vm.regions[vm.stackID].data
 	st.refund = 0
-	st.budget = vm.Budget
+	budget := vm.Budget
 
 	b := p.jit.entry
 	for {
-		if st.budget < int(b.cost) {
+		if budget < int(b.cost) {
 			// The block would exhaust the budget somewhere inside; the
 			// resumable predecoded loop retires exactly what the wire loop
 			// would, including fused-pair first halves.
-			ret, rem, err := vm.fastLoop(p, nil, &st.r, st.stk, int(b.start), st.budget)
+			ret, rem, err := vm.fastLoop(p, nil, &st.r, st.stk, int(b.start), budget)
 			vm.InsnCount += uint64(vm.Budget - rem)
 			return ret, err
 		}
-		st.budget -= int(b.cost)
+		budget -= int(b.cost)
 		nb, err := b.fn(vm, st)
 		if err != nil {
-			st.budget += int(st.refund)
+			budget += int(st.refund)
 			st.refund = 0
-			vm.InsnCount += uint64(vm.Budget - st.budget)
+			vm.InsnCount += uint64(vm.Budget - budget)
 			return 0, err
 		}
 		if nb == nil {
-			vm.InsnCount += uint64(vm.Budget - st.budget)
+			vm.InsnCount += uint64(vm.Budget - budget)
 			return st.ret, nil
 		}
 		b = nb
@@ -219,7 +209,7 @@ func isJITTerm(k uint8) bool {
 		return true
 	case k == kExit || k == kBad:
 		return true
-	case k == kFuseAddJa || k == kFuseAluJmpImm || k == kFuseAluJmpReg:
+	case k == kFuseAddJa:
 		return true
 	}
 	return false
@@ -232,23 +222,16 @@ func unitWidthCost(d *decodedInsn) (w, cost int32) {
 	switch d.kind {
 	case kLd64:
 		return 2, 1
-	case kFuseLea, kFuseAddAdd,
-		kFuseLdxAnd1, kFuseLdxAnd2, kFuseLdxAnd4, kFuseLdxAnd8,
-		kFuseLdxAndStack1, kFuseLdxAndStack2, kFuseLdxAndStack4, kFuseLdxAndStack8,
-		kFuseMovHelper, kFuseMovKfunc, kFuseAlu2,
-		kFuseAddXor, kFuseShlAdd, kFuseMovShr, kFuseXorMul:
+	case kFuseLea, kFuseMovHelper, kFuseMovKfunc, kFuseAlu2, kFuseShlAdd, kFuseMovShr:
 		return 2, 2
-	case kFuseAddChain:
-		return d.off, d.off
 	}
 	return 1, 1
 }
 
 // unitMeta records one unit's decoded form, wire pc, and budget cost
 // while a block is being compiled. Generic ALU pairs are decomposed
-// back into their halves (synthetic decodedInsns) so the
-// superinstruction matchers and loop recognizers see the underlying
-// ops.
+// back into their halves (synthetic decodedInsns) so each half gets its
+// own specialised closure instead of two trips through aluApply.
 type unitMeta struct {
 	d    *decodedInsn
 	pc   int
@@ -303,30 +286,21 @@ func (c *jitCompiler) walkUnits(start int) (ms []unitMeta, cost int32, term, end
 // build compiles the block starting at start: walk units until a
 // terminator or a leader boundary, total the budget cost, then
 // construct the closures with fault refunds resolved against the final
-// cost. Loop-shaped blocks become self-iterating superblocks; short
-// all-infallible bodies are unrolled into dedicated straight-line
-// closures; anything else runs the generic unit loop.
+// cost. Short all-infallible bodies (every such block the catalog
+// compiles has at most four units) are unrolled into dedicated
+// straight-line closures; anything else runs the generic unit loop.
 func (c *jitCompiler) build(b *jitBlock, start int) {
 	dec := c.p.dec
 	ms, cost, term, pc := c.walkUnits(start)
 	if term >= 0 {
-		switch dec[term].kind {
-		case kFuseAddJa, kFuseAluJmpImm, kFuseAluJmpReg:
-			cost += 2
-		default:
+		cost++
+		if dec[term].kind == kFuseAddJa {
 			cost++
 		}
 	}
 	b.cost = cost
 
 	units, allInf := c.buildUnits(ms, cost)
-
-	if term >= 0 && allInf {
-		if fn := c.buildLoop(b, start, term, ms, units); fn != nil {
-			b.fn = fn
-			return
-		}
-	}
 
 	var tail blockFn
 	if term >= 0 {
@@ -383,52 +357,6 @@ func (c *jitCompiler) build(b *jitBlock, start int) {
 			f3(st)
 			return tail(vm, st)
 		}
-	case 5:
-		f0, f1, f2, f3, f4 := units[0].inf, units[1].inf, units[2].inf, units[3].inf, units[4].inf
-		b.fn = func(vm *VM, st *jitState) (*jitBlock, error) {
-			f0(st)
-			f1(st)
-			f2(st)
-			f3(st)
-			f4(st)
-			return tail(vm, st)
-		}
-	case 6:
-		f0, f1, f2, f3, f4, f5 := units[0].inf, units[1].inf, units[2].inf, units[3].inf, units[4].inf, units[5].inf
-		b.fn = func(vm *VM, st *jitState) (*jitBlock, error) {
-			f0(st)
-			f1(st)
-			f2(st)
-			f3(st)
-			f4(st)
-			f5(st)
-			return tail(vm, st)
-		}
-	case 7:
-		f0, f1, f2, f3, f4, f5, f6 := units[0].inf, units[1].inf, units[2].inf, units[3].inf, units[4].inf, units[5].inf, units[6].inf
-		b.fn = func(vm *VM, st *jitState) (*jitBlock, error) {
-			f0(st)
-			f1(st)
-			f2(st)
-			f3(st)
-			f4(st)
-			f5(st)
-			f6(st)
-			return tail(vm, st)
-		}
-	case 8:
-		f0, f1, f2, f3, f4, f5, f6, f7 := units[0].inf, units[1].inf, units[2].inf, units[3].inf, units[4].inf, units[5].inf, units[6].inf, units[7].inf
-		b.fn = func(vm *VM, st *jitState) (*jitBlock, error) {
-			f0(st)
-			f1(st)
-			f2(st)
-			f3(st)
-			f4(st)
-			f5(st)
-			f6(st)
-			f7(st)
-			return tail(vm, st)
-		}
 	default:
 		fs := make([]func(*jitState), len(units))
 		for i, u := range units {
@@ -444,8 +372,7 @@ func (c *jitCompiler) build(b *jitBlock, start int) {
 }
 
 // buildUnits turns the block's unit metas into closures, combining
-// adjacent infallible units into jit-level superinstructions where a
-// specialized combo exists. Combining never changes the cumulative
+// call runs into one closure. Combining never changes the cumulative
 // budget prefix ahead of a fallible unit, so fault refunds stay exact.
 func (c *jitCompiler) buildUnits(ms []unitMeta, cost int32) ([]jitUnit, bool) {
 	var units []jitUnit
@@ -467,14 +394,6 @@ func (c *jitCompiler) buildUnits(ms []unitMeta, cost int32) ([]jitUnit, bool) {
 			}
 			i += n
 			allInf = false
-			continue
-		}
-		if f, n := c.combineRun(ms, i); f != nil {
-			units = append(units, jitUnit{inf: f})
-			for k := 0; k < n; k++ {
-				cum += ms[i+k].cost
-			}
-			i += n
 			continue
 		}
 		if f := c.infallible(d); f != nil {
@@ -605,734 +524,6 @@ func (c *jitCompiler) combineCalls(ms []unitMeta, i int, cost, cum int32) (func(
 		}
 		return nil
 	}, j - i
-}
-
-// hashStep is one (add+xor, shl+add) pair of a combined hash-mix run.
-type hashStep struct {
-	s1, s2 uint8
-	i0, i1 uint64
-}
-
-// memStep is one (stack load-mask, accumulate, stack store) triple of a
-// combined run.
-type memStep struct {
-	lo, so int32
-	mask   uint64
-	d, d2  uint8
-}
-
-// combineRun recognizes runs of adjacent infallible units that form one
-// of the hot straight-line shapes and compiles the whole run into a
-// single closure, returning the closure and how many unit metas it
-// consumed (0 when no shape matches). Runs execute atomically between
-// fallible units, so final register and stack state — the only state
-// later units or a fault can observe — is identical to the per-unit
-// closures, and the consumed metas' costs keep the budget prefix sums
-// exact.
-func (c *jitCompiler) combineRun(ms []unitMeta, i int) (func(*jitState), int) {
-	d0 := ms[i].d
-	switch d0.kind {
-	case kFuseAddXor:
-		// Hash-mix run: (add+xor, shl+add)+ over one accumulator with
-		// disjoint source registers, the shape the paper's hash-heavy NFs
-		// (and the alu micro) spend their cycles in.
-		acc := d0.dst & 15
-		var steps []hashStep
-		j := i
-		for j+1 < len(ms) {
-			a, b := ms[j].d, ms[j+1].d
-			if a.kind != kFuseAddXor || b.kind != kFuseShlAdd ||
-				a.dst&15 != acc || b.dst&15 != acc ||
-				a.src&15 == acc || b.src&15 == acc {
-				break
-			}
-			steps = append(steps, hashStep{s1: a.src & 15, s2: b.src & 15, i0: a.imm, i1: b.imm})
-			j += 2
-		}
-		switch len(steps) {
-		case 0:
-			return nil, 0
-		case 1:
-			s1, s2, i0, i1 := steps[0].s1, steps[0].s2, steps[0].i0, steps[0].i1
-			return func(st *jitState) {
-				st.r[acc] = (((st.r[acc] + i0) ^ st.r[s1]) << i1) + st.r[s2]
-			}, 2
-		}
-		sp := steps
-		return func(st *jitState) {
-			v := st.r[acc]
-			for k := range sp {
-				v = (((v + sp[k].i0) ^ st.r[sp[k].s1]) << sp[k].i1) + st.r[sp[k].s2]
-			}
-			st.r[acc] = v
-		}, len(sp) * 2
-	case kFuseLdxAndStack8:
-		// Stack load-mask / accumulate / store-back triples, repeated: the
-		// checksum-style shape of the mem micro. Each triple is
-		// self-contained, so any run of them collapses.
-		var steps []memStep
-		j := i
-		for j+2 < len(ms) {
-			a, b, s := ms[j].d, ms[j+1].d, ms[j+2].d
-			if a.kind != kFuseLdxAndStack8 || b.kind != kAddReg || s.kind != kStxStack8 ||
-				b.src&15 != a.dst&15 || b.dst&15 == a.dst&15 || s.src&15 != b.dst&15 {
-				break
-			}
-			steps = append(steps, memStep{lo: a.off, so: s.off, mask: a.imm, d: a.dst & 15, d2: b.dst & 15})
-			j += 3
-		}
-		switch len(steps) {
-		case 0:
-			// Load-mask feeding an accumulate without the store-back.
-			if i+1 < len(ms) {
-				b := ms[i+1].d
-				if b.kind == kAddReg && b.src&15 == d0.dst&15 && b.dst&15 != d0.dst&15 {
-					d, d2, off, mask := d0.dst&15, b.dst&15, d0.off, d0.imm
-					return func(st *jitState) {
-						v := leU64(st.stk[off:]) & mask
-						st.r[d] = v
-						st.r[d2] += v
-					}, 2
-				}
-			}
-			return nil, 0
-		case 1:
-			sp := steps[0]
-			return func(st *jitState) {
-				v := leU64(st.stk[sp.lo:]) & sp.mask
-				st.r[sp.d] = v
-				a := st.r[sp.d2] + v
-				st.r[sp.d2] = a
-				putU64(st.stk[sp.so:], a)
-			}, 3
-		}
-		sp := steps
-		return func(st *jitState) {
-			for k := range sp {
-				v := leU64(st.stk[sp[k].lo:]) & sp[k].mask
-				st.r[sp[k].d] = v
-				a := st.r[sp[k].d2] + v
-				st.r[sp[k].d2] = a
-				putU64(st.stk[sp[k].so:], a)
-			}
-		}, len(sp) * 3
-	case kAddReg:
-		// Accumulate immediately stored back to the stack.
-		if i+1 < len(ms) {
-			s := ms[i+1].d
-			if s.kind == kStxStack8 && s.src&15 == d0.dst&15 {
-				d, sr, off := d0.dst&15, d0.src&15, s.off
-				return func(st *jitState) {
-					v := st.r[d] + st.r[sr]
-					st.r[d] = v
-					putU64(st.stk[off:], v)
-				}, 2
-			}
-		}
-	case kMov32Imm:
-		// Immediate materialized straight into a 32-bit accumulate.
-		if i+1 < len(ms) {
-			b := ms[i+1].d
-			if b.kind == kAdd32Reg && b.src&15 == d0.dst&15 && b.dst&15 != d0.dst&15 {
-				md, ad, imm := d0.dst&15, b.dst&15, d0.imm
-				return func(st *jitState) {
-					st.r[md] = imm
-					st.r[ad] = uint64(uint32(st.r[ad]) + uint32(imm))
-				}, 2
-			}
-		}
-	}
-	return nil, 0
-}
-
-// condPred compiles a conditional terminator's test into a predicate
-// over the register file, or returns nil for non-conditional kinds.
-func condPred(d *decodedInsn) func(*jitState) bool {
-	dst, src, imm := d.dst&15, d.src&15, d.imm
-	switch d.kind {
-	case kJeqImm:
-		return func(st *jitState) bool { return st.r[dst] == imm }
-	case kJeqReg:
-		return func(st *jitState) bool { return st.r[dst] == st.r[src] }
-	case kJneImm:
-		return func(st *jitState) bool { return st.r[dst] != imm }
-	case kJneReg:
-		return func(st *jitState) bool { return st.r[dst] != st.r[src] }
-	case kJgtImm:
-		return func(st *jitState) bool { return st.r[dst] > imm }
-	case kJgtReg:
-		return func(st *jitState) bool { return st.r[dst] > st.r[src] }
-	case kJgeImm:
-		return func(st *jitState) bool { return st.r[dst] >= imm }
-	case kJgeReg:
-		return func(st *jitState) bool { return st.r[dst] >= st.r[src] }
-	case kJltImm:
-		return func(st *jitState) bool { return st.r[dst] < imm }
-	case kJltReg:
-		return func(st *jitState) bool { return st.r[dst] < st.r[src] }
-	case kJleImm:
-		return func(st *jitState) bool { return st.r[dst] <= imm }
-	case kJleReg:
-		return func(st *jitState) bool { return st.r[dst] <= st.r[src] }
-	case kJsetImm:
-		return func(st *jitState) bool { return st.r[dst]&imm != 0 }
-	case kJsetReg:
-		return func(st *jitState) bool { return st.r[dst]&st.r[src] != 0 }
-	case kJsgtImm:
-		return func(st *jitState) bool { return int64(st.r[dst]) > int64(imm) }
-	case kJsgtReg:
-		return func(st *jitState) bool { return int64(st.r[dst]) > int64(st.r[src]) }
-	case kJsgeImm:
-		return func(st *jitState) bool { return int64(st.r[dst]) >= int64(imm) }
-	case kJsgeReg:
-		return func(st *jitState) bool { return int64(st.r[dst]) >= int64(st.r[src]) }
-	case kJsltImm:
-		return func(st *jitState) bool { return int64(st.r[dst]) < int64(imm) }
-	case kJsltReg:
-		return func(st *jitState) bool { return int64(st.r[dst]) < int64(st.r[src]) }
-	case kJsleImm:
-		return func(st *jitState) bool { return int64(st.r[dst]) <= int64(imm) }
-	case kJsleReg:
-		return func(st *jitState) bool { return int64(st.r[dst]) <= int64(st.r[src]) }
-	case kJeq32Imm:
-		return func(st *jitState) bool { return uint32(st.r[dst]) == uint32(imm) }
-	case kJeq32Reg:
-		return func(st *jitState) bool { return uint32(st.r[dst]) == uint32(st.r[src]) }
-	case kJne32Imm:
-		return func(st *jitState) bool { return uint32(st.r[dst]) != uint32(imm) }
-	case kJne32Reg:
-		return func(st *jitState) bool { return uint32(st.r[dst]) != uint32(st.r[src]) }
-	case kJgt32Imm:
-		return func(st *jitState) bool { return uint32(st.r[dst]) > uint32(imm) }
-	case kJgt32Reg:
-		return func(st *jitState) bool { return uint32(st.r[dst]) > uint32(st.r[src]) }
-	case kJge32Imm:
-		return func(st *jitState) bool { return uint32(st.r[dst]) >= uint32(imm) }
-	case kJge32Reg:
-		return func(st *jitState) bool { return uint32(st.r[dst]) >= uint32(st.r[src]) }
-	case kJlt32Imm:
-		return func(st *jitState) bool { return uint32(st.r[dst]) < uint32(imm) }
-	case kJlt32Reg:
-		return func(st *jitState) bool { return uint32(st.r[dst]) < uint32(st.r[src]) }
-	case kJle32Imm:
-		return func(st *jitState) bool { return uint32(st.r[dst]) <= uint32(imm) }
-	case kJle32Reg:
-		return func(st *jitState) bool { return uint32(st.r[dst]) <= uint32(st.r[src]) }
-	case kJset32Imm:
-		return func(st *jitState) bool { return uint32(st.r[dst])&uint32(imm) != 0 }
-	case kJset32Reg:
-		return func(st *jitState) bool { return uint32(st.r[dst])&uint32(st.r[src]) != 0 }
-	}
-	return nil
-}
-
-// buildLoop recognizes loop-shaped blocks — a terminator whose taken
-// edge re-enters the block's own leader, or a conditional exit whose
-// fall-through body jumps straight back — and compiles them into
-// self-iterating superblocks that keep the whole loop inside one
-// closure invocation. The driver pre-charged the first iteration; the
-// superblock pre-charges each further one against st.budget and hands
-// control back the moment the remaining budget cannot cover it, so the
-// fastLoop exhaustion tail resumes in exactly the state the per-block
-// driver would have produced. Returns nil when the shape doesn't match
-// and the block compiles normally.
-func (c *jitCompiler) buildLoop(b *jitBlock, start, term int, ms []unitMeta, units []jitUnit) blockFn {
-	dec := c.p.dec
-	d := &dec[term]
-	cost := int(b.cost)
-	fs := make([]func(*jitState), len(units))
-	for i, u := range units {
-		fs[i] = u.inf
-	}
-	switch d.kind {
-	case kJa, kFuseAddJa:
-		if int(d.tgt) != start {
-			return nil
-		}
-		// Always-taken spin: drains the budget, then the fastLoop tail
-		// reports exhaustion exactly where the wire loop would.
-		if d.kind == kFuseAddJa {
-			dst, imm := d.dst&15, d.imm
-			return func(vm *VM, st *jitState) (*jitBlock, error) {
-				for {
-					for _, f := range fs {
-						f(st)
-					}
-					st.r[dst] += imm
-					if st.budget < cost {
-						return b, nil
-					}
-					st.budget -= cost
-				}
-			}
-		}
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			for {
-				for _, f := range fs {
-					f(st)
-				}
-				if st.budget < cost {
-					return b, nil
-				}
-				st.budget -= cost
-			}
-		}
-	case kFuseAluJmpImm, kFuseAluJmpReg:
-		if int(d.tgt) != start {
-			return nil
-		}
-		dst := d.dst & 15
-		addImm := uint64(int64(int32(uint32(d.imm))))
-		cond := d.src
-		fb := c.getBlock(term + 2)
-		if d.kind == kFuseAluJmpImm {
-			cmp := uint64(int64(int32(uint32(d.imm >> 32))))
-			// The canonical bounded loop is counter-bump-and-test plus at
-			// most one more add; that shape runs with no indirect calls at
-			// all, one closure invocation for the whole trip count.
-			ud, uimm, simple := dst, uint64(0), true
-			for _, m := range ms {
-				u := m.d
-				if u.kind == kNop {
-					continue
-				}
-				if simple && ud == dst && uimm == 0 && (u.kind == kAddImm || u.kind == kFuseAddAdd) {
-					ud, uimm = u.dst&15, u.imm
-					continue
-				}
-				simple = false
-			}
-			if simple {
-				if fn := aluJmpImmLoop(b, fb, cond, dst, addImm, cmp, ud, uimm, cost); fn != nil {
-					return fn
-				}
-			}
-			return func(vm *VM, st *jitState) (*jitBlock, error) {
-				for {
-					for _, f := range fs {
-						f(st)
-					}
-					v := st.r[dst] + addImm
-					st.r[dst] = v
-					if !jitCondTaken(cond, v, cmp) {
-						return fb, nil
-					}
-					if st.budget < cost {
-						return b, nil
-					}
-					st.budget -= cost
-				}
-			}
-		}
-		cr := uint8(d.off) & 15
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			for {
-				for _, f := range fs {
-					f(st)
-				}
-				v := st.r[dst] + addImm
-				st.r[dst] = v
-				if !jitCondTaken(cond, v, st.r[cr]) {
-					return fb, nil
-				}
-				if st.budget < cost {
-					return b, nil
-				}
-				st.budget -= cost
-			}
-		}
-	}
-	pred := condPred(d)
-	if pred == nil {
-		return nil
-	}
-	if int(d.tgt) == start {
-		// Conditional self-loop: taken re-enters the leader, not-taken
-		// exits to the fall-through block.
-		fb := c.getBlock(term + 1)
-		// Counted loop: every unit is an immediate add and the test is a
-		// 64-bit immediate compare — the whole trip count runs in one
-		// closure with no indirect calls. Adds to one register merge
-		// (straight-line adds commute), leaving at most the tested
-		// register plus one other.
-		switch d.kind {
-		case kJeqImm, kJneImm, kJgtImm, kJgeImm, kJltImm, kJleImm,
-			kJsetImm, kJsgtImm, kJsgeImm, kJsltImm, kJsleImm:
-			var sum [16]uint64
-			var used [16]bool
-			counted := true
-			for _, m := range ms {
-				switch m.d.kind {
-				case kNop:
-				case kAddImm, kFuseAddAdd:
-					sum[m.d.dst&15] += m.d.imm
-					used[m.d.dst&15] = true
-				default:
-					counted = false
-				}
-			}
-			if counted {
-				dst := d.dst & 15
-				addImm := sum[dst]
-				ud, uimm := dst, uint64(0)
-				for rg := range used {
-					if !used[rg] || uint8(rg) == dst {
-						continue
-					}
-					if ud != dst {
-						counted = false // more than one extra register
-						break
-					}
-					ud, uimm = uint8(rg), sum[rg]
-				}
-				if counted {
-					if fn := aluJmpImmLoop(b, fb, d.kind, dst, addImm, d.imm, ud, uimm, cost); fn != nil {
-						return fn
-					}
-				}
-			}
-		}
-		switch len(fs) {
-		case 0:
-			return func(vm *VM, st *jitState) (*jitBlock, error) {
-				for {
-					if !pred(st) {
-						return fb, nil
-					}
-					if st.budget < cost {
-						return b, nil
-					}
-					st.budget -= cost
-				}
-			}
-		case 1:
-			f0 := fs[0]
-			return func(vm *VM, st *jitState) (*jitBlock, error) {
-				for {
-					f0(st)
-					if !pred(st) {
-						return fb, nil
-					}
-					if st.budget < cost {
-						return b, nil
-					}
-					st.budget -= cost
-				}
-			}
-		default:
-			return func(vm *VM, st *jitState) (*jitBlock, error) {
-				for {
-					for _, f := range fs {
-						f(st)
-					}
-					if !pred(st) {
-						return fb, nil
-					}
-					if st.budget < cost {
-						return b, nil
-					}
-					st.budget -= cost
-				}
-			}
-		}
-	}
-	return c.buildCycle(b, start, term, pred, fs)
-}
-
-// aluJmpImmLoop compiles the fully-inlined bounded loop: an optional
-// second add plus the fused counter-bump-and-test, specialized per
-// condition so one closure invocation runs the whole trip count on
-// locals, with no indirect calls and no memory traffic inside the loop.
-// State flushes back to jitState on every exit, including the budget
-// underrun return, so the fastLoop tail resumes from exactly the
-// per-block driver's state. When the extra add aliases the tested
-// register the two increments merge up front; the exit stores then
-// write the counter last, so the stale lu slot is overwritten.
-func aluJmpImmLoop(b, fb *jitBlock, cond, dst uint8, addImm, cmp uint64, ud uint8, uimm uint64, cost int) blockFn {
-	if ud == dst {
-		addImm += uimm
-		uimm = 0
-	}
-	switch cond {
-	case kJeqImm, kJeqReg:
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			lu, v, bud := st.r[ud], st.r[dst], st.budget
-			for {
-				lu += uimm
-				v += addImm
-				if v != cmp {
-					st.r[ud], st.r[dst], st.budget = lu, v, bud
-					return fb, nil
-				}
-				if bud < cost {
-					st.r[ud], st.r[dst], st.budget = lu, v, bud
-					return b, nil
-				}
-				bud -= cost
-			}
-		}
-	case kJneImm, kJneReg:
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			lu, v, bud := st.r[ud], st.r[dst], st.budget
-			for {
-				lu += uimm
-				v += addImm
-				if v == cmp {
-					st.r[ud], st.r[dst], st.budget = lu, v, bud
-					return fb, nil
-				}
-				if bud < cost {
-					st.r[ud], st.r[dst], st.budget = lu, v, bud
-					return b, nil
-				}
-				bud -= cost
-			}
-		}
-	case kJgtImm, kJgtReg:
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			lu, v, bud := st.r[ud], st.r[dst], st.budget
-			for {
-				lu += uimm
-				v += addImm
-				if v <= cmp {
-					st.r[ud], st.r[dst], st.budget = lu, v, bud
-					return fb, nil
-				}
-				if bud < cost {
-					st.r[ud], st.r[dst], st.budget = lu, v, bud
-					return b, nil
-				}
-				bud -= cost
-			}
-		}
-	case kJgeImm, kJgeReg:
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			lu, v, bud := st.r[ud], st.r[dst], st.budget
-			for {
-				lu += uimm
-				v += addImm
-				if v < cmp {
-					st.r[ud], st.r[dst], st.budget = lu, v, bud
-					return fb, nil
-				}
-				if bud < cost {
-					st.r[ud], st.r[dst], st.budget = lu, v, bud
-					return b, nil
-				}
-				bud -= cost
-			}
-		}
-	case kJltImm, kJltReg:
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			lu, v, bud := st.r[ud], st.r[dst], st.budget
-			for {
-				lu += uimm
-				v += addImm
-				if v >= cmp {
-					st.r[ud], st.r[dst], st.budget = lu, v, bud
-					return fb, nil
-				}
-				if bud < cost {
-					st.r[ud], st.r[dst], st.budget = lu, v, bud
-					return b, nil
-				}
-				bud -= cost
-			}
-		}
-	case kJleImm, kJleReg:
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			lu, v, bud := st.r[ud], st.r[dst], st.budget
-			for {
-				lu += uimm
-				v += addImm
-				if v > cmp {
-					st.r[ud], st.r[dst], st.budget = lu, v, bud
-					return fb, nil
-				}
-				if bud < cost {
-					st.r[ud], st.r[dst], st.budget = lu, v, bud
-					return b, nil
-				}
-				bud -= cost
-			}
-		}
-	case kJsetImm, kJsetReg:
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			lu, v, bud := st.r[ud], st.r[dst], st.budget
-			for {
-				lu += uimm
-				v += addImm
-				if v&cmp == 0 {
-					st.r[ud], st.r[dst], st.budget = lu, v, bud
-					return fb, nil
-				}
-				if bud < cost {
-					st.r[ud], st.r[dst], st.budget = lu, v, bud
-					return b, nil
-				}
-				bud -= cost
-			}
-		}
-	case kJsgtImm, kJsgtReg:
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			lu, v, bud := st.r[ud], st.r[dst], st.budget
-			for {
-				lu += uimm
-				v += addImm
-				if int64(v) <= int64(cmp) {
-					st.r[ud], st.r[dst], st.budget = lu, v, bud
-					return fb, nil
-				}
-				if bud < cost {
-					st.r[ud], st.r[dst], st.budget = lu, v, bud
-					return b, nil
-				}
-				bud -= cost
-			}
-		}
-	case kJsgeImm, kJsgeReg:
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			lu, v, bud := st.r[ud], st.r[dst], st.budget
-			for {
-				lu += uimm
-				v += addImm
-				if int64(v) < int64(cmp) {
-					st.r[ud], st.r[dst], st.budget = lu, v, bud
-					return fb, nil
-				}
-				if bud < cost {
-					st.r[ud], st.r[dst], st.budget = lu, v, bud
-					return b, nil
-				}
-				bud -= cost
-			}
-		}
-	case kJsltImm, kJsltReg:
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			lu, v, bud := st.r[ud], st.r[dst], st.budget
-			for {
-				lu += uimm
-				v += addImm
-				if int64(v) >= int64(cmp) {
-					st.r[ud], st.r[dst], st.budget = lu, v, bud
-					return fb, nil
-				}
-				if bud < cost {
-					st.r[ud], st.r[dst], st.budget = lu, v, bud
-					return b, nil
-				}
-				bud -= cost
-			}
-		}
-	case kJsleImm, kJsleReg:
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			lu, v, bud := st.r[ud], st.r[dst], st.budget
-			for {
-				lu += uimm
-				v += addImm
-				if int64(v) > int64(cmp) {
-					st.r[ud], st.r[dst], st.budget = lu, v, bud
-					return fb, nil
-				}
-				if bud < cost {
-					st.r[ud], st.r[dst], st.budget = lu, v, bud
-					return b, nil
-				}
-				bud -= cost
-			}
-		}
-	}
-	return nil
-}
-
-// buildCycle recognizes the two-block loop a top-test compiles to: this
-// block's conditional exits on taken, and the fall-through body runs
-// straight-line then jumps back to this block's leader. The superblock
-// pre-charges each body entry and each head re-entry exactly as the
-// per-block driver would, so a budget underrun resumes the fastLoop
-// tail at the same pc with the same remaining budget.
-func (c *jitCompiler) buildCycle(b *jitBlock, start, term int, pred func(*jitState) bool, hfs []func(*jitState)) blockFn {
-	dec := c.p.dec
-	bstart := term + 1
-	if bstart >= len(dec) {
-		return nil
-	}
-	bms, bcost, bterm, _ := c.walkUnits(bstart)
-	if bterm < 0 {
-		return nil
-	}
-	bd := &dec[bterm]
-	switch bd.kind {
-	case kJa:
-		bcost++
-	case kFuseAddJa:
-		bcost += 2
-	default:
-		return nil
-	}
-	if int(bd.tgt) != start {
-		return nil
-	}
-	bunits, allInf := c.buildUnits(bms, bcost)
-	if !allInf {
-		return nil
-	}
-	bfs := make([]func(*jitState), len(bunits))
-	for i, u := range bunits {
-		bfs[i] = u.inf
-	}
-	bodyBlk := c.getBlock(bstart)
-	if int(bodyBlk.cost) != int(bcost) {
-		return nil
-	}
-	tb := c.getBlock(int(dec[term].tgt))
-	headCost, bodyCost := int(b.cost), int(bcost)
-	if bd.kind == kFuseAddJa {
-		addDst, addImm := bd.dst&15, bd.imm
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			for {
-				for _, f := range hfs {
-					f(st)
-				}
-				if pred(st) {
-					return tb, nil
-				}
-				if st.budget < bodyCost {
-					return bodyBlk, nil
-				}
-				st.budget -= bodyCost
-				for _, f := range bfs {
-					f(st)
-				}
-				st.r[addDst] += addImm
-				if st.budget < headCost {
-					return b, nil
-				}
-				st.budget -= headCost
-			}
-		}
-	}
-	return func(vm *VM, st *jitState) (*jitBlock, error) {
-		for {
-			for _, f := range hfs {
-				f(st)
-			}
-			if pred(st) {
-				return tb, nil
-			}
-			if st.budget < bodyCost {
-				return bodyBlk, nil
-			}
-			st.budget -= bodyCost
-			for _, f := range bfs {
-				f(st)
-			}
-			if st.budget < headCost {
-				return b, nil
-			}
-			st.budget -= headCost
-		}
-	}
 }
 
 // infallible compiles a unit that cannot fault into a straight-line
@@ -1502,29 +693,10 @@ func (c *jitCompiler) infallible(d *decodedInsn) func(*jitState) {
 
 	case kFuseLea:
 		return func(st *jitState) { st.r[dst&15] = st.r[src&15] + imm }
-	case kFuseAddAdd:
-		return func(st *jitState) { st.r[dst&15] += imm }
-	case kFuseLdxAndStack1:
-		return func(st *jitState) { st.r[dst&15] = uint64(st.stk[off]) & imm }
-	case kFuseLdxAndStack2:
-		return func(st *jitState) { st.r[dst&15] = uint64(leU16(st.stk[off:])) & imm }
-	case kFuseLdxAndStack4:
-		return func(st *jitState) { st.r[dst&15] = uint64(leU32(st.stk[off:])) & imm }
-	case kFuseLdxAndStack8:
-		return func(st *jitState) { st.r[dst&15] = leU64(st.stk[off:]) & imm }
-	case kFuseAddXor:
+	case kFuseShlAdd:
 		// The interpreter writes the first half's result before reading
 		// src, so only src==dst needs the intermediate store; the common
 		// disjoint form collapses to a single write.
-		if dst&15 != src&15 {
-			return func(st *jitState) { st.r[dst&15] = (st.r[dst&15] + imm) ^ st.r[src&15] }
-		}
-		return func(st *jitState) {
-			v := st.r[dst&15] + imm
-			st.r[dst&15] = v
-			st.r[dst&15] = v ^ st.r[src&15]
-		}
-	case kFuseShlAdd:
 		if dst&15 != src&15 {
 			return func(st *jitState) { st.r[dst&15] = (st.r[dst&15] << imm) + st.r[src&15] }
 		}
@@ -1535,21 +707,6 @@ func (c *jitCompiler) infallible(d *decodedInsn) func(*jitState) {
 		}
 	case kFuseMovShr:
 		return func(st *jitState) { st.r[dst&15] = st.r[src&15] >> imm }
-	case kFuseXorMul:
-		return func(st *jitState) { st.r[dst&15] = (st.r[dst&15] ^ st.r[src&15]) * imm }
-	case kFuseAlu2:
-		cc := uint32(d.call)
-		kindA, kindB := uint8(cc), uint8(cc>>8)
-		dstB, srcB := uint8(cc>>16), uint8(cc>>24)
-		immB := uint64(int64(off))
-		return func(st *jitState) {
-			st.r[dst&15] = aluApply(kindA, st.r[dst&15], st.r[src&15], imm)
-			st.r[dstB&15] = aluApply(kindB, st.r[dstB&15], st.r[srcB&15], immB)
-		}
-	case kFuseAddChain:
-		// Pre-charged cost covers the whole run, so the constant-folded
-		// sum applies in one step (the interpreter's fast case).
-		return func(st *jitState) { st.r[dst&15] += imm }
 	}
 	return nil
 }
@@ -1678,42 +835,6 @@ func (c *jitCompiler) fallible(d *decodedInsn, pc int, rf int32) func(*VM, *jitS
 			putU64(b, imm)
 			return nil
 		}
-	case kFuseLdxAnd1:
-		return func(vm *VM, st *jitState) error {
-			b, e := vm.Bytes(st.r[src&15]+off, 1)
-			if e != nil {
-				return jitFault(st, rf, pc, in, e)
-			}
-			st.r[dst&15] = uint64(b[0]) & imm
-			return nil
-		}
-	case kFuseLdxAnd2:
-		return func(vm *VM, st *jitState) error {
-			b, e := vm.Bytes(st.r[src&15]+off, 2)
-			if e != nil {
-				return jitFault(st, rf, pc, in, e)
-			}
-			st.r[dst&15] = uint64(leU16(b)) & imm
-			return nil
-		}
-	case kFuseLdxAnd4:
-		return func(vm *VM, st *jitState) error {
-			b, e := vm.Bytes(st.r[src&15]+off, 4)
-			if e != nil {
-				return jitFault(st, rf, pc, in, e)
-			}
-			st.r[dst&15] = uint64(leU32(b)) & imm
-			return nil
-		}
-	case kFuseLdxAnd8:
-		return func(vm *VM, st *jitState) error {
-			b, e := vm.Bytes(st.r[src&15]+off, 8)
-			if e != nil {
-				return jitFault(st, rf, pc, in, e)
-			}
-			st.r[dst&15] = leU64(b) & imm
-			return nil
-		}
 	case kCallHelper:
 		idx := d.call
 		id := int32(uint32(imm))
@@ -1836,8 +957,6 @@ func (c *jitCompiler) buildTail(pc int) blockFn {
 			st.r[dst&15] += imm
 			return tb, nil
 		}
-	case kFuseAluJmpImm, kFuseAluJmpReg:
-		return c.fuseAluJmpTail(d, pc)
 	}
 	return c.condTail(d, pc)
 }
@@ -2106,170 +1225,6 @@ func (c *jitCompiler) condTail(d *decodedInsn, pc int) blockFn {
 	// Unreachable for terminator kinds routed here; keep the interpreter
 	// fall-through ("not taken") if it ever is.
 	return func(vm *VM, st *jitState) (*jitBlock, error) { return fb, nil }
-}
-
-// fuseAluJmpTail compiles the bounded-loop back edge (add feeding its
-// own conditional test) with the condition specialized at compile time
-// for the immediate form, and evaluated through the shared reference
-// for the register form.
-func (c *jitCompiler) fuseAluJmpTail(d *decodedInsn, pc int) blockFn {
-	dst := d.dst
-	addImm := uint64(int64(int32(uint32(d.imm))))
-	cond := d.src
-	tb := c.getBlock(int(d.tgt))
-	// The pair occupies two slots; the not-taken edge resumes past the
-	// absorbed jump, never at its leftover second-slot decode.
-	fb := c.getBlock(pc + 2)
-	if d.kind == kFuseAluJmpReg {
-		cr := uint8(d.off)
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			v := st.r[dst&15] + addImm
-			st.r[dst&15] = v
-			if jitCondTaken(cond, v, st.r[cr&15]) {
-				return tb, nil
-			}
-			return fb, nil
-		}
-	}
-	cmp := uint64(int64(int32(uint32(d.imm >> 32))))
-	switch cond {
-	case kJeqImm, kJeqReg:
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			v := st.r[dst&15] + addImm
-			st.r[dst&15] = v
-			if v == cmp {
-				return tb, nil
-			}
-			return fb, nil
-		}
-	case kJneImm, kJneReg:
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			v := st.r[dst&15] + addImm
-			st.r[dst&15] = v
-			if v != cmp {
-				return tb, nil
-			}
-			return fb, nil
-		}
-	case kJgtImm, kJgtReg:
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			v := st.r[dst&15] + addImm
-			st.r[dst&15] = v
-			if v > cmp {
-				return tb, nil
-			}
-			return fb, nil
-		}
-	case kJgeImm, kJgeReg:
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			v := st.r[dst&15] + addImm
-			st.r[dst&15] = v
-			if v >= cmp {
-				return tb, nil
-			}
-			return fb, nil
-		}
-	case kJltImm, kJltReg:
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			v := st.r[dst&15] + addImm
-			st.r[dst&15] = v
-			if v < cmp {
-				return tb, nil
-			}
-			return fb, nil
-		}
-	case kJleImm, kJleReg:
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			v := st.r[dst&15] + addImm
-			st.r[dst&15] = v
-			if v <= cmp {
-				return tb, nil
-			}
-			return fb, nil
-		}
-	case kJsetImm, kJsetReg:
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			v := st.r[dst&15] + addImm
-			st.r[dst&15] = v
-			if v&cmp != 0 {
-				return tb, nil
-			}
-			return fb, nil
-		}
-	case kJsgtImm, kJsgtReg:
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			v := st.r[dst&15] + addImm
-			st.r[dst&15] = v
-			if int64(v) > int64(cmp) {
-				return tb, nil
-			}
-			return fb, nil
-		}
-	case kJsgeImm, kJsgeReg:
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			v := st.r[dst&15] + addImm
-			st.r[dst&15] = v
-			if int64(v) >= int64(cmp) {
-				return tb, nil
-			}
-			return fb, nil
-		}
-	case kJsltImm, kJsltReg:
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			v := st.r[dst&15] + addImm
-			st.r[dst&15] = v
-			if int64(v) < int64(cmp) {
-				return tb, nil
-			}
-			return fb, nil
-		}
-	case kJsleImm, kJsleReg:
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			v := st.r[dst&15] + addImm
-			st.r[dst&15] = v
-			if int64(v) <= int64(cmp) {
-				return tb, nil
-			}
-			return fb, nil
-		}
-	}
-	// The fuser only packs the conditions above; mirror the interpreter's
-	// "not taken" default if the set ever grows out of sync.
-	return func(vm *VM, st *jitState) (*jitBlock, error) {
-		v := st.r[dst&15] + addImm
-		st.r[dst&15] = v
-		return fb, nil
-	}
-}
-
-// jitCondTaken evaluates an absorbed conditional's decoded kind, the
-// same table the predecoded loop uses for kFuseAluJmp*.
-func jitCondTaken(cond uint8, v, cmp uint64) bool {
-	switch cond {
-	case kJeqImm, kJeqReg:
-		return v == cmp
-	case kJneImm, kJneReg:
-		return v != cmp
-	case kJgtImm, kJgtReg:
-		return v > cmp
-	case kJgeImm, kJgeReg:
-		return v >= cmp
-	case kJltImm, kJltReg:
-		return v < cmp
-	case kJleImm, kJleReg:
-		return v <= cmp
-	case kJsetImm, kJsetReg:
-		return v&cmp != 0
-	case kJsgtImm, kJsgtReg:
-		return int64(v) > int64(cmp)
-	case kJsgeImm, kJsgeReg:
-		return int64(v) >= int64(cmp)
-	case kJsltImm, kJsltReg:
-		return int64(v) < int64(cmp)
-	case kJsleImm, kJsleReg:
-		return int64(v) <= int64(cmp)
-	}
-	return false
 }
 
 // Little-endian accessors, aliases over encoding/binary kept short so

@@ -6,8 +6,9 @@ package vm
 // immediates sign- or zero-extended, helper/kfunc IDs resolved to dense
 // table slots — and execFast runs a flat single-level switch over it.
 // A peephole fuser additionally collapses the hot adjacent pairs the NF
-// catalog actually executes (address computation feeding a call, loads
-// feeding a mask, bounded-loop back edges) into single super-ops.
+// catalog actually executes (address computation feeding a call, the
+// hash-mix shift pairs, a counter bump feeding its back edge, any two
+// same-class ALU ops) into single super-ops.
 //
 // The wire-format loop in vm.go stays as the selectable reference slow
 // path (SetTier(TierWire)); the two must be observably identical, and the
@@ -33,12 +34,12 @@ import (
 //     file — for the programs it accepts, the mask is the identity.
 type decodedInsn struct {
 	imm  uint64 // extended immediate / fused-pair packed operands
-	off  int32  // memory offset; first-half immediate for kFuseAddAdd; cmp reg for kFuseAluJmpReg
+	off  int32  // memory offset; second-half immediate for kFuseAlu2
 	tgt  int32  // taken-branch target pc
 	call int32  // dense helper/kfunc table index
 	kind uint8  // dispatch kind (k* constants)
 	dst  uint8
-	src  uint8 // source register; wire jump op for kFuseAluJmp*
+	src  uint8 // source register
 	cls  uint8 // wire instruction class (OpClass attribution)
 }
 
@@ -182,37 +183,23 @@ const (
 	kStStack4
 	kStStack8
 
-	// Fused pairs (two wire instructions, two budget units).
-	kFuseLea          // mov dst,src ; add dst,imm       => dst = src + imm
-	kFuseAddAdd       // add dst,i1  ; add dst,i2        => dst += i1+i2
-	kFuseLdxAnd1      // ldx dst,[src+off] ; and dst,imm => dst = load & imm
-	kFuseLdxAnd2      //   (per-width variants)
-	kFuseLdxAnd4      //
-	kFuseLdxAnd8      //
-	kFuseLdxAndStack1 // stack-resolved variants of the above
-	kFuseLdxAndStack2 //
-	kFuseLdxAndStack4 //
-	kFuseLdxAndStack8 //
-	kFuseMovHelper    // mov dst,src ; call helper
-	kFuseMovKfunc     // mov dst,src ; call kfunc
-	kFuseAddJa        // add dst,imm ; ja                (unconditional back edge)
-	kFuseAluJmpImm    // add dst,i   ; jCC dst,cmp,L     (bounded-loop back edge)
-	kFuseAluJmpReg    // add dst,i   ; jCC dst,rs,L
-	kFuseAlu2         // any two same-class ALU ops (generic superinstruction)
+	// Fused pairs (two wire instructions, two budget units). Each kind
+	// here occurs in a catalog NF's program; TestFusedKindsOccurInCatalog
+	// fails for one that does not.
+	kFuseLea       // mov dst,src ; add dst,imm => dst = src + imm
+	kFuseMovHelper // mov dst,src ; call helper
+	kFuseMovKfunc  // mov dst,src ; call kfunc
+	kFuseAddJa     // add dst,imm ; ja          (unconditional back edge)
+	kFuseAlu2      // any two same-class ALU ops (generic superinstruction)
 
-	// Hash-mix pair kinds: the add/xor/shift/multiply vocabulary the
-	// jhash-style flow hashing in NF inner loops is built from. Unlike
-	// kFuseAlu2 these need no nested operator dispatch, so the only
-	// indirect branch is the main jump table.
-	kFuseAddXor // add dst,imm ; xor dst,src
+	// Hash-mix pair kinds: the shift half of the jhash-style flow hashing
+	// NF inner loops are built from. Unlike kFuseAlu2 these need no nested
+	// operator dispatch, so the only indirect branch is the main jump
+	// table.
 	kFuseShlAdd // lsh dst,imm ; add dst,src
 	kFuseMovShr // mov dst,src ; rsh dst,imm
-	kFuseXorMul // xor dst,src ; mul dst,imm
 
-	// Run-length collapse: n>=3 consecutive add-immediates to one
-	// register, constant-folded into a single add of the wrapped sum
-	// (imm); off holds n. Charges n budget units.
-	kFuseAddChain
+	kindCount // one past the last kind
 )
 
 // predecode translates a resolved wire stream into the decoded IR and
@@ -516,7 +503,6 @@ func (vm *VM) fusePairs(ins []isa.Instruction, dec []decodedInsn) int {
 	const (
 		movReg = isa.ClassALU64 | isa.SrcX | isa.ALUMov
 		addImm = isa.ClassALU64 | isa.SrcK | isa.ALUAdd
-		andImm = isa.ClassALU64 | isa.SrcK | isa.ALUAnd
 		call   = isa.ClassJMP | isa.JmpCall
 		ja     = isa.ClassJMP | isa.JmpJA
 	)
@@ -527,27 +513,6 @@ func (vm *VM) fusePairs(ins []isa.Instruction, dec []decodedInsn) int {
 			i++ // occupies two slots; the pair window must not straddle it
 			continue
 		}
-		// Run-length collapse first: a chain of add-immediates to one
-		// register with no interior branch target folds into a single
-		// constant-folded slot charging the whole run's budget.
-		if dec[i].kind == kAddImm {
-			n := 1
-			for i+n < len(ins) && dec[i+n].kind == kAddImm &&
-				ins[i+n].Dst == ins[i].Dst && !tgt[i+n] {
-				n++
-			}
-			if n >= 3 {
-				var sum uint64
-				for k := 0; k < n; k++ {
-					sum += dec[i+k].imm
-				}
-				dec[i] = decodedInsn{kind: kFuseAddChain, dst: uint8(ins[i].Dst),
-					imm: sum, off: int32(n), cls: isa.ClassALU64}
-				fused += n - 1
-				i += n - 1
-				continue
-			}
-		}
 		if tgt[i+1] {
 			continue
 		}
@@ -557,18 +522,6 @@ func (vm *VM) fusePairs(ins []isa.Instruction, dec []decodedInsn) int {
 		case a.Op == movReg && b.Op == addImm && b.Dst == a.Dst:
 			*d = decodedInsn{kind: kFuseLea, dst: uint8(a.Dst), src: uint8(a.Src),
 				imm: uint64(int64(b.Imm)), cls: isa.ClassALU64}
-		case a.Op == addImm && b.Op == addImm && b.Dst == a.Dst:
-			*d = decodedInsn{kind: kFuseAddAdd, dst: uint8(a.Dst),
-				imm: uint64(int64(a.Imm)) + uint64(int64(b.Imm)), off: a.Imm,
-				cls: isa.ClassALU64}
-		case a.Op&0x07 == isa.ClassLDX && b.Op == andImm && b.Dst == a.Dst:
-			base, off := kFuseLdxAnd1, int32(a.Off)
-			if dec[i].kind >= kLdxStack1 && dec[i].kind <= kLdxStack8 {
-				base, off = kFuseLdxAndStack1, dec[i].off // slot already resolved
-			}
-			*d = decodedInsn{kind: base + uint8(sizeLog2(a.MemSize())), dst: uint8(a.Dst),
-				src: uint8(a.Src), off: off, imm: uint64(int64(b.Imm)),
-				cls: isa.ClassLDX}
 		case a.Op == movReg && b.Op == call:
 			kind := kFuseMovHelper
 			if b.Src == isa.PseudoKfuncCall {
@@ -579,36 +532,13 @@ func (vm *VM) fusePairs(ins []isa.Instruction, dec []decodedInsn) int {
 		case a.Op == addImm && b.Op == ja:
 			*d = decodedInsn{kind: kFuseAddJa, dst: uint8(a.Dst),
 				imm: uint64(int64(a.Imm)), tgt: dec[i+1].tgt, cls: isa.ClassALU64}
-		case a.Op == addImm && b.Dst == a.Dst && condJmpOp(b.Op):
-			// Bounded-loop back edge: counter bump feeding its own
-			// conditional test. The add immediate and (for the imm form)
-			// the comparison immediate pack into the two imm halves; src
-			// carries the decoded condition kind so the dispatch case can
-			// evaluate it inline.
-			k := kFuseAluJmpImm
-			var off int32
-			imm := uint64(uint32(a.Imm))
-			if b.Op&0x08 != 0 {
-				k = kFuseAluJmpReg
-				off = int32(b.Src)
-			} else {
-				imm |= uint64(uint32(b.Imm)) << 32
-			}
-			*d = decodedInsn{kind: k, dst: uint8(a.Dst), src: dec[i+1].kind,
-				off: off, imm: imm, tgt: dec[i+1].tgt, cls: isa.ClassALU64}
 		// The hash-mix pairs match on decoded kinds so both halves carry
 		// the immediates exactly as the standalone decode folded them.
-		case dec[i].kind == kAddImm && dec[i+1].kind == kXorReg && b.Dst == a.Dst:
-			*d = decodedInsn{kind: kFuseAddXor, dst: uint8(a.Dst), src: dec[i+1].src,
-				imm: dec[i].imm, cls: isa.ClassALU64}
 		case dec[i].kind == kLshImm && dec[i+1].kind == kAddReg && b.Dst == a.Dst:
 			*d = decodedInsn{kind: kFuseShlAdd, dst: uint8(a.Dst), src: dec[i+1].src,
 				imm: dec[i].imm, cls: isa.ClassALU64}
 		case dec[i].kind == kMovReg && dec[i+1].kind == kRshImm && b.Dst == a.Dst:
 			*d = decodedInsn{kind: kFuseMovShr, dst: uint8(a.Dst), src: dec[i].src,
-				imm: dec[i+1].imm, cls: isa.ClassALU64}
-		case dec[i].kind == kXorReg && dec[i+1].kind == kMulImm && b.Dst == a.Dst:
-			*d = decodedInsn{kind: kFuseXorMul, dst: uint8(a.Dst), src: dec[i].src,
 				imm: dec[i+1].imm, cls: isa.ClassALU64}
 		default:
 			continue
@@ -621,10 +551,6 @@ func (vm *VM) fusePairs(ins []isa.Instruction, dec []decodedInsn) int {
 	// scan aligned on unit starts, so a consumed second half can never be
 	// mistaken for a pair head.
 	for i := 0; i+1 < len(ins); i++ {
-		if dec[i].kind == kFuseAddChain {
-			i += int(dec[i].off) - 1 // the whole run is consumed
-			continue
-		}
 		if dec[i].kind == kLd64 || dec[i].kind >= kFuseLea {
 			i++
 			continue
@@ -774,19 +700,6 @@ func aluApply(kind uint8, v, s, imm uint64) uint64 {
 		return uint64(uint32(v))
 	}
 	return v // kNop (mod-by-zero immediate)
-}
-
-// condJmpOp reports whether op is a 64-bit conditional jump usable as
-// the second half of a fused ALU+branch pair.
-func condJmpOp(op uint8) bool {
-	if op&0x07 != isa.ClassJMP {
-		return false
-	}
-	switch op & 0xf0 {
-	case isa.JmpJA, isa.JmpCall, isa.JmpExit, 0xe0, 0xf0:
-		return false
-	}
-	return true
 }
 
 // badInsnErr reproduces the wire loop's ErrBadInstr message for the
@@ -1355,75 +1268,6 @@ loop:
 			}
 			r[d.dst&15] = v + d.imm
 			pc++
-		case kFuseAddAdd:
-			dst := d.dst & 15
-			v := r[dst]
-			if budget <= 0 {
-				r[dst] = v + uint64(int64(d.off)) // first add only
-				err = ErrBudget
-				break loop
-			}
-			budget--
-			if ps != nil {
-				ps.Insns++
-				ps.OpClass[isa.ClassALU64]++
-			}
-			r[dst] = v + d.imm
-			pc++
-		case kFuseLdxAnd1, kFuseLdxAnd2, kFuseLdxAnd4, kFuseLdxAnd8:
-			sz := 1 << (d.kind - kFuseLdxAnd1)
-			b, e := vm.Bytes(r[d.src&15]+uint64(int64(d.off)), sz)
-			if e != nil {
-				err = fmt.Errorf("at %d (%s): %w", pc, p.ins[pc], e)
-				break loop
-			}
-			var v uint64
-			switch sz {
-			case 1:
-				v = uint64(b[0])
-			case 2:
-				v = uint64(binary.LittleEndian.Uint16(b))
-			case 4:
-				v = uint64(binary.LittleEndian.Uint32(b))
-			default:
-				v = binary.LittleEndian.Uint64(b)
-			}
-			if budget <= 0 {
-				r[d.dst&15] = v // load retires, the mask does not
-				err = ErrBudget
-				break loop
-			}
-			budget--
-			if ps != nil {
-				ps.Insns++
-				ps.OpClass[isa.ClassALU64]++
-			}
-			r[d.dst&15] = v & d.imm
-			pc++
-		case kFuseLdxAndStack1, kFuseLdxAndStack2, kFuseLdxAndStack4, kFuseLdxAndStack8:
-			var v uint64
-			switch d.kind {
-			case kFuseLdxAndStack1:
-				v = uint64(stk[d.off])
-			case kFuseLdxAndStack2:
-				v = uint64(binary.LittleEndian.Uint16(stk[d.off:]))
-			case kFuseLdxAndStack4:
-				v = uint64(binary.LittleEndian.Uint32(stk[d.off:]))
-			default:
-				v = binary.LittleEndian.Uint64(stk[d.off:])
-			}
-			if budget <= 0 {
-				r[d.dst&15] = v // load retires, the mask does not
-				err = ErrBudget
-				break loop
-			}
-			budget--
-			if ps != nil {
-				ps.Insns++
-				ps.OpClass[isa.ClassALU64]++
-			}
-			r[d.dst&15] = v & d.imm
-			pc++
 		case kFuseMovHelper:
 			r[d.dst&15] = r[d.src&15]
 			if budget <= 0 {
@@ -1491,53 +1335,6 @@ loop:
 			}
 			pc = int(d.tgt)
 			continue
-		case kFuseAluJmpImm, kFuseAluJmpReg:
-			dst := d.dst & 15
-			v := r[dst] + uint64(int64(int32(uint32(d.imm))))
-			r[dst] = v
-			if budget <= 0 {
-				err = ErrBudget
-				break loop
-			}
-			budget--
-			if ps != nil {
-				ps.Insns++
-				ps.OpClass[isa.ClassJMP]++
-			}
-			cmp := uint64(int64(int32(uint32(d.imm >> 32))))
-			if d.kind == kFuseAluJmpReg {
-				cmp = r[uint8(d.off)&15]
-			}
-			var taken bool
-			switch d.src { // decoded condition kind of the absorbed jump
-			case kJeqImm, kJeqReg:
-				taken = v == cmp
-			case kJneImm, kJneReg:
-				taken = v != cmp
-			case kJgtImm, kJgtReg:
-				taken = v > cmp
-			case kJgeImm, kJgeReg:
-				taken = v >= cmp
-			case kJltImm, kJltReg:
-				taken = v < cmp
-			case kJleImm, kJleReg:
-				taken = v <= cmp
-			case kJsetImm, kJsetReg:
-				taken = v&cmp != 0
-			case kJsgtImm, kJsgtReg:
-				taken = int64(v) > int64(cmp)
-			case kJsgeImm, kJsgeReg:
-				taken = int64(v) >= int64(cmp)
-			case kJsltImm, kJsltReg:
-				taken = int64(v) < int64(cmp)
-			case kJsleImm, kJsleReg:
-				taken = int64(v) <= int64(cmp)
-			}
-			if taken {
-				pc = int(d.tgt)
-				continue
-			}
-			pc++
 		case kFuseAlu2:
 			// Both halves run inline: the hot 64-bit kinds (the hash-mix
 			// vocabulary) as direct cases, everything else through the
@@ -1646,21 +1443,6 @@ loop:
 			r[dstB] = w
 			pc++
 
-		case kFuseAddXor:
-			dst := d.dst & 15
-			v := r[dst] + d.imm
-			r[dst] = v // first half retires alone on exhaustion
-			if budget <= 0 {
-				err = ErrBudget
-				break loop
-			}
-			budget--
-			if ps != nil {
-				ps.Insns++
-				ps.OpClass[isa.ClassALU64]++
-			}
-			r[dst] = v ^ r[d.src&15]
-			pc++
 		case kFuseShlAdd:
 			dst := d.dst & 15
 			v := r[dst] << d.imm
@@ -1691,48 +1473,6 @@ loop:
 			}
 			r[dst] = v >> d.imm
 			pc++
-		case kFuseXorMul:
-			dst := d.dst & 15
-			v := r[dst] ^ r[d.src&15]
-			r[dst] = v
-			if budget <= 0 {
-				err = ErrBudget
-				break loop
-			}
-			budget--
-			if ps != nil {
-				ps.Insns++
-				ps.OpClass[isa.ClassALU64]++
-			}
-			r[dst] = v * d.imm
-			pc++
-		case kFuseAddChain:
-			// The head charged the run's first unit; the common case
-			// charges the rest in one step and applies the folded sum.
-			// Exhaustion and stats retire one wire add at a time so the
-			// budget/InsnCount/attribution parity is exact.
-			n := int(d.off)
-			dst := d.dst & 15
-			if budget < n-1 || ps != nil {
-				r[dst] += uint64(int64(p.ins[pc].Imm))
-				for k := 1; k < n; k++ {
-					if budget <= 0 {
-						err = ErrBudget
-						break loop
-					}
-					budget--
-					if ps != nil {
-						ps.Insns++
-						ps.OpClass[isa.ClassALU64]++
-					}
-					r[dst] += uint64(int64(p.ins[pc+k].Imm))
-				}
-			} else {
-				budget -= n - 1
-				r[dst] += d.imm
-			}
-			pc += n - 1
-
 		case kNop:
 		default: // kBad
 			err = badInsnErr(p.ins[pc], pc)

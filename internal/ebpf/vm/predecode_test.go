@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -63,8 +64,13 @@ func runBoth(t *testing.T, fast, wire *vm.VM, fp, wp *vm.Program, ctx []byte) (u
 }
 
 // TestFusionPatterns exercises each peephole pattern in isolation:
-// the fuser must actually fire (FusedPairs), and the fused execution
-// must match the wire loop's result exactly.
+// the fuser must fire exactly as often as expected (FusedPairs), and
+// the execution must match the wire loop's result exactly — at the
+// full budget and at every budget cut point below it. The patterns
+// that once had a dedicated fused kind and lost it (add+add, the add
+// chain, ldx+and, add+jCC, add+xor, xor+mul: no catalog program
+// contains them) stay as inputs, so whichever path decodes them now —
+// standalone, or the generic ALU pair — is held to the same parity.
 func TestFusionPatterns(t *testing.T) {
 	kfID := int32(700)
 	addKfunc := func(m *vm.VM) {
@@ -74,10 +80,15 @@ func TestFusionPatterns(t *testing.T) {
 			Meta: vm.KfuncMeta{NumArgs: 1, Ret: vm.RetScalar},
 		})
 	}
+	ctx := make([]byte, 64)
+	for i := range ctx {
+		ctx[i] = byte(0x81 + i*5)
+	}
 	cases := []struct {
 		name  string
 		build func(b *asm.Builder)
 		setup func(m *vm.VM)
+		ctx   []byte
 		fused int
 		want  uint64
 	}{
@@ -98,23 +109,68 @@ func TestFusionPatterns(t *testing.T) {
 			build: func(b *asm.Builder) {
 				b.MovImm(asm.R0, 1)
 				b.AddImm(asm.R0, 2)
-				b.AddImm(asm.R0, 3) // folded into one +5
+				b.AddImm(asm.R0, 3) // mov+add pair generically; this add stands alone
 				b.Exit()
 			},
 			fused: 1,
 			want:  6,
 		},
 		{
+			name: "addchain/run",
+			build: func(b *asm.Builder) {
+				b.MovImm(asm.R0, 1)
+				for i := int32(1); i <= 5; i++ {
+					b.AddImm(asm.R0, i) // a run of five: generic pairs, no fold
+				}
+				b.Exit()
+			},
+			fused: 3,
+			want:  16,
+		},
+		{
 			name: "ldx+and/mask",
 			build: func(b *asm.Builder) {
 				b.StoreImm(asm.R10, -8, 0x12345678, 4)
-				b.Load(asm.R4, asm.R10, -8, 4) // load ...
-				b.AndImm(asm.R4, 0xff00)       // ... & mask
+				b.Load(asm.R4, asm.R10, -8, 4) // the load stands alone ...
+				b.AndImm(asm.R4, 0xff00)       // ... the mask pairs with the mov
 				b.Mov(asm.R0, asm.R4)
 				b.Exit()
 			},
 			fused: 1,
 			want:  0x5600,
+		},
+		{
+			name: "ldx+and/widths",
+			build: func(b *asm.Builder) {
+				// Every width, off the context and off a stack slot.
+				b.Mov(asm.R6, asm.R1)
+				b.StoreImm(asm.R10, -8, 0x12345678, 8)
+				b.MovImm(asm.R0, 0)
+				for _, size := range []int{1, 2, 4, 8} {
+					b.Load(asm.R4, asm.R6, int16(size), size)
+					b.AndImm(asm.R4, 0x7f7f7f7f)
+					b.Add(asm.R0, asm.R4)
+					b.Load(asm.R5, asm.R10, -8, size)
+					b.AndImm(asm.R5, 0x0ff0)
+					b.Add(asm.R0, asm.R5)
+				}
+				b.Exit()
+			},
+			ctx:   ctx,
+			fused: 8, // each and+add
+			want: func() uint64 {
+				le := func(b []byte) uint64 {
+					var w [8]byte
+					copy(w[:], b)
+					return binary.LittleEndian.Uint64(w[:])
+				}
+				stk := []byte{0x78, 0x56, 0x34, 0x12, 0, 0, 0, 0}
+				var sum uint64
+				for _, size := range []int{1, 2, 4, 8} {
+					sum += le(ctx[size:2*size])&0x7f7f7f7f + le(stk[:size])&0x0ff0
+				}
+				return sum
+			}(),
 		},
 		{
 			name: "mov+call/helper",
@@ -163,12 +219,43 @@ func TestFusionPatterns(t *testing.T) {
 				b.MovImm(asm.R6, 0) // pairs generically with the mov above
 				b.Label("top")
 				b.AddImm(asm.R0, 3)
-				b.AddImm(asm.R6, 1)                 // counter bump ...
-				b.JmpImm(asm.JLT, asm.R6, 8, "top") // ... + its own test
+				b.AddImm(asm.R6, 1)                 // pairs with the add above ...
+				b.JmpImm(asm.JLT, asm.R6, 8, "top") // ... the test stands alone
 				b.Exit()
 			},
 			fused: 2,
 			want:  24,
+		},
+		{
+			name: "alu+jmp/reg-compare",
+			build: func(b *asm.Builder) {
+				b.MovImm(asm.R0, 0)
+				b.MovImm(asm.R6, 0)
+				b.MovImm(asm.R7, 5)
+				b.Label("top")
+				b.AddImm(asm.R0, 2)
+				b.AddImm(asm.R6, 1)
+				b.Jmp(asm.JNE, asm.R6, asm.R7, "top")
+				b.Exit()
+			},
+			fused: 2,
+			want:  10,
+		},
+		{
+			name: "add+xor,xor+mul/hash-mix",
+			build: func(b *asm.Builder) {
+				b.MovImm(asm.R0, 7)
+				b.MovImm(asm.R7, 0x9e37)
+				b.AddImm(asm.R0, 3)
+				b.Xor(asm.R0, asm.R7)
+				b.LshImm(asm.R0, 1) // shl+add keeps its own kind
+				b.Add(asm.R0, asm.R7)
+				b.Xor(asm.R0, asm.R7)
+				b.MulImm(asm.R0, 31)
+				b.Exit()
+			},
+			fused: 4,
+			want:  (((((7 + 3) ^ 0x9e37) << 1) + 0x9e37) ^ 0x9e37) * 31,
 		},
 		{
 			name: "alu2/hash-mix",
@@ -187,16 +274,29 @@ func TestFusionPatterns(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			b := asm.New()
 			tc.build(b)
-			fast, wire, fp, wp := newPair(t, b.MustProgram(), tc.setup)
+			prog := b.MustProgram()
+			fast, wire, fp, wp := newPair(t, prog, tc.setup)
 			if fp.FusedPairs() != tc.fused {
 				t.Errorf("FusedPairs = %d, want %d", fp.FusedPairs(), tc.fused)
 			}
-			got, err := runBoth(t, fast, wire, fp, wp, nil)
+			got, err := runBoth(t, fast, wire, fp, wp, tc.ctx)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
 			if got != tc.want {
 				t.Errorf("verdict = %#x, want %#x", got, tc.want)
+			}
+			// Every cut point: a budget one short of the full retirement
+			// count and everything below it must exhaust on both loops
+			// with the same half-retired state.
+			full := int(wire.InsnCount)
+			for budget := 1; budget <= full; budget++ {
+				fast, wire, fp, wp := newPair(t, prog, tc.setup)
+				fast.Budget, wire.Budget = budget, budget
+				_, err := runBoth(t, fast, wire, fp, wp, tc.ctx)
+				if budget < full && !errors.Is(err, vm.ErrBudget) {
+					t.Fatalf("budget %d of %d: err = %v, want ErrBudget", budget, full, err)
+				}
 			}
 		})
 	}
@@ -242,8 +342,8 @@ func TestFusedBudgetBoundary(t *testing.T) {
 	for budget := 1; budget <= len(prog)+1; budget++ {
 		fast, wire, fp, wp := newPair(t, prog, nil)
 		fast.Budget, wire.Budget = budget, budget
-		if fp.FusedPairs() == 0 {
-			t.Fatal("expected add+add fusion")
+		if fp.FusedPairs() != 3 {
+			t.Fatalf("FusedPairs = %d, want 3 generic pairs over mov + six adds", fp.FusedPairs())
 		}
 		_, err := runBoth(t, fast, wire, fp, wp, nil)
 		if budget <= len(prog)-1 && !errors.Is(err, vm.ErrBudget) {
@@ -254,8 +354,9 @@ func TestFusedBudgetBoundary(t *testing.T) {
 		}
 	}
 
-	// First half of a fused ldx+and faults exactly at the boundary: the
-	// wire loop reports the load fault, not budget exhaustion.
+	// A load feeding a mask faults exactly at the boundary: the wire loop
+	// reports the load fault, not budget exhaustion. (The pair had a fused
+	// kind once; the load now decodes standalone.)
 	b = asm.New()
 	b.MovImm(asm.R5, 0)
 	b.Load(asm.R4, asm.R5, 0, 4) // null deref
@@ -265,9 +366,6 @@ func TestFusedBudgetBoundary(t *testing.T) {
 	for budget := 1; budget <= 3; budget++ {
 		fast, wire, fp, wp := newPair(t, prog, nil)
 		fast.Budget, wire.Budget = budget, budget
-		if fp.FusedPairs() == 0 {
-			t.Fatal("expected ldx+and fusion")
-		}
 		_, err := runBoth(t, fast, wire, fp, wp, nil)
 		switch budget {
 		case 1:

@@ -541,7 +541,7 @@ func ParseTier(s string) (Tier, error) {
 	switch s {
 	case "wire":
 		return TierWire, nil
-	case "predecoded", "fast", "":
+	case "predecoded", "":
 		return TierPredecoded, nil
 	case "jit":
 		return TierJIT, nil
@@ -602,8 +602,15 @@ func (vm *VM) Load(name string, prog []isa.Instruction) (*Program, error) {
 	}
 	p := &Program{ins: out, name: name}
 	p.dec, p.fused = vm.predecode(out)
+	if testHookLoad != nil {
+		testHookLoad(p)
+	}
 	return p, nil
 }
+
+// testHookLoad, when a test sets it (export_test.go), sees every Program
+// Load links — however deep inside an NF constructor the Load happens.
+var testHookLoad func(*Program)
 
 // SetTier selects the execution tier for this VM. Load prepares a
 // program for every tier (the jit compiles lazily on first run), so the

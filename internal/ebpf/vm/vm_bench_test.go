@@ -98,7 +98,7 @@ func BenchmarkDispatch(b *testing.B) {
 		}},
 		{"branch", func(bb *asm.Builder) {
 			// Bottom-test counted loop, the shape compilers emit for
-			// bounded loops: the counter bump fuses with its own test.
+			// bounded loops.
 			bb.MovImm(asm.R0, 0)
 			bb.MovImm(asm.R6, 0)
 			bb.Label("top")

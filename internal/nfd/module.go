@@ -10,6 +10,7 @@
 package nfd
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -268,6 +269,16 @@ func (r *Registry) Create(req CreateRequest) (*Module, error) {
 	return m, nil
 }
 
+// ErrNotServing is Ingest's refusal of a module that is past running:
+// draining under a delete, or deleted.
+var ErrNotServing = errors.New("nfd: module is not serving")
+
+// specError marks an Ingest error as the batch description's fault: it
+// was refused before the module was touched. The text is the cause's.
+type specError struct{ error }
+
+func (e specError) Unwrap() error { return e.error }
+
 // Ingest replays one batch spec through the module. The batch trace
 // gets the NF's op mix (exactly as the CLIs prepare traces) unless it
 // is a raw replay, then is hash-partitioned across the module's shards.
@@ -275,7 +286,7 @@ func (r *Registry) Create(req CreateRequest) (*Module, error) {
 func (m *Module) Ingest(spec runtime.TraceSpec) (harness.BatchResult, error) {
 	tr, err := spec.Build()
 	if err != nil {
-		return harness.BatchResult{}, err
+		return harness.BatchResult{}, specError{err}
 	}
 	if len(spec.Raw) == 0 {
 		nfcatalog.PrepareTrace(m.Name, tr)
@@ -284,7 +295,7 @@ func (m *Module) Ingest(spec runtime.TraceSpec) (harness.BatchResult, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.state != StateAttached && m.state != StateRunning {
-		return harness.BatchResult{}, fmt.Errorf("module is %s", m.state)
+		return harness.BatchResult{}, fmt.Errorf("module is %s: %w", m.state, ErrNotServing)
 	}
 
 	var total harness.BatchResult

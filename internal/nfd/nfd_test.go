@@ -2,11 +2,13 @@ package nfd_test
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -116,6 +118,9 @@ func TestCreateRejections(t *testing.T) {
 		{"unsupported flavor", `{"name": "skiplist", "flavor": "ebpf"}`},
 		{"bad flavor", `{"name": "bloom", "flavor": "turbo"}`},
 		{"bad options", `{"name": "bloom", "flavor": "kernel", "options": {"tier": "turbo"}}`},
+		// "fast" was an undocumented alias of "predecoded"; a module's
+		// options name its tier one way only.
+		{"tier alias", `{"name": "bloom", "flavor": "ebpf", "options": {"tier": "fast"}}`},
 		{"unknown field", `{"name": "bloom", "flavor": "kernel", "nope": 1}`},
 		{"negative quota", `{"name": "bloom", "flavor": "kernel", "options": {"quota": {"rpool_cap": -1}}}`},
 	}
@@ -374,6 +379,69 @@ func TestRPoolQuotaAnswers429(t *testing.T) {
 	// 2 eBPF modules under the tight cap + 6 under the fitting one.
 	if len(list.Modules) != 8 {
 		t.Fatalf("%d modules registered, want 8 (refused creates must leave nothing behind)", len(list.Modules))
+	}
+}
+
+// errorsTotal reads nfd_http_errors_total{code,reason} off /metrics.
+func errorsTotal(t *testing.T, base string, code int, reason string) int {
+	t.Helper()
+	_, data := do(t, "GET", base+"/metrics", "", nil)
+	series := fmt.Sprintf(`nfd_http_errors_total{code="%d",reason=%q} `, code, reason)
+	for _, line := range strings.Split(string(data), "\n") {
+		if v, ok := strings.CutPrefix(line, series); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("metrics line %q: %v", line, err)
+			}
+			return n
+		}
+	}
+	return 0
+}
+
+// TestErrorReasons: every refusal names its reason in the body and
+// moves nfd_http_errors_total{code,reason} by exactly one; a batch the
+// client described wrongly is the client's 400, never the module's 409.
+func TestErrorReasons(t *testing.T) {
+	_, ts := newTestServer(t)
+	var st nfd.Status
+	if code, data := do(t, "POST", ts.URL+"/modules",
+		`{"name": "cmsketch", "flavor": "ebpf", "trace": {"flows": 16, "packets": 16}}`, &st); code != http.StatusCreated {
+		t.Fatalf("create: status %d: %s", code, data)
+	}
+	packets := "/modules/" + st.ID + "/packets"
+	pkt := func(n int) string { return base64.StdEncoding.EncodeToString(make([]byte, n)) }
+	for _, tc := range []struct {
+		name, method, path, body string
+		code                     int
+		reason                   string
+	}{
+		{"unknown scenario", "POST", packets, `{"flows": 16, "packets": 50, "scenario": "nosuch"}`, 400, "bad_spec"},
+		{"short raw packet", "POST", packets, `{"raw": ["` + pkt(64) + `", "` + pkt(63) + `"]}`, 400, "bad_spec"},
+		{"bad base64", "POST", packets, `{"raw": ["!!!!"]}`, 400, "bad_spec"},
+		{"unknown field", "POST", packets, `{"flows": 16, "nope": 1}`, 400, "bad_spec"},
+		{"batch over a ceiling", "POST", packets, fmt.Sprintf(`{"packets": %d}`, runtime.MaxTracePackets+1), 400, "over_limit"},
+		{"tier alias", "POST", "/modules", `{"name": "bloom", "flavor": "ebpf", "options": {"tier": "fast"}}`, 400, "bad_spec"},
+		{"quota breach", "POST", "/modules", `{"name": "conntrack", "flavor": "kernel", "options": {"quota": {"map_bytes": 64}}}`, 429, "quota"},
+		{"no such module", "POST", "/modules/ghost-1/packets", `{"packets": 10}`, 404, "not_found"},
+		{"delete of no such module", "DELETE", "/modules/ghost-1", "", 404, "not_found"},
+		{"estimate without a key", "GET", "/modules/" + st.ID + "/estimates", "", 400, "bad_spec"},
+	} {
+		before := errorsTotal(t, ts.URL, tc.code, tc.reason)
+		var got struct{ Error, Reason string }
+		code, data := do(t, tc.method, ts.URL+tc.path, tc.body, &got)
+		if code != tc.code || got.Reason != tc.reason || got.Error == "" {
+			t.Errorf("%s: status %d body %s, want %d with reason %q", tc.name, code, data, tc.code, tc.reason)
+		}
+		if after := errorsTotal(t, ts.URL, tc.code, tc.reason); after != before+1 {
+			t.Errorf("%s: nfd_http_errors_total{code=%d,reason=%s} went %d -> %d, want +1",
+				tc.name, tc.code, tc.reason, before, after)
+		}
+	}
+	var after nfd.Status
+	do(t, "GET", ts.URL+"/modules/"+st.ID, "", &after)
+	if after.State != "attached" || after.Packets != 0 {
+		t.Fatalf("refused batches left their mark: %+v", after)
 	}
 }
 

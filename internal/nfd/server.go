@@ -5,13 +5,17 @@
 //	GET    /modules/{id}          one module's status
 //	DELETE /modules/{id}          graceful drain + delete
 //	POST   /modules/{id}/packets  replay a batch (TraceSpec body);
-//	                              429 when the module's guard shed
+//	                              429 when the module's guard shed,
+//	                              409 when the module is draining
 //	GET    /modules/{id}/stats    per-module VM stats snapshot
 //	GET    /modules/{id}/trace    per-module flight-recorder JSONL
 //	GET    /modules/{id}/estimates?flow=N | ?key=HEX
 //	/metrics /trace /profile /debug/pprof  the obs plane
 //
 // Request bodies are capped at MaxBodyBytes; a larger one is a 413.
+// Every error body carries, beside the message, a machine-readable
+// "reason" — one of the reason* constants below — and each refusal
+// counts once in nfd_http_errors_total{code,reason} on /metrics.
 package nfd
 
 import (
@@ -50,6 +54,17 @@ const readHeaderTimeout = 10 * time.Second
 // request headers to the end of the response, so it would cap how long
 // the replay of a legitimate MaxBodyBytes batch may take.
 const idleTimeout = 2 * time.Minute
+
+// The reasons an error body names.
+const (
+	reasonBadSpec      = "bad_spec"      // 400: the request does not describe something buildable
+	reasonOverLimit    = "over_limit"    // 400: a size field is above its runtime ceiling
+	reasonTooLarge     = "too_large"     // 413: the body is over MaxBodyBytes
+	reasonNotFound     = "not_found"     // 404: no such module, or nothing to serve for it
+	reasonNotServing   = "not_serving"   // 409: the module is draining or deleted
+	reasonQuota        = "quota"         // 429: the built module breaches its quota
+	reasonReplayFailed = "replay_failed" // 500: a packet faulted inside the NF
+)
 
 // Server glues the registry to HTTP and mounts the obs plane on the
 // same mux.
@@ -140,18 +155,18 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req CreateRequest
-	if !decodeStrict(w, r, &req) {
+	if !s.decodeStrict(w, r, &req) {
 		return
 	}
 	m, err := s.Registry.Create(req)
 	if err != nil {
-		code := http.StatusBadRequest
 		if errors.Is(err, runtime.ErrQuota) {
 			// The built module breaches its map-memory or rpool quota:
 			// same status as datapath shedding.
-			code = http.StatusTooManyRequests
+			s.writeErr(w, http.StatusTooManyRequests, reasonQuota, err)
+		} else {
+			s.writeErr(w, http.StatusBadRequest, reasonBadSpec, err)
 		}
-		writeErr(w, code, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, m.Status())
@@ -161,7 +176,7 @@ func (s *Server) module(w http.ResponseWriter, r *http.Request) (*Module, bool) 
 	id := r.PathValue("id")
 	m, ok := s.Registry.Get(id)
 	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no module %q", id))
+		s.writeErr(w, http.StatusNotFound, reasonNotFound, fmt.Errorf("no module %q", id))
 		return nil, false
 	}
 	return m, true
@@ -176,7 +191,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if err := s.Registry.Delete(id); err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		s.writeErr(w, http.StatusNotFound, reasonNotFound, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"deleted": id})
@@ -188,19 +203,23 @@ func (s *Server) handlePackets(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec runtime.TraceSpec
-	if !decodeStrict(w, r, &spec) {
+	if !s.decodeStrict(w, r, &spec) {
 		return
 	}
 	res, err := m.Ingest(spec)
 	if err != nil {
-		code := http.StatusConflict
-		var lim *runtime.LimitError
-		if errors.As(err, &lim) {
-			// The batch asks for more than a ceiling allows: the
-			// request is at fault, not the module's state.
-			code = http.StatusBadRequest
+		var bad specError
+		switch {
+		case errors.As(err, &bad):
+			// The batch description is at fault — an unknown scenario, a
+			// malformed raw packet, a size over its ceiling — and was
+			// refused before the module was touched.
+			s.writeErr(w, http.StatusBadRequest, reasonBadSpec, err)
+		case errors.Is(err, ErrNotServing):
+			s.writeErr(w, http.StatusConflict, reasonNotServing, err)
+		default:
+			s.writeErr(w, http.StatusInternalServerError, reasonReplayFailed, err)
 		}
-		writeErr(w, code, err)
 		return
 	}
 	code := http.StatusOK
@@ -255,7 +274,7 @@ func (s *Server) handleModuleTrace(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", v))
+			s.writeErr(w, http.StatusBadRequest, reasonBadSpec, fmt.Errorf("bad limit %q", v))
 			return
 		}
 		limit = n
@@ -288,29 +307,29 @@ func (s *Server) handleEstimates(w http.ResponseWriter, r *http.Request) {
 	case q.Get("key") != "":
 		b, err := hex.DecodeString(q.Get("key"))
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad key hex: %w", err))
+			s.writeErr(w, http.StatusBadRequest, reasonBadSpec, fmt.Errorf("bad key hex: %w", err))
 			return
 		}
 		key = b
 	case q.Get("flow") != "":
 		i, err := strconv.Atoi(q.Get("flow"))
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad flow %q", q.Get("flow")))
+			s.writeErr(w, http.StatusBadRequest, reasonBadSpec, fmt.Errorf("bad flow %q", q.Get("flow")))
 			return
 		}
 		k, ok := m.FlowKey(i)
 		if !ok {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("flow %d outside seed trace", i))
+			s.writeErr(w, http.StatusBadRequest, reasonBadSpec, fmt.Errorf("flow %d outside seed trace", i))
 			return
 		}
 		key = k
 	default:
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("need ?flow=N or ?key=HEX"))
+		s.writeErr(w, http.StatusBadRequest, reasonBadSpec, fmt.Errorf("need ?flow=N or ?key=HEX"))
 		return
 	}
 	est, ok := m.Estimate(key)
 	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("%s has no control-plane estimator", m.Name))
+		s.writeErr(w, http.StatusNotFound, reasonNotFound, fmt.Errorf("%s has no control-plane estimator", m.Name))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -325,19 +344,19 @@ type BatchResponse = harness.BatchResult
 // decodeStrict decodes the size-capped JSON body into v, rejecting
 // unknown fields. On failure it has already answered — 413 for a body
 // over MaxBodyBytes, 400 for anything else — and returns false.
-func decodeStrict(w http.ResponseWriter, r *http.Request, v any) bool {
+func (s *Server) decodeStrict(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	if err == nil {
 		return true
 	}
-	code := http.StatusBadRequest
+	code, reason := http.StatusBadRequest, reasonBadSpec
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
-		code = http.StatusRequestEntityTooLarge
+		code, reason = http.StatusRequestEntityTooLarge, reasonTooLarge
 	}
-	writeErr(w, code, fmt.Errorf("bad request body: %w", err))
+	s.writeErr(w, code, reason, fmt.Errorf("bad request body: %w", err))
 	return false
 }
 
@@ -349,17 +368,23 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v) //nolint:errcheck // client gone
 }
 
-// writeErr answers with the error text and, for a request over one of
-// the runtime ceilings, the machine-readable reason: which field, what
-// it asked for, and the most it may.
-func writeErr(w http.ResponseWriter, code int, err error) {
+// writeErr answers with the error text and its machine-readable reason
+// and counts the refusal. A request over one of the runtime ceilings is
+// the more specific over_limit whatever the caller called it, and also
+// says which field, what it asked for, and the most it may.
+func (s *Server) writeErr(w http.ResponseWriter, code int, reason string, err error) {
 	body := map[string]any{"error": err.Error()}
 	var lim *runtime.LimitError
 	if errors.As(err, &lim) {
-		body["reason"] = "over_limit"
+		reason = reasonOverLimit
 		body["field"] = lim.Field
 		body["got"] = lim.Got
 		body["max"] = lim.Max
 	}
+	body["reason"] = reason
+	reg := s.Obs.Registry()
+	reg.Counter("nfd_http_errors_total",
+		telemetry.L("code", strconv.Itoa(code)), telemetry.L("reason", reason)).Inc()
+	reg.SetHelp("nfd_http_errors_total", "requests the daemon answered with an error body, by status and reason")
 	writeJSON(w, code, body)
 }

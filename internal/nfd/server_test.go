@@ -2,8 +2,84 @@ package nfd
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
+
+	"enetstl/internal/nf"
+	"enetstl/internal/runtime"
 )
+
+// TestNotServingIs409: the one ingest refusal that is the module's
+// state and not the request's fault — it is draining under a delete, or
+// deleted while a handler still held it — answers 409 with reason
+// not_serving, and the same well-formed batch was a 200 before.
+func TestNotServingIs409(t *testing.T) {
+	s := NewServer()
+	defer s.Registry.Close()
+	m, err := s.Registry.Create(CreateRequest{Name: "cmsketch", Flavor: "kernel"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() (int, string) {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/modules/"+m.ID+"/packets",
+			strings.NewReader(`{"flows": 8, "packets": 8}`)))
+		var body struct{ Reason string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("status %d with a body that is not JSON: %s", rec.Code, rec.Body)
+		}
+		return rec.Code, body.Reason
+	}
+	if code, _ := post(); code != http.StatusOK {
+		t.Fatalf("serving module: status %d, want 200", code)
+	}
+	// The registry removes a module before draining it, so over HTTP the
+	// window is a handler that looked the module up just before a delete:
+	// reproduce it by moving the state while the module is still listed.
+	m.mu.Lock()
+	m.state = StateDraining
+	m.mu.Unlock()
+	if code, reason := post(); code != http.StatusConflict || reason != reasonNotServing {
+		t.Errorf("draining module: status %d reason %q, want 409 %s", code, reason, reasonNotServing)
+	}
+	m.delete()
+	if code, reason := post(); code != http.StatusConflict || reason != reasonNotServing {
+		t.Errorf("deleted module: status %d reason %q, want 409 %s", code, reason, reasonNotServing)
+	}
+	if _, err := m.Ingest(runtime.TraceSpec{Flows: 8, Packets: 8}); !errors.Is(err, ErrNotServing) {
+		t.Errorf("Ingest on a deleted module: err = %v, want ErrNotServing", err)
+	}
+}
+
+// faultingNF fails every packet, as a program hitting a runtime fault
+// would.
+type faultingNF struct{ nf.Instance }
+
+func (faultingNF) Process([]byte) (uint64, error) { return 0, errors.New("boom") }
+
+// TestReplayFailureIs500: a packet that faults inside the NF is neither
+// the request's fault nor the module's lifecycle: 500, replay_failed.
+func TestReplayFailureIs500(t *testing.T) {
+	s := NewServer()
+	defer s.Registry.Close()
+	m, err := s.Registry.Create(CreateRequest{Name: "cmsketch", Flavor: "kernel"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	m.insts[0] = faultingNF{m.insts[0]}
+	m.mu.Unlock()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/modules/"+m.ID+"/packets",
+		strings.NewReader(`{"flows": 8, "packets": 8}`)))
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), `"reason": "`+reasonReplayFailed+`"`) {
+		t.Fatalf("faulting NF: status %d body %s, want 500 %s", rec.Code, rec.Body, reasonReplayFailed)
+	}
+}
 
 // TestStartedServerTimeouts pins the connection-level limits on the
 // server Start actually runs: slow headers and idle keep-alives are

@@ -99,6 +99,32 @@ func TestCanonPinsDefaults(t *testing.T) {
 	}
 }
 
+// TestCanonTierRoundTrips: Canon promises that two outputs are equal
+// iff they construct identical instances, so every spelling of a tier
+// that Validate accepts must canonicalise to the one name the resolved
+// tier prints as. An alias ("fast" was one) breaks that: two requests
+// build the same module and serve different options.
+func TestCanonTierRoundTrips(t *testing.T) {
+	accepted := 0
+	for _, spelling := range []string{"", "wire", "predecoded", "jit", "fast", "Wire", "JIT", "interp"} {
+		o := Options{Tier: spelling}
+		tier, err := o.ResolveTier()
+		if err != nil {
+			if o.Validate() == nil {
+				t.Errorf("tier %q: ResolveTier refuses it (%v) but Validate accepts", spelling, err)
+			}
+			continue
+		}
+		accepted++
+		if got := o.Canon().Tier; got != tier.String() {
+			t.Errorf("tier %q resolves to %v but Canon() keeps %q", spelling, tier, got)
+		}
+	}
+	if accepted != 4 {
+		t.Errorf("%d spellings accepted, want the empty string and the three tier names", accepted)
+	}
+}
+
 func TestGuardConfigQuotaForcesGuard(t *testing.T) {
 	cfg, ok := Options{Quota: &Quota{InsnBudget: 777}}.GuardConfig()
 	if !ok || !cfg.Enabled || cfg.InsnBudget != 777 {
