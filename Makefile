@@ -58,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFusedOps$$' -fuzztime $(FUZZTIME) ./internal/nhash/
 	$(GO) test -run '^$$' -fuzz '^FuzzBitops$$' -fuzztime $(FUZZTIME) ./internal/bitops/
 	$(GO) test -run '^$$' -fuzz '^FuzzBitmapScan$$' -fuzztime $(FUZZTIME) ./internal/bitops/
+	$(GO) test -run '^$$' -fuzz '^FuzzSIMDBytes$$' -fuzztime $(FUZZTIME) ./internal/simd/
 	$(GO) test -run '^$$' -fuzz '^FuzzJITCrossCheck$$' -fuzztime $(FUZZTIME) ./internal/difftest/
 	$(GO) test -run '^$$' -fuzz '^FuzzCuckooImage$$' -fuzztime $(FUZZTIME) ./internal/nf/cuckooswitch/
 	$(GO) test -run '^$$' -fuzz '^FuzzCuckooImage$$' -fuzztime $(FUZZTIME) ./internal/nf/cuckoofilter/

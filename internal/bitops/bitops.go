@@ -5,7 +5,10 @@
 // eBPF bytecode has no such instructions and must loop in software.
 package bitops
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // FFS returns the 1-based index of the least significant set bit of x,
 // or 0 if x is zero — the semantics of the ffs(3) / kernel __ffs family
@@ -73,6 +76,31 @@ func (b Bitmap) FirstSet(from int) int {
 			return -1
 		}
 		cur = b[w]
+	}
+}
+
+// FirstSetLE is Bitmap.FirstSet over the little-endian byte image of
+// the words — program memory as the VM holds it — so a kfunc scans the
+// caller's bitmap in place. Bytes past the last whole word are ignored.
+func FirstSetLE(b []byte, from int) int {
+	if from < 0 {
+		from = 0
+	}
+	words := len(b) / 8
+	if from >= words*64 {
+		return -1
+	}
+	w := from >> 6
+	cur := binary.LittleEndian.Uint64(b[w*8:]) & (^uint64(0) << (uint(from) & 63))
+	for {
+		if cur != 0 {
+			return w<<6 + bits.TrailingZeros64(cur)
+		}
+		w++
+		if w >= words {
+			return -1
+		}
+		cur = binary.LittleEndian.Uint64(b[w*8:])
 	}
 }
 

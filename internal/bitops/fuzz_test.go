@@ -1,6 +1,7 @@
 package bitops_test
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"enetstl/internal/bitops"
@@ -97,6 +98,12 @@ func FuzzBitmapScan(f *testing.F) {
 			return c
 		}
 
+		// The byte view over the words' little-endian image, with a
+		// trailing byte it must ignore.
+		img := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, w0), w1)
+		if got, want := bitops.FirstSetLE(append(img, 0xff), pos), naiveFirst(pos); got != want {
+			t.Fatalf("FirstSetLE(%d) over %#x,%#x = %d, naive says %d", pos, w0, w1, got, want)
+		}
 		if pos < nbits {
 			if got, want := b.FirstSet(pos), naiveFirst(pos); got != want {
 				t.Fatalf("FirstSet(%d) over %#x,%#x = %d, naive says %d", pos, w0, w1, got, want)

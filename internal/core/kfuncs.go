@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"enetstl/internal/bitops"
@@ -11,10 +12,14 @@ import (
 	"enetstl/internal/simd"
 )
 
-// u32Slice views a byte region as little-endian uint32 lanes without
-// copying. The simulated VM stores memory as bytes; components operate
-// on uint32 views, so conversion happens at the kfunc boundary (the
-// analogue of SIMD register loads, paid once per call).
+// The boundary contract: a kfunc never copies program memory. It works
+// in place on the slice vm.Bytes returned, through the byte-view scans of
+// simd, bitops and nhash. u32Slice and putU32Slice are the deliberate
+// exception and serve only the three kf_vec_* wrappers, whose load/store
+// round trips are what the Fig. 6 ablation measures.
+
+// u32Slice copies a byte region out into little-endian uint32 lanes (the
+// low-level interface's costly SIMD load).
 func u32Slice(b []byte) []uint32 {
 	out := make([]uint32, len(b)/4)
 	for i := range out {
@@ -29,18 +34,6 @@ func putU32Slice(b []byte, v []uint32) {
 		j := i * 4
 		b[j], b[j+1], b[j+2], b[j+3] = byte(x), byte(x>>8), byte(x>>16), byte(x>>24)
 	}
-}
-
-func u64At(b []byte, i int) uint64 {
-	j := i * 8
-	return uint64(b[j]) | uint64(b[j+1])<<8 | uint64(b[j+2])<<16 | uint64(b[j+3])<<24 |
-		uint64(b[j+4])<<32 | uint64(b[j+5])<<40 | uint64(b[j+6])<<48 | uint64(b[j+7])<<56
-}
-
-func putU64At(b []byte, i int, v uint64) {
-	j := i * 8
-	b[j], b[j+1], b[j+2], b[j+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-	b[j+4], b[j+5], b[j+6], b[j+7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
 }
 
 func incU32(b []byte, i int) {
@@ -82,12 +75,7 @@ func (l *Lib) registerBitops() {
 			if a2%8 != 0 {
 				return 0, fmt.Errorf("bitmap size %d not a multiple of 8", a2)
 			}
-			bm := make(bitops.Bitmap, a2/8)
-			for i := range bm {
-				bm[i] = u64At(b, i)
-			}
-			idx := bm.FirstSet(int(a3))
-			return uint64(idx + 1), nil
+			return uint64(bitops.FirstSetLE(b, int(a3)) + 1), nil
 		}})
 }
 
@@ -117,7 +105,7 @@ func (l *Lib) registerHash() {
 			return nhash.FastHash64(key, a3), nil
 		}})
 	// kf_hash_n(keyPtr, keyLen, outPtr, outBytes): the low-level
-	// interface — all hash values are copied back to program memory.
+	// interface — all hash values are written to program memory.
 	l.vm.RegisterKfunc(&vm.Kfunc{ID: KfHashN, Name: "enetstl_hash_n",
 		Meta: vm.KfuncMeta{NumArgs: 4, Args: [5]vm.ArgSpec{
 			{Kind: vm.ArgPtrToMem, SizeArg: 2}, {Kind: vm.ArgScalar},
@@ -132,10 +120,9 @@ func (l *Lib) registerHash() {
 			if err != nil {
 				return 0, err
 			}
-			d := int(a4) / 4
-			hs := make([]uint32, d)
-			nhash.HashN(key, d, hs)
-			putU32Slice(out, hs)
+			for i := 0; i+4 <= len(out); i += 4 {
+				binary.LittleEndian.PutUint32(out[i:], nhash.FastHash32(key, nhash.Seed(i/4)))
+			}
 			return 0, nil
 		}})
 
@@ -284,8 +271,7 @@ func (l *Lib) registerSIMD() {
 			if err != nil {
 				return 0, err
 			}
-			idx := simd.FindU32(u32Slice(b), uint32(a3))
-			return uint64(int64(idx)), nil
+			return uint64(int64(simd.FindU32LE(b, uint32(a3)))), nil
 		}})
 	// kf_find_u16(arrPtr, arrBytes, key) -> index or all-ones.
 	l.vm.RegisterKfunc(&vm.Kfunc{ID: KfFindU16, Name: "enetstl_find_u16", Meta: memKey,
@@ -294,12 +280,7 @@ func (l *Lib) registerSIMD() {
 			if err != nil {
 				return 0, err
 			}
-			arr := make([]uint16, len(b)/2)
-			for i := range arr {
-				arr[i] = uint16(b[i*2]) | uint16(b[i*2+1])<<8
-			}
-			idx := simd.FindU16(arr, uint16(a3))
-			return uint64(int64(idx)), nil
+			return uint64(int64(simd.FindU16LE(b, uint16(a3)))), nil
 		}})
 	memOnly := vm.KfuncMeta{NumArgs: 2, Args: [5]vm.ArgSpec{
 		{Kind: vm.ArgPtrToMem, SizeArg: 2}, {Kind: vm.ArgScalar},
@@ -311,7 +292,7 @@ func (l *Lib) registerSIMD() {
 			if err != nil {
 				return 0, err
 			}
-			idx, val := simd.MinU32(u32Slice(b))
+			idx, val := simd.MinU32LE(b)
 			return uint64(uint32(idx))<<32 | uint64(val), nil
 		}})
 	l.vm.RegisterKfunc(&vm.Kfunc{ID: KfMaxU32, Name: "enetstl_max_u32", Meta: memOnly,
@@ -320,7 +301,7 @@ func (l *Lib) registerSIMD() {
 			if err != nil {
 				return 0, err
 			}
-			idx, val := simd.MaxU32(u32Slice(b))
+			idx, val := simd.MaxU32LE(b)
 			return uint64(uint32(idx))<<32 | uint64(val), nil
 		}})
 

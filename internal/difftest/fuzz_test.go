@@ -12,6 +12,7 @@ import (
 	"enetstl/internal/ebpf/asm"
 	"enetstl/internal/ebpf/isa"
 	"enetstl/internal/ebpf/verifier"
+	"enetstl/internal/ebpf/vm"
 )
 
 // fuzzProgCap bounds how many instructions one fuzz input decodes to,
@@ -69,15 +70,83 @@ func shape(name string, build func(b *asm.Builder)) fuzzSeed {
 	return fuzzSeed{name: "shape-" + name, prog: b.MustProgram()}
 }
 
-// shapeSeeds are hand-built programs for the instruction shapes that
-// once had a dedicated fast path — a fused kind in the predecoded loop
-// or a superblock in the jit — and lost it because no catalog NF
-// contains them. They now run through the standalone decodes, the
-// generic ALU pair and the generic block driver; as seeds (and as
-// inputs of the jit parity tests) they keep all four machines compared
-// on exactly those shapes.
+// lookupSite emits the canonical map-lookup call site on the generator's
+// array map — the shape the predecoder lowers to one lookup run — with
+// the key at stack slot off.
+func lookupSite(b *asm.Builder, off int16) {
+	b.LoadMap(asm.R1, 0)
+	b.Mov(asm.R2, asm.R10).AddImm(asm.R2, int32(off))
+	b.Call(vm.HelperMapLookup)
+}
+
+// shapeSeeds are hand-built programs for instruction shapes the
+// generator seldom or never emits. Most once had a dedicated fast path —
+// a fused kind in the predecoded loop or a superblock in the jit — and
+// lost it because no catalog NF contains them; they now run through the
+// standalone decodes, the generic ALU pair and the generic block driver.
+// The lookup-run shapes are the one lowering that has a dedicated path
+// (none of the eight generated seeds contains a lookup), together with
+// its near-misses. As seeds (and as inputs of the jit parity tests) they
+// keep all four machines compared on exactly those shapes.
 func shapeSeeds() []fuzzSeed {
 	return []fuzzSeed{
+		shape("lookup-run", func(b *asm.Builder) {
+			// A hit with the null check folded as jne, a miss folded as
+			// jeq, and a hit whose check is not adjacent to the call.
+			b.MovImm(asm.R7, 0)
+			b.StoreImm(asm.R10, -4, 3, 4)
+			lookupSite(b, -4)
+			b.JmpImm(asm.JNE, asm.R0, 0, "hit")
+			b.MovImm(asm.R0, 1).Exit()
+			b.Label("hit")
+			b.StoreImm(asm.R0, 0, 0x41, 8)
+			b.Load(asm.R7, asm.R0, 0, 8)
+			b.StoreImm(asm.R10, -8, GenMapEntries+1, 4)
+			lookupSite(b, -8)
+			b.JmpImm(asm.JEQ, asm.R0, 0, "miss")
+			b.MovImm(asm.R0, 2).Exit()
+			b.Label("miss")
+			b.StoreImm(asm.R10, -4, 5, 4)
+			lookupSite(b, -4)
+			b.AddImm(asm.R7, 1)
+			b.JmpImm(asm.JEQ, asm.R0, 0, "out")
+			b.Load(asm.R8, asm.R0, 0, 8)
+			b.Add(asm.R7, asm.R8)
+			b.Label("out")
+			b.Mov(asm.R0, asm.R7)
+			b.Exit()
+		}),
+		shape("lookup-run-near-miss", func(b *asm.Builder) {
+			// Key stored from a register; the check on a copy of R0; the
+			// key address built in R3 and moved; a second branch landing on
+			// the null check, so the run ends at the call.
+			b.MovImm(asm.R7, 3)
+			b.Store(asm.R10, -4, asm.R7, 4)
+			lookupSite(b, -4)
+			b.Mov(asm.R8, asm.R0)
+			b.JmpImm(asm.JEQ, asm.R8, 0, "a")
+			b.Load(asm.R7, asm.R8, 0, 8)
+			b.Label("a")
+			b.MovImm(asm.R8, 0)
+			b.LoadMap(asm.R1, 0)
+			b.Mov(asm.R3, asm.R10).AddImm(asm.R3, -4)
+			b.Mov(asm.R2, asm.R3)
+			b.Call(vm.HelperMapLookup)
+			b.JmpImm(asm.JEQ, asm.R0, 0, "b")
+			b.Load(asm.R8, asm.R0, 0, 8)
+			b.Label("b")
+			b.MovImm(asm.R0, 0)
+			b.JmpImm(asm.JGT, asm.R7, 100, "chk") // into the call site's tail
+			b.StoreImm(asm.R10, -4, 1, 4)
+			lookupSite(b, -4)
+			b.Label("chk")
+			b.JmpImm(asm.JEQ, asm.R0, 0, "c")
+			b.Load(asm.R8, asm.R0, 0, 8)
+			b.Label("c")
+			b.Mov(asm.R0, asm.R7)
+			b.Add(asm.R0, asm.R8)
+			b.Exit()
+		}),
 		shape("add-chain", func(b *asm.Builder) {
 			b.MovImm(asm.R0, 1)
 			for i := int32(1); i <= 5; i++ {

@@ -128,31 +128,51 @@ func GenProgram(seed uint64) ([]isa.Instruction, error) {
 				b.Call(vm.HelperGetPrandomU32)
 			case 2:
 				// Null-checked lookup; the out-of-range third of the key
-				// space exercises the miss path. Both arms leave R0 at the
-				// same scalar so the join state is identical.
+				// space exercises the miss path. Both arms leave every
+				// register they touched at the same scalar so the join
+				// state is identical. The call site is the shape the
+				// predecoder lowers to one lookup run; the two variations
+				// are its near-misses — a key stored from a register in
+				// front of it, and a null check on a copy of R0, which the
+				// run must leave outside.
 				idx := rng.intn(GenMapEntries + GenMapEntries/2)
-				b.StoreImm(asm.R10, -128, int32(idx), 4)
+				scalars := pool[1:] // not R0: it receives the pointer
+				if rng.intn(2) == 0 {
+					b.StoreImm(asm.R10, -128, int32(idx), 4)
+				} else {
+					k := scalars[rng.intn(len(scalars))]
+					b.MovImm(k, int32(idx))
+					b.Store(asm.R10, -128, k, 4)
+				}
 				b.LoadMap(asm.R1, fd)
 				b.Mov(asm.R2, asm.R10)
 				b.AddImm(asm.R2, -128)
 				b.Call(vm.HelperMapLookup)
 				miss, done := label("miss"), label("done")
 				norm := int32(uint32(rng.next()))
-				b.JmpImm(asm.JEQ, asm.R0, 0, miss)
-				dst := pool[1+rng.intn(len(pool)-1)] // not R0: it holds the pointer
+				at := rng.intn(len(scalars))
+				ptr, dst := asm.R0, scalars[at]
+				if rng.intn(3) == 0 {
+					ptr, dst = scalars[at], scalars[(at+1)%len(scalars)]
+					b.Mov(ptr, asm.R0)
+				}
+				b.JmpImm(asm.JEQ, ptr, 0, miss)
 				switch rng.intn(3) {
 				case 0:
-					b.Load(dst, asm.R0, 0, 8)
+					b.Load(dst, ptr, 0, 8)
 				case 1:
-					b.Store(asm.R0, 0, dst, 8)
+					b.Store(ptr, 0, dst, 8)
 				case 2:
-					b.Load(dst, asm.R0, 0, 8)
+					b.Load(dst, ptr, 0, 8)
 					b.AddImm(dst, 1)
-					b.Store(asm.R0, 0, dst, 8)
+					b.Store(ptr, 0, dst, 8)
 				}
+				// R0 last: it is ptr itself unless the check was on a copy.
+				b.MovImm(ptr, norm)
 				b.MovImm(asm.R0, norm)
 				b.Ja(done)
 				b.Label(miss)
+				b.MovImm(ptr, norm)
 				b.MovImm(asm.R0, norm)
 				b.Label(done)
 			case 3:

@@ -1,5 +1,7 @@
 package maps
 
+import "encoding/binary"
+
 // ArenaMap is implemented by map types whose values live in stable
 // contiguous backing stores ("arenas"). The VM registers each arena as
 // one memory region at map-attach time and turns lookups into pointers
@@ -27,11 +29,18 @@ func (a *Array) LookupArena(key []byte) (int, int, bool) {
 	if len(key) != 4 {
 		return 0, 0, false
 	}
-	idx := int(uint32(key[0]) | uint32(key[1])<<8 | uint32(key[2])<<16 | uint32(key[3])<<24)
-	if idx >= a.n {
-		return 0, 0, false
+	off, ok := a.Offset(binary.LittleEndian.Uint32(key))
+	return 0, off, ok
+}
+
+// Offset returns the byte offset of element idx within Data(); ok is
+// false when idx is out of range. It is LookupArena for a caller that
+// already holds the index and the concrete type.
+func (a *Array) Offset(idx uint32) (off int, ok bool) {
+	if int(idx) >= a.n {
+		return 0, false
 	}
-	return 0, idx * a.valueSize, true
+	return int(idx) * a.valueSize, true
 }
 
 // PerCPUArray arena support: one arena per CPU; lookups resolve into the

@@ -251,6 +251,9 @@ func (c *jitCompiler) walkUnits(start int) (ms []unitMeta, cost int32, term, end
 			break
 		}
 		d := &dec[pc]
+		if d.kind == kRunLookup || d.kind == kRunLookupArray {
+			d = &decodedInsn{kind: kLd64, dst: d.dst, imm: d.imm} // the head alone is the ld_imm64
+		}
 		if isJITTerm(d.kind) {
 			term = pc
 			break

@@ -71,7 +71,11 @@ type HelperFn func(vm *VM, a1, a2, a3, a4, a5 uint64) (uint64, error)
 
 // RegisterHelper installs fn under id, replacing any previous helper.
 func (vm *VM) RegisterHelper(id int32, fn HelperFn) {
-	vm.helperTab[vm.helperSlot(id)] = fn
+	slot := vm.helperSlot(id)
+	if id == HelperMapLookup && vm.helperTab[slot] != nil {
+		vm.lookupReplaced = true // the inline array lookup stands down
+	}
+	vm.helperTab[slot] = fn
 }
 
 // helperSlot returns the dense table index for a helper ID, allocating
@@ -141,13 +145,7 @@ func (vm *VM) mapFromPtr(p uint64) (mapIdx int, ok bool) {
 	if p&offMask != 0 || id == 0 || id >= uint64(len(vm.regions)) || vm.regions[id].kind != regMap {
 		return 0, false
 	}
-	m := vm.regions[id].m
-	for i, mm := range vm.mapsByFD {
-		if mm == m {
-			return i, true
-		}
-	}
-	return 0, false
+	return int(vm.regions[id].fd), true
 }
 
 func registerBuiltinHelpers(vm *VM) {

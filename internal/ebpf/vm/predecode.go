@@ -8,7 +8,8 @@ package vm
 // A peephole fuser additionally collapses the hot adjacent pairs the NF
 // catalog actually executes (address computation feeding a call, the
 // hash-mix shift pairs, a counter bump feeding its back edge, any two
-// same-class ALU ops) into single super-ops.
+// same-class ALU ops) into single super-ops, and lowers the map-lookup
+// call site every catalog program contains to one dispatch.
 //
 // The wire-format loop in vm.go stays as the selectable reference slow
 // path (SetTier(TierWire)); the two must be observably identical, and the
@@ -19,6 +20,7 @@ import (
 	"fmt"
 
 	"enetstl/internal/ebpf/isa"
+	"enetstl/internal/ebpf/maps"
 )
 
 // Two deliberate layout decisions keep the dispatch loop lean:
@@ -199,6 +201,21 @@ const (
 	kFuseShlAdd // lsh dst,imm ; add dst,src
 	kFuseMovShr // mov dst,src ; rsh dst,imm
 
+	// The map-lookup call site as one dispatch (4-5 wire instructions,
+	// 4-5 budget units):
+	//
+	//	ld_imm64 r1,map ; mov r2,r10 ; add r2,off ; call map_lookup_elem [; jne|jeq r0,0,tgt]
+	//
+	// The head slot keeps the ld_imm64's own dst and imm, so executing the
+	// head alone — what every fallback does, and how the jit reads the
+	// slot — is exactly the standalone ld_imm64; the absorbed slots keep
+	// their standalone decodings. off is the lea offset, src the folded
+	// null check's kind (0: none) and tgt its target.
+	kRunLookup // call = helper slot: any map type, through the registered helper
+	// The pointer names a maps.Array and the key slot is inside the frame:
+	// off = key slot, call = fd; the element pointer is formed inline.
+	kRunLookupArray
+
 	kindCount // one past the last kind
 )
 
@@ -232,7 +249,7 @@ func (vm *VM) predecode(ins []isa.Instruction) ([]decodedInsn, int) {
 	for pc := range ins {
 		dec[pc] = vm.decodeOne(ins, pc, r10ok)
 	}
-	return dec, vm.fusePairs(ins, dec)
+	return dec, vm.fusePairs(ins, dec, r10ok)
 }
 
 // stackSlot resolves an R10-relative access to a stack offset, or -1 if
@@ -489,17 +506,18 @@ func sizeLog2(size int) int {
 }
 
 // fusePairs rewrites dec in place, collapsing adjacent hot pairs into
-// super-ops. A pair is fusable only when no branch can land on its
-// second instruction; the absorbed slot keeps its standalone decoding,
-// so the guard is the only control-flow condition. Returns the number
-// of pairs fused.
+// super-ops, and a map-lookup call site around a fused lea into one run.
+// A pair is fusable only when no branch can land on its second
+// instruction; the absorbed slot keeps its standalone decoding, so the
+// guard is the only control-flow condition. Returns the number of
+// super-ops formed.
 //
 // Two passes: the specific patterns first (their dispatch cases are
 // cheaper than the generic one), then any remaining adjacent same-class
 // ALU pair collapses into the generic kFuseAlu2 superinstruction — the
 // hash-mix chains (add/xor/shift on one register) NF inner loops are
 // made of.
-func (vm *VM) fusePairs(ins []isa.Instruction, dec []decodedInsn) int {
+func (vm *VM) fusePairs(ins []isa.Instruction, dec []decodedInsn, r10ok bool) int {
 	const (
 		movReg = isa.ClassALU64 | isa.SrcX | isa.ALUMov
 		addImm = isa.ClassALU64 | isa.SrcK | isa.ALUAdd
@@ -522,6 +540,9 @@ func (vm *VM) fusePairs(ins []isa.Instruction, dec []decodedInsn) int {
 		case a.Op == movReg && b.Op == addImm && b.Dst == a.Dst:
 			*d = decodedInsn{kind: kFuseLea, dst: uint8(a.Dst), src: uint8(a.Src),
 				imm: uint64(int64(b.Imm)), cls: isa.ClassALU64}
+			if vm.fuseLookupRun(dec, tgt, i, r10ok) {
+				fused++
+			}
 		case a.Op == movReg && b.Op == call:
 			kind := kFuseMovHelper
 			if b.Src == isa.PseudoKfuncCall {
@@ -575,6 +596,40 @@ func (vm *VM) fusePairs(ins []isa.Instruction, dec []decodedInsn) int {
 		i++
 	}
 	return fused
+}
+
+// fuseLookupRun rewrites the ld_imm64 two slots ahead of the fused lea
+// at dec[lea] into a lookup run head when the lea is the key argument of
+// a map_lookup_elem call site (see kRunLookup) that no branch enters
+// past its head; the trailing null check is folded in when no branch
+// lands on it either.
+func (vm *VM) fuseLookupRun(dec []decodedInsn, tgt []bool, lea int, r10ok bool) bool {
+	head, call := lea-2, lea+2
+	if head < 0 || call >= len(dec) || tgt[head+1] || tgt[lea] || tgt[call] {
+		return false
+	}
+	h, l, c := &dec[head], dec[lea], dec[call]
+	if h.kind != kLd64 || h.dst != uint8(isa.R1) || l.dst != uint8(isa.R2) || l.src != uint8(isa.R10) ||
+		c.kind != kCallHelper || int32(uint32(c.imm)) != HelperMapLookup {
+		return false
+	}
+	h.kind, h.off, h.call = kRunLookup, int32(l.imm), c.call
+	if chk := call + 1; chk < len(dec) && !tgt[chk] && dec[chk].dst == uint8(isa.R0) && dec[chk].imm == 0 &&
+		(dec[chk].kind == kJneImm || dec[chk].kind == kJeqImm) {
+		h.src, h.tgt = dec[chk].kind, dec[chk].tgt
+	}
+	// The typed variant: the pointer names an array map (re-checked per
+	// run, WrapMaps can interpose later) and the 4-byte key is in the frame.
+	if id := h.imm >> RegionShift; r10ok && h.imm&offMask == 0 && id < uint64(len(vm.regions)) &&
+		vm.regions[id].kind == regMap {
+		fd := vm.regions[id].fd
+		if _, ok := vm.mapsByFD[fd].(*maps.Array); ok {
+			if slot := StackSize + int64(int32(l.imm)); slot >= 0 && slot+4 <= StackSize {
+				h.kind, h.off, h.call = kRunLookupArray, int32(slot), fd
+			}
+		}
+	}
+	return true
 }
 
 // aluApply executes one half of a generic fused ALU pair: v is the
@@ -1473,6 +1528,52 @@ loop:
 			}
 			r[dst] = v >> d.imm
 			pc++
+		case kRunLookup, kRunLookupArray:
+			r[d.dst&15] = d.imm
+			// Whatever the run cannot reproduce bit for bit — per-instruction
+			// stats, a sampled packet's events, budget running out inside it,
+			// an unregistered or replaced helper, a wrapped map — executes the
+			// head alone and lets the absorbed slots dispatch standalone.
+			if ps != nil || vm.sampled || budget < 4 {
+				pc++ // the ld_imm64's second slot
+				break
+			}
+			var v uint64
+			if d.kind == kRunLookup {
+				fn := vm.helperTab[d.call]
+				if fn == nil {
+					pc++
+					break
+				}
+				var e error
+				budget -= 3 // lea pair + call
+				if v, e = fn(vm, d.imm, r[10]+uint64(int64(d.off)), r[3], r[4], r[5]); e != nil {
+					err = fmt.Errorf("at %d (%s): %w", pc+4, p.ins[pc+4], e)
+					break loop
+				}
+			} else {
+				arr, ok := vm.mapsByFD[d.call].(*maps.Array)
+				if !ok || vm.lookupReplaced {
+					pc++
+					break
+				}
+				budget -= 3
+				if off, ok := arr.Offset(binary.LittleEndian.Uint32(stk[d.off:])); ok {
+					v = vm.mapArenas[d.call][0]<<RegionShift + uint64(off)
+				}
+			}
+			r[0] = v
+			r[1], r[2], r[3], r[4], r[5] = 0, 0, 0, 0, 0
+			if d.src == 0 {
+				pc += 4 // resume after the call
+				break
+			}
+			budget--
+			if (v != 0) == (d.src == kJneImm) {
+				pc = int(d.tgt)
+				continue
+			}
+			pc += 5
 		case kNop:
 		default: // kBad
 			err = badInsnErr(p.ins[pc], pc)

@@ -57,7 +57,7 @@ type region struct {
 	// Adopted slices (AdoptMem) alias caller memory and are never reused.
 	owned bool
 	data  []byte
-	m     maps.ArenaMap
+	fd    int32 // regMap: the map's FD (the map itself is mapsByFD[fd])
 }
 
 // Errors reported by the interpreter.
@@ -93,6 +93,8 @@ type VM struct {
 	mapsByFD []maps.ArenaMap
 	// arena region ids, parallel to mapsByFD: one id per arena.
 	mapArenas [][]uint64
+	// id of each map's own (non-addressable) region, parallel to mapsByFD.
+	mapRegions []uint64
 
 	// Helper and kfunc registries: a dense table indexed by the slot the
 	// predecoder resolves call instructions to, plus the id→slot map used
@@ -102,6 +104,10 @@ type VM struct {
 	helperTab []HelperFn
 	kfuncIdx  map[int32]int32
 	kfuncTab  []*Kfunc
+
+	// lookupReplaced: map_lookup_elem is no longer the built-in, so the
+	// kRunLookupArray fast path (which inlines the built-in) must not run.
+	lookupReplaced bool
 
 	objects     []any
 	freeObjects []int
@@ -287,7 +293,8 @@ func (vm *VM) RegisterMap(m maps.ArenaMap) int32 {
 	vm.mapArenas = append(vm.mapArenas, ids)
 	// Register the map object itself as a non-addressable region so map
 	// pointers are distinguishable from memory pointers.
-	vm.regions = append(vm.regions, region{kind: regMap, m: m})
+	vm.regions = append(vm.regions, region{kind: regMap, fd: fd})
+	vm.mapRegions = append(vm.mapRegions, uint64(len(vm.regions)-1))
 	return fd
 }
 
@@ -310,15 +317,7 @@ func (vm *VM) mapPointer(fd int32) (uint64, bool) {
 	if fd < 0 || int(fd) >= len(vm.mapsByFD) {
 		return 0, false
 	}
-	// Map regions are registered after arena regions; find it by scan of
-	// region table is wasteful, so recompute: maps are registered in
-	// order, each adding len(arenas)+1 regions. Cache instead.
-	for id := uint64(1); id < uint64(len(vm.regions)); id++ {
-		if vm.regions[id].kind == regMap && vm.regions[id].m == vm.mapsByFD[fd] {
-			return id << RegionShift, true
-		}
-	}
-	return 0, false
+	return vm.mapRegions[fd] << RegionShift, true
 }
 
 // SetCPU selects the logical CPU: per-CPU maps (array and hash alike)
@@ -343,23 +342,16 @@ func (vm *VM) SetCPU(cpu int) {
 	}
 }
 
-// WrapMaps rewrites every attached map through wrap, updating both the
-// FD table and the map-pointer regions loaded programs resolve through.
+// WrapMaps rewrites every attached map through wrap. Loaded programs'
+// map pointers name the FD, so they resolve to the wrapper from then on.
 // Returning the input (or nil) leaves that map untouched. The chaos
 // harness uses it to interpose maps.Faulty decorators after programs
 // are loaded; arena regions keep aliasing the original backing stores,
 // so existing value pointers stay valid.
 func (vm *VM) WrapMaps(wrap func(m maps.ArenaMap) maps.ArenaMap) {
 	for fd, m := range vm.mapsByFD {
-		w := wrap(m)
-		if w == nil || w == m {
-			continue
-		}
-		vm.mapsByFD[fd] = w
-		for id := 1; id < len(vm.regions); id++ {
-			if vm.regions[id].kind == regMap && vm.regions[id].m == m {
-				vm.regions[id].m = w
-			}
+		if w := wrap(m); w != nil {
+			vm.mapsByFD[fd] = w
 		}
 	}
 }

@@ -65,3 +65,33 @@ func BenchmarkBuildFull(b *testing.B) {
 		}
 	}
 }
+
+// TestENetSTLReplayDoesNotAllocate is the per-packet half of the
+// zero-copy pin (internal/core holds the per-kfunc half): once warm,
+// replaying a trace through any eNetSTL-flavour NF's Process makes no
+// heap allocation — no kfunc converts its buffer, and the VM's call
+// boundary sets nothing up per packet. skiplist is the exception by
+// design: an insert calls kf_node_alloc, which is an allocator.
+func TestENetSTLReplayDoesNotAllocate(t *testing.T) {
+	trace := pktgen.Generate(pktgen.Config{Flows: 256, Packets: 1024, ZipfS: 1.1, Seed: 1})
+	for _, name := range Names() {
+		if !Supports(name, nf.ENetSTL) || name == "skiplist" {
+			continue
+		}
+		b, err := BuildFull(name, nf.ENetSTL, trace)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		replay := func() {
+			for i := range trace.Packets {
+				if _, err := b.Inst.Process(trace.Packets[i][:]); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+		}
+		replay() // tables, free lists and region tables reach their working size
+		if n := testing.AllocsPerRun(3, replay); n != 0 {
+			t.Errorf("%s: %.0f allocations per %d-packet replay, want 0", name, n, len(trace.Packets))
+		}
+	}
+}
