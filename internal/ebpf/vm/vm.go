@@ -636,6 +636,9 @@ func DefaultTier() Tier { return Tier(defaultTier.Load()) }
 // or leave the VM's spin lock wedged.
 func (vm *VM) Run(p *Program, ctx []byte) (ret uint64, err error) {
 	defer func() {
+		// The context is valid for the run only, as an XDP context is:
+		// the VM must not keep the caller's batch alive through it.
+		vm.regions[vm.ctxID].data = nil
 		if rec := recover(); rec != nil {
 			vm.lockHeld = 0
 			atomic.StoreUint32(&vm.lockWord, 0)

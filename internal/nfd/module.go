@@ -12,6 +12,7 @@ package nfd
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -191,9 +192,12 @@ func (r *Registry) Create(req CreateRequest) (*Module, error) {
 		shards = 1
 	}
 
+	// The flow table is a copy: the seed trace's arrays are recycled ones
+	// of whatever capacity the last batch left, and the module outlives
+	// the trace.
 	m := &Module{
 		Name: req.Name, Flavor: flavor.String(), Opts: o.Canon(),
-		flows: seedTrace.FlowKeys, tickBase: make([]uint64, shards),
+		flows: slices.Clone(seedTrace.FlowKeys), tickBase: make([]uint64, shards),
 		created: time.Now(),
 	}
 
@@ -282,12 +286,15 @@ func (e specError) Unwrap() error { return e.error }
 // Ingest replays one batch spec through the module. The batch trace
 // gets the NF's op mix (exactly as the CLIs prepare traces) unless it
 // is a raw replay, then is hash-partitioned across the module's shards.
-// Guard ticks continue from the previous batch per shard.
+// Guard ticks continue from the previous batch per shard. The batch's
+// arrays go back to pktgen's pool when Ingest returns — this is the
+// trace's only owner, and no NF may hold packet memory past Process.
 func (m *Module) Ingest(spec runtime.TraceSpec) (harness.BatchResult, error) {
 	tr, err := spec.Build()
 	if err != nil {
 		return harness.BatchResult{}, specError{err}
 	}
+	defer tr.Release()
 	if len(spec.Raw) == 0 {
 		nfcatalog.PrepareTrace(m.Name, tr)
 	}

@@ -18,8 +18,17 @@ import (
 )
 
 func TestMetricsGuardSeries(t *testing.T) {
+	// Sized so the flood sheds whatever flows the generator draws. The
+	// 800 packets ahead of the first window calibrate both shards'
+	// guards (128 admitted each) with room to spare. A window is 800
+	// packets on 100 ticks; cmsketch costs the same for every packet, so
+	// a tick refills two packets' worth of budget and the bucket holds
+	// 64. The busier shard takes at least four packets a tick and is
+	// empty, hence shedding, within 32 ticks. (At 1200 packets a window
+	// was 30 ticks, and shed only when one shard happened to be well
+	// ahead of the other.)
 	tr := pktgen.GenerateAttack(pktgen.AttackConfig{
-		Base: pktgen.Config{Flows: 128, Packets: 1200, ZipfS: 1.1, Seed: 5},
+		Base: pktgen.Config{Flows: 128, Packets: 4000, ZipfS: 1.1, Seed: 5},
 		Kind: pktgen.ScenarioSYNFlood,
 	})
 	nfcatalog.PrepareTrace("cmsketch", tr)

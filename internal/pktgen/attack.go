@@ -9,9 +9,7 @@
 package pktgen
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"enetstl/internal/ebpf/maps"
@@ -153,91 +151,84 @@ func (c AttackConfig) norm() AttackConfig {
 	return c
 }
 
-// spoofKey synthesizes attack flow i's 5-tuple in a source range
-// (11.x/12.x/13.x) disjoint from the benign 10.x flows.
-func spoofKey(base uint32, i int, dst uint32) [nf.KeyLen]byte {
-	var k [nf.KeyLen]byte
-	binary.LittleEndian.PutUint32(k[0:], base|uint32(i))
-	binary.LittleEndian.PutUint32(k[4:], dst)
-	binary.LittleEndian.PutUint16(k[8:], uint16(1024+i%60000))
-	binary.LittleEndian.PutUint16(k[10:], 443)
-	k[12] = 6
-	return k
-}
+// Attack flows take their sources from ranges (11.x syn-flood, 12.x
+// churn, 13.x hash-collision) disjoint from the benign 10.x flows;
+// attack flow i has source base|i and the port putFlowKeys would give
+// flow i.
+const (
+	synFloodSrc  = 0x0b000000
+	churnSrc     = 0x0c000000
+	collisionSrc = 0x0d000000
+)
 
-// collideKeys derives n flow keys that collide both in the map slot
-// hash (mod buckets) and in the RSS flow hash (mod shards), by brute
-// force over the dst-address field — the adversary's precomputation,
-// aimed at maps.SlotHash, the bucketed core's real placement function,
-// not a stand-in. The targets are taken from key 0 so the colliding
-// set includes a concrete victim pattern rather than an arbitrary
-// constant.
-func collideKeys(n, buckets, shards int) [][nf.KeyLen]byte {
-	out := make([][nf.KeyLen]byte, 0, n)
-	first := spoofKey(0x0d000000, 0, 0)
+// appendCollideKeys appends n flow keys that collide both in the map
+// slot hash (mod buckets) and in the RSS flow hash (mod shards), by
+// brute force over the dst-address field — the adversary's
+// precomputation, aimed at maps.SlotHash, the bucketed core's real
+// placement function, not a stand-in. The targets are taken from key 0
+// so the colliding set includes a concrete victim pattern rather than
+// an arbitrary constant.
+func appendCollideKeys(keys [][nf.KeyLen]byte, n, buckets, shards int) [][nf.KeyLen]byte {
+	var port srcPort
+	var first [nf.KeyLen]byte
+	putKey(&first, collisionSrc, 0, 1024)
 	slotTarget := maps.SlotHash(first[:]) % uint64(buckets)
 	rssTarget := FlowHash(first[:]) % uint32(shards)
 	var dst uint32
-	for i := 0; len(out) < n; i++ {
-		for {
-			k := spoofKey(0x0d000000, i, dst)
+	for i := 0; i < n; i++ {
+		keys = append(keys, [nf.KeyLen]byte{})
+		k := &keys[len(keys)-1]
+		for sport := port.next(); ; {
+			putKey(k, collisionSrc|uint32(i), dst, sport)
 			dst++
 			if maps.SlotHash(k[:])%uint64(buckets) == slotTarget &&
 				FlowHash(k[:])%uint32(shards) == rssTarget {
-				out = append(out, k)
 				break
 			}
 		}
 	}
-	return out
+	return keys
 }
 
 // GenerateAttack builds an adversarial trace for cfg.Kind. The result
 // carries per-packet ground-truth labels, the window list in
-// arrival-tick terms, and a burst-compressed arrival clock.
+// arrival-tick terms, and a burst-compressed arrival clock. Like
+// Generate's, its arrays come from the pool.
 func GenerateAttack(cfg AttackConfig) *Trace {
 	cfg = cfg.norm()
 	rng := rand.New(rand.NewSource(cfg.Base.Seed ^ int64(cfg.Kind)<<32))
+	a := arrayPool.Get().(*arrays)
 	t := &Trace{
-		Packets:  make([]Packet, cfg.Base.Packets),
-		FlowKeys: make([][nf.KeyLen]byte, cfg.Base.Flows),
-		FlowOf:   make([]int32, cfg.Base.Packets),
-		Labels:   make([]uint8, cfg.Base.Packets),
-		Arrival:  make([]uint64, cfg.Base.Packets),
+		Packets: sized(&a.packets, cfg.Base.Packets),
+		// With room for the attack flows appended below: AttackFlows is
+		// every scenario's key budget, so the appends never move it.
+		FlowKeys: sized(&a.flowKeys, cfg.Base.Flows+cfg.AttackFlows)[:cfg.Base.Flows],
+		FlowOf:   sized(&a.flowOf, cfg.Base.Packets),
+		Labels:   sized(&a.labels, cfg.Base.Packets),
+		Arrival:  sized(&a.arrival, cfg.Base.Packets),
 		Scenario: cfg.Kind.String(),
+		pooled:   a,
 	}
-	for i := range t.FlowKeys {
-		t.FlowKeys[i] = flowKey(i, rng)
-	}
-	var z *rand.Zipf
-	if cfg.Base.ZipfS > 0 {
-		z = rand.NewZipf(rng, math.Max(cfg.Base.ZipfS, 1.001), 1, uint64(cfg.Base.Flows-1))
-	}
-	benign := func() int {
-		if z != nil {
-			return int(z.Uint64())
-		}
-		return rng.Intn(cfg.Base.Flows)
-	}
+	putFlowKeys(t.FlowKeys, rng)
+	benign := a.flowDraw(cfg.Base, rng)
 
-	// Attack flow pool. For churn the pool is the extra-flow budget,
-	// filled lazily as flows are born; for the floods it is prebuilt.
-	var pool []int32 // flow indices into t.FlowKeys
-	addFlow := func(k [nf.KeyLen]byte) int32 {
-		t.FlowKeys = append(t.FlowKeys, k)
-		f := int32(len(t.FlowKeys) - 1)
-		pool = append(pool, f)
-		return f
+	// Attack flows follow the benign ones in FlowKeys. The floods prebuild
+	// theirs, AttackFlows of them; churn appends one per birth, up to its
+	// extra-flow budget.
+	var port srcPort
+	addFlow := func(src, dst uint32) int32 {
+		f := len(t.FlowKeys)
+		t.FlowKeys = append(t.FlowKeys, [nf.KeyLen]byte{})
+		putKey(&t.FlowKeys[f], src, dst, port.next())
+		return int32(f)
 	}
 	switch cfg.Kind {
 	case ScenarioSYNFlood:
 		for i := 0; i < cfg.AttackFlows; i++ {
-			addFlow(spoofKey(0x0b000000, i, uint32(rng.Int31())))
+			addFlow(synFloodSrc|uint32(i), uint32(rng.Int31()))
 		}
 	case ScenarioCollision:
-		for _, k := range collideKeys(cfg.AttackFlows, cfg.CollisionBuckets, cfg.CollisionShards) {
-			addFlow(k)
-		}
+		t.FlowKeys = appendCollideKeys(t.FlowKeys, cfg.AttackFlows, cfg.CollisionBuckets, cfg.CollisionShards)
 	}
 
 	// Window spans in packet-index space; tick ranges are recorded as
@@ -287,11 +278,12 @@ func GenerateAttack(cfg AttackConfig) *Trace {
 
 		// Flow choice.
 		f := int32(-1)
+		label := uint8(0)
 		switch cfg.Kind {
 		case ScenarioSYNFlood, ScenarioCollision:
 			if inWin && rng.Float64() < cfg.Intensity {
-				f = pool[rng.Intn(len(pool))]
-				t.Labels[i] = 1
+				f = int32(cfg.Base.Flows + rng.Intn(cfg.AttackFlows))
+				label = 1
 			}
 		case ScenarioChurn:
 			birth := cfg.ChurnBirth
@@ -300,7 +292,7 @@ func GenerateAttack(cfg AttackConfig) *Trace {
 			}
 			if rng.Float64() < birth {
 				if churnN < cfg.AttackFlows {
-					active = append(active, addFlow(spoofKey(0x0c000000, churnN, uint32(rng.Int31()))))
+					active = append(active, addFlow(churnSrc|uint32(churnN), uint32(rng.Int31())))
 					churnN++
 				} else if len(dead) > 0 {
 					// Key budget exhausted: resurrect the oldest dead flow
@@ -318,15 +310,16 @@ func GenerateAttack(cfg AttackConfig) *Trace {
 			if len(active) > 0 && rng.Float64() < 0.5 {
 				f = active[rng.Intn(len(active))]
 				if inWin {
-					t.Labels[i] = 1
+					label = 1
 				}
 			}
 		}
 		if f < 0 {
-			f = int32(benign())
+			f = int32(benign.next())
 		}
 		t.FlowOf[i] = f
-		copy(t.Packets[i][:], t.FlowKeys[f][:])
+		t.Labels[i] = label
+		t.Packets[i].setKey(&t.FlowKeys[f])
 	}
 	return t
 }

@@ -8,7 +8,6 @@ package pktgen
 
 import (
 	"encoding/binary"
-	"math"
 	"math/rand"
 
 	"enetstl/internal/nf"
@@ -58,6 +57,10 @@ type Trace struct {
 	Windows []Window
 	// Scenario names the generator that produced the trace ("" benign).
 	Scenario string
+
+	// pooled is the array set the slices above are views of, nil for
+	// copies (Clone, Shard). See Release.
+	pooled *arrays
 }
 
 // Window is one attack window: the arrival-tick range [Start, End).
@@ -98,47 +101,66 @@ func (t *Trace) AttackPackets() int {
 	return n
 }
 
-// flowKey synthesizes a deterministic 5-tuple for flow i: distinct
-// addresses/ports, proto TCP, zero padding to KeyLen.
-func flowKey(i int, rng *rand.Rand) [nf.KeyLen]byte {
-	var k [nf.KeyLen]byte
-	binary.LittleEndian.PutUint32(k[0:], 0x0a000000|uint32(i))           // src IP 10.x
-	binary.LittleEndian.PutUint32(k[4:], 0xac100000|uint32(rng.Int31())) // dst IP
-	binary.LittleEndian.PutUint16(k[8:], uint16(1024+i%60000))           // src port
-	binary.LittleEndian.PutUint16(k[10:], 443)                           // dst port
-	k[12] = 6                                                            // TCP
-	return k
+// putKey writes a 5-tuple into k in full: addresses, ports, proto TCP,
+// zero padding to KeyLen.
+func putKey(k *[nf.KeyLen]byte, src, dst uint32, sport uint16) {
+	binary.LittleEndian.PutUint32(k[0:], src)
+	binary.LittleEndian.PutUint32(k[4:], dst)
+	binary.LittleEndian.PutUint16(k[8:], sport)
+	binary.LittleEndian.PutUint16(k[10:], 443)
+	binary.LittleEndian.PutUint32(k[12:], 6)
 }
 
-// Generate builds a trace.
+// srcPort is the source port of flow i, 1024 + i%60000, for callers
+// that walk i upwards from 0: a wrapping counter instead of a division
+// per key.
+type srcPort uint16
+
+func (p *srcPort) next() uint16 {
+	port := 1024 + uint16(*p)
+	if *p++; *p == 60000 {
+		*p = 0
+	}
+	return port
+}
+
+// putFlowKeys synthesizes the deterministic 5-tuples of the benign
+// flows in place: distinct 10.x sources and ports, a drawn destination.
+func putFlowKeys(keys [][nf.KeyLen]byte, rng *rand.Rand) {
+	var port srcPort
+	for i := range keys {
+		putKey(&keys[i], 0x0a000000|uint32(i), 0xac100000|uint32(rng.Int31()), port.next())
+	}
+}
+
+// Generate builds a trace. Its arrays come from the pool; the caller
+// owns the trace and may Release it once nothing reads it any more.
 func Generate(cfg Config) *Trace {
 	if cfg.Flows <= 0 {
 		cfg.Flows = 1
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	a := arrayPool.Get().(*arrays)
 	t := &Trace{
-		Packets:  make([]Packet, cfg.Packets),
-		FlowKeys: make([][nf.KeyLen]byte, cfg.Flows),
-		FlowOf:   make([]int32, cfg.Packets),
+		Packets:  sized(&a.packets, cfg.Packets),
+		FlowKeys: sized(&a.flowKeys, cfg.Flows),
+		FlowOf:   sized(&a.flowOf, cfg.Packets),
+		pooled:   a,
 	}
-	for i := range t.FlowKeys {
-		t.FlowKeys[i] = flowKey(i, rng)
-	}
-	var z *rand.Zipf
-	if cfg.ZipfS > 0 {
-		z = rand.NewZipf(rng, math.Max(cfg.ZipfS, 1.001), 1, uint64(cfg.Flows-1))
-	}
+	putFlowKeys(t.FlowKeys, rng)
+	draw := a.flowDraw(cfg, rng)
 	for i := range t.Packets {
-		var f int
-		if z != nil {
-			f = int(z.Uint64())
-		} else {
-			f = rng.Intn(cfg.Flows)
-		}
+		f := draw.next()
 		t.FlowOf[i] = int32(f)
-		copy(t.Packets[i][:], t.FlowKeys[f][:])
+		t.Packets[i].setKey(&t.FlowKeys[f])
 	}
 	return t
+}
+
+// setKey writes the whole packet: the flow key, then zeros.
+func (p *Packet) setKey(k *[nf.KeyLen]byte) {
+	*p = Packet{}
+	copy(p[nf.OffKey:], k[:])
 }
 
 // FlowHash hashes a flow key as NIC RSS hashes the 5-tuple: FNV-1a

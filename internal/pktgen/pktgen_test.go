@@ -221,3 +221,14 @@ func TestApplyArgKeysIsFlowDerived(t *testing.T) {
 		}
 	}
 }
+
+// TestSrcPortWraps: the wrapping counter is 1024 + i%60000 for every i,
+// past the wrap no pinned trace reaches.
+func TestSrcPortWraps(t *testing.T) {
+	var p srcPort
+	for i := 0; i < 130000; i++ {
+		if got, want := p.next(), uint16(1024+i%60000); got != want {
+			t.Fatalf("flow %d: port %d, want %d", i, got, want)
+		}
+	}
+}

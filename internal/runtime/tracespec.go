@@ -39,13 +39,16 @@ func (s TraceSpec) norm() TraceSpec {
 	return s
 }
 
-// Build materializes the trace.
+// Build materializes the trace. Its arrays are recycled ones
+// (pktgen.Trace.Release): the caller owns the trace, and either
+// releases it once nothing holds one of its slices or lets it go.
 func (s TraceSpec) Build() (*pktgen.Trace, error) {
 	if len(s.Raw) > 0 {
 		if err := checkLimit("trace.raw", len(s.Raw), MaxTracePackets); err != nil {
 			return nil, err
 		}
-		tr := &pktgen.Trace{Packets: make([]pktgen.Packet, len(s.Raw))}
+		// Recycled packets: each is overwritten in full below.
+		tr := pktgen.NewTrace(len(s.Raw))
 		// One scratch for every packet: the canonical encoding of PktSize
 		// bytes is 88 characters, which DecodedLen rounds up to PktSize+2.
 		var scratch [nf.PktSize + 2]byte

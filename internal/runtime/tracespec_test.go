@@ -61,18 +61,30 @@ func TestRawBuildErrors(t *testing.T) {
 	}
 }
 
-// TestRawBuildAllocs pins the raw ingest path at the two allocations
-// its result needs (the Trace and its packet array): decoding goes
-// through one stack scratch, not a heap slice per packet.
+// TestRawBuildAllocs pins the raw ingest path at the allocations its
+// result needs: the Trace alone when the caller releases its batches
+// (the packet array is recycled), and the Trace, a fresh array set and
+// its packet array when, like the bench twin, it never does. Decoding
+// goes through one stack scratch, not a heap slice per packet.
 func TestRawBuildAllocs(t *testing.T) {
 	spec := TraceSpec{Raw: rawPackets(256, nf.PktSize)}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := spec.Build(); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name    string
+		release bool
+		max     float64
+	}{{"released", true, 1}, {"never released", false, 3}} {
+		allocs := testing.AllocsPerRun(20, func() {
+			tr, err := spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.release {
+				tr.Release()
+			}
+		})
+		if allocs > c.max {
+			t.Errorf("%s: 256-packet raw build made %.0f allocations, want <= %.0f", c.name, allocs, c.max)
 		}
-	})
-	if allocs > 2 {
-		t.Fatalf("256-packet raw build made %.0f allocations, want <= 2", allocs)
 	}
 }
 
