@@ -56,22 +56,17 @@ func (p *PerCPUArray) LookupArena(key []byte) (int, int, bool) {
 }
 
 // LRUHash arena support: the core stores all values in one contiguous
-// arena at slot*ValueSize offsets, so the LRU layer forwards to it and
-// derives offsets from the slot index it already tracks.
+// arena at slot*ValueSize offsets, so the LRU layer forwards to it.
 
 func (l *LRUHash) ArenaCount() int    { return l.core.ArenaCount() }
 func (l *LRUHash) Arena(i int) []byte { return l.core.Arena(i) }
 
 // LookupArena resolves key and refreshes its recency.
 func (l *LRUHash) LookupArena(key []byte) (int, int, bool) {
-	if len(key) != l.core.KeySize() {
+	i := l.find(key)
+	if i < 0 {
 		return 0, 0, false
 	}
-	i, ok := l.slotOf[string(key)]
-	if !ok {
-		return 0, 0, false
-	}
-	l.unlink(i)
-	l.pushFront(i)
-	return 0, int(i) * l.core.ValueSize(), true
+	l.touch(i)
+	return 0, i * l.core.valueSize, true
 }

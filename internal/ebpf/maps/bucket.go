@@ -1,6 +1,7 @@
 package maps
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -168,18 +169,6 @@ func (h *BucketHash) MaxEntries() int { return h.maxEntries }
 // Len returns the number of stored entries.
 func (h *BucketHash) Len() int { return h.count }
 
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func (h *BucketHash) tagAt(i int) uint8 {
 	return uint8(h.tags[i>>3] >> ((i & 7) * 8))
 }
@@ -207,7 +196,7 @@ func (h *BucketHash) findIn(base, words int, fp uint8, key []byte) int {
 	for w := 0; w < words; w++ {
 		for m := matchBytes(h.tags[base>>3+w], fp); m != 0; m &= m - 1 {
 			slot := base + w*8 + bits.TrailingZeros64(m)>>3
-			if h.tagAt(slot) == fp && bytesEqual(h.keyAt(slot), key) {
+			if h.tagAt(slot) == fp && bytes.Equal(h.keyAt(slot), key) {
 				return slot
 			}
 		}
@@ -226,12 +215,13 @@ func (h *BucketHash) emptyIn(base, words int) int {
 	return -1
 }
 
-// lookupSlot finds key's global slot, or -1. Each level is consulted
+// lookupSlot finds the global slot of key, whose SlotHash is hv, or
+// -1. Every operation hashes its key once and hands the hash to the
+// probe and, for an insert, to the placement. Each level is consulted
 // only if the previous level's bucket has overflowed at some point; the
 // probe set for a key is therefore fixed, which is why deletes need no
 // tombstones.
-func (h *BucketHash) lookupSlot(key []byte) int {
-	hv := SlotHash(key)
+func (h *BucketHash) lookupSlot(hv uint64, key []byte) int {
 	fp := fingerprint(hv)
 	i1 := int(hv & h.mask1)
 	if s := h.findIn(i1*l1Width, l1Width/8, fp, key); s >= 0 {
@@ -265,11 +255,11 @@ func (h *BucketHash) place(slot int, fp uint8, key, value []byte) {
 	h.count++
 }
 
-// insertAbsent places a key known to be absent, spilling level by
-// level. The stash holds maxEntries slots and at most count of them are
-// occupied, so while count < maxEntries this cannot fail.
-func (h *BucketHash) insertAbsent(key, value []byte) (int, error) {
-	hv := SlotHash(key)
+// insertAbsent places a key known to be absent (hv is its SlotHash),
+// spilling level by level. The stash holds maxEntries slots and at most
+// count of them are occupied, so while count < maxEntries this cannot
+// fail.
+func (h *BucketHash) insertAbsent(hv uint64, key, value []byte) (int, error) {
 	fp := fingerprint(hv)
 	i1 := int(hv & h.mask1)
 	if s := h.emptyIn(i1*l1Width, l1Width/8); s >= 0 {
@@ -308,7 +298,7 @@ func (h *BucketHash) Lookup(key []byte) []byte {
 	if len(key) != h.keySize {
 		return nil
 	}
-	if s := h.lookupSlot(key); s >= 0 {
+	if s := h.lookupSlot(SlotHash(key), key); s >= 0 {
 		return h.valAt(s)
 	}
 	return nil
@@ -323,14 +313,15 @@ func (h *BucketHash) Update(key, value []byte) error {
 	if len(value) != h.valueSize {
 		return ErrValueSize
 	}
-	if s := h.lookupSlot(key); s >= 0 {
+	hv := SlotHash(key)
+	if s := h.lookupSlot(hv, key); s >= 0 {
 		copy(h.valAt(s), value)
 		return nil
 	}
 	if h.count >= h.maxEntries {
 		return ErrNoSpace
 	}
-	_, err := h.insertAbsent(key, value)
+	_, err := h.insertAbsent(hv, key, value)
 	return err
 }
 
@@ -339,11 +330,11 @@ func (h *BucketHash) Delete(key []byte) error {
 	if len(key) != h.keySize {
 		return ErrKeySize
 	}
-	s := h.lookupSlot(key)
+	s := h.lookupSlot(SlotHash(key), key)
 	if s < 0 {
 		return ErrNotFound
 	}
-	h.removeSlot(int32(s))
+	h.removeSlot(s)
 	return nil
 }
 
@@ -357,33 +348,20 @@ func (h *BucketHash) LookupArena(key []byte) (int, int, bool) {
 	if len(key) != h.keySize {
 		return 0, 0, false
 	}
-	s := h.lookupSlot(key)
+	s := h.lookupSlot(SlotHash(key), key)
 	if s < 0 {
 		return 0, 0, false
 	}
 	return 0, s * h.valueSize, true
 }
 
-// Slot-level access for the LRU recency layer, which addresses entries
-// by the stable slot index it links its list through.
-
-func (h *BucketHash) insertSlot(key, value []byte) (int32, error) {
-	if s := h.lookupSlot(key); s >= 0 {
-		copy(h.valAt(s), value)
-		return int32(s), nil
-	}
-	s, err := h.insertAbsent(key, value)
-	return int32(s), err
-}
-
-func (h *BucketHash) removeSlot(i int32) {
-	h.setTag(int(i), 0)
-	clear(h.valAt(int(i)))
+// removeSlot frees slot i. The LRU recency layer evicts through it: a
+// victim is addressed by the slot its list links through, never by key.
+func (h *BucketHash) removeSlot(i int) {
+	h.setTag(i, 0)
+	clear(h.valAt(i))
 	h.count--
-	if int(i) >= h.stashBase {
+	if i >= h.stashBase {
 		h.stashLive--
 	}
 }
-
-func (h *BucketHash) keyAtSlot(i int32) []byte { return h.keyAt(int(i)) }
-func (h *BucketHash) valAtSlot(i int32) []byte { return h.valAt(int(i)) }

@@ -1,6 +1,9 @@
 package maps
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // FlatHash is the hash core BucketHash replaced (PR 8): fixed key and
 // value sizes, bounded capacity, and open addressing with tombstones
@@ -92,7 +95,7 @@ func (h *FlatHash) find(key []byte) (uint64, bool) {
 			}
 			return insert, false
 		case 1:
-			if bytesEqual(h.keyAt(i), key) {
+			if bytes.Equal(h.keyAt(i), key) {
 				return i, true
 			}
 		case 2:

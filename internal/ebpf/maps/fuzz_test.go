@@ -22,6 +22,9 @@ const (
 // fuzzOp decodes one operation from a 3-byte group: selector, key index
 // (folded into the small key space), and a value seed expanded to a full
 // value. Deterministic decoding means every crashing input replays.
+// The selector's high bit is left for driveModel's LRU-only ops, so a
+// corpus written before those existed (selectors < 0x80) replays as the
+// same Update/Lookup/Delete stream.
 func fuzzOp(group []byte) (op int, key, value []byte) {
 	op = int(group[0]) % 3
 	key = make([]byte, fuzzKeySize)
@@ -93,6 +96,20 @@ func (mm *modelMap) lookup(key []byte) []byte {
 	return v
 }
 
+// peek mirrors LRUHash.Peek: a read that leaves the order alone.
+func (mm *modelMap) peek(key []byte) []byte { return mm.m[string(key)] }
+
+// evictOldest mirrors LRUHash.EvictOldest: the n least recently used
+// keys go, or all of them when fewer remain.
+func (mm *modelMap) evictOldest(n int) int {
+	n = min(n, len(mm.order))
+	for _, k := range mm.order[len(mm.order)-n:] {
+		delete(mm.m, k)
+	}
+	mm.order = mm.order[:len(mm.order)-n]
+	return n
+}
+
 func (mm *modelMap) delete(key []byte) error {
 	k := string(key)
 	if _, ok := mm.m[k]; !ok {
@@ -120,11 +137,18 @@ func lenOf(m maps.Map) int {
 }
 
 // driveModel replays one decoded op sequence against a real map and the
-// model, asserting result-for-result agreement.
+// model, asserting result-for-result agreement. For the LRU flavour (m
+// is then an *LRUHash) a selector with its high bit set moves the op up
+// by three — 3 Peek (0x81), 4 LookupArena (0x82), 5 EvictOldest (0x80)
+// — and the map's structural invariant is checked after every op.
 func driveModel(t *testing.T, m maps.Map, model *modelMap, data []byte) {
 	t.Helper()
+	lru, _ := m.(*maps.LRUHash)
 	for i := 0; i+3 <= len(data); i += 3 {
 		op, key, value := fuzzOp(data[i : i+3])
+		if lru != nil && data[i] >= 0x80 {
+			op += 3
+		}
 		switch op {
 		case 0:
 			gotErr := m.Update(key, value)
@@ -147,9 +171,47 @@ func driveModel(t *testing.T, m maps.Map, model *modelMap, data []byte) {
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("op %d: Delete(%x) = %v, model says %v", i/3, key, gotErr, wantErr)
 			}
+		case 3:
+			if got, want := lru.Peek(key), model.peek(key); !bytes.Equal(got, want) || (got == nil) != (want == nil) {
+				t.Fatalf("op %d: Peek(%x) = %x, model says %x", i/3, key, got, want)
+			}
+		case 4:
+			arena, off, ok := lru.LookupArena(key)
+			want := model.lookup(key)
+			if ok != (want != nil) {
+				t.Fatalf("op %d: LookupArena(%x) presence = %v, model says %v", i/3, key, ok, want != nil)
+			}
+			if !ok {
+				break
+			}
+			if slot := lru.SlotOf(key); arena != 0 || off != slot*fuzzValueSize {
+				t.Fatalf("op %d: LookupArena(%x) = arena %d offset %d, key is in slot %d", i/3, key, arena, off, slot)
+			}
+			if got := lru.Arena(0)[off : off+fuzzValueSize]; !bytes.Equal(got, want) {
+				t.Fatalf("op %d: LookupArena(%x) addresses %x, model says %x", i/3, key, got, want)
+			}
+		case 5:
+			n := int(data[i+2]) % (fuzzMaxEntries + 2)
+			if got, want := lru.EvictOldest(n), model.evictOldest(n); got != want {
+				t.Fatalf("op %d: EvictOldest(%d) = %d, model says %d", i/3, n, got, want)
+			}
+			// Exactly the model's n oldest went: Peek keeps the check
+			// from disturbing the order it checks.
+			var k [fuzzKeySize]byte
+			for j := uint32(0); j < fuzzKeySpace; j++ {
+				binary.LittleEndian.PutUint32(k[:], j)
+				if got, want := lru.Peek(k[:]) != nil, model.peek(k[:]) != nil; got != want {
+					t.Fatalf("op %d: after EvictOldest(%d) key %d present = %v, model says %v", i/3, n, j, got, want)
+				}
+			}
 		}
 		if n := lenOf(m); n != len(model.m) {
 			t.Fatalf("op %d: Len() = %d, model holds %d", i/3, n, len(model.m))
+		}
+		if lru != nil {
+			if err := lru.CheckInvariant(); err != nil {
+				t.Fatalf("op %d: %v", i/3, err)
+			}
 		}
 	}
 	// Post-sequence sweep: every key in the model must be present with
@@ -214,8 +276,14 @@ func FuzzBucketHashModel(f *testing.F) {
 }
 
 // FuzzLRUHashModel cross-checks the LRU hash against the model,
-// including the recency discipline: lookups and overwrites refresh, and
-// inserting at capacity evicts exactly the least recently used key.
+// including the recency discipline: lookups (by slice or by arena
+// offset) and overwrites refresh, a Peek does not, inserting at
+// capacity evicts exactly the least recently used key and EvictOldest
+// exactly the n least recently used. The same stream also drives one
+// copy of a per-CPU LRU hash through CPU(i), whose sibling must stay
+// empty. testdata/fuzz/FuzzLRUHashModel/seed_peek_evict_reinsert fills
+// the map, peeks the oldest key, refreshes the next through the arena,
+// batch-evicts three and reinserts.
 func FuzzLRUHashModel(f *testing.F) {
 	f.Add([]byte{0, 1, 1})
 	// Fill to capacity, refresh the oldest via lookup, then insert two
@@ -230,6 +298,11 @@ func FuzzLRUHashModel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l := maps.Must(maps.NewLRUHash(fuzzKeySize, fuzzValueSize, fuzzMaxEntries))
 		driveModel(t, l, newModel(true), data)
+		p := maps.Must(maps.NewPerCPULRUHash(fuzzKeySize, fuzzValueSize, fuzzMaxEntries, 2))
+		driveModel(t, p.CPU(1), newModel(true), data)
+		if n := p.CPU(0).Len(); n != 0 {
+			t.Fatalf("ops on CPU 1's copy left %d entries in CPU 0's", n)
+		}
 	})
 }
 

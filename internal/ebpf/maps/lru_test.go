@@ -7,6 +7,7 @@ package maps
 
 import (
 	"encoding/binary"
+	"runtime"
 	"testing"
 )
 
@@ -173,5 +174,129 @@ func TestLRUInsertFails(t *testing.T) {
 	}
 	if l.InsertFails != 0 {
 		t.Fatal("size validation should not count as an insert fail")
+	}
+}
+
+// heapAfterGC is the live heap: HeapAlloc once two forced collections
+// have swept everything unreachable.
+func heapAfterGC() int {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int(ms.HeapAlloc)
+}
+
+// TestLRUFootprintCoversHeap holds the map-memory quota to the truth:
+// a full LRU map keeps no heap that Footprint() does not meter. The
+// slack is 2 % plus 4 KB for the two structs, the slice headers and
+// size-class rounding. A key→slot Go map kept beside the core, which
+// Footprint() cannot see, reads +70 % at 128 entries and +61 % at
+// 65 536. The runtime now and then allocates for itself inside the
+// window (≈ 6 KB once, after a process's first forced collections), so
+// a reading out of bounds is taken again: an unmetered structure shows
+// in every reading, a stray allocation in one.
+func TestLRUFootprintCoversHeap(t *testing.T) {
+	// measure fills an n-entry map, churns every entry out once, and
+	// returns the live heap it added beside its footprint.
+	measure := func(n int) (grew, fp int) {
+		before := heapAfterGC()
+		l := Must(NewLRUHash(16, 16, n))
+		var k [16]byte
+		for i := 0; i < 2*n; i++ {
+			binary.LittleEndian.PutUint64(k[:], uint64(i))
+			if err := l.Update(k[:], k[:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		grew = heapAfterGC() - before
+		runtime.KeepAlive(l)
+		return grew, l.Footprint()
+	}
+	off := func(grew, fp int) bool {
+		slack := fp/50 + 4096
+		return grew > fp+slack || grew < fp-slack
+	}
+	for _, n := range []int{128, 65536} {
+		grew, fp := measure(n)
+		for retry := 0; retry < 2 && off(grew, fp); retry++ {
+			grew, fp = measure(n)
+		}
+		if off(grew, fp) {
+			t.Errorf("%d entries: live heap grew %d B, Footprint() = %d B (%+.1f %%)",
+				n, grew, fp, 100*float64(grew-fp)/float64(fp))
+		}
+	}
+}
+
+// TestLRUOpsDoNotAllocate pins every LRU entry point at zero
+// allocations on a full map: with one index there is no key string to
+// build, on a hit, a miss, an insert or an eviction.
+func TestLRUOpsDoNotAllocate(t *testing.T) {
+	const n = 128
+	l := Must(NewLRUHash(8, 8, n))
+	var kb, vb [8]byte
+	key := func(i uint64) []byte {
+		binary.LittleEndian.PutUint64(kb[:], i)
+		return kb[:]
+	}
+	next := uint64(0) // first key never inserted
+	insert := func() {
+		if err := l.Update(key(next), vb[:]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for next < n {
+		insert()
+	}
+	newest := func() []byte { return key(next - 1) }
+	for _, op := range []struct {
+		name string
+		f    func()
+	}{
+		{"Lookup hit", func() {
+			if l.Lookup(newest()) == nil {
+				t.Fatal("resident key missing")
+			}
+		}},
+		{"Lookup miss", func() {
+			if l.Lookup(key(next)) != nil {
+				t.Fatal("absent key found")
+			}
+		}},
+		{"LookupArena", func() {
+			if _, _, ok := l.LookupArena(newest()); !ok {
+				t.Fatal("resident key missing")
+			}
+		}},
+		{"Update overwrite", func() {
+			if err := l.Update(newest(), vb[:]); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Update insert with eviction", func() {
+			ev := l.Evictions
+			insert()
+			if l.Evictions != ev+1 {
+				t.Fatal("insert into a full map did not evict")
+			}
+		}},
+		{"Delete", func() {
+			if err := l.Delete(newest()); err != nil {
+				t.Fatal(err)
+			}
+			insert()
+		}},
+		{"EvictOldest", func() {
+			if l.EvictOldest(1) != 1 {
+				t.Fatal("nothing evicted")
+			}
+			insert()
+		}},
+	} {
+		if a := testing.AllocsPerRun(100, op.f); a != 0 {
+			t.Errorf("%s: %.1f allocs per run, want 0", op.name, a)
+		}
 	}
 }

@@ -231,15 +231,16 @@ func NewHash(keySize, valueSize, maxEntries int) (HashMap, error) {
 // --- LRUHash ---
 
 // LRUHash is a hash map that evicts the least recently used entry when
-// full. Recency is tracked with an intrusive doubly-linked list over
-// slot indices, as BPF_MAP_TYPE_LRU_HASH does per CPU. Slot indices
-// stay valid for the life of an entry: the core never moves one.
+// full. Like BPF_MAP_TYPE_LRU_HASH it is one hash table with the
+// recency list threaded through its nodes: the bucketed core is the
+// only index, and prev/next link its slots (head = most recent). Slot
+// indices stay valid for the life of an entry — the core never moves
+// one — so an entry is found by one probe of the core and a victim is
+// evicted by slot, without its key.
 type LRUHash struct {
 	core       *BucketHash
-	maxEntries int
 	prev, next []int32
-	head, tail int32 // head = most recent
-	slotOf     map[string]int32
+	head, tail int32
 
 	// Evictions counts LRU victims removed to make room for inserts;
 	// InsertFails counts inserts the table still refused. Both were
@@ -256,25 +257,22 @@ func NewLRUHash(keySize, valueSize, maxEntries int) (*LRUHash, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := core.nslots
 	return &LRUHash{
-		core:       core,
-		maxEntries: maxEntries,
-		prev:       make([]int32, n),
-		next:       make([]int32, n),
-		head:       -1,
-		tail:       -1,
-		slotOf:     make(map[string]int32, maxEntries),
+		core: core,
+		prev: make([]int32, core.nslots),
+		next: make([]int32, core.nslots),
+		head: -1,
+		tail: -1,
 	}, nil
 }
 
 func (l *LRUHash) Type() Type      { return TypeLRUHash }
-func (l *LRUHash) KeySize() int    { return l.core.KeySize() }
-func (l *LRUHash) ValueSize() int  { return l.core.ValueSize() }
-func (l *LRUHash) MaxEntries() int { return l.maxEntries }
+func (l *LRUHash) KeySize() int    { return l.core.keySize }
+func (l *LRUHash) ValueSize() int  { return l.core.valueSize }
+func (l *LRUHash) MaxEntries() int { return l.core.maxEntries }
 
 // Len returns the number of stored entries.
-func (l *LRUHash) Len() int { return l.core.Len() }
+func (l *LRUHash) Len() int { return l.core.count }
 
 func (l *LRUHash) unlink(i int32) {
 	if l.prev[i] >= 0 {
@@ -301,68 +299,75 @@ func (l *LRUHash) pushFront(i int32) {
 	}
 }
 
+// find returns key's slot in the core, or -1 (also for a key of the
+// wrong size, which no slot can hold).
+func (l *LRUHash) find(key []byte) int {
+	if len(key) != l.core.keySize {
+		return -1
+	}
+	return l.core.lookupSlot(SlotHash(key), key)
+}
+
+// touch marks slot i most recently used.
+func (l *LRUHash) touch(i int) {
+	l.unlink(int32(i))
+	l.pushFront(int32(i))
+}
+
+// evict removes the least recently used entry; the list must not be
+// empty.
+func (l *LRUHash) evict() {
+	victim := l.tail
+	l.unlink(victim)
+	l.core.removeSlot(int(victim))
+	l.Evictions++
+}
+
 // Lookup returns the value and marks the entry most recently used.
 func (l *LRUHash) Lookup(key []byte) []byte {
-	if len(key) != l.core.KeySize() {
+	i := l.find(key)
+	if i < 0 {
 		return nil
 	}
-	i, ok := l.slotOf[string(key)]
-	if !ok {
-		return nil
-	}
-	l.unlink(i)
-	l.pushFront(i)
-	return l.core.valAtSlot(i)
+	l.touch(i)
+	return l.core.valAt(i)
 }
 
 // Peek returns the value without refreshing its recency — the
 // control-plane read path (merge-on-read aggregation, tests) that must
 // not perturb the eviction order the datapath sees.
 func (l *LRUHash) Peek(key []byte) []byte {
-	if len(key) != l.core.KeySize() {
+	i := l.find(key)
+	if i < 0 {
 		return nil
 	}
-	i, ok := l.slotOf[string(key)]
-	if !ok {
-		return nil
-	}
-	return l.core.valAtSlot(i)
+	return l.core.valAt(i)
 }
 
-// Update inserts or refreshes key, evicting the LRU entry when full.
+// Update inserts or refreshes key, evicting the LRU entry when full:
+// one hash, one probe for presence, one placement.
 func (l *LRUHash) Update(key, value []byte) error {
-	if len(key) != l.core.KeySize() {
+	if len(key) != l.core.keySize {
 		return ErrKeySize
 	}
-	if len(value) != l.core.ValueSize() {
+	if len(value) != l.core.valueSize {
 		return ErrValueSize
 	}
-	if i, ok := l.slotOf[string(key)]; ok {
-		copy(l.core.valAtSlot(i), value)
-		l.unlink(i)
-		l.pushFront(i)
+	hv := SlotHash(key)
+	if i := l.core.lookupSlot(hv, key); i >= 0 {
+		copy(l.core.valAt(i), value)
+		l.touch(i)
 		return nil
 	}
-	if l.core.Len() >= l.maxEntries {
-		// Evict least recently used.
-		victim := l.tail
-		if victim < 0 {
-			l.InsertFails++
-			return ErrNoSpace
-		}
-		vkey := string(l.core.keyAtSlot(victim))
-		l.unlink(victim)
-		delete(l.slotOf, vkey)
-		l.core.removeSlot(victim)
-		l.Evictions++
+	if l.core.count >= l.core.maxEntries {
+		l.evict()
 	}
-	i, err := l.core.insertSlot(key, value)
+	i, err := l.core.insertAbsent(hv, key, value)
 	if err != nil {
 		l.InsertFails++
 		return err
 	}
-	l.slotOf[string(key)] = i
-	l.pushFront(i)
+	l.pushFront(int32(i))
 	return nil
 }
 
@@ -372,29 +377,22 @@ func (l *LRUHash) Update(key, value []byte) error {
 // paths stop paying one eviction per packet.
 func (l *LRUHash) EvictOldest(n int) int {
 	evicted := 0
-	for evicted < n && l.tail >= 0 {
-		victim := l.tail
-		vkey := string(l.core.keyAtSlot(victim))
-		l.unlink(victim)
-		delete(l.slotOf, vkey)
-		l.core.removeSlot(victim)
-		l.Evictions++
-		evicted++
+	for ; evicted < n && l.tail >= 0; evicted++ {
+		l.evict()
 	}
 	return evicted
 }
 
 // Delete removes key.
 func (l *LRUHash) Delete(key []byte) error {
-	if len(key) != l.core.KeySize() {
+	if len(key) != l.core.keySize {
 		return ErrKeySize
 	}
-	i, ok := l.slotOf[string(key)]
-	if !ok {
+	i := l.core.lookupSlot(SlotHash(key), key)
+	if i < 0 {
 		return ErrNotFound
 	}
-	l.unlink(i)
-	delete(l.slotOf, string(key))
+	l.unlink(int32(i))
 	l.core.removeSlot(i)
 	return nil
 }

@@ -173,6 +173,7 @@ type Guard struct {
 	wdStreak int
 	clean    int
 	pktIdx   uint64
+	wmPhase  int // admitted packets mod WatermarkEvery; probes run at 0
 
 	calN   int
 	calSum uint64

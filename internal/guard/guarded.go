@@ -124,6 +124,9 @@ func (w *Guarded) ProcessAt(pkt []byte, tick uint64) (uint64, Action, error) {
 		cost = g.cfg.NativeCost
 	}
 	g.admitted.Add(1)
+	if g.wmPhase++; g.wmPhase == g.cfg.WatermarkEvery {
+		g.wmPhase = 0
+	}
 	g.account(cost, pkt)
 	return v, ActionAdmit, err
 }
@@ -167,7 +170,7 @@ func (g *Guard) account(cost uint64, pkt []byte) {
 
 	// Watermarks, on a fixed admitted-packet cadence.
 	if len(g.marks) > 0 || g.degraded {
-		if g.admitted.Load()%uint64(g.cfg.WatermarkEvery) == 0 {
+		if g.wmPhase == 0 {
 			switch {
 			case !g.degraded && g.pressure(func(m Watermark) float64 { return m.High }):
 				g.setDegraded(true, pkt)
