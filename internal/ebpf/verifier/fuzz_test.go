@@ -78,16 +78,18 @@ func FuzzVerifier(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x95, 0, 0, 0, 0, 0, 0, 0}) // bare exit: R0 uninitialized
 	f.Add([]byte{0x85, 0, 0, 0, 1, 0, 0, 0}) // bare call map_lookup
+	// The soundness holes of TestSignedBoundNeedsNonNegative and
+	// TestHugeVariableOffsetRejected, and the zero register divisor of
+	// TestDivModByZero; testdata/fuzz/FuzzVerifier holds the same bytes.
+	f.Add(encodeProg(signedBoundHole()))
+	f.Add(encodeProg(hugeOffsetHole()))
+	f.Add(encodeProg(zeroRegisterDivisor(isa.ALUDiv)))
 
-	ctx := make([]byte, 64)
-	for i := range ctx {
-		ctx[i] = byte(i)
-	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prog := decodeProg(data)
 		machine := vm.New()
 		machine.RegisterMap(maps.Must(maps.NewArray(16, 4)))
-		if err := verifier.Verify(machine, prog, verifier.Options{CtxSize: len(ctx)}); err != nil {
+		if err := verifier.Verify(machine, prog, verifier.Options{CtxSize: 64}); err != nil {
 			if !errors.Is(err, verifier.ErrRejected) {
 				t.Fatalf("non-rejection verify error: %v", err)
 			}
@@ -97,7 +99,7 @@ func FuzzVerifier(f *testing.F) {
 		if err != nil {
 			t.Fatalf("verified program failed to load: %v", err)
 		}
-		if _, err := machine.Run(loaded, append([]byte(nil), ctx...)); err != nil && !errors.Is(err, vm.ErrBudget) {
+		if err := faultOnEitherContext(machine, loaded); err != nil {
 			t.Fatalf("verified program faulted at runtime: %v\n%s", err, isa.Disassemble(prog))
 		}
 	})

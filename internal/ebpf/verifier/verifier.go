@@ -1,22 +1,27 @@
 // Package verifier statically checks simulated eBPF programs before
 // they are loaded, enforcing the safety rules the paper's design leans
-// on (§4.1, §4.4): safe termination (bounded loops via constant
-// tracking plus a verification budget), memory safety (bounds-checked
-// loads/stores, initialized-stack reads), null-check enforcement for
-// KF_RET_NULL kfuncs and map lookups, reference acquire/release
-// balancing for KF_ACQUIRE/KF_RELEASE, and spin-lock coupling for the
-// BPF linked-list helpers.
+// on (§4.1, §4.4): safe termination (every trip round a loop must change
+// the abstract state it is judged by, within a verification budget),
+// memory safety (bounds-checked loads/stores, initialized-stack reads),
+// null-check enforcement for KF_RET_NULL kfuncs and map lookups,
+// reference acquire/release balancing for KF_ACQUIRE/KF_RELEASE, and
+// spin-lock coupling for the BPF linked-list helpers.
 //
 // The checker explores program paths with abstract register states.
 // Scalars track known constants and unsigned upper bounds (so masked
 // indices verify variable-offset map access, and constant-bounded loops
 // unroll); pointers track their region, a known offset, and a variable
-// offset bound.
+// offset bound. At every jump the state is first widened to what a later
+// check can still observe (demand.go) and then compared with the states
+// already explored there: one whose subtree is finished prunes the path,
+// one still being explored is a loop that made no progress.
 package verifier
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"enetstl/internal/ebpf/isa"
 	"enetstl/internal/ebpf/maps"
@@ -152,11 +157,20 @@ type checker struct {
 	nextRef int32
 	steps   int
 
-	// seen holds canonicalized states already explored at jump
-	// instructions; arriving there again in an equivalent state prunes
-	// the path (the states_equal pruning of the kernel verifier, which
-	// makes data-dependent loops tractable).
-	seen map[string]struct{}
+	// valDemand and bndDemand hold, per pc, the registers whose scalar
+	// value (resp. upper bound) a check at or after pc can observe; see
+	// demand.go.
+	valDemand, bndDemand []regMask
+
+	// seen numbers the canonicalized states reached at jump
+	// instructions, in order of first arrival, and open says which of
+	// them still have unexplored descendants. Arriving in a state equal
+	// to a finished one prunes the path (the states_equal pruning of the
+	// kernel verifier, which makes data-dependent loops tractable);
+	// arriving in one equal to an open state means the path came back to
+	// its own ancestor with nothing changed, so the loop need not end.
+	seen map[string]int
+	open []bool
 	enc  []byte
 }
 
@@ -223,6 +237,19 @@ func (c *checker) canonKey(st *vstate) string {
 // Verify statically checks prog against the maps and kfuncs registered
 // in machine. It must run before machine.Load.
 func Verify(machine *vm.VM, prog []isa.Instruction, opts Options) error {
+	_, err := verify(machine, prog, opts)
+	return err
+}
+
+// closeMark sits under the successors a run segment pushed on the work
+// stack: once the stack is back down to depth, everything reachable from
+// the states numbered [lo, hi) has been explored and they stop being
+// open.
+type closeMark struct{ depth, lo, hi int }
+
+// verify is Verify, also handing back the checker so in-package tests
+// can read how much work the exploration took.
+func verify(machine *vm.VM, prog []isa.Instruction, opts Options) (*checker, error) {
 	if opts.CtxSize == 0 {
 		opts.CtxSize = 64
 	}
@@ -230,12 +257,12 @@ func Verify(machine *vm.VM, prog []isa.Instruction, opts Options) error {
 		opts.StateBudget = 1 << 20
 	}
 	if len(prog) == 0 {
-		return rejectf(0, "empty program")
+		return nil, rejectf(0, "empty program")
 	}
 	c := &checker{
 		vm: machine, prog: prog, opts: opts,
 		valid: make([]bool, len(prog)),
-		seen:  make(map[string]struct{}),
+		seen:  make(map[string]int),
 	}
 	for i := 0; i < len(prog); i++ {
 		c.valid[i] = true
@@ -244,7 +271,7 @@ func Verify(machine *vm.VM, prog []isa.Instruction, opts Options) error {
 		// calls and ld_imm64 are all below it), and the per-class steps
 		// index the register file with these fields.
 		if !prog[i].Dst.Valid() || !prog[i].Src.Valid() {
-			return rejectf(i, "bad register field (dst r%d, src r%d)", prog[i].Dst, prog[i].Src)
+			return c, rejectf(i, "bad register field (dst r%d, src r%d)", prog[i].Dst, prog[i].Src)
 		}
 		// ja, call and exit exist in the JMP class only. The executors
 		// fall through a JMP32 carrying those op bits, so reading them
@@ -252,19 +279,20 @@ func Verify(machine *vm.VM, prog []isa.Instruction, opts Options) error {
 		if prog[i].Class() == isa.ClassJMP32 {
 			switch prog[i].JmpOp() {
 			case isa.JmpJA, isa.JmpCall, isa.JmpExit:
-				return rejectf(i, "unsupported JMP32 instruction %#x", prog[i].Op)
+				return c, rejectf(i, "unsupported JMP32 instruction %#x", prog[i].Op)
 			}
 		}
 		if prog[i].IsLoadImm64() {
 			if i+1 >= len(prog) {
-				return rejectf(i, "truncated ld_imm64")
+				return c, rejectf(i, "truncated ld_imm64")
 			}
 			i++ // hi slot is not a valid jump target
 		}
 	}
 	if !prog[len(prog)-1].IsExit() && prog[len(prog)-1].Class() != isa.ClassJMP {
-		return rejectf(len(prog)-1, "program does not end with exit or jump")
+		return c, rejectf(len(prog)-1, "program does not end with exit or jump")
 	}
+	c.computeDemand()
 
 	init := vstate{}
 	init.regs[isa.R1] = regState{kind: kPtrCtx, size: int32(opts.CtxSize)}
@@ -272,55 +300,66 @@ func Verify(machine *vm.VM, prog []isa.Instruction, opts Options) error {
 	init.regs[isa.R10] = regState{kind: kPtrStack, off: vm.StackSize}
 
 	work := []vstate{init}
+	var marks []closeMark
 	for len(work) > 0 {
 		st := work[len(work)-1]
 		work = work[:len(work)-1]
-		succ, err := c.run(&st)
-		if err != nil {
-			return err
+		depth, lo := len(work), len(c.open)
+		var err error
+		if work, err = c.run(&st, work); err != nil {
+			return c, err
 		}
-		work = append(work, succ...)
 		if len(work) > 4096 {
-			return rejectf(st.pc, "branch state explosion (>4096 pending states)")
+			return c, rejectf(st.pc, "branch state explosion (>4096 pending states)")
+		}
+		if hi := len(c.open); hi > lo {
+			marks = append(marks, closeMark{depth, lo, hi})
+		}
+		for len(marks) > 0 && marks[len(marks)-1].depth == len(work) {
+			m := marks[len(marks)-1]
+			marks = marks[:len(marks)-1]
+			for i := m.lo; i < m.hi; i++ {
+				c.open[i] = false
+			}
 		}
 	}
-	return nil
+	return c, nil
 }
 
-// run advances st until it exits, errors, or forks; forked successor
-// states are returned.
-func (c *checker) run(st *vstate) ([]vstate, error) {
+// run advances st until it exits, errors, is pruned, or forks; the
+// states a fork leaves to explore are pushed on work.
+func (c *checker) run(st *vstate, work []vstate) ([]vstate, error) {
 	for {
 		c.steps++
 		if c.steps > c.opts.StateBudget {
-			return nil, rejectf(st.pc, "verification budget exhausted: unbounded loop or program too complex")
+			return work, rejectf(st.pc, "verification budget exhausted: unbounded loop or program too complex (%s)", c.effort())
 		}
 		if st.pc < 0 || st.pc >= len(c.prog) {
-			return nil, rejectf(st.pc, "control flow escapes program")
+			return work, rejectf(st.pc, "control flow escapes program")
 		}
 		if !c.valid[st.pc] {
-			return nil, rejectf(st.pc, "jump into the middle of ld_imm64")
+			return work, rejectf(st.pc, "jump into the middle of ld_imm64")
 		}
 		ins := c.prog[st.pc]
 		switch ins.Class() {
 		case isa.ClassALU64, isa.ClassALU:
 			if err := c.stepALU(st, ins); err != nil {
-				return nil, err
+				return work, err
 			}
 			st.pc++
 		case isa.ClassLD:
 			if !ins.IsLoadImm64() {
-				return nil, rejectf(st.pc, "unsupported LD instruction %#x", ins.Op)
+				return work, rejectf(st.pc, "unsupported LD instruction %#x", ins.Op)
 			}
 			if err := checkWritable(ins.Dst); err != nil {
-				return nil, rejectf(st.pc, "%v", err)
+				return work, rejectf(st.pc, "%v", err)
 			}
 			hi := c.prog[st.pc+1]
 			v := uint64(uint32(ins.Imm)) | uint64(uint32(hi.Imm))<<32
 			if ins.Src == isa.PseudoMapFD {
 				m := c.vm.Map(ins.Imm)
 				if m == nil {
-					return nil, rejectf(st.pc, "reference to unknown map fd %d", ins.Imm)
+					return work, rejectf(st.pc, "reference to unknown map fd %d", ins.Imm)
 				}
 				st.regs[ins.Dst] = regState{kind: kPtrMap, mapIdx: ins.Imm}
 			} else {
@@ -329,28 +368,34 @@ func (c *checker) run(st *vstate) ([]vstate, error) {
 			st.pc += 2
 		case isa.ClassLDX:
 			if err := c.stepLoad(st, ins); err != nil {
-				return nil, err
+				return work, err
 			}
 			st.pc++
 		case isa.ClassSTX, isa.ClassST:
 			if err := c.stepStore(st, ins); err != nil {
-				return nil, err
+				return work, err
 			}
 			st.pc++
 		case isa.ClassJMP, isa.ClassJMP32:
-			// Prune paths arriving at a jump in an already-explored
-			// equivalent state.
+			// Every jump is a prune point. The state is widened first, so
+			// the exploration below covers every state that compares
+			// equal to it here.
+			c.widen(st)
 			key := c.canonKey(st)
-			if _, dup := c.seen[key]; dup {
-				return nil, nil
+			if id, dup := c.seen[key]; dup {
+				if c.open[id] {
+					return work, rejectf(st.pc, "loop makes no progress: the path returns to this jump in the state it left it in (%s)", c.effort())
+				}
+				return work, nil
 			}
-			c.seen[key] = struct{}{}
+			c.seen[key] = len(c.open)
+			c.open = append(c.open, true)
 			switch ins.JmpOp() {
 			case isa.JmpExit:
-				return nil, c.checkExit(st)
+				return work, c.checkExit(st)
 			case isa.JmpCall:
 				if err := c.stepCall(st, ins); err != nil {
-					return nil, err
+					return work, err
 				}
 				st.pc++
 			case isa.JmpJA:
@@ -358,17 +403,35 @@ func (c *checker) run(st *vstate) ([]vstate, error) {
 			default:
 				fork, both, err := c.stepBranch(st, ins)
 				if err != nil {
-					return nil, err
+					return work, err
 				}
 				if both {
-					return []vstate{*st, fork}, nil
+					return append(work, *st, fork), nil
 				}
 				// Single successor: continue in place (st already updated).
 			}
 		default:
-			return nil, rejectf(st.pc, "unknown instruction class %#x", ins.Class())
+			return work, rejectf(st.pc, "unknown instruction class %#x", ins.Class())
 		}
 	}
+}
+
+// effort summarises the exploration so far for a rejection that is about
+// its size or shape: a program whose state count grows quadratically
+// shows as one jump holding most of the states.
+func (c *checker) effort() string {
+	perPC := make([]int, len(c.prog))
+	worst := 0
+	for key := range c.seen {
+		pc := binary.LittleEndian.Uint64([]byte(key[:8])) // canonKey leads with the pc
+		perPC[pc]++
+	}
+	for pc, n := range perPC {
+		if n > perPC[worst] {
+			worst = pc
+		}
+	}
+	return fmt.Sprintf("%d steps, %d distinct states, %d of them at jump %d", c.steps, len(c.seen), perPC[worst], worst)
 }
 
 func checkWritable(r isa.Reg) error {
@@ -515,6 +578,19 @@ func (c *checker) stepALU(st *vstate, ins isa.Instruction) error {
 		return rejectf(pc, "pointer used as second ALU operand")
 	}
 
+	// Division by zero is a property of the instruction, not of what
+	// this path knows about its operands: an immediate zero divisor is
+	// rejected wherever it is reached, a register divisor never is (the
+	// ISA defines x/0 = 0 and x%0 = x).
+	if !ins.SrcIsReg() && ins.Imm == 0 {
+		switch op {
+		case isa.ALUDiv:
+			return rejectf(pc, "div by constant zero")
+		case isa.ALUMod:
+			return rejectf(pc, "mod by constant zero")
+		}
+	}
+
 	// Scalar arithmetic with constant and bound tracking.
 	ns := scalarUnknown()
 	if dst.known && src.known {
@@ -539,22 +615,20 @@ func (c *checker) stepALU(st *vstate, ins isa.Instruction) error {
 		// Bounded by next power of two above both.
 		ns.umax = orBound(a, b)
 	case isa.ALUMod:
-		if src.known {
-			if src.val == 0 {
-				return rejectf(pc, "mod by constant zero")
-			}
+		switch {
+		case src.known && src.val != 0:
 			ns.umax = src.val - 1
+		case src.known:
+			ns.umax = a
 		}
 	case isa.ALUDiv:
-		if src.known {
-			if src.val == 0 {
-				return rejectf(pc, "div by constant zero")
-			}
-			if a != unbounded {
-				ns.umax = a / src.val
-			}
-		} else {
+		switch {
+		case !src.known:
 			ns.umax = a
+		case src.val == 0:
+			ns.umax = 0
+		case a != unbounded:
+			ns.umax = a / src.val
 		}
 	case isa.ALURsh:
 		if src.known && a != unbounded {
@@ -695,11 +769,14 @@ func (c *checker) checkAccess(st *vstate, r isa.Reg, off int64, size int, write 
 	if p.maybeNull {
 		return 0, 0, rejectf(pc, "access through possibly-NULL pointer in %s (missing null check)", r)
 	}
-	lo := p.off + off
-	hi := lo + int64(p.varMax) + int64(size)
-	if p.varMax == unbounded {
+	// No region is anywhere near 4 GiB, so a variable offset that does
+	// not fit 32 bits is as good as unbounded; refusing it here also
+	// keeps the interval arithmetic below from wrapping.
+	if p.varMax > math.MaxUint32 {
 		return 0, 0, rejectf(pc, "access through pointer with unbounded variable offset in %s", r)
 	}
+	lo := p.off + off
+	hi := lo + int64(p.varMax) + int64(size)
 	var limit int64
 	switch p.kind {
 	case kPtrStack:
@@ -711,7 +788,7 @@ func (c *checker) checkAccess(st *vstate, r isa.Reg, off int64, size int, write 
 	case kPtrMem:
 		limit = int64(p.size)
 	}
-	if lo < 0 || hi > limit {
+	if lo < 0 || lo > limit || hi > limit {
 		return 0, 0, rejectf(pc, "out-of-bounds access via %s: [%d,%d) outside [0,%d)", r, lo, hi, limit)
 	}
 	return p.kind, lo, nil
@@ -856,9 +933,10 @@ func (c *checker) stepBranch(st *vstate, ins isa.Instruction) (fork vstate, both
 		case isa.JmpJGT: // not taken: dst <= k
 			boundMax(&st.regs[ins.Dst], k, true)
 		case isa.JmpJSGE:
-			// Common loop guard `jsge ctr, n` with small positive n:
-			// not-taken path has 0 <= ctr < n when umax already small.
-			if int64(k) > 0 {
+			// Common loop guard `jsge ctr, n` with positive n: the
+			// not-taken path has ctr < n as a signed value, which bounds
+			// it as an unsigned one only if it cannot be negative.
+			if int64(k) > 0 && dst.umax <= math.MaxInt64 {
 				boundMax(&st.regs[ins.Dst], k-1, true)
 			}
 		case isa.JmpJEQ:

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"enetstl/internal/ebpf/asm"
+	"enetstl/internal/ebpf/isa"
 	"enetstl/internal/ebpf/verifier"
 	"enetstl/internal/ebpf/vm"
 )
@@ -184,4 +185,140 @@ func TestKptrXchgRequiresOldHandling(t *testing.T) {
 	b.MovImm(asm.R0, 0)
 	b.Exit() // old value leaked
 	wantReject(t, verifyProg(t, m, b, verifier.Options{}), "unreleased")
+}
+
+// runsOnBothContexts verifies prog, which must be accepted, and runs it
+// on the two soundness contexts, returning R0 of each run.
+func runsOnBothContexts(t *testing.T, prog []isa.Instruction) (r0 [2]uint64) {
+	t.Helper()
+	m := vm.New()
+	if err := verifier.Verify(m, prog, verifier.Options{CtxSize: 64}); err != nil {
+		t.Fatalf("safe program rejected: %v", err)
+	}
+	loaded, err := m.Load("t", prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ctx := range soundnessContexts(64) {
+		if r0[i], err = m.Run(loaded, ctx); err != nil {
+			t.Fatalf("context %d: %v", i, err)
+		}
+	}
+	return r0
+}
+
+// faultsAtRuntime reports how prog, loaded unverified, fails on one of
+// the soundness contexts; it documents why a rejection is owed.
+func faultsAtRuntime(t *testing.T, prog []isa.Instruction) error {
+	t.Helper()
+	m := vm.New()
+	loaded, err := m.Load("t", prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = faultOnEitherContext(m, loaded)
+	if err == nil {
+		t.Fatal("program was expected to fault on one of the contexts")
+	}
+	return err
+}
+
+// signedBoundHole: `jsge r7, 8` not taken says r7 < 8 as a signed value,
+// which an 8-byte load of 0xff bytes (-1) satisfies while being 2^64-1
+// as the unsigned offset the load then adds to the context pointer.
+func signedBoundHole() []isa.Instruction {
+	b := asm.New()
+	b.Load(asm.R7, asm.R1, 0, 8)
+	b.JmpImm(asm.JSGE, asm.R7, 8, "out")
+	b.Mov(asm.R2, asm.R1)
+	b.Add(asm.R2, asm.R7)
+	b.Load(asm.R3, asm.R2, 0, 1)
+	b.Label("out")
+	b.MovImm(asm.R0, 0).Exit()
+	return b.MustProgram()
+}
+
+func TestSignedBoundNeedsNonNegative(t *testing.T) {
+	prog := signedBoundHole()
+	fault := faultsAtRuntime(t, prog)
+	err := verifier.Verify(vm.New(), prog, verifier.Options{CtxSize: 64})
+	if err == nil {
+		t.Fatalf("accepted a program that faults at run time: %v", fault)
+	}
+	wantReject(t, err, "unbounded variable offset")
+
+	// The refinement still holds where it is true: a 4-byte load cannot
+	// be negative, so the same check bounds it to [0, 7].
+	b := asm.New()
+	b.Load(asm.R7, asm.R1, 0, 4)
+	b.JmpImm(asm.JSGE, asm.R7, 8, "out")
+	b.Mov(asm.R2, asm.R1)
+	b.Add(asm.R2, asm.R7)
+	b.Load(asm.R3, asm.R2, 56, 1)
+	b.Label("out")
+	b.MovImm(asm.R0, 0).Exit()
+	runsOnBothContexts(t, b.MustProgram())
+}
+
+// hugeOffsetHole: `mod r2, r8` by a known huge divisor bounds r2 below
+// 2^64-3, a bound that is not the `unbounded` sentinel and once wrapped
+// the access interval negative, inside the region.
+func hugeOffsetHole() []isa.Instruction {
+	b := asm.New()
+	b.Load(asm.R2, asm.R1, 0, 8)
+	b.MovImm(asm.R8, -2)
+	b.Mod(asm.R2, asm.R8)
+	b.Mov(asm.R3, asm.R1)
+	b.Add(asm.R3, asm.R2)
+	b.Load(asm.R0, asm.R3, 0, 1)
+	b.Exit()
+	return b.MustProgram()
+}
+
+func TestHugeVariableOffsetRejected(t *testing.T) {
+	prog := hugeOffsetHole()
+	fault := faultsAtRuntime(t, prog)
+	err := verifier.Verify(vm.New(), prog, verifier.Options{CtxSize: 64})
+	if err == nil {
+		t.Fatalf("accepted a program that faults at run time: %v", fault)
+	}
+	wantReject(t, err, "unbounded variable offset")
+}
+
+// zeroRegisterDivisor divides a packet word by a register known to hold
+// zero, which the ISA defines (x/0 = 0, x%0 = x).
+func zeroRegisterDivisor(op uint8) []isa.Instruction {
+	b := asm.New()
+	b.MovImm(asm.R8, 0)
+	b.Load(asm.R7, asm.R1, 0, 4)
+	if op == isa.ALUDiv {
+		b.Div(asm.R7, asm.R8)
+	} else {
+		b.Mod(asm.R7, asm.R8)
+	}
+	b.Mov(asm.R0, asm.R7).Exit()
+	return b.MustProgram()
+}
+
+// TestDivModByZero: whether a division is rejected depends on the
+// instruction alone. An immediate zero divisor is refused even when the
+// dividend is a known constant (once folded silently); a register
+// divisor is accepted even when it is known to be zero (once refused).
+func TestDivModByZero(t *testing.T) {
+	for _, imm := range []func(b *asm.Builder){
+		func(b *asm.Builder) { b.DivImm(asm.R0, 0) },
+		func(b *asm.Builder) { b.ModImm(asm.R0, 0) },
+	} {
+		b := asm.New()
+		b.MovImm(asm.R0, 7)
+		imm(b)
+		b.Exit()
+		wantReject(t, verifyProg(t, vm.New(), b, verifier.Options{}), "by constant zero")
+	}
+	if r0 := runsOnBothContexts(t, zeroRegisterDivisor(isa.ALUDiv)); r0 != [2]uint64{0, 0} {
+		t.Fatalf("x / 0 = %#x, want 0", r0)
+	}
+	if r0 := runsOnBothContexts(t, zeroRegisterDivisor(isa.ALUMod)); r0 != [2]uint64{0x03020100, 0xffffffff} {
+		t.Fatalf("x %% 0 = %#x, want x", r0)
+	}
 }

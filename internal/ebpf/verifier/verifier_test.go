@@ -179,7 +179,39 @@ func TestRejectUnboundedLoop(t *testing.T) {
 	b.AddImm(asm.R6, 1)
 	b.JmpImm(asm.JNE, asm.R7, 0, "loop") // trip count depends on packet
 	b.MovImm(asm.R0, 0).Exit()
-	wantReject(t, verifyProg(t, m, b, verifier.Options{StateBudget: 10000}), "budget")
+	// R6 counts but nothing ever reads it, so the second arrival at the
+	// branch is the first one again: rejected on the spot, not after
+	// 10 000 steps of telling the iterations apart by a dead counter.
+	wantReject(t, verifyProg(t, m, b, verifier.Options{StateBudget: 10000}), "no progress")
+}
+
+// TestRejectLoopWithoutProgress: with no counter at all the repeated
+// state used to be pruned as already explored, and the loop accepted.
+func TestRejectLoopWithoutProgress(t *testing.T) {
+	m := vm.New()
+	b := asm.New()
+	b.Label("loop")
+	b.Load(asm.R7, asm.R1, 0, 4)
+	b.JmpImm(asm.JNE, asm.R7, 0, "loop")
+	b.MovImm(asm.R0, 0).Exit()
+	err := verifyProg(t, m, b, verifier.Options{})
+	wantReject(t, err, "loop makes no progress")
+	wantReject(t, err, "at jump 1") // the diagnosis names the loop's branch
+}
+
+// TestBudgetRejectionReportsEffort: a counted loop too long for its
+// budget is diagnosable from the error text alone.
+func TestBudgetRejectionReportsEffort(t *testing.T) {
+	m := vm.New()
+	b := asm.New()
+	b.MovImm(asm.R0, 0)
+	b.BoundedLoop(asm.R6, 1000, func(b *asm.Builder) { b.AddImm(asm.R0, 2) })
+	b.Exit()
+	err := verifyProg(t, m, b, verifier.Options{StateBudget: 500})
+	wantReject(t, err, "budget exhausted")
+	wantReject(t, err, "501 steps, ")
+	wantReject(t, err, " distinct states, ")
+	wantReject(t, err, "at jump 2") // jsge: one state per trip, as is ja
 }
 
 func TestAcceptBoundedLoop(t *testing.T) {

@@ -3,6 +3,9 @@ package spacesaving
 import (
 	"testing"
 
+	"enetstl/internal/ebpf/maps"
+	"enetstl/internal/ebpf/verifier"
+	"enetstl/internal/ebpf/vm"
 	"enetstl/internal/nf"
 	"enetstl/internal/pktgen"
 )
@@ -87,5 +90,24 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(nf.Kernel, Config{Slots: bad}); err == nil {
 			t.Fatalf("slots=%d accepted", bad)
 		}
+	}
+}
+
+// TestEBPFProgramVerifiesWithinSmallBudget pins the cost of verifying
+// the pure-eBPF program. Its min-scan keeps the index of the minimum in
+// a register that reaches memory only through `and r8, Slots-1`; a
+// verifier that told states apart by that index walked the loop once
+// per (iteration, argmin) pair — 57 744 steps at 64 slots — where one
+// that compares only what a later check observes needs about 4 000.
+func TestEBPFProgramVerifiesWithinSmallBudget(t *testing.T) {
+	machine := vm.New()
+	fd := machine.RegisterMap(maps.Must(maps.NewArray(2*cfg.Slots*4, 1)))
+	prog, err := buildProgram(fd, cfg, false).Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := verifier.Options{CtxSize: nf.PktSize, StateBudget: 8192}
+	if err := verifier.Verify(machine, prog, opts); err != nil {
+		t.Fatalf("spacesaving/eBPF (%d insns) does not verify in 8192 steps: %v", len(prog), err)
 	}
 }
