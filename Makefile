@@ -90,10 +90,13 @@ obs-smoke:
 nfd-smoke:
 	$(GO) run ./cmd/nfd -smoke
 
-# Ungated developer aid (the in-package BenchmarkDispatch* micros); the
-# committed performance numbers are bench/'s (BENCHMARK.json).
+# Ungated developer aid (the in-package BenchmarkDispatch* micros, and
+# BenchmarkCreate: ms/create and B/op of Registry.Create on each
+# benchmark workload's create bodies); the committed performance
+# numbers are bench/'s (BENCHMARK.json).
 bench:
 	$(GO) test -bench . -benchmem ./internal/ebpf/vm/
+	$(GO) test -run '^$$' -bench BenchmarkCreate -benchmem ./internal/nfd/
 
 bench-telemetry:
 	$(GO) test -run XX -bench BenchmarkTelemetryOverhead -count 5 ./internal/ebpf/vm/

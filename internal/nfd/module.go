@@ -12,7 +12,6 @@ package nfd
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -73,7 +72,11 @@ type CreateRequest struct {
 	Options runtime.Options `json:"options,omitempty"`
 	// Trace seeds the module's tables (flow keys preloaded into
 	// switches, filters, classifiers) and anchors the estimator flow
-	// keys. Defaults to the spec defaults (256 flows, seed 1).
+	// keys; an empty spec means 256 flows, seed 1. Only the flow table
+	// is built (runtime.TraceSpec.FlowTable): a generator spec's packets
+	// and zipf are validated against the same ceilings as a batch's but
+	// never generated, since no NF preloads from packets. A scenario
+	// spec keeps its attack flows too; a raw spec has no flow table.
 	Trace runtime.TraceSpec `json:"trace,omitempty"`
 }
 
@@ -183,7 +186,7 @@ func (r *Registry) Create(req CreateRequest) (*Module, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	seedTrace, err := req.Trace.Build()
+	flows, err := req.Trace.FlowTable()
 	if err != nil {
 		return nil, err
 	}
@@ -192,14 +195,16 @@ func (r *Registry) Create(req CreateRequest) (*Module, error) {
 		shards = 1
 	}
 
-	// The flow table is a copy: the seed trace's arrays are recycled ones
-	// of whatever capacity the last batch left, and the module outlives
-	// the trace.
+	// The module owns flows: FlowTable hands out a fresh table, nothing
+	// else holds it, and nothing writes it after this point. The builders
+	// read it through a packetless seed trace — they preload tables from
+	// FlowKeys and read nothing else — and keep no slice of it.
 	m := &Module{
 		Name: req.Name, Flavor: flavor.String(), Opts: o.Canon(),
-		flows: slices.Clone(seedTrace.FlowKeys), tickBase: make([]uint64, shards),
+		flows: flows, tickBase: make([]uint64, shards),
 		created: time.Now(),
 	}
+	seedTrace := &pktgen.Trace{FlowKeys: flows}
 
 	// Construction takes no options; the tier and the map-memory and
 	// rpool quotas are then applied to exactly what was built.
@@ -216,10 +221,11 @@ func (r *Registry) Create(req CreateRequest) (*Module, error) {
 				return nil, err
 			}
 		}
-		nfcatalog.PrepareTrace(req.Name, seedTrace)
+		// Every shard preloads the whole flow table (the per-CPU replica
+		// model); construction never writes the trace, so they share it.
 		m.built = make([]nfcatalog.Built, shards)
-		for i, sub := range seedTrace.Shard(shards) {
-			if m.built[i], err = sh.BuildFull(i, sub); err != nil {
+		for i := range m.built {
+			if m.built[i], err = sh.BuildFull(i, seedTrace); err != nil {
 				return nil, err
 			}
 		}

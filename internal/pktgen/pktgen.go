@@ -157,6 +157,16 @@ func Generate(cfg Config) *Trace {
 	return t
 }
 
+// FlowTable returns the flow table Generate would build for flows and
+// seed — the keys are drawn before any packet, so they depend on
+// nothing else — in a fresh array the caller keeps: nothing is pooled
+// and no packet is generated.
+func FlowTable(flows int, seed int64) [][nf.KeyLen]byte {
+	keys := make([][nf.KeyLen]byte, max(flows, 1))
+	putFlowKeys(keys, rand.New(rand.NewSource(seed)))
+	return keys
+}
+
 // setKey writes the whole packet: the flow key, then zeros.
 func (p *Packet) setKey(k *[nf.KeyLen]byte) {
 	*p = Packet{}

@@ -3,6 +3,7 @@ package runtime
 import (
 	"encoding/base64"
 	"fmt"
+	"slices"
 
 	"enetstl/internal/nf"
 	"enetstl/internal/pktgen"
@@ -71,11 +72,8 @@ func (s TraceSpec) Build() (*pktgen.Trace, error) {
 		}
 		return tr, nil
 	}
-	s = s.norm()
-	if err := checkLimit("trace.flows", s.Flows, MaxTraceFlows); err != nil {
-		return nil, err
-	}
-	if err := checkLimit("trace.packets", s.Packets, MaxTracePackets); err != nil {
+	s, err := s.sized()
+	if err != nil {
 		return nil, err
 	}
 	cfg := pktgen.Config{Flows: s.Flows, Packets: s.Packets, ZipfS: s.Zipf, Seed: s.Seed}
@@ -87,4 +85,37 @@ func (s TraceSpec) Build() (*pktgen.Trace, error) {
 		return nil, fmt.Errorf("runtime: unknown scenario %q (syn-flood|churn|hash-collision)", s.Scenario)
 	}
 	return pktgen.GenerateAttack(pktgen.AttackConfig{Base: cfg, Kind: kind}), nil
+}
+
+// sized applies the generator defaults and holds the sizes to their
+// ceilings, before anything is generated.
+func (s TraceSpec) sized() (TraceSpec, error) {
+	s = s.norm()
+	if err := checkLimit("trace.flows", s.Flows, MaxTraceFlows); err != nil {
+		return s, err
+	}
+	return s, checkLimit("trace.packets", s.Packets, MaxTracePackets)
+}
+
+// FlowTable returns the flow table Build's trace would carry, for a
+// caller that keeps the keys and not the packets (a module's seed). It
+// refuses exactly what Build refuses. A benign spec's packets and zipf
+// are validated but never generated: its keys depend on flows and seed
+// alone. A scenario's flows are born with its packets and a raw spec is
+// validated by decoding it, so those two are built and released. The
+// table is fresh: the caller owns it.
+func (s TraceSpec) FlowTable() ([][nf.KeyLen]byte, error) {
+	if len(s.Raw) == 0 && s.Scenario == "" {
+		s, err := s.sized()
+		if err != nil {
+			return nil, err
+		}
+		return pktgen.FlowTable(s.Flows, s.Seed), nil
+	}
+	tr, err := s.Build()
+	if err != nil {
+		return nil, err
+	}
+	defer tr.Release()
+	return slices.Clone(tr.FlowKeys), nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"enetstl/internal/nf"
+	"enetstl/internal/pktgen"
 )
 
 func rawPackets(n, size int) []string {
@@ -85,6 +86,109 @@ func TestRawBuildAllocs(t *testing.T) {
 		if allocs > c.max {
 			t.Errorf("%s: 256-packet raw build made %.0f allocations, want <= %.0f", c.name, allocs, c.max)
 		}
+	}
+}
+
+// TestFlowTableRefusesAsBuild: FlowTable refuses exactly the specs
+// Build refuses, with the same error, so a create and a batch carrying
+// the same spec meet the same answer.
+func TestFlowTableRefusesAsBuild(t *testing.T) {
+	good := rawPackets(2, nf.PktSize)
+	for _, tc := range []struct {
+		name string
+		spec TraceSpec
+	}{
+		{"flows over the ceiling", TraceSpec{Flows: MaxTraceFlows + 1}},
+		{"packets over the ceiling", TraceSpec{Flows: 16, Packets: MaxTracePackets + 1}},
+		{"both over: flows is named", TraceSpec{Flows: MaxTraceFlows + 1, Packets: MaxTracePackets + 1}},
+		{"packets over the ceiling with a scenario", TraceSpec{Flows: 16, Packets: MaxTracePackets + 1, Scenario: "churn"}},
+		{"raw over the ceiling", TraceSpec{Raw: make([]string, MaxTracePackets+1)}},
+		{"unknown scenario", TraceSpec{Flows: 16, Packets: 50, Scenario: "nosuch"}},
+		{"bad base64", TraceSpec{Raw: []string{good[0], "!!!!"}}},
+		{"63-byte raw packet", TraceSpec{Raw: []string{good[0], rawPackets(1, nf.PktSize-1)[0]}}},
+	} {
+		_, buildErr := tc.spec.Build()
+		_, tableErr := tc.spec.FlowTable()
+		if buildErr == nil || tableErr == nil || buildErr.Error() != tableErr.Error() {
+			t.Errorf("%s: Build says %v, FlowTable says %v; want the same refusal", tc.name, buildErr, tableErr)
+			continue
+		}
+		var bl, tl *LimitError
+		if errors.As(buildErr, &bl) != errors.As(tableErr, &tl) || (bl != nil && *bl != *tl) {
+			t.Errorf("%s: Build's LimitError %+v, FlowTable's %+v", tc.name, bl, tl)
+		}
+	}
+}
+
+// TestFlowTableEqualsBuild: the table FlowTable returns is the FlowKeys
+// of the trace Build generates, whatever the packet count and skew, for
+// benign specs (never generated) and scenarios (generated and released)
+// alike; a raw spec has none.
+func TestFlowTableEqualsBuild(t *testing.T) {
+	check := func(spec TraceSpec) {
+		t.Helper()
+		tr, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := spec.FlowTable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(tr.FlowKeys) {
+			t.Fatalf("%+v: %d keys, Build has %d", spec, len(got), len(tr.FlowKeys))
+		}
+		for i := range got {
+			if got[i] != tr.FlowKeys[i] {
+				t.Fatalf("%+v: key %d is %x, Build has %x", spec, i, got[i], tr.FlowKeys[i])
+			}
+		}
+	}
+	for _, flows := range []int{1, 64, 1024, 4096, 0} {
+		for _, seed := range []int64{0, 1, 7, 1001} {
+			for _, zipf := range []float64{0, 1.1} {
+				for _, packets := range []int{0, 300} {
+					check(TraceSpec{Flows: flows, Packets: packets, Zipf: zipf, Seed: seed})
+				}
+			}
+		}
+	}
+	for _, k := range pktgen.Scenarios() {
+		check(TraceSpec{Flows: 64, Packets: 2000, Zipf: 1.1, Seed: 3, Scenario: k.String()})
+	}
+	check(TraceSpec{Raw: rawPackets(3, nf.PktSize)})
+}
+
+// TestFlowTableAllocs: a benign spec's table costs the table and its
+// generator, not a trace — nothing is drawn from pktgen's array pool —
+// and a scenario's table releases the trace it was built from, so it
+// costs what a released Build does plus the copy of the keys.
+func TestFlowTableAllocs(t *testing.T) {
+	benign := TraceSpec{Flows: 1024, Seed: 1001}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := benign.FlowTable(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 3 {
+		t.Errorf("benign flow table: %.0f allocations, want <= 3 (table, source, rand)", allocs)
+	}
+	scenario := TraceSpec{Flows: 64, Packets: 2000, Seed: 3, Scenario: "syn-flood"}
+	released := testing.AllocsPerRun(100, func() {
+		tr, err := scenario.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Release()
+	})
+	table := testing.AllocsPerRun(100, func() {
+		if _, err := scenario.FlowTable(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// +1 for the copy, +2 for the array sets sync.Pool drops at random
+	// under the race detector; a trace never released costs 6 more.
+	if table > released+3 {
+		t.Errorf("scenario flow table: %.0f allocations against %.0f for a released build: the trace was not released", table, released)
 	}
 }
 

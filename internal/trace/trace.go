@@ -7,7 +7,9 @@
 // Design points, mirroring the kernel's BPF ring buffer:
 //
 //   - fixed capacity, power-of-two slots, lock-free multi-producer
-//     reserve (Vyukov bounded-queue slot sequencing);
+//     reserve (Vyukov bounded-queue slot sequencing); the capacity is a
+//     ceiling, not an allocation: slots come in 256-slot chunks
+//     installed as producers first reach them;
 //   - overrun drops the NEW event and counts it (bpf_ringbuf_reserve
 //     returning NULL), so a slow or absent consumer can never stall a
 //     producer — the datapath always wins;
@@ -208,11 +210,24 @@ type slot struct {
 	ev  Event
 }
 
+// chunkSlots sizes a chunk: 256 slots of 120 B, 30 KB in one
+// allocation. A power of two, so chunks tile every ring capacity.
+const chunkSlots = 256
+
+// chunk k holds ring indices [k*chunkSlots, (k+1)*chunkSlots). A ring
+// smaller than a chunk uses the first Capacity slots of its only one.
+type chunk [chunkSlots]slot
+
 // Recorder is one flight-recorder ring: any number of producers, one
 // consumer. The zero value is not usable; construct with NewRecorder.
+//
+// The ring's memory follows the events written, not its capacity: the
+// slots live in chunks that the first producer to reach one installs,
+// so a ring that never records more than a few hundred events costs a
+// chunk or two however large its capacity.
 type Recorder struct {
-	slots []slot
-	mask  uint64
+	chunks []atomic.Pointer[chunk]
+	mask   uint64
 
 	head atomic.Uint64 // next reserve position
 	tail atomic.Uint64 // next consume position (single consumer)
@@ -244,13 +259,10 @@ func NewRecorder(cfg Config) *Recorder {
 		n <<= 1
 	}
 	r := &Recorder{
-		slots: make([]slot, n),
-		mask:  uint64(n - 1),
-		seed:  cfg.Seed,
-		shard: cfg.Shard,
-	}
-	for i := range r.slots {
-		r.slots[i].seq.Store(uint64(i))
+		chunks: make([]atomic.Pointer[chunk], (n+chunkSlots-1)/chunkSlots),
+		mask:   uint64(n - 1),
+		seed:   cfg.Seed,
+		shard:  cfg.Shard,
 	}
 	if cfg.SampleRate > 0 && cfg.SampleRate < 1 {
 		r.threshold = uint64(cfg.SampleRate * float64(1<<63) * 2)
@@ -261,7 +273,36 @@ func NewRecorder(cfg Config) *Recorder {
 }
 
 // Capacity returns the ring capacity in events.
-func (r *Recorder) Capacity() int { return len(r.slots) }
+func (r *Recorder) Capacity() int { return int(r.mask + 1) }
+
+// cell returns the slot of ring position pos, nil while no producer has
+// reached its chunk.
+func (r *Recorder) cell(pos uint64) *slot {
+	i := pos & r.mask
+	if c := r.chunks[i/chunkSlots].Load(); c != nil {
+		return &c[i%chunkSlots]
+	}
+	return nil
+}
+
+// install puts in place the chunk holding ring position pos and returns
+// pos's slot. A chunk is first reached in the ring's first lap — the
+// head passes a position only by writing its slot — so a new chunk's
+// slots are ready for their first-lap positions. Producers racing to
+// install one chunk each build one; the first CAS wins and the others'
+// are garbage.
+func (r *Recorder) install(pos uint64) *slot {
+	i := pos & r.mask
+	c := new(chunk)
+	base := i &^ (chunkSlots - 1)
+	for j := range min(chunkSlots, r.mask+1) {
+		c[j].seq.Store(base + j)
+	}
+	if p := &r.chunks[i/chunkSlots]; !p.CompareAndSwap(nil, c) {
+		c = p.Load()
+	}
+	return &c[i%chunkSlots]
+}
 
 // Shard returns the shard id stamped into emitted events.
 func (r *Recorder) Shard() int32 { return r.shard }
@@ -285,7 +326,10 @@ func (r *Recorder) SamplePacket() (pkt uint64, ok bool) {
 func (r *Recorder) Emit(ev Event) bool {
 	pos := r.head.Load()
 	for {
-		s := &r.slots[pos&r.mask]
+		s := r.cell(pos)
+		if s == nil {
+			s = r.install(pos)
+		}
 		seq := s.seq.Load()
 		switch d := int64(seq) - int64(pos); {
 		case d == 0:
@@ -315,14 +359,14 @@ func (r *Recorder) Emit(ev Event) bool {
 // Drain consumes up to max buffered events (all of them when max <= 0)
 // in emission order. Only one goroutine may consume.
 func (r *Recorder) Drain(max int) []Event {
-	if max <= 0 || max > len(r.slots) {
-		max = len(r.slots)
+	if n := r.Capacity(); max <= 0 || max > n {
+		max = n
 	}
 	var out []Event
 	for len(out) < max {
 		pos := r.tail.Load()
-		s := &r.slots[pos&r.mask]
-		if s.seq.Load() != pos+1 {
+		s := r.cell(pos)
+		if s == nil || s.seq.Load() != pos+1 {
 			break // empty (or the producer has reserved but not committed)
 		}
 		ev := s.ev

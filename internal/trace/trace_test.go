@@ -2,44 +2,151 @@ package trace
 
 import (
 	"encoding/json"
+	goruntime "runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestRingOverrunDrops pins the BPF-ringbuf drop contract: a full ring
 // rejects new events, counts every rejection, and keeps the first
-// `capacity` events intact for the consumer.
+// `capacity` events intact for the consumer; draining part of it
+// re-admits exactly that many, in the next lap of the freed slots. The
+// large ring asks for 3 chunks + 8 slots, rounds up to 4 chunks, and
+// drains and refills across chunk boundaries.
 func TestRingOverrunDrops(t *testing.T) {
-	r := NewRecorder(Config{Capacity: 8})
-	if r.Capacity() != 8 {
-		t.Fatalf("capacity = %d, want 8", r.Capacity())
-	}
-	const total = 20
-	for i := 0; i < total; i++ {
-		r.Emit(Event{Kind: KindVerdict, Val: uint64(i)})
-	}
-	if r.Emitted() != 8 {
-		t.Fatalf("emitted = %d, want 8", r.Emitted())
-	}
-	if r.Drops() != total-8 {
-		t.Fatalf("drops = %d, want %d", r.Drops(), total-8)
-	}
-	evs := r.Drain(0)
-	if len(evs) != 8 {
-		t.Fatalf("drained %d events, want 8", len(evs))
-	}
-	for i, ev := range evs {
-		if ev.Val != uint64(i) || ev.Seq != uint64(i) {
-			t.Fatalf("event %d: val=%d seq=%d, want FIFO order", i, ev.Val, ev.Seq)
+	for _, tc := range []struct{ ask, capacity int }{{8, 8}, {3*chunkSlots + 8, 4 * chunkSlots}} {
+		r := NewRecorder(Config{Capacity: tc.ask})
+		if r.Capacity() != tc.capacity {
+			t.Fatalf("capacity %d: Capacity() = %d, want %d", tc.ask, r.Capacity(), tc.capacity)
+		}
+		n := uint64(tc.capacity)
+		val := uint64(0)
+		emit := func(k uint64) (admitted uint64) {
+			for ; k > 0; k-- {
+				if r.Emit(Event{Kind: KindVerdict, Val: val}) {
+					admitted++
+				}
+				val++
+			}
+			return admitted
+		}
+		// drain takes k events and checks they are the next k in FIFO
+		// order: Seq counts admitted events, Val every attempt.
+		nextSeq := uint64(0)
+		drain := func(k int, firstVal uint64) {
+			t.Helper()
+			evs := r.Drain(k)
+			if len(evs) != k {
+				t.Fatalf("capacity %d: drained %d events, want %d", tc.capacity, len(evs), k)
+			}
+			for i, ev := range evs {
+				if ev.Seq != nextSeq || ev.Val != firstVal+uint64(i) {
+					t.Fatalf("capacity %d: event %d: seq=%d val=%d, want seq=%d val=%d (FIFO)",
+						tc.capacity, i, ev.Seq, ev.Val, nextSeq, firstVal+uint64(i))
+				}
+				nextSeq++
+			}
+		}
+
+		const over = 12
+		if got := emit(n + over); got != n || r.Emitted() != n || r.Drops() != over {
+			t.Fatalf("capacity %d: %d admitted, emitted %d, drops %d; want %d, %d, %d",
+				tc.capacity, got, r.Emitted(), r.Drops(), n, n, over)
+		}
+		// Draining part of the ring (across a chunk boundary in the large
+		// one) re-admits exactly that many, then the ring is full again.
+		k := n/2 + 3
+		drain(int(k), 0)
+		refill := val
+		if got := emit(k); got != k || r.Drops() != over {
+			t.Fatalf("capacity %d: after draining %d, %d re-admitted with drops %d, want %d with %d",
+				tc.capacity, k, got, r.Drops(), k, over)
+		}
+		if r.Emit(Event{Kind: KindFault}) || r.Drops() != over+1 {
+			t.Fatalf("capacity %d: a full ring admitted an event (drops %d)", tc.capacity, r.Drops())
+		}
+		// What is left of the first lap, then the refill, in order.
+		drain(int(n-k), k)
+		drain(int(k), refill)
+		if r.Len() != 0 || len(r.Drain(0)) != 0 {
+			t.Fatalf("capacity %d: %d events left after draining everything", tc.capacity, r.Len())
 		}
 	}
-	// Draining frees capacity: the ring accepts again without new drops.
-	before := r.Drops()
-	if !r.Emit(Event{Kind: KindFault}) {
-		t.Fatal("emit after drain rejected")
+}
+
+// TestRacingFirstChunk: eight producers released together on a fresh
+// ring all find its first chunk missing and race to install it (and the
+// next ones); every event lands exactly once, in per-producer order.
+func TestRacingFirstChunk(t *testing.T) {
+	const producers, perProd = 8, 100
+	for trial := 0; trial < 20; trial++ {
+		r := NewRecorder(Config{Capacity: 4 * chunkSlots})
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < perProd; i++ {
+					if !r.Emit(Event{Kind: KindHelper, Val: uint64(p)<<32 | uint64(i)}) {
+						t.Errorf("producer %d: event %d dropped on a ring with room", p, i)
+					}
+				}
+			}(p)
+		}
+		close(start)
+		wg.Wait()
+		evs := r.Drain(0)
+		if len(evs) != producers*perProd || r.Drops() != 0 {
+			t.Fatalf("trial %d: drained %d events with %d drops, want %d and 0", trial, len(evs), r.Drops(), producers*perProd)
+		}
+		// Seq is drawn after the slot is won, so racing producers may take
+		// theirs out of slot order; each one is still handed out once.
+		next := make([]uint64, producers)
+		seen := make([]bool, len(evs))
+		for i, ev := range evs {
+			p, n := ev.Val>>32, ev.Val&(1<<32-1)
+			if ev.Seq >= uint64(len(seen)) || seen[ev.Seq] || n != next[p] {
+				t.Fatalf("trial %d: event %d is seq %d, producer %d's #%d; want a fresh seq and #%d", trial, i, ev.Seq, p, n, next[p])
+			}
+			seen[ev.Seq] = true
+			next[p]++
+		}
 	}
-	if r.Drops() != before {
-		t.Fatalf("drop counter moved on a non-full ring")
+}
+
+// TestRingMemoryFollowsEvents: capacity is a ceiling, not an
+// allocation. A 65536-event ring costs its chunk table up front (2 KB,
+// not the 7.5 MB of its slots) and one chunk per 256 events written.
+func TestRingMemoryFollowsEvents(t *testing.T) {
+	allocated := func(f func()) uint64 {
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		f()
+		goruntime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var r *Recorder
+	if got := allocated(func() { r = NewRecorder(Config{Capacity: 65536}) }); got >= 16<<10 {
+		t.Fatalf("NewRecorder(65536) allocated %d bytes up front, want < 16 KB", got)
+	}
+	// A chunk's allocation is its size rounded up to the allocator's
+	// size class.
+	lo, hi := uint64(unsafe.Sizeof(chunk{})), uint64(unsafe.Sizeof(chunk{}))+4<<10
+	for c := 0; c < 4; c++ {
+		got := allocated(func() {
+			for i := 0; i < chunkSlots; i++ {
+				r.Emit(Event{Kind: KindVerdict, Val: uint64(i)})
+			}
+		})
+		if got < lo || got > hi {
+			t.Fatalf("chunk %d: 256 events allocated %d bytes, want one chunk (%d-%d)", c, got, lo, hi)
+		}
+	}
+	if r.Emitted() != 4*chunkSlots || r.Drops() != 0 {
+		t.Fatalf("emitted %d with %d drops, want %d and 0", r.Emitted(), r.Drops(), 4*chunkSlots)
 	}
 }
 
