@@ -1,5 +1,5 @@
 # Developer entry points. `make check` is the pre-PR gate: formatting,
-# vet, build, full tests, race coverage of the whole module, the
+# vet, build, the reachability audit, full tests, race coverage of the whole module, the
 # conformance grid (one runner, `nfrun -grid`: difftest, chaos-smoke and
 # attack-smoke are selections of its axes), a bounded fuzz smoke over
 # every native fuzz target, and the benchmark module's own vet + tests.
@@ -10,11 +10,11 @@ GO ?= go
 # e.g. `make fuzz-smoke FUZZTIME=2m`.
 FUZZTIME ?= 10s
 
-.PHONY: all check fmt vet build test race difftest fuzz-smoke bench bench-telemetry bench-trace bench-test chaos-smoke attack-smoke obs-smoke nfd-smoke
+.PHONY: all check fmt vet build reach test race difftest fuzz-smoke bench bench-telemetry bench-trace bench-test chaos-smoke attack-smoke obs-smoke nfd-smoke
 
 all: check
 
-check: fmt vet build test race difftest fuzz-smoke chaos-smoke attack-smoke obs-smoke nfd-smoke bench-test
+check: fmt vet build reach test race difftest fuzz-smoke chaos-smoke attack-smoke obs-smoke nfd-smoke bench-test
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -25,6 +25,19 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# Reachability audit (scripts/reach.sh): every function declared in a
+# non-test file under internal/ is linked into one of the binaries a
+# user runs — cmd/*, examples/* and bench, built with inlining off so
+# no call site hides a function — or is listed in scripts/reach.allow.
+# It proves that no product code is reachable from tests alone. A new
+# function no binary links fails here: delete it, move it into its
+# package's _test.go or export_test.go when only that package's tests
+# call it, or add a line `<dir>.<Func> <reason>` to scripts/reach.allow
+# naming the tests in other packages that need it. An allow-list entry
+# that a binary links, or that no file declares any more, fails too.
+reach:
+	bash scripts/reach.sh
 
 test:
 	$(GO) test ./...
@@ -79,9 +92,14 @@ attack-smoke:
 
 # Observability plane end-to-end: replay with the flight recorder and
 # the HTTP server up, then self-scrape /metrics, /trace (filtered
-# JSONL), /profile, and pprof, failing on any malformed payload.
+# JSONL), /profile, and pprof, failing on any malformed payload. The
+# second run is a guarded replay with -trace and no server: it must
+# dump its recording as JSONL, at least one verdict event.
 obs-smoke:
 	$(GO) run ./cmd/nfrun -nf cmsketch -flavor enetstl -packets 20000 -serve 127.0.0.1:0 -trace -smoke
+	@out="$$($(GO) run ./cmd/nfrun -nf conntrack -flavor ebpf -guard -trace -packets 2000)" && \
+		n="$$(printf '%s\n' "$$out" | grep -c '"kind":"verdict"')"; \
+		echo "obs smoke: guarded -trace dumped $${n:-0} verdict events"; [ "$${n:-0}" -gt 0 ]
 
 # Daemon lifecycle end-to-end: start nfd on a loopback port, run the
 # full module lifecycle over HTTP (create a guarded traced module, push

@@ -10,7 +10,8 @@
 //	curl -X DELETE localhost:8080/modules/cmsketch-1
 //
 // -smoke runs a self-contained lifecycle check over a loopback
-// listener (create → ingest → estimate → metrics → delete → shutdown)
+// listener (create → ingest → trace → estimate → metrics → delete →
+// shutdown)
 // and exits non-zero on any failure — the `make nfd-smoke` gate.
 package main
 
@@ -30,6 +31,7 @@ import (
 
 	"enetstl/internal/nfd"
 	"enetstl/internal/runtime"
+	"enetstl/internal/trace"
 )
 
 func main() {
@@ -123,6 +125,22 @@ func runSmoke(srv *nfd.Server) int {
 		return fail("ingest", fmt.Errorf("replayed %d packets, want 5000", batch.Packets))
 	}
 
+	// The module's flight recorder holds the batch: drain it as NDJSON,
+	// every line one event.
+	ndjson, err := get(base + "/modules/" + created.ID + "/trace?limit=256")
+	if err != nil {
+		return fail("trace", err)
+	}
+	if strings.TrimSpace(ndjson) == "" {
+		return fail("trace", fmt.Errorf("no events after a 5000-packet batch"))
+	}
+	for _, line := range strings.Split(strings.TrimSpace(ndjson), "\n") {
+		var ev trace.Event
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			return fail("trace", fmt.Errorf("bad NDJSON line %q: %w", line, err))
+		}
+	}
+
 	// The estimator must see the pushed stream.
 	var est struct {
 		Estimate uint32 `json:"estimate"`
@@ -171,7 +189,7 @@ func runSmoke(srv *nfd.Server) int {
 	if err := srv.Shutdown(ctx); err != nil {
 		return fail("shutdown", err)
 	}
-	fmt.Println("nfd-smoke: ok (create → ingest → estimate → stats → metrics → delete → shutdown)")
+	fmt.Println("nfd-smoke: ok (create → ingest → trace → estimate → stats → metrics → delete → shutdown)")
 	return 0
 }
 

@@ -150,6 +150,7 @@ func main() {
 			os.Exit(2)
 		}
 		runGuarded(*name, flavor, tr, stats, srv)
+		dumpRecording(rec, srv)
 		finishServe(srv, base, *smoke, *hold)
 		return
 	}
@@ -236,13 +237,20 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if rec != nil && srv == nil {
-		// -trace without -serve: dump the flight recording as JSONL.
-		fmt.Fprintf(os.Stderr, "trace: %d events emitted, %d dropped, %d/%d packets sampled\n",
-			rec.Emitted(), rec.Drops(), rec.SampledPackets(), rec.Packets())
-		dumpEvents(rec.Drain(0))
-	}
+	dumpRecording(rec, srv)
 	finishServe(srv, base, *smoke, *hold)
+}
+
+// dumpRecording ends a single-shard replay, plain or guarded: -trace
+// without -serve dumps the flight recording as JSONL (with -serve,
+// /trace serves it instead).
+func dumpRecording(rec *trace.Recorder, srv *obs.Server) {
+	if rec == nil || srv != nil {
+		return
+	}
+	fmt.Fprintf(os.Stderr, "trace: %d events emitted, %d dropped, %d/%d packets sampled\n",
+		rec.Emitted(), rec.Drops(), rec.SampledPackets(), rec.Packets())
+	dumpEvents(rec.Drain(0))
 }
 
 // dumpEvents writes events as JSONL on stdout, the same shape /trace

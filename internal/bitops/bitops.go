@@ -29,9 +29,6 @@ func FLS(x uint64) int {
 // CTZ returns the number of trailing zero bits (64 when x is 0).
 func CTZ(x uint64) int { return bits.TrailingZeros64(x) }
 
-// CLZ returns the number of leading zero bits (64 when x is 0).
-func CLZ(x uint64) int { return bits.LeadingZeros64(x) }
-
 // Popcnt returns the number of set bits in x.
 func Popcnt(x uint64) int { return bits.OnesCount64(x) }
 
@@ -102,89 +99,4 @@ func FirstSetLE(b []byte, from int) int {
 		}
 		cur = binary.LittleEndian.Uint64(b[w*8:])
 	}
-}
-
-// LastSet returns the index of the last set bit at or before upto, or -1.
-func (b Bitmap) LastSet(upto int) int {
-	n := len(b)*64 - 1
-	if upto > n {
-		upto = n
-	}
-	if upto < 0 {
-		return -1
-	}
-	w := upto >> 6
-	cur := b[w] & (^uint64(0) >> (63 - uint(upto)&63))
-	for {
-		if cur != 0 {
-			return w<<6 + 63 - bits.LeadingZeros64(cur)
-		}
-		w--
-		if w < 0 {
-			return -1
-		}
-		cur = b[w]
-	}
-}
-
-// CountRange returns the number of set bits in [0, n).
-func (b Bitmap) CountRange(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	total := 0
-	full := n >> 6
-	for i := 0; i < full; i++ {
-		total += bits.OnesCount64(b[i])
-	}
-	if rem := uint(n) & 63; rem != 0 && full < len(b) {
-		total += bits.OnesCount64(b[full] & (1<<rem - 1))
-	}
-	return total
-}
-
-// Words returns the number of 64-bit words in the bitmap.
-func (b Bitmap) Words() int { return len(b) }
-
-// SoftFFS is the software fallback an eBPF program must use: a
-// shift-and-test loop. It exists so benchmarks can compare the two paths
-// natively as well (Table 2's ffs row).
-func SoftFFS(x uint64) int {
-	if x == 0 {
-		return 0
-	}
-	n := 1
-	if x&0xffffffff == 0 {
-		n += 32
-		x >>= 32
-	}
-	if x&0xffff == 0 {
-		n += 16
-		x >>= 16
-	}
-	if x&0xff == 0 {
-		n += 8
-		x >>= 8
-	}
-	if x&0xf == 0 {
-		n += 4
-		x >>= 4
-	}
-	if x&0x3 == 0 {
-		n += 2
-		x >>= 2
-	}
-	if x&0x1 == 0 {
-		n++
-	}
-	return n
-}
-
-// SoftPopcnt is the software population count (parallel reduction), for
-// the same comparison purpose.
-func SoftPopcnt(x uint64) int {
-	x = x - (x>>1)&0x5555555555555555
-	x = x&0x3333333333333333 + (x>>2)&0x3333333333333333
-	x = (x + x>>4) & 0x0f0f0f0f0f0f0f0f
-	return int(x * 0x0101010101010101 >> 56)
 }

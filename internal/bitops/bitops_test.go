@@ -48,10 +48,7 @@ func TestPopcntAndCTZProperties(t *testing.T) {
 		if Popcnt(x) != bits.OnesCount64(x) {
 			return false
 		}
-		if x != 0 && CTZ(x) != FFS(x)-1 {
-			return false
-		}
-		return CLZ(x) == bits.LeadingZeros64(x)
+		return x == 0 || CTZ(x) == FFS(x)-1
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -98,24 +95,6 @@ func TestBitmapFirstSet(t *testing.T) {
 	}
 }
 
-func TestBitmapLastSet(t *testing.T) {
-	b := NewBitmap(256)
-	if got := b.LastSet(255); got != -1 {
-		t.Fatalf("LastSet on empty = %d, want -1", got)
-	}
-	b.Set(7)
-	b.Set(130)
-	if got := b.LastSet(255); got != 130 {
-		t.Fatalf("LastSet(255) = %d, want 130", got)
-	}
-	if got := b.LastSet(129); got != 7 {
-		t.Fatalf("LastSet(129) = %d, want 7", got)
-	}
-	if got := b.LastSet(6); got != -1 {
-		t.Fatalf("LastSet(6) = %d, want -1", got)
-	}
-}
-
 func TestBitmapFirstSetMatchesLinearScan(t *testing.T) {
 	if err := quick.Check(func(words [4]uint64, from uint8) bool {
 		b := Bitmap(words[:])
@@ -130,21 +109,5 @@ func TestBitmapFirstSetMatchesLinearScan(t *testing.T) {
 		return b.FirstSet(start) == want
 	}, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCountRange(t *testing.T) {
-	b := NewBitmap(128)
-	b.Set(0)
-	b.Set(63)
-	b.Set(64)
-	b.Set(100)
-	cases := []struct{ n, want int }{
-		{0, 0}, {1, 1}, {63, 1}, {64, 2}, {65, 3}, {128, 4}, {101, 4},
-	}
-	for _, c := range cases {
-		if got := b.CountRange(c.n); got != c.want {
-			t.Errorf("CountRange(%d) = %d, want %d", c.n, got, c.want)
-		}
 	}
 }

@@ -124,10 +124,6 @@ func Attach(machine *vm.VM, cfg Config) *Lib {
 // VM returns the bound machine.
 func (l *Lib) VM() *vm.VM { return l.vm }
 
-// SetAllocFault installs (or clears, with nil) the node-allocation
-// fault hook consulted by the node_alloc kfunc.
-func (l *Lib) SetAllocFault(fn func() bool) { l.cfg.AllocFault = fn }
-
 // --- Native-side object management (the control-plane path) ---
 
 // NewPoolHandle installs a uniform random pool and returns its handle
@@ -138,15 +134,6 @@ func (l *Lib) NewPoolHandle(size int, seed uint64) (uint64, error) {
 		return 0, err
 	}
 	return l.vm.AllocHandle(p), nil
-}
-
-// NewGeoPoolHandle installs a geometric pool.
-func (l *Lib) NewGeoPoolHandle(size int, prob float64, seed uint64) (uint64, error) {
-	g, err := rpool.NewGeoPool(size, prob, seed)
-	if err != nil {
-		return 0, err
-	}
-	return l.vm.AllocHandle(g), nil
 }
 
 // NewBucketsHandle installs a list-buckets instance.

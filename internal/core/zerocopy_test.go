@@ -8,6 +8,7 @@ import (
 	"enetstl/internal/core"
 	"enetstl/internal/ebpf/vm"
 	"enetstl/internal/memwrapper"
+	"enetstl/internal/rpool"
 )
 
 // The call-boundary contract (DESIGN.md, "core"): a kfunc never copies
@@ -138,7 +139,7 @@ func TestDataPathKfuncsDoNotAllocate(t *testing.T) {
 	elemPtr := e.mem(elem)
 
 	pool := core.MustHandle(e.lib.NewPoolHandle(64, 1))
-	geo := core.MustHandle(e.lib.NewGeoPoolHandle(64, 0.25, 1))
+	geo := e.m.AllocHandle(rpool.Must(rpool.NewGeoPool(64, 0.25, 1)))
 	bkt := core.MustHandle(e.lib.NewBucketsHandle(4, 8, 16))
 
 	proxy := memwrapper.Must(memwrapper.NewProxy(64, 2))

@@ -78,9 +78,6 @@ func (b *Builder) emit(ins isa.Instruction) *Builder {
 	return b
 }
 
-// Len returns the number of instruction slots emitted so far.
-func (b *Builder) Len() int { return len(b.ins) }
-
 // Raw appends a prebuilt instruction verbatim (for generators and
 // tests; no label fixups apply to it).
 func (b *Builder) Raw(ins isa.Instruction) *Builder { return b.emit(ins) }
@@ -130,17 +127,16 @@ func (b *Builder) Rsh(dst, src isa.Reg) *Builder  { return b.alu64Reg(isa.ALURsh
 func (b *Builder) Arsh(dst, src isa.Reg) *Builder { return b.alu64Reg(isa.ALUArsh, dst, src) }
 func (b *Builder) Neg(dst isa.Reg) *Builder       { return b.alu64Imm(isa.ALUNeg, dst, 0) }
 
-func (b *Builder) AddImm(dst isa.Reg, imm int32) *Builder  { return b.alu64Imm(isa.ALUAdd, dst, imm) }
-func (b *Builder) SubImm(dst isa.Reg, imm int32) *Builder  { return b.alu64Imm(isa.ALUSub, dst, imm) }
-func (b *Builder) MulImm(dst isa.Reg, imm int32) *Builder  { return b.alu64Imm(isa.ALUMul, dst, imm) }
-func (b *Builder) DivImm(dst isa.Reg, imm int32) *Builder  { return b.alu64Imm(isa.ALUDiv, dst, imm) }
-func (b *Builder) ModImm(dst isa.Reg, imm int32) *Builder  { return b.alu64Imm(isa.ALUMod, dst, imm) }
-func (b *Builder) AndImm(dst isa.Reg, imm int32) *Builder  { return b.alu64Imm(isa.ALUAnd, dst, imm) }
-func (b *Builder) OrImm(dst isa.Reg, imm int32) *Builder   { return b.alu64Imm(isa.ALUOr, dst, imm) }
-func (b *Builder) XorImm(dst isa.Reg, imm int32) *Builder  { return b.alu64Imm(isa.ALUXor, dst, imm) }
-func (b *Builder) LshImm(dst isa.Reg, imm int32) *Builder  { return b.alu64Imm(isa.ALULsh, dst, imm) }
-func (b *Builder) RshImm(dst isa.Reg, imm int32) *Builder  { return b.alu64Imm(isa.ALURsh, dst, imm) }
-func (b *Builder) ArshImm(dst isa.Reg, imm int32) *Builder { return b.alu64Imm(isa.ALUArsh, dst, imm) }
+func (b *Builder) AddImm(dst isa.Reg, imm int32) *Builder { return b.alu64Imm(isa.ALUAdd, dst, imm) }
+func (b *Builder) SubImm(dst isa.Reg, imm int32) *Builder { return b.alu64Imm(isa.ALUSub, dst, imm) }
+func (b *Builder) MulImm(dst isa.Reg, imm int32) *Builder { return b.alu64Imm(isa.ALUMul, dst, imm) }
+func (b *Builder) DivImm(dst isa.Reg, imm int32) *Builder { return b.alu64Imm(isa.ALUDiv, dst, imm) }
+func (b *Builder) ModImm(dst isa.Reg, imm int32) *Builder { return b.alu64Imm(isa.ALUMod, dst, imm) }
+func (b *Builder) AndImm(dst isa.Reg, imm int32) *Builder { return b.alu64Imm(isa.ALUAnd, dst, imm) }
+func (b *Builder) OrImm(dst isa.Reg, imm int32) *Builder  { return b.alu64Imm(isa.ALUOr, dst, imm) }
+func (b *Builder) XorImm(dst isa.Reg, imm int32) *Builder { return b.alu64Imm(isa.ALUXor, dst, imm) }
+func (b *Builder) LshImm(dst isa.Reg, imm int32) *Builder { return b.alu64Imm(isa.ALULsh, dst, imm) }
+func (b *Builder) RshImm(dst isa.Reg, imm int32) *Builder { return b.alu64Imm(isa.ALURsh, dst, imm) }
 
 // --- ALU32 (results are zero-extended to 64 bits, as in real eBPF) ---
 
@@ -155,13 +151,6 @@ func (b *Builder) alu32Imm(op uint8, dst isa.Reg, imm int32) *Builder {
 func (b *Builder) Mov32(dst, src isa.Reg) *Builder          { return b.alu32Reg(isa.ALUMov, dst, src) }
 func (b *Builder) Mov32Imm(dst isa.Reg, imm int32) *Builder { return b.alu32Imm(isa.ALUMov, dst, imm) }
 func (b *Builder) Add32(dst, src isa.Reg) *Builder          { return b.alu32Reg(isa.ALUAdd, dst, src) }
-func (b *Builder) Add32Imm(dst isa.Reg, imm int32) *Builder { return b.alu32Imm(isa.ALUAdd, dst, imm) }
-func (b *Builder) Mul32(dst, src isa.Reg) *Builder          { return b.alu32Reg(isa.ALUMul, dst, src) }
-func (b *Builder) Mul32Imm(dst isa.Reg, imm int32) *Builder { return b.alu32Imm(isa.ALUMul, dst, imm) }
-func (b *Builder) Xor32(dst, src isa.Reg) *Builder          { return b.alu32Reg(isa.ALUXor, dst, src) }
-func (b *Builder) Rsh32Imm(dst isa.Reg, imm int32) *Builder { return b.alu32Imm(isa.ALURsh, dst, imm) }
-func (b *Builder) Lsh32Imm(dst isa.Reg, imm int32) *Builder { return b.alu32Imm(isa.ALULsh, dst, imm) }
-func (b *Builder) And32Imm(dst isa.Reg, imm int32) *Builder { return b.alu32Imm(isa.ALUAnd, dst, imm) }
 
 // --- Loads and stores ---
 
@@ -245,12 +234,6 @@ func (b *Builder) JmpImm(c Cond, dst isa.Reg, imm int32, label string) *Builder 
 	return b.emit(isa.Instruction{Op: isa.ClassJMP | isa.SrcK | condOps[c], Dst: dst, Imm: imm})
 }
 
-// Jmp32Imm emits a 32-bit conditional register-immediate jump.
-func (b *Builder) Jmp32Imm(c Cond, dst isa.Reg, imm int32, label string) *Builder {
-	b.fixes = append(b.fixes, fixup{pos: len(b.ins), label: label})
-	return b.emit(isa.Instruction{Op: isa.ClassJMP32 | isa.SrcK | condOps[c], Dst: dst, Imm: imm})
-}
-
 // Call emits a helper call by ID. Arguments are taken from R1-R5 and the
 // result is placed in R0, clobbering R1-R5.
 func (b *Builder) Call(helperID int32) *Builder {
@@ -268,44 +251,6 @@ func (b *Builder) Exit() *Builder {
 }
 
 // --- Macros ---
-
-// MemcpyStack copies size bytes from (src+srcOff) to the stack at
-// (R10+dstOff) using unrolled 8/4/2/1-byte moves via scratch, which must
-// not alias src. This is what LLVM emits for small constant memcpy.
-func (b *Builder) MemcpyStack(dstOff int16, src isa.Reg, srcOff int16, size int, scratch isa.Reg) *Builder {
-	for size >= 8 {
-		b.Load(scratch, src, srcOff, 8).Store(R10, dstOff, scratch, 8)
-		srcOff += 8
-		dstOff += 8
-		size -= 8
-	}
-	for _, w := range []int{4, 2, 1} {
-		for size >= w {
-			b.Load(scratch, src, srcOff, w).Store(R10, dstOff, scratch, w)
-			srcOff += int16(w)
-			dstOff += int16(w)
-			size -= w
-		}
-	}
-	return b
-}
-
-// ZeroStack zeroes size bytes of stack at R10+off with store-immediates.
-func (b *Builder) ZeroStack(off int16, size int) *Builder {
-	for size >= 8 {
-		b.StoreImm(R10, off, 0, 8)
-		off += 8
-		size -= 8
-	}
-	for _, w := range []int{4, 2, 1} {
-		for size >= w {
-			b.StoreImm(R10, off, 0, w)
-			off += int16(w)
-			size -= w
-		}
-	}
-	return b
-}
 
 // uniqueLabel returns a label name unlikely to collide with user labels.
 func (b *Builder) uniqueLabel(prefix string) string {

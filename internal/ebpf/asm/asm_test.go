@@ -83,25 +83,6 @@ func TestBadSizeReported(t *testing.T) {
 	}
 }
 
-func TestMemcpyStackCoversAllBytes(t *testing.T) {
-	b := New()
-	b.MemcpyStack(-32, R1, 0, 13, R2)
-	prog := b.MustProgram()
-	// 13 bytes = 8 + 4 + 1 -> three load/store pairs.
-	if len(prog) != 6 {
-		t.Fatalf("memcpy 13B emitted %d instructions, want 6", len(prog))
-	}
-}
-
-func TestZeroStack(t *testing.T) {
-	b := New()
-	b.ZeroStack(-16, 12) // 8 + 4
-	prog := b.MustProgram()
-	if len(prog) != 2 {
-		t.Fatalf("zero 12B emitted %d instructions, want 2", len(prog))
-	}
-}
-
 func TestBoundedLoopStructure(t *testing.T) {
 	b := New()
 	b.MovImm(R0, 0)

@@ -172,11 +172,6 @@ func (ins Instruction) IsCall() bool {
 	return ins.Class() == ClassJMP && ins.JmpOp() == JmpCall
 }
 
-// IsKfuncCall reports whether ins calls a kfunc (vs. a helper).
-func (ins Instruction) IsKfuncCall() bool {
-	return ins.IsCall() && ins.Src == PseudoKfuncCall
-}
-
 // IsExit reports whether ins terminates the program.
 func (ins Instruction) IsExit() bool {
 	return ins.Class() == ClassJMP && ins.JmpOp() == JmpExit

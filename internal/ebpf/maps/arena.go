@@ -8,8 +8,7 @@ import "encoding/binary"
 // (arena, offset), so handing out a value pointer never allocates.
 type ArenaMap interface {
 	Map
-	// ArenaCount returns how many arenas back this map (1, or one per
-	// CPU for per-CPU maps).
+	// ArenaCount returns how many arenas back this map.
 	ArenaCount() int
 	// Arena returns the i-th backing store. The returned slice must
 	// remain valid and non-reallocated for the life of the map.
@@ -41,18 +40,6 @@ func (a *Array) Offset(idx uint32) (off int, ok bool) {
 		return 0, false
 	}
 	return int(idx) * a.valueSize, true
-}
-
-// PerCPUArray arena support: one arena per CPU; lookups resolve into the
-// currently selected CPU's arena.
-
-func (p *PerCPUArray) ArenaCount() int    { return len(p.per) }
-func (p *PerCPUArray) Arena(i int) []byte { return p.per[i].data }
-
-// LookupArena resolves an index in the current CPU's copy.
-func (p *PerCPUArray) LookupArena(key []byte) (int, int, bool) {
-	_, off, ok := p.per[p.cpu].LookupArena(key)
-	return p.cpu, off, ok
 }
 
 // LRUHash arena support: the core stores all values in one contiguous

@@ -161,10 +161,9 @@ func NewBucketHash(keySize, valueSize, maxEntries int) (*BucketHash, error) {
 	return h, nil
 }
 
-func (h *BucketHash) Type() Type      { return TypeHash }
-func (h *BucketHash) KeySize() int    { return h.keySize }
-func (h *BucketHash) ValueSize() int  { return h.valueSize }
-func (h *BucketHash) MaxEntries() int { return h.maxEntries }
+func (h *BucketHash) Type() Type     { return TypeHash }
+func (h *BucketHash) KeySize() int   { return h.keySize }
+func (h *BucketHash) ValueSize() int { return h.valueSize }
 
 // Len returns the number of stored entries.
 func (h *BucketHash) Len() int { return h.count }

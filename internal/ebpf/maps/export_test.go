@@ -1,6 +1,9 @@
 package maps
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // CheckInvariant verifies the LRU map's one-index structure: the
 // recency list is a consistent doubly-linked chain of exactly Len()
@@ -42,3 +45,12 @@ func (l *LRUHash) CheckInvariant() error {
 
 // SlotOf returns the core slot holding key, or -1.
 func (l *LRUHash) SlotOf(key []byte) int { return l.find(key) }
+
+// AddU32Lanes sums little-endian uint32 lanes: the second merge the
+// merge-on-read tests fold with, beside the product's AddU64Lanes.
+func AddU32Lanes(acc, lane []byte) {
+	for off := 0; off+4 <= len(acc) && off+4 <= len(lane); off += 4 {
+		s := binary.LittleEndian.Uint32(acc[off:]) + binary.LittleEndian.Uint32(lane[off:])
+		binary.LittleEndian.PutUint32(acc[off:], s)
+	}
+}

@@ -19,14 +19,13 @@ type Faulty struct {
 	MissLookup func() bool
 }
 
-// Unwrap returns the decorated map, letting the VM reach the concrete
-// type (e.g. *PerCPUArray for SetCPU) through the decorator.
+// Unwrap returns the decorated map, letting callers reach the concrete
+// type through the decorator.
 func (f *Faulty) Unwrap() ArenaMap { return f.M }
 
-func (f *Faulty) Type() Type      { return f.M.Type() }
-func (f *Faulty) KeySize() int    { return f.M.KeySize() }
-func (f *Faulty) ValueSize() int  { return f.M.ValueSize() }
-func (f *Faulty) MaxEntries() int { return f.M.MaxEntries() }
+func (f *Faulty) Type() Type     { return f.M.Type() }
+func (f *Faulty) KeySize() int   { return f.M.KeySize() }
+func (f *Faulty) ValueSize() int { return f.M.ValueSize() }
 
 // Lookup returns the stored value, or nil when the key is absent or an
 // injected miss fires.
@@ -58,14 +57,6 @@ func (f *Faulty) Len() int {
 		return c.Len()
 	}
 	return -1
-}
-
-// SetCPU forwards CPU selection to per-CPU decorated maps; a no-op for
-// single-copy maps, matching the VM's decorator-unwrapping dispatch.
-func (f *Faulty) SetCPU(cpu int) {
-	if c, ok := f.M.(interface{ SetCPU(int) }); ok {
-		c.SetCPU(cpu)
-	}
 }
 
 // ArenaCount forwards to the decorated map.

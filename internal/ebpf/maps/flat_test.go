@@ -48,10 +48,9 @@ func NewFlatHash(keySize, valueSize, maxEntries int) (*FlatHash, error) {
 	}, nil
 }
 
-func (h *FlatHash) Type() Type      { return TypeHash }
-func (h *FlatHash) KeySize() int    { return h.keySize }
-func (h *FlatHash) ValueSize() int  { return h.valueSize }
-func (h *FlatHash) MaxEntries() int { return h.maxEntries }
+func (h *FlatHash) Type() Type     { return TypeHash }
+func (h *FlatHash) KeySize() int   { return h.keySize }
+func (h *FlatHash) ValueSize() int { return h.valueSize }
 
 // Len returns the number of stored entries.
 func (h *FlatHash) Len() int { return h.count }

@@ -6,15 +6,6 @@ package maps
 // meters.
 func (a *Array) Footprint() int { return len(a.data) }
 
-// Footprint sums the per-CPU copies.
-func (p *PerCPUArray) Footprint() int {
-	n := 0
-	for _, c := range p.per {
-		n += c.Footprint()
-	}
-	return n
-}
-
 // Footprint covers tags, keys, values, and the spill markers.
 func (b *BucketHash) Footprint() int {
 	return len(b.tags)*8 + len(b.keys) + len(b.vals) + len(b.ovf1) + len(b.ovf2)
@@ -24,26 +15,6 @@ func (b *BucketHash) Footprint() int {
 // beside its core.
 func (l *LRUHash) Footprint() int {
 	return 4*(len(l.prev)+len(l.next)) + l.core.Footprint()
-}
-
-// Footprint sums the per-CPU copies.
-func (p *PerCPUHash) Footprint() int {
-	n := 0
-	for _, c := range p.per {
-		if f, ok := c.(interface{ Footprint() int }); ok {
-			n += f.Footprint()
-		}
-	}
-	return n
-}
-
-// Footprint sums the per-CPU copies.
-func (p *PerCPULRUHash) Footprint() int {
-	n := 0
-	for _, c := range p.per {
-		n += c.Footprint()
-	}
-	return n
 }
 
 // Footprint passes through to the decorated map.

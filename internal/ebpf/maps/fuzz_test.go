@@ -364,13 +364,14 @@ func FuzzArrayModel(f *testing.F) {
 	})
 }
 
-// FuzzPerCPUHashModel cross-checks the per-CPU hash against one Go map
-// per CPU: ops decode as 4-byte groups (op, cpu, key, value seed) and
-// route through the SetCPU selector, so isolation between copies is
-// itself under test — a write leaking across CPUs diverges the models
-// immediately. A fourth op exercises the merge-on-read path, checking
-// MergeLookup with the canonical u32-lane merge against the lane-wise
-// sum over the models.
+// FuzzPerCPUHashModel cross-checks the per-CPU LRU hash against one LRU
+// model per CPU: ops decode as 4-byte groups (op, cpu, key, value seed)
+// and go to that CPU's fixed CPU(i) copy, so isolation between copies
+// is itself under test — a write or an eviction leaking across CPUs
+// diverges the models immediately. A fourth op exercises the
+// merge-on-read path, checking MergeLookup with a u32-lane merge
+// against the lane-wise sum over the models; it reads without touching
+// any copy's recency.
 func FuzzPerCPUHashModel(f *testing.F) {
 	const fuzzCPUs = 4
 	f.Add([]byte{0, 0, 1, 1, 0, 1, 1, 2, 3, 0, 1, 0})
@@ -383,10 +384,10 @@ func FuzzPerCPUHashModel(f *testing.F) {
 	seed = append(seed, 3, 0, 5, 0, 2, 1, 5, 0, 3, 0, 5, 0)
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p := maps.Must(maps.NewPerCPUHash(fuzzKeySize, fuzzValueSize, fuzzMaxEntries, fuzzCPUs))
+		p := maps.Must(maps.NewPerCPULRUHash(fuzzKeySize, fuzzValueSize, fuzzMaxEntries, fuzzCPUs))
 		models := make([]*modelMap, fuzzCPUs)
 		for i := range models {
-			models[i] = newModel(false)
+			models[i] = newModel(true)
 		}
 		for i := 0; i+4 <= len(data); i += 4 {
 			op, key, value := fuzzOp([]byte{data[i], data[i+2], data[i+3]})
@@ -394,17 +395,16 @@ func FuzzPerCPUHashModel(f *testing.F) {
 			if int(data[i])%4 == 3 {
 				op = 3
 			}
-			p.SetCPU(cpu)
-			model := models[cpu]
+			c, model := p.CPU(cpu), models[cpu]
 			switch op {
 			case 0:
-				gotErr := p.Update(key, value)
+				gotErr := c.Update(key, value)
 				wantErr := model.update(key, value)
 				if (gotErr == nil) != (wantErr == nil) || (wantErr != nil && !errors.Is(gotErr, wantErr)) {
 					t.Fatalf("op %d: cpu %d Update(%x) = %v, model says %v", i/4, cpu, key, gotErr, wantErr)
 				}
 			case 1:
-				got := p.Lookup(key)
+				got := c.Lookup(key)
 				want := model.lookup(key)
 				if (got == nil) != (want == nil) {
 					t.Fatalf("op %d: cpu %d Lookup(%x) presence = %v, model says %v", i/4, cpu, key, got != nil, want != nil)
@@ -413,7 +413,7 @@ func FuzzPerCPUHashModel(f *testing.F) {
 					t.Fatalf("op %d: cpu %d Lookup(%x) = %x, model says %x", i/4, cpu, key, got, want)
 				}
 			case 2:
-				gotErr := p.Delete(key)
+				gotErr := c.Delete(key)
 				wantErr := model.delete(key)
 				if (gotErr == nil) != (wantErr == nil) {
 					t.Fatalf("op %d: cpu %d Delete(%x) = %v, model says %v", i/4, cpu, key, gotErr, wantErr)
@@ -436,12 +436,10 @@ func FuzzPerCPUHashModel(f *testing.F) {
 					t.Fatalf("op %d: MergeLookup(%x) = %x, model sum %x", i/4, key, out, want)
 				}
 			}
-			total := 0
-			for _, mm := range models {
-				total += len(mm.m)
-			}
-			if n := p.Len(); n != total {
-				t.Fatalf("op %d: Len() = %d, models hold %d", i/4, n, total)
+			for cpu, mm := range models {
+				if n := p.CPU(cpu).Len(); n != len(mm.m) {
+					t.Fatalf("op %d: cpu %d Len() = %d, model holds %d", i/4, cpu, n, len(mm.m))
+				}
 			}
 		}
 	})

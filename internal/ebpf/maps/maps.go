@@ -1,8 +1,8 @@
 // Package maps implements the BPF map types used by the simulated eBPF
-// runtime: array, per-CPU array, hash, LRU hash, and their per-CPU
-// variants. Map values are exposed as byte slices aliasing internal
-// storage so the VM can hand out pointers into them, exactly as
-// bpf_map_lookup_elem does.
+// runtime: array, hash, LRU hash, and the per-CPU array and LRU hash,
+// whose copies are handed out one per CPU. Map values are exposed as
+// byte slices aliasing internal storage so the VM can hand out
+// pointers into them, exactly as bpf_map_lookup_elem does.
 //
 // One hash core backs every hash-shaped map: the cache-line-bucketed
 // wide-compare BucketHash. The open-addressed table it replaced
@@ -21,27 +21,18 @@ type Type int
 // Map types.
 const (
 	TypeArray Type = iota
-	TypePerCPUArray
 	TypeHash
 	TypeLRUHash
-	TypePerCPUHash
-	TypePerCPULRUHash
 )
 
 func (t Type) String() string {
 	switch t {
 	case TypeArray:
 		return "array"
-	case TypePerCPUArray:
-		return "percpu_array"
 	case TypeHash:
 		return "hash"
 	case TypeLRUHash:
 		return "lru_hash"
-	case TypePerCPUHash:
-		return "percpu_hash"
-	case TypePerCPULRUHash:
-		return "percpu_lru_hash"
 	}
 	return fmt.Sprintf("maptype(%d)", int(t))
 }
@@ -62,7 +53,7 @@ const maxMapBytes = 1 << 31
 // Must unwraps a map constructor result, panicking on error. For call
 // sites whose sizes are static or already validated (tests, NFs that
 // run Config.validate first).
-func Must[M Map](m M, err error) M {
+func Must[M any](m M, err error) M {
 	if err != nil {
 		panic(err)
 	}
@@ -76,7 +67,6 @@ type Map interface {
 	Type() Type
 	KeySize() int
 	ValueSize() int
-	MaxEntries() int
 	Lookup(key []byte) []byte
 	Update(key, value []byte) error
 	Delete(key []byte) error
@@ -158,12 +148,12 @@ func (a *Array) Data() []byte { return a.data }
 
 // --- PerCPUArray ---
 
-// PerCPUArray is an array map with one private copy per CPU. The VM
-// selects the copy via SetCPU; lookups then alias that copy only, which
-// models the lock-free per-CPU semantics of BPF_MAP_TYPE_PERCPU_ARRAY.
+// PerCPUArray is an array map with one private copy per CPU, modeling
+// BPF_MAP_TYPE_PERCPU_ARRAY: a program attaches one copy (CPU), so its
+// lookups alias that copy only, and control-plane code reads every
+// copy (CPUData) to aggregate.
 type PerCPUArray struct {
 	per []*Array
-	cpu int
 }
 
 // NewPerCPUArray creates a per-CPU array with ncpu private copies.
@@ -182,14 +172,6 @@ func NewPerCPUArray(valueSize, n, ncpu int) (*PerCPUArray, error) {
 	return p, nil
 }
 
-// SetCPU selects which per-CPU copy subsequent operations address.
-func (p *PerCPUArray) SetCPU(cpu int) {
-	if cpu < 0 || cpu >= len(p.per) {
-		panic("maps: SetCPU out of range")
-	}
-	p.cpu = cpu
-}
-
 // NumCPU returns the number of per-CPU copies.
 func (p *PerCPUArray) NumCPU() int { return len(p.per) }
 
@@ -197,23 +179,17 @@ func (p *PerCPUArray) NumCPU() int { return len(p.per) }
 // by control-plane code, mirroring bpf_map_lookup_elem from user space).
 func (p *PerCPUArray) CPUData(cpu int) []byte { return p.per[cpu].Data() }
 
-// CPU returns the i-th private copy itself, for shard goroutines that
-// own one CPU outright and must not share the selector — the same
-// fixed-CPU view PerCPUHash.CPU hands out.
+// CPU returns the i-th private copy itself, for the shard that owns
+// that CPU.
 func (p *PerCPUArray) CPU(i int) *Array { return p.per[i] }
 
-func (p *PerCPUArray) Type() Type                 { return TypePerCPUArray }
-func (p *PerCPUArray) KeySize() int               { return 4 }
-func (p *PerCPUArray) ValueSize() int             { return p.per[0].ValueSize() }
-func (p *PerCPUArray) MaxEntries() int            { return p.per[0].MaxEntries() }
-func (p *PerCPUArray) Lookup(key []byte) []byte   { return p.per[p.cpu].Lookup(key) }
-func (p *PerCPUArray) Update(key, v []byte) error { return p.per[p.cpu].Update(key, v) }
-func (p *PerCPUArray) Delete(key []byte) error    { return p.per[p.cpu].Delete(key) }
+func (p *PerCPUArray) ValueSize() int  { return p.per[0].ValueSize() }
+func (p *PerCPUArray) MaxEntries() int { return p.per[0].MaxEntries() }
 
 // --- Hash ---
 
-// HashMap is what NewHash returns and the per-CPU hash stores per copy:
-// an arena-backed map that can report its entry count.
+// HashMap is what NewHash returns: an arena-backed map that can report
+// its entry count.
 type HashMap interface {
 	ArenaMap
 	Len() int

@@ -89,7 +89,6 @@ func TestWrongSizeKeys(t *testing.T) {
 		m    Map
 	}{
 		{"array", Must[Map](NewArray(8, 4))},
-		{"percpu_array", Must[Map](NewPerCPUArray(8, 4, 2))},
 		{"hash", Must[Map](NewHash(4, 8, 16))},
 		{"lru_hash", Must[Map](NewLRUHash(4, 8, 16))},
 	}
@@ -325,7 +324,7 @@ func TestFaultyDecorator(t *testing.T) {
 	fail, miss := false, false
 	f := &Faulty{M: base, FailUpdate: func() bool { return fail }, MissLookup: func() bool { return miss }}
 	k, v := []byte{1, 2, 3, 4}, []byte{9, 9, 9, 9}
-	if f.Type() != TypeHash || f.KeySize() != 4 || f.ValueSize() != 4 || f.MaxEntries() != 16 {
+	if f.Type() != TypeHash || f.KeySize() != 4 || f.ValueSize() != 4 {
 		t.Fatal("metadata not forwarded")
 	}
 	if err := f.Update(k, v); err != nil {
@@ -361,12 +360,10 @@ func TestFaultyDecorator(t *testing.T) {
 
 func TestPerCPUIsolation(t *testing.T) {
 	p := Must(NewPerCPUArray(4, 2, 3))
-	p.SetCPU(1)
-	if err := p.Update(key4(0), []byte{7, 0, 0, 0}); err != nil {
+	if err := p.CPU(1).Update(key4(0), []byte{7, 0, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
-	p.SetCPU(0)
-	if p.Lookup(key4(0))[0] != 0 {
+	if p.CPU(0).Lookup(key4(0))[0] != 0 {
 		t.Fatal("cpu0 sees cpu1's write")
 	}
 	if p.CPUData(1)[0] != 7 {
@@ -379,10 +376,9 @@ func TestPerCPUIsolation(t *testing.T) {
 
 func TestTypeStrings(t *testing.T) {
 	for m, want := range map[Map]string{
-		Must[Map](NewArray(4, 1)):          "array",
-		Must[Map](NewPerCPUArray(4, 1, 1)): "percpu_array",
-		Must[Map](NewHash(4, 4, 4)):        "hash",
-		Must[Map](NewLRUHash(4, 4, 4)):     "lru_hash",
+		Must[Map](NewArray(4, 1)):      "array",
+		Must[Map](NewHash(4, 4, 4)):    "hash",
+		Must[Map](NewLRUHash(4, 4, 4)): "lru_hash",
 	} {
 		if got := m.Type().String(); got != want {
 			t.Fatalf("type = %q, want %q", got, want)

@@ -1,9 +1,9 @@
 package maps
 
-// Per-CPU hash semantics: copy isolation, the merge-on-read algebra
-// (associative, commutative, shard-count-invariant), non-perturbing
-// control-plane reads, concurrent use of fixed-CPU views under -race,
-// and decorator passthrough for the surfaces the new types added.
+// Per-CPU map semantics: copy isolation through fixed CPU(i) views, the
+// merge-on-read algebra (associative, commutative, shard-count-
+// invariant), non-perturbing control-plane reads, concurrent use of
+// the views under -race, and fault decorators over one copy.
 
 import (
 	"bytes"
@@ -28,24 +28,21 @@ func pcVal(lanes ...uint32) []byte {
 }
 
 func TestPerCPUHashIsolation(t *testing.T) {
-	p := Must(NewPerCPUHash(8, 8, 16, 3))
-	p.SetCPU(1)
-	if err := p.Update(pcKey(7), pcVal(10, 20)); err != nil {
+	p := Must(NewPerCPULRUHash(8, 8, 16, 3))
+	if err := p.CPU(1).Update(pcKey(7), pcVal(10, 20)); err != nil {
 		t.Fatal(err)
 	}
-	p.SetCPU(0)
-	if p.Lookup(pcKey(7)) != nil {
+	if p.CPU(0).Lookup(pcKey(7)) != nil {
 		t.Fatal("cpu0 sees cpu1's entry")
 	}
-	if err := p.Delete(pcKey(7)); err != ErrNotFound {
+	if err := p.CPU(0).Delete(pcKey(7)); err != ErrNotFound {
 		t.Fatalf("cpu0 delete of cpu1's entry: %v", err)
 	}
-	p.SetCPU(2)
-	if err := p.Update(pcKey(7), pcVal(1, 2)); err != nil {
+	if err := p.CPU(2).Update(pcKey(7), pcVal(1, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if p.Len() != 2 {
-		t.Fatalf("total len %d, want 2", p.Len())
+	if n := p.CPU(0).Len() + p.CPU(1).Len() + p.CPU(2).Len(); n != 2 {
+		t.Fatalf("total len %d, want 2", n)
 	}
 	out := make([]byte, 8)
 	if !p.MergeLookup(pcKey(7), out, AddU32Lanes) {
@@ -60,18 +57,24 @@ func TestPerCPUHashIsolation(t *testing.T) {
 	if !bytes.Equal(out, make([]byte, 8)) {
 		t.Fatal("merge miss left out dirty")
 	}
-	// Capacity is per copy: each CPU admits maxEntries of its own.
-	q := Must(NewPerCPUHash(8, 8, 2, 2))
+	// Capacity is per copy: each CPU admits maxEntries of its own, and
+	// an insert past it evicts from that copy only.
+	q := Must(NewPerCPULRUHash(8, 8, 2, 2))
 	for cpu := 0; cpu < 2; cpu++ {
-		q.SetCPU(cpu)
 		for i := uint64(0); i < 2; i++ {
-			if err := q.Update(pcKey(i), pcVal(1, 1)); err != nil {
+			if err := q.CPU(cpu).Update(pcKey(i), pcVal(1, 1)); err != nil {
 				t.Fatalf("cpu %d insert %d: %v", cpu, i, err)
 			}
 		}
-		if err := q.Update(pcKey(9), pcVal(1, 1)); err != ErrNoSpace {
-			t.Fatalf("cpu %d overfill: %v, want ErrNoSpace", cpu, err)
-		}
+	}
+	if err := q.CPU(1).Update(pcKey(9), pcVal(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if q.CPU(1).Peek(pcKey(0)) != nil || q.CPU(1).Evictions != 1 {
+		t.Fatal("cpu1 overfill did not evict its own oldest entry")
+	}
+	if q.CPU(0).Peek(pcKey(0)) == nil || q.CPU(0).Evictions != 0 || q.Evictions() != 1 {
+		t.Fatal("cpu1 overfill evicted from cpu0")
 	}
 }
 
@@ -128,29 +131,19 @@ func TestPerCPUShardInvariance(t *testing.T) {
 	shardOf := func(key []byte, n int) int {
 		return int(SlotHash(key)>>17) % n // any deterministic partition
 	}
-	run := func(ncpu int, lru bool) map[uint64]uint64 {
-		var merge interface {
-			SetCPU(int)
-			Update(k, v []byte) error
-			Lookup(k []byte) []byte
-			MergeLookup(k, out []byte, m MergeFunc) bool
-		}
-		if lru {
-			merge = Must(NewPerCPULRUHash(8, 16, 128, ncpu))
-		} else {
-			merge = Must(NewPerCPUHash(8, 16, 128, ncpu))
-		}
+	run := func(ncpu int) map[uint64]uint64 {
+		merge := Must(NewPerCPULRUHash(8, 16, 128, ncpu))
 		rng := rand.New(rand.NewSource(9))
 		for u := 0; u < updates; u++ {
 			k := pcKey(uint64(rng.Intn(flows)))
-			merge.SetCPU(shardOf(k, ncpu))
-			if v := merge.Lookup(k); v != nil {
+			view := merge.CPU(shardOf(k, ncpu))
+			if v := view.Lookup(k); v != nil {
 				binary.LittleEndian.PutUint64(v, binary.LittleEndian.Uint64(v)+1)
 				continue
 			}
 			var init [16]byte
 			binary.LittleEndian.PutUint64(init[:], 1)
-			if err := merge.Update(k, init[:]); err != nil {
+			if err := view.Update(k, init[:]); err != nil {
 				t.Fatalf("ncpu=%d update: %v", ncpu, err)
 			}
 		}
@@ -163,20 +156,18 @@ func TestPerCPUShardInvariance(t *testing.T) {
 		}
 		return totals
 	}
-	for _, lru := range []bool{false, true} {
-		base := run(1, lru)
-		if len(base) == 0 {
-			t.Fatal("no flows merged")
+	base := run(1)
+	if len(base) == 0 {
+		t.Fatal("no flows merged")
+	}
+	for _, ncpu := range []int{2, 4, 8} {
+		got := run(ncpu)
+		if len(got) != len(base) {
+			t.Fatalf("ncpu=%d: %d flows merged, want %d", ncpu, len(got), len(base))
 		}
-		for _, ncpu := range []int{2, 4, 8} {
-			got := run(ncpu, lru)
-			if len(got) != len(base) {
-				t.Fatalf("lru=%v ncpu=%d: %d flows merged, want %d", lru, ncpu, len(got), len(base))
-			}
-			for f, want := range base {
-				if got[f] != want {
-					t.Fatalf("lru=%v ncpu=%d flow %d: merged %d, want %d", lru, ncpu, f, got[f], want)
-				}
+		for f, want := range base {
+			if got[f] != want {
+				t.Fatalf("ncpu=%d flow %d: merged %d, want %d", ncpu, f, got[f], want)
 			}
 		}
 	}
@@ -221,9 +212,9 @@ func TestPerCPULRUPeekDoesNotPerturb(t *testing.T) {
 	}
 }
 
-// TestPerCPUConcurrentViews exercises the ParallelRun access mode under
-// -race: one goroutine per CPU hammering its own fixed view, no shared
-// selector, then a merge pass validating totals.
+// TestPerCPUConcurrentViews exercises the ParallelRun access pattern
+// under -race: one goroutine per CPU hammering its own fixed view, then
+// a merge pass validating totals.
 func TestPerCPUConcurrentViews(t *testing.T) {
 	const ncpu = 8
 	const perCPU = 5000
@@ -262,20 +253,18 @@ func TestPerCPUConcurrentViews(t *testing.T) {
 	}
 }
 
-// TestFaultyPerCPUPassthrough covers the passthrough gaps the per-CPU
-// types exposed in the Faulty decorator: Len and SetCPU must reach
-// through it, and injected faults must hit only the selected copy's
-// operation, leaving other copies untouched.
+// TestFaultyPerCPUPassthrough: a Faulty decorator over one per-CPU
+// copy forwards Len, and injected faults hit only that copy, leaving
+// its siblings untouched.
 func TestFaultyPerCPUPassthrough(t *testing.T) {
-	p := Must(NewPerCPUHash(8, 8, 16, 2))
+	p := Must(NewPerCPULRUHash(8, 8, 16, 2))
 	fail := false
-	f := &Faulty{M: p, FailUpdate: func() bool { return fail }}
-	f.SetCPU(1)
+	f := &Faulty{M: p.CPU(1), FailUpdate: func() bool { return fail }}
 	if err := f.Update(pcKey(1), pcVal(1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if p.CPU(1).Len() != 1 || p.CPU(0).Len() != 0 {
-		t.Fatal("SetCPU did not reach through Faulty")
+		t.Fatal("update through Faulty missed its copy")
 	}
 	if f.Len() != 1 {
 		t.Fatalf("Faulty.Len() = %d, want 1", f.Len())
@@ -284,7 +273,7 @@ func TestFaultyPerCPUPassthrough(t *testing.T) {
 	if err := f.Update(pcKey(2), pcVal(1, 1)); err != ErrNoSpace {
 		t.Fatalf("injected update: %v", err)
 	}
-	if f.Len() != 1 {
+	if f.Len() != 1 || p.CPU(0).Len() != 0 {
 		t.Fatal("injected failure mutated the map")
 	}
 	// LRU flavour: telemetry surfaces visible through the decorator.
@@ -308,32 +297,38 @@ func TestFaultyPerCPUPassthrough(t *testing.T) {
 	}
 }
 
-// TestPerCPUTypesAndArenas pins the new Type values, their strings, and
-// the per-CPU arena registration shape the VM consumes.
+// TestPerCPUTypesAndArenas pins what a VM attaches for a per-CPU map:
+// each copy is a plain map of the base type with one arena of its own,
+// and a write through one copy resolves in that arena and no other.
 func TestPerCPUTypesAndArenas(t *testing.T) {
-	p := Must(NewPerCPUHash(8, 8, 16, 3))
+	a := Must(NewPerCPUArray(8, 4, 3))
 	l := Must(NewPerCPULRUHash(8, 8, 16, 3))
-	if p.Type() != TypePerCPUHash || p.Type().String() != "percpu_hash" {
-		t.Fatalf("hash type %v (%q)", p.Type(), p.Type().String())
+	for cpu := 0; cpu < 3; cpu++ {
+		if a.CPU(cpu).Type() != TypeArray || l.CPU(cpu).Type() != TypeLRUHash {
+			t.Fatalf("cpu %d: copy types %v, %v", cpu, a.CPU(cpu).Type(), l.CPU(cpu).Type())
+		}
+		if a.CPU(cpu).ArenaCount() != 1 || l.CPU(cpu).ArenaCount() != 1 {
+			t.Fatal("a per-CPU copy must register exactly one arena")
+		}
 	}
-	if l.Type() != TypePerCPULRUHash || l.Type().String() != "percpu_lru_hash" {
-		t.Fatalf("lru type %v (%q)", l.Type(), l.Type().String())
-	}
-	if p.ArenaCount() != 3 || l.ArenaCount() != 3 {
-		t.Fatal("per-CPU maps must register one arena per copy")
-	}
-	p.SetCPU(2)
-	if err := p.Update(pcKey(5), pcVal(9, 9)); err != nil {
+	c := l.CPU(2)
+	if err := c.Update(pcKey(5), pcVal(9, 9)); err != nil {
 		t.Fatal(err)
 	}
-	cpu, off, ok := p.LookupArena(pcKey(5))
-	if !ok || cpu != 2 {
-		t.Fatalf("LookupArena resolved cpu %d ok=%v, want cpu 2", cpu, ok)
+	_, off, ok := c.LookupArena(pcKey(5))
+	if !ok {
+		t.Fatal("LookupArena missed the copy's own key")
 	}
-	if got := p.Arena(2)[off : off+8]; !bytes.Equal(got, pcVal(9, 9)) {
+	if got := c.Arena(0)[off : off+8]; !bytes.Equal(got, pcVal(9, 9)) {
 		t.Fatalf("arena bytes %x at resolved offset", got)
 	}
-	if _, _, ok := l.LookupArena(pcKey(5)); ok {
-		t.Fatal("empty LRU resolved a key")
+	if _, _, ok := l.CPU(0).LookupArena(pcKey(5)); ok {
+		t.Fatal("another CPU's copy resolved the key")
+	}
+	if err := a.CPU(1).Update(key4(2), pcVal(7, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.CPUData(1)[16:24], pcVal(7, 7)) || !bytes.Equal(a.CPUData(0), make([]byte, 32)) {
+		t.Fatal("CPUData does not alias the written copy alone")
 	}
 }

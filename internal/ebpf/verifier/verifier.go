@@ -493,7 +493,13 @@ func (c *checker) stepALU(st *vstate, ins isa.Instruction) error {
 		}
 	}
 
+	// ALU op codes above arsh (end, and the two undefined ones) have no
+	// VM implementation: reject them on every path, not only where the
+	// operands are unknown.
 	op := ins.ALUOp()
+	if op > isa.ALUArsh {
+		return rejectf(pc, "unsupported ALU op %#x", op)
+	}
 
 	// MOV: propagate full state (including pointers and references).
 	if op == isa.ALUMov {
@@ -645,8 +651,6 @@ func (c *checker) stepALU(st *vstate, ins isa.Instruction) error {
 		}
 	case isa.ALUSub, isa.ALUArsh:
 		// Result bound unknown.
-	default:
-		return rejectf(pc, "unsupported ALU op %#x", op)
 	}
 	if is32 && ns.umax > uint64(^uint32(0)) {
 		ns.umax = uint64(^uint32(0))

@@ -98,9 +98,9 @@ func TestJmp32Branches(t *testing.T) {
 	m := vm.New()
 	b := asm.New()
 	b.Load(asm.R1, asm.R1, 0, 8)
-	b.Jmp32Imm(asm.JEQ, asm.R1, 7, "eq")
+	// jeq32 r1, 7 over the two-slot fall-through.
+	b.Raw(isa.Instruction{Op: isa.ClassJMP32 | isa.SrcK | isa.JmpJEQ, Dst: isa.R1, Imm: 7, Off: 2})
 	b.MovImm(asm.R0, 1).Exit()
-	b.Label("eq")
 	b.MovImm(asm.R0, 2).Exit()
 	if err := verifyProg(t, m, b, verifier.Options{}); err != nil {
 		t.Fatalf("32-bit jump rejected: %v", err)
@@ -320,5 +320,24 @@ func TestDivModByZero(t *testing.T) {
 	}
 	if r0 := runsOnBothContexts(t, zeroRegisterDivisor(isa.ALUMod)); r0 != [2]uint64{0x03020100, 0xffffffff} {
 		t.Fatalf("x %% 0 = %#x, want x", r0)
+	}
+}
+
+// TestUndefinedALUOpRejected: the ALU op codes above arsh (end and the
+// two undefined ones) have no VM implementation, so the verifier must
+// refuse them whatever it knows about the operands — two known
+// constants used to be folded and accepted, and the program then
+// faulted (the committed FuzzVerifier input abb356c4b4a92fcd).
+func TestUndefinedALUOpRejected(t *testing.T) {
+	for _, class := range []uint8{isa.ClassALU64, isa.ClassALU} {
+		for _, op := range []uint8{isa.ALUEnd, 0xe0, 0xf0} {
+			for _, src := range []uint8{isa.SrcK, isa.SrcX} {
+				b := asm.New()
+				b.MovImm(asm.R0, 7)
+				b.Raw(isa.Instruction{Op: class | src | op, Dst: isa.R0, Src: isa.R0, Imm: 3})
+				b.Exit()
+				wantReject(t, verifyProg(t, vm.New(), b, verifier.Options{}), "unsupported ALU op")
+			}
+		}
 	}
 }

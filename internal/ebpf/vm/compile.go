@@ -28,7 +28,6 @@ package vm
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"enetstl/internal/ebpf/isa"
 )
@@ -119,35 +118,6 @@ func (vm *VM) execJIT(p *Program, ctx []byte) (uint64, error) {
 		}
 		b = nb
 	}
-}
-
-// CompileJIT eagerly builds the block-compiled form of p (normally done
-// lazily on the first TierJIT run) and reports whether it is available.
-// Programs the predecoder refused (nil decoded stream) do not compile.
-func (vm *VM) CompileJIT(p *Program) bool {
-	if p.dec == nil {
-		return false
-	}
-	if p.jit == nil && !p.jitTried {
-		p.jitTried = true
-		p.jit = compileJIT(vm, p)
-	}
-	return p.jit != nil
-}
-
-// JITBlockStarts returns the sorted start pcs of every compiled basic
-// block (including out-of-range error blocks branches may name), or nil
-// if the program has not been compiled.
-func (p *Program) JITBlockStarts() []int {
-	if p.jit == nil {
-		return nil
-	}
-	starts := make([]int, 0, len(p.jit.blocks))
-	for pc := range p.jit.blocks {
-		starts = append(starts, pc)
-	}
-	sort.Ints(starts)
-	return starts
 }
 
 type jitCompiler struct {

@@ -1,7 +1,14 @@
 package vm
 
-// Test-only view of the decoded IR for the external tests in this
-// directory: which fused kinds exist, and where a program uses them.
+import (
+	"sort"
+
+	"enetstl/internal/trace"
+)
+
+// Test-only views for the external tests in this directory: the
+// decoded IR (which fused kinds exist, and where a program uses them),
+// the jit's blocks, and the VM's attachments.
 
 // fusedKindNames names every kind from kFuseLea up, in kind order. The
 // array is sized from the const block, so a fused kind added there
@@ -56,4 +63,48 @@ func (p *Program) LookupRuns() []LookupRun {
 		}
 	}
 	return runs
+}
+
+// FusedPairs returns how many adjacent instruction pairs the predecode
+// peephole fuser collapsed into super-ops.
+func (p *Program) FusedPairs() int { return p.fused }
+
+// CompileJIT eagerly builds the block-compiled form of p (normally done
+// lazily on the first TierJIT run) and reports whether it is available.
+// Programs the predecoder refused (nil decoded stream) do not compile.
+func (vm *VM) CompileJIT(p *Program) bool {
+	if p.dec == nil {
+		return false
+	}
+	if p.jit == nil && !p.jitTried {
+		p.jitTried = true
+		p.jit = compileJIT(vm, p)
+	}
+	return p.jit != nil
+}
+
+// JITBlockStarts returns the sorted start pcs of every compiled basic
+// block (including out-of-range error blocks branches may name), or nil
+// if the program has not been compiled.
+func (p *Program) JITBlockStarts() []int {
+	if p.jit == nil {
+		return nil
+	}
+	starts := make([]int, 0, len(p.jit.blocks))
+	for pc := range p.jit.blocks {
+		starts = append(starts, pc)
+	}
+	sort.Ints(starts)
+	return starts
+}
+
+// Recorder returns the attached flight recorder, or nil.
+func (vm *VM) Recorder() *trace.Recorder { return vm.rec }
+
+// RetainedStats reports how many VM Stats the global switch currently
+// retains.
+func RetainedStats() int {
+	statsMu.Lock()
+	defer statsMu.Unlock()
+	return len(globalStats)
 }

@@ -221,8 +221,10 @@ func registerBuiltinHelpers(vm *VM) {
 		}
 		return 0, nil
 	})
+	// The simulated clock never advances: no catalog program reads
+	// time, and a replay must not depend on the host's.
 	vm.RegisterHelper(HelperKtimeGetNS, func(vm *VM, _, _, _, _, _ uint64) (uint64, error) {
-		return vm.now, nil
+		return 0, nil
 	})
 	vm.RegisterHelper(HelperGetPrandomU32, func(vm *VM, _, _, _, _, _ uint64) (uint64, error) {
 		return uint64(vm.Prandom32()), nil

@@ -177,12 +177,11 @@ func TestFusionPatterns(t *testing.T) {
 			build: func(b *asm.Builder) {
 				b.MovImm(asm.R7, 0)
 				b.Mov(asm.R1, asm.R7) // mov feeding ...
-				b.Call(vm.HelperKtimeGetNS)
+				b.Call(vm.HelperGetPrandomU32)
 				b.Exit()
 			},
-			setup: func(m *vm.VM) { m.SetClock(777) },
 			fused: 1,
-			want:  777,
+			want:  uint64(vm.New().Prandom32()), // a fresh VM's first draw
 		},
 		{
 			name: "mov+call/kfunc",

@@ -261,9 +261,6 @@ func (vm *VM) EnableStats() *Stats {
 	return vm.stats
 }
 
-// DisableStats detaches stats collection; subsequent runs are unmetered.
-func (vm *VM) DisableStats() { vm.stats = nil }
-
 // SetStats attaches an existing Stats (e.g. one shared across the VMs
 // of a multi-program app). nil disables collection.
 func (vm *VM) SetStats(s *Stats) { vm.stats = s }
@@ -290,14 +287,6 @@ func SetGlobalStats(on bool) {
 	defer statsMu.Unlock()
 	globalStatsEnabled = on
 	globalStats = nil
-}
-
-// RetainedStats reports how many VM Stats the global switch currently
-// retains — observable by leak-check tests.
-func RetainedStats() int {
-	statsMu.Lock()
-	defer statsMu.Unlock()
-	return len(globalStats)
 }
 
 // GlobalStatsEnabled reports the switch state.

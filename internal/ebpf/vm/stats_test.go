@@ -194,7 +194,7 @@ func TestStatsMapCounters(t *testing.T) {
 
 	bb := asm.New()
 	bb.StoreImm(asm.R10, -4, 7, 4)
-	bb.ZeroStack(-12, 8)
+	bb.StoreImm(asm.R10, -12, 0, 8)
 	// update, lookup (hit), delete, lookup (miss)
 	bb.LoadMap(asm.R1, fd)
 	bb.Mov(asm.R2, asm.R10).AddImm(asm.R2, -4)
@@ -265,7 +265,7 @@ func TestStatsDisabledCollectsNothing(t *testing.T) {
 	if !ok || ps.RunCnt != 1 || ps.Insns != 2 {
 		t.Fatalf("post-enable stats: %+v ok=%v", ps, ok)
 	}
-	m.DisableStats()
+	m.SetStats(nil)
 	if _, err := m.Run(p, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -17,9 +17,6 @@ func (vm *VM) SetRecorder(r *trace.Recorder) {
 	vm.sampled = false
 }
 
-// Recorder returns the attached flight recorder, or nil.
-func (vm *VM) Recorder() *trace.Recorder { return vm.rec }
-
 // runObserved is Run's instrumented slow path: stats and/or tracing is
 // attached. Sampling happens once per packet at entry; every event the
 // packet generates carries the same (Pkt, Flow) pair so /trace can

@@ -114,7 +114,6 @@ type VM struct {
 
 	rngState uint64
 	taus     [4]uint32
-	now      uint64 // simulated monotonic clock, ns
 	lockHeld int
 	lockWord uint32
 
@@ -126,8 +125,6 @@ type VM struct {
 	// compares it against the reference interpreter's registers; nil (the
 	// default) keeps the hot path to a single predictable branch.
 	RegSink *[isa.NumRegs]uint64
-
-	cpu int
 
 	// tier selects the execution tier: the predecoded fast path (the
 	// default), the wire-format reference loop, or the block-compiled
@@ -320,28 +317,6 @@ func (vm *VM) mapPointer(fd int32) (uint64, bool) {
 	return vm.mapRegions[fd] << RegionShift, true
 }
 
-// SetCPU selects the logical CPU: per-CPU maps (array and hash alike)
-// switch to that CPU's private copy. Dispatch is by capability, not
-// concrete type, so PerCPUArray, PerCPUHash, and PerCPULRUHash all
-// switch; decorators (maps.Faulty) are unwrapped so injection wrappers
-// don't hide the per-CPU switch.
-func (vm *VM) SetCPU(cpu int) {
-	vm.cpu = cpu
-	for _, m := range vm.mapsByFD {
-		for m != nil {
-			if p, ok := m.(interface{ SetCPU(int) }); ok {
-				p.SetCPU(cpu)
-				break
-			}
-			u, ok := m.(interface{ Unwrap() maps.ArenaMap })
-			if !ok {
-				break
-			}
-			m = u.Unwrap()
-		}
-	}
-}
-
 // WrapMaps rewrites every attached map through wrap. Loaded programs'
 // map pointers name the FD, so they resolve to the wrapper from then on.
 // Returning the input (or nil) leaves that map untouched. The chaos
@@ -367,15 +342,6 @@ func (vm *VM) SetAllocFault(fn func() bool) { vm.allocFault = fn }
 // LockHeld returns the spin-lock depth (0 when balanced); the chaos
 // harness asserts it is zero after every packet.
 func (vm *VM) LockHeld() int { return vm.lockHeld }
-
-// SetClock sets the simulated monotonic clock returned by ktime_get_ns.
-func (vm *VM) SetClock(ns uint64) { vm.now = ns }
-
-// AdvanceClock advances the simulated clock.
-func (vm *VM) AdvanceClock(delta uint64) { vm.now += delta }
-
-// Now returns the simulated clock.
-func (vm *VM) Now() uint64 { return vm.now }
 
 // Rand32 steps the VM's xorshift PRNG (the bpf_get_prandom_u32 source).
 func (vm *VM) Rand32() uint32 {
@@ -564,10 +530,6 @@ func (p *Program) Len() int { return len(p.ins) }
 
 // Instructions returns the resolved instruction stream (read-only use).
 func (p *Program) Instructions() []isa.Instruction { return p.ins }
-
-// FusedPairs returns how many adjacent instruction pairs the predecode
-// peephole fuser collapsed into super-ops.
-func (p *Program) FusedPairs() int { return p.fused }
 
 // Load resolves map FDs in prog against this VM and returns a runnable
 // Program. Verification is the verifier package's job; Load only links.

@@ -81,12 +81,14 @@ func TestALUSemantics(t *testing.T) {
 		{"xor", func(b *asm.Builder) { b.MovImm(asm.R0, 0xff).XorImm(asm.R0, 0x0f) }, 0xf0},
 		{"lsh", func(b *asm.Builder) { b.MovImm(asm.R0, 1).LshImm(asm.R0, 33) }, 1 << 33},
 		{"rsh", func(b *asm.Builder) { b.MovImm(asm.R0, 1).LshImm(asm.R0, 33).RshImm(asm.R0, 30) }, 8},
-		{"arsh", func(b *asm.Builder) { b.MovImm(asm.R0, -16).ArshImm(asm.R0, 2) }, ^uint64(0) - 3},
+		{"arsh", func(b *asm.Builder) {
+			b.MovImm(asm.R0, -16).Raw(isa.Instruction{Op: isa.ClassALU64 | isa.SrcK | isa.ALUArsh, Dst: isa.R0, Imm: 2})
+		}, ^uint64(0) - 3},
 		{"mov32_zero_extends", func(b *asm.Builder) {
 			b.MovImm(asm.R0, -1).Mov32Imm(asm.R0, -1)
 		}, 0xffffffff},
 		{"alu32_wraps", func(b *asm.Builder) {
-			b.Mov32Imm(asm.R0, -1).Add32Imm(asm.R0, 1)
+			b.Mov32Imm(asm.R0, -1).Raw(isa.Instruction{Op: isa.ClassALU | isa.SrcK | isa.ALUAdd, Dst: isa.R0, Imm: 1})
 		}, 0},
 		{"sign_extend_imm", func(b *asm.Builder) { b.MovImm(asm.R0, -1) }, ^uint64(0)},
 	}
@@ -302,26 +304,27 @@ func TestKfuncDispatchAndHandles(t *testing.T) {
 	}
 }
 
+// TestPerCPUMapIsolation: two VMs, one per CPU, each attach their own
+// copy of one per-CPU array, as the sharded NFs do; a run on one CPU
+// counts in that copy only.
 func TestPerCPUMapIsolation(t *testing.T) {
-	m := vm.New()
 	pc := maps.Must(maps.NewPerCPUArray(8, 4, 2))
-	fd := m.RegisterMap(pc)
-	prog, err := m.Load("counter", buildCounter(fd))
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
 	pkt := make([]byte, 64)
 	pkt[0] = 1
-	m.SetCPU(0)
-	if _, err := m.Run(prog, pkt); err != nil {
-		t.Fatalf("cpu0 run: %v", err)
+	for cpu, runs := range []int{2, 1} {
+		m := vm.New()
+		prog, err := m.Load("counter", buildCounter(m.RegisterMap(pc.CPU(cpu))))
+		if err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		for i := 0; i < runs; i++ {
+			if _, err := m.Run(prog, pkt); err != nil {
+				t.Fatalf("cpu%d run: %v", cpu, err)
+			}
+		}
 	}
-	m.SetCPU(1)
-	if _, err := m.Run(prog, pkt); err != nil {
-		t.Fatalf("cpu1 run: %v", err)
-	}
-	if pc.CPUData(0)[8] != 1 || pc.CPUData(1)[8] != 1 {
-		t.Fatalf("per-cpu counters not isolated: cpu0=%d cpu1=%d", pc.CPUData(0)[8], pc.CPUData(1)[8])
+	if pc.CPUData(0)[8] != 2 || pc.CPUData(1)[8] != 1 {
+		t.Fatalf("per-cpu counters not isolated: cpu0=%d cpu1=%d, want 2 and 1", pc.CPUData(0)[8], pc.CPUData(1)[8])
 	}
 }
 

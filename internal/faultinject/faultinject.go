@@ -19,7 +19,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"enetstl/internal/telemetry"
 	"enetstl/internal/trace"
 )
 
@@ -91,8 +90,9 @@ type Site struct {
 
 	// rec receives a KindFault event for every injected fault, so the
 	// flight recorder can correlate injections with the packets whose
-	// verdicts they changed. Nil when tracing is off.
-	rec atomic.Pointer[trace.Recorder]
+	// verdicts they changed. Nil when tracing is off; fixed when the
+	// plane creates the site.
+	rec *trace.Recorder
 }
 
 // Name returns the site name.
@@ -142,7 +142,7 @@ func (s *Site) Fire() bool {
 	}
 	if fire {
 		s.injected.Add(1)
-		if r := s.rec.Load(); r != nil {
+		if r := s.rec; r != nil {
 			// Fault events bypass packet sampling: injections are rare and
 			// each one explains a verdict, so every injection is recorded.
 			r.Emit(trace.Event{Kind: trace.KindFault, Name: s.name, Val: n})
@@ -183,22 +183,10 @@ func (p *Plane) Site(name string) *Site {
 		for _, c := range []byte(name) {
 			h = splitmix64(h ^ uint64(c))
 		}
-		s = &Site{name: name, seed: h}
-		s.rec.Store(p.rec)
+		s = &Site{name: name, seed: h, rec: p.rec}
 		p.sites[name] = s
 	}
 	return s
-}
-
-// SetRecorder attaches (or, with nil, detaches) a flight recorder on
-// the plane and every existing site.
-func (p *Plane) SetRecorder(r *trace.Recorder) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.rec = r
-	for _, s := range p.sites {
-		s.rec.Store(r)
-	}
 }
 
 // Arm installs sched on the named site and enables it (arming with an
@@ -223,22 +211,6 @@ func (p *Plane) DisarmAll() {
 	}
 }
 
-// Evaluated returns total consultations across all sites.
-func (p *Plane) Evaluated() uint64 { return p.total((*Site).Evaluated) }
-
-// Injected returns total injected faults across all sites.
-func (p *Plane) Injected() uint64 { return p.total((*Site).Injected) }
-
-func (p *Plane) total(get func(*Site) uint64) uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var t uint64
-	for _, s := range p.sites {
-		t += get(s)
-	}
-	return t
-}
-
 // SiteCount is one site's counter snapshot.
 type SiteCount struct {
 	Site      string
@@ -256,17 +228,4 @@ func (p *Plane) Counts() []SiteCount {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
 	return out
-}
-
-// Publish exports the plane's counters into reg as
-// fault_site_evaluated_total / fault_site_injected_total{site=...},
-// next to the VM's bpf_stats-style series.
-func (p *Plane) Publish(reg *telemetry.Registry) {
-	reg.SetHelp("fault_site_evaluated_total", "fault-injection site consultations")
-	reg.SetHelp("fault_site_injected_total", "faults injected at each site")
-	for _, c := range p.Counts() {
-		l := telemetry.L("site", c.Site)
-		reg.Counter("fault_site_evaluated_total", l).Add(c.Evaluated)
-		reg.Counter("fault_site_injected_total", l).Add(c.Injected)
-	}
 }

@@ -1,10 +1,9 @@
 package faultinject
 
 import (
-	"strings"
+	"slices"
 	"testing"
 
-	"enetstl/internal/telemetry"
 	"enetstl/internal/trace"
 )
 
@@ -88,6 +87,9 @@ func TestProbDeterministicAndRoughlyCalibrated(t *testing.T) {
 	}
 }
 
+// TestCountersAndPublish: per-site counters, and the sorted per-site
+// snapshot (Counts) the chaos report publishes, including a site that
+// was created but never consulted.
 func TestCountersAndPublish(t *testing.T) {
 	p := New(9)
 	s := p.Arm(SiteMapUpdate, Schedule{EveryNth: 2})
@@ -100,17 +102,10 @@ func TestCountersAndPublish(t *testing.T) {
 	if got := s.Injected(); got != 5 {
 		t.Fatalf("injected = %d, want 5", got)
 	}
-	if p.Injected() != 5 || p.Evaluated() != 10 {
-		t.Fatalf("plane totals = %d/%d", p.Injected(), p.Evaluated())
-	}
-	reg := telemetry.NewRegistry()
-	p.Publish(reg)
-	text := reg.Text()
-	if !strings.Contains(text, `fault_site_injected_total{site="map_update"} 5`) {
-		t.Fatalf("exposition missing injected counter:\n%s", text)
-	}
-	if !strings.Contains(text, `fault_site_evaluated_total{site="map_update"} 10`) {
-		t.Fatalf("exposition missing evaluated counter:\n%s", text)
+	p.Site(SiteMapLookup) // created, never consulted
+	want := []SiteCount{{Site: SiteMapLookup}, {Site: SiteMapUpdate, Evaluated: 10, Injected: 5}}
+	if got := p.Counts(); !slices.Equal(got, want) {
+		t.Fatalf("Counts() = %+v, want %+v", got, want)
 	}
 }
 
@@ -150,8 +145,9 @@ func BenchmarkFireNil(b *testing.B) {
 
 func TestFireEmitsFaultEvents(t *testing.T) {
 	rec := trace.NewRecorder(trace.Config{Capacity: 64})
+	trace.SetGlobal(rec)
+	defer trace.SetGlobal(nil)
 	p := New(7)
-	p.SetRecorder(rec)
 	s := p.Arm("boom", Schedule{EveryNth: 3})
 	for i := 0; i < 9; i++ {
 		s.Fire()
@@ -168,17 +164,11 @@ func TestFireEmitsFaultEvents(t *testing.T) {
 			t.Fatalf("event %d: call index %d, want %d", i, ev.Val, want)
 		}
 	}
-	// Sites created after SetRecorder inherit it.
+	// Sites created later inherit the plane's recorder.
 	s2 := p.Arm("boom2", Schedule{EveryNth: 1})
 	s2.Fire()
 	if evs := rec.Drain(0); len(evs) != 1 || evs[0].Name != "boom2" {
 		t.Fatalf("new site events: %+v", evs)
-	}
-	// Detach stops emission.
-	p.SetRecorder(nil)
-	s2.Fire()
-	if evs := rec.Drain(0); len(evs) != 0 {
-		t.Fatalf("detached plane still emitted: %+v", evs)
 	}
 }
 

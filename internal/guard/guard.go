@@ -28,7 +28,6 @@ import (
 
 	"enetstl/internal/ebpf/vm"
 	"enetstl/internal/telemetry"
-	"enetstl/internal/trace"
 )
 
 // Action classifies what the guard did with one packet.
@@ -180,7 +179,6 @@ type Guard struct {
 
 	marks     []Watermark
 	onDegrade []func(on bool)
-	rec       *trace.Recorder
 
 	admitted   atomic.Uint64
 	shedPkts   atomic.Uint64
@@ -209,10 +207,6 @@ func (g *Guard) setBudget(b uint64) {
 	g.tokens = g.capacity
 }
 
-// SetRecorder attaches a flight recorder; shed/degrade/watchdog
-// transitions emit events through it.
-func (g *Guard) SetRecorder(r *trace.Recorder) { g.rec = r }
-
 // AddWatermark registers a pressure probe. Zero thresholds default to
 // High 0.9 / Low 0.75.
 func (g *Guard) AddWatermark(m Watermark) {
@@ -234,18 +228,9 @@ func (g *Guard) OnDegrade(fn func(on bool)) { g.onDegrade = append(g.onDegrade, 
 // callers building rate probes.
 func (g *Guard) ProbeInterval() int { return g.cfg.WatermarkEvery }
 
-// Enabled reports whether the guard is on.
-func (g *Guard) Enabled() bool { return g.cfg.Enabled }
-
 // Budget returns the current per-tick instruction budget (0 while
 // calibrating).
 func (g *Guard) Budget() uint64 { return g.budget }
-
-// Tokens returns the current bucket level.
-func (g *Guard) Tokens() int64 { return g.tokens }
-
-// Shedding reports whether the shedder is currently rejecting packets.
-func (g *Guard) Shedding() bool { return g.shedding }
 
 // Degraded reports whether a degradation policy is engaged.
 func (g *Guard) Degraded() bool { return g.degraded }
@@ -274,38 +259,21 @@ func (g *Guard) DegradeEnters() uint64 { return g.degrades.Load() }
 // guard built with a generic config.
 func (g *Guard) SetHeadSample(n int) { g.cfg.HeadSample = n }
 
-func (g *Guard) emit(kind trace.Kind, pkt []byte, val uint64) {
-	if g.rec == nil {
-		return
-	}
-	ev := trace.Event{Kind: kind, Name: g.name, Val: val}
-	if pkt != nil {
-		ev.Flow = trace.FlowOf(pkt)
-	}
-	g.rec.Emit(ev)
-}
-
-func (g *Guard) setShedding(on bool, pkt []byte) {
+func (g *Guard) setShedding(on bool) {
 	g.shedding = on
-	val := uint64(0)
 	if on {
-		val = 1
 		g.shedEnters.Add(1)
 	}
-	g.emit(trace.KindShed, pkt, val)
 }
 
-func (g *Guard) setDegraded(on bool, pkt []byte) {
+func (g *Guard) setDegraded(on bool) {
 	if g.degraded == on {
 		return
 	}
 	g.degraded = on
-	val := uint64(0)
 	if on {
-		val = 1
 		g.degrades.Add(1)
 	}
-	g.emit(trace.KindDegrade, pkt, val)
 	for _, fn := range g.onDegrade {
 		fn(on)
 	}

@@ -3,7 +3,6 @@ package guard
 import (
 	"enetstl/internal/ebpf/vm"
 	"enetstl/internal/nf"
-	"enetstl/internal/trace"
 )
 
 // Guarded is an nf.Instance with the overload guard on its ingress. It
@@ -20,9 +19,6 @@ type Guarded struct {
 func (g *Guard) Wrap(inst nf.Instance) *Guarded {
 	return &Guarded{inner: inst, g: g, vms: nf.VMs(inst)}
 }
-
-// Guard returns the attached guard.
-func (w *Guarded) Guard() *Guard { return w.g }
 
 // Name returns the inner NF's name.
 func (w *Guarded) Name() string { return w.inner.Name() }
@@ -100,7 +96,7 @@ func (w *Guarded) ProcessAt(pkt []byte, tick uint64) (uint64, Action, error) {
 	// mark. Shed packets cost nothing, so recovery is pure refill.
 	if g.shedding {
 		if g.tokens >= g.resume {
-			g.setShedding(false, pkt)
+			g.setShedding(false)
 		} else {
 			g.shedPkts.Add(1)
 			return g.cfg.ShedVerdict, ActionShed, nil
@@ -127,13 +123,13 @@ func (w *Guarded) ProcessAt(pkt []byte, tick uint64) (uint64, Action, error) {
 	if g.wmPhase++; g.wmPhase == g.cfg.WatermarkEvery {
 		g.wmPhase = 0
 	}
-	g.account(cost, pkt)
+	g.account(cost)
 	return v, ActionAdmit, err
 }
 
 // account charges one admitted packet's cost and runs the watchdog and
 // watermark machinery.
-func (g *Guard) account(cost uint64, pkt []byte) {
+func (g *Guard) account(cost uint64) {
 	// Calibration: the first AutoBudget packets set the budget from the
 	// observed mean cost. No shedding until then.
 	if g.budget == 0 {
@@ -147,19 +143,16 @@ func (g *Guard) account(cost uint64, pkt []byte) {
 
 	g.tokens -= int64(cost)
 	if g.tokens <= 0 && !g.shedding {
-		g.setShedding(true, pkt)
+		g.setShedding(true)
 	}
 
-	// Watchdog: runaway per-packet cost. One event per streak start.
+	// Watchdog: runaway per-packet cost.
 	if f := g.cfg.WatchdogFactor; f > 0 && cost > f*g.budget {
 		g.wdTrips.Add(1)
 		g.wdStreak++
 		g.clean = 0
-		if g.wdStreak == 1 {
-			g.emit(trace.KindWatchdog, pkt, cost)
-		}
 		if !g.degraded && g.wdStreak >= g.cfg.WatchdogTrips {
-			g.setDegraded(true, pkt)
+			g.setDegraded(true)
 		}
 	} else {
 		g.wdStreak = 0
@@ -173,10 +166,10 @@ func (g *Guard) account(cost uint64, pkt []byte) {
 		if g.wmPhase == 0 {
 			switch {
 			case !g.degraded && g.pressure(func(m Watermark) float64 { return m.High }):
-				g.setDegraded(true, pkt)
+				g.setDegraded(true)
 			case g.degraded && g.clean >= g.cfg.RecoverPackets &&
 				!g.pressure(func(m Watermark) float64 { return m.Low }):
-				g.setDegraded(false, pkt)
+				g.setDegraded(false)
 			}
 		}
 	}

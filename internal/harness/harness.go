@@ -47,11 +47,6 @@ func (v *VerdictCounts) Count(verdict uint64) {
 	}
 }
 
-// Total returns the number of verdicts counted.
-func (v VerdictCounts) Total() uint64 {
-	return v.Aborted + v.Drop + v.Pass + v.Tx + v.Other
-}
-
 func (v VerdictCounts) String() string {
 	return fmt.Sprintf("aborted=%d drop=%d pass=%d tx=%d other=%d",
 		v.Aborted, v.Drop, v.Pass, v.Tx, v.Other)
@@ -251,6 +246,3 @@ func BehaviorFraction(full, stripped nf.Instance, trace *pktgen.Trace, trials in
 	}
 	return frac, nil
 }
-
-// Speedup returns a/b as a ratio of mean PPS.
-func Speedup(a, b Result) float64 { return a.PPS / b.PPS }

@@ -39,9 +39,10 @@ func TestParallelRunDeterministic(t *testing.T) {
 					if total != len(trace.Packets) {
 						t.Fatalf("shards=%d: shards cover %d of %d packets", shards, total, len(trace.Packets))
 					}
-					if res.Verdicts.Total() != uint64(2*len(trace.Packets)) {
+					v := res.Verdicts
+					if n := v.Aborted + v.Drop + v.Pass + v.Tx + v.Other; n != uint64(2*len(trace.Packets)) {
 						t.Fatalf("shards=%d: tallied %d verdicts, want %d (2 trials)",
-							shards, res.Verdicts.Total(), 2*len(trace.Packets))
+							shards, n, 2*len(trace.Packets))
 					}
 					if shards == 1 {
 						want = res.Verdicts
@@ -225,8 +226,8 @@ func TestParallelRunPerCPUSketch(t *testing.T) {
 				if _, err := harness.ParallelRun(trace.Clone(), shards, sh.Build, trials); err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
-				if p := sh.PerCPUMatrix(); p == nil || p.NumCPU() != shards {
-					t.Fatalf("shards=%d: per-CPU matrix missing or mis-sized", shards)
+				if n := len(sh.PerCPUCopies()); n != shards {
+					t.Fatalf("shards=%d: per-CPU matrix has %d copies", shards, n)
 				}
 				ests := make([]uint32, len(trace.FlowKeys))
 				for f := range trace.FlowKeys {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"enetstl/internal/ebpf/vm"
 	"enetstl/internal/nf"
@@ -75,8 +74,9 @@ func Profile(inst nf.Instance, trace *pktgen.Trace) (*ProfileReport, error) {
 }
 
 // ReportFromProgStats builds the attribution table from a program's
-// counters — the shared back half of Profile, ProfileParallel, and the
-// obs server's /profile endpoint (which reports from live vm stats).
+// counters — the shared back half of Profile, of a sharded run's merged
+// ParallelResult.Stats, and of the obs server's /profile endpoint
+// (which reports from live vm stats).
 func ReportFromProgStats(name, flavor string, packets int, ps vm.ProgStats) *ProfileReport {
 	rep := &ProfileReport{
 		Name: name, Flavor: flavor,
@@ -118,82 +118,6 @@ func ReportFromProgStats(name, flavor string, packets int, ps vm.ProgStats) *Pro
 	}
 	sort.Slice(rep.OpMix, func(i, j int) bool { return rep.OpMix[i].Count > rep.OpMix[j].Count })
 	return rep
-}
-
-// ProfileParallel is Profile for RSS-sharded replays: the trace is
-// hash-partitioned exactly as ParallelRun does it, each shard's
-// VM-backed instance gets a private stats domain, every shard replays
-// its sub-trace once concurrently, and the per-shard counters are
-// merged into ONE attribution table. Because the merge sums counters
-// per program name, instruction counts, opcode mix, and per-callee call
-// counts are invariant under the shard count — only the time split
-// moves with scheduling.
-func ProfileParallel(tr *pktgen.Trace, shards int, build ShardBuilder) (*ProfileReport, error) {
-	if shards <= 0 {
-		shards = 1
-	}
-	if len(tr.Packets) == 0 {
-		return nil, fmt.Errorf("harness: empty trace")
-	}
-	subs := tr.Shard(shards)
-	insts := make([]*nf.VMInstance, len(subs))
-	prevs := make([]*vm.Stats, len(subs))
-	stats := make([]*vm.Stats, len(subs))
-	for s, sub := range subs {
-		inst, err := build(s, sub)
-		if err != nil {
-			return nil, fmt.Errorf("harness: shard %d: %w", s, err)
-		}
-		v, ok := inst.(*nf.VMInstance)
-		if !ok {
-			return nil, fmt.Errorf("harness: ProfileParallel needs VM-backed instances, got %s/%s",
-				inst.Name(), inst.Flavor())
-		}
-		insts[s] = v
-		prevs[s] = v.Machine.Stats()
-		stats[s] = vm.NewStats()
-		v.Machine.SetStats(stats[s])
-	}
-	defer func() {
-		for s, v := range insts {
-			if v != nil {
-				v.Machine.SetStats(prevs[s])
-			}
-		}
-	}()
-
-	errs := make([]error, len(subs))
-	var wg sync.WaitGroup
-	for s := range subs {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			sub, inst := subs[s], insts[s]
-			for i := range sub.Packets {
-				if _, err := inst.Process(sub.Packets[i][:]); err != nil {
-					errs[s] = fmt.Errorf("%s/%s: shard %d packet %d: %w",
-						inst.Name(), inst.Flavor(), s, i, err)
-					return
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	merged := vm.NewStats()
-	for _, st := range stats {
-		merged.Merge(st)
-	}
-	ps, ok := merged.ProgSnapshot(insts[0].Prog.Name())
-	if !ok {
-		return nil, fmt.Errorf("harness: no stats recorded for %q", insts[0].Prog.Name())
-	}
-	return ReportFromProgStats(insts[0].Name(), insts[0].Flavor().String(), len(tr.Packets), ps), nil
 }
 
 func max64(a, b uint64) uint64 {

@@ -8,6 +8,7 @@ import (
 	"enetstl/internal/nf"
 	"enetstl/internal/nfcatalog"
 	"enetstl/internal/pktgen"
+	"enetstl/internal/runtime"
 	"enetstl/internal/telemetry"
 	"enetstl/internal/trace"
 )
@@ -104,10 +105,10 @@ func TestParallelRunTracedSamplingDeterminism(t *testing.T) {
 	}
 }
 
-// TestProfileParallelShardInvariance is the satellite contract for the
-// ParallelRun attribution fix: the merged profile's work counters —
-// instructions, opcode mix, per-callee call counts, packets — must not
-// depend on the shard count.
+// TestProfileParallelShardInvariance: a sharded replay with a fresh
+// Stats per shard, merged by ParallelRun, attributes the same work —
+// instructions, opcode mix, per-callee call counts, packets — at any
+// shard count, so a profile of res.Stats does not depend on it.
 func TestProfileParallelShardInvariance(t *testing.T) {
 	tr := pktgen.Generate(pktgen.Config{Flows: 64, Packets: 1500, ZipfS: 1.1, Seed: 21})
 	nfcatalog.PrepareTrace("cmsketch", tr)
@@ -115,11 +116,25 @@ func TestProfileParallelShardInvariance(t *testing.T) {
 	profiles := map[int]*harness.ProfileReport{}
 	for _, shards := range []int{1, 2, 4} {
 		sh := nfcatalog.NewSharded("cmsketch", nf.EBPF)
-		rep, err := harness.ProfileParallel(tr.Clone(), shards, sh.Build)
+		var prog string
+		build := func(s int, sub *pktgen.Trace) (nf.Instance, error) {
+			inst, err := sh.Build(s, sub)
+			if err != nil {
+				return nil, err
+			}
+			runtime.AttachStats(inst)
+			prog = inst.(*nf.VMInstance).Prog.Name()
+			return inst, nil
+		}
+		res, err := harness.ParallelRun(tr.Clone(), shards, build, 1)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		profiles[shards] = rep
+		ps, ok := res.Stats.ProgSnapshot(prog)
+		if !ok {
+			t.Fatalf("shards=%d: no stats recorded for %q", shards, prog)
+		}
+		profiles[shards] = harness.ReportFromProgStats(res.Name, res.Flavor, len(tr.Packets), ps)
 	}
 	ref := profiles[1]
 	if ref.Insns == 0 || len(ref.Callees) == 0 {

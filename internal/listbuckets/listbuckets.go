@@ -115,9 +115,6 @@ func (lb *ListBuckets) ElemSize() int { return lb.elemSize }
 // Len returns the number of elements queued in bucket i.
 func (lb *ListBuckets) Len(i int) int { return int(lb.lens[i]) }
 
-// TotalLen returns the number of elements across all buckets.
-func (lb *ListBuckets) TotalLen() int { return lb.used }
-
 func (lb *ListBuckets) grow(n int) {
 	base := len(lb.next)
 	for i := 0; i < n; i++ {
@@ -197,39 +194,8 @@ func (lb *ListBuckets) PopFront(i int, out []byte) bool {
 	return true
 }
 
-// PeekFront copies the first element of bucket i into out without
-// removing it.
-func (lb *ListBuckets) PeekFront(i int, out []byte) bool {
-	idx := lb.heads[i]
-	if idx == nilIdx {
-		return false
-	}
-	copy(out, lb.slot(idx))
-	return true
-}
-
 // FirstNonEmpty returns the index of the first non-empty bucket at or
 // after from, or -1 — one FFS-based bitmap scan (observation O1).
 func (lb *ListBuckets) FirstNonEmpty(from int) int {
 	return lb.occupied.FirstSet(from)
-}
-
-// Drain removes every element of bucket i, invoking fn on each payload
-// in order. fn must not retain the slice.
-func (lb *ListBuckets) Drain(i int, fn func(elem []byte)) int {
-	n := 0
-	for idx := lb.heads[i]; idx != nilIdx; {
-		nxt := lb.next[idx]
-		if fn != nil {
-			fn(lb.slot(idx))
-		}
-		lb.release(idx)
-		idx = nxt
-		n++
-	}
-	lb.heads[i] = nilIdx
-	lb.tails[i] = nilIdx
-	lb.lens[i] = 0
-	lb.occupied.Clear(i)
-	return n
 }

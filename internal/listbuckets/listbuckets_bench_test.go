@@ -23,7 +23,8 @@ func BenchmarkInsertFront(b *testing.B) {
 		if i&1023 == 1023 {
 			b.StopTimer()
 			for j := 0; j < 64; j++ {
-				lb.Drain(j, nil)
+				for lb.PopFront(j, nil) {
+				}
 			}
 			b.StartTimer()
 		}

@@ -1,7 +1,6 @@
 package listbuckets
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"testing"
@@ -79,36 +78,6 @@ func TestOccupancyBitmap(t *testing.T) {
 	}
 }
 
-func TestPeekDoesNotConsume(t *testing.T) {
-	lb := Must(New(2, 4, 2))
-	lb.PushBack(0, []byte{9, 9, 9, 9})
-	var a, b [4]byte
-	if !lb.PeekFront(0, a[:]) || !lb.PeekFront(0, b[:]) {
-		t.Fatal("peek failed")
-	}
-	if !bytes.Equal(a[:], b[:]) || lb.Len(0) != 1 {
-		t.Fatal("peek consumed the element")
-	}
-}
-
-func TestDrain(t *testing.T) {
-	lb := Must(New(2, 4, 2))
-	for i := 0; i < 5; i++ {
-		lb.PushBack(1, []byte{byte(i), 0, 0, 0})
-	}
-	var seen []byte
-	n := lb.Drain(1, func(e []byte) { seen = append(seen, e[0]) })
-	if n != 5 || !bytes.Equal(seen, []byte{0, 1, 2, 3, 4}) {
-		t.Fatalf("drain returned %d, order %v", n, seen)
-	}
-	if lb.Len(1) != 0 || lb.TotalLen() != 0 {
-		t.Fatal("drain left residue")
-	}
-	if got := lb.FirstNonEmpty(0); got != -1 {
-		t.Fatalf("bitmap not cleared, FirstNonEmpty = %d", got)
-	}
-}
-
 func TestSlabGrowsAndRecycles(t *testing.T) {
 	lb := Must(New(1, 8, 2))
 	var e [8]byte
@@ -122,8 +91,8 @@ func TestSlabGrowsAndRecycles(t *testing.T) {
 			}
 		}
 	}
-	if lb.TotalLen() != 0 {
-		t.Fatalf("TotalLen = %d after balanced ops", lb.TotalLen())
+	if lb.used != 0 {
+		t.Fatalf("%d elements in use after balanced ops", lb.used)
 	}
 }
 

@@ -58,12 +58,6 @@ func (n *Node) Proxy() *Proxy { return n.proxy }
 // Freed reports whether the node's memory has been released.
 func (n *Node) Freed() bool { return n.freed }
 
-// Ref returns the current reference count (for tests).
-func (n *Node) Ref() int32 { return n.ref }
-
-// Degree returns the number of out-slots.
-func (n *Node) Degree() int { return len(n.outs) }
-
 // Proxy centrally owns dynamically allocated nodes, standing in for the
 // proxy structure the paper persists in a BPF map.
 type Proxy struct {
@@ -120,17 +114,11 @@ func Must(p *Proxy, err error) *Proxy {
 // DataSize returns the payload size of nodes from this proxy.
 func (p *Proxy) DataSize() int { return p.dataSize }
 
-// MaxOuts returns the out-slot count of nodes from this proxy.
-func (p *Proxy) MaxOuts() int { return p.maxOuts }
-
 // Live returns the number of live (unfreed) nodes.
 func (p *Proxy) Live() int { return p.liveNodes }
 
-// Stats returns cumulative allocation and free counts.
-func (p *Proxy) Stats() (allocs, frees int) { return p.allocs, p.frees }
-
-// Alloc creates a node with nOuts out-slots (≤ MaxOuts) and an initial
-// reference held by the caller (the node_alloc of Listing 3).
+// Alloc creates a node with nOuts out-slots (at most maxOuts) and an
+// initial reference held by the caller (the node_alloc of Listing 3).
 func (p *Proxy) Alloc(nOuts int) (*Node, error) {
 	if nOuts < 0 || nOuts > p.maxOuts {
 		return nil, fmt.Errorf("%w: %d (max %d)", ErrBadSlot, nOuts, p.maxOuts)

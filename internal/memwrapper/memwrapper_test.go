@@ -245,8 +245,7 @@ func TestStats(t *testing.T) {
 	a := alloc(t, p, 1)
 	_ = alloc(t, p, 1)
 	p.Release(a)
-	allocs, frees := p.Stats()
-	if allocs != 2 || frees != 1 || p.Live() != 1 {
-		t.Fatalf("stats = (%d,%d), live %d", allocs, frees, p.Live())
+	if p.allocs != 2 || p.frees != 1 || p.Live() != 1 {
+		t.Fatalf("stats = (%d,%d), live %d", p.allocs, p.frees, p.Live())
 	}
 }

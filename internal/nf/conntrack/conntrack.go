@@ -20,7 +20,6 @@ import (
 	"enetstl/internal/ebpf/verifier"
 	"enetstl/internal/ebpf/vm"
 	"enetstl/internal/nf"
-	"enetstl/internal/telemetry"
 )
 
 // ValSize is the tracked-entry size: [pkts u64][flags u64].
@@ -91,8 +90,8 @@ func New(flavor nf.Flavor, cfg Config) (*Tracker, error) {
 // per-CPU LRU flow table — the BPF_MAP_TYPE_LRU_PERCPU_HASH deployment
 // shape, where every RSS shard owns its copy outright and cross-shard
 // totals come from merge-on-read aggregation (p.MergeLookup), never
-// from shared datapath state. The returned tracker's degrade, probe,
-// and telemetry surfaces all address only its own copy.
+// from shared datapath state. The returned tracker's degrade and probe
+// surfaces address only its own copy.
 func NewOnCPU(flavor nf.Flavor, p *maps.PerCPULRUHash, cpu int) (*Tracker, error) {
 	if p == nil {
 		return nil, fmt.Errorf("conntrack: nil per-cpu table")
@@ -157,20 +156,6 @@ func (t *Tracker) Degrade(on bool) {
 	if on {
 		t.lru.EvictOldest(t.cfg.Entries / 4)
 	}
-}
-
-// Publish exports the flow table's churn counters — silent before the
-// adversarial scenarios made them matter.
-func (t *Tracker) Publish(reg *telemetry.Registry, shard int) {
-	nfl := telemetry.L("nf", "conntrack")
-	fl := telemetry.L("flavor", t.Flavor().String())
-	sh := telemetry.L("shard", fmt.Sprint(shard))
-	reg.SetHelp("nf_conntrack_entries", "live entries in the flow table")
-	reg.SetHelp("nf_conntrack_evictions_total", "LRU victims evicted to admit new flows")
-	reg.SetHelp("nf_conntrack_insert_fails_total", "flow inserts the table refused")
-	reg.Gauge("nf_conntrack_entries", nfl, fl, sh).Set(float64(t.lru.Len()))
-	reg.Counter("nf_conntrack_evictions_total", nfl, fl, sh).Add(t.lru.Evictions)
-	reg.Counter("nf_conntrack_insert_fails_total", nfl, fl, sh).Add(t.lru.InsertFails)
 }
 
 // track mirrors the bytecode: bump a known flow in place, insert a new

@@ -160,17 +160,6 @@ func (f *Filter) put(b uint32, i int, fp uint16) {
 	}
 }
 
-// LoadFactor returns occupied slots over capacity.
-func (f *Filter) LoadFactor() float64 {
-	used := 0
-	for _, fp := range f.table {
-		if fp != 0 {
-			used++
-		}
-	}
-	return float64(used) / float64(len(f.table))
-}
-
 func (f *Filter) testNative(pkt []byte) uint64 {
 	mask := uint32(f.cfg.Buckets - 1)
 	fp, i1r := mix(pkt[nf.OffKey : nf.OffKey+nf.KeyLen])

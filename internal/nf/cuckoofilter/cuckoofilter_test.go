@@ -85,3 +85,14 @@ func TestHighLoad(t *testing.T) {
 		t.Fatalf("load factor %.2f < 0.9", lf)
 	}
 }
+
+// LoadFactor returns occupied slots over capacity.
+func (f *Filter) LoadFactor() float64 {
+	used := 0
+	for _, fp := range f.table {
+		if fp != 0 {
+			used++
+		}
+	}
+	return float64(used) / float64(len(f.table))
+}

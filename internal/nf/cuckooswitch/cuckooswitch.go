@@ -183,19 +183,6 @@ func (s *Switch) put(b uint32, i int, sig, val uint32) {
 	}
 }
 
-// LoadFactor returns occupied slots over capacity.
-func (s *Switch) LoadFactor() float64 {
-	used := 0
-	for b := uint32(0); b < uint32(s.cfg.Buckets); b++ {
-		for _, sg := range s.sigs(b) {
-			if sg != 0 {
-				used++
-			}
-		}
-	}
-	return float64(used) / float64(s.cfg.Buckets*Slots)
-}
-
 // lookupNative is the kernel-flavour datapath.
 func (s *Switch) lookupNative(pkt []byte) uint64 {
 	mask := uint32(s.cfg.Buckets - 1)

@@ -93,3 +93,16 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("zero buckets accepted")
 	}
 }
+
+// LoadFactor returns occupied slots over capacity.
+func (s *Switch) LoadFactor() float64 {
+	used := 0
+	for b := uint32(0); b < uint32(s.cfg.Buckets); b++ {
+		for _, sg := range s.sigs(b) {
+			if sg != 0 {
+				used++
+			}
+		}
+	}
+	return float64(used) / float64(s.cfg.Buckets*Slots)
+}

@@ -127,11 +127,6 @@ func (q *Queue) store() []byte {
 	return q.arr.Data()
 }
 
-// Len returns the queued count at priority p (control plane, tests).
-func (q *Queue) Len(p int) uint32 {
-	return binary.LittleEndian.Uint32(q.store()[q.lay.countsOff+p*4:])
-}
-
 func (q *Queue) word(level int, idx int) uint64 {
 	return binary.LittleEndian.Uint64(q.store()[q.lay.levelOff[level]+idx*8:])
 }

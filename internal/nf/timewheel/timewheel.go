@@ -184,14 +184,6 @@ func New(flavor nf.Flavor, cfg Config) (*Wheel, error) {
 	return nil, fmt.Errorf("timewheel: unknown flavor %v", flavor)
 }
 
-// Clock returns the wheel's current slot time (tests).
-func (w *Wheel) Clock() uint64 {
-	if w.state != nil {
-		return binary.LittleEndian.Uint64(w.state.Data())
-	}
-	return w.clk
-}
-
 // processNative is the kernel flavour: list-buckets natively.
 func (w *Wheel) processNative(pkt []byte) uint64 {
 	mask := uint64(w.cfg.Slots - 1)

@@ -123,3 +123,11 @@ func TestSlotsValidated(t *testing.T) {
 		t.Fatal("non-power-of-two slots accepted")
 	}
 }
+
+// Clock returns the wheel's current slot time.
+func (w *Wheel) Clock() uint64 {
+	if w.state != nil {
+		return binary.LittleEndian.Uint64(w.state.Data())
+	}
+	return w.clk
+}

@@ -408,10 +408,6 @@ func (s *Sharded) FlowPackets(key []byte) (pkts uint64, ok bool) {
 	return binary.LittleEndian.Uint64(out), true
 }
 
-// PerCPUMatrix returns the shared per-CPU counter matrix, or nil for
-// wiring without one.
-func (s *Sharded) PerCPUMatrix() *maps.PerCPUArray { return s.percpuArr }
-
 // Estimate sums the per-shard estimators for key. For per-CPU sketch
 // wiring the sum is merge-on-read over the shared matrix's copies
 // before the row minimum, exactly as a control plane reads a kernel

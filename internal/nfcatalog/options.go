@@ -44,7 +44,7 @@ func Apply(o runtime.Options, name string, flavor nf.Flavor, sh *Sharded, built 
 	}
 	var held []maps.Map
 	if sh != nil {
-		held = sh.perCPUCopies()
+		held = sh.PerCPUCopies()
 	}
 	for _, b := range built {
 		for _, m := range runtime.VMs(b.Inst) {
@@ -71,9 +71,9 @@ func PoolCap(name string, flavor nf.Flavor) int {
 	return 0
 }
 
-// perCPUCopies lists the private copies of the per-CPU map the shards
-// share; empty for wiring without one.
-func (s *Sharded) perCPUCopies() []maps.Map {
+// PerCPUCopies lists the private copies of the per-CPU map the shards
+// share, one per shard; empty for wiring without one.
+func (s *Sharded) PerCPUCopies() []maps.Map {
 	var out []maps.Map
 	if p := s.percpu; p != nil {
 		for i := 0; i < p.NumCPU(); i++ {

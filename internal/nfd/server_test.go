@@ -11,6 +11,7 @@ import (
 
 	"enetstl/internal/nf"
 	"enetstl/internal/runtime"
+	"enetstl/internal/trace"
 )
 
 // TestNotServingIs409: the one ingest refusal that is the module's
@@ -101,5 +102,83 @@ func TestStartedServerTimeouts(t *testing.T) {
 	}
 	if srv.WriteTimeout != 0 {
 		t.Errorf("WriteTimeout = %v, want unset", srv.WriteTimeout)
+	}
+}
+
+// TestModuleTrace: GET /modules/{id}/trace drains the module's flight
+// recording as NDJSON. A batch's events are served after the ingest,
+// ?limit= bounds one response, a drained event is never served twice,
+// a limit that is not a positive integer is a 400 bad_spec, and an
+// unknown module is a 404.
+func TestModuleTrace(t *testing.T) {
+	s := NewServer()
+	defer s.Registry.Close()
+	m, err := s.Registry.Create(CreateRequest{Name: "cmsketch", Flavor: "ebpf",
+		Options: runtime.Options{Trace: &runtime.TraceOptions{Capacity: 4096}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(method, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec
+	}
+	path := "/modules/" + m.ID + "/trace"
+	drain := func(query string) []trace.Event {
+		t.Helper()
+		rec := serve("GET", path+query, "")
+		if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/x-ndjson" {
+			t.Fatalf("GET trace%s: status %d, content type %q", query, rec.Code, rec.Header().Get("Content-Type"))
+		}
+		var evs []trace.Event
+		dec := json.NewDecoder(rec.Body)
+		for dec.More() {
+			var ev trace.Event
+			if err := dec.Decode(&ev); err != nil {
+				t.Fatalf("GET trace%s: bad NDJSON: %v", query, err)
+			}
+			evs = append(evs, ev)
+		}
+		return evs
+	}
+	drain("") // whatever creating the module recorded
+
+	const packets = 64
+	if rec := serve("POST", "/modules/"+m.ID+"/packets", `{"flows": 8, "packets": 64}`); rec.Code != http.StatusOK {
+		t.Fatalf("ingest: status %d: %s", rec.Code, rec.Body)
+	}
+	first := drain("?limit=10")
+	if len(first) != 10 {
+		t.Fatalf("?limit=10 served %d events", len(first))
+	}
+	rest := drain("")
+	if len(rest) == 0 {
+		t.Fatal("nothing left to drain after ?limit=10")
+	}
+	if last := first[len(first)-1].Seq; rest[0].Seq <= last {
+		t.Fatalf("second drain starts at seq %d, not after %d: an event was served twice", rest[0].Seq, last)
+	}
+	verdicts := 0
+	for _, ev := range append(first, rest...) {
+		if ev.Kind == trace.KindVerdict {
+			verdicts++
+		}
+	}
+	if verdicts != packets {
+		t.Fatalf("%d verdict events for a %d-packet batch", verdicts, packets)
+	}
+	if again := drain(""); len(again) != 0 {
+		t.Fatalf("a drained recording served %d events again", len(again))
+	}
+
+	for _, limit := range []string{"0", "x", "-3"} {
+		rec := serve("GET", path+"?limit="+limit, "")
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"reason": "`+reasonBadSpec+`"`) {
+			t.Errorf("limit=%s: status %d body %s, want 400 %s", limit, rec.Code, rec.Body, reasonBadSpec)
+		}
+	}
+	if rec := serve("GET", "/modules/no-such-module/trace", ""); rec.Code != http.StatusNotFound ||
+		!strings.Contains(rec.Body.String(), `"reason": "`+reasonNotFound+`"`) {
+		t.Errorf("unknown module: status %d body %s, want 404 %s", rec.Code, rec.Body, reasonNotFound)
 	}
 }

@@ -67,15 +67,6 @@ func le64(b []byte) uint64 {
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
-// HashN computes d 32-bit hashes of key into out (the low-level
-// interface of Listing 2, fasthash_simd: results are copied to caller
-// memory — the Fig. 6 "Low" HASH variant keeps this extra copy).
-func HashN(key []byte, d int, out []uint32) {
-	for i := 0; i < d; i++ {
-		out[i] = FastHash32(key, uint64(i)*0x9e3779b97f4a7c15+1)
-	}
-}
-
 // Matrix describes a d×w counter matrix laid out row-major in a flat
 // uint32 slice, with w a power of two (Mask == w-1).
 type Matrix struct {

@@ -16,7 +16,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -46,9 +45,6 @@ type Server struct {
 	// events holds pre-merged event batches (e.g. a sharded run's
 	// timestamp-merged stream) served by /trace before the live ring.
 	events []trace.Event
-	// profiles overrides the /profile source; nil falls back to the
-	// global VM stats collection.
-	profiles func() []*harness.ProfileReport
 
 	httpSrv *http.Server
 	ln      net.Listener
@@ -99,14 +95,6 @@ func (s *Server) AddEvents(evs []trace.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.events = append(s.events, evs...)
-}
-
-// SetProfileSource overrides where /profile reports come from; nil
-// restores the default (live global VM stats).
-func (s *Server) SetProfileSource(fn func() []*harness.ProfileReport) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.profiles = fn
 }
 
 // Handler builds the route table. It is safe to call before Start (for
@@ -175,16 +163,6 @@ func (s *Server) Close() error {
 		return nil
 	}
 	return srv.Close()
-}
-
-// Shutdown stops listening and waits (bounded by ctx) for in-flight
-// scrapes to drain — the daemon's clean-exit path.
-func (s *Server) Shutdown(ctx context.Context) error {
-	srv := s.detach()
-	if srv == nil {
-		return nil
-	}
-	return srv.Shutdown(ctx)
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
@@ -337,28 +315,15 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleProfile reports attribution from the live global stats
+// collection, one report per program seen so far.
 func (s *Server) handleProfile(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	src := s.profiles
-	s.mu.Unlock()
-
-	var reports []*harness.ProfileReport
-	if src != nil {
-		reports = src()
-	} else {
-		// Default: attribution from the live global stats collection,
-		// one report per program seen so far.
-		st := vm.CollectStats()
-		for _, name := range st.ProgNames() {
-			ps, ok := st.ProgSnapshot(name)
-			if !ok {
-				continue
-			}
+	st := vm.CollectStats()
+	reports := []*harness.ProfileReport{}
+	for _, name := range st.ProgNames() {
+		if ps, ok := st.ProgSnapshot(name); ok {
 			reports = append(reports, harness.ReportFromProgStats(name, "live", int(ps.RunCnt), ps))
 		}
-	}
-	if reports == nil {
-		reports = []*harness.ProfileReport{}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

@@ -187,21 +187,3 @@ func TestMetricsMergesStaticRegistry(t *testing.T) {
 		t.Fatalf("static counter drifted across scrapes:\n%s", metrics)
 	}
 }
-
-// TestProfileSourceOverride: an explicit profile source replaces the
-// global-stats default.
-func TestProfileSourceOverride(t *testing.T) {
-	srv := obs.New()
-	srv.SetProfileSource(func() []*harness.ProfileReport {
-		return []*harness.ProfileReport{{Name: "custom", Flavor: "test", Packets: 5}}
-	})
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	body := get(t, "http://"+addr+"/profile")
-	if !strings.Contains(body, `"custom"`) {
-		t.Fatalf("/profile ignored override:\n%s", body)
-	}
-}

@@ -263,3 +263,27 @@ func TestAttackComposesWithOpMix(t *testing.T) {
 		}
 	}
 }
+
+// Contains reports whether tick falls inside the window.
+func (w Window) Contains(tick uint64) bool { return tick >= w.Start && tick < w.End }
+
+// InWindow reports whether tick falls inside any attack window.
+func (t *Trace) InWindow(tick uint64) bool {
+	for _, w := range t.Windows {
+		if w.Contains(tick) {
+			return true
+		}
+	}
+	return false
+}
+
+// AttackPackets counts labeled attack packets.
+func (t *Trace) AttackPackets() int {
+	n := 0
+	for _, l := range t.Labels {
+		if l != 0 {
+			n++
+		}
+	}
+	return n
+}

@@ -68,9 +68,6 @@ type Window struct {
 	Start, End uint64
 }
 
-// Contains reports whether tick falls inside the window.
-func (w Window) Contains(tick uint64) bool { return tick >= w.Start && tick < w.End }
-
 // ArrivalOf returns packet i's arrival tick (i itself for benign
 // traces, which carry no explicit arrival clock).
 func (t *Trace) ArrivalOf(i int) uint64 {
@@ -78,27 +75,6 @@ func (t *Trace) ArrivalOf(i int) uint64 {
 		return uint64(i)
 	}
 	return t.Arrival[i]
-}
-
-// InWindow reports whether tick falls inside any attack window.
-func (t *Trace) InWindow(tick uint64) bool {
-	for _, w := range t.Windows {
-		if w.Contains(tick) {
-			return true
-		}
-	}
-	return false
-}
-
-// AttackPackets counts labeled attack packets.
-func (t *Trace) AttackPackets() int {
-	n := 0
-	for _, l := range t.Labels {
-		if l != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // putKey writes a 5-tuple into k in full: addresses, ports, proto TCP,

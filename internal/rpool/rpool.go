@@ -87,20 +87,6 @@ func (p *Pool) Next() uint32 {
 	return v
 }
 
-// Remaining reports the fraction of the current batch still unconsumed,
-// in [0, 1] — the overload guard's rpool watermark probe.
-func (p *Pool) Remaining() float64 {
-	return float64(len(p.buf)-p.pos) / float64(len(p.buf))
-}
-
-// Fill copies n pooled numbers into out (the batched interface used by
-// programs wanting one call per packet instead of one per row).
-func (p *Pool) Fill(out []uint32) {
-	for i := range out {
-		out[i] = p.Next()
-	}
-}
-
 // GeoPool is a pool of geometric-distributed skip counts with success
 // probability prob: each sample is the number of trials until the next
 // success. NitroSketch consumes these to decide how many update
@@ -177,10 +163,4 @@ func (g *GeoPool) Next() uint32 {
 	v := g.buf[g.pos]
 	g.pos++
 	return v
-}
-
-// Remaining reports the fraction of the current batch still unconsumed,
-// in [0, 1] — the overload guard's rpool watermark probe.
-func (g *GeoPool) Remaining() float64 {
-	return float64(len(g.buf)-g.pos) / float64(len(g.buf))
 }

@@ -39,18 +39,6 @@ func TestPoolAutoRefill(t *testing.T) {
 	}
 }
 
-func TestPoolFill(t *testing.T) {
-	p := Must(NewPool(4, 1))
-	out := make([]uint32, 10)
-	p.Fill(out)
-	q := Must(NewPool(4, 1))
-	for i := range out {
-		if out[i] != q.Next() {
-			t.Fatalf("Fill diverges from Next at %d", i)
-		}
-	}
-}
-
 func TestPoolUniformity(t *testing.T) {
 	p := Must(NewPool(1024, 7))
 	const n = 1 << 16

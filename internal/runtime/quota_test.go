@@ -112,12 +112,7 @@ func TestShardedPerCPUMeteredOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		var shared int
-		if p := sh.PerCPUTable(); p != nil {
-			shared = p.Footprint()
-		} else {
-			shared = sh.PerCPUMatrix().Footprint()
-		}
+		shared := runtime.MapBytes(sh.PerCPUCopies())
 		fits := runtime.Options{Quota: &runtime.Quota{MapBytes: shared}}
 		if err := nfcatalog.Apply(fits, c.name, c.flavor, sh, built...); err != nil {
 			t.Fatalf("%s/%v: quota == shared map (%d bytes) refused — copies double-counted? %v",

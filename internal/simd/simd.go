@@ -217,27 +217,6 @@ func MinU32LE(b []byte) (idx int, val uint32) {
 	return idx, val
 }
 
-// MaxU32 returns the index and value of the first maximum element.
-func MaxU32(arr []uint32) (idx int, val uint32) {
-	if len(arr) == 0 {
-		return -1, 0
-	}
-	idx, val = 0, arr[0]
-	i := 1
-	for ; i+4 <= len(arr); i += 4 {
-		a := (*[4]uint32)(arr[i:])
-		if bi, bv := max4(a[0], a[1], a[2], a[3]); bv > val {
-			idx, val = i+bi, bv
-		}
-	}
-	for ; i < len(arr); i++ {
-		if arr[i] > val {
-			idx, val = i, arr[i]
-		}
-	}
-	return idx, val
-}
-
 // MaxU32LE is MaxU32 over the little-endian byte image (see FindU32LE).
 func MaxU32LE(b []byte) (idx int, val uint32) {
 	n := len(b) / 4
@@ -277,11 +256,6 @@ func VecLoad(mem []uint32) Vec32 {
 	var v Vec32
 	copy(v[:], mem[:LaneWidth])
 	return v
-}
-
-// VecStore writes 8 lanes back to mem (the costly SIMD store).
-func VecStore(mem []uint32, v Vec32) {
-	copy(mem[:LaneWidth], v[:])
 }
 
 // VecMul multiplies lanes (the _mm256_mul_epu32 analogue).

@@ -27,7 +27,7 @@ func BenchmarkFindU32LowLevel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		v := VecLoad(arr)
 		m := VecCmpEq(v, 0xDEAD)
-		VecStore(maskMem, m)
+		copy(maskMem, m[:]) // the store back to memory
 		bits := VecMoveMask(VecLoad(maskMem))
 		idx := -1
 		for j := 0; j < LaneWidth; j++ {

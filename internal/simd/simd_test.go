@@ -108,10 +108,32 @@ func TestVecOps(t *testing.T) {
 	}
 	prod := VecMul(v, v)
 	out := make([]uint32, 8)
-	VecStore(out, prod)
+	copy(out, prod[:])
 	for i, x := range mem {
 		if out[i] != x*x {
 			t.Fatalf("lane %d: %d, want %d", i, out[i], x*x)
 		}
 	}
+}
+
+// MaxU32 returns the index and value of the first maximum element: the
+// slice reference MaxU32LE is checked against.
+func MaxU32(arr []uint32) (idx int, val uint32) {
+	if len(arr) == 0 {
+		return -1, 0
+	}
+	idx, val = 0, arr[0]
+	i := 1
+	for ; i+4 <= len(arr); i += 4 {
+		a := (*[4]uint32)(arr[i:])
+		if bi, bv := max4(a[0], a[1], a[2], a[3]); bv > val {
+			idx, val = i+bi, bv
+		}
+	}
+	for ; i < len(arr); i++ {
+		if arr[i] > val {
+			idx, val = i, arr[i]
+		}
+	}
+	return idx, val
 }

@@ -31,21 +31,6 @@ func DefaultLatencyBuckets() []float64 {
 	return b
 }
 
-// ExpBuckets returns n exponential bucket bounds starting at start and
-// growing by factor.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n <= 0 {
-		panic("telemetry: ExpBuckets: need start>0, factor>1, n>0")
-	}
-	b := make([]float64, n)
-	v := start
-	for i := range b {
-		b[i] = v
-		v *= factor
-	}
-	return b
-}
-
 // NewHistogram creates a histogram with the given ascending upper
 // bounds; nil selects DefaultLatencyBuckets.
 func NewHistogram(bounds []float64) *Histogram {

@@ -176,16 +176,6 @@ func TestConcurrentUse(t *testing.T) {
 	}
 }
 
-func TestExpBuckets(t *testing.T) {
-	b := ExpBuckets(100, 2, 4)
-	want := []float64{100, 200, 400, 800}
-	for i := range want {
-		if b[i] != want[i] {
-			t.Fatalf("ExpBuckets = %v, want %v", b, want)
-		}
-	}
-}
-
 // TestHistogramBucketBoundaries pins Prometheus bucket semantics for the
 // exported latency histograms: bounds are inclusive upper edges, bucket
 // lines are cumulative, and values above the top bound land in +Inf.

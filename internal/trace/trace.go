@@ -304,9 +304,6 @@ func (r *Recorder) install(pos uint64) *slot {
 	return &c[i%chunkSlots]
 }
 
-// Shard returns the shard id stamped into emitted events.
-func (r *Recorder) Shard() int32 { return r.shard }
-
 // SamplePacket draws the head-sampling decision for the next packet and
 // returns its arrival index. The decision is a pure function of the
 // recorder seed and that index, so identical replays sample identical
