@@ -92,19 +92,23 @@ attack-smoke:
 
 # Observability plane end-to-end: replay with the flight recorder and
 # the HTTP server up, then self-scrape /metrics, /trace (filtered
-# JSONL), /profile, and pprof, failing on any malformed payload. The
-# second run is a guarded replay with -trace and no server: it must
-# dump its recording as JSONL, at least one verdict event.
+# JSONL), /profile, and pprof, failing on any malformed payload or on a
+# scraped vm_run_cnt that is not the run count of the stats nfrun
+# attached. The second run does the same sharded, where the per-shard
+# stats are merged once. The third is a guarded replay with -trace and
+# no server: it must dump its recording as JSONL, at least one verdict
+# event.
 obs-smoke:
 	$(GO) run ./cmd/nfrun -nf cmsketch -flavor enetstl -packets 20000 -serve 127.0.0.1:0 -trace -smoke
+	$(GO) run ./cmd/nfrun -nf cmsketch -flavor enetstl -shards 2 -packets 4000 -serve 127.0.0.1:0 -trace -smoke
 	@out="$$($(GO) run ./cmd/nfrun -nf conntrack -flavor ebpf -guard -trace -packets 2000)" && \
 		n="$$(printf '%s\n' "$$out" | grep -c '"kind":"verdict"')"; \
 		echo "obs smoke: guarded -trace dumped $${n:-0} verdict events"; [ "$${n:-0}" -gt 0 ]
 
 # Daemon lifecycle end-to-end: start nfd on a loopback port, run the
 # full module lifecycle over HTTP (create a guarded traced module, push
-# a batch, probe the estimator and stats, scrape /metrics, delete,
-# 404), then shut down cleanly. Exits non-zero on any step.
+# a batch, probe the estimator, stats and /profile, scrape /metrics,
+# delete, 404), then shut down cleanly. Exits non-zero on any step.
 nfd-smoke:
 	$(GO) run ./cmd/nfd -smoke
 

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	enetstl-bench [-experiment fig3e] [-packets 20000] [-trials 3] [-list]
+//	enetstl-bench [-experiment fig3e] [-packets 20000] [-trials 3] [-shards 4] [-list]
 package main
 
 import (
@@ -13,15 +13,10 @@ import (
 	"os"
 	"time"
 
-	"enetstl/internal/cliopts"
 	"enetstl/internal/difftest"
-	"enetstl/internal/ebpf/vm"
 	"enetstl/internal/experiments"
 	"enetstl/internal/nfcatalog"
-	"enetstl/internal/obs"
 	"enetstl/internal/pktgen"
-	"enetstl/internal/runtime"
-	"enetstl/internal/telemetry"
 )
 
 func main() {
@@ -32,56 +27,16 @@ func main() {
 		list    = flag.Bool("list", false, "list experiment IDs and exit")
 		faults  = flag.Bool("faults", false, "run the chaos fault-injection suite over the full NF catalog instead of the paper experiments")
 		attack  = flag.Bool("attack", false, "run the adversarial scenario grid (guard off vs on) over the full NF catalog instead of the paper experiments")
-		serve   = flag.String("serve", "", "serve the observability plane (/metrics /profile /debug/pprof) on this address while the experiments run; implies live VM stats")
+		shards  = flag.Int("shards", 4, "largest RSS shard count the parallel-replay experiment sweeps to (doubling from 1)")
 	)
-	rt := cliopts.Bind(flag.CommandLine, 4, false)
 	flag.Parse()
 
-	ropts, err := rt.Options()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *serve != "" {
-		// Live VM counters feed the /metrics and /profile scrapes while
-		// the long experiment sweep runs.
-		ropts.Stats = true
-	}
-	if rt.PrintRequested() {
-		if err := cliopts.Print(ropts); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	ropts = ropts.Canon()
-	// Install before any experiment builds an NF: a fresh VM starts on
-	// the process default tier, and stats (the sysctl
-	// kernel.bpf_stats_enabled analogue) must flip before build so every
-	// VM the experiments create collects counters.
-	if err := runtime.Install(ropts); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	stats, shards := ropts.Stats, ropts.Shards
-
-	if *serve != "" {
-		srv := obs.New()
-		addr, err := srv.Start(*serve)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "obs: serving /metrics /profile /debug/pprof on http://%s\n", addr)
-	}
-
 	if *faults {
-		runFaults(*packets, stats)
+		runFaults(*packets)
 		return
 	}
 	if *attack {
-		runAttack(*packets, stats)
+		runAttack(*packets)
 		return
 	}
 
@@ -92,7 +47,7 @@ func main() {
 		return
 	}
 
-	opts := experiments.Options{Packets: *packets, Trials: *trials, Shards: shards}
+	opts := experiments.Options{Packets: *packets, Trials: *trials, Shards: *shards}
 	run := func(r experiments.Runner) {
 		start := time.Now()
 		t, err := r.Run(opts)
@@ -108,7 +63,6 @@ func main() {
 		for _, r := range experiments.All() {
 			run(r)
 		}
-		dumpStats(stats)
 		return
 	}
 	r, ok := experiments.ByID(*id)
@@ -117,21 +71,6 @@ func main() {
 		os.Exit(2)
 	}
 	run(r)
-	dumpStats(stats)
-}
-
-// dumpStats prints the merged VM counters of the whole run as metrics
-// exposition text.
-func dumpStats(enabled bool) {
-	if !enabled {
-		return
-	}
-	reg := telemetry.NewRegistry()
-	vm.CollectStats().Publish(reg)
-	if err := reg.WriteText(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 }
 
 // runAttack replays the full NF catalog under each adversarial scenario
@@ -139,7 +78,7 @@ func dumpStats(enabled bool) {
 // what the guarded arms admitted, shed, and sampled out, how often they
 // degraded, and how many resilience-contract violations escaped (the
 // paper-quality answer is zero). Exits non-zero on any violation.
-func runAttack(packets int, stats bool) {
+func runAttack(packets int) {
 	fmt.Println("attack resilience: full NF catalog, guard off vs on, one row per scenario")
 	fmt.Printf("%-16s %6s %10s %10s %10s %10s %10s %11s\n",
 		"scenario", "cases", "packets", "admitted", "shed", "sampled", "degrades", "violations")
@@ -148,7 +87,7 @@ func runAttack(packets int, stats bool) {
 		cfgs = append(cfgs, nfcatalog.GridConfig{Packets: packets, Flows: 192,
 			Scenarios: []pktgen.ScenarioKind{kind}})
 	}
-	runGridTable(difftest.AxisAttack, cfgs, stats, func(cfg nfcatalog.GridConfig, rep *difftest.Report) {
+	runGridTable(difftest.AxisAttack, cfgs, func(cfg nfcatalog.GridConfig, rep *difftest.Report) {
 		var admitted, shed, sampled, degrades uint64
 		for _, row := range rep.Rows {
 			if row.GuardOn {
@@ -168,14 +107,14 @@ func runAttack(packets int, stats bool) {
 // many faults each schedule injected and how many contract violations
 // escaped (the paper-quality answer is zero). Exits non-zero on any
 // violation.
-func runFaults(packets int, stats bool) {
+func runFaults(packets int) {
 	fmt.Println("chaos robustness: full NF catalog + apps, one row per fault schedule")
 	fmt.Printf("%-12s %10s %12s %12s %12s\n", "schedule", "packets", "evaluated", "injected", "violations")
 	var cfgs []nfcatalog.GridConfig
 	for _, sch := range difftest.Schedules() {
 		cfgs = append(cfgs, nfcatalog.GridConfig{Packets: packets, Schedule: sch.Name})
 	}
-	runGridTable(difftest.AxisChaos, cfgs, stats, func(cfg nfcatalog.GridConfig, rep *difftest.Report) {
+	runGridTable(difftest.AxisChaos, cfgs, func(cfg nfcatalog.GridConfig, rep *difftest.Report) {
 		fmt.Printf("%-12s %10d %12d %12d %12d\n",
 			cfg.Schedule, rep.Packets, rep.Evaluated, rep.Injected, rep.Total)
 	})
@@ -184,9 +123,8 @@ func runFaults(packets int, stats bool) {
 // runGridTable runs one conformance-grid axis once per config and prints
 // a table row (then any violations) for each; exits non-zero if any run
 // breached its contract.
-func runGridTable(axis string, cfgs []nfcatalog.GridConfig, stats bool, row func(nfcatalog.GridConfig, *difftest.Report)) {
+func runGridTable(axis string, cfgs []nfcatalog.GridConfig, row func(nfcatalog.GridConfig, *difftest.Report)) {
 	var total uint64
-	reg := telemetry.NewRegistry()
 	for _, cfg := range cfgs {
 		rep, err := difftest.Run(axis, cfg)
 		if err != nil {
@@ -197,15 +135,7 @@ func runGridTable(axis string, cfgs []nfcatalog.GridConfig, stats bool, row func
 		for _, v := range rep.Violations {
 			fmt.Printf("    %s\n", v)
 		}
-		rep.Publish(reg)
 		total += rep.Total
-	}
-	if stats {
-		fmt.Println()
-		if err := reg.WriteText(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 	}
 	if total > 0 {
 		os.Exit(1)

@@ -10,9 +10,8 @@
 //	curl -X DELETE localhost:8080/modules/cmsketch-1
 //
 // -smoke runs a self-contained lifecycle check over a loopback
-// listener (create → ingest → trace → estimate → metrics → delete →
-// shutdown)
-// and exits non-zero on any failure — the `make nfd-smoke` gate.
+// listener (create → ingest → trace → estimate → stats → profile →
+// metrics → delete → shutdown) and exits non-zero on any failure — the `make nfd-smoke` gate.
 package main
 
 import (
@@ -29,30 +28,17 @@ import (
 	"syscall"
 	"time"
 
+	"enetstl/internal/harness"
 	"enetstl/internal/nfd"
-	"enetstl/internal/runtime"
 	"enetstl/internal/trace"
 )
 
 func main() {
 	var (
-		listen  = flag.String("listen", ":8080", "listen address (\":0\" picks a free port)")
-		smoke   = flag.Bool("smoke", false, "run a self-contained lifecycle check and exit")
-		optsStr = flag.String("options", "", "process-default runtime options JSON (empty fields of module requests inherit these)")
+		listen = flag.String("listen", ":8080", "listen address (\":0\" picks a free port)")
+		smoke  = flag.Bool("smoke", false, "run a self-contained lifecycle check and exit")
 	)
 	flag.Parse()
-
-	if *optsStr != "" {
-		o, err := runtime.FromJSON([]byte(*optsStr))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if err := runtime.Install(o); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
 
 	srv := nfd.NewServer()
 	if *smoke {
@@ -165,6 +151,15 @@ func runSmoke(srv *nfd.Server) int {
 		return fail("stats", fmt.Errorf("no run counts in %+v", stats))
 	}
 
+	// /profile reports the stats-enabled module's programs.
+	var reports []harness.ProfileReport
+	if err := call(base, "GET", "/profile", "", http.StatusOK, &reports); err != nil {
+		return fail("profile", err)
+	}
+	if len(reports) == 0 || reports[0].Flavor != created.ID || reports[0].Packets == 0 {
+		return fail("profile", fmt.Errorf("no report for %s in %+v", created.ID, reports))
+	}
+
 	// /metrics carries the module series.
 	text, err := get(base + "/metrics")
 	if err != nil {
@@ -189,7 +184,7 @@ func runSmoke(srv *nfd.Server) int {
 	if err := srv.Shutdown(ctx); err != nil {
 		return fail("shutdown", err)
 	}
-	fmt.Println("nfd-smoke: ok (create → ingest → trace → estimate → stats → metrics → delete → shutdown)")
+	fmt.Println("nfd-smoke: ok (create → ingest → trace → estimate → stats → profile → metrics → delete → shutdown)")
 	return 0
 }
 

@@ -6,8 +6,9 @@
 //
 //	nfrun -nf cmsketch -flavor enetstl -packets 100000 -flows 1024 -zipf 1.1
 //
-// With -serve it also mounts the live observability plane (/metrics,
-// /trace, /profile, /debug/pprof) for the duration of the replay:
+// With -serve it also mounts the observability plane (/metrics, /trace,
+// /profile, /debug/pprof) for the duration of the replay; the replay's
+// VM counters and /profile reports are published when it ends:
 //
 //	nfrun -nf cuckooswitch -flavor ebpf -serve :8080 -trace -hold
 package main
@@ -20,6 +21,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -50,15 +52,15 @@ func main() {
 		vmTrials  = flag.Int("vm-trials", 200, "generated programs for the vm axis")
 		guardOn   = flag.Bool("guard", false, "front the instance with the overload-guard plane (token-bucket shedding, watchdog, degradation) during the replay; single shard only")
 
-		serve       = flag.String("serve", "", "serve the observability plane (/metrics /trace /profile /debug/pprof) on this address during the replay; implies live VM stats")
-		doTrace     = flag.Bool("trace", false, "attach the flight recorder; events go to /trace when -serve is set, else dumped as JSONL on stdout")
+		serve       = flag.String("serve", "", "serve the observability plane (/metrics /trace /profile /debug/pprof) on this address during the replay; implies -stats")
+		doTrace     = flag.Bool("trace", false, "attach the flight recorder to the replay; events go to /trace when -serve is set, else dumped as JSONL on stdout")
 		traceCap    = flag.Int("trace-cap", 1<<16, "flight-recorder ring capacity (rounded up to a power of two)")
 		traceSample = flag.Float64("trace-sample", 1.0, "head-sampling rate in [0,1]; 1 records every packet")
 		traceSeed   = flag.Uint64("trace-seed", 1, "sampling seed (same seed + trace = same sampled packets)")
 		hold        = flag.Bool("hold", false, "with -serve: keep serving after the replay until SIGINT/SIGTERM")
 		smoke       = flag.Bool("smoke", false, "with -serve: self-scrape every endpoint after the replay and exit non-zero on failure")
 	)
-	rt := cliopts.Bind(flag.CommandLine, 1, true)
+	rt := cliopts.Bind(flag.CommandLine)
 	tfl := cliopts.BindTrace(flag.CommandLine, 100000, 1024, 1.1)
 	flag.Parse()
 
@@ -68,9 +70,19 @@ func main() {
 		os.Exit(2)
 	}
 	if *serve != "" {
-		// -serve needs live VM stats: /profile and the vm_* scrape
-		// families read these.
+		// -serve publishes the replay's VM counters: /metrics carries
+		// them and /profile reports from them.
 		ropts.Stats = true
+	}
+	if *doTrace {
+		ropts.Trace = &runtime.TraceOptions{Capacity: *traceCap, SampleRate: *traceSample, Seed: *traceSeed}
+	}
+	if *guardOn {
+		ropts.Guard = nfcatalog.GuardPolicy()
+	}
+	if err := ropts.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	if rt.PrintRequested() {
 		if err := cliopts.Print(ropts); err != nil {
@@ -80,15 +92,7 @@ func main() {
 		return
 	}
 	ropts = ropts.Canon()
-	// Install before anything constructs an instance: a fresh VM starts
-	// on the process default tier, and -stats must flip before build so
-	// VMs created inside NF constructors are metered, as with sysctl
-	// kernel.bpf_stats_enabled.
-	if err := runtime.Install(ropts); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	stats, shards, percpu := ropts.Stats, ropts.Shards, ropts.PerCPU
+	stats := ropts.Stats
 
 	if *grid != "" {
 		cfg := nfcatalog.GridConfig{Packets: tfl.Packets(), Flows: tfl.Flows(), Seed: tfl.Seed(),
@@ -116,25 +120,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	var tcfg *trace.Config
-	if *doTrace {
-		tcfg = &trace.Config{Capacity: *traceCap, SampleRate: *traceSample, Seed: *traceSeed}
-	}
-	// Single-shard tracing uses the global recorder so VMs built inside
-	// NF constructors pick it up; sharded runs get per-shard rings from
-	// ParallelRunTraced instead.
-	var rec *trace.Recorder
-	if tcfg != nil && shards <= 1 {
-		rec = trace.NewRecorder(*tcfg)
-		trace.SetGlobal(rec)
-	}
 	var srv *obs.Server
 	var base string
 	if *serve != "" {
 		srv = obs.New()
-		if rec != nil {
-			srv.SetRecorder(rec)
-		}
 		addr, err := srv.Start(*serve)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -144,36 +133,28 @@ func main() {
 		fmt.Fprintf(os.Stderr, "obs: serving /metrics /trace /profile /debug/pprof on %s\n", base)
 	}
 
-	if *guardOn {
-		if shards > 1 || *profile || *disasm {
+	if _, guarded := ropts.GuardConfig(); guarded {
+		if ropts.Shards > 1 || ropts.PerCPU || *profile || *disasm {
 			fmt.Fprintln(os.Stderr, "-guard supports the plain single-shard replay only")
 			os.Exit(2)
 		}
-		runGuarded(*name, flavor, tr, stats, srv)
-		dumpRecording(rec, srv)
-		finishServe(srv, base, *smoke, *hold)
+		a := runGuarded(*name, flavor, tr, ropts, srv)
+		dumpRecording(a.Rec, srv)
+		finishServe(srv, base, *smoke, *hold, a.Stats)
 		return
 	}
-	if shards > 1 || percpu {
-		runSharded(*name, flavor, tr, shards, *trials, stats, percpu, tcfg, srv)
-		finishServe(srv, base, *smoke, *hold)
+	if ropts.Shards > 1 || ropts.PerCPU {
+		st := runSharded(*name, flavor, tr, ropts, *trials, srv)
+		finishServe(srv, base, *smoke, *hold, st)
 		return
 	}
-	inst, err := nfcatalog.Build(*name, flavor, tr)
+	b, err := nfcatalog.BuildWith(ropts, *name, flavor, tr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	var nativeStats *vm.Stats
-	if stats {
-		if _, ok := inst.(*nf.VMInstance); !ok {
-			// Wall-clock metering for the Kernel flavour, so -stats covers
-			// run_cnt/run_time_ns for every flavour; VM-backed instances
-			// are metered by the VM itself.
-			nativeStats = vm.NewStats()
-			inst = runtime.Meter(inst, nativeStats)
-		}
-	}
+	a := attach(ropts, *name, b, srv)
+	inst := a.Insts[0]
 	if *profile {
 		rep, err := harness.Profile(inst, tr)
 		if err != nil {
@@ -211,7 +192,10 @@ func main() {
 	}
 	fmt.Println(lat)
 
-	publishRun := func(reg *telemetry.Registry) {
+	publish := func(reg *telemetry.Registry) {
+		if a.Stats != nil {
+			a.Stats.Publish(reg)
+		}
 		labels := []telemetry.Label{
 			telemetry.L("nf", inst.Name()),
 			telemetry.L("flavor", inst.Flavor().String()),
@@ -222,23 +206,52 @@ func main() {
 		reg.SetHelp("nf_ns_per_pkt", "mean per-packet processing time")
 		lat.Publish(reg)
 	}
-	if srv != nil {
-		publishRun(srv.Registry())
+	serveStats(srv, publish, a.Stats, flavor.String())
+	printStats(stats, publish)
+	dumpRecording(a.Rec, srv)
+	finishServe(srv, base, *smoke, *hold, a.Stats)
+}
+
+// attach runs the attach step the daemon runs (nfcatalog.Attach) on
+// one built instance and hands its recorder to the server, if any.
+// Counting and recording start here, so they cover the replay and not
+// the programs NF constructors ran.
+func attach(o runtime.Options, name string, b nfcatalog.Built, srv *obs.Server) nfcatalog.Attached {
+	a := nfcatalog.Attach(o, name, b)
+	if srv != nil && a.Rec != nil {
+		srv.SetRecorder(a.Rec)
 	}
-	if stats {
-		merged := vm.CollectStats()
-		merged.Merge(nativeStats)
-		reg := telemetry.NewRegistry()
-		merged.Publish(reg)
-		publishRun(reg)
-		fmt.Println()
-		if err := reg.WriteText(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	return a
+}
+
+// serveStats publishes a finished replay into the server's static
+// registry exactly once — its VM counters (st, through publish) among
+// the rest — and registers st as the /profile source, its reports
+// labelled with the flavour. It runs after the replay because vm.Stats
+// is not safe to read while a run mutates it. No-op when -serve is off.
+func serveStats(srv *obs.Server, publish func(*telemetry.Registry), st *vm.Stats, flavor string) {
+	if srv == nil {
+		return
 	}
-	dumpRecording(rec, srv)
-	finishServe(srv, base, *smoke, *hold)
+	publish(srv.Registry())
+	if st != nil {
+		srv.SetProfile(func() []*harness.ProfileReport { return harness.Reports(st, flavor) })
+	}
+}
+
+// printStats writes what publish publishes to stdout as metrics
+// exposition text when -stats (or -serve) is on.
+func printStats(on bool, publish func(*telemetry.Registry)) {
+	if !on {
+		return
+	}
+	reg := telemetry.NewRegistry()
+	publish(reg)
+	fmt.Println()
+	if err := reg.WriteText(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 }
 
 // dumpRecording ends a single-shard replay, plain or guarded: -trace
@@ -266,14 +279,16 @@ func dumpEvents(evs []trace.Event) {
 }
 
 // finishServe runs the post-replay server phases: the -smoke self-scrape
-// and the -hold wait. No-op when -serve is off.
-func finishServe(srv *obs.Server, base string, smoke, hold bool) {
+// and the -hold wait. st is the Stats nfrun attached (merged across
+// shards), which /metrics must carry exactly once. No-op when -serve is
+// off.
+func finishServe(srv *obs.Server, base string, smoke, hold bool, st *vm.Stats) {
 	if srv == nil {
 		return
 	}
 	defer srv.Close()
 	if smoke {
-		if err := smokeCheck(base); err != nil {
+		if err := smokeCheck(base, st); err != nil {
 			fmt.Fprintln(os.Stderr, "obs smoke:", err)
 			os.Exit(1)
 		}
@@ -288,8 +303,9 @@ func finishServe(srv *obs.Server, base string, smoke, hold bool) {
 }
 
 // smokeCheck self-scrapes every observability endpoint and validates the
-// payload shapes — the CI gate behind `make obs-smoke`.
-func smokeCheck(base string) error {
+// payload shapes — the CI gate behind `make obs-smoke` — and that the
+// scraped vm_run_cnt series sum to st's run count.
+func smokeCheck(base string, st *vm.Stats) error {
 	get := func(path string) (string, error) {
 		resp, err := http.Get(base + path)
 		if err != nil {
@@ -313,6 +329,26 @@ func smokeCheck(base string) error {
 		if !strings.Contains(metrics, want) {
 			return fmt.Errorf("/metrics missing family %q", want)
 		}
+	}
+	var scraped, attached float64
+	for _, line := range strings.Split(metrics, "\n") {
+		if strings.HasPrefix(line, "vm_run_cnt{") || strings.HasPrefix(line, "vm_run_cnt ") {
+			f := strings.Fields(line)
+			n, err := strconv.ParseFloat(f[len(f)-1], 64)
+			if err != nil {
+				return fmt.Errorf("/metrics: bad sample %q: %w", line, err)
+			}
+			scraped += n
+		}
+	}
+	if st != nil {
+		for _, name := range st.ProgNames() {
+			ps, _ := st.ProgSnapshot(name)
+			attached += float64(ps.RunCnt)
+		}
+	}
+	if scraped != attached {
+		return fmt.Errorf("/metrics vm_run_cnt sums to %.0f, the attached stats counted %.0f", scraped, attached)
 	}
 	traceBody, err := get("/trace?kind=verdict&limit=5")
 	if err != nil {
@@ -354,40 +390,51 @@ func smokeCheck(base string) error {
 
 // runSharded replays the trace RSS-style: the NF's op mix is applied
 // to the full trace, the trace is hash-partitioned by flow 5-tuple
-// across N shards, and each shard replays on its own instance (own VM
+// across the shards, and each shard replays on its own instance (own VM
 // and maps) concurrently. Prints the merged result plus the per-shard
-// breakdown. With tcfg set, each shard gets its own flight-recorder
-// ring and the timestamp-merged stream goes to the obs server's /trace
-// (or stdout as JSONL when not serving).
-func runSharded(name string, flavor nf.Flavor, tr *pktgen.Trace, shards, trials int, stats bool, percpu bool, tcfg *trace.Config, srv *obs.Server) {
+// breakdown, and returns the merged stats (nil when off). With o.Trace
+// set, each shard gets its own flight-recorder ring and the
+// timestamp-merged stream goes to the obs server's /trace (or stdout as
+// JSONL when not serving).
+func runSharded(name string, flavor nf.Flavor, tr *pktgen.Trace, o runtime.Options, trials int, srv *obs.Server) *vm.Stats {
 	nfcatalog.PrepareTrace(name, tr)
 	sh := nfcatalog.NewSharded(name, flavor)
-	if percpu {
+	if o.PerCPU {
 		var err error
-		sh, err = nfcatalog.NewShardedPerCPU(name, flavor, shards)
+		sh, err = nfcatalog.NewShardedPerCPU(name, flavor, o.Shards)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 	}
-	build := harness.ShardBuilder(sh.Build)
-	if srv != nil {
-		// Instrument every shard's instance; the wrapper delegates VM()
-		// so recorder/stats attachment still reaches the machines.
-		build = func(shard int, sub *pktgen.Trace) (nf.Instance, error) {
-			inst, err := sh.Build(shard, sub)
-			if err != nil {
-				return nil, err
-			}
-			return obs.Instrument(inst, srv.Registry()), nil
+	// Every shard is applied and attached by its own call: the shards
+	// replay concurrently, so each gets a fresh Stats, and ParallelRun
+	// merges them into res.Stats. The rings are ParallelRunTraced's,
+	// one per shard, so the attach step records nothing here.
+	so := o
+	so.Trace = nil
+	build := func(shard int, sub *pktgen.Trace) (nf.Instance, error) {
+		b, err := sh.BuildFull(shard, sub)
+		if err != nil {
+			return nil, err
 		}
+		if err := nfcatalog.Apply(so, name, flavor, sh, b); err != nil {
+			return nil, err
+		}
+		inst := nfcatalog.Attach(so, name, b).Insts[0]
+		if srv != nil {
+			// The wrapper delegates VM(), so the rings still reach the
+			// shard's machines.
+			inst = obs.Instrument(inst, srv.Registry())
+		}
+		return inst, nil
 	}
 	var res *harness.ParallelResult
 	var err error
-	if tcfg != nil {
-		res, err = harness.ParallelRunTraced(tr, shards, build, trials, *tcfg)
+	if o.Trace != nil {
+		res, err = harness.ParallelRunTraced(tr, o.Shards, build, trials, o.Trace.Config())
 	} else {
-		res, err = harness.ParallelRun(tr, shards, build, trials)
+		res, err = harness.ParallelRun(tr, o.Shards, build, trials)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -422,10 +469,8 @@ func runSharded(name string, flavor nf.Flavor, tr *pktgen.Trace, shards, trials 
 			telemetry.L("nf", res.Name), telemetry.L("flavor", res.Flavor),
 			telemetry.L("shards", fmt.Sprint(res.Shards))).Set(res.PPS)
 	}
-	if srv != nil {
-		publish(srv.Registry())
-	}
-	if tcfg != nil {
+	serveStats(srv, publish, res.Stats, res.Flavor)
+	if o.Trace != nil {
 		fmt.Fprintf(os.Stderr, "trace: %d events emitted, %d dropped across %d shard rings\n",
 			res.TraceEmitted, res.TraceDrops, res.Shards)
 		if srv != nil {
@@ -434,15 +479,8 @@ func runSharded(name string, flavor nf.Flavor, tr *pktgen.Trace, shards, trials 
 			dumpEvents(res.Events)
 		}
 	}
-	if stats {
-		reg := telemetry.NewRegistry()
-		publish(reg)
-		fmt.Println()
-		if err := reg.WriteText(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
+	printStats(o.Stats, publish)
+	return res.Stats
 }
 
 // runGrid walks the conformance grid along each named axis in turn and
@@ -481,40 +519,36 @@ func runGrid(axes []string, cfg nfcatalog.GridConfig, stats bool) {
 // trace's arrival clock, so attack-window bursts hit the shedder the
 // way back-to-back line-rate packets would, then reports the guard's
 // accounting next to throughput.
-func runGuarded(name string, flavor nf.Flavor, tr *pktgen.Trace, stats bool, srv *obs.Server) {
-	w, g, err := nfcatalog.BuildGuarded(name, flavor, tr)
+func runGuarded(name string, flavor nf.Flavor, tr *pktgen.Trace, o runtime.Options, srv *obs.Server) nfcatalog.Attached {
+	b, err := nfcatalog.BuildWith(o, name, flavor, tr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	start := time.Now()
-	for i := range tr.Packets {
-		// ProcessAt keeps the trace's arrival clock, so attack-window
-		// bursts are visible to the token bucket; obs.Instrument would
-		// flatten the replay back onto the one-tick-per-packet clock.
-		if _, _, err := w.ProcessAt(tr.Packets[i][:], tr.ArrivalOf(i)); err != nil {
-			fmt.Fprintf(os.Stderr, "packet %d: %v\n", i, err)
-			os.Exit(1)
-		}
+	a := attach(o, name, b, srv)
+	inst, g := a.Insts[0], a.Guards[0]
+	// ReplayBatch keeps the trace's arrival clock, so attack-window
+	// bursts are visible to the token bucket; obs.Instrument would
+	// flatten the replay back onto the one-tick-per-packet clock.
+	res, _, err := harness.ReplayBatch(inst, tr, 0)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	elapsed := time.Since(start)
-	pps := float64(len(tr.Packets)) / elapsed.Seconds()
+	elapsed := time.Duration(res.Ns)
+	pps := float64(res.Packets) / elapsed.Seconds()
 	fmt.Printf("%s/%s +guard: %d packets in %s, %.0f pps\n",
-		w.Name(), w.Flavor(), len(tr.Packets), elapsed.Round(time.Microsecond), pps)
+		inst.Name(), inst.Flavor(), res.Packets, elapsed.Round(time.Microsecond), pps)
 	fmt.Printf("guard: budget=%d insns, admitted=%d shed=%d sampled-out=%d, shed-enters=%d watchdog-trips=%d degrade-enters=%d degraded=%v\n",
 		g.Budget(), g.Admitted(), g.Shed(), g.SampledOut(),
 		g.ShedEnters(), g.WatchdogTrips(), g.DegradeEnters(), g.Degraded())
-	if srv != nil {
-		g.Publish(srv.Registry())
-	}
-	if stats {
-		reg := telemetry.NewRegistry()
+	publish := func(reg *telemetry.Registry) {
 		g.Publish(reg)
-		vm.CollectStats().Publish(reg)
-		fmt.Println()
-		if err := reg.WriteText(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if a.Stats != nil {
+			a.Stats.Publish(reg)
 		}
 	}
+	serveStats(srv, publish, a.Stats, flavor.String())
+	printStats(o.Stats, publish)
+	return a
 }

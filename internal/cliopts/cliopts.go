@@ -1,11 +1,10 @@
-// Package cliopts binds the shared CLI flag surface onto
-// runtime.Options and runtime.TraceSpec, collapsing the flag-parsing
-// that nfrun and enetstl-bench (and the bench CLIs) each duplicated.
-// The flags round-trip through the same JSON schema the nfd daemon
-// accepts: `-options '{"tier":"jit"}'` seeds the struct, explicit
-// flags override individual fields, and -print-options emits the
-// canonical JSON — so a flag invocation and a daemon request body are
-// interchangeable descriptions of the same instance.
+// Package cliopts binds nfrun's flag surface onto runtime.Options and
+// runtime.TraceSpec. The flags round-trip through the same JSON schema
+// the nfd daemon accepts: `-options '{"tier":"jit"}'` seeds the
+// struct, explicit flags override individual fields, and
+// -print-options emits the canonical JSON — so a flag invocation and a
+// daemon request body are interchangeable descriptions of the same
+// instance.
 package cliopts
 
 import (
@@ -27,20 +26,14 @@ type Runtime struct {
 	print       *bool
 }
 
-// Bind registers the shared construction flags on fs: -interp, -stats,
-// -options, -print-options, plus -shards when shardsDefault >= 0 and
-// -percpu when withPerCPU. Flag names and meanings match the historical
-// per-CLI flags, so invocations keep working; an empty tier inherits
-// the process default.
-func Bind(fs *flag.FlagSet, shardsDefault int, withPerCPU bool) *Runtime {
+// Bind registers the construction flags on fs: -interp, -shards,
+// -percpu, -stats, -options and -print-options. An empty tier is the
+// predecoded one.
+func Bind(fs *flag.FlagSet) *Runtime {
 	r := &Runtime{fs: fs}
-	r.interp = fs.String("interp", "", "interpreter tier for VM flavours: wire | predecoded (process default) | jit")
-	if shardsDefault >= 0 {
-		r.shards = fs.Int("shards", shardsDefault, "RSS shards: hash-partition the trace by flow 5-tuple across N per-CPU instances replaying concurrently")
-	}
-	if withPerCPU {
-		r.percpu = fs.Bool("percpu", false, "with -shards: back every shard with one per-CPU map (a private copy per shard, kernel per-CPU map semantics) where the NF has per-CPU wiring")
-	}
+	r.interp = fs.String("interp", "", "interpreter tier for VM flavours: wire | predecoded (default) | jit")
+	r.shards = fs.Int("shards", 1, "RSS shards: hash-partition the trace by flow 5-tuple across N per-CPU instances replaying concurrently")
+	r.percpu = fs.Bool("percpu", false, "with -shards: back every shard with one per-CPU map (a private copy per shard, kernel per-CPU map semantics) where the NF has per-CPU wiring")
 	r.stats = fs.Bool("stats", false, "enable runtime stats (bpf_stats analogue) and print metrics exposition")
 	r.optionsJSON = fs.String("options", "", "runtime options as JSON (the nfd module schema); explicitly passed flags override its fields")
 	r.print = fs.Bool("print-options", false, "print the canonical runtime-options JSON this invocation resolves to and exit")
@@ -72,8 +65,8 @@ func (r *Runtime) Options() (runtime.Options, error) {
 		}
 	})
 	// An unset -shards (and a JSON body without one) falls back to the
-	// flag's registered default — the CLI's historical shard count.
-	if r.shards != nil && o.Shards == 0 {
+	// flag's default.
+	if o.Shards == 0 {
 		o.Shards = *r.shards
 	}
 	if err := o.Validate(); err != nil {

@@ -11,7 +11,7 @@ import (
 func parse(t *testing.T, args ...string) (*Runtime, *Trace) {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	r := Bind(fs, 1, true)
+	r := Bind(fs)
 	tr := BindTrace(fs, 1000, 64, 1.1)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ func TestFlagsOverrideOptionsJSON(t *testing.T) {
 		t.Fatalf("JSON fields without explicit flags dropped: %+v", o)
 	}
 	if o.Shards != 1 {
-		t.Fatalf("unset -shards did not fall back to the registered default: %d", o.Shards)
+		t.Fatalf("unset -shards did not fall back to the flag default: %d", o.Shards)
 	}
 }
 

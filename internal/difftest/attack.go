@@ -19,6 +19,7 @@ import (
 	"enetstl/internal/guard"
 	"enetstl/internal/nfcatalog"
 	"enetstl/internal/pktgen"
+	"enetstl/internal/runtime"
 )
 
 // Row summarizes one replayed arm of the attack axis.
@@ -92,7 +93,8 @@ func (r *Report) attack(cells []nfcatalog.Cell) {
 			inst := b.Inst
 			var g *guard.Guard // nil on the bare arm
 			if guardOn {
-				inst, g = b.Guarded(c.Name)
+				a := nfcatalog.Attach(runtime.Options{Guard: nfcatalog.GuardPolicy()}, c.Name, b)
+				inst, g = a.Insts[0], a.Guards[0]
 			}
 			got := r.replay(at, inst, c.Trace.Clone())
 			if bound, ok := r.check(at, b, c.Trace.FlowKeys, got.admitted); ok {

@@ -100,11 +100,3 @@ func (p *Program) JITBlockStarts() []int {
 
 // Recorder returns the attached flight recorder, or nil.
 func (vm *VM) Recorder() *trace.Recorder { return vm.rec }
-
-// RetainedStats reports how many VM Stats the global switch currently
-// retains.
-func RetainedStats() int {
-	statsMu.Lock()
-	defer statsMu.Unlock()
-	return len(globalStats)
-}

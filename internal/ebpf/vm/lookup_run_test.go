@@ -301,13 +301,13 @@ func TestLookupRunObservedLikeWire(t *testing.T) {
 				})
 			}
 		},
-		"stats": func() func(m *vm.VM) { return func(m *vm.VM) { m.EnableStats() } },
+		"stats": func() func(m *vm.VM) { return func(m *vm.VM) { m.SetStats(vm.NewStats()) } },
 		"recorder": func() func(m *vm.VM) {
 			return func(m *vm.VM) { m.SetRecorder(trace.NewRecorder(trace.Config{Capacity: 256})) }
 		},
 		"stats+faulty": func() func(m *vm.VM) {
 			return func(m *vm.VM) {
-				m.EnableStats()
+				m.SetStats(vm.NewStats())
 				m.WrapMaps(func(inner maps.ArenaMap) maps.ArenaMap {
 					return &maps.Faulty{M: inner, MissLookup: func() bool { return true }}
 				})

@@ -3,7 +3,6 @@ package vm
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"enetstl/internal/telemetry"
@@ -12,12 +11,10 @@ import (
 // Runtime statistics, mirroring the kernel's `sysctl
 // kernel.bpf_stats_enabled` plumbing: disabled by default and free when
 // disabled, a per-program run_cnt/run_time_ns plus call- and
-// instruction-level attribution when enabled. Each VM carries its own
-// Stats object (VMs are single-goroutine, so counting is plain
-// arithmetic); the package-level switch makes every subsequently
-// created VM stats-enabled and remembers their Stats for aggregation,
-// which is how `enetstl-bench -stats` observes VMs built deep inside
-// NF constructors.
+// instruction-level attribution when enabled. Stats live on the
+// instance, as bpf_prog_stats live on the program: whoever builds a VM
+// attaches one with SetStats (VMs are single-goroutine, so counting is
+// plain arithmetic), and a fresh VM has none.
 
 // NumOpClasses is the number of eBPF instruction classes (low 3 opcode
 // bits), the granularity of the opcode-mix histogram.
@@ -254,64 +251,9 @@ func (s *Stats) Publish(reg *telemetry.Registry) {
 
 // --- Per-VM switch ---
 
-// EnableStats attaches a fresh Stats to the VM (replacing any previous
-// one) and returns it. Mirrors flipping bpf_stats_enabled on.
-func (vm *VM) EnableStats() *Stats {
-	vm.stats = NewStats()
-	return vm.stats
-}
-
 // SetStats attaches an existing Stats (e.g. one shared across the VMs
 // of a multi-program app). nil disables collection.
 func (vm *VM) SetStats(s *Stats) { vm.stats = s }
 
 // Stats returns the attached Stats, or nil when disabled.
 func (vm *VM) Stats() *Stats { return vm.stats }
-
-// --- Global switch (the sysctl analogue) ---
-
-var (
-	statsMu            sync.Mutex
-	globalStatsEnabled bool
-	globalStats        []*Stats
-)
-
-// SetGlobalStats flips the package-wide stats switch, the analogue of
-// `sysctl kernel.bpf_stats_enabled`. While on, every VM created by New
-// gets stats enabled and its Stats is retained for CollectStats.
-// Flipping the switch in either direction resets the retained set:
-// turning it off must release the retained Stats, or a long-lived
-// process that creates VMs per request grows without bound.
-func SetGlobalStats(on bool) {
-	statsMu.Lock()
-	defer statsMu.Unlock()
-	globalStatsEnabled = on
-	globalStats = nil
-}
-
-// GlobalStatsEnabled reports the switch state.
-func GlobalStatsEnabled() bool {
-	statsMu.Lock()
-	defer statsMu.Unlock()
-	return globalStatsEnabled
-}
-
-func registerGlobalStats(s *Stats) {
-	statsMu.Lock()
-	globalStats = append(globalStats, s)
-	statsMu.Unlock()
-}
-
-// CollectStats merges the Stats of every VM created while the global
-// switch was on. Call after runs complete; merging does not lock the
-// individual VMs.
-func CollectStats() *Stats {
-	statsMu.Lock()
-	all := append([]*Stats(nil), globalStats...)
-	statsMu.Unlock()
-	merged := NewStats()
-	for _, s := range all {
-		merged.Merge(s)
-	}
-	return merged
-}

@@ -122,7 +122,8 @@ func TestStatsExactAccounting(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m, p := tc.build(t)
-			st := m.EnableStats()
+			st := vm.NewStats()
+			m.SetStats(st)
 			const runs = 2
 			for i := 0; i < runs; i++ {
 				if _, err := m.Run(p, nil); err != nil {
@@ -173,7 +174,8 @@ func TestStatsExactAccounting(t *testing.T) {
 			// Determinism: a fresh identical VM yields identical count
 			// fields (time fields vary, counts must not).
 			m2, p2 := tc.build(t)
-			st2 := m2.EnableStats()
+			st2 := vm.NewStats()
+			m2.SetStats(st2)
 			for i := 0; i < runs; i++ {
 				if _, err := m2.Run(p2, nil); err != nil {
 					t.Fatal(err)
@@ -190,7 +192,8 @@ func TestStatsExactAccounting(t *testing.T) {
 func TestStatsMapCounters(t *testing.T) {
 	m := vm.New()
 	fd := m.RegisterMap(maps.Must(maps.NewHash(4, 8, 16)))
-	st := m.EnableStats()
+	st := vm.NewStats()
+	m.SetStats(st)
 
 	bb := asm.New()
 	bb.StoreImm(asm.R10, -4, 7, 4)
@@ -254,7 +257,8 @@ func TestStatsDisabledCollectsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Enabling later starts from zero.
-	st := m.EnableStats()
+	st := vm.NewStats()
+	m.SetStats(st)
 	if _, ok := st.ProgSnapshot("off"); ok {
 		t.Fatal("stats recorded while disabled")
 	}
@@ -271,34 +275,6 @@ func TestStatsDisabledCollectsNothing(t *testing.T) {
 	}
 	if ps, _ := st.ProgSnapshot("off"); ps.RunCnt != 1 {
 		t.Fatalf("stats recorded after disable: %+v", ps)
-	}
-}
-
-func TestGlobalStatsSwitch(t *testing.T) {
-	vm.SetGlobalStats(true)
-	defer vm.SetGlobalStats(false)
-	m := vm.New()
-	if m.Stats() == nil {
-		t.Fatal("global switch did not enable stats on New")
-	}
-	bb := asm.New()
-	bb.MovImm(asm.R0, 2).Exit()
-	p, err := m.Load("global", bb.MustProgram())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(p, nil); err != nil {
-		t.Fatal(err)
-	}
-	merged := vm.CollectStats()
-	ps, ok := merged.ProgSnapshot("global")
-	if !ok || ps.RunCnt != 1 {
-		t.Fatalf("collected stats: %+v ok=%v", ps, ok)
-	}
-	// Re-enabling resets the retained set.
-	vm.SetGlobalStats(true)
-	if _, ok := vm.CollectStats().ProgSnapshot("global"); ok {
-		t.Fatal("SetGlobalStats(true) did not reset collection")
 	}
 }
 

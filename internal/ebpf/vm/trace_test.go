@@ -176,24 +176,13 @@ func TestTraceDetach(t *testing.T) {
 	}
 }
 
-// TestTraceGlobalPickup: VMs built while the global recorder is set
-// attach automatically, the -trace gate used by nfrun.
-func TestTraceGlobalPickup(t *testing.T) {
-	rec := trace.NewRecorder(trace.Config{Capacity: 64})
-	trace.SetGlobal(rec)
-	defer trace.SetGlobal(nil)
-	m := vm.New()
-	if m.Recorder() != rec {
-		t.Fatal("VM did not pick up the global recorder")
-	}
-}
-
 // TestTraceWithStats: tracing and stats attached together keep both
 // accounts correct (the observed path serves both).
 func TestTraceWithStats(t *testing.T) {
 	m := vm.New()
 	prog := traceProg(t, m)
-	st := m.EnableStats()
+	st := vm.NewStats()
+	m.SetStats(st)
 	rec := trace.NewRecorder(trace.Config{Capacity: 64})
 	m.SetRecorder(rec)
 	const runs = 5

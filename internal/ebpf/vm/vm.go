@@ -174,15 +174,10 @@ func New() *VM {
 		kfuncIdx:  make(map[int32]int32),
 		rngState:  0x9e3779b97f4a7c15,
 		Budget:    1 << 22,
-		tier:      DefaultTier(),
 	}
 	vm.stackID = vm.allocRegion(make([]byte, StackSize), true)
 	vm.ctxID = vm.allocRegion(nil, true)
 	registerBuiltinHelpers(vm)
-	if GlobalStatsEnabled() {
-		registerGlobalStats(vm.EnableStats())
-	}
-	vm.rec = trace.Global()
 	return vm
 }
 
@@ -573,19 +568,6 @@ func (vm *VM) SetTier(t Tier) { vm.tier = t }
 
 // Tier returns the selected execution tier.
 func (vm *VM) Tier() Tier { return vm.tier }
-
-// defaultTier is the package-wide tier New applies to fresh VMs — the
-// hook behind the CLIs' -interp flag, set once at startup before any
-// NF is built. Atomic because sharded harnesses construct VMs from
-// concurrent goroutines.
-var defaultTier atomic.Uint32
-
-// SetDefaultTier selects the tier every subsequently created VM starts
-// on. Individual VMs can still override it with SetTier.
-func SetDefaultTier(t Tier) { defaultTier.Store(uint32(t)) }
-
-// DefaultTier reports the package-wide starting tier.
-func DefaultTier() Tier { return Tier(defaultTier.Load()) }
 
 // Run executes prog with ctx as the packet/context memory. It returns
 // the program's R0 (the XDP verdict for datapath programs). With stats

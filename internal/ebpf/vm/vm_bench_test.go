@@ -201,7 +201,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			m, prog := build(b)
 			m.SetTier(bc.tier)
 			if bc.stats {
-				m.EnableStats()
+				m.SetStats(vm.NewStats())
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

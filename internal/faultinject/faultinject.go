@@ -154,7 +154,9 @@ func (s *Site) Fire() bool {
 // Plane owns the sites of one fault domain (typically: one chaos run).
 type Plane struct {
 	seed uint64
-	rec  *trace.Recorder
+	// rec is handed to every site the plane creates; nil (what New
+	// starts with) records no fault events.
+	rec *trace.Recorder
 
 	mu    sync.Mutex
 	sites map[string]*Site
@@ -166,11 +168,7 @@ func New(seed uint64) *Plane {
 	if seed == 0 {
 		seed = 0x51_7cc1b727220a95
 	}
-	p := &Plane{seed: seed, sites: make(map[string]*Site)}
-	// Like vm.New with the global stats gate: planes built while the
-	// process-wide recorder is set report injections into it.
-	p.rec = trace.Global()
-	return p
+	return &Plane{seed: seed, sites: make(map[string]*Site)}
 }
 
 // Site returns the named site, creating it disarmed if needed.

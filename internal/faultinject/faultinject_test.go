@@ -145,9 +145,8 @@ func BenchmarkFireNil(b *testing.B) {
 
 func TestFireEmitsFaultEvents(t *testing.T) {
 	rec := trace.NewRecorder(trace.Config{Capacity: 64})
-	trace.SetGlobal(rec)
-	defer trace.SetGlobal(nil)
 	p := New(7)
+	p.rec = rec
 	s := p.Arm("boom", Schedule{EveryNth: 3})
 	for i := 0; i < 9; i++ {
 		s.Fire()
@@ -169,16 +168,5 @@ func TestFireEmitsFaultEvents(t *testing.T) {
 	s2.Fire()
 	if evs := rec.Drain(0); len(evs) != 1 || evs[0].Name != "boom2" {
 		t.Fatalf("new site events: %+v", evs)
-	}
-}
-
-func TestPlanePicksUpGlobalRecorder(t *testing.T) {
-	rec := trace.NewRecorder(trace.Config{Capacity: 16})
-	trace.SetGlobal(rec)
-	defer trace.SetGlobal(nil)
-	p := New(1)
-	p.Arm("g", Schedule{EveryNth: 1}).Fire()
-	if evs := rec.Drain(0); len(evs) != 1 || evs[0].Name != "g" {
-		t.Fatalf("global-recorder plane events: %+v", evs)
 	}
 }

@@ -184,7 +184,7 @@ func TestStatsAttachment(t *testing.T) {
 		t.Fatalf("stats attached while disabled: %+v", r.Stats)
 	}
 
-	inst.Machine.EnableStats()
+	inst.Machine.SetStats(vm.NewStats())
 	r, err = Throughput(inst, trace, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,8 @@ import (
 // VM and maps (the per-CPU analogue); sharing state across shards
 // would reintroduce the cross-core contention RSS exists to avoid.
 // Builders are invoked serially before any replay starts, so they may
-// touch process-global state (stats registries) safely.
+// share state the replays do not touch (a Sharded's wiring) without a
+// lock.
 type ShardBuilder func(shard int, trace *pktgen.Trace) (nf.Instance, error)
 
 // ShardResult is one shard's contribution to a parallel replay.

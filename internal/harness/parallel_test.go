@@ -131,10 +131,11 @@ func TestParallelRunMatchesThroughput(t *testing.T) {
 	trace := pktgen.Generate(pktgen.Config{Flows: 128, Packets: 1500, ZipfS: 1.1, Seed: 7})
 	nfcatalog.PrepareTrace("cuckooswitch", trace)
 
-	inst, err := nfcatalog.Build("cuckooswitch", nf.EBPF, trace.Clone())
+	built, err := nfcatalog.BuildFull("cuckooswitch", nf.EBPF, trace.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
+	inst := built.Inst
 	serial, err := harness.Throughput(inst, trace.Clone(), 2)
 	if err != nil {
 		t.Fatal(err)

@@ -73,10 +73,22 @@ func Profile(inst nf.Instance, trace *pktgen.Trace) (*ProfileReport, error) {
 	return ReportFromProgStats(inst.Name(), inst.Flavor().String(), len(trace.Packets), ps), nil
 }
 
+// Reports builds one attribution table per program st has counted,
+// each over that program's run count and labelled label in the Flavor
+// column — what the obs server's /profile serves.
+func Reports(st *vm.Stats, label string) []*ProfileReport {
+	var out []*ProfileReport
+	for _, name := range st.ProgNames() {
+		if ps, ok := st.ProgSnapshot(name); ok {
+			out = append(out, ReportFromProgStats(name, label, int(ps.RunCnt), ps))
+		}
+	}
+	return out
+}
+
 // ReportFromProgStats builds the attribution table from a program's
 // counters — the shared back half of Profile, of a sharded run's merged
-// ParallelResult.Stats, and of the obs server's /profile endpoint
-// (which reports from live vm stats).
+// ParallelResult.Stats, and of Reports.
 func ReportFromProgStats(name, flavor string, packets int, ps vm.ProgStats) *ProfileReport {
 	rep := &ProfileReport{
 		Name: name, Flavor: flavor,

@@ -185,10 +185,11 @@ func TestProfileParallelShardInvariance(t *testing.T) {
 func TestLatencyPublish(t *testing.T) {
 	tr := pktgen.Generate(pktgen.Config{Flows: 32, Packets: 400, Seed: 2})
 	nfcatalog.PrepareTrace("cmsketch", tr)
-	inst, err := nfcatalog.Build("cmsketch", nf.EBPF, tr)
+	built, err := nfcatalog.BuildFull("cmsketch", nf.EBPF, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	inst := built.Inst
 	lr, err := harness.Latency(inst, tr)
 	if err != nil {
 		t.Fatal(err)

@@ -7,16 +7,15 @@ package nfcatalog
 
 import (
 	"enetstl/internal/guard"
-	"enetstl/internal/nf"
-	"enetstl/internal/pktgen"
+	"enetstl/internal/runtime"
 )
 
-// GuardPolicy returns the catalog's uniform guard policy — budgets
-// calibrate per instance (AutoBudget), so one config fits a skiplist
-// and a count-min sketch alike. Callers overlay runtime.Options
-// guard/quota settings on top of it.
-func GuardPolicy() guard.Config {
-	return guard.Config{
+// GuardPolicy returns the catalog's uniform guard policy as the
+// Options field Attach reads — budgets calibrate per instance
+// (AutoBudget), so one config fits a skiplist and a count-min sketch
+// alike.
+func GuardPolicy() *runtime.GuardOptions {
+	return &runtime.GuardOptions{
 		Enabled:        true,
 		WatchdogFactor: 16,
 	}
@@ -50,23 +49,4 @@ func (b Built) WireGuard(g *guard.Guard) {
 		b.GuardWire(g)
 	}
 	addShedRateMark(g)
-}
-
-// Guarded fronts the built instance with an enabled guard carrying the
-// catalog's policy and the NF's wiring.
-func (b Built) Guarded(name string) (*guard.Guarded, *guard.Guard) {
-	g := guard.New(name, 0, GuardPolicy())
-	b.WireGuard(g)
-	return g.Wrap(b.Inst), g
-}
-
-// BuildGuarded constructs an NF instance behind the catalog's guard —
-// the `nfrun -guard` entry point.
-func BuildGuarded(name string, flavor nf.Flavor, trace *pktgen.Trace) (*guard.Guarded, *guard.Guard, error) {
-	b, err := BuildFull(name, flavor, trace)
-	if err != nil {
-		return nil, nil, err
-	}
-	w, g := b.Guarded(name)
-	return w, g, nil
 }

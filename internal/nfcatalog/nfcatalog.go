@@ -65,17 +65,6 @@ type Built struct {
 	GuardWire func(g *guard.Guard)
 }
 
-// Build constructs an NF instance, populating lookup structures from
-// the trace's flows where the NF needs a table and applying the NF's
-// op mix to the trace.
-func Build(name string, flavor nf.Flavor, trace *pktgen.Trace) (nf.Instance, error) {
-	b, err := BuildFull(name, flavor, trace)
-	if err != nil {
-		return nil, err
-	}
-	return b.Inst, nil
-}
-
 // queueize turns the trace into an enqueue/dequeue mix with spread
 // priorities and deadlines, for the scheduler NFs.
 func queueize(trace *pktgen.Trace) {
@@ -87,7 +76,7 @@ func queueize(trace *pktgen.Trace) {
 }
 
 // PrepareTrace applies name's op mix and argument keying to the trace,
-// exactly as Build does. It is exposed separately so sharded replay
+// exactly as BuildFull does. It is exposed separately so sharded replay
 // can mix the full trace once before hash-partitioning it: packet
 // contents must not depend on the shard count, and the op mix walks
 // packets by index.
@@ -102,6 +91,9 @@ func PrepareTrace(name string, trace *pktgen.Trace) {
 	}
 }
 
+// BuildFull constructs an NF instance with its full wiring, populating
+// lookup structures from the trace's flows where the NF needs a table
+// and applying the NF's op mix to the trace.
 func BuildFull(name string, flavor nf.Flavor, trace *pktgen.Trace) (Built, error) {
 	PrepareTrace(name, trace)
 	return construct(name, flavor, trace)

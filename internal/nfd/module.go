@@ -67,8 +67,8 @@ type CreateRequest struct {
 	Name string `json:"name"`
 	// Flavor is kernel | ebpf | enetstl.
 	Flavor string `json:"flavor"`
-	// Options configures the instance; the zero value inherits the
-	// daemon's process defaults.
+	// Options configures the instance; the zero value is an unsharded,
+	// predecoded module with no stats, recorder, guard or quota.
 	Options runtime.Options `json:"options,omitempty"`
 	// Trace seeds the module's tables (flow keys preloaded into
 	// switches, filters, classifiers) and anchors the estimator flow
@@ -145,12 +145,7 @@ func NewRegistry() *Registry {
 
 // List returns the module statuses, in no particular order.
 func (r *Registry) List() []Status {
-	r.mu.RLock()
-	mods := make([]*Module, 0, len(r.mods))
-	for _, m := range r.mods {
-		mods = append(mods, m)
-	}
-	r.mu.RUnlock()
+	mods := r.snapshot()
 	out := make([]Status, len(mods))
 	for i, m := range mods {
 		out[i] = m.Status()
@@ -236,39 +231,11 @@ func (r *Registry) Create(req CreateRequest) (*Module, error) {
 	}
 	m.state = StateCreated
 
-	// Attachment: per-instance stats (never the global VM registry — a
-	// daemon must retain nothing after module delete), flight recorder,
-	// guards carrying the catalog's per-NF policy wiring.
-	if o.Stats {
-		m.stats = vm.NewStats()
-	}
-	if t := o.Trace; t != nil {
-		m.rec = trace.NewRecorder(t.Config())
-	}
-	gcfg, guarded := o.GuardConfig()
-	m.insts = make([]nf.Instance, shards)
-	for i, b := range m.built {
-		inst := b.Inst
-		if m.stats != nil {
-			vms := runtime.VMs(inst)
-			for _, machine := range vms {
-				machine.SetStats(m.stats)
-			}
-			if len(vms) == 0 {
-				inst = runtime.Meter(inst, m.stats)
-			}
-		}
-		if m.rec != nil {
-			runtime.AttachRecorder(inst, m.rec)
-		}
-		if guarded {
-			g := guard.New(req.Name, i, gcfg)
-			b.WireGuard(g)
-			m.guards = append(m.guards, g)
-			inst = g.Wrap(inst)
-		}
-		m.insts[i] = inst
-	}
+	// Attachment: per-module stats shared by the shards (they replay one
+	// at a time, under mu), flight recorder, guards carrying the
+	// catalog's per-NF policy wiring — the step nfrun runs too.
+	a := nfcatalog.Attach(o, req.Name, m.built...)
+	m.insts, m.guards, m.stats, m.rec = a.Insts, a.Guards, a.Stats, a.Rec
 	m.state = StateAttached
 
 	r.mu.Lock()
@@ -459,14 +426,36 @@ func (r *Registry) Close() {
 	}
 }
 
-// Publish writes every module's counters into reg.
-func (r *Registry) Publish(reg *telemetry.Registry) {
+// Profile reports attribution for every stats-enabled module, one
+// report per program labelled with the module ID — the daemon's
+// /profile source. Each module's Stats is read under its mu, like
+// /metrics, so a report never sees a batch half-counted.
+func (r *Registry) Profile() []*harness.ProfileReport {
+	var out []*harness.ProfileReport
+	for _, m := range r.snapshot() {
+		m.mu.Lock()
+		if m.stats != nil {
+			out = append(out, harness.Reports(m.stats, m.ID)...)
+		}
+		m.mu.Unlock()
+	}
+	return out
+}
+
+// snapshot lists the live modules.
+func (r *Registry) snapshot() []*Module {
 	r.mu.RLock()
+	defer r.mu.RUnlock()
 	mods := make([]*Module, 0, len(r.mods))
 	for _, m := range r.mods {
 		mods = append(mods, m)
 	}
-	r.mu.RUnlock()
+	return mods
+}
+
+// Publish writes every module's counters into reg.
+func (r *Registry) Publish(reg *telemetry.Registry) {
+	mods := r.snapshot()
 	reg.SetHelp("nfd_modules", "live modules in the registry")
 	reg.Gauge("nfd_modules").Set(float64(len(mods)))
 	for _, m := range mods {

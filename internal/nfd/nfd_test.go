@@ -542,3 +542,60 @@ func TestRequestCeilings(t *testing.T) {
 		t.Fatalf("shards at the ceiling: status %d: %s", code, data)
 	}
 }
+
+// TestProfileServesModuleStats: /profile reports what each
+// stats-enabled module counted, labelled with the module's ID — one
+// report per program, over the run count /modules/{id}/stats shows. A
+// module without stats adds no report, and a deleted module's report
+// is gone.
+func TestProfileServesModuleStats(t *testing.T) {
+	_, ts := newTestServer(t)
+	ids := map[bool]string{}
+	for _, stats := range []bool{true, false} {
+		var st nfd.Status
+		body := fmt.Sprintf(`{"name": "cmsketch", "flavor": "enetstl", "options": {"stats": %v}}`, stats)
+		if code, data := do(t, "POST", ts.URL+"/modules", body, &st); code != http.StatusCreated {
+			t.Fatalf("create: status %d: %s", code, data)
+		}
+		if code, data := do(t, "POST", ts.URL+"/modules/"+st.ID+"/packets", `{"packets": 64}`, nil); code != http.StatusOK {
+			t.Fatalf("ingest: status %d: %s", code, data)
+		}
+		ids[stats] = st.ID
+	}
+	var stats struct {
+		Programs []struct {
+			Prog   string `json:"prog"`
+			RunCnt uint64 `json:"run_cnt"`
+		} `json:"programs"`
+	}
+	if code, data := do(t, "GET", ts.URL+"/modules/"+ids[true]+"/stats", "", &stats); code != http.StatusOK {
+		t.Fatalf("stats: status %d: %s", code, data)
+	}
+	if len(stats.Programs) == 0 || stats.Programs[0].RunCnt != 64 {
+		t.Fatalf("stats after a 64-packet batch: %+v", stats)
+	}
+	profile := func() []harness.ProfileReport {
+		var reps []harness.ProfileReport
+		if code, data := do(t, "GET", ts.URL+"/profile", "", &reps); code != http.StatusOK {
+			t.Fatalf("profile: status %d: %s", code, data)
+		}
+		return reps
+	}
+	reps := profile()
+	if len(reps) != len(stats.Programs) {
+		t.Fatalf("/profile has %d reports, want one per program of %s: %+v", len(reps), ids[true], reps)
+	}
+	for i, rep := range reps {
+		want := stats.Programs[i]
+		if rep.Flavor != ids[true] || rep.Name != want.Prog || uint64(rep.Packets) != want.RunCnt {
+			t.Errorf("report %d = %s/%s over %d runs, want %s/%s over %d",
+				i, rep.Name, rep.Flavor, rep.Packets, want.Prog, ids[true], want.RunCnt)
+		}
+	}
+	if code, data := do(t, "DELETE", ts.URL+"/modules/"+ids[true], "", nil); code != http.StatusOK {
+		t.Fatalf("delete: status %d: %s", code, data)
+	}
+	if reps := profile(); len(reps) != 0 {
+		t.Fatalf("/profile after the stats module was deleted: %+v", reps)
+	}
+}

@@ -76,12 +76,14 @@ type Server struct {
 	httpSrv *http.Server
 }
 
-// NewServer builds a daemon server with a bare obs plane (per-module
-// gatherers only — the global VM stats switch stays off, so nothing is
-// retained after a module is deleted).
+// NewServer builds a daemon server whose obs plane serves the modules
+// and nothing else: /metrics gathers the registry's per-module series
+// and /profile its stats-enabled modules' reports, so a deleted module
+// leaves nothing behind on either.
 func NewServer() *Server {
-	s := &Server{Registry: NewRegistry(), Obs: obs.NewBare()}
-	s.Obs.AddGatherer(func(reg *telemetry.Registry) { s.Registry.Publish(reg) })
+	s := &Server{Registry: NewRegistry(), Obs: obs.New()}
+	s.Obs.AddGatherer(s.Registry.Publish)
+	s.Obs.SetProfile(s.Registry.Profile)
 	return s
 }
 

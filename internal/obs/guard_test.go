@@ -38,10 +38,11 @@ func TestMetricsGuardSeries(t *testing.T) {
 	var guards []*guard.Guard
 	var total uint64
 	for s, sh := range shards {
-		inst, err := nfcatalog.Build("cmsketch", nf.EBPF, sh)
+		built, err := nfcatalog.BuildFull("cmsketch", nf.EBPF, sh)
 		if err != nil {
 			t.Fatal(err)
 		}
+		inst := built.Inst
 		g := guard.New("cmsketch", s, guard.Config{Enabled: true})
 		w := g.Wrap(inst)
 		for i := range sh.Packets {

@@ -2,17 +2,19 @@
 // server that exposes, while a replay is running,
 //
 //	/metrics   Prometheus text exposition (telemetry registry merge of
-//	           static series, live VM bpf_stats counters, recorder ring
-//	           accounting, and any registered gatherers)
+//	           static series, recorder ring accounting, and the
+//	           gatherers the owner registers — the daemon's per-module
+//	           bpf_stats counters among them)
 //	/trace     flight-recorder events as JSONL, filterable by flow hash,
 //	           verdict, event kind, and NF name; drains the live ring
-//	/profile   harness.Profile-style attribution tables built from the
-//	           live VM stats, as JSON
+//	/profile   harness.Profile-style attribution tables, as JSON, from
+//	           the one source the owner registers (SetProfile)
 //	/debug/pprof  the Go runtime profiler, because the interpreter IS
 //	           the datapath here
 //
-// This is the telemetry substrate the ROADMAP's nfd daemon mounts: the
-// same handler set serves `nfrun -serve` and `enetstl-bench -serve`.
+// The server reads no process state: it serves what its owner hands
+// it. The nfd daemon mounts it on its own mux, and `nfrun -serve`
+// starts one for the duration of a replay.
 package obs
 
 import (
@@ -25,7 +27,6 @@ import (
 	"strings"
 	"sync"
 
-	"enetstl/internal/ebpf/vm"
 	"enetstl/internal/harness"
 	"enetstl/internal/telemetry"
 	"enetstl/internal/trace"
@@ -45,27 +46,16 @@ type Server struct {
 	// events holds pre-merged event batches (e.g. a sharded run's
 	// timestamp-merged stream) served by /trace before the live ring.
 	events []trace.Event
+	// profile is the source /profile reports from; nil answers [].
+	profile func() []*harness.ProfileReport
 
 	httpSrv *http.Server
 	ln      net.Listener
 }
 
-// New returns a server with an empty static registry and the default
-// gatherers: the global VM stats collection (everything created under
-// vm.SetGlobalStats) and, once SetRecorder is called, ring accounting.
+// New returns a server with an empty static registry, no gatherers and
+// no profile source.
 func New() *Server {
-	s := NewBare()
-	s.gather = append(s.gather, func(r *telemetry.Registry) {
-		vm.CollectStats().Publish(r)
-	})
-	return s
-}
-
-// NewBare returns a server with no default gatherers — the daemon
-// shape, where per-module stats are registered explicitly instead of
-// flowing through the global VM stats switch (which retains every VM
-// ever built and so cannot back a long-lived process).
-func NewBare() *Server {
 	return &Server{reg: telemetry.NewRegistry()}
 }
 
@@ -87,6 +77,15 @@ func (s *Server) SetRecorder(r *trace.Recorder) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.rec = r
+}
+
+// SetProfile registers the source /profile reports from. The owner
+// reads its own stats in fn, under whatever lock keeps them consistent
+// (vm.Stats is not safe to read mid-replay).
+func (s *Server) SetProfile(fn func() []*harness.ProfileReport) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.profile = fn
 }
 
 // AddEvents appends a pre-merged event batch (a sharded run's
@@ -315,15 +314,15 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleProfile reports attribution from the live global stats
-// collection, one report per program seen so far.
+// handleProfile reports attribution from the registered profile
+// source, one report per program it counted; [] without one.
 func (s *Server) handleProfile(w http.ResponseWriter, _ *http.Request) {
-	st := vm.CollectStats()
+	s.mu.Lock()
+	src := s.profile
+	s.mu.Unlock()
 	reports := []*harness.ProfileReport{}
-	for _, name := range st.ProgNames() {
-		if ps, ok := st.ProgSnapshot(name); ok {
-			reports = append(reports, harness.ReportFromProgStats(name, "live", int(ps.RunCnt), ps))
-		}
+	if src != nil {
+		reports = append(reports, src()...)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

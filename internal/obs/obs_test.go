@@ -37,20 +37,23 @@ func get(t *testing.T, url string) string {
 	return string(body)
 }
 
-// TestServerEndToEnd replays an NF with tracing and live stats on, then
-// scrapes every endpoint of a server bound to 127.0.0.1:0.
+// TestServerEndToEnd replays an NF with a recorder and stats attached
+// to its VM, hands both to a server bound to 127.0.0.1:0 the way an
+// owner does (a stats gatherer, a profile source, the recorder), then
+// scrapes every endpoint.
 func TestServerEndToEnd(t *testing.T) {
-	vm.SetGlobalStats(true)
-	defer vm.SetGlobalStats(false)
-	rec := trace.NewRecorder(trace.Config{Capacity: 1 << 16})
-	trace.SetGlobal(rec)
-	defer trace.SetGlobal(nil)
-
 	tr := pktgen.Generate(pktgen.Config{Flows: 32, Packets: 600, ZipfS: 1.1, Seed: 7})
 	nfcatalog.PrepareTrace("cmsketch", tr)
-	inst, err := nfcatalog.Build("cmsketch", nf.EBPF, tr)
+	built, err := nfcatalog.BuildFull("cmsketch", nf.EBPF, tr)
 	if err != nil {
 		t.Fatal(err)
+	}
+	inst := built.Inst
+	st := vm.NewStats()
+	rec := trace.NewRecorder(trace.Config{Capacity: 1 << 16})
+	for _, m := range nf.VMs(inst) {
+		m.SetStats(st)
+		m.SetRecorder(rec)
 	}
 
 	srv := obs.New()
@@ -61,6 +64,10 @@ func TestServerEndToEnd(t *testing.T) {
 			t.Fatalf("packet %d: %v", i, err)
 		}
 	}
+	// Registered after the replay: vm.Stats is not safe to read while a
+	// run mutates it.
+	srv.AddGatherer(st.Publish)
+	srv.SetProfile(func() []*harness.ProfileReport { return harness.Reports(st, "live") })
 
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
@@ -78,7 +85,7 @@ func TestServerEndToEnd(t *testing.T) {
 	// latency histogram must all be present in one exposition.
 	metrics := get(t, base+"/metrics")
 	for _, want := range []string{
-		"vm_run_cnt{",
+		`vm_run_cnt{prog="cmsketch"} 600`,
 		"trace_events_emitted_total{",
 		`nf_latency_ns_count{flavor="eBPF",nf="cmsketch"} 600`,
 		`nf_verdicts_total{`,
@@ -141,19 +148,20 @@ func TestServerEndToEnd(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	// /profile: live attribution from the global stats collection.
+	// /profile: attribution from the registered source, over exactly
+	// the packets the instance ran.
 	var reports []harness.ProfileReport
 	if err := json.Unmarshal([]byte(get(t, base+"/profile")), &reports); err != nil {
 		t.Fatalf("/profile not JSON: %v", err)
 	}
 	found := false
 	for _, r := range reports {
-		if r.Insns > 0 && len(r.Callees) > 0 {
+		if r.Insns > 0 && len(r.Callees) > 0 && r.Packets == 600 {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("/profile has no populated report: %+v", reports)
+		t.Fatalf("/profile has no populated 600-run report: %+v", reports)
 	}
 
 	// pprof is mounted.

@@ -50,9 +50,8 @@ func MapBytes(ms []maps.Map) int {
 }
 
 // AttachStats attaches one shared Stats to every VM backing inst and
-// returns it — per-instance metering with no global registry, so a
-// long-lived daemon collecting per-module stats retains nothing after
-// the module is deleted. For instances with no VMs (Kernel-flavour
+// returns it — per-instance metering, so whoever holds the instance
+// holds its counters and nothing else retains them. For instances with no VMs (Kernel-flavour
 // natives) it returns a fresh Stats the caller can feed through
 // Metered.
 func AttachStats(inst nf.Instance) *vm.Stats {

@@ -1,21 +1,18 @@
 // Package runtime defines the unified options-based configuration
 // surface for NF instances. One serializable Options struct is what
-// every builder resolves — the nfd daemon's JSON module API, the
-// nfrun/enetstl-bench CLIs, the benchmark harness — so a JSON request
-// body and a CLI invocation describe bit-identically the same instance.
+// every builder resolves — the nfd daemon's JSON module API, the nfrun
+// CLI, the benchmark harness — so a JSON request body and a CLI
+// invocation describe bit-identically the same instance.
 //
 // Options configure the built instance, not the build: NF constructors
-// take no options and read no per-instance global. The tier is pinned
-// on the finished instance's VMs, stats/recorder/guard are attached to
-// it (attach.go), and the construction-side quotas are measured on it
+// take no options and read no global. The tier is pinned on the
+// finished instance's VMs, stats/recorder/guard are attached to it
+// (attach.go), and the construction-side quotas are measured on it
 // (Maps, MapBytes, Quota.Check). Nothing here takes a lock or writes
-// process state, so any number of instances can be configured
+// process state, and there is no process default to inherit: a fresh
+// VM runs predecoded with no stats and no recorder until its builder
+// says otherwise, so any number of instances can be configured
 // concurrently.
-//
-// Two process-wide defaults remain for the batch CLIs, written once in
-// main through Install before anything is built: the tier a fresh VM
-// starts on (vm.SetDefaultTier — what an empty Options.Tier resolves
-// to) and the global VM stats switch.
 package runtime
 
 import (
@@ -69,13 +66,13 @@ func checkLimit(field string, got, max int) error {
 	return nil
 }
 
-// Options is the per-instance runtime configuration. The zero value
-// means "inherit the process defaults" for every field; the JSON
-// encoding is the schema the nfd daemon accepts and the -options flag
-// of the CLIs round-trips.
+// Options is the per-instance runtime configuration. The zero value is
+// an unsharded, predecoded instance with no stats, recorder, guard or
+// quota; the JSON encoding is the schema the nfd daemon accepts and
+// nfrun's -options flag round-trips.
 type Options struct {
 	// Tier selects the VM execution tier for VM-backed flavours:
-	// "wire" | "predecoded" | "jit". Empty inherits the process default.
+	// "wire" | "predecoded" | "jit". Empty means predecoded.
 	Tier string `json:"tier,omitempty"`
 	// Shards is the RSS shard count (instances replaying concurrently
 	// over a flow-hash-partitioned stream). 0 and 1 both mean unsharded.
@@ -84,7 +81,7 @@ type Options struct {
 	// (private per-shard copies) where the NF has per-CPU wiring.
 	PerCPU bool `json:"percpu,omitempty"`
 	// Stats enables per-instance VM statistics (the bpf_stats
-	// analogue), attached to the instance without the global registry.
+	// analogue), one Stats shared by the instance's VMs.
 	Stats bool `json:"stats,omitempty"`
 	// Trace attaches a flight recorder with this configuration.
 	Trace *TraceOptions `json:"trace,omitempty"`
@@ -198,18 +195,9 @@ func (o Options) GuardConfig() (cfg guard.Config, ok bool) {
 	return cfg, ok
 }
 
-// ResolveTier parses the tier, falling back to the process default
-// (vm.DefaultTier) for the empty string.
-func (o Options) ResolveTier() (vm.Tier, error) {
-	if o.Tier == "" {
-		return vm.DefaultTier(), nil
-	}
-	return vm.ParseTier(o.Tier)
-}
-
-// Validate checks every field without resolving process defaults.
+// Validate checks every field.
 func (o Options) Validate() error {
-	if _, err := o.ResolveTier(); err != nil {
+	if _, err := vm.ParseTier(o.Tier); err != nil {
 		return err
 	}
 	if o.Shards < 0 {
@@ -238,15 +226,15 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Defaults returns the Options a zero struct resolves to right now: the
-// process default tier, the one inheritable field.
+// Defaults returns the Options a zero struct resolves to: the
+// predecoded tier spelled out.
 func Defaults() Options {
-	return Options{Tier: vm.DefaultTier().String()}
+	return Options{Tier: vm.TierPredecoded.String()}
 }
 
-// Canon returns o with inheritable empty fields pinned to their
-// current resolution, so the JSON form is self-contained: two Canon
-// outputs are equal iff they construct identical instances.
+// Canon returns o with empty fields that have a spelled-out value
+// pinned to it, so the JSON form is self-contained: two Canon outputs
+// are equal iff they construct identical instances.
 func (o Options) Canon() Options {
 	if o.Tier == "" {
 		o.Tier = Defaults().Tier
@@ -264,7 +252,7 @@ func (o Options) JSON() ([]byte, error) {
 
 // FromJSON decodes Options strictly: unknown fields are an error, so a
 // typo in a module-create request fails loudly instead of silently
-// inheriting a default.
+// leaving a field at its zero value.
 func FromJSON(data []byte) (Options, error) {
 	var o Options
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -276,20 +264,4 @@ func FromJSON(data []byte) (Options, error) {
 		return Options{}, err
 	}
 	return o, nil
-}
-
-// Install makes o's tier the process default and, with o.Stats, turns
-// the global VM stats switch on. It is the batch CLIs' startup call —
-// once in main, before anything is built — and the only writer of those
-// two defaults. Everything else in o applies per instance.
-func Install(o Options) error {
-	tier, err := o.ResolveTier()
-	if err != nil {
-		return err
-	}
-	vm.SetDefaultTier(tier)
-	if o.Stats {
-		vm.SetGlobalStats(true)
-	}
-	return nil
 }

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"enetstl/internal/ebpf/vm"
 )
 
 func TestJSONRoundTrip(t *testing.T) {
@@ -108,10 +110,10 @@ func TestCanonTierRoundTrips(t *testing.T) {
 	accepted := 0
 	for _, spelling := range []string{"", "wire", "predecoded", "jit", "fast", "Wire", "JIT", "interp"} {
 		o := Options{Tier: spelling}
-		tier, err := o.ResolveTier()
+		tier, err := vm.ParseTier(o.Tier)
 		if err != nil {
 			if o.Validate() == nil {
-				t.Errorf("tier %q: ResolveTier refuses it (%v) but Validate accepts", spelling, err)
+				t.Errorf("tier %q: ParseTier refuses it (%v) but Validate accepts", spelling, err)
 			}
 			continue
 		}

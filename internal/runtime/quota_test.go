@@ -8,6 +8,7 @@ import (
 	"errors"
 	"testing"
 
+	"enetstl/internal/ebpf/vm"
 	"enetstl/internal/nf"
 	"enetstl/internal/nfcatalog"
 	"enetstl/internal/pktgen"
@@ -126,10 +127,8 @@ func TestShardedPerCPUMeteredOnce(t *testing.T) {
 }
 
 // TestBuildWithPinsTier: the tier is a property of the finished
-// instance — BuildWith sets it on the instance's VMs and leaves the
-// process default alone.
+// instance — BuildWith sets it on the instance's VMs and nowhere else.
 func TestBuildWithPinsTier(t *testing.T) {
-	before := runtime.Defaults().Tier
 	for _, tier := range []string{"wire", "predecoded", "jit"} {
 		b, err := nfcatalog.BuildWith(runtime.Options{Tier: tier}, "cmsketch", nf.EBPF, seedTrace())
 		if err != nil {
@@ -145,7 +144,7 @@ func TestBuildWithPinsTier(t *testing.T) {
 			}
 		}
 	}
-	if after := runtime.Defaults().Tier; after != before {
-		t.Fatalf("BuildWith moved the process default tier: %s -> %s", before, after)
+	if got := vm.New().Tier(); got != vm.TierPredecoded {
+		t.Fatalf("a VM created after BuildWith starts on %s", got)
 	}
 }

@@ -3,7 +3,7 @@
 // into labelled metric families, plus a Prometheus-style text exposition
 // writer. It is the in-VM analogue of the kernel's bpf_stats plumbing —
 // the VM, the BPF maps, and the benchmark harness all publish into it,
-// and `nfrun -stats` / `enetstl-bench -stats` dump it after a run.
+// and `nfrun -stats` dumps it after a run.
 //
 // All metric types are safe for concurrent use (per-CPU VMs run on
 // separate goroutines); the hot-path operations are a single atomic

@@ -426,20 +426,3 @@ func MergeByTime(chunks ...[]Event) []Event {
 	})
 	return out
 }
-
-// --- Global switch (gated like vm.SetGlobalStats) ---
-
-var global atomic.Pointer[Recorder]
-
-// SetGlobal installs (or, with nil, clears) the process-wide recorder.
-// Every VM created and every fault plane built while it is set attaches
-// to it, which is how `nfrun -trace` observes VMs constructed deep
-// inside NF builders — the bpf_stats_enabled-style gate.
-func SetGlobal(r *Recorder) {
-	global.Store(r)
-}
-
-// Global returns the process-wide recorder, or nil when tracing is off.
-func Global() *Recorder {
-	return global.Load()
-}

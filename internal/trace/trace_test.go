@@ -204,8 +204,8 @@ func TestSamplingDeterminism(t *testing.T) {
 	}
 }
 
-// TestConcurrentEmit hammers one ring from many producers (the shared
-// global-recorder shape under ParallelRun) while a consumer drains, and
+// TestConcurrentEmit hammers one ring from many producers (one recorder
+// shared by concurrently replaying instances) while a consumer drains, and
 // checks conservation: every attempt is either consumed, still
 // buffered, or counted as a drop, and no event is duplicated.
 func TestConcurrentEmit(t *testing.T) {
@@ -325,21 +325,5 @@ func TestForShardDerivation(t *testing.T) {
 	r.Emit(Event{Kind: KindFault})
 	if evs := r.Drain(0); len(evs) != 1 || evs[0].Shard != 1 {
 		t.Fatalf("emitted event not stamped with shard: %+v", evs)
-	}
-}
-
-// TestGlobalGate: the process-wide switch mirrors vm.SetGlobalStats.
-func TestGlobalGate(t *testing.T) {
-	if Global() != nil {
-		t.Fatal("global recorder set at test start")
-	}
-	r := NewRecorder(Config{Capacity: 4})
-	SetGlobal(r)
-	if Global() != r {
-		t.Fatal("SetGlobal did not install")
-	}
-	SetGlobal(nil)
-	if Global() != nil {
-		t.Fatal("SetGlobal(nil) did not clear")
 	}
 }
