@@ -84,10 +84,12 @@ func lookupSite(b *asm.Builder, off int16) {
 // a fused kind in the predecoded loop or a superblock in the jit — and
 // lost it because no catalog NF contains them; they now run through the
 // standalone decodes, the generic ALU pair and the generic block driver.
-// The lookup-run shapes are the one lowering that has a dedicated path
-// (none of the eight generated seeds contains a lookup), together with
-// its near-misses. As seeds (and as inputs of the jit parity tests) they
-// keep all four machines compared on exactly those shapes.
+// The lookup-run and run-* shapes are the lowerings that have a
+// dedicated path (the lookup run and the five idiom runs), each with
+// its near-misses: a branch landing inside, aliased registers, a loop
+// test reached other than by the back edge. As seeds (and as inputs of
+// the jit parity tests) they keep all four machines compared on exactly
+// those shapes.
 func shapeSeeds() []fuzzSeed {
 	return []fuzzSeed{
 		shape("lookup-run", func(b *asm.Builder) {
@@ -145,6 +147,139 @@ func shapeSeeds() []fuzzSeed {
 			b.Label("c")
 			b.Mov(asm.R0, asm.R7)
 			b.Add(asm.R0, asm.R8)
+			b.Exit()
+		}),
+		shape("run-xorshift", func(b *asm.Builder) {
+			// nfasm's hash mix: the four-wide run, then the three-wide one.
+			b.Mov(asm.R6, asm.R1)
+			b.Load(asm.R7, asm.R6, 0, 8).Load(asm.R9, asm.R6, 8, 8)
+			b.Mov(asm.R8, asm.R7).RshImm(asm.R8, 23).Xor(asm.R7, asm.R8).Mul(asm.R7, asm.R9)
+			b.Mov(asm.R8, asm.R7).RshImm(asm.R8, 47).Xor(asm.R7, asm.R8)
+			b.Mov(asm.R0, asm.R7).Exit()
+		}),
+		shape("run-xorshift-near-miss", func(b *asm.Builder) {
+			// t == x (no run), the multiplier aliasing t and then x (runs),
+			// and a branch landing on the shift (no run).
+			b.Mov(asm.R6, asm.R1)
+			b.Load(asm.R7, asm.R6, 0, 8).Load(asm.R9, asm.R6, 8, 8)
+			b.Mov(asm.R7, asm.R7).RshImm(asm.R7, 23).Xor(asm.R7, asm.R7).Mul(asm.R7, asm.R9)
+			b.Load(asm.R7, asm.R6, 16, 8)
+			b.Mov(asm.R8, asm.R7).RshImm(asm.R8, 13).Xor(asm.R7, asm.R8).Mul(asm.R7, asm.R8)
+			b.Mov(asm.R8, asm.R7).RshImm(asm.R8, 29).Xor(asm.R7, asm.R8).Mul(asm.R7, asm.R7)
+			b.JmpImm(asm.JGT, asm.R7, 5, "mid")
+			b.Mov(asm.R8, asm.R7)
+			b.Label("mid")
+			b.RshImm(asm.R8, 7).Xor(asm.R7, asm.R8)
+			b.Mov(asm.R0, asm.R7).Exit()
+		}),
+		shape("run-const-pair", func(b *asm.Builder) {
+			// Three constants (a pair and a single), then a pair whose
+			// second half a branch lands on (no run).
+			b.LoadImm64(asm.R7, 0x880355f21e6d1965)
+			b.LoadImm64(asm.R8, 0x2127599bf4325c37)
+			b.LoadImm64(asm.R9, 0x5555555555555555)
+			b.Mov(asm.R0, asm.R7).Xor(asm.R0, asm.R8).Add(asm.R0, asm.R9)
+			b.JmpImm(asm.JGT, asm.R0, 5, "second")
+			b.LoadImm64(asm.R7, 0x0f0f0f0f0f0f0f0f)
+			b.Label("second")
+			b.LoadImm64(asm.R8, 0x0101010101010101)
+			b.Xor(asm.R0, asm.R7).Xor(asm.R0, asm.R8).Exit()
+		}),
+		shape("run-bump", func(b *asm.Builder) {
+			// A map value's 8- and 4-byte counters, then a stack slot
+			// through a copy of the frame pointer.
+			b.StoreImm(asm.R10, -4, 3, 4)
+			lookupSite(b, -4)
+			b.JmpImm(asm.JEQ, asm.R0, 0, "out")
+			b.Load(asm.R1, asm.R0, 0, 8).AddImm(asm.R1, 1).Store(asm.R0, 0, asm.R1, 8)
+			b.Load(asm.R2, asm.R0, 4, 4).AddImm(asm.R2, -7).Store(asm.R0, 4, asm.R2, 4)
+			b.Label("out")
+			b.Mov(asm.R6, asm.R10)
+			b.StoreImm(asm.R10, -16, 5, 8)
+			b.Load(asm.R3, asm.R6, -16, 8).AddImm(asm.R3, 2).Store(asm.R6, -16, asm.R3, 8)
+			b.Mov(asm.R0, asm.R3).Exit()
+		}),
+		shape("run-bump-near-miss", func(b *asm.Builder) {
+			// The store at another offset and width (no run), then a branch
+			// landing on the add (no run).
+			b.StoreImm(asm.R10, -4, 2, 4)
+			lookupSite(b, -4)
+			b.JmpImm(asm.JEQ, asm.R0, 0, "out")
+			b.Load(asm.R1, asm.R0, 0, 8).AddImm(asm.R1, 1).Store(asm.R0, 4, asm.R1, 4)
+			b.JmpImm(asm.JGT, asm.R1, 3, "mid")
+			b.Load(asm.R1, asm.R0, 0, 8)
+			b.Label("mid")
+			b.AddImm(asm.R1, 1).Store(asm.R0, 0, asm.R1, 8)
+			b.Label("out")
+			b.MovImm(asm.R0, 0).Exit()
+		}),
+		shape("run-index-load", func(b *asm.Builder) {
+			// Indexed loads off the context: spacesaving's masked load in
+			// both widths, edf's (loading into the address register),
+			// eiffel's with a constant displacement and bloom's byte load.
+			b.Mov(asm.R6, asm.R1)
+			b.Load(asm.R5, asm.R6, 0, 8)
+			b.Mov(asm.R0, asm.R5).AndImm(asm.R0, 7).LshImm(asm.R0, 3).Add(asm.R0, asm.R6).Load(asm.R1, asm.R0, 0, 8)
+			b.Mov(asm.R0, asm.R5).AndImm(asm.R0, 15).LshImm(asm.R0, 2).Add(asm.R0, asm.R6).Load(asm.R2, asm.R0, 0, 4)
+			b.Add(asm.R1, asm.R2)
+			b.Mov(asm.R0, asm.R5).RshImm(asm.R0, 2).AndImm(asm.R0, 7).LshImm(asm.R0, 3).Add(asm.R0, asm.R6)
+			b.Load(asm.R0, asm.R0, 0, 4)
+			b.Add(asm.R1, asm.R0)
+			b.Mov(asm.R0, asm.R5).AndImm(asm.R0, 3).LshImm(asm.R0, 3).Add(asm.R0, asm.R6).AddImm(asm.R0, 8)
+			b.Load(asm.R2, asm.R0, 0, 8)
+			b.Add(asm.R1, asm.R2)
+			b.AndImm(asm.R5, 255)
+			b.Mov(asm.R0, asm.R5).RshImm(asm.R0, 3).Add(asm.R0, asm.R6).Load(asm.R2, asm.R0, 0, 1)
+			b.Add(asm.R1, asm.R2)
+			b.Mov(asm.R0, asm.R1).Exit()
+		}),
+		shape("run-index-load-near-miss", func(b *asm.Builder) {
+			// A branch landing on the shift (no run), then the steps out of
+			// order (no run).
+			b.Mov(asm.R6, asm.R1)
+			b.Load(asm.R5, asm.R6, 0, 8)
+			b.MovImm(asm.R0, 0)
+			b.JmpImm(asm.JGT, asm.R5, 100, "mid")
+			b.Mov(asm.R0, asm.R5).AndImm(asm.R0, 7)
+			b.Label("mid")
+			b.LshImm(asm.R0, 3).Add(asm.R0, asm.R6).Load(asm.R1, asm.R0, 0, 8)
+			b.Mov(asm.R0, asm.R5).LshImm(asm.R0, 3).AndImm(asm.R0, 56).Add(asm.R0, asm.R6).Load(asm.R2, asm.R0, 0, 8)
+			b.Add(asm.R1, asm.R2)
+			b.Mov(asm.R0, asm.R1).Exit()
+		}),
+		shape("run-loop", func(b *asm.Builder) {
+			// Spacesaving's scan: an indexed load per trip, the back edge
+			// folding the jsge; then a loop counting up from below zero.
+			b.Mov(asm.R6, asm.R1)
+			b.MovImm(asm.R8, 0)
+			b.BoundedLoop(asm.R5, 8, func(b *asm.Builder) {
+				b.Mov(asm.R0, asm.R5).AndImm(asm.R0, 7).LshImm(asm.R0, 3).Add(asm.R0, asm.R6).Load(asm.R1, asm.R0, 0, 4)
+				b.Add(asm.R8, asm.R1)
+			})
+			b.MovImm(asm.R5, -6)
+			b.Label("top")
+			b.JmpImm(asm.JSGE, asm.R5, -2, "done")
+			b.AddImm(asm.R8, 3)
+			b.AddImm(asm.R5, 1).Ja("top")
+			b.Label("done")
+			b.Mov(asm.R0, asm.R8).Exit()
+		}),
+		shape("run-loop-near-miss", func(b *asm.Builder) {
+			// The jsge is also reached by a forward jump; the back edge's
+			// add counts another register than the test; and a branch
+			// lands on the ja (no run).
+			b.MovImm(asm.R0, 0).MovImm(asm.R5, 0)
+			b.JmpImm(asm.JEQ, asm.R5, 0, "top")
+			b.MovImm(asm.R0, 100)
+			b.Label("top")
+			b.JmpImm(asm.JSGE, asm.R5, 6, "done")
+			b.AddImm(asm.R5, 1)
+			b.AddImm(asm.R0, 3)
+			b.JmpImm(asm.JGT, asm.R0, 9, "back")
+			b.AddImm(asm.R0, 1)
+			b.Label("back")
+			b.Ja("top")
+			b.Label("done")
 			b.Exit()
 		}),
 		shape("add-chain", func(b *asm.Builder) {
@@ -282,6 +417,10 @@ func TestRegenJITFuzzCorpus(t *testing.T) {
 		}
 	}
 	for _, s := range corpusSeeds(t) {
+		// A seed the verifier refuses would compare nothing.
+		if err := CrossCheck(s.prog, jitCtx()); err != nil {
+			t.Errorf("seed %s: %v", s.name, err)
+		}
 		body := []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", encodeFuzzProg(s.prog)))
 		name := filepath.Join(dir, s.name)
 		if regen {

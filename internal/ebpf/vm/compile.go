@@ -123,7 +123,8 @@ func (vm *VM) execJIT(p *Program, ctx []byte) (uint64, error) {
 type jitCompiler struct {
 	vm     *VM
 	p      *Program
-	tgt    []bool // conservative branch-target bitmap over the wire stream
+	dec    []decodedInsn // p.dec with every run head read as its first instruction
+	tgt    []bool        // conservative branch-target bitmap over the wire stream
 	blocks map[int]*jitBlock
 }
 
@@ -131,8 +132,12 @@ func compileJIT(vm *VM, p *Program) *jitProg {
 	c := &jitCompiler{
 		vm:     vm,
 		p:      p,
+		dec:    make([]decodedInsn, len(p.dec)),
 		tgt:    isa.BranchTargets(p.ins),
 		blocks: make(map[int]*jitBlock),
+	}
+	for pc := range p.dec {
+		c.dec[pc] = headAlone(p.dec[pc])
 	}
 	// Eager blocks at every potential branch target keep the leader set a
 	// superset of the jump targets even for edges only reachable through
@@ -157,7 +162,7 @@ func (c *jitCompiler) getBlock(pc int) *jitBlock {
 	}
 	b := &jitBlock{start: int32(pc)}
 	c.blocks[pc] = b
-	if pc < 0 || pc >= len(c.p.dec) {
+	if pc < 0 || pc >= len(c.dec) {
 		b.cost = 1
 		err := fmt.Errorf("%w: pc %d out of range", ErrBadInstr, pc)
 		b.fn = func(vm *VM, st *jitState) (*jitBlock, error) {
@@ -171,18 +176,10 @@ func (c *jitCompiler) getBlock(pc int) *jitBlock {
 }
 
 // isJITTerm reports whether kind ends a basic block: exits, jumps
-// (conditional or not), fused pairs absorbing a jump, and malformed
-// instructions (which terminate execution with an error).
+// (conditional or not) and malformed instructions (which terminate
+// execution with an error).
 func isJITTerm(k uint8) bool {
-	switch {
-	case k >= kJa && k <= kJset32Reg:
-		return true
-	case k == kExit || k == kBad:
-		return true
-	case k == kFuseAddJa:
-		return true
-	}
-	return false
+	return k >= kJa && k <= kJset32Reg || k == kExit || k == kBad
 }
 
 // unitWidthCost returns how many decoded slots a unit occupies and how
@@ -192,7 +189,7 @@ func unitWidthCost(d *decodedInsn) (w, cost int32) {
 	switch d.kind {
 	case kLd64:
 		return 2, 1
-	case kFuseLea, kFuseMovHelper, kFuseMovKfunc, kFuseAlu2, kFuseShlAdd, kFuseMovShr:
+	case kFuseLea, kFuseMovHelper, kFuseMovKfunc, kFuseAlu2:
 		return 2, 2
 	}
 	return 1, 1
@@ -213,7 +210,7 @@ type unitMeta struct {
 // total budget cost (terminator excluded), the terminator pc (-1 for a
 // pure fall-through block), and the fall-through pc.
 func (c *jitCompiler) walkUnits(start int) (ms []unitMeta, cost int32, term, end int) {
-	dec := c.p.dec
+	dec := c.dec
 	pc := start
 	term = -1
 	for {
@@ -221,9 +218,6 @@ func (c *jitCompiler) walkUnits(start int) (ms []unitMeta, cost int32, term, end
 			break
 		}
 		d := &dec[pc]
-		if d.kind == kRunLookup || d.kind == kRunLookupArray {
-			d = &decodedInsn{kind: kLd64, dst: d.dst, imm: d.imm} // the head alone is the ld_imm64
-		}
 		if isJITTerm(d.kind) {
 			term = pc
 			break
@@ -263,13 +257,9 @@ func (c *jitCompiler) walkUnits(start int) (ms []unitMeta, cost int32, term, end
 // compiles has at most four units) are unrolled into dedicated
 // straight-line closures; anything else runs the generic unit loop.
 func (c *jitCompiler) build(b *jitBlock, start int) {
-	dec := c.p.dec
 	ms, cost, term, pc := c.walkUnits(start)
 	if term >= 0 {
 		cost++
-		if dec[term].kind == kFuseAddJa {
-			cost++
-		}
 	}
 	b.cost = cost
 
@@ -666,20 +656,6 @@ func (c *jitCompiler) infallible(d *decodedInsn) func(*jitState) {
 
 	case kFuseLea:
 		return func(st *jitState) { st.r[dst&15] = st.r[src&15] + imm }
-	case kFuseShlAdd:
-		// The interpreter writes the first half's result before reading
-		// src, so only src==dst needs the intermediate store; the common
-		// disjoint form collapses to a single write.
-		if dst&15 != src&15 {
-			return func(st *jitState) { st.r[dst&15] = (st.r[dst&15] << imm) + st.r[src&15] }
-		}
-		return func(st *jitState) {
-			v := st.r[dst&15] << imm
-			st.r[dst&15] = v
-			st.r[dst&15] = v + st.r[src&15]
-		}
-	case kFuseMovShr:
-		return func(st *jitState) { st.r[dst&15] = st.r[src&15] >> imm }
 	}
 	return nil
 }
@@ -902,7 +878,7 @@ func (c *jitCompiler) fallible(d *decodedInsn, pc int, rf int32) func(*VM, *jitS
 // buildTail compiles a block terminator: program exit, malformed
 // instruction, or a branch resolved to direct next-block pointers.
 func (c *jitCompiler) buildTail(pc int) blockFn {
-	d := &c.p.dec[pc]
+	d := &c.dec[pc]
 	switch d.kind {
 	case kExit:
 		return func(vm *VM, st *jitState) (*jitBlock, error) {
@@ -923,13 +899,6 @@ func (c *jitCompiler) buildTail(pc int) blockFn {
 	case kJa:
 		tb := c.getBlock(int(d.tgt))
 		return func(vm *VM, st *jitState) (*jitBlock, error) { return tb, nil }
-	case kFuseAddJa:
-		dst, imm := d.dst, d.imm
-		tb := c.getBlock(int(d.tgt))
-		return func(vm *VM, st *jitState) (*jitBlock, error) {
-			st.r[dst&15] += imm
-			return tb, nil
-		}
 	}
 	return c.condTail(d, pc)
 }

@@ -17,12 +17,14 @@ var fusedKindNames = [kindCount - kFuseLea]string{
 	kFuseLea - kFuseLea:        "kFuseLea",
 	kFuseMovHelper - kFuseLea:  "kFuseMovHelper",
 	kFuseMovKfunc - kFuseLea:   "kFuseMovKfunc",
-	kFuseAddJa - kFuseLea:      "kFuseAddJa",
 	kFuseAlu2 - kFuseLea:       "kFuseAlu2",
-	kFuseShlAdd - kFuseLea:     "kFuseShlAdd",
-	kFuseMovShr - kFuseLea:     "kFuseMovShr",
 	kRunLookup - kFuseLea:      "kRunLookup",
 	kRunLookupArray - kFuseLea: "kRunLookupArray",
+	kRunXorshift - kFuseLea:    "kRunXorshift",
+	kRunConstPair - kFuseLea:   "kRunConstPair",
+	kRunBump - kFuseLea:        "kRunBump",
+	kRunIndexLoad - kFuseLea:   "kRunIndexLoad",
+	kRunLoop - kFuseLea:        "kRunLoop",
 }
 
 // FusedKindNames lists every fused kind the IR defines.
@@ -65,6 +67,18 @@ func (p *Program) LookupRuns() []LookupRun {
 	return runs
 }
 
+// IdiomRuns maps the head pc of every idiom run (kRunXorshift and the
+// kinds after it) in p to the number of slots it covers.
+func (p *Program) IdiomRuns() map[int]int {
+	runs := make(map[int]int)
+	for pc := range p.dec {
+		if p.dec[pc].kind >= kRunXorshift {
+			runs[pc] = span(&p.dec[pc])
+		}
+	}
+	return runs
+}
+
 // FusedPairs returns how many adjacent instruction pairs the predecode
 // peephole fuser collapsed into super-ops.
 func (p *Program) FusedPairs() int { return p.fused }
@@ -97,6 +111,11 @@ func (p *Program) JITBlockStarts() []int {
 	sort.Ints(starts)
 	return starts
 }
+
+// ReadOnlyMem registers b as a read-only region and returns a pointer
+// to its start: nothing outside the tests maps read-only memory, but
+// every store path must still refuse it.
+func (vm *VM) ReadOnlyMem(b []byte) uint64 { return vm.allocRegion(b, false) << RegionShift }
 
 // Recorder returns the attached flight recorder, or nil.
 func (vm *VM) Recorder() *trace.Recorder { return vm.rec }

@@ -165,8 +165,35 @@ func TestLookupRunBudgetSweep(t *testing.T) {
 // TestLookupRunInteriorTargets: a branch landing on any slot past the
 // head must find the standalone decoding there. Each program pre-loads
 // what the skipped part of the call site would have set up and branches
-// over it.
+// over it. The idiom runs get the same treatment: a branch from the
+// entry to any of their wire instructions past the head leaves the run
+// unformed, and the program runs as the wire loop runs it.
 func TestLookupRunInteriorTargets(t *testing.T) {
+	for _, r := range idiomRuns() {
+		if r.kind == "" {
+			continue
+		}
+		for land := 1; land < len(r.run); land++ {
+			t.Run(fmt.Sprintf("%s/insn%d", r.name, land), func(t *testing.T) {
+				prog := r.program(land)
+				fast, wire, fp, wp := newPair(t, prog, r.setup)
+				at := 1 + r.pc(land) // program(land) starts with its branch
+				for head, slots := range fp.IdiomRuns() {
+					if head < at && at < head+slots {
+						t.Fatalf("the run at %d covers %d slots across the branch target %d", head, slots, at)
+					}
+				}
+				runBoth(t, fast, wire, fp, wp, nil)
+				full := int(wire.InsnCount)
+				for budget := 1; budget <= full; budget++ {
+					fast, wire, fp, wp := newPair(t, prog, r.setup)
+					fast.Budget, wire.Budget = budget, budget
+					runBoth(t, fast, wire, fp, wp, nil)
+				}
+			})
+		}
+	}
+
 	// slot: offset of the landing instruction from the head (1 is the
 	// ld_imm64's second half: a malformed landing both loops reject).
 	for _, slot := range []int{1, 2, 3, 4, 5} {

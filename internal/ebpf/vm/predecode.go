@@ -6,10 +6,11 @@ package vm
 // immediates sign- or zero-extended, helper/kfunc IDs resolved to dense
 // table slots — and execFast runs a flat single-level switch over it.
 // A peephole fuser additionally collapses the hot adjacent pairs the NF
-// catalog actually executes (address computation feeding a call, the
-// hash-mix shift pairs, a counter bump feeding its back edge, any two
-// same-class ALU ops) into single super-ops, and lowers the map-lookup
-// call site every catalog program contains to one dispatch.
+// catalog actually executes (address computation feeding a call, any
+// two same-class ALU ops) into single super-ops, and lowers the
+// map-lookup call site and five other multi-instruction idioms (the
+// hash mix's xorshift, constant pairs, counter bumps, masked indexed
+// loads, counted-loop back edges) to one dispatch each.
 //
 // The wire-format loop in vm.go stays as the selectable reference slow
 // path (SetTier(TierWire)); the two must be observably identical, and the
@@ -28,7 +29,8 @@ import (
 //   - decodedInsn is 24 bytes, so field loads stay within at most two
 //     cache lines per dispatch and the slot address is a cheap scaled
 //     index. There is no fall-through field: the loop advances pc by
-//     constants (fused pairs and ld_imm64 advance one extra slot).
+//     constants (fused pairs and ld_imm64 advance one extra slot) or, in
+//     a run, by the width its head records.
 //   - Register operands are masked with &15 against a 16-slot file, so
 //     every access is bounds-check free. That is sound because
 //     predecode refuses (returns a nil stream, falling back to the wire
@@ -191,15 +193,7 @@ const (
 	kFuseLea       // mov dst,src ; add dst,imm => dst = src + imm
 	kFuseMovHelper // mov dst,src ; call helper
 	kFuseMovKfunc  // mov dst,src ; call kfunc
-	kFuseAddJa     // add dst,imm ; ja          (unconditional back edge)
 	kFuseAlu2      // any two same-class ALU ops (generic superinstruction)
-
-	// Hash-mix pair kinds: the shift half of the jhash-style flow hashing
-	// NF inner loops are built from. Unlike kFuseAlu2 these need no nested
-	// operator dispatch, so the only indirect branch is the main jump
-	// table.
-	kFuseShlAdd // lsh dst,imm ; add dst,src
-	kFuseMovShr // mov dst,src ; rsh dst,imm
 
 	// The map-lookup call site as one dispatch (4-5 wire instructions,
 	// 4-5 budget units):
@@ -215,6 +209,25 @@ const (
 	// The pointer names a maps.Array and the key slot is inside the frame:
 	// off = key slot, call = fd; the element pointer is formed inline.
 	kRunLookupArray
+
+	// Idiom runs: one dispatch, one budget unit per wire instruction
+	// covered. As with the lookup runs, the head slot keeps the standalone
+	// operands of its first instruction (headAlone) and the absorbed slots
+	// keep their standalone decodings; the rest of the idiom is packed into
+	// the head's fields its first instruction leaves unused.
+	kRunXorshift  // mov t,x ; rsh t,K ; xor x,t [; mul x,c] (t != x): imm = K, off = units (3|4), call = c
+	kRunConstPair // ld_imm64 ; ld_imm64: the second is read from its own slot
+	kRunBump      // ldx d,[b+off] ; add d,K ; stx [b+off],d (d != b): imm = K, call = width
+	// mov a,i ; [rsh a,R] ; [and a,M] ; [lsh a,S] ; [add a,b] ; [add a,K] ;
+	// ldx d,[a+off], at least one step, a != b: a = ((i>>R)&M)<<S + b + K.
+	// imm = M (^0 if absent), off = the load's off, tgt = K, call = R |
+	// S<<6 | b<<12 (15, always 0, if absent) | d<<16 | log2 width<<20 |
+	// units<<24
+	kRunIndexLoad
+	// add i,K ; ja ; and the jsge y,imm the ja lands on (a counted loop's
+	// back edge and test): tgt = the ja's target, src = y, off = imm, call
+	// = the jsge's target
+	kRunLoop
 
 	kindCount // one past the last kind
 )
@@ -506,23 +519,21 @@ func sizeLog2(size int) int {
 }
 
 // fusePairs rewrites dec in place, collapsing adjacent hot pairs into
-// super-ops, and a map-lookup call site around a fused lea into one run.
-// A pair is fusable only when no branch can land on its second
-// instruction; the absorbed slot keeps its standalone decoding, so the
+// super-ops, and idioms of two to five instructions into runs. A pair
+// or run is fusable only when no branch can land on a slot past its
+// head; the absorbed slots keep their standalone decodings, so the
 // guard is the only control-flow condition. Returns the number of
 // super-ops formed.
 //
-// Two passes: the specific patterns first (their dispatch cases are
-// cheaper than the generic one), then any remaining adjacent same-class
-// ALU pair collapses into the generic kFuseAlu2 superinstruction — the
-// hash-mix chains (add/xor/shift on one register) NF inner loops are
-// made of.
+// Three passes, each over what the earlier ones left unfused: the
+// specific pairs (with the lookup runs that extend kFuseLea), the idiom
+// runs, then any remaining adjacent same-class ALU pair collapses into
+// the generic kFuseAlu2 superinstruction.
 func (vm *VM) fusePairs(ins []isa.Instruction, dec []decodedInsn, r10ok bool) int {
 	const (
 		movReg = isa.ClassALU64 | isa.SrcX | isa.ALUMov
 		addImm = isa.ClassALU64 | isa.SrcK | isa.ALUAdd
 		call   = isa.ClassJMP | isa.JmpCall
-		ja     = isa.ClassJMP | isa.JmpJA
 	)
 	tgt := isa.BranchTargets(ins)
 	fused := 0
@@ -550,34 +561,23 @@ func (vm *VM) fusePairs(ins []isa.Instruction, dec []decodedInsn, r10ok bool) in
 			}
 			*d = decodedInsn{kind: kind, dst: uint8(a.Dst), src: uint8(a.Src),
 				call: dec[i+1].call, imm: dec[i+1].imm, cls: isa.ClassALU64}
-		case a.Op == addImm && b.Op == ja:
-			*d = decodedInsn{kind: kFuseAddJa, dst: uint8(a.Dst),
-				imm: uint64(int64(a.Imm)), tgt: dec[i+1].tgt, cls: isa.ClassALU64}
-		// The hash-mix pairs match on decoded kinds so both halves carry
-		// the immediates exactly as the standalone decode folded them.
-		case dec[i].kind == kLshImm && dec[i+1].kind == kAddReg && b.Dst == a.Dst:
-			*d = decodedInsn{kind: kFuseShlAdd, dst: uint8(a.Dst), src: dec[i+1].src,
-				imm: dec[i].imm, cls: isa.ClassALU64}
-		case dec[i].kind == kMovReg && dec[i+1].kind == kRshImm && b.Dst == a.Dst:
-			*d = decodedInsn{kind: kFuseMovShr, dst: uint8(a.Dst), src: dec[i].src,
-				imm: dec[i+1].imm, cls: isa.ClassALU64}
 		default:
 			continue
 		}
 		fused++
 		i++
 	}
-	// Pass 2: generic ALU pairing over whatever pass 1 left unfused.
-	// Fused slots and ld_imm64 occupy two slots; skipping them keeps the
-	// scan aligned on unit starts, so a consumed second half can never be
-	// mistaken for a pair head.
-	for i := 0; i+1 < len(ins); i++ {
-		if dec[i].kind == kLd64 || dec[i].kind >= kFuseLea {
-			i++
-			continue
+	// Pass 2: idiom runs. Walking unit starts (span) keeps the scan off
+	// the absorbed halves pass 1 left behind.
+	for i := 0; i < len(ins); i += span(&dec[i]) {
+		if fuseRun(dec, tgt, i) {
+			fused++
 		}
-		if tgt[i+1] || dec[i+1].kind == kLd64 || dec[i+1].kind >= kFuseLea ||
-			dec[i].kind == kBad || dec[i+1].kind == kBad {
+	}
+	// Pass 3: generic ALU pairing over whatever is still standalone.
+	for i := 0; i+1 < len(ins); i += span(&dec[i]) {
+		if tgt[i+1] || dec[i].kind == kLd64 || dec[i].kind >= kFuseLea || dec[i+1].kind == kLd64 ||
+			dec[i+1].kind >= kFuseLea || dec[i].kind == kBad || dec[i+1].kind == kBad {
 			continue
 		}
 		cl := ins[i].Op & 0x07
@@ -593,9 +593,126 @@ func (vm *VM) fusePairs(ins []isa.Instruction, dec []decodedInsn, r10ok bool) in
 			call: int32(da.kind) | int32(db.kind)<<8 | int32(db.dst)<<16 | int32(db.src)<<24,
 			cls:  cl}
 		fused++
-		i++
 	}
 	return fused
+}
+
+// span is how many slots the fuser's walk steps over at a unit start:
+// two for ld_imm64, the pairs and the back-edge run, the width of the
+// other idiom runs. A lookup run's head spans only its ld_imm64 (its lea
+// is a unit of its own).
+func span(d *decodedInsn) int {
+	switch d.kind {
+	case kRunXorshift:
+		return int(d.off)
+	case kRunConstPair:
+		return 4
+	case kRunBump:
+		return 3
+	case kRunIndexLoad:
+		return int(uint32(d.call) >> 24)
+	}
+	if d.kind == kLd64 || d.kind >= kFuseLea {
+		return 2
+	}
+	return 1
+}
+
+// fuseRun rewrites the standalone slot dec[i] into the head of the idiom
+// run starting there (see kRunXorshift and the kinds after it), if one
+// does and no branch lands past its head. Every absorbed slot is matched
+// on its standalone decoded kind, so nothing pass 1 fused is absorbed
+// and every immediate is the one the standalone decode folded.
+func fuseRun(dec []decodedInsn, tgt []bool, i int) bool {
+	at := func(j int, kind uint8) *decodedInsn {
+		if j >= len(dec) || tgt[j] || dec[j].kind != kind {
+			return nil
+		}
+		return &dec[j]
+	}
+	h := &dec[i]
+	switch h.kind {
+	case kMovReg:
+		t, x := h.dst, h.src // the mov's dst and src
+		if t == x {
+			return false
+		}
+		sh, xr := at(i+1, kRshImm), at(i+2, kXorReg)
+		if sh != nil && sh.dst == t && xr != nil && xr.dst == x && xr.src == t {
+			h.kind, h.imm, h.off = kRunXorshift, sh.imm, 3
+			if m := at(i+3, kMulReg); m != nil && m.dst == x {
+				h.off, h.call = 4, int32(m.src)
+			}
+			return true
+		}
+		// The address steps, each at most once and in this order.
+		shr, mask, shl, b, k, j := uint64(0), ^uint64(0), uint64(0), uint8(15), int32(0), i+1
+	steps:
+		for step := 0; j < len(dec) && !tgt[j] && dec[j].dst == t; j++ {
+			switch e := &dec[j]; {
+			case e.kind == kRshImm && step < 1:
+				shr, step = e.imm, 1
+			case e.kind == kAndImm && step < 2:
+				mask, step = e.imm, 2
+			case e.kind == kLshImm && step < 3:
+				shl, step = e.imm, 3
+			case e.kind == kAddReg && step < 4 && e.src != t:
+				b, step = e.src, 4
+			case e.kind == kAddImm && step < 5:
+				k, step = int32(e.imm), 5
+			default:
+				break steps
+			}
+		}
+		if j == i+1 || j >= len(dec) || tgt[j] || dec[j].kind < kLdx1 || dec[j].kind > kLdx8 || dec[j].src != t {
+			return false
+		}
+		ld := &dec[j]
+		h.kind, h.imm, h.off, h.tgt = kRunIndexLoad, mask, ld.off, k
+		h.call = int32(shr) | int32(shl)<<6 | int32(b)<<12 | int32(ld.dst)<<16 |
+			int32(ld.kind-kLdx1)<<20 | int32(j-i+1)<<24
+		return true
+	case kLdx1, kLdx2, kLdx4, kLdx8:
+		add, st := at(i+1, kAddImm), at(i+2, h.kind-kLdx1+kStx1)
+		if h.dst == h.src || add == nil || add.dst != h.dst || st == nil || st.dst != h.src ||
+			st.src != h.dst || st.off != h.off {
+			return false
+		}
+		h.kind, h.imm, h.call = kRunBump, add.imm, 1<<(h.kind-kLdx1)
+		return true
+	case kLd64:
+		if i+3 >= len(dec) || tgt[i+1] || tgt[i+3] || at(i+2, kLd64) == nil {
+			return false
+		}
+		h.kind = kRunConstPair
+		return true
+	case kAddImm:
+		ja := at(i+1, kJa)
+		if ja == nil || ja.tgt < 0 || int(ja.tgt) >= len(dec) || dec[ja.tgt].kind != kJsgeImm {
+			return false
+		}
+		j := &dec[ja.tgt]
+		h.kind, h.tgt, h.src, h.off, h.call = kRunLoop, ja.tgt, j.dst, int32(j.imm), j.tgt
+		return true
+	}
+	return false
+}
+
+// headAlone is what a run head executes as when the run does not: the
+// standalone decoding of its first instruction. The jit compiles every
+// head this way.
+func headAlone(d decodedInsn) decodedInsn {
+	switch d.kind {
+	case kRunLookup, kRunLookupArray, kRunConstPair:
+		return decodedInsn{kind: kLd64, dst: d.dst, imm: d.imm, cls: d.cls}
+	case kRunXorshift, kRunIndexLoad:
+		return decodedInsn{kind: kMovReg, dst: d.dst, src: d.src, cls: d.cls}
+	case kRunBump:
+		return decodedInsn{kind: kLdx1 + uint8(sizeLog2(int(d.call))), dst: d.dst, src: d.src, off: d.off, cls: d.cls}
+	case kRunLoop:
+		return decodedInsn{kind: kAddImm, dst: d.dst, imm: d.imm, cls: d.cls}
+	}
+	return d
 }
 
 // fuseLookupRun rewrites the ld_imm64 two slots ahead of the fused lea
@@ -769,6 +886,42 @@ func badInsnErr(in isa.Instruction, pc int) error {
 	return fmt.Errorf("%w: ld op %#x at %d", ErrBadInstr, in.Op, pc)
 }
 
+// leLoad and leStore move a little-endian value of len(b) bytes (1, 2,
+// 4 or 8) between memory and a register, as the sized loads and stores do.
+func leLoad(b []byte) uint64 {
+	switch len(b) {
+	case 1:
+		return uint64(b[0])
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b))
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	}
+	return binary.LittleEndian.Uint64(b)
+}
+
+func leStore(b []byte, v uint64) {
+	switch len(b) {
+	case 1:
+		b[0] = byte(v)
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	default:
+		binary.LittleEndian.PutUint64(b, v)
+	}
+}
+
+// faultAt wraps a fault raised by the wire instruction at pc with that
+// instruction's pc and text, as the wire loop reports it. Out of line,
+// so the fault sites of fastLoop share one copy of the formatting.
+//
+//go:noinline
+func faultAt(p *Program, pc int, e error) error {
+	return fmt.Errorf("at %d (%s): %w", pc, p.ins[pc], e)
+}
+
 // wbytes resolves ptr for an n-byte store: the wire loop's store()
 // checks (read-only region first, then bounds) in the same order.
 func (vm *VM) wbytes(ptr uint64, n int) ([]byte, error) {
@@ -793,7 +946,8 @@ func (vm *VM) wbytes(ptr uint64, n int) ([]byte, error) {
 // time: the loop head charges one unit (the first or only wire
 // instruction of the slot), and fused cases charge their second unit
 // inline, failing with ErrBudget after the first half's effects exactly
-// where the wire loop would.
+// where the wire loop would. A run charges the rest of its units at
+// once, and only when they all remain.
 func (vm *VM) execFast(p *Program, ctx []byte, ps *ProgStats) (uint64, error) {
 	if p.dec == nil {
 		return vm.exec(p, ctx, ps)
@@ -1158,7 +1312,7 @@ loop:
 				v, e = vm.invokeHelper(d.call, int32(uint32(d.imm)), r[1], r[2], r[3], r[4], r[5])
 			}
 			if e != nil {
-				err = fmt.Errorf("at %d (%s): %w", pc, p.ins[pc], e)
+				err = faultAt(p, pc, e)
 				break loop
 			}
 			r[0] = v
@@ -1176,7 +1330,7 @@ loop:
 				v, e = vm.invokeKfunc(d.call, int32(uint32(d.imm)), r[1], r[2], r[3], r[4], r[5])
 			}
 			if e != nil {
-				err = fmt.Errorf("at %d (%s): %w", pc, p.ins[pc], e)
+				err = faultAt(p, pc, e)
 				break loop
 			}
 			r[0] = v
@@ -1200,89 +1354,46 @@ loop:
 		case kLdx1:
 			b, e := vm.Bytes(r[d.src&15]+uint64(int64(d.off)), 1)
 			if e != nil {
-				err = fmt.Errorf("at %d (%s): %w", pc, p.ins[pc], e)
+				err = faultAt(p, pc, e)
 				break loop
 			}
 			r[d.dst&15] = uint64(b[0])
 		case kLdx2:
 			b, e := vm.Bytes(r[d.src&15]+uint64(int64(d.off)), 2)
 			if e != nil {
-				err = fmt.Errorf("at %d (%s): %w", pc, p.ins[pc], e)
+				err = faultAt(p, pc, e)
 				break loop
 			}
 			r[d.dst&15] = uint64(binary.LittleEndian.Uint16(b))
 		case kLdx4:
 			b, e := vm.Bytes(r[d.src&15]+uint64(int64(d.off)), 4)
 			if e != nil {
-				err = fmt.Errorf("at %d (%s): %w", pc, p.ins[pc], e)
+				err = faultAt(p, pc, e)
 				break loop
 			}
 			r[d.dst&15] = uint64(binary.LittleEndian.Uint32(b))
 		case kLdx8:
 			b, e := vm.Bytes(r[d.src&15]+uint64(int64(d.off)), 8)
 			if e != nil {
-				err = fmt.Errorf("at %d (%s): %w", pc, p.ins[pc], e)
+				err = faultAt(p, pc, e)
 				break loop
 			}
 			r[d.dst&15] = binary.LittleEndian.Uint64(b)
 
-		case kStx1:
-			b, e := vm.wbytes(r[d.dst&15]+uint64(int64(d.off)), 1)
+		case kStx1, kStx2, kStx4, kStx8:
+			b, e := vm.wbytes(r[d.dst&15]+uint64(int64(d.off)), 1<<(d.kind-kStx1))
 			if e != nil {
-				err = fmt.Errorf("at %d (%s): %w", pc, p.ins[pc], e)
+				err = faultAt(p, pc, e)
 				break loop
 			}
-			b[0] = byte(r[d.src&15])
-		case kStx2:
-			b, e := vm.wbytes(r[d.dst&15]+uint64(int64(d.off)), 2)
+			leStore(b, r[d.src&15])
+		case kSt1, kSt2, kSt4, kSt8:
+			b, e := vm.wbytes(r[d.dst&15]+uint64(int64(d.off)), 1<<(d.kind-kSt1))
 			if e != nil {
-				err = fmt.Errorf("at %d (%s): %w", pc, p.ins[pc], e)
+				err = faultAt(p, pc, e)
 				break loop
 			}
-			binary.LittleEndian.PutUint16(b, uint16(r[d.src&15]))
-		case kStx4:
-			b, e := vm.wbytes(r[d.dst&15]+uint64(int64(d.off)), 4)
-			if e != nil {
-				err = fmt.Errorf("at %d (%s): %w", pc, p.ins[pc], e)
-				break loop
-			}
-			binary.LittleEndian.PutUint32(b, uint32(r[d.src&15]))
-		case kStx8:
-			b, e := vm.wbytes(r[d.dst&15]+uint64(int64(d.off)), 8)
-			if e != nil {
-				err = fmt.Errorf("at %d (%s): %w", pc, p.ins[pc], e)
-				break loop
-			}
-			binary.LittleEndian.PutUint64(b, r[d.src&15])
-
-		case kSt1:
-			b, e := vm.wbytes(r[d.dst&15]+uint64(int64(d.off)), 1)
-			if e != nil {
-				err = fmt.Errorf("at %d (%s): %w", pc, p.ins[pc], e)
-				break loop
-			}
-			b[0] = byte(d.imm)
-		case kSt2:
-			b, e := vm.wbytes(r[d.dst&15]+uint64(int64(d.off)), 2)
-			if e != nil {
-				err = fmt.Errorf("at %d (%s): %w", pc, p.ins[pc], e)
-				break loop
-			}
-			binary.LittleEndian.PutUint16(b, uint16(d.imm))
-		case kSt4:
-			b, e := vm.wbytes(r[d.dst&15]+uint64(int64(d.off)), 4)
-			if e != nil {
-				err = fmt.Errorf("at %d (%s): %w", pc, p.ins[pc], e)
-				break loop
-			}
-			binary.LittleEndian.PutUint32(b, uint32(d.imm))
-		case kSt8:
-			b, e := vm.wbytes(r[d.dst&15]+uint64(int64(d.off)), 8)
-			if e != nil {
-				err = fmt.Errorf("at %d (%s): %w", pc, p.ins[pc], e)
-				break loop
-			}
-			binary.LittleEndian.PutUint64(b, d.imm)
+			leStore(b, d.imm)
 
 		case kLdxStack1:
 			r[d.dst&15] = uint64(stk[d.off])
@@ -1342,7 +1453,7 @@ loop:
 				v, e = vm.invokeHelper(d.call, int32(uint32(d.imm)), r[1], r[2], r[3], r[4], r[5])
 			}
 			if e != nil {
-				err = fmt.Errorf("at %d (%s): %w", pc+1, p.ins[pc+1], e)
+				err = faultAt(p, pc+1, e)
 				break loop
 			}
 			r[0] = v
@@ -1371,25 +1482,12 @@ loop:
 				v, e = vm.invokeKfunc(d.call, int32(uint32(d.imm)), r[1], r[2], r[3], r[4], r[5])
 			}
 			if e != nil {
-				err = fmt.Errorf("at %d (%s): %w", pc+1, p.ins[pc+1], e)
+				err = faultAt(p, pc+1, e)
 				break loop
 			}
 			r[0] = v
 			r[1], r[2], r[3], r[4], r[5] = 0, 0, 0, 0, 0
 			pc++
-		case kFuseAddJa:
-			r[d.dst&15] += d.imm
-			if budget <= 0 {
-				err = ErrBudget
-				break loop
-			}
-			budget--
-			if ps != nil {
-				ps.Insns++
-				ps.OpClass[isa.ClassJMP]++
-			}
-			pc = int(d.tgt)
-			continue
 		case kFuseAlu2:
 			// Both halves run inline: the hot 64-bit kinds (the hash-mix
 			// vocabulary) as direct cases, everything else through the
@@ -1498,36 +1596,6 @@ loop:
 			r[dstB] = w
 			pc++
 
-		case kFuseShlAdd:
-			dst := d.dst & 15
-			v := r[dst] << d.imm
-			r[dst] = v
-			if budget <= 0 {
-				err = ErrBudget
-				break loop
-			}
-			budget--
-			if ps != nil {
-				ps.Insns++
-				ps.OpClass[isa.ClassALU64]++
-			}
-			r[dst] = v + r[d.src&15]
-			pc++
-		case kFuseMovShr:
-			dst := d.dst & 15
-			v := r[d.src&15]
-			r[dst] = v
-			if budget <= 0 {
-				err = ErrBudget
-				break loop
-			}
-			budget--
-			if ps != nil {
-				ps.Insns++
-				ps.OpClass[isa.ClassALU64]++
-			}
-			r[dst] = v >> d.imm
-			pc++
 		case kRunLookup, kRunLookupArray:
 			r[d.dst&15] = d.imm
 			// Whatever the run cannot reproduce bit for bit — per-instruction
@@ -1548,7 +1616,7 @@ loop:
 				var e error
 				budget -= 3 // lea pair + call
 				if v, e = fn(vm, d.imm, r[10]+uint64(int64(d.off)), r[3], r[4], r[5]); e != nil {
-					err = fmt.Errorf("at %d (%s): %w", pc+4, p.ins[pc+4], e)
+					err = faultAt(p, pc+4, e)
 					break loop
 				}
 			} else {
@@ -1574,6 +1642,85 @@ loop:
 				continue
 			}
 			pc += 5
+		case kRunXorshift:
+			// Each run below first does what its head does alone, then,
+			// unless per-instruction stats are attached or the budget could
+			// run out inside it, retires the rest of its wire instructions.
+			x := d.src & 15
+			v := r[x]
+			r[d.dst&15] = v
+			if ps != nil || budget < int(d.off)-1 {
+				break
+			}
+			budget -= int(d.off) - 1
+			t := v >> d.imm
+			r[d.dst&15] = t
+			v ^= t
+			r[x] = v
+			if d.off == 4 {
+				r[x] = v * r[d.call&15]
+			}
+			pc += int(d.off) - 1
+		case kRunConstPair:
+			r[d.dst&15] = d.imm
+			pc++ // the ld_imm64's second slot
+			if ps != nil || budget < 1 {
+				break
+			}
+			budget--
+			e := &code[pc+1]
+			r[e.dst&15] = e.imm
+			pc += 2
+		case kRunBump:
+			ptr := r[d.src&15] + uint64(int64(d.off))
+			b, e := vm.Bytes(ptr, int(d.call))
+			if e != nil {
+				err = faultAt(p, pc, e)
+				break loop
+			}
+			v := leLoad(b)
+			r[d.dst&15] = v
+			if ps != nil || budget < 2 {
+				break
+			}
+			budget -= 2
+			v += d.imm
+			r[d.dst&15] = v
+			if b, e = vm.wbytes(ptr, int(d.call)); e != nil {
+				err = faultAt(p, pc+2, e)
+				break loop
+			}
+			leStore(b, v)
+			pc += 2
+		case kRunIndexLoad:
+			v := r[d.src&15]
+			r[d.dst&15] = v
+			c := uint32(d.call)
+			last := int(c>>24) - 1 // the load's offset from the head
+			if ps != nil || budget < last {
+				break
+			}
+			budget -= last
+			v = (v>>(c&63)&d.imm)<<(c>>6&63) + r[c>>12&15] + uint64(int64(d.tgt))
+			r[d.dst&15] = v
+			b, e := vm.Bytes(v+uint64(int64(d.off)), 1<<(c>>20&3))
+			if e != nil {
+				err = faultAt(p, pc+last, e)
+				break loop
+			}
+			r[c>>16&15] = leLoad(b)
+			pc += last
+		case kRunLoop:
+			r[d.dst&15] += d.imm
+			if ps != nil || budget < 2 {
+				break
+			}
+			budget -= 2
+			pc = int(d.tgt) + 1
+			if int64(r[d.src&15]) >= int64(d.off) {
+				pc = int(d.call)
+			}
+			continue
 		case kNop:
 		default: // kBad
 			err = badInsnErr(p.ins[pc], pc)

@@ -3,6 +3,8 @@ package vm_test
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"enetstl/internal/ebpf/asm"
@@ -69,7 +71,8 @@ func runBoth(t *testing.T, fast, wire *vm.VM, fp, wp *vm.Program, ctx []byte) (u
 // full budget and at every budget cut point below it. The patterns
 // that once had a dedicated fused kind and lost it (add+add, the add
 // chain, ldx+and, add+jCC, add+xor, xor+mul: no catalog program
-// contains them) stay as inputs, so whichever path decodes them now —
+// contains them; add+ja, lsh+add, mov+rsh: the idiom runs absorbed
+// them) stay as inputs, so whichever path decodes them now —
 // standalone, or the generic ALU pair — is held to the same parity.
 func TestFusionPatterns(t *testing.T) {
 	kfID := int32(700)
@@ -202,9 +205,9 @@ func TestFusionPatterns(t *testing.T) {
 				b.MovImm(asm.R6, 0) // pairs generically with the mov above
 				b.Label("top")
 				b.JmpImm(asm.JGE, asm.R6, 8, "done")
-				b.AddImm(asm.R0, 3)
-				b.AddImm(asm.R6, 1) // back-edge counter bump ...
-				b.Ja("top")         // ... + jump
+				b.AddImm(asm.R0, 3) // pairs generically with the counter bump;
+				b.AddImm(asm.R6, 1) // the back-edge run needs a jsge at top
+				b.Ja("top")
 				b.Label("done")
 				b.Exit()
 			},
@@ -247,7 +250,7 @@ func TestFusionPatterns(t *testing.T) {
 				b.MovImm(asm.R7, 0x9e37)
 				b.AddImm(asm.R0, 3)
 				b.Xor(asm.R0, asm.R7)
-				b.LshImm(asm.R0, 1) // shl+add keeps its own kind
+				b.LshImm(asm.R0, 1) // shl+add pairs generically
 				b.Add(asm.R0, asm.R7)
 				b.Xor(asm.R0, asm.R7)
 				b.MulImm(asm.R0, 31)
@@ -325,12 +328,246 @@ func TestFusionBranchTargetGuard(t *testing.T) {
 	}
 }
 
+// idiomRun is a program around one idiom run (kRunXorshift and the
+// kinds after it), or around a near miss of one: pre, the run's wire
+// instructions one emitter each (so a label can land between any two),
+// then post, which ends in exit.
+type idiomRun struct {
+	name string
+	kind string // the run kind the fuser forms exactly once; "": none may form
+	pre  func(b *asm.Builder)
+	run  []func(b *asm.Builder)
+	post func(b *asm.Builder)
+	// The fault the program raises at the full budget (nil: it exits),
+	// at the run's wire instruction faultAt.
+	fault   error
+	faultAt int
+	setup   func(m *vm.VM)
+}
+
+// program builds r; a non-negative land puts a branch at the very start
+// to the run's land-th wire instruction.
+func (r idiomRun) program(land int) []isa.Instruction {
+	b := asm.New()
+	if land >= 0 {
+		b.Ja("land")
+	}
+	r.pre(b)
+	for i, emit := range r.run {
+		if i == land {
+			b.Label("land")
+		}
+		emit(b)
+	}
+	r.post(b)
+	return b.MustProgram()
+}
+
+// pc is the pc of r's n-th run instruction in program(-1). (Labels
+// must resolve, so it counts with post and takes post's length away.)
+func (r idiomRun) pc(n int) int {
+	b, post := asm.New(), asm.New()
+	r.pre(b)
+	for _, emit := range r.run[:n] {
+		emit(b)
+	}
+	r.post(b)
+	r.post(post)
+	return len(b.MustProgram()) - len(post.MustProgram())
+}
+
+func idiomRuns() []idiomRun {
+	const (
+		r0, r1, r5, r6, r7, r8, r9, r10 = asm.R0, asm.R1, asm.R5, asm.R6, asm.R7, asm.R8, asm.R9, asm.R10
+	)
+	exitWith := func(reg isa.Reg) func(b *asm.Builder) {
+		return func(b *asm.Builder) { b.Mov(r0, reg).Exit() }
+	}
+	// The hash mix: x = r7, t = r8, the multiplier r9.
+	mixPre := func(b *asm.Builder) { b.MovImm(r7, -0x6543_2101).MovImm(r9, 0x1f3d5b79) }
+	xorshift := func(t, x isa.Reg, mul ...isa.Reg) []func(b *asm.Builder) {
+		run := []func(b *asm.Builder){
+			func(b *asm.Builder) { b.Mov(t, x) },
+			func(b *asm.Builder) { b.RshImm(t, 23) },
+			func(b *asm.Builder) { b.Xor(x, t) },
+		}
+		for _, c := range mul {
+			run = append(run, func(b *asm.Builder) { b.Mul(x, c) })
+		}
+		return run
+	}
+	// The counter bump on [r6+off]: d = r1 unless the row says otherwise.
+	bump := func(d isa.Reg, off int16, size int) []func(b *asm.Builder) {
+		return []func(b *asm.Builder){
+			func(b *asm.Builder) { b.Load(d, r6, off, size) },
+			func(b *asm.Builder) { b.AddImm(d, 0x20) },
+			func(b *asm.Builder) { b.Store(r6, off, d, size) },
+		}
+	}
+	onStack := func(b *asm.Builder) {
+		b.StoreImm(r10, -8, -16, 8) // 0xffff...fff0: the 4-byte bump wraps
+		b.Mov(r6, r10)
+	}
+	// The indexed load: mov a,i, the address steps on a, then d = [a+0]:
+	// i = r5, a = r0, d = r1 unless the row says otherwise.
+	addr := func(d isa.Reg, size int, steps ...func(b *asm.Builder)) []func(b *asm.Builder) {
+		run := append([]func(b *asm.Builder){func(b *asm.Builder) { b.Mov(r0, r5) }}, steps...)
+		return append(run, func(b *asm.Builder) { b.Load(d, r0, 0, size) })
+	}
+	rsh := func(k int32) func(b *asm.Builder) { return func(b *asm.Builder) { b.RshImm(r0, k) } }
+	and := func(k int32) func(b *asm.Builder) { return func(b *asm.Builder) { b.AndImm(r0, k) } }
+	lsh := func(k int32) func(b *asm.Builder) { return func(b *asm.Builder) { b.LshImm(r0, k) } }
+	add := func(reg isa.Reg) func(b *asm.Builder) { return func(b *asm.Builder) { b.Add(r0, reg) } }
+	addK := func(k int32) func(b *asm.Builder) { return func(b *asm.Builder) { b.AddImm(r0, k) } }
+	// spacesaving's masked load a = (i & 7) << shift + b.
+	index := func(base isa.Reg, shift int32, size int) []func(b *asm.Builder) {
+		return addr(r1, size, and(7), lsh(shift), add(base))
+	}
+	table := func(index int32) func(b *asm.Builder) {
+		return func(b *asm.Builder) {
+			for k := int16(0); k < 8; k++ {
+				b.StoreImm(r10, -64+8*k, 0x1000*int32(k)+int32(k), 8)
+			}
+			b.Mov(r7, r10).AddImm(r7, -64)
+			b.MovImm(r5, index)
+		}
+	}
+	loop := func(from, bound int32) idiomRun {
+		return idiomRun{
+			name: fmt.Sprintf("loop/%d..%d", from, bound), kind: "kRunLoop",
+			pre: func(b *asm.Builder) {
+				b.MovImm(r0, 0).MovImm(r5, from)
+				b.Label("top")
+				b.JmpImm(asm.JSGE, r5, bound, "done")
+				b.AddImm(r0, 3)
+			},
+			run: []func(b *asm.Builder){
+				func(b *asm.Builder) { b.AddImm(r5, 1) },
+				func(b *asm.Builder) { b.Ja("top") },
+			},
+			post: func(b *asm.Builder) { b.Label("done").Exit() },
+		}
+	}
+	ro := vm.New().ReadOnlyMem(make([]byte, 16)) // the pointer the first region a VM maps gets
+	return []idiomRun{
+		{name: "xorshift", kind: "kRunXorshift", pre: mixPre, run: xorshift(r8, r7), post: exitWith(r7)},
+		{name: "xorshift-mul", kind: "kRunXorshift", pre: mixPre, run: xorshift(r8, r7, r9), post: exitWith(r7)},
+		{name: "xorshift-mul/c=t", kind: "kRunXorshift", pre: mixPre, run: xorshift(r8, r7, r8), post: exitWith(r7)},
+		{name: "xorshift-mul/c=x", kind: "kRunXorshift", pre: mixPre, run: xorshift(r8, r7, r7), post: exitWith(r7)},
+		{name: "xorshift/t=x", pre: mixPre, run: xorshift(r7, r7, r9), post: exitWith(r7)},
+		{
+			name: "constpair", kind: "kRunConstPair", pre: func(b *asm.Builder) {},
+			run: []func(b *asm.Builder){
+				func(b *asm.Builder) { b.LoadImm64(r7, 0x880355f21e6d1965) },
+				func(b *asm.Builder) { b.LoadImm64(r8, 0x2127599bf4325c37) },
+			},
+			post: func(b *asm.Builder) { b.Mov(r0, r7).Xor(r0, r8).Exit() },
+		},
+		{name: "bump/w", kind: "kRunBump", pre: onStack, run: bump(r1, -8, 4),
+			post: func(b *asm.Builder) { b.Load(r0, r6, -8, 8).Add(r0, r1).Exit() }},
+		{name: "bump/dw", kind: "kRunBump", pre: onStack, run: bump(r1, -8, 8),
+			post: func(b *asm.Builder) { b.Load(r0, r6, -8, 8).Add(r0, r1).Exit() }},
+		{name: "bump/b", kind: "kRunBump", pre: onStack, run: bump(r1, -7, 1),
+			post: func(b *asm.Builder) { b.Load(r0, r6, -8, 8).Add(r0, r1).Exit() }},
+		{
+			// d == b: the store goes through the bumped value, so no run.
+			name: "bump/d=b",
+			pre: func(b *asm.Builder) {
+				b.Mov(r6, r10).AddImm(r6, -16)
+				b.Mov(r7, r10).AddImm(r7, -8-0x20)
+				b.Store(r6, 0, r7, 8)
+			},
+			run:  bump(r6, 0, 8),
+			post: func(b *asm.Builder) { b.Load(r0, r6, 0, 8).Sub(r0, r10).Exit() },
+		},
+		{name: "bump/null", kind: "kRunBump", pre: func(b *asm.Builder) { b.MovImm(r6, 0) },
+			run: bump(r1, 0, 4), post: exitWith(r1), fault: vm.ErrNullDeref, faultAt: 0},
+		{
+			name: "bump/read-only", kind: "kRunBump", setup: func(m *vm.VM) { m.ReadOnlyMem(make([]byte, 16)) },
+			pre: func(b *asm.Builder) { b.LoadImm64(r6, ro) }, run: bump(r1, 8, 4), post: exitWith(r1),
+			fault: vm.ErrReadOnly, faultAt: 2,
+		},
+		{name: "index/w", kind: "kRunIndexLoad", pre: table(13), run: index(r7, 3, 4), post: exitWith(r1)},
+		{name: "index/dw", kind: "kRunIndexLoad", pre: table(-3), run: index(r7, 3, 8), post: exitWith(r1)},
+		{name: "index/a=b", pre: table(2), run: index(r0, 3, 8), post: exitWith(r1),
+			fault: vm.ErrBadPointer, faultAt: 4},
+		{name: "index/edf", kind: "kRunIndexLoad", pre: table(0x35), post: exitWith(r0),
+			run: addr(r0, 4, rsh(4), and(7), lsh(3), add(r7))},
+		{name: "index/eiffel", kind: "kRunIndexLoad", pre: table(3), post: exitWith(r1),
+			run: addr(r1, 8, lsh(3), add(r7), addK(8))},
+		{name: "index/bloom", kind: "kRunIndexLoad", pre: table(37), post: exitWith(r1),
+			run: addr(r1, 1, rsh(3), add(r7))},
+		{name: "index/out-of-order", pre: table(3), post: exitWith(r1),
+			run: addr(r1, 8, lsh(3), and(56), add(r7))},
+		{name: "index/null", kind: "kRunIndexLoad", pre: func(b *asm.Builder) { b.MovImm(r7, 0).MovImm(r5, 8) },
+			run: index(r7, 3, 8), post: exitWith(r1), fault: vm.ErrNullDeref, faultAt: 4},
+		{name: "index/oob", kind: "kRunIndexLoad", pre: func(b *asm.Builder) { b.Mov(r7, r10).AddImm(r7, -8).MovImm(r5, 7) },
+			run: index(r7, 2, 4), post: exitWith(r1), fault: vm.ErrOOB, faultAt: 4},
+		loop(0, 4),
+		loop(-5, -1),
+	}
+}
+
+// runBothStats is runBoth plus, when both machines carry stats, the
+// per-program instruction and class counts.
+func runBothStats(t *testing.T, fast, wire *vm.VM, fp, wp *vm.Program) error {
+	t.Helper()
+	_, err := runBoth(t, fast, wire, fp, wp, nil)
+	if fast.Stats() != nil {
+		fs, _ := fast.Stats().ProgSnapshot("p")
+		ws, _ := wire.Stats().ProgSnapshot("p")
+		if fs.Insns != ws.Insns || fs.OpClass != ws.OpClass {
+			t.Fatalf("stats divergence: fast %d %v, wire %d %v", fs.Insns, fs.OpClass, ws.Insns, ws.OpClass)
+		}
+	}
+	return err
+}
+
 // TestFusedBudgetBoundary sweeps the instruction budget across a
 // program full of fused pairs: at every boundary the fast path must
 // retire exactly what the wire loop retires and fail identically,
 // including the case where the first half of a fused pair itself
-// faults with the last budget unit.
+// faults with the last budget unit. Every idiom run, and every near
+// miss of one, is swept from budget 0 to one past its full retirement,
+// with stats off and on.
 func TestFusedBudgetBoundary(t *testing.T) {
+	for _, r := range idiomRuns() {
+		t.Run(r.name, func(t *testing.T) {
+			prog := r.program(-1)
+			fast, wire, fp, wp := newPair(t, prog, r.setup)
+			sites, runs := fp.FusedSites(), fp.IdiomRuns()
+			switch {
+			case r.kind == "" && len(runs) != 0:
+				t.Fatalf("a near miss formed runs %v (%v)", runs, sites)
+			case r.kind != "" && (sites[r.kind] != 1 || len(runs) != 1 || runs[r.pc(0)] != r.pc(len(r.run))-r.pc(0)):
+				t.Fatalf("runs %v (%v), want one %s over pcs %d..%d", runs, sites, r.kind, r.pc(0), r.pc(len(r.run))-1)
+			}
+			err := runBothStats(t, fast, wire, fp, wp)
+			switch {
+			case r.fault == nil && err != nil:
+				t.Fatalf("full budget: %v", err)
+			case r.fault != nil && (!errors.Is(err, r.fault) ||
+				!strings.HasPrefix(err.Error(), fmt.Sprintf("at %d ", r.pc(r.faultAt)))):
+				t.Fatalf("full budget: err = %v, want %v at pc %d", err, r.fault, r.pc(r.faultAt))
+			}
+			full := int(wire.InsnCount)
+			for _, stats := range []bool{false, true} {
+				for budget := 0; budget <= full+1; budget++ {
+					fast, wire, fp, wp := newPair(t, prog, r.setup)
+					if stats {
+						fast.SetStats(vm.NewStats())
+						wire.SetStats(vm.NewStats())
+					}
+					fast.Budget, wire.Budget = budget, budget
+					err := runBothStats(t, fast, wire, fp, wp)
+					if budget < full && !errors.Is(err, vm.ErrBudget) {
+						t.Fatalf("stats=%v budget %d of %d: err = %v, want ErrBudget", stats, budget, full, err)
+					}
+				}
+			}
+		})
+	}
+
 	b := asm.New()
 	b.MovImm(asm.R0, 0)
 	for i := 0; i < 6; i++ {

@@ -19,9 +19,11 @@ type arrays struct {
 	flowOf   []int32
 	labels   []uint8
 	arrival  []uint64
-	// The zipf sampler's tables.
+	// The zipf sampler's tables, built for skew zipfS over len(cdf)
+	// flows (zipfS == 0: not built yet).
 	cdf   []float64
 	guide []int32
+	zipfS float64
 }
 
 var arrayPool = sync.Pool{New: func() any { return new(arrays) }}
@@ -69,7 +71,15 @@ func (a *arrays) flowDraw(cfg Config, rng *rand.Rand) flowDraw {
 	d := flowDraw{rng: rng, flows: cfg.Flows}
 	if cfg.ZipfS > 0 {
 		// rand.Zipf needs s > 1, so 1.001 is as flat as the law has ever got here.
-		d.z = newZipf(max(cfg.ZipfS, 1.001), sized(&a.cdf, cfg.Flows), sized(&a.guide, cfg.Flows))
+		s := max(cfg.ZipfS, 1.001)
+		if s == a.zipfS && len(a.cdf) == cfg.Flows {
+			// The same law over the same flows as this set's last trace:
+			// the tables it built are still the ones newZipf would build.
+			d.z = zipf{cdf: a.cdf, guide: a.guide}
+			return d
+		}
+		d.z = newZipf(s, sized(&a.cdf, cfg.Flows), sized(&a.guide, cfg.Flows))
+		a.zipfS = s
 	}
 	return d
 }

@@ -218,3 +218,30 @@ func FuzzZipfSampler(f *testing.F) {
 		}
 	})
 }
+
+// TestZipfTablesReused draws flows through one array set whose tables
+// are kept across traces, and through a fresh set per trace: the skew
+// and flow count change between traces, come back, and repeat, and
+// every trace's draws and tables must be the fresh build's bit for bit.
+func TestZipfTablesReused(t *testing.T) {
+	steps := []struct {
+		flows int
+		s     float64
+	}{{4096, 1.1}, {4096, 1.1}, {64, 1.1}, {4096, 1.3}, {4096, 1.1}}
+	kept := new(arrays)
+	for i, st := range steps {
+		cfg := Config{Flows: st.flows, ZipfS: st.s}
+		got := kept.flowDraw(cfg, rand.New(rand.NewSource(int64(i))))
+		want := new(arrays).flowDraw(cfg, rand.New(rand.NewSource(int64(i))))
+		for k := range want.z.cdf {
+			if got.z.cdf[k] != want.z.cdf[k] || got.z.guide[k] != want.z.guide[k] {
+				t.Fatalf("step %d %+v: tables differ from a fresh build at flow %d", i, st, k)
+			}
+		}
+		for n := 0; n < 4096; n++ {
+			if g, w := got.next(), want.next(); g != w {
+				t.Fatalf("step %d %+v: draw %d = flow %d, a fresh build draws %d", i, st, n, g, w)
+			}
+		}
+	}
+}
