@@ -48,6 +48,9 @@ func (c Config) validate() error {
 	return nil
 }
 
+// maxKicks bounds one insert's random walk.
+const maxKicks = 500
+
 // Filter is one built instance.
 type Filter struct {
 	nf.Instance
@@ -55,6 +58,12 @@ type Filter struct {
 	table []uint16
 	arr   *maps.Array
 	rng   uint64
+
+	// saturated is set by the first walk that runs out of kicks: from
+	// then on an insert only tries its two candidate buckets, as the
+	// filter of [25] stops accepting once a kick sequence has failed.
+	saturated bool
+	kicks     int // displacements performed, over the filter's life
 }
 
 func mix(key []byte) (fp uint16, i1 uint32) {
@@ -112,7 +121,9 @@ func (f *Filter) bucket(b uint32) []uint16 {
 	return f.table[off : off+Slots]
 }
 
-// Insert adds key to the set; false means the filter is too full.
+// Insert adds key to the set; false means the filter is too full. A
+// refused insert leaves the table as it found it, so every key Insert
+// accepted stays a member.
 func (f *Filter) Insert(key []byte) bool {
 	mask := uint32(f.cfg.Buckets - 1)
 	fp, i1r := mix(key)
@@ -120,13 +131,28 @@ func (f *Filter) Insert(key []byte) bool {
 	if f.tryPlace(i1, fp) || f.tryPlace(altBucket(i1, fp, mask), fp) {
 		return true
 	}
-	b := i1
+	if f.saturated {
+		return false
+	}
+	return f.walk(i1, fp, mask)
+}
+
+// walk places fp by random-walk displacement from bucket b. When the
+// walk runs out of kicks it undoes its displacements in reverse, so the
+// fingerprint left homeless is fp itself, and marks the filter
+// saturated. Undoing needs only the victims: altBucket is an involution
+// for a given fingerprint, so each step's bucket is the alternate of the
+// next step's, taken with the fingerprint that step evicted.
+func (f *Filter) walk(b uint32, fp uint16, mask uint32) bool {
+	var victims [maxKicks]uint8
 	cur := fp
-	for kick := 0; kick < 500; kick++ {
+	for kick := range victims {
 		f.rng ^= f.rng << 13
 		f.rng ^= f.rng >> 7
 		f.rng ^= f.rng << 17
 		victim := int(f.rng) & (Slots - 1)
+		victims[kick] = uint8(victim)
+		f.kicks++
 		evicted := f.bucket(b)[victim]
 		f.put(b, victim, cur)
 		cur = evicted
@@ -135,6 +161,14 @@ func (f *Filter) Insert(key []byte) bool {
 			return true
 		}
 	}
+	for kick := len(victims) - 1; kick >= 0; kick-- {
+		b = altBucket(b, cur, mask)
+		victim := int(victims[kick])
+		placed := f.bucket(b)[victim]
+		f.put(b, victim, cur)
+		cur = placed
+	}
+	f.saturated = true
 	return false
 }
 

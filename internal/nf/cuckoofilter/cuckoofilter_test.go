@@ -96,3 +96,34 @@ func (f *Filter) LoadFactor() float64 {
 	}
 	return float64(used) / float64(len(f.table))
 }
+
+// TestSaturationBoundsKicks preloads four times the filter's capacity.
+// From the first refused insert on, the preload performs at most one
+// failed walk in total (≤ maxKicks displacements), not a walk per
+// refusal: the saturated filter refuses without kicking.
+func TestSaturationBoundsKicks(t *testing.T) {
+	trace := pktgen.Generate(pktgen.Config{Flows: 4 * testBuckets * Slots, Packets: 0, Seed: 16})
+	f, err := New(nf.Kernel, Config{Buckets: testBuckets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused, atFirst := 0, 0
+	for i := range trace.FlowKeys {
+		before := f.Kicks()
+		if !f.Insert(trace.FlowKeys[i][:]) {
+			if refused == 0 {
+				atFirst = before
+			}
+			refused++
+		}
+	}
+	if accepted := len(trace.FlowKeys) - refused; accepted > testBuckets*Slots || refused < 3*testBuckets*Slots {
+		t.Fatalf("%d inserts accepted, %d refused, into %d slots", accepted, refused, testBuckets*Slots)
+	}
+	if atFirst == 0 {
+		t.Fatal("no insert walked before the first refusal")
+	}
+	if got := f.Kicks() - atFirst; got > maxKicks {
+		t.Fatalf("%d kicks from the first refused insert on, want <= %d", got, maxKicks)
+	}
+}

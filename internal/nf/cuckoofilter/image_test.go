@@ -49,6 +49,30 @@ func checkImage(t testing.TB, s *Filter, step int, keys [][]byte) {
 	}
 }
 
+// checkMembers asserts that no accepted insert was lost: the table holds
+// one fingerprint per accepted insert (a refused one left none behind
+// and displaced none), and the native test finds every accepted key —
+// which checkImage has already held both bytecode flavours to.
+func checkMembers(t testing.TB, s *Filter, step int, members [][]byte) {
+	t.Helper()
+	used := 0
+	for _, fp := range s.table {
+		if fp != 0 {
+			used++
+		}
+	}
+	if used != len(members) {
+		t.Fatalf("%v after insert %d: %d slots in use, %d inserts accepted", s.Flavor(), step, used, len(members))
+	}
+	var pkt [nf.PktSize]byte
+	for _, k := range members {
+		copy(pkt[nf.OffKey:], k)
+		if s.testNative(pkt[:]) != Member {
+			t.Fatalf("%v after insert %d: accepted key %x is no longer a member", s.Flavor(), step, k)
+		}
+	}
+}
+
 // driveImage inserts ids one at a time into an eBPF and an eNetSTL
 // filter of the given size, checking the invariant after every insert
 // over every key inserted so far plus keys never inserted. It reports
@@ -63,6 +87,7 @@ func driveImage(t testing.TB, buckets int, ids []uint16) (kicked, failed int) {
 		}
 		mask := uint32(buckets - 1)
 		keys := [][]byte{imageKey(0xfff0), imageKey(0xfff1), imageKey(0xfff2), imageKey(0xfff3)}
+		var members [][]byte // keys whose Insert returned true, repeats included
 		full := func(b uint32) bool {
 			for _, have := range s.bucket(b) {
 				if have == 0 {
@@ -77,6 +102,9 @@ func driveImage(t testing.TB, buckets int, ids []uint16) (kicked, failed int) {
 			i1 &= mask
 			kicks := full(i1) && full(altBucket(i1, fp, mask))
 			ok := s.Insert(k)
+			if ok {
+				members = append(members, k)
+			}
 			if kicks {
 				kicked++
 				if !ok {
@@ -87,6 +115,7 @@ func driveImage(t testing.TB, buckets int, ids []uint16) (kicked, failed int) {
 			}
 			keys = append(keys, k)
 			checkImage(t, s, step, keys)
+			checkMembers(t, s, step, members)
 		}
 	}
 	return kicked, failed
@@ -94,7 +123,7 @@ func driveImage(t testing.TB, buckets int, ids []uint16) (kicked, failed int) {
 
 // TestOneImageInvariant drives seeded random insert sequences through
 // tables small enough that most inserts kick and some exhaust the
-// 500-kick budget, dropping a displaced fingerprint.
+// 500-kick budget, which must undo the walk and saturate the filter.
 func TestOneImageInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	kicked, failed := 0, 0
@@ -120,6 +149,14 @@ func FuzzCuckooImage(f *testing.F) {
 		rng.Read(seed)
 		f.Add(seed)
 	}
+	// A preload past capacity at the largest size: 96 distinct keys into
+	// 8 buckets, so a walk fails and every later full-bucket insert meets
+	// a saturated table.
+	past := []byte{3}
+	for id := range uint16(96) {
+		past = binary.LittleEndian.AppendUint16(past, id)
+	}
+	f.Add(past)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

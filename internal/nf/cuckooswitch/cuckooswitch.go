@@ -68,7 +68,15 @@ type Switch struct {
 	// word-for-word equal to it.
 	table []uint32
 	arr   *maps.Array
+
+	// saturated is set by the first walk that runs out of kicks: from
+	// then on an insert only tries its two candidate buckets.
+	saturated bool
+	kicks     int // displacements performed, over the switch's life
 }
+
+// maxKicks bounds one insert's displacement walk.
+const maxKicks = 500
 
 // Miss is the verdict returned when a key is not in the FIB.
 const Miss = vm.XDPDrop
@@ -135,7 +143,9 @@ func (s *Switch) vals(b uint32) []uint32 {
 
 // Insert adds key -> value to the FIB, kicking entries cuckoo-style when
 // both candidate buckets are full. It returns false when the table
-// cannot accommodate the key (insertion path too long).
+// cannot accommodate the key (insertion path too long, or the table
+// already saturated); a refused insert leaves the table as it found it,
+// so no entry an earlier Insert accepted is lost.
 func (s *Switch) Insert(key []byte, value uint32) bool {
 	mask := uint32(s.cfg.Buckets - 1)
 	_, sig, i1r := mix(key)
@@ -143,10 +153,23 @@ func (s *Switch) Insert(key []byte, value uint32) bool {
 	if s.tryPlace(i1, sig, value) || s.tryPlace(altBucket(i1, sig, mask), sig, value) {
 		return true
 	}
-	// Evict: random-walk displacement bounded at 500 kicks.
-	b := i1
+	if s.saturated {
+		return false
+	}
+	return s.walk(i1, sig, value, mask)
+}
+
+// walk places (sig, value) by displacement from bucket b, evicting slot
+// kick%Slots at each step. When the walk runs out of kicks it undoes its
+// displacements in reverse and marks the switch saturated. Undoing needs
+// no record: the victim slot is a function of the step, and altBucket is
+// an involution for a given signature, so each step's bucket is the
+// alternate of the next step's, taken with the signature that step
+// evicted.
+func (s *Switch) walk(b, sig, value, mask uint32) bool {
 	curSig, curVal := sig, value
-	for kick := 0; kick < 500; kick++ {
+	for kick := 0; kick < maxKicks; kick++ {
+		s.kicks++
 		victim := kick % Slots
 		sv, vv := s.sigs(b)[victim], s.vals(b)[victim]
 		s.put(b, victim, curSig, curVal)
@@ -156,6 +179,14 @@ func (s *Switch) Insert(key []byte, value uint32) bool {
 			return true
 		}
 	}
+	for kick := maxKicks - 1; kick >= 0; kick-- {
+		b = altBucket(b, curSig, mask)
+		victim := kick % Slots
+		sv, vv := s.sigs(b)[victim], s.vals(b)[victim]
+		s.put(b, victim, curSig, curVal)
+		curSig, curVal = sv, vv
+	}
+	s.saturated = true
 	return false
 }
 

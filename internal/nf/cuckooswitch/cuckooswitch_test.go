@@ -106,3 +106,45 @@ func (s *Switch) LoadFactor() float64 {
 	}
 	return float64(used) / float64(s.cfg.Buckets*Slots)
 }
+
+// TestSaturationBoundsKicks preloads four times the switch's capacity.
+// From the first refused insert on, the preload performs at most one
+// failed walk in total (≤ maxKicks displacements), not a walk per
+// refusal: the saturated switch refuses without kicking, and keeps
+// every entry it accepted.
+func TestSaturationBoundsKicks(t *testing.T) {
+	trace := pktgen.Generate(pktgen.Config{Flows: 4 * testBuckets * Slots, Packets: 0, Seed: 16})
+	s, err := New(nf.Kernel, Config{Buckets: testBuckets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted []int
+	refused, atFirst := 0, 0
+	for f := range trace.FlowKeys {
+		before := s.Kicks()
+		if s.Insert(trace.FlowKeys[f][:], uint32(100+f)) {
+			accepted = append(accepted, f)
+		} else {
+			if refused == 0 {
+				atFirst = before
+			}
+			refused++
+		}
+	}
+	if len(accepted) > testBuckets*Slots || refused < 3*testBuckets*Slots {
+		t.Fatalf("%d inserts accepted, %d refused, into %d slots", len(accepted), refused, testBuckets*Slots)
+	}
+	if atFirst == 0 {
+		t.Fatal("no insert walked before the first refusal")
+	}
+	if got := s.Kicks() - atFirst; got > maxKicks {
+		t.Fatalf("%d kicks from the first refused insert on, want <= %d", got, maxKicks)
+	}
+	var pkt [nf.PktSize]byte
+	for _, f := range accepted {
+		copy(pkt[:], trace.FlowKeys[f][:])
+		if got, _ := s.Process(pkt[:]); got != uint64(100+f) {
+			t.Fatalf("accepted flow %d: got %d, want %d", f, got, 100+f)
+		}
+	}
+}

@@ -73,10 +73,11 @@ type CreateRequest struct {
 	// Trace seeds the module's tables (flow keys preloaded into
 	// switches, filters, classifiers) and anchors the estimator flow
 	// keys; an empty spec means 256 flows, seed 1. Only the flow table
-	// is built (runtime.TraceSpec.FlowTable): a generator spec's packets
-	// and zipf are validated against the same ceilings as a batch's but
-	// never generated, since no NF preloads from packets. A scenario
-	// spec keeps its attack flows too; a raw spec has no flow table.
+	// is built: a generator spec's packets and zipf are validated
+	// against the same ceilings as a batch's but never generated, since
+	// no NF preloads from packets, and modules seeded from one benign
+	// spec share one table (Registry). A scenario spec keeps its attack
+	// flows too; a raw spec has no flow table.
 	Trace runtime.TraceSpec `json:"trace,omitempty"`
 }
 
@@ -97,7 +98,8 @@ type Module struct {
 	sharded  *nfcatalog.Sharded
 	stats    *vm.Stats
 	rec      *trace.Recorder
-	flows    [][nf.KeyLen]byte
+	flows    [][nf.KeyLen]byte // read-only: shared when seedKey is set
+	seedKey  *runtime.FlowTableKey
 	tickBase []uint64
 	batches  uint64
 	packets  uint64
@@ -131,16 +133,78 @@ func (m *Module) Status() Status {
 	}
 }
 
-// Registry is the concurrency-safe module table.
+// Registry is the concurrency-safe module table. It also holds one
+// flow table per benign seed spec that a live module was created from,
+// shared read-only by every module holding it, as the kernel shares one
+// read-only object among the programs that hold it.
 type Registry struct {
-	mu   sync.RWMutex
-	mods map[string]*Module
-	seq  uint64
+	mu     sync.RWMutex
+	mods   map[string]*Module
+	seq    uint64
+	tables map[runtime.FlowTableKey]*sharedFlows
+}
+
+// sharedFlows is one benign seed spec's flow table and the number of
+// live modules holding it.
+type sharedFlows struct {
+	keys [][nf.KeyLen]byte
+	refs int
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{mods: make(map[string]*Module)}
+	return &Registry{mods: make(map[string]*Module), tables: make(map[runtime.FlowTableKey]*sharedFlows)}
+}
+
+// takeFlows returns the seed flow table for spec and, for a benign spec,
+// the key of the shared table it took a reference on; the caller gives
+// that back with putFlows. The table is built outside the lock: two
+// creates racing on a new spec may both build it, but only the first
+// to register it keeps it, so one spec never has two tables. A scenario
+// or raw spec gets a table of its own and no key.
+func (r *Registry) takeFlows(spec runtime.TraceSpec) ([][nf.KeyLen]byte, *runtime.FlowTableKey, error) {
+	k, benign, err := spec.FlowTableKey()
+	if err != nil {
+		return nil, nil, err
+	}
+	if !benign {
+		flows, err := spec.FlowTable()
+		return flows, nil, err
+	}
+	r.mu.Lock()
+	t, ok := r.tables[k]
+	if ok {
+		t.refs++
+	}
+	r.mu.Unlock()
+	if ok {
+		return t.keys, &k, nil
+	}
+	keys := pktgen.FlowTable(k.Flows, k.Seed)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if t, ok = r.tables[k]; !ok {
+		t = &sharedFlows{keys: keys}
+		r.tables[k] = t
+	}
+	t.refs++
+	return t.keys, &k, nil
+}
+
+// putFlows drops one reference on the shared table k names, and the
+// table with the last one. A nil k (a table of the module's own) is a
+// no-op.
+func (r *Registry) putFlows(k *runtime.FlowTableKey) {
+	if k == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	t := r.tables[*k]
+	t.refs--
+	if t.refs == 0 {
+		delete(r.tables, *k)
+	}
 }
 
 // List returns the module statuses, in no particular order.
@@ -164,8 +228,9 @@ func (r *Registry) Get(id string) (*Module, bool) {
 // Create builds a module from req: instances constructed, then the
 // request's Options applied to them — tier and quotas (created), then
 // instrumentation (attached). Quota breaches surface as
-// runtime.ErrQuota. Create takes no lock until the finished module is
-// registered, so concurrent creates build in parallel.
+// runtime.ErrQuota. Create holds no lock while it builds, so concurrent
+// creates build in parallel; it takes the registry's lock only to take
+// the seed flow table and to register the finished module.
 func (r *Registry) Create(req CreateRequest) (*Module, error) {
 	flavor, err := nf.ParseFlavor(req.Flavor)
 	if err != nil {
@@ -181,21 +246,38 @@ func (r *Registry) Create(req CreateRequest) (*Module, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	flows, err := req.Trace.FlowTable()
+	flows, seedKey, err := r.takeFlows(req.Trace)
 	if err != nil {
 		return nil, err
 	}
+	m, err := newModule(req.Name, flavor, o, flows)
+	if err != nil {
+		r.putFlows(seedKey)
+		return nil, err
+	}
+	m.seedKey = seedKey
+
+	r.mu.Lock()
+	r.seq++
+	m.ID = fmt.Sprintf("%s-%d", req.Name, r.seq)
+	r.mods[m.ID] = m
+	r.mu.Unlock()
+	return m, nil
+}
+
+// newModule builds, configures and attaches a module's instances over
+// the seed flow table flows.
+func newModule(name string, flavor nf.Flavor, o runtime.Options, flows [][nf.KeyLen]byte) (*Module, error) {
 	shards := o.Shards
 	if shards <= 0 {
 		shards = 1
 	}
 
-	// The module owns flows: FlowTable hands out a fresh table, nothing
-	// else holds it, and nothing writes it after this point. The builders
-	// read it through a packetless seed trace — they preload tables from
-	// FlowKeys and read nothing else — and keep no slice of it.
+	// Nothing writes flows: the builders read it through a packetless
+	// seed trace — they preload tables from FlowKeys and read nothing
+	// else — and keep no slice of it, so modules may share it.
 	m := &Module{
-		Name: req.Name, Flavor: flavor.String(), Opts: o.Canon(),
+		Name: name, Flavor: flavor.String(), Opts: o.Canon(),
 		flows: flows, tickBase: make([]uint64, shards),
 		created: time.Now(),
 	}
@@ -204,15 +286,16 @@ func (r *Registry) Create(req CreateRequest) (*Module, error) {
 	// Construction takes no options; the tier and the map-memory and
 	// rpool quotas are then applied to exactly what was built.
 	if shards == 1 {
-		b, err := nfcatalog.BuildFull(req.Name, flavor, seedTrace)
+		b, err := nfcatalog.BuildFull(name, flavor, seedTrace)
 		if err != nil {
 			return nil, err
 		}
 		m.built = []nfcatalog.Built{b}
 	} else {
-		sh := nfcatalog.NewSharded(req.Name, flavor)
+		var err error
+		sh := nfcatalog.NewSharded(name, flavor)
 		if o.PerCPU {
-			if sh, err = nfcatalog.NewShardedPerCPU(req.Name, flavor, shards); err != nil {
+			if sh, err = nfcatalog.NewShardedPerCPU(name, flavor, shards); err != nil {
 				return nil, err
 			}
 		}
@@ -226,7 +309,7 @@ func (r *Registry) Create(req CreateRequest) (*Module, error) {
 		}
 		m.sharded = sh
 	}
-	if err := nfcatalog.Apply(o, req.Name, flavor, m.sharded, m.built...); err != nil {
+	if err := nfcatalog.Apply(o, name, flavor, m.sharded, m.built...); err != nil {
 		return nil, err
 	}
 	m.state = StateCreated
@@ -234,15 +317,9 @@ func (r *Registry) Create(req CreateRequest) (*Module, error) {
 	// Attachment: per-module stats shared by the shards (they replay one
 	// at a time, under mu), flight recorder, guards carrying the
 	// catalog's per-NF policy wiring — the step nfrun runs too.
-	a := nfcatalog.Attach(o, req.Name, m.built...)
+	a := nfcatalog.Attach(o, name, m.built...)
 	m.insts, m.guards, m.stats, m.rec = a.Insts, a.Guards, a.Stats, a.Rec
 	m.state = StateAttached
-
-	r.mu.Lock()
-	r.seq++
-	m.ID = fmt.Sprintf("%s-%d", req.Name, r.seq)
-	r.mods[m.ID] = m
-	r.mu.Unlock()
 	return m, nil
 }
 
@@ -404,7 +481,8 @@ func (m *Module) delete() {
 
 // Delete gracefully removes id: the module drains (in-flight batch
 // completes, subsequent batches are rejected), its instrumentation
-// detaches, and it leaves the registry.
+// detaches, and it leaves the registry, giving back its seed flow
+// table.
 func (r *Registry) Delete(id string) error {
 	r.mu.Lock()
 	m, ok := r.mods[id]
@@ -416,6 +494,7 @@ func (r *Registry) Delete(id string) error {
 		return fmt.Errorf("no module %q", id)
 	}
 	m.delete()
+	r.putFlows(m.seedKey)
 	return nil
 }
 

@@ -38,8 +38,10 @@ var ErrQuota = errors.New("runtime: quota exceeded")
 // packets over 4096 flows), and MaxTracePackets above the ~184k raw
 // packets a 16 MiB body can carry, so no legitimate request meets one.
 // MaxTraceFlows is the tightest because a module's tables are preloaded
-// from the whole flow table once per shard, and a cuckoo table past
-// capacity pays 500 kicks for every insert it then refuses.
+// from the whole flow table once per shard: an insert costs a hash and
+// a bucket scan per flow and shard, and a cuckoo table past capacity
+// pays one failed walk of 500 kicks per shard, then refuses the rest
+// from their two candidate buckets.
 const (
 	MaxTraceFlows    = 1 << 14
 	MaxTracePackets  = 1 << 18

@@ -97,20 +97,43 @@ func (s TraceSpec) sized() (TraceSpec, error) {
 	return s, checkLimit("trace.packets", s.Packets, MaxTracePackets)
 }
 
+// FlowTableKey names a benign spec's flow table: its flows and seed
+// after normalisation and the ceiling checks, the only inputs
+// pktgen.FlowTable reads. Benign specs with one key have one table.
+type FlowTableKey struct {
+	Flows int
+	Seed  int64
+}
+
+// FlowTableKey returns the key of s's flow table, refusing exactly what
+// Build refuses for a benign spec. benign is false, and nothing is
+// checked, for a scenario or raw spec: its flows are born with its
+// packets, so no key names them.
+func (s TraceSpec) FlowTableKey() (k FlowTableKey, benign bool, err error) {
+	if len(s.Raw) > 0 || s.Scenario != "" {
+		return FlowTableKey{}, false, nil
+	}
+	s, err = s.sized()
+	if err != nil {
+		return FlowTableKey{}, false, err
+	}
+	return FlowTableKey{Flows: s.Flows, Seed: s.Seed}, true, nil
+}
+
 // FlowTable returns the flow table Build's trace would carry, for a
 // caller that keeps the keys and not the packets (a module's seed). It
 // refuses exactly what Build refuses. A benign spec's packets and zipf
-// are validated but never generated: its keys depend on flows and seed
-// alone. A scenario's flows are born with its packets and a raw spec is
-// validated by decoding it, so those two are built and released. The
-// table is fresh: the caller owns it.
+// are validated but never generated: its keys depend on its
+// FlowTableKey alone. A scenario's flows are born with its packets and
+// a raw spec is validated by decoding it, so those two are built and
+// released. The table is fresh: the caller owns it.
 func (s TraceSpec) FlowTable() ([][nf.KeyLen]byte, error) {
-	if len(s.Raw) == 0 && s.Scenario == "" {
-		s, err := s.sized()
-		if err != nil {
-			return nil, err
-		}
-		return pktgen.FlowTable(s.Flows, s.Seed), nil
+	k, benign, err := s.FlowTableKey()
+	if err != nil {
+		return nil, err
+	}
+	if benign {
+		return pktgen.FlowTable(k.Flows, k.Seed), nil
 	}
 	tr, err := s.Build()
 	if err != nil {
