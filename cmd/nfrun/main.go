@@ -46,7 +46,7 @@ func main() {
 		flavorS   = flag.String("flavor", "enetstl", "kernel | ebpf | enetstl")
 		trials    = flag.Int("trials", 3, "measurement trials")
 		disasm    = flag.Bool("disasm", false, "print the NF's bytecode and exit (VM flavours)")
-		profile   = flag.Bool("profile", false, "attribute execution time to helpers/kfuncs and exit (VM flavours)")
+		profile   = flag.Bool("profile", false, "replay the trace once and attribute execution time to helpers/kfuncs, then exit")
 		grid      = flag.String("grid", "", "run the conformance grid along these comma-separated axes and exit: "+strings.Join(difftest.Axes(), ",")+" (every NF in every flavour: flavour and tier equivalence, the VM-vs-reference sweep, the fault-schedule grid, the adversarial scenarios guard off and on); exits non-zero naming the axis that failed")
 		chaosSeed = flag.Uint64("chaos-seed", 0, "fault-plane seed for the chaos axis (0 = default); a failing seed replays bit-for-bit")
 		vmTrials  = flag.Int("vm-trials", 200, "generated programs for the vm axis")
@@ -148,6 +148,11 @@ func main() {
 		finishServe(srv, base, *smoke, *hold, st)
 		return
 	}
+	if *profile {
+		// -profile counts one replay: Attach hands back a fresh Stats
+		// (a native instance is metered into it).
+		ropts.Stats = true
+	}
 	b, err := nfcatalog.BuildWith(ropts, *name, flavor, tr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -156,12 +161,13 @@ func main() {
 	a := attach(ropts, *name, b, srv)
 	inst := a.Insts[0]
 	if *profile {
-		rep, err := harness.Profile(inst, tr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+		if _, _, err := harness.ReplayBatch(inst, tr, 0); err != nil {
+			fmt.Fprintf(os.Stderr, "%s/%s: %v\n", *name, flavor, err)
 			os.Exit(1)
 		}
-		fmt.Print(rep)
+		for _, rep := range harness.Reports(a.Stats, flavor.String()) {
+			fmt.Print(rep)
+		}
 		return
 	}
 	if *disasm {

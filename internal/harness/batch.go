@@ -1,7 +1,8 @@
-// Batch replay: the daemon's packet-ingestion primitive. Unlike
-// Throughput (which replays a trace repeatedly to measure), ReplayBatch
-// pushes one batch through a long-lived instance exactly once,
-// preserving the guard's arrival clock across batches.
+// Batch replay: the one loop that feeds a trace to an instance. The
+// daemon ingests through it, Throughput and ParallelRun time their
+// passes with it, and nfrun -profile counts one pass of it; only
+// Latency, which reads the clock around every packet, keeps a loop of
+// its own.
 
 package harness
 
@@ -27,13 +28,19 @@ type BatchResult struct {
 
 func (r *BatchResult) finish(start time.Time) {
 	r.Ns = time.Since(start).Nanoseconds()
-	r.VerdictMap = map[string]uint64{
-		"aborted": r.Verdicts.Aborted,
-		"drop":    r.Verdicts.Drop,
-		"pass":    r.Verdicts.Pass,
-		"tx":      r.Verdicts.Tx,
-		"other":   r.Verdicts.Other,
-	}
+	r.VerdictMap = r.Verdicts.asMap()
+}
+
+// Add folds o into r, as one batch replayed in parts (a sharded
+// module's shards, a timed run's passes): counts and replay time sum,
+// and VerdictMap follows the summed tally.
+func (r *BatchResult) Add(o BatchResult) {
+	r.Packets += o.Packets
+	r.Shed += o.Shed
+	r.Sampled += o.Sampled
+	r.Ns += o.Ns
+	r.Verdicts.Add(o.Verdicts)
+	r.VerdictMap = r.Verdicts.asMap()
 }
 
 // arrivalClocked is the guard-fronted ingress (guard.Guarded): packets

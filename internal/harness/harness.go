@@ -47,6 +47,26 @@ func (v *VerdictCounts) Count(verdict uint64) {
 	}
 }
 
+// Add sums o into v.
+func (v *VerdictCounts) Add(o VerdictCounts) {
+	v.Aborted += o.Aborted
+	v.Drop += o.Drop
+	v.Pass += o.Pass
+	v.Tx += o.Tx
+	v.Other += o.Other
+}
+
+// asMap is the tally in BatchResult's serializable form.
+func (v VerdictCounts) asMap() map[string]uint64 {
+	return map[string]uint64{
+		"aborted": v.Aborted,
+		"drop":    v.Drop,
+		"pass":    v.Pass,
+		"tx":      v.Tx,
+		"other":   v.Other,
+	}
+}
+
 func (v VerdictCounts) String() string {
 	return fmt.Sprintf("aborted=%d drop=%d pass=%d tx=%d other=%d",
 		v.Aborted, v.Drop, v.Pass, v.Tx, v.Other)
@@ -74,40 +94,29 @@ func (r Result) String() string {
 }
 
 // Throughput replays the trace through inst `trials` times (after one
-// warm-up pass) and reports mean PPS with standard deviation, plus a
+// warm-up pass), each pass one ReplayBatch with the arrival clock
+// threaded on, and reports mean PPS with standard deviation, plus a
 // tally of the verdicts returned across the measured trials.
 func Throughput(inst nf.Instance, trace *pktgen.Trace, trials int) (Result, error) {
 	if trials <= 0 {
 		trials = 3
 	}
-	n := len(trace.Packets)
-	if n == 0 {
+	if len(trace.Packets) == 0 {
 		return Result{}, fmt.Errorf("harness: empty trace")
-	}
-	run := func(verdicts *VerdictCounts) (float64, error) {
-		start := time.Now()
-		for i := range trace.Packets {
-			v, err := inst.Process(trace.Packets[i][:])
-			if err != nil {
-				return 0, fmt.Errorf("%s/%s: packet %d: %w", inst.Name(), inst.Flavor(), i, err)
-			}
-			if verdicts != nil {
-				verdicts.Count(v)
-			}
-		}
-		return time.Since(start).Seconds(), nil
-	}
-	if _, err := run(nil); err != nil { // warm-up, not tallied
-		return Result{}, err
 	}
 	var verdicts VerdictCounts
 	pps := make([]float64, trials)
-	for t := range pps {
-		secs, err := run(&verdicts)
+	var tick uint64
+	for t := -1; t < trials; t++ { // t = -1 is the warm-up, not tallied
+		res, next, err := ReplayBatch(inst, trace, tick)
 		if err != nil {
-			return Result{}, err
+			return Result{}, fmt.Errorf("%s/%s: %w", inst.Name(), inst.Flavor(), err)
 		}
-		pps[t] = float64(n) / secs
+		tick = next
+		if t >= 0 {
+			verdicts.Add(res.Verdicts)
+			pps[t] = float64(res.Packets) / time.Duration(res.Ns).Seconds()
+		}
 	}
 	mean, std := meanStd(pps)
 	return Result{
@@ -195,6 +204,9 @@ const WireNs = 3000
 // timed individually and the constant wire term added. P50/P99 are
 // exact linearly-interpolated rank quantiles over the observed
 // samples; Dist carries the telemetry histogram of the same samples.
+//
+// It is the one packet loop besides ReplayBatch: it reads the clock
+// around every packet, a cost ReplayBatch's other callers must not pay.
 func Latency(inst nf.Instance, trace *pktgen.Trace) (LatencyResult, error) {
 	if len(trace.Packets) == 0 {
 		return LatencyResult{}, fmt.Errorf("harness: empty trace")

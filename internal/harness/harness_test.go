@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -61,10 +62,39 @@ func TestThroughputCountsAndOrdering(t *testing.T) {
 
 func TestThroughputPropagatesErrors(t *testing.T) {
 	trace := pktgen.Generate(pktgen.Config{Flows: 2, Packets: 10, Seed: 2})
-	if _, err := Throughput(&fakeNF{name: "bad", fail: true}, trace, 1); err == nil {
+	_, err := Throughput(&fakeNF{name: "bad", fail: true}, trace, 1)
+	if err == nil {
 		t.Fatal("error swallowed")
 	}
+	if msg := err.Error(); !strings.Contains(msg, "bad/Kernel") || !strings.Contains(msg, "packet 0") {
+		t.Fatalf("error %q does not name the NF, flavour and packet", msg)
+	}
 	if _, err := Throughput(&fakeNF{name: "x"}, &pktgen.Trace{}, 1); err == nil {
+		t.Fatal("empty trace accepted")
+	}
+}
+
+// TestParallelRunPropagatesErrors: a shard's failing packet stops the
+// run, and the error names the NF, flavour, shard and packet.
+func TestParallelRunPropagatesErrors(t *testing.T) {
+	trace := pktgen.Generate(pktgen.Config{Flows: 8, Packets: 64, Seed: 2})
+	build := func(shard int, _ *pktgen.Trace) (nf.Instance, error) {
+		return &fakeNF{name: "bad", fail: shard == 1}, nil
+	}
+	_, err := ParallelRun(trace, 2, build, 1)
+	if err == nil {
+		t.Fatal("error swallowed")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "bad/Kernel: shard 1") || !strings.Contains(msg, "packet 0") {
+		t.Fatalf("error %q does not name the NF, flavour, shard and packet", msg)
+	}
+	failing := func(shard int, _ *pktgen.Trace) (nf.Instance, error) {
+		return nil, fmt.Errorf("no instance")
+	}
+	if _, err := ParallelRun(trace, 2, failing, 1); err == nil || !strings.Contains(err.Error(), "shard 0") {
+		t.Fatalf("builder error not propagated: %v", err)
+	}
+	if _, err := ParallelRun(&pktgen.Trace{}, 2, build, 1); err == nil {
 		t.Fatal("empty trace accepted")
 	}
 }
@@ -122,53 +152,6 @@ func vmInstance(t *testing.T) *nf.VMInstance {
 		t.Fatal(err)
 	}
 	return nf.NewVMInstance("prof", nf.ENetSTL, m, p)
-}
-
-func TestProfileAttribution(t *testing.T) {
-	inst := vmInstance(t)
-	trace := pktgen.Generate(pktgen.Config{Flows: 2, Packets: 100, Seed: 5})
-	rep, err := Profile(inst, trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Packets != 100 || rep.Insns != 400 {
-		t.Fatalf("report totals: %+v", rep)
-	}
-	byName := map[string]Callee{}
-	for _, c := range rep.Callees {
-		byName[c.Name] = c
-	}
-	if c := byName["ktime_get_ns"]; c.Kind != "helper" || c.Calls != 100 {
-		t.Fatalf("helper row: %+v", c)
-	}
-	if c := byName["test_touch"]; c.Kind != "kfunc" || c.Calls != 100 {
-		t.Fatalf("kfunc row: %+v", c)
-	}
-	var frac float64
-	for _, c := range rep.Callees {
-		frac += c.Fraction
-	}
-	frac += rep.InterpFraction
-	if frac < 0.5 || frac > 1.01 {
-		t.Fatalf("fractions sum to %.2f", frac)
-	}
-	if s := rep.String(); !strings.Contains(s, "test_touch") || !strings.Contains(s, "opcode mix:") {
-		t.Fatalf("report rendering:\n%s", s)
-	}
-	// Profiling must not leave a stats attachment behind.
-	if inst.Machine.Stats() != nil {
-		t.Fatal("Profile leaked a stats attachment")
-	}
-}
-
-func TestProfileRejectsNative(t *testing.T) {
-	trace := pktgen.Generate(pktgen.Config{Flows: 2, Packets: 10, Seed: 6})
-	if _, err := Profile(&fakeNF{name: "native"}, trace); err == nil {
-		t.Fatal("native instance accepted")
-	}
-	if _, err := Profile(vmInstance(t), &pktgen.Trace{}); err == nil {
-		t.Fatal("empty trace accepted")
-	}
 }
 
 func TestStatsAttachment(t *testing.T) {

@@ -113,25 +113,12 @@ func parallelRun(tr *pktgen.Trace, shards int, build ShardBuilder, trials int, t
 		insts[s] = inst
 	}
 
-	// replay runs one full pass of shard s, tallying verdicts when
-	// tally is non-nil (warm-up passes are untallied, like Throughput).
-	replay := func(s int, tally *VerdictCounts) error {
-		sub, inst := subs[s], insts[s]
-		for i := range sub.Packets {
-			v, err := inst.Process(sub.Packets[i][:])
-			if err != nil {
-				return fmt.Errorf("%s/%s: shard %d packet %d: %w",
-					inst.Name(), inst.Flavor(), s, i, err)
-			}
-			if tally != nil {
-				tally.Count(v)
-			}
-		}
-		return nil
-	}
-
-	run := func(measured bool) ([]ShardResult, float64, error) {
-		res := make([]ShardResult, len(subs))
+	// run replays every shard concurrently, passes ReplayBatch calls
+	// each with the shard's arrival clock threaded on, and returns each
+	// shard's summed result and the wall-clock seconds of the whole run.
+	ticks := make([]uint64, len(subs))
+	run := func(passes int) ([]BatchResult, float64, error) {
+		res := make([]BatchResult, len(subs))
 		errs := make([]error, len(subs))
 		var wg sync.WaitGroup
 		start := time.Now()
@@ -139,25 +126,14 @@ func parallelRun(tr *pktgen.Trace, shards int, build ShardBuilder, trials int, t
 			wg.Add(1)
 			go func(s int) {
 				defer wg.Done()
-				res[s].Shard = s
-				res[s].Packets = len(subs[s].Packets)
-				shardStart := time.Now()
-				passes := trials
-				if !measured {
-					passes = 1
-				}
 				for t := 0; t < passes; t++ {
-					var tally *VerdictCounts
-					if measured {
-						tally = &res[s].Verdicts
-					}
-					if err := replay(s, tally); err != nil {
-						errs[s] = err
+					r, next, err := ReplayBatch(insts[s], subs[s], ticks[s])
+					ticks[s] = next
+					if err != nil {
+						errs[s] = fmt.Errorf("%s/%s: shard %d: %w", insts[s].Name(), insts[s].Flavor(), s, err)
 						return
 					}
-				}
-				if secs := time.Since(shardStart).Seconds(); secs > 0 {
-					res[s].PPS = float64(passes*len(subs[s].Packets)) / secs
+					res[s].Add(r)
 				}
 			}(s)
 		}
@@ -171,7 +147,7 @@ func parallelRun(tr *pktgen.Trace, shards int, build ShardBuilder, trials int, t
 		return res, elapsed, nil
 	}
 
-	if _, _, err := run(false); err != nil { // warm-up
+	if _, _, err := run(1); err != nil { // warm-up, not tallied
 		return nil, err
 	}
 	// Attach per-shard rings after the warm-up so the recorded events
@@ -186,7 +162,7 @@ func parallelRun(tr *pktgen.Trace, shards int, build ShardBuilder, trials int, t
 			}
 		}
 	}
-	perShard, elapsed, err := run(true)
+	measured, elapsed, err := run(trials)
 	if err != nil {
 		return nil, err
 	}
@@ -199,14 +175,14 @@ func parallelRun(tr *pktgen.Trace, shards int, build ShardBuilder, trials int, t
 		Trials:   trials,
 		PPS:      float64(total) / elapsed,
 		NsPerOp:  elapsed * 1e9 / float64(total),
-		PerShard: perShard,
+		PerShard: make([]ShardResult, len(measured)),
 	}
-	for _, sr := range perShard {
-		out.Verdicts.Aborted += sr.Verdicts.Aborted
-		out.Verdicts.Drop += sr.Verdicts.Drop
-		out.Verdicts.Pass += sr.Verdicts.Pass
-		out.Verdicts.Tx += sr.Verdicts.Tx
-		out.Verdicts.Other += sr.Verdicts.Other
+	for s, r := range measured {
+		out.PerShard[s] = ShardResult{Shard: s, Packets: len(subs[s].Packets), Verdicts: r.Verdicts}
+		if r.Ns > 0 {
+			out.PerShard[s].PPS = float64(r.Packets) / time.Duration(r.Ns).Seconds()
+		}
+		out.Verdicts.Add(r.Verdicts)
 	}
 	for _, inst := range insts {
 		for _, m := range runtime.VMs(inst) {

@@ -6,8 +6,6 @@ import (
 	"strings"
 
 	"enetstl/internal/ebpf/vm"
-	"enetstl/internal/nf"
-	"enetstl/internal/pktgen"
 )
 
 // Callee is one helper or kfunc row in a ProfileReport.
@@ -43,36 +41,6 @@ type ProfileReport struct {
 	InterpFraction float64
 }
 
-// Profile runs a VM-backed instance over the trace once with a private
-// stats domain attached and reports where the time went. The
-// instance's prior stats attachment is restored on return, so
-// profiling does not perturb an ongoing -stats collection.
-func Profile(inst nf.Instance, trace *pktgen.Trace) (*ProfileReport, error) {
-	if len(trace.Packets) == 0 {
-		return nil, fmt.Errorf("harness: empty trace")
-	}
-	v, ok := inst.(*nf.VMInstance)
-	if !ok {
-		return nil, fmt.Errorf("harness: Profile needs a VM-backed instance, got %s/%s",
-			inst.Name(), inst.Flavor())
-	}
-	prev := v.Machine.Stats()
-	st := vm.NewStats()
-	v.Machine.SetStats(st)
-	defer v.Machine.SetStats(prev)
-
-	for i := range trace.Packets {
-		if _, err := inst.Process(trace.Packets[i][:]); err != nil {
-			return nil, fmt.Errorf("%s/%s: packet %d: %w", inst.Name(), inst.Flavor(), i, err)
-		}
-	}
-	ps, ok := st.ProgSnapshot(v.Prog.Name())
-	if !ok {
-		return nil, fmt.Errorf("harness: no stats recorded for %q", v.Prog.Name())
-	}
-	return ReportFromProgStats(inst.Name(), inst.Flavor().String(), len(trace.Packets), ps), nil
-}
-
 // Reports builds one attribution table per program st has counted,
 // each over that program's run count and labelled label in the Flavor
 // column — what the obs server's /profile serves.
@@ -87,8 +55,8 @@ func Reports(st *vm.Stats, label string) []*ProfileReport {
 }
 
 // ReportFromProgStats builds the attribution table from a program's
-// counters — the shared back half of Profile, of a sharded run's merged
-// ParallelResult.Stats, and of Reports.
+// counters — the shared back half of Reports and of a sharded run's
+// merged ParallelResult.Stats.
 func ReportFromProgStats(name, flavor string, packets int, ps vm.ProgStats) *ProfileReport {
 	rep := &ProfileReport{
 		Name: name, Flavor: flavor,

@@ -141,16 +141,26 @@ func (s *Switch) vals(b uint32) []uint32 {
 	return s.table[off : off+Slots]
 }
 
-// Insert adds key -> value to the FIB, kicking entries cuckoo-style when
-// both candidate buckets are full. It returns false when the table
-// cannot accommodate the key (insertion path too long, or the table
-// already saturated); a refused insert leaves the table as it found it,
-// so no entry an earlier Insert accepted is lost.
+// Insert adds key -> value to the FIB, or updates the value of a key
+// already in it, kicking entries cuckoo-style when both candidate
+// buckets are full. It returns false when the table cannot accommodate
+// a new key (insertion path too long, or the table already saturated);
+// a refused insert leaves the table as it found it, so no entry an
+// earlier Insert accepted is lost.
 func (s *Switch) Insert(key []byte, value uint32) bool {
 	mask := uint32(s.cfg.Buckets - 1)
 	_, sig, i1r := mix(key)
 	i1 := i1r & mask
-	if s.tryPlace(i1, sig, value) || s.tryPlace(altBucket(i1, sig, mask), sig, value) {
+	// One pass over the candidate buckets in lookup order: a slot that
+	// holds sig is the entry the lookup answers from, so the value goes
+	// there; otherwise the first empty slot takes the key. A free slot in
+	// i1 ends the pass, because the key cannot be in its alternate
+	// bucket: only a full i1 sends a key there (an insert, or a walk
+	// evicting it), and no slot is ever emptied again.
+	if s.update(i1, sig, value) {
+		return true
+	}
+	if s.update(altBucket(i1, sig, mask), sig, value) {
 		return true
 	}
 	if s.saturated {
@@ -175,7 +185,7 @@ func (s *Switch) walk(b, sig, value, mask uint32) bool {
 		s.put(b, victim, curSig, curVal)
 		curSig, curVal = sv, vv
 		b = altBucket(b, curSig, mask)
-		if s.tryPlace(b, curSig, curVal) {
+		if s.update(b, curSig, curVal) {
 			return true
 		}
 	}
@@ -190,9 +200,14 @@ func (s *Switch) walk(b, sig, value, mask uint32) bool {
 	return false
 }
 
-func (s *Switch) tryPlace(b, sig uint32, val uint32) bool {
+// update writes val to the slot of bucket b that holds sig or, failing
+// that, to b's first empty slot; false when b is full without sig. A
+// slot is only ever filled as its bucket's first empty one and never
+// emptied, so a bucket's entries are a prefix of it and the scan ends
+// at the first empty slot.
+func (s *Switch) update(b, sig, val uint32) bool {
 	for i, sg := range s.sigs(b) {
-		if sg == 0 {
+		if sg == sig || sg == 0 {
 			s.put(b, i, sig, val)
 			return true
 		}

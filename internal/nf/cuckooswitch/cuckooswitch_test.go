@@ -85,6 +85,53 @@ func TestHighLoadInsertion(t *testing.T) {
 	}
 }
 
+// TestReinsertLastWriteWins: inserting a key that is already in the FIB
+// updates its value in place, in every flavour: the lookup answers the
+// last value written and the key keeps one slot. A full, saturated
+// table still takes the update.
+func TestReinsertLastWriteWins(t *testing.T) {
+	trace := pktgen.Generate(pktgen.Config{Flows: 2 * Slots, Packets: 0, Seed: 17})
+	for _, flavor := range []nf.Flavor{nf.Kernel, nf.EBPF, nf.ENetSTL} {
+		s, err := New(flavor, Config{Buckets: testBuckets})
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := trace.FlowKeys[0][:]
+		if !s.Insert(key, 100) || !s.Insert(key, 200) {
+			t.Fatalf("%v: insert refused", flavor)
+		}
+		var pkt [nf.PktSize]byte
+		copy(pkt[:], key)
+		if got, _ := s.Process(pkt[:]); got != 200 {
+			t.Fatalf("%v: lookup answers %d after re-insert, want 200", flavor, got)
+		}
+		if used := s.LoadFactor() * testBuckets * Slots; used != 1 {
+			t.Fatalf("%v: %v slots in use after re-inserting one key, want 1", flavor, used)
+		}
+
+		// One bucket: its Slots slots are both candidates of every key.
+		one, err := New(flavor, Config{Buckets: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f := range Slots {
+			if !one.Insert(trace.FlowKeys[f][:], uint32(100+f)) {
+				t.Fatalf("%v: insert %d into a free slot refused", flavor, f)
+			}
+		}
+		if one.Insert(trace.FlowKeys[Slots][:], 1) || !one.saturated {
+			t.Fatalf("%v: an insert into a full one-bucket table was accepted", flavor)
+		}
+		if !one.Insert(trace.FlowKeys[3][:], 999) {
+			t.Fatalf("%v: the saturated table refused an update", flavor)
+		}
+		copy(pkt[:], trace.FlowKeys[3][:])
+		if got, _ := one.Process(pkt[:]); got != 999 || one.LoadFactor() != 1 {
+			t.Fatalf("%v: update answers %d at load %.2f, want 999 at 1", flavor, got, one.LoadFactor())
+		}
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(nf.Kernel, Config{Buckets: 100}); err == nil {
 		t.Fatal("non-power-of-two accepted")

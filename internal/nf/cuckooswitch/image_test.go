@@ -49,11 +49,24 @@ func checkImage(t testing.TB, s *Switch, step int, keys [][]byte) {
 	}
 }
 
-// checkMembers asserts that no accepted insert was lost: the table holds
-// one entry per accepted insert (a refused one left none behind and
-// displaced none), and the native lookup finds every accepted key —
-// which checkImage has already held both bytecode flavours to.
-func checkMembers(t testing.TB, s *Switch, step int, members [][]byte) {
+// entry names the slot a key's insert fills or updates: keys with the
+// same signature and the same candidate-bucket pair share it, since the
+// lookup cannot tell them apart.
+type entry struct{ sig, pair uint32 }
+
+func entryOf(key []byte, mask uint32) entry {
+	_, sig, i1 := mix(key)
+	i1 &= mask
+	return entry{sig, min(i1, altBucket(i1, sig, mask))}
+}
+
+// checkMembers asserts that no accepted insert was lost and the last
+// write wins: the table holds one slot per entry an accepted insert
+// wrote (a re-insert updates its slot, a refused insert left none behind
+// and displaced none), and the native lookup answers each accepted key
+// with the value last written to its entry — which checkImage has
+// already held both bytecode flavours to.
+func checkMembers(t testing.TB, s *Switch, step int, model map[entry]uint32, members [][]byte) {
 	t.Helper()
 	used := 0
 	for b := range uint32(s.cfg.Buckets) {
@@ -63,14 +76,15 @@ func checkMembers(t testing.TB, s *Switch, step int, members [][]byte) {
 			}
 		}
 	}
-	if used != len(members) {
-		t.Fatalf("%v after insert %d: %d slots in use, %d inserts accepted", s.Flavor(), step, used, len(members))
+	if used != len(model) {
+		t.Fatalf("%v after insert %d: %d slots in use, %d entries written", s.Flavor(), step, used, len(model))
 	}
+	mask := uint32(s.cfg.Buckets - 1)
 	var pkt [nf.PktSize]byte
 	for _, k := range members {
 		copy(pkt[nf.OffKey:], k)
-		if s.lookupNative(pkt[:]) == Miss {
-			t.Fatalf("%v after insert %d: accepted key %x is no longer found", s.Flavor(), step, k)
+		if got, want := s.lookupNative(pkt[:]), uint64(model[entryOf(k, mask)]); got != want {
+			t.Fatalf("%v after insert %d: accepted key %x answers %d, last written %d", s.Flavor(), step, k, got, want)
 		}
 	}
 }
@@ -89,7 +103,8 @@ func driveImage(t testing.TB, buckets int, ids []uint16) (kicked, failed int) {
 		}
 		mask := uint32(buckets - 1)
 		keys := [][]byte{imageKey(0xfff0), imageKey(0xfff1), imageKey(0xfff2), imageKey(0xfff3)}
-		var members [][]byte // keys whose Insert returned true, repeats included
+		model := map[entry]uint32{} // last value written to each entry
+		var members [][]byte        // keys whose Insert returned true, repeats included
 		full := func(b uint32) bool {
 			for _, sg := range s.sigs(b) {
 				if sg == 0 {
@@ -100,12 +115,16 @@ func driveImage(t testing.TB, buckets int, ids []uint16) (kicked, failed int) {
 		}
 		for step, id := range ids {
 			k := imageKey(id & 0x7fff)
+			e := entryOf(k, mask)
+			_, present := model[e]
 			_, sig, i1 := mix(k)
 			i1 &= mask
-			kicks := full(i1) && full(altBucket(i1, sig, mask))
-			ok := s.Insert(k, uint32(100+step))
+			kicks := !present && full(i1) && full(altBucket(i1, sig, mask))
+			value := uint32(100 + step)
+			ok := s.Insert(k, value)
 			if ok {
 				members = append(members, k)
+				model[e] = value
 			}
 			if kicks {
 				kicked++
@@ -113,11 +132,11 @@ func driveImage(t testing.TB, buckets int, ids []uint16) (kicked, failed int) {
 					failed++
 				}
 			} else if !ok {
-				t.Fatalf("%v: insert %d failed with a free candidate slot", flavor, step)
+				t.Fatalf("%v: insert %d failed with its entry present or a free candidate slot", flavor, step)
 			}
 			keys = append(keys, k)
 			checkImage(t, s, step, keys)
-			checkMembers(t, s, step, members)
+			checkMembers(t, s, step, model, members)
 		}
 	}
 	return kicked, failed
@@ -134,6 +153,9 @@ func TestOneImageInvariant(t *testing.T) {
 		for i := range ids {
 			ids[i] = uint16(rng.Intn(1 << 15))
 		}
+		// Re-insert the first few keys, into a table by now full and
+		// usually saturated: each must update its entry.
+		ids = append(ids, ids[:4]...)
 		k, f := driveImage(t, buckets, ids)
 		kicked, failed = kicked+k, failed+f
 	}
@@ -143,7 +165,8 @@ func TestOneImageInvariant(t *testing.T) {
 }
 
 // FuzzCuckooImage is the same check over an op stream from the fuzz
-// input: byte 0 picks the table size, each following pair is a key id.
+// input: byte 0 picks the table size, each following pair is a key id;
+// a repeated id must update its entry to the value last written.
 func FuzzCuckooImage(f *testing.F) {
 	rng := rand.New(rand.NewSource(15))
 	for _, n := range []int{3, 41, 161} {
@@ -159,6 +182,14 @@ func FuzzCuckooImage(f *testing.F) {
 		past = binary.LittleEndian.AppendUint16(past, id)
 	}
 	f.Add(past)
+	// Repeated ids: one re-inserted while its bucket has room, then, in a
+	// one-bucket table, four re-inserted after it saturated.
+	f.Add([]byte{3, 5, 0, 7, 0, 5, 0})
+	again := []byte{0}
+	for _, id := range []uint16{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 3, 9, 7} {
+		again = binary.LittleEndian.AppendUint16(again, id)
+	}
+	f.Add(again)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

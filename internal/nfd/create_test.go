@@ -74,11 +74,7 @@ func (s seedBuilt) replay(name string, spec runtime.TraceSpec) (harness.VerdictC
 		if err != nil {
 			return sum, err
 		}
-		sum.Aborted += res.Verdicts.Aborted
-		sum.Drop += res.Verdicts.Drop
-		sum.Pass += res.Verdicts.Pass
-		sum.Tx += res.Verdicts.Tx
-		sum.Other += res.Verdicts.Other
+		sum.Add(res.Verdicts)
 	}
 	return sum, nil
 }

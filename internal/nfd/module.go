@@ -356,35 +356,17 @@ func (m *Module) Ingest(spec runtime.TraceSpec) (harness.BatchResult, error) {
 	}
 
 	var total harness.BatchResult
-	replayOne := func(shard int, sub *pktgen.Trace) error {
-		res, next, err := harness.ReplayBatch(m.insts[shard], sub, m.tickBase[shard])
-		m.tickBase[shard] = next
-		total.Packets += res.Packets
-		total.Shed += res.Shed
-		total.Sampled += res.Sampled
-		total.Ns += res.Ns
-		total.Verdicts.Aborted += res.Verdicts.Aborted
-		total.Verdicts.Drop += res.Verdicts.Drop
-		total.Verdicts.Pass += res.Verdicts.Pass
-		total.Verdicts.Tx += res.Verdicts.Tx
-		total.Verdicts.Other += res.Verdicts.Other
-		return err
+	subs := []*pktgen.Trace{tr}
+	if len(m.insts) > 1 {
+		subs = tr.Shard(len(m.insts))
 	}
-	if len(m.insts) == 1 {
-		err = replayOne(0, tr)
-	} else {
-		for i, sub := range tr.Shard(len(m.insts)) {
-			if e := replayOne(i, sub); e != nil && err == nil {
-				err = e
-			}
+	for i, sub := range subs {
+		res, next, e := harness.ReplayBatch(m.insts[i], sub, m.tickBase[i])
+		m.tickBase[i] = next
+		total.Add(res)
+		if e != nil && err == nil {
+			err = e
 		}
-	}
-	total.VerdictMap = map[string]uint64{
-		"aborted": total.Verdicts.Aborted,
-		"drop":    total.Verdicts.Drop,
-		"pass":    total.Verdicts.Pass,
-		"tx":      total.Verdicts.Tx,
-		"other":   total.Verdicts.Other,
 	}
 	m.state = StateRunning
 	m.batches++

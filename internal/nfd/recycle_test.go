@@ -80,23 +80,16 @@ func ingestFresh(m *Module, batches []runtime.TraceSpec) ([]tally, error) {
 		if len(m.insts) > 1 {
 			subs = tr.Shard(len(m.insts))
 		}
-		var sum tally
+		var sum harness.BatchResult
 		for s, sub := range subs {
 			res, next, err := harness.ReplayBatch(m.insts[s], sub, m.tickBase[s])
 			if err != nil {
 				return nil, fmt.Errorf("batch %d shard %d: %w", i, s, err)
 			}
 			m.tickBase[s] = next
-			sum.packets += res.Packets
-			sum.shed += res.Shed
-			sum.sampled += res.Sampled
-			sum.verdicts.Aborted += res.Verdicts.Aborted
-			sum.verdicts.Drop += res.Verdicts.Drop
-			sum.verdicts.Pass += res.Verdicts.Pass
-			sum.verdicts.Tx += res.Verdicts.Tx
-			sum.verdicts.Other += res.Verdicts.Other
+			sum.Add(res)
 		}
-		out = append(out, sum)
+		out = append(out, tallyOf(sum))
 	}
 	return out, nil
 }

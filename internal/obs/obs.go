@@ -7,7 +7,7 @@
 //	           bpf_stats counters among them)
 //	/trace     flight-recorder events as JSONL, filterable by flow hash,
 //	           verdict, event kind, and NF name; drains the live ring
-//	/profile   harness.Profile-style attribution tables, as JSON, from
+//	/profile   harness.ProfileReport attribution tables, as JSON, from
 //	           the one source the owner registers (SetProfile)
 //	/debug/pprof  the Go runtime profiler, because the interpreter IS
 //	           the datapath here

@@ -23,6 +23,68 @@ import (
 // configuration, and what it hands out is the same whichever caller put
 // it back.
 func TestNoPackageState(t *testing.T) {
+	walkProduct(t, func(path string, f *ast.File) {
+		for _, msg := range packageState(f) {
+			t.Errorf("%s: %s", path, msg)
+		}
+	})
+}
+
+// TestOnePacketLoop keeps one loop timing every replay: the paper's
+// per-NF packet rate, the daemon's batches, the bench's rows and the
+// profiles must all come from the same code, or a figure and the
+// benchmark measure different things, and a guarded instance must see
+// the same arrival clock wherever it is replayed. In every non-test Go
+// file under internal/ and cmd/ it refuses a range over a .Packets
+// expression whose body calls a Process or ProcessAt method, except in
+// harness.ReplayBatch (the loop) and harness.Latency, which reads the
+// clock around every packet, a cost the other callers must not pay.
+func TestOnePacketLoop(t *testing.T) {
+	allowed := map[string]bool{"ReplayBatch": true, "Latency": true}
+	walkProduct(t, func(path string, f *ast.File) {
+		harness := filepath.ToSlash(filepath.Dir(path)) == "internal/harness"
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil || (harness && fn.Recv == nil && allowed[fn.Name.Name]) {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				r, ok := n.(*ast.RangeStmt)
+				if !ok {
+					return true
+				}
+				if sel, ok := r.X.(*ast.SelectorExpr); !ok || sel.Sel.Name != "Packets" {
+					return true
+				}
+				if callsProcess(r.Body) {
+					t.Errorf("%s: %s feeds a trace's packets to Process in a loop of its own; replay through harness.ReplayBatch",
+						path, fn.Name.Name)
+				}
+				return true
+			})
+		}
+	})
+}
+
+// callsProcess reports whether body calls a method named Process or
+// ProcessAt.
+func callsProcess(body ast.Node) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if c, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := c.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Process" || sel.Sel.Name == "ProcessAt") {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// walkProduct parses every non-test Go file under internal/ and cmd/
+// and hands it to visit.
+func walkProduct(t *testing.T, visit func(path string, f *ast.File)) {
+	t.Helper()
 	fset := token.NewFileSet()
 	var files int
 	for _, root := range []string{"internal", "cmd"} {
@@ -35,9 +97,7 @@ func TestNoPackageState(t *testing.T) {
 				return err
 			}
 			files++
-			for _, msg := range packageState(f) {
-				t.Errorf("%s: %s", path, msg)
-			}
+			visit(path, f)
 			return nil
 		})
 		if err != nil {
