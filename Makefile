@@ -97,13 +97,17 @@ attack-smoke:
 # attached. The second run does the same sharded, where the per-shard
 # stats are merged once. The third is a guarded replay with -trace and
 # no server: it must dump its recording as JSONL, at least one verdict
-# event.
+# event. The fourth profiles a sharded per-CPU replay: it must print an
+# attribution report with instructions counted.
 obs-smoke:
 	$(GO) run ./cmd/nfrun -nf cmsketch -flavor enetstl -packets 20000 -serve 127.0.0.1:0 -trace -smoke
 	$(GO) run ./cmd/nfrun -nf cmsketch -flavor enetstl -shards 2 -packets 4000 -serve 127.0.0.1:0 -trace -smoke
 	@out="$$($(GO) run ./cmd/nfrun -nf conntrack -flavor ebpf -guard -trace -packets 2000)" && \
 		n="$$(printf '%s\n' "$$out" | grep -c '"kind":"verdict"')"; \
 		echo "obs smoke: guarded -trace dumped $${n:-0} verdict events"; [ "$${n:-0}" -gt 0 ]
+	@out="$$($(GO) run ./cmd/nfrun -nf cmsketch -flavor enetstl -shards 2 -percpu -packets 4000 -profile)" && \
+		printf '%s\n' "$$out" | grep -q '^cmsketch/eNetSTL: 4000 packets, [1-9][0-9]* insns' && \
+		echo "obs smoke: sharded per-CPU -profile printed a report" || { printf '%s\n' "$$out"; exit 1; }
 
 # Daemon lifecycle end-to-end: start nfd on a loopback port, run the
 # full module lifecycle over HTTP (create a guarded traced module, push

@@ -143,33 +143,17 @@ func main() {
 		finishServe(srv, base, *smoke, *hold, a.Stats)
 		return
 	}
+	if *profile {
+		runProfile(*name, flavor, tr, ropts)
+		return
+	}
 	if ropts.Shards > 1 || ropts.PerCPU {
 		st := runSharded(*name, flavor, tr, ropts, *trials, srv)
 		finishServe(srv, base, *smoke, *hold, st)
 		return
 	}
-	if *profile {
-		// -profile counts one replay: Attach hands back a fresh Stats
-		// (a native instance is metered into it).
-		ropts.Stats = true
-	}
-	b, err := nfcatalog.BuildWith(ropts, *name, flavor, tr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	a := attach(ropts, *name, b, srv)
+	a := openOne(ropts, *name, flavor, tr, srv)
 	inst := a.Insts[0]
-	if *profile {
-		if _, _, err := harness.ReplayBatch(inst, tr, 0); err != nil {
-			fmt.Fprintf(os.Stderr, "%s/%s: %v\n", *name, flavor, err)
-			os.Exit(1)
-		}
-		for _, rep := range harness.Reports(a.Stats, flavor.String()) {
-			fmt.Print(rep)
-		}
-		return
-	}
 	if *disasm {
 		v, ok := inst.(*nf.VMInstance)
 		if !ok {
@@ -218,16 +202,80 @@ func main() {
 	finishServe(srv, base, *smoke, *hold, a.Stats)
 }
 
-// attach runs the attach step the daemon runs (nfcatalog.Attach) on
-// one built instance and hands its recorder to the server, if any.
-// Counting and recording start here, so they cover the replay and not
-// the programs NF constructors ran.
-func attach(o runtime.Options, name string, b nfcatalog.Built, srv *obs.Server) nfcatalog.Attached {
-	a := nfcatalog.Attach(o, name, b)
+// openOne builds the NF's one unsharded instance through
+// nfcatalog.Open and attaches it (nfcatalog.Attach) — the build and
+// attach steps the daemon runs — handing its recorder to the server, if
+// any. Counting and recording start here, so they cover the replay and
+// not the programs NF constructors ran.
+func openOne(o runtime.Options, name string, flavor nf.Flavor, tr *pktgen.Trace, srv *obs.Server) nfcatalog.Attached {
+	built, _, err := nfcatalog.Open(o, name, flavor, tr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	a := nfcatalog.Attach(o, name, built...)
 	if srv != nil && a.Rec != nil {
 		srv.SetRecorder(a.Rec)
 	}
 	return a
+}
+
+// openShards builds the NF's shards through nfcatalog.Open — one, or
+// o.Shards — and attaches each by its own call: the shards replay
+// concurrently, so each gets a Stats of its own and, with o.Trace, a
+// flight-recorder ring of its own (the per-CPU ringbuf idiom), sampled
+// with trace.Config.ForShard's per-shard seed. The rings are attached
+// before the replay, so they record its warm-up pass too. It returns
+// the wiring, the instances to replay and their attachments.
+func openShards(o runtime.Options, name string, flavor nf.Flavor, tr *pktgen.Trace) (*nfcatalog.Sharded, []nf.Instance, []nfcatalog.Attached) {
+	built, sh, err := nfcatalog.Open(o, name, flavor, tr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	so := o
+	so.Trace = nil
+	insts := make([]nf.Instance, len(built))
+	shards := make([]nfcatalog.Attached, len(built))
+	for s, b := range built {
+		shards[s] = nfcatalog.Attach(so, name, b)
+		insts[s] = shards[s].Insts[0]
+		if o.Trace != nil {
+			shards[s].Rec = trace.NewRecorder(o.Trace.Config().ForShard(s))
+			runtime.AttachRecorder(insts[s], shards[s].Rec)
+		}
+	}
+	return sh, insts, shards
+}
+
+// runProfile replays the trace once through the NF's shards, each
+// counted into a Stats of its own, and prints the attribution of the
+// merged counts: callees, call counts, instructions and opcode mix do
+// not depend on the shard count.
+func runProfile(name string, flavor nf.Flavor, tr *pktgen.Trace, o runtime.Options) {
+	o.Stats = true
+	_, insts, shards := openShards(o, name, flavor, tr)
+	if _, err := harness.ReplayShards(insts, tr.Shard(len(insts)), make([]uint64, len(insts)), 1, true); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	for _, rep := range harness.Reports(mergedStats(shards), flavor.String()) {
+		fmt.Print(rep)
+	}
+}
+
+// mergedStats folds the shards' Stats into one; nil when stats are off.
+// A native (Kernel-flavour) shard is counted too: Attach metered it
+// into its Stats.
+func mergedStats(shards []nfcatalog.Attached) *vm.Stats {
+	if shards[0].Stats == nil {
+		return nil
+	}
+	merged := vm.NewStats()
+	for _, a := range shards {
+		merged.Merge(a.Stats)
+	}
+	return merged
 }
 
 // serveStats publishes a finished replay into the server's static
@@ -403,49 +451,18 @@ func smokeCheck(base string, st *vm.Stats) error {
 // timestamp-merged stream goes to the obs server's /trace (or stdout as
 // JSONL when not serving).
 func runSharded(name string, flavor nf.Flavor, tr *pktgen.Trace, o runtime.Options, trials int, srv *obs.Server) *vm.Stats {
-	nfcatalog.PrepareTrace(name, tr)
-	sh := nfcatalog.NewSharded(name, flavor)
-	if o.PerCPU {
-		var err error
-		sh, err = nfcatalog.NewShardedPerCPU(name, flavor, o.Shards)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+	sh, insts, shards := openShards(o, name, flavor, tr)
+	if srv != nil {
+		for s := range insts {
+			insts[s] = obs.Instrument(insts[s], srv.Registry())
 		}
 	}
-	// Every shard is applied and attached by its own call: the shards
-	// replay concurrently, so each gets a fresh Stats, and ParallelRun
-	// merges them into res.Stats. The rings are ParallelRunTraced's,
-	// one per shard, so the attach step records nothing here.
-	so := o
-	so.Trace = nil
-	build := func(shard int, sub *pktgen.Trace) (nf.Instance, error) {
-		b, err := sh.BuildFull(shard, sub)
-		if err != nil {
-			return nil, err
-		}
-		if err := nfcatalog.Apply(so, name, flavor, sh, b); err != nil {
-			return nil, err
-		}
-		inst := nfcatalog.Attach(so, name, b).Insts[0]
-		if srv != nil {
-			// The wrapper delegates VM(), so the rings still reach the
-			// shard's machines.
-			inst = obs.Instrument(inst, srv.Registry())
-		}
-		return inst, nil
-	}
-	var res *harness.ParallelResult
-	var err error
-	if o.Trace != nil {
-		res, err = harness.ParallelRunTraced(tr, o.Shards, build, trials, o.Trace.Config())
-	} else {
-		res, err = harness.ParallelRun(tr, o.Shards, build, trials)
-	}
+	res, err := harness.ParallelRun(tr, insts, trials)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	st := mergedStats(shards)
 	fmt.Println(res)
 	fmt.Printf("merged verdicts: %s\n", res.Verdicts)
 	for _, s := range res.PerShard {
@@ -468,25 +485,32 @@ func runSharded(name string, flavor nf.Flavor, tr *pktgen.Trace, o runtime.Optio
 			p.NumCPU(), live, tracked, p.Evictions())
 	}
 	publish := func(reg *telemetry.Registry) {
-		if res.Stats != nil {
-			res.Stats.Publish(reg)
+		if st != nil {
+			st.Publish(reg)
 		}
 		reg.Gauge("nf_pps",
 			telemetry.L("nf", res.Name), telemetry.L("flavor", res.Flavor),
 			telemetry.L("shards", fmt.Sprint(res.Shards))).Set(res.PPS)
 	}
-	serveStats(srv, publish, res.Stats, res.Flavor)
+	serveStats(srv, publish, st, res.Flavor)
 	if o.Trace != nil {
+		var emitted, drops uint64
+		chunks := make([][]trace.Event, len(shards))
+		for s, a := range shards {
+			chunks[s] = a.Rec.Drain(0)
+			emitted += a.Rec.Emitted()
+			drops += a.Rec.Drops()
+		}
 		fmt.Fprintf(os.Stderr, "trace: %d events emitted, %d dropped across %d shard rings\n",
-			res.TraceEmitted, res.TraceDrops, res.Shards)
-		if srv != nil {
-			srv.AddEvents(res.Events)
+			emitted, drops, len(shards))
+		if events := trace.MergeByTime(chunks...); srv != nil {
+			srv.AddEvents(events)
 		} else {
-			dumpEvents(res.Events)
+			dumpEvents(events)
 		}
 	}
 	printStats(o.Stats, publish)
-	return res.Stats
+	return st
 }
 
 // runGrid walks the conformance grid along each named axis in turn and
@@ -526,12 +550,7 @@ func runGrid(axes []string, cfg nfcatalog.GridConfig, stats bool) {
 // way back-to-back line-rate packets would, then reports the guard's
 // accounting next to throughput.
 func runGuarded(name string, flavor nf.Flavor, tr *pktgen.Trace, o runtime.Options, srv *obs.Server) nfcatalog.Attached {
-	b, err := nfcatalog.BuildWith(o, name, flavor, tr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	a := attach(o, name, b, srv)
+	a := openOne(o, name, flavor, tr, srv)
 	inst, g := a.Insts[0], a.Guards[0]
 	// ReplayBatch keeps the trace's arrival clock, so attack-window
 	// bursts are visible to the token bucket; obs.Instrument would

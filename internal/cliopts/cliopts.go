@@ -33,7 +33,7 @@ func Bind(fs *flag.FlagSet) *Runtime {
 	r := &Runtime{fs: fs}
 	r.interp = fs.String("interp", "", "interpreter tier for VM flavours: wire | predecoded (default) | jit")
 	r.shards = fs.Int("shards", 1, "RSS shards: hash-partition the trace by flow 5-tuple across N per-CPU instances replaying concurrently")
-	r.percpu = fs.Bool("percpu", false, "with -shards: back every shard with one per-CPU map (a private copy per shard, kernel per-CPU map semantics) where the NF has per-CPU wiring")
+	r.percpu = fs.Bool("percpu", false, "back every shard (one, or -shards) with one per-CPU map (a private copy per shard, kernel per-CPU map semantics); refused for an NF without per-CPU wiring")
 	r.stats = fs.Bool("stats", false, "enable runtime stats (bpf_stats analogue) and print metrics exposition")
 	r.optionsJSON = fs.String("options", "", "runtime options as JSON (the nfd module schema); explicitly passed flags override its fields")
 	r.print = fs.Bool("print-options", false, "print the canonical runtime-options JSON this invocation resolves to and exit")

@@ -7,6 +7,7 @@ import (
 	"enetstl/internal/nf"
 	"enetstl/internal/nfcatalog"
 	"enetstl/internal/pktgen"
+	"enetstl/internal/runtime"
 )
 
 // Parallel regenerates the scale-out experiment: aggregate throughput
@@ -40,14 +41,16 @@ func Parallel(opts Options) (*Table, error) {
 		for _, flavor := range []nf.Flavor{nf.EBPF, nf.ENetSTL} {
 			trace := pktgen.Generate(pktgen.Config{
 				Flows: 1024, Packets: o.Packets, ZipfS: 1.1, Seed: 860})
-			nfcatalog.PrepareTrace(name, trace)
 			row := []string{name, flavor.String()}
 			var base float64
 			var want harness.VerdictCounts
 			invariant := true
 			for i, shards := range counts {
-				sh := nfcatalog.NewSharded(name, flavor)
-				res, err := harness.ParallelRun(trace.Clone(), shards, sh.Build, o.Trials)
+				built, _, err := nfcatalog.Open(runtime.Options{Shards: shards}, name, flavor, trace)
+				if err != nil {
+					return nil, fmt.Errorf("parallel %s/%v shards=%d: %w", name, flavor, shards, err)
+				}
+				res, err := harness.ParallelRun(trace.Clone(), nfcatalog.Attach(runtime.Options{}, name, built...).Insts, o.Trials)
 				if err != nil {
 					return nil, fmt.Errorf("parallel %s/%v shards=%d: %w", name, flavor, shards, err)
 				}

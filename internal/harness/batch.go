@@ -1,8 +1,8 @@
-// Batch replay: the one loop that feeds a trace to an instance. The
-// daemon ingests through it, Throughput and ParallelRun time their
-// passes with it, and nfrun -profile counts one pass of it; only
-// Latency, which reads the clock around every packet, keeps a loop of
-// its own.
+// Batch replay: the one loop that feeds a trace to an instance.
+// Throughput times its passes with it and ReplayShards (parallel.go)
+// replays every shard through it — the daemon's batches, ParallelRun's
+// passes and nfrun -profile's one pass; only Latency, which reads the
+// clock around every packet, keeps a loop of its own.
 
 package harness
 

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -78,24 +77,52 @@ func TestThroughputPropagatesErrors(t *testing.T) {
 // run, and the error names the NF, flavour, shard and packet.
 func TestParallelRunPropagatesErrors(t *testing.T) {
 	trace := pktgen.Generate(pktgen.Config{Flows: 8, Packets: 64, Seed: 2})
-	build := func(shard int, _ *pktgen.Trace) (nf.Instance, error) {
-		return &fakeNF{name: "bad", fail: shard == 1}, nil
-	}
-	_, err := ParallelRun(trace, 2, build, 1)
+	insts := []nf.Instance{&fakeNF{name: "bad"}, &fakeNF{name: "bad", fail: true}}
+	_, err := ParallelRun(trace, insts, 1)
 	if err == nil {
 		t.Fatal("error swallowed")
 	}
 	if msg := err.Error(); !strings.Contains(msg, "bad/Kernel: shard 1") || !strings.Contains(msg, "packet 0") {
 		t.Fatalf("error %q does not name the NF, flavour, shard and packet", msg)
 	}
-	failing := func(shard int, _ *pktgen.Trace) (nf.Instance, error) {
-		return nil, fmt.Errorf("no instance")
+	if _, err := ParallelRun(trace, nil, 1); err == nil || !strings.Contains(err.Error(), "no shards") {
+		t.Fatalf("an empty shard set was replayed: %v", err)
 	}
-	if _, err := ParallelRun(trace, 2, failing, 1); err == nil || !strings.Contains(err.Error(), "shard 0") {
-		t.Fatalf("builder error not propagated: %v", err)
-	}
-	if _, err := ParallelRun(&pktgen.Trace{}, 2, build, 1); err == nil {
+	if _, err := ParallelRun(&pktgen.Trace{}, insts, 1); err == nil {
 		t.Fatal("empty trace accepted")
+	}
+}
+
+// TestReplayShards is the shard runner's contract, sequential and
+// concurrent alike: every shard runs its passes with its tick threaded
+// on, a failing shard stops at its first error while the others run
+// their passes out, and the error returned is the first in shard
+// order.
+func TestReplayShards(t *testing.T) {
+	trace := pktgen.Generate(pktgen.Config{Flows: 8, Packets: 64, Seed: 2})
+	subs := trace.Shard(3)
+	for _, concurrent := range []bool{false, true} {
+		insts := []*fakeNF{{name: "a"}, {name: "b", fail: true}, {name: "c", fail: true}}
+		ticks := []uint64{0, 0, 7}
+		res, err := ReplayShards([]nf.Instance{insts[0], insts[1], insts[2]}, subs, ticks, 2, concurrent)
+		if err == nil || !strings.Contains(err.Error(), "b/Kernel: shard 1") {
+			t.Fatalf("concurrent=%v: error %v, want shard 1's", concurrent, err)
+		}
+		if got, want := insts[0].calls, 2*len(subs[0].Packets); got != want {
+			t.Fatalf("concurrent=%v: healthy shard ran %d packets, want %d (both passes)", concurrent, got, want)
+		}
+		if insts[1].calls != 1 || insts[2].calls != 1 {
+			t.Fatalf("concurrent=%v: failing shards ran %d and %d packets, want 1 each", concurrent, insts[1].calls, insts[2].calls)
+		}
+		if res[0].Packets != 2*len(subs[0].Packets) || res[0].Verdicts.Pass != uint64(res[0].Packets) {
+			t.Fatalf("concurrent=%v: shard 0 summed %+v", concurrent, res[0])
+		}
+		if want := 2 * (subs[0].ArrivalOf(len(subs[0].Packets)-1) + 1); ticks[0] != want {
+			t.Fatalf("concurrent=%v: shard 0 tick %d, want %d", concurrent, ticks[0], want)
+		}
+		if ticks[2] != 7 {
+			t.Fatalf("concurrent=%v: a failed pass moved shard 2's tick to %d", concurrent, ticks[2])
+		}
 	}
 }
 

@@ -5,31 +5,68 @@ import (
 	"sync"
 	"time"
 
-	"enetstl/internal/ebpf/vm"
 	"enetstl/internal/nf"
 	"enetstl/internal/pktgen"
-	"enetstl/internal/runtime"
-	"enetstl/internal/trace"
 )
 
-// RSS-sharded parallel replay. A real multi-queue NIC hashes each
-// packet's flow 5-tuple onto a receive queue and every queue is
-// serviced by its own core running its own program instance over
-// per-CPU maps. ParallelRun reproduces that scaling model in the
-// simulation: the trace is hash-partitioned by pktgen.FlowHash, each
-// shard gets its own NF instance (own VM, own maps — built by the
-// ShardBuilder), and the shards replay concurrently, one goroutine
-// each. Per-flow state never crosses a shard boundary, which is
-// exactly the property RSS gives kernel NFs.
+// RSS-sharded replay. A real multi-queue NIC hashes each packet's flow
+// 5-tuple onto a receive queue and every queue is serviced by its own
+// core running its own program instance over per-CPU maps. The
+// simulation reproduces that scaling model with shards: a trace is
+// hash-partitioned by pktgen.FlowHash, each shard has its own NF
+// instance (own VM, own maps or own copy of a per-CPU map, as
+// nfcatalog.Open builds them), and ReplayShards replays every shard on
+// its own instance. Per-flow state never crosses a shard boundary,
+// which is exactly the property RSS gives kernel NFs.
 
-// ShardBuilder constructs shard `shard`'s instance from that shard's
-// sub-trace. Each call must return a fresh instance backed by its own
-// VM and maps (the per-CPU analogue); sharing state across shards
-// would reintroduce the cross-core contention RSS exists to avoid.
-// Builders are invoked serially before any replay starts, so they may
-// share state the replays do not touch (a Sharded's wiring) without a
-// lock.
-type ShardBuilder func(shard int, trace *pktgen.Trace) (nf.Instance, error)
+// ReplayShards is the one shard runner: it replays subs[s] through
+// insts[s] passes times, each pass one ReplayBatch with ticks[s]
+// threaded on, and returns each shard's summed result and the first
+// error in shard order. A shard stops at its first error; the others
+// run their passes out. With concurrent set every shard replays on a
+// goroutine of its own (ParallelRun's per-core model); otherwise the
+// shards replay in shard order on the caller's goroutine, as a daemon
+// module's shards must when they share one Stats and one ring.
+func ReplayShards(insts []nf.Instance, subs []*pktgen.Trace, ticks []uint64, passes int, concurrent bool) ([]BatchResult, error) {
+	res := make([]BatchResult, len(insts))
+	errs := make([]error, len(insts))
+	replay := func(s int) {
+		for p := 0; p < passes; p++ {
+			r, next, err := ReplayBatch(insts[s], subs[s], ticks[s])
+			ticks[s] = next
+			if p == 0 {
+				res[s] = r
+			} else {
+				res[s].Add(r)
+			}
+			if err != nil {
+				errs[s] = fmt.Errorf("%s/%s: shard %d: %w", insts[s].Name(), insts[s].Flavor(), s, err)
+				return
+			}
+		}
+	}
+	if concurrent {
+		var wg sync.WaitGroup
+		for s := range insts {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				replay(s)
+			}(s)
+		}
+		wg.Wait()
+	} else {
+		for s := range insts {
+			replay(s)
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return res, err
+		}
+	}
+	return res, nil
+}
 
 // ShardResult is one shard's contribution to a parallel replay.
 type ShardResult struct {
@@ -56,18 +93,8 @@ type ParallelResult struct {
 	// per-packet verdicts are functions of per-flow and static state
 	// produce identical merged counts at any shard count.
 	Verdicts VerdictCounts
-	// Stats merges the per-shard VM counters when the instances are
-	// VM-backed and stats are enabled; nil otherwise.
-	Stats *vm.Stats
 	// PerShard holds the per-shard breakdown, indexed by shard.
 	PerShard []ShardResult
-	// Events is the per-shard flight-recorder merge in timestamp order
-	// (ParallelRunTraced only; nil otherwise). Rings are attached after
-	// the warm-up pass, so events cover exactly the measured trials.
-	Events []trace.Event
-	// TraceEmitted / TraceDrops total the per-shard ring accounting.
-	TraceEmitted uint64
-	TraceDrops   uint64
 }
 
 func (r ParallelResult) String() string {
@@ -75,27 +102,17 @@ func (r ParallelResult) String() string {
 		r.Name, r.Flavor, r.Shards, r.PPS, r.NsPerOp)
 }
 
-// ParallelRun hash-partitions trace across `shards` instances built by
-// build and replays all shards concurrently, `trials` timed passes
-// each after one untallied warm-up pass. The trace must already carry
-// its op mix (nfcatalog.PrepareTrace) — mixing after sharding would
-// make packet contents depend on the shard count.
-func ParallelRun(tr *pktgen.Trace, shards int, build ShardBuilder, trials int) (*ParallelResult, error) {
-	return parallelRun(tr, shards, build, trials, nil)
-}
-
-// ParallelRunTraced is ParallelRun with per-shard flight recorders: each
-// shard's VMs get their own ring (per-CPU ringbuf idiom) configured by
-// tcfg.ForShard, attached between the warm-up and measured passes, and
-// the rings are drained and merged in timestamp order into
-// ParallelResult.Events after the run.
-func ParallelRunTraced(tr *pktgen.Trace, shards int, build ShardBuilder, trials int, tcfg trace.Config) (*ParallelResult, error) {
-	return parallelRun(tr, shards, build, trials, &tcfg)
-}
-
-func parallelRun(tr *pktgen.Trace, shards int, build ShardBuilder, trials int, tcfg *trace.Config) (*ParallelResult, error) {
-	if shards <= 0 {
-		shards = 1
+// ParallelRun hash-partitions tr across insts, one shard per instance,
+// and replays the shards concurrently through ReplayShards, `trials`
+// timed passes each after one untallied warm-up pass. The instances
+// must share nothing: each attached by its own nfcatalog.Attach call,
+// and a recorder the caller attaches records the warm-up too. The trace
+// must already carry its op mix (nfcatalog.Open or PrepareTrace) —
+// mixing after sharding would make packet contents depend on the shard
+// count.
+func ParallelRun(tr *pktgen.Trace, insts []nf.Instance, trials int) (*ParallelResult, error) {
+	if len(insts) == 0 {
+		return nil, fmt.Errorf("harness: no shards")
 	}
 	if trials <= 0 {
 		trials = 3
@@ -103,66 +120,14 @@ func parallelRun(tr *pktgen.Trace, shards int, build ShardBuilder, trials int, t
 	if len(tr.Packets) == 0 {
 		return nil, fmt.Errorf("harness: empty trace")
 	}
-	subs := tr.Shard(shards)
-	insts := make([]nf.Instance, len(subs))
-	for s, sub := range subs {
-		inst, err := build(s, sub)
-		if err != nil {
-			return nil, fmt.Errorf("harness: shard %d: %w", s, err)
-		}
-		insts[s] = inst
-	}
-
-	// run replays every shard concurrently, passes ReplayBatch calls
-	// each with the shard's arrival clock threaded on, and returns each
-	// shard's summed result and the wall-clock seconds of the whole run.
-	ticks := make([]uint64, len(subs))
-	run := func(passes int) ([]BatchResult, float64, error) {
-		res := make([]BatchResult, len(subs))
-		errs := make([]error, len(subs))
-		var wg sync.WaitGroup
-		start := time.Now()
-		for s := range subs {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				for t := 0; t < passes; t++ {
-					r, next, err := ReplayBatch(insts[s], subs[s], ticks[s])
-					ticks[s] = next
-					if err != nil {
-						errs[s] = fmt.Errorf("%s/%s: shard %d: %w", insts[s].Name(), insts[s].Flavor(), s, err)
-						return
-					}
-					res[s].Add(r)
-				}
-			}(s)
-		}
-		wg.Wait()
-		elapsed := time.Since(start).Seconds()
-		for _, err := range errs {
-			if err != nil {
-				return nil, 0, err
-			}
-		}
-		return res, elapsed, nil
-	}
-
-	if _, _, err := run(1); err != nil { // warm-up, not tallied
+	subs := tr.Shard(len(insts))
+	ticks := make([]uint64, len(insts))
+	if _, err := ReplayShards(insts, subs, ticks, 1, true); err != nil { // warm-up, not tallied
 		return nil, err
 	}
-	// Attach per-shard rings after the warm-up so the recorded events
-	// (and packet sampling indices) cover exactly the measured trials.
-	var recs []*trace.Recorder
-	if tcfg != nil {
-		recs = make([]*trace.Recorder, len(insts))
-		for s, inst := range insts {
-			recs[s] = trace.NewRecorder(tcfg.ForShard(s))
-			for _, m := range runtime.VMs(inst) {
-				m.SetRecorder(recs[s])
-			}
-		}
-	}
-	measured, elapsed, err := run(trials)
+	start := time.Now()
+	measured, err := ReplayShards(insts, subs, ticks, trials, true)
+	elapsed := time.Since(start).Seconds()
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +136,7 @@ func parallelRun(tr *pktgen.Trace, shards int, build ShardBuilder, trials int, t
 	out := &ParallelResult{
 		Name:     insts[0].Name(),
 		Flavor:   insts[0].Flavor().String(),
-		Shards:   shards,
+		Shards:   len(insts),
 		Trials:   trials,
 		PPS:      float64(total) / elapsed,
 		NsPerOp:  elapsed * 1e9 / float64(total),
@@ -183,29 +148,6 @@ func parallelRun(tr *pktgen.Trace, shards int, build ShardBuilder, trials int, t
 			out.PerShard[s].PPS = float64(r.Packets) / time.Duration(r.Ns).Seconds()
 		}
 		out.Verdicts.Add(r.Verdicts)
-	}
-	for _, inst := range insts {
-		for _, m := range runtime.VMs(inst) {
-			if m.Stats() == nil {
-				continue
-			}
-			if out.Stats == nil {
-				out.Stats = vm.NewStats()
-			}
-			out.Stats.Merge(m.Stats())
-		}
-	}
-	if recs != nil {
-		chunks := make([][]trace.Event, len(recs))
-		for s, rec := range recs {
-			for _, m := range runtime.VMs(insts[s]) {
-				m.SetRecorder(nil)
-			}
-			chunks[s] = rec.Drain(0)
-			out.TraceEmitted += rec.Emitted()
-			out.TraceDrops += rec.Drops()
-		}
-		out.Events = trace.MergeByTime(chunks...)
 	}
 	return out, nil
 }

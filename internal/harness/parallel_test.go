@@ -7,7 +7,20 @@ import (
 	"enetstl/internal/nf"
 	"enetstl/internal/nfcatalog"
 	"enetstl/internal/pktgen"
+	"enetstl/internal/runtime"
 )
+
+// openShards builds name's shard set through nfcatalog.Open, as nfrun
+// does, and returns the instances to replay, uninstrumented, with their
+// wiring.
+func openShards(t *testing.T, o runtime.Options, name string, flavor nf.Flavor, tr *pktgen.Trace) ([]nf.Instance, *nfcatalog.Sharded) {
+	t.Helper()
+	built, sh, err := nfcatalog.Open(o, name, flavor, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nfcatalog.Attach(runtime.Options{}, name, built...).Insts, sh
+}
 
 // TestParallelRunDeterministic is the RSS correctness contract: for
 // NFs whose per-packet verdict is a function of the packet's own flow
@@ -24,8 +37,8 @@ func TestParallelRunDeterministic(t *testing.T) {
 				nfcatalog.PrepareTrace(name, trace)
 				var want harness.VerdictCounts
 				for _, shards := range []int{1, 2, 3, 4} {
-					sh := nfcatalog.NewSharded(name, flavor)
-					res, err := harness.ParallelRun(trace.Clone(), shards, sh.Build, 2)
+					insts, _ := openShards(t, runtime.Options{Shards: shards}, name, flavor, trace)
+					res, err := harness.ParallelRun(trace.Clone(), insts, 2)
 					if err != nil {
 						t.Fatalf("shards=%d: %v", shards, err)
 					}
@@ -80,11 +93,8 @@ func TestParallelRunPerCPUConntrack(t *testing.T) {
 		t.Run(flavor.String(), func(t *testing.T) {
 			var want harness.VerdictCounts
 			for _, shards := range []int{1, 2, 4, 8} {
-				sh, err := nfcatalog.NewShardedPerCPU("conntrack", flavor, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := harness.ParallelRun(trace.Clone(), shards, sh.Build, trials)
+				insts, sh := openShards(t, runtime.Options{Shards: shards, PerCPU: true}, "conntrack", flavor, trace)
+				res, err := harness.ParallelRun(trace.Clone(), insts, trials)
 				if err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
@@ -141,8 +151,8 @@ func TestParallelRunMatchesThroughput(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sh := nfcatalog.NewSharded("cuckooswitch", nf.EBPF)
-	par, err := harness.ParallelRun(trace.Clone(), 1, sh.Build, 2)
+	insts, _ := openShards(t, runtime.Options{}, "cuckooswitch", nf.EBPF, trace)
+	par, err := harness.ParallelRun(trace.Clone(), insts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,13 +177,13 @@ func TestParallelEstimatorBounds(t *testing.T) {
 	// all of which land in the sketch.
 	const passes = 2
 
-	single := nfcatalog.NewSharded("cmsketch", nf.EBPF)
-	if _, err := harness.ParallelRun(trace.Clone(), 1, single.Build, 1); err != nil {
+	insts, single := openShards(t, runtime.Options{}, "cmsketch", nf.EBPF, trace)
+	if _, err := harness.ParallelRun(trace.Clone(), insts, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{2, 4} {
-		sh := nfcatalog.NewSharded("cmsketch", nf.EBPF)
-		if _, err := harness.ParallelRun(trace.Clone(), shards, sh.Build, 1); err != nil {
+		insts, sh := openShards(t, runtime.Options{Shards: shards}, "cmsketch", nf.EBPF, trace)
+		if _, err := harness.ParallelRun(trace.Clone(), insts, 1); err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		for f := range trace.FlowKeys {
@@ -220,11 +230,8 @@ func TestParallelRunPerCPUSketch(t *testing.T) {
 		t.Run("cmsketch/"+flavor.String(), func(t *testing.T) {
 			var base []uint32
 			for _, shards := range []int{1, 2, 4} {
-				sh, err := nfcatalog.NewShardedPerCPU("cmsketch", flavor, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := harness.ParallelRun(trace.Clone(), shards, sh.Build, trials); err != nil {
+				insts, sh := openShards(t, runtime.Options{Shards: shards, PerCPU: true}, "cmsketch", flavor, trace)
+				if _, err := harness.ParallelRun(trace.Clone(), insts, trials); err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
 				if n := len(sh.PerCPUCopies()); n != shards {
@@ -260,11 +267,8 @@ func TestParallelRunPerCPUSketch(t *testing.T) {
 	for _, flavor := range []nf.Flavor{nf.Kernel, nf.EBPF, nf.ENetSTL} {
 		t.Run("nitrosketch/"+flavor.String(), func(t *testing.T) {
 			for _, shards := range []int{1, 2, 4} {
-				sh, err := nfcatalog.NewShardedPerCPU("nitrosketch", flavor, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := harness.ParallelRun(trace.Clone(), shards, sh.Build, trials); err != nil {
+				insts, sh := openShards(t, runtime.Options{Shards: shards, PerCPU: true}, "nitrosketch", flavor, trace)
+				if _, err := harness.ParallelRun(trace.Clone(), insts, trials); err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
 				// Metamorphic envelope: each per-row reading is an unbiased

@@ -55,8 +55,7 @@ func Reports(st *vm.Stats, label string) []*ProfileReport {
 }
 
 // ReportFromProgStats builds the attribution table from a program's
-// counters — the shared back half of Reports and of a sharded run's
-// merged ParallelResult.Stats.
+// counters — the back half of Reports.
 func ReportFromProgStats(name, flavor string, packets int, ps vm.ProgStats) *ProfileReport {
 	rep := &ProfileReport{
 		Name: name, Flavor: flavor,
@@ -116,6 +115,11 @@ func (r *ProfileReport) String() string {
 	for _, c := range r.Callees {
 		fmt.Fprintf(&b, "  %-8s %-20s %10d %12d %6.1f%%\n",
 			c.Kind, c.Name, c.Calls, c.Ns, 100*c.Fraction)
+	}
+	if r.Insns == 0 {
+		// A native (Kernel-flavour) instance retires no instructions:
+		// there is no interpreter time to show and no opcode mix.
+		return b.String()
 	}
 	fmt.Fprintf(&b, "  %-8s %-20s %10s %12s %6.1f%%\n", "interp", "(dispatch+alu)", "", "", 100*r.InterpFraction)
 	b.WriteString("  opcode mix:")

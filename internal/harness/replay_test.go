@@ -62,7 +62,8 @@ func TestProfileAttribution(t *testing.T) {
 
 // TestProfileNative: a Kernel-flavour instance has no VM to count on,
 // so Attach meters it into the same Stats, and its report carries the
-// packets and run time with no instructions or callees.
+// packets and run time with no instructions or callees — and renders
+// no interpreter row or opcode mix.
 func TestProfileNative(t *testing.T) {
 	inst := &nf.NativeInstance{NFName: "native", Fn: func([]byte) uint64 { return 2 }}
 	a := nfcatalog.Attach(runtime.Options{Stats: true}, "native", nfcatalog.Built{Inst: inst})
@@ -76,6 +77,11 @@ func TestProfileNative(t *testing.T) {
 	}
 	if r := reps[0]; r.Name != "native" || r.Flavor != "Kernel" || r.Packets != 10 || r.Insns != 0 || len(r.Callees) != 0 {
 		t.Fatalf("native report: %+v", r)
+	}
+	s := reps[0].String()
+	if !strings.HasPrefix(s, "native/Kernel: 10 packets, 0 insns,") ||
+		strings.Contains(s, "interp") || strings.Contains(s, "opcode mix") {
+		t.Fatalf("native report rendering:\n%s", s)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"enetstl/internal/ebpf/vm"
 	"enetstl/internal/harness"
 	"enetstl/internal/nf"
 	"enetstl/internal/nfcatalog"
@@ -13,46 +14,67 @@ import (
 	"enetstl/internal/trace"
 )
 
+// tracedRun replays the prepared trace across shards cuckooswitch
+// instances through ParallelRun, each shard with a flight-recorder ring
+// of its own (cfg.ForShard) attached before the replay, as nfrun -trace
+// attaches them, and returns the rings' timestamp-merged events and
+// their summed emitted and dropped counts.
+func tracedRun(t *testing.T, tr *pktgen.Trace, shards, trials int, cfg trace.Config) ([]trace.Event, uint64, uint64) {
+	t.Helper()
+	insts, _ := openShards(t, runtime.Options{Shards: shards}, "cuckooswitch", nf.EBPF, tr)
+	recs := make([]*trace.Recorder, len(insts))
+	for s, inst := range insts {
+		recs[s] = trace.NewRecorder(cfg.ForShard(s))
+		runtime.AttachRecorder(inst, recs[s])
+	}
+	if _, err := harness.ParallelRun(tr.Clone(), insts, trials); err != nil {
+		t.Fatalf("shards=%d: %v", shards, err)
+	}
+	var emitted, drops uint64
+	chunks := make([][]trace.Event, len(recs))
+	for s, rec := range recs {
+		chunks[s] = rec.Drain(0)
+		emitted += rec.Emitted()
+		drops += rec.Drops()
+	}
+	return trace.MergeByTime(chunks...), emitted, drops
+}
+
 // TestParallelRunTraced exercises concurrent event emission from RSS
-// shards (run under `make race`): every shard's ring collects only the
-// measured trials, verdict events account for every measured packet at
-// full sample rate, and the merged stream is timestamp-ordered with
-// conserved drop accounting.
+// shards (run under `make race`): every shard's ring collects the
+// warm-up and the measured trials, verdict events account for every
+// replayed packet at full sample rate, and the merged stream is
+// timestamp-ordered with conserved drop accounting.
 func TestParallelRunTraced(t *testing.T) {
 	tr := pktgen.Generate(pktgen.Config{Flows: 64, Packets: 1200, ZipfS: 1.1, Seed: 9})
 	nfcatalog.PrepareTrace("cuckooswitch", tr)
 	const trials = 2
 	for _, shards := range []int{1, 3} {
-		sh := nfcatalog.NewSharded("cuckooswitch", nf.EBPF)
-		res, err := harness.ParallelRunTraced(tr.Clone(), shards, sh.Build, trials,
-			trace.Config{Capacity: 1 << 16, Seed: 5})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if res.TraceEmitted == 0 || len(res.Events) == 0 {
+		events, emitted, drops := tracedRun(t, tr, shards, trials, trace.Config{Capacity: 1 << 16, Seed: 5})
+		if emitted == 0 || len(events) == 0 {
 			t.Fatalf("shards=%d: no events recorded", shards)
 		}
-		if uint64(len(res.Events)) != res.TraceEmitted {
-			t.Fatalf("shards=%d: drained %d events, emitted %d", shards, len(res.Events), res.TraceEmitted)
+		if uint64(len(events)) != emitted {
+			t.Fatalf("shards=%d: drained %d events, emitted %d", shards, len(events), emitted)
 		}
 		// At full sample rate with a ring larger than the event volume,
-		// nothing drops and every measured packet gets a verdict event.
-		if res.TraceDrops != 0 {
-			t.Fatalf("shards=%d: %d drops on an oversized ring", shards, res.TraceDrops)
+		// nothing drops and every replayed packet gets a verdict event.
+		if drops != 0 {
+			t.Fatalf("shards=%d: %d drops on an oversized ring", shards, drops)
 		}
 		verdicts := 0
 		seenShards := map[int32]bool{}
-		for i, ev := range res.Events {
+		for i, ev := range events {
 			if ev.Kind == trace.KindVerdict {
 				verdicts++
 			}
 			seenShards[ev.Shard] = true
-			if i > 0 && res.Events[i-1].TS > ev.TS {
+			if i > 0 && events[i-1].TS > ev.TS {
 				t.Fatalf("shards=%d: merged events out of timestamp order at %d", shards, i)
 			}
 		}
-		if want := trials * len(tr.Packets); verdicts != want {
-			t.Fatalf("shards=%d: %d verdict events, want %d (measured trials only)", shards, verdicts, want)
+		if want := (1 + trials) * len(tr.Packets); verdicts != want {
+			t.Fatalf("shards=%d: %d verdict events, want %d (warm-up and measured trials)", shards, verdicts, want)
 		}
 		if len(seenShards) != shards {
 			t.Fatalf("shards=%d: events from %d shards", shards, len(seenShards))
@@ -66,14 +88,9 @@ func TestParallelRunTracedSamplingDeterminism(t *testing.T) {
 	tr := pktgen.Generate(pktgen.Config{Flows: 64, Packets: 1500, ZipfS: 1.1, Seed: 3})
 	nfcatalog.PrepareTrace("cuckooswitch", tr)
 	sampledSet := func(seed uint64) map[[2]uint64]bool {
-		sh := nfcatalog.NewSharded("cuckooswitch", nf.EBPF)
-		res, err := harness.ParallelRunTraced(tr.Clone(), 2, sh.Build, 1,
-			trace.Config{Capacity: 1 << 16, SampleRate: 0.2, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
+		events, _, _ := tracedRun(t, tr, 2, 1, trace.Config{Capacity: 1 << 16, SampleRate: 0.2, Seed: seed})
 		set := make(map[[2]uint64]bool)
-		for _, ev := range res.Events {
+		for _, ev := range events {
 			if ev.Kind == trace.KindPacketIn {
 				set[[2]uint64{uint64(ev.Shard), ev.Pkt}] = true
 			}
@@ -106,31 +123,31 @@ func TestParallelRunTracedSamplingDeterminism(t *testing.T) {
 }
 
 // TestProfileParallelShardInvariance: a sharded replay with a fresh
-// Stats per shard, merged by ParallelRun, attributes the same work —
-// instructions, opcode mix, per-callee call counts, packets — at any
-// shard count, so a profile of res.Stats does not depend on it.
+// Stats per shard, merged after the run as nfrun -profile merges them,
+// attributes the same work — instructions, opcode mix, per-callee call
+// counts, packets — at any shard count, so the profile does not depend
+// on it.
 func TestProfileParallelShardInvariance(t *testing.T) {
 	tr := pktgen.Generate(pktgen.Config{Flows: 64, Packets: 1500, ZipfS: 1.1, Seed: 21})
 	nfcatalog.PrepareTrace("cmsketch", tr)
 
 	profiles := map[int]*harness.ProfileReport{}
 	for _, shards := range []int{1, 2, 4} {
-		sh := nfcatalog.NewSharded("cmsketch", nf.EBPF)
-		var prog string
-		build := func(s int, sub *pktgen.Trace) (nf.Instance, error) {
-			inst, err := sh.Build(s, sub)
-			if err != nil {
-				return nil, err
-			}
-			runtime.AttachStats(inst)
-			prog = inst.(*nf.VMInstance).Prog.Name()
-			return inst, nil
+		insts, _ := openShards(t, runtime.Options{Shards: shards}, "cmsketch", nf.EBPF, tr)
+		stats := make([]*vm.Stats, len(insts))
+		for s, inst := range insts {
+			stats[s] = runtime.AttachStats(inst)
 		}
-		res, err := harness.ParallelRun(tr.Clone(), shards, build, 1)
+		prog := insts[0].(*nf.VMInstance).Prog.Name()
+		res, err := harness.ParallelRun(tr.Clone(), insts, 1)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		ps, ok := res.Stats.ProgSnapshot(prog)
+		merged := vm.NewStats()
+		for _, st := range stats {
+			merged.Merge(st)
+		}
+		ps, ok := merged.ProgSnapshot(prog)
 		if !ok {
 			t.Fatalf("shards=%d: no stats recorded for %q", shards, prog)
 		}

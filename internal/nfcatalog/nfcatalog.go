@@ -76,8 +76,8 @@ func queueize(trace *pktgen.Trace) {
 }
 
 // PrepareTrace applies name's op mix and argument keying to the trace,
-// exactly as BuildFull does. It is exposed separately so sharded replay
-// can mix the full trace once before hash-partitioning it: packet
+// exactly as Open and BuildFull do. It is exposed separately so a batch
+// is mixed whole before it is hash-partitioned across shards: packet
 // contents must not depend on the shard count, and the op mix walks
 // packets by index.
 func PrepareTrace(name string, trace *pktgen.Trace) {
@@ -113,10 +113,9 @@ var (
 const VBFSets = 32
 
 // construct builds the instance and preloads its tables from the
-// trace's flow table. It never mutates the trace, so sharded replay
-// can call it once per shard on already-prepared sub-traces: the flow
-// table travels whole with every shard (pktgen.Trace.Shard), giving
-// each per-CPU instance an identical table image.
+// trace's flow table, reading nothing else. It never mutates the trace,
+// so Open calls it once per shard on the one seed: every shard gets an
+// identical table image, the per-CPU replica model.
 func construct(name string, flavor nf.Flavor, trace *pktgen.Trace) (Built, error) {
 	switch name {
 	case "skiplist":
@@ -277,55 +276,51 @@ func construct(name string, flavor nf.Flavor, trace *pktgen.Trace) (Built, error
 	return Built{}, fmt.Errorf("unknown NF %q", name)
 }
 
-// Sharded wires one NF into harness.ParallelRun: Build is the
-// per-shard constructor (harness.ShardBuilder) and Estimate merges the
-// per-shard sketch estimators by summation — a count-min/VBF estimate
-// is a sum of per-row counters, and hash-partitioning the stream
-// splits every counter into per-shard addends, so the summed estimate
-// keeps the one-sided overestimate guarantee at any shard count.
+// Sharded is one instance set's wiring, as Open returns it: the
+// shared per-CPU map its shards take private copies of, if any, and the
+// merged control-plane estimator. Estimate sums the per-shard sketch
+// estimators — a count-min/VBF estimate is a sum of per-row counters,
+// and hash-partitioning the stream splits every counter into per-shard
+// addends, so the summed estimate keeps the one-sided overestimate
+// guarantee at any shard count.
 type Sharded struct {
 	Name   string
 	Flavor nf.Flavor
 	ests   []func(key []byte) uint32
 	// percpu, when set, is the shared per-CPU flow table conntrack
-	// shards take private copies of (see NewShardedPerCPU).
+	// shards take private copies of.
 	percpu *maps.PerCPULRUHash
 	// percpuArr, when set, is the shared per-CPU counter matrix the
-	// sketch shards take private copies of; buildCPU constructs one
-	// shard's instance over its copy and estCPU is the merge-on-read
+	// sketch shards take private copies of; estCPU is the merge-on-read
 	// estimator across all copies.
 	percpuArr *maps.PerCPUArray
-	buildCPU  func(shard int) (nf.Instance, error)
-	estCPU    func(key []byte) uint32
+	// buildCPU constructs one shard's instance over its copy of the
+	// per-CPU map; nil when the shards share none.
+	buildCPU func(shard int) (nf.Instance, error)
+	estCPU   func(key []byte) uint32
 }
 
-// NewSharded returns the ParallelRun wiring for name/flavor. Prepare
-// the full trace with PrepareTrace before sharding it.
-func NewSharded(name string, flavor nf.Flavor) *Sharded {
-	return &Sharded{Name: name, Flavor: flavor}
-}
-
-// NewShardedPerCPU returns ParallelRun wiring whose shards share one
-// per-CPU map with private per-shard copies — the kernel per-CPU map
-// deployment shape, where scale-out stops sharing arenas. The shard
-// count is needed up front to size the per-CPU table (ParallelRun's
-// builder callback doesn't know the total). Three NFs carry per-CPU
-// wiring: conntrack over BPF_MAP_TYPE_LRU_PERCPU_HASH with
-// merge-on-read flow totals (FlowPackets), and the cmsketch and
-// nitrosketch counter matrices over BPF_MAP_TYPE_PERCPU_ARRAY with
-// merge-on-read estimates (Estimate sums the probed counters across
-// copies before taking the row minimum).
-func NewShardedPerCPU(name string, flavor nf.Flavor, shards int) (*Sharded, error) {
+// newPerCPU returns wiring whose shards share one per-CPU map with
+// private per-shard copies — the kernel per-CPU map deployment shape,
+// where scale-out stops sharing arenas. Three NFs carry per-CPU wiring:
+// conntrack over BPF_MAP_TYPE_LRU_PERCPU_HASH with merge-on-read flow
+// totals (FlowPackets), and the cmsketch and nitrosketch counter
+// matrices over BPF_MAP_TYPE_PERCPU_ARRAY with merge-on-read estimates
+// (Estimate sums the probed counters across copies before taking the
+// row minimum).
+func newPerCPU(name string, flavor nf.Flavor, shards int) (*Sharded, error) {
 	switch name {
 	case "conntrack":
-		// Same 128-entry sizing as the shared-table construct() path, but
-		// per copy, matching the kernel semantics (max_entries is per-CPU
-		// budgeted for percpu_lru maps).
+		// Same 128-entry sizing as construct(), but per copy, matching
+		// the kernel semantics (max_entries is per-CPU budgeted for
+		// percpu_lru maps).
 		p, err := maps.NewPerCPULRUHash(nf.KeyLen, conntrack.ValSize, 128, shards)
 		if err != nil {
 			return nil, err
 		}
-		return &Sharded{Name: name, Flavor: flavor, percpu: p}, nil
+		return &Sharded{Name: name, Flavor: flavor, percpu: p,
+			buildCPU: func(shard int) (nf.Instance, error) { return conntrack.NewOnCPU(flavor, p, shard) },
+		}, nil
 	case "cmsketch":
 		cfg := cmsketchCfg
 		p, err := maps.NewPerCPUArray(cfg.Rows*cfg.Width*4, 1, shards)
@@ -338,7 +333,7 @@ func NewShardedPerCPU(name string, flavor nf.Flavor, shards int) (*Sharded, erro
 				if err != nil {
 					return nil, err
 				}
-				return s, nil
+				return s.Instance, nil
 			},
 			estCPU: func(key []byte) uint32 { return cmsketch.EstimatePerCPU(p, cfg, key) },
 		}, nil
@@ -354,7 +349,7 @@ func NewShardedPerCPU(name string, flavor nf.Flavor, shards int) (*Sharded, erro
 				if err != nil {
 					return nil, err
 				}
-				return s, nil
+				return s.Instance, nil
 			},
 			estCPU: func(key []byte) uint32 { return nitrosketch.EstimatePerCPU(p, cfg, key) },
 		}, nil
@@ -362,27 +357,24 @@ func NewShardedPerCPU(name string, flavor nf.Flavor, shards int) (*Sharded, erro
 	return nil, fmt.Errorf("nfcatalog: no per-cpu wiring for %q", name)
 }
 
-// Build constructs shard s's instance from its sub-trace. ParallelRun
-// calls it serially, one shard at a time, before any replay starts.
-func (s *Sharded) Build(shard int, trace *pktgen.Trace) (nf.Instance, error) {
-	if s.percpu != nil {
-		return conntrack.NewOnCPU(s.Flavor, s.percpu, shard)
-	}
+// build constructs shard's instance with its full wiring. Over a
+// per-CPU map the instance comes bare: its estimate is merge-on-read,
+// meaningful only across all copies (Estimate), and it carries no
+// per-shard hooks.
+func (s *Sharded) build(shard int, seed *pktgen.Trace) (Built, error) {
 	if s.buildCPU != nil {
-		return s.buildCPU(shard)
+		inst, err := s.buildCPU(shard)
+		return Built{Inst: inst}, err
 	}
-	b, err := construct(s.Name, s.Flavor, trace)
-	if err != nil {
-		return nil, err
-	}
-	if b.Est != nil {
+	b, err := construct(s.Name, s.Flavor, seed)
+	if err == nil && b.Est != nil {
 		s.ests = append(s.ests, b.Est)
 	}
-	return b.Inst, nil
+	return b, err
 }
 
-// PerCPUTable returns the shared per-CPU flow table, or nil for wiring
-// built with NewSharded.
+// PerCPUTable returns the shared per-CPU flow table, or nil when the
+// shards share none.
 func (s *Sharded) PerCPUTable() *maps.PerCPULRUHash { return s.percpu }
 
 // FlowPackets is the merge-on-read aggregate over the per-CPU flow

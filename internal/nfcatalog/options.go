@@ -1,7 +1,7 @@
 // Options-aware construction: the bridge between the catalog and the
 // runtime options layer. A daemon request body and a CLI flag set both
-// land here — Apply for what is pinned on the built instance, Attach
-// for what is attached to it — so the same Options value always yields
+// land here — Open for what is pinned on the built instances, Attach
+// for what is attached to them — so the same Options value always yields
 // the same instance regardless of transport.
 
 package nfcatalog
@@ -18,46 +18,60 @@ import (
 	"enetstl/internal/trace"
 )
 
-// BuildWith constructs an NF with its full wiring, then applies o's
-// construction-side settings (tier, quotas) to what was built. Quota
-// breaches surface as runtime.ErrQuota.
-func BuildWith(o runtime.Options, name string, flavor nf.Flavor, trace *pktgen.Trace) (Built, error) {
-	b, err := BuildFull(name, flavor, trace)
-	if err != nil {
-		return Built{}, err
-	}
-	if err := Apply(o, name, flavor, nil, b); err != nil {
-		return Built{}, err
-	}
-	return b, nil
-}
-
-// Apply is the post-build half of BuildWith, shared with the daemon
-// and nfrun's shard builder (which build their shards themselves): it
-// pins o's tier on every VM behind the built instances and holds o's
-// quotas against them — map_bytes against the footprint of every
-// distinct map they hold, rpool_cap against the random pool the NF
-// draws. sh is the shards'
-// wiring, nil when unsharded: its shared per-CPU map is metered through
-// it, because Kernel-flavour sketch shards write their copy without a
-// VM to find it on. Apply writes no process state, so concurrent
-// callers need no lock.
-func Apply(o runtime.Options, name string, flavor nf.Flavor, sh *Sharded, built ...Built) error {
+// Open builds name's instance set in flavor for o — the one build the
+// daemon and nfrun share. It gives seed the NF's op mix (PrepareTrace),
+// constructs one instance per shard (o.Shards, at least one), each
+// preloaded from seed's whole flow table, and applies o's
+// construction-side settings to exactly what it built: o's tier pinned
+// on every VM behind the instances, map_bytes held against the
+// footprint of every distinct map they hold (a shared per-CPU map
+// counted once, through the wiring, since Kernel-flavour sketch shards
+// write their copy without a VM to find it on), rpool_cap against the
+// random pool the NF draws. With o.PerCPU the shards take private
+// copies of one shared per-CPU map at every shard count; an NF with no
+// per-CPU wiring is refused. Quota breaches surface as
+// runtime.ErrQuota. Open writes no process state, so concurrent callers
+// need no lock.
+func Open(o runtime.Options, name string, flavor nf.Flavor, seed *pktgen.Trace) ([]Built, *Sharded, error) {
 	tier, err := vm.ParseTier(o.Tier)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	var held []maps.Map
-	if sh != nil {
-		held = sh.PerCPUCopies()
+	shards := max(o.Shards, 1)
+	sh := &Sharded{Name: name, Flavor: flavor}
+	if o.PerCPU {
+		if sh, err = newPerCPU(name, flavor, shards); err != nil {
+			return nil, nil, err
+		}
 	}
-	for _, b := range built {
-		for _, m := range runtime.VMs(b.Inst) {
+	PrepareTrace(name, seed)
+	built := make([]Built, shards)
+	held := sh.PerCPUCopies()
+	for i := range built {
+		if built[i], err = sh.build(i, seed); err != nil {
+			return nil, nil, err
+		}
+		for _, m := range runtime.VMs(built[i].Inst) {
 			m.SetTier(tier)
 		}
-		held = append(held, runtime.Maps(b.Inst)...)
+		held = append(held, runtime.Maps(built[i].Inst)...)
 	}
-	return o.Quota.Check(runtime.MapBytes(held), PoolCap(name, flavor))
+	if err := o.Quota.Check(runtime.MapBytes(held), PoolCap(name, flavor)); err != nil {
+		return nil, nil, err
+	}
+	return built, sh, nil
+}
+
+// BuildWith is Open for one unsharded instance: o's shard count and
+// per-CPU switch are ignored. The benchmark's in-process twin builds
+// through it.
+func BuildWith(o runtime.Options, name string, flavor nf.Flavor, trace *pktgen.Trace) (Built, error) {
+	o.Shards, o.PerCPU = 1, false
+	built, _, err := Open(o, name, flavor, trace)
+	if err != nil {
+		return Built{}, err
+	}
+	return built[0], nil
 }
 
 // Attached is a built instance set with its instrumentation on: the
@@ -72,7 +86,7 @@ type Attached struct {
 }
 
 // Attach is the one attach step, run by the daemon and nfrun on what
-// they built and Applied: with o.Stats one fresh Stats goes on every VM
+// Open built: with o.Stats one fresh Stats goes on every VM
 // behind built (a native instance is metered into it instead), with
 // o.Trace one fresh flight recorder, and with a guard config
 // (o.GuardConfig) each instance i is fronted by guard i carrying the
@@ -144,27 +158,4 @@ func (s *Sharded) PerCPUCopies() []maps.Map {
 		}
 	}
 	return out
-}
-
-// BuildFull constructs shard's instance like Build but returns the full
-// wiring, so per-shard guards and estimators can be attached. The
-// merged estimator remains Sharded.Estimate; the per-shard Est is what
-// this shard alone observed (nil for per-CPU wiring, whose estimate is
-// merge-on-read and only meaningful across all copies).
-func (s *Sharded) BuildFull(shard int, trace *pktgen.Trace) (Built, error) {
-	if s.percpu != nil || s.buildCPU != nil {
-		inst, err := s.Build(shard, trace)
-		if err != nil {
-			return Built{}, err
-		}
-		return Built{Inst: inst}, nil
-	}
-	b, err := construct(s.Name, s.Flavor, trace)
-	if err != nil {
-		return Built{}, err
-	}
-	if b.Est != nil {
-		s.ests = append(s.ests, b.Est)
-	}
-	return b, nil
 }

@@ -1,20 +1,24 @@
 package nfd
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	goruntime "runtime"
 	"testing"
 
 	"enetstl/internal/harness"
 	"enetstl/internal/nf"
 	"enetstl/internal/nfcatalog"
+	"enetstl/internal/pktgen"
 	"enetstl/internal/runtime"
 )
 
 // seedBuilt is a module built the way Create built one before it kept
 // only the flow table: the seed spec materialised as a whole trace
-// (packets and all) and handed to the catalog, sharded with
-// PrepareTrace + Shard like a batch.
+// (packets and all) and handed to the catalog.
 type seedBuilt struct {
 	insts []nf.Instance
 	flows [][nf.KeyLen]byte
@@ -27,7 +31,7 @@ func buildFromSeedTrace(name string, fl nf.Flavor, o runtime.Options, seed runti
 		return seedBuilt{}, err
 	}
 	out := seedBuilt{flows: tr.FlowKeys}
-	if o.Shards <= 1 {
+	if o.Shards <= 1 && !o.PerCPU {
 		b, err := nfcatalog.BuildFull(name, fl, tr)
 		if err != nil {
 			return seedBuilt{}, err
@@ -41,18 +45,11 @@ func buildFromSeedTrace(name string, fl nf.Flavor, o runtime.Options, seed runti
 		}
 		return out, nil
 	}
-	sh := nfcatalog.NewSharded(name, fl)
-	if o.PerCPU {
-		if sh, err = nfcatalog.NewShardedPerCPU(name, fl, o.Shards); err != nil {
-			return seedBuilt{}, err
-		}
+	built, sh, err := nfcatalog.Open(runtime.Options{Shards: o.Shards, PerCPU: o.PerCPU}, name, fl, tr)
+	if err != nil {
+		return seedBuilt{}, err
 	}
-	nfcatalog.PrepareTrace(name, tr)
-	for i, sub := range tr.Shard(o.Shards) {
-		b, err := sh.BuildFull(i, sub)
-		if err != nil {
-			return seedBuilt{}, err
-		}
+	for _, b := range built {
 		out.insts = append(out.insts, b.Inst)
 	}
 	out.est = sh.Estimate
@@ -60,23 +57,20 @@ func buildFromSeedTrace(name string, fl nf.Flavor, o runtime.Options, seed runti
 }
 
 // replay is Module.Ingest for a seedBuilt: one prepared batch,
-// hash-partitioned across the shards, tallies summed.
+// hash-partitioned across the shards by the shard runner, tallies
+// summed.
 func (s seedBuilt) replay(name string, spec runtime.TraceSpec) (harness.VerdictCounts, error) {
 	tr, err := spec.Build()
 	if err != nil {
 		return harness.VerdictCounts{}, err
 	}
 	nfcatalog.PrepareTrace(name, tr)
-	subs := tr.Shard(len(s.insts))
+	res, err := harness.ReplayShards(s.insts, tr.Shard(len(s.insts)), make([]uint64, len(s.insts)), 1, false)
 	var sum harness.VerdictCounts
-	for i, sub := range subs {
-		res, _, err := harness.ReplayBatch(s.insts[i], sub, 0)
-		if err != nil {
-			return sum, err
-		}
-		sum.Add(res.Verdicts)
+	for _, r := range res {
+		sum.Add(r.Verdicts)
 	}
-	return sum, nil
+	return sum, err
 }
 
 // TestCreateMatchesSeedTraceBuild is the differential check on Create's
@@ -149,6 +143,63 @@ func TestCreateMatchesSeedTraceBuild(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPerCPUOneShard: the per-CPU rule is nfcatalog.Open's, so it holds
+// at one shard and the daemon's create and nfrun's build (which opens
+// its shards through Open with the same options) agree: {conntrack,
+// percpu} gets a per-CPU flow table of one copy through both and
+// answers a batch alike; {bloom, percpu} — no per-CPU wiring — is
+// refused by both, and the daemon answers the refused create with a
+// 400.
+func TestPerCPUOneShard(t *testing.T) {
+	o := runtime.Options{Shards: 1, PerCPU: true}
+	seed := runtime.TraceSpec{Flows: 64, Seed: 2}
+	batch := runtime.TraceSpec{Flows: 64, Packets: 1000, Zipf: 1.1, Seed: 2}
+	for _, c := range []struct {
+		name    string
+		refused bool
+	}{{"conntrack", false}, {"bloom", true}} {
+		t.Run(c.name, func(t *testing.T) {
+			s := NewServer()
+			defer s.Registry.Close()
+			req := CreateRequest{Name: c.name, Flavor: "ebpf", Options: o, Trace: seed}
+			m, createErr := s.Registry.Create(req)
+			tr, err := batch.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			built, sh, openErr := nfcatalog.Open(o, c.name, nf.EBPF, tr)
+			if (createErr != nil) != c.refused || (openErr != nil) != c.refused {
+				t.Fatalf("create: %v; nfrun's build: %v; want refused=%v from both", createErr, openErr, c.refused)
+			}
+			if c.refused {
+				body, _ := json.Marshal(req)
+				rec := httptest.NewRecorder()
+				s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/modules", bytes.NewReader(body)))
+				if rec.Code != http.StatusBadRequest {
+					t.Fatalf("POST /modules: status %d, want 400: %s", rec.Code, rec.Body)
+				}
+				return
+			}
+			for what, wiring := range map[string]*nfcatalog.Sharded{"create": m.sharded, "nfrun's build": sh} {
+				if p := wiring.PerCPUTable(); p == nil || p.NumCPU() != 1 {
+					t.Fatalf("%s: per-CPU table %v, want one copy", what, p)
+				}
+			}
+			got, err := m.Ingest(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := harness.ReplayShards([]nf.Instance{built[0].Inst}, []*pktgen.Trace{tr}, make([]uint64, 1), 1, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Verdicts != want[0].Verdicts {
+				t.Fatalf("create answers %+v, nfrun's build %+v", got.Verdicts, want[0].Verdicts)
+			}
+		})
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"enetstl/internal/ebpf/vm"
 	"enetstl/internal/guard"
@@ -94,7 +93,6 @@ type Module struct {
 	state    State
 	insts    []nf.Instance // per shard; guard-wrapped when guarded
 	guards   []*guard.Guard
-	built    []nfcatalog.Built
 	sharded  *nfcatalog.Sharded
 	stats    *vm.Stats
 	rec      *trace.Recorder
@@ -104,7 +102,6 @@ type Module struct {
 	batches  uint64
 	packets  uint64
 	shed     uint64
-	created  time.Time
 }
 
 // Status is the serializable module view.
@@ -268,56 +265,23 @@ func (r *Registry) Create(req CreateRequest) (*Module, error) {
 // newModule builds, configures and attaches a module's instances over
 // the seed flow table flows.
 func newModule(name string, flavor nf.Flavor, o runtime.Options, flows [][nf.KeyLen]byte) (*Module, error) {
-	shards := o.Shards
-	if shards <= 0 {
-		shards = 1
-	}
-
-	// Nothing writes flows: the builders read it through a packetless
-	// seed trace — they preload tables from FlowKeys and read nothing
-	// else — and keep no slice of it, so modules may share it.
-	m := &Module{
-		Name: name, Flavor: flavor.String(), Opts: o.Canon(),
-		flows: flows, tickBase: make([]uint64, shards),
-		created: time.Now(),
-	}
-	seedTrace := &pktgen.Trace{FlowKeys: flows}
-
-	// Construction takes no options; the tier and the map-memory and
-	// rpool quotas are then applied to exactly what was built.
-	if shards == 1 {
-		b, err := nfcatalog.BuildFull(name, flavor, seedTrace)
-		if err != nil {
-			return nil, err
-		}
-		m.built = []nfcatalog.Built{b}
-	} else {
-		var err error
-		sh := nfcatalog.NewSharded(name, flavor)
-		if o.PerCPU {
-			if sh, err = nfcatalog.NewShardedPerCPU(name, flavor, shards); err != nil {
-				return nil, err
-			}
-		}
-		// Every shard preloads the whole flow table (the per-CPU replica
-		// model); construction never writes the trace, so they share it.
-		m.built = make([]nfcatalog.Built, shards)
-		for i := range m.built {
-			if m.built[i], err = sh.BuildFull(i, seedTrace); err != nil {
-				return nil, err
-			}
-		}
-		m.sharded = sh
-	}
-	if err := nfcatalog.Apply(o, name, flavor, m.sharded, m.built...); err != nil {
+	// Nothing writes flows: Open reads it through a packetless seed
+	// trace — the catalog preloads tables from FlowKeys and reads
+	// nothing else — and keeps no slice of it, so modules may share it.
+	built, sh, err := nfcatalog.Open(o, name, flavor, &pktgen.Trace{FlowKeys: flows})
+	if err != nil {
 		return nil, err
 	}
-	m.state = StateCreated
+	m := &Module{
+		Name: name, Flavor: flavor.String(), Opts: o.Canon(),
+		sharded: sh, flows: flows, tickBase: make([]uint64, len(built)),
+		state: StateCreated,
+	}
 
 	// Attachment: per-module stats shared by the shards (they replay one
 	// at a time, under mu), flight recorder, guards carrying the
 	// catalog's per-NF policy wiring — the step nfrun runs too.
-	a := nfcatalog.Attach(o, name, m.built...)
+	a := nfcatalog.Attach(o, name, built...)
 	m.insts, m.guards, m.stats, m.rec = a.Insts, a.Guards, a.Stats, a.Rec
 	m.state = StateAttached
 	return m, nil
@@ -355,18 +319,15 @@ func (m *Module) Ingest(spec runtime.TraceSpec) (harness.BatchResult, error) {
 		return harness.BatchResult{}, fmt.Errorf("module is %s: %w", m.state, ErrNotServing)
 	}
 
-	var total harness.BatchResult
 	subs := []*pktgen.Trace{tr}
 	if len(m.insts) > 1 {
 		subs = tr.Shard(len(m.insts))
 	}
-	for i, sub := range subs {
-		res, next, e := harness.ReplayBatch(m.insts[i], sub, m.tickBase[i])
-		m.tickBase[i] = next
-		total.Add(res)
-		if e != nil && err == nil {
-			err = e
-		}
+	// The shards share one Stats and one ring, so they replay in turn.
+	res, err := harness.ReplayShards(m.insts, subs, m.tickBase, 1, false)
+	total := res[0]
+	for _, r := range res[1:] {
+		total.Add(r)
 	}
 	m.state = StateRunning
 	m.batches++
@@ -381,18 +342,10 @@ func (m *Module) Ingest(spec runtime.TraceSpec) (harness.BatchResult, error) {
 func (m *Module) Estimate(key []byte) (uint32, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.sharded != nil {
-		return m.sharded.Estimate(key)
+	if m.sharded == nil { // deleted
+		return 0, false
 	}
-	var est uint32
-	ok := false
-	for _, b := range m.built {
-		if b.Est != nil {
-			est += b.Est(key)
-			ok = true
-		}
-	}
-	return est, ok
+	return m.sharded.Estimate(key)
 }
 
 // FlowKey resolves seed-trace flow i's key, for estimator probes by
@@ -456,8 +409,7 @@ func (m *Module) delete() {
 	}
 	m.mu.Lock()
 	m.state = StateDeleted
-	m.insts, m.guards, m.built, m.stats, m.rec = nil, nil, nil, nil, nil
-	m.sharded = nil
+	m.insts, m.guards, m.sharded, m.stats, m.rec = nil, nil, nil, nil, nil
 	m.mu.Unlock()
 }
 

@@ -67,7 +67,8 @@ func ingestRecycled(m *Module, batches []runtime.TraceSpec) ([]tally, error) {
 }
 
 // ingestFresh is Ingest by hand with traces that are never released,
-// hence never recycled: Build, PrepareTrace, ReplayBatch per shard.
+// hence never recycled: Build, PrepareTrace, one pass of the shard
+// runner.
 func ingestFresh(m *Module, batches []runtime.TraceSpec) ([]tally, error) {
 	var out []tally
 	for i, spec := range batches {
@@ -76,18 +77,13 @@ func ingestFresh(m *Module, batches []runtime.TraceSpec) ([]tally, error) {
 			return nil, err
 		}
 		nfcatalog.PrepareTrace(m.Name, tr)
-		subs := []*pktgen.Trace{tr}
-		if len(m.insts) > 1 {
-			subs = tr.Shard(len(m.insts))
+		res, err := harness.ReplayShards(m.insts, tr.Shard(len(m.insts)), m.tickBase, 1, false)
+		if err != nil {
+			return nil, fmt.Errorf("batch %d: %w", i, err)
 		}
 		var sum harness.BatchResult
-		for s, sub := range subs {
-			res, next, err := harness.ReplayBatch(m.insts[s], sub, m.tickBase[s])
-			if err != nil {
-				return nil, fmt.Errorf("batch %d shard %d: %w", i, s, err)
-			}
-			m.tickBase[s] = next
-			sum.Add(res)
+		for _, r := range res {
+			sum.Add(r)
 		}
 		out = append(out, tallyOf(sum))
 	}

@@ -79,8 +79,10 @@ type Options struct {
 	// Shards is the RSS shard count (instances replaying concurrently
 	// over a flow-hash-partitioned stream). 0 and 1 both mean unsharded.
 	Shards int `json:"shards,omitempty"`
-	// PerCPU backs sharded instances with one shared per-CPU map
-	// (private per-shard copies) where the NF has per-CPU wiring.
+	// PerCPU backs the instance's shards, at any shard count, with one
+	// shared per-CPU map (a private copy per shard). Only NFs with
+	// per-CPU wiring (conntrack, cmsketch, nitrosketch) accept it; the
+	// build refuses any other.
 	PerCPU bool `json:"percpu,omitempty"`
 	// Stats enables per-instance VM statistics (the bpf_stats
 	// analogue), one Stats shared by the instance's VMs.

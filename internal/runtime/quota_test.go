@@ -1,7 +1,7 @@
 package runtime_test
 
 // Quotas end to end: options applied to a built catalog instance
-// through nfcatalog.BuildWith / nfcatalog.Apply. An external test
+// through nfcatalog.Open (and BuildWith, its one-instance form). An external test
 // package, because nfcatalog imports runtime.
 
 import (
@@ -101,26 +101,19 @@ func TestShardedPerCPUMeteredOnce(t *testing.T) {
 		{"conntrack", nf.Kernel}, {"conntrack", nf.EBPF},
 		{"cmsketch", nf.Kernel}, {"cmsketch", nf.EBPF},
 	} {
-		sh, err := nfcatalog.NewShardedPerCPU(c.name, c.flavor, shards)
+		o := runtime.Options{Shards: shards, PerCPU: true}
+		_, sh, err := nfcatalog.Open(o, c.name, c.flavor, seedTrace())
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := seedTrace()
-		nfcatalog.PrepareTrace(c.name, tr)
-		built := make([]nfcatalog.Built, shards)
-		for i, sub := range tr.Shard(shards) {
-			if built[i], err = sh.BuildFull(i, sub); err != nil {
-				t.Fatal(err)
-			}
-		}
 		shared := runtime.MapBytes(sh.PerCPUCopies())
-		fits := runtime.Options{Quota: &runtime.Quota{MapBytes: shared}}
-		if err := nfcatalog.Apply(fits, c.name, c.flavor, sh, built...); err != nil {
+		o.Quota = &runtime.Quota{MapBytes: shared}
+		if _, _, err := nfcatalog.Open(o, c.name, c.flavor, seedTrace()); err != nil {
 			t.Fatalf("%s/%v: quota == shared map (%d bytes) refused — copies double-counted? %v",
 				c.name, c.flavor, shared, err)
 		}
-		tight := runtime.Options{Quota: &runtime.Quota{MapBytes: shared - 1}}
-		if err := nfcatalog.Apply(tight, c.name, c.flavor, sh, built...); !errors.Is(err, runtime.ErrQuota) {
+		o.Quota = &runtime.Quota{MapBytes: shared - 1}
+		if _, _, err := nfcatalog.Open(o, c.name, c.flavor, seedTrace()); !errors.Is(err, runtime.ErrQuota) {
 			t.Fatalf("%s/%v: quota below the shared map admitted: %v", c.name, c.flavor, err)
 		}
 	}

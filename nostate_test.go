@@ -66,6 +66,79 @@ func TestOnePacketLoop(t *testing.T) {
 	})
 }
 
+// TestOneShardRunner keeps one way to replay a shard set: the daemon's
+// batches, ParallelRun's passes and nfrun's profile all hand their
+// shards to harness.ReplayShards, which threads each shard's arrival
+// clock on and reports the first error in shard order, so a sharded
+// module and a sharded run replay the same way. In every non-test Go
+// file under internal/ and cmd/ it refuses a call to ReplayBatch inside
+// a loop or a go statement, except in ReplayShards and in Throughput,
+// whose passes replay one unsharded instance.
+func TestOneShardRunner(t *testing.T) {
+	allowed := map[string]bool{"ReplayShards": true, "Throughput": true}
+	walkProduct(t, func(path string, f *ast.File) {
+		harness := filepath.ToSlash(filepath.Dir(path)) == "internal/harness"
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil || (harness && fn.Recv == nil && allowed[fn.Name.Name]) {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				var body ast.Node
+				switch s := n.(type) {
+				case *ast.ForStmt:
+					body = s.Body
+				case *ast.RangeStmt:
+					body = s.Body
+				case *ast.GoStmt:
+					body = s.Call
+				default:
+					return true
+				}
+				if callsNamed(body, "ReplayBatch") {
+					t.Errorf("%s: %s replays shards through ReplayBatch in a loop of its own; hand them to harness.ReplayShards",
+						path, funcName(fn))
+					return false
+				}
+				return true
+			})
+		}
+	})
+}
+
+// funcName is fn's name, qualified by its receiver's type for a method.
+func funcName(fn *ast.FuncDecl) string {
+	if fn.Recv == nil || len(fn.Recv.List) == 0 {
+		return fn.Name.Name
+	}
+	typ := fn.Recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	if id, ok := typ.(*ast.Ident); ok {
+		return id.Name + "." + fn.Name.Name
+	}
+	return fn.Name.Name
+}
+
+// callsNamed reports whether body calls a function or method named
+// name, as a bare identifier or a selector (pkg.Name, x.Name).
+func callsNamed(body ast.Node, name string) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if c, ok := n.(*ast.CallExpr); ok {
+			switch fun := c.Fun.(type) {
+			case *ast.Ident:
+				found = found || fun.Name == name
+			case *ast.SelectorExpr:
+				found = found || fun.Sel.Name == name
+			}
+		}
+		return !found
+	})
+	return found
+}
+
 // callsProcess reports whether body calls a method named Process or
 // ProcessAt.
 func callsProcess(body ast.Node) bool {
