@@ -1,8 +1,10 @@
 # Developer entry points. `make check` is the pre-PR gate: formatting,
-# vet, build, the reachability audit, full tests, race coverage of the whole module, the
-# conformance grid (one runner, `nfrun -grid`: difftest, chaos-smoke and
-# attack-smoke are selections of its axes), a bounded fuzz smoke over
-# every native fuzz target, and the benchmark module's own vet + tests.
+# vet, build, the execution audit, full tests, race coverage of the
+# whole module, the conformance grid (one runner, `nfrun -grid`:
+# difftest, chaos-smoke and attack-smoke are selections of its axes), a
+# bounded fuzz smoke over every native fuzz target, the observability,
+# daemon, paper-experiment and example smokes, and the benchmark
+# module's own vet + tests.
 
 GO ?= go
 
@@ -10,11 +12,11 @@ GO ?= go
 # e.g. `make fuzz-smoke FUZZTIME=2m`.
 FUZZTIME ?= 10s
 
-.PHONY: all check fmt vet build reach test race difftest fuzz-smoke bench bench-telemetry bench-trace bench-test chaos-smoke attack-smoke obs-smoke nfd-smoke
+.PHONY: all check fmt vet build cover test race difftest fuzz-smoke bench bench-telemetry bench-trace bench-test chaos-smoke attack-smoke obs-smoke nfd-smoke paper-smoke examples-smoke
 
 all: check
 
-check: fmt vet build reach test race difftest fuzz-smoke chaos-smoke attack-smoke obs-smoke nfd-smoke bench-test
+check: fmt vet build cover test race difftest fuzz-smoke chaos-smoke attack-smoke obs-smoke nfd-smoke paper-smoke examples-smoke bench-test
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -26,18 +28,22 @@ vet:
 build:
 	$(GO) build ./...
 
-# Reachability audit (scripts/reach.sh): every function declared in a
-# non-test file under internal/ is linked into one of the binaries a
-# user runs — cmd/*, examples/* and bench, built with inlining off so
-# no call site hides a function — or is listed in scripts/reach.allow.
-# It proves that no product code is reachable from tests alone. A new
-# function no binary links fails here: delete it, move it into its
-# package's _test.go or export_test.go when only that package's tests
-# call it, or add a line `<dir>.<Func> <reason>` to scripts/reach.allow
-# naming the tests in other packages that need it. An allow-list entry
-# that a binary links, or that no file declares any more, fails too.
-reach:
-	bash scripts/reach.sh
+# Execution audit (scripts/cover.sh): every function declared in a
+# non-test file under internal/ executes at least one statement in a
+# user run, or scripts/cover.allow excuses it. The run set is this
+# Makefile's own smoke invocations (difftest, chaos-smoke,
+# attack-smoke, obs-smoke, nfd-smoke, paper-smoke, examples-smoke and
+# bench-test), re-run with coverage counters on, so a function only
+# tests reach, or that a binary links but no target runs, fails here:
+# delete it, move it into its package's _test.go or export_test.go when
+# only that package's tests call it, exercise it from a make target, or
+# excuse it in scripts/cover.allow (rule classes: String/Error/Unwrap
+# methods and error constructors; named entries for functions tests in
+# other packages need, with those tests named). A named entry that
+# executes, or that no file declares any more, fails too. About 20 s
+# with a warm build cache.
+cover:
+	bash scripts/cover.sh
 
 test:
 	$(GO) test ./...
@@ -53,9 +59,13 @@ race:
 # Differential conformance: flavour against flavour and interpreter tier
 # against tier over identical seeded traces, plus generated programs
 # cross-checked between the production VM and the reference interpreter.
-# 4000 packets matches the grid's defaults.
+# 4000 packets matches the grid's defaults. The second run is the
+# flavour axis at 9000 flows: past the cuckoo filter's 4096 slots and
+# the cuckoo switch's 8192, so both preloads walk their kick chains and
+# then saturate, and every flavour must still agree.
 difftest:
 	$(GO) run ./cmd/nfrun -grid flavour,tier,vm -packets 4000 -flows 256 -vm-trials 200
+	$(GO) run ./cmd/nfrun -grid flavour -packets 4000 -flows 9000
 
 # Bounded native fuzzing: every Fuzz* target for FUZZTIME each, seeded
 # from the committed corpora under testdata/fuzz/. A crash writes its
@@ -98,7 +108,12 @@ attack-smoke:
 # stats are merged once. The third is a guarded replay with -trace and
 # no server: it must dump its recording as JSONL, at least one verdict
 # event. The fourth profiles a sharded per-CPU replay: it must print an
-# attribution report with instructions counted.
+# attribution report with instructions counted; the fifth profiles a
+# Kernel-flavour replay, which is metered (run time, no instructions).
+# The sixth and seventh replay over per-CPU maps and must print the
+# merge-on-read views: conntrack's flow table across its private
+# copies, and cmsketch's estimate. The last disassembles an eBPF
+# program.
 obs-smoke:
 	$(GO) run ./cmd/nfrun -nf cmsketch -flavor enetstl -packets 20000 -serve 127.0.0.1:0 -trace -smoke
 	$(GO) run ./cmd/nfrun -nf cmsketch -flavor enetstl -shards 2 -packets 4000 -serve 127.0.0.1:0 -trace -smoke
@@ -108,13 +123,45 @@ obs-smoke:
 	@out="$$($(GO) run ./cmd/nfrun -nf cmsketch -flavor enetstl -shards 2 -percpu -packets 4000 -profile)" && \
 		printf '%s\n' "$$out" | grep -q '^cmsketch/eNetSTL: 4000 packets, [1-9][0-9]* insns' && \
 		echo "obs smoke: sharded per-CPU -profile printed a report" || { printf '%s\n' "$$out"; exit 1; }
+	@out="$$($(GO) run ./cmd/nfrun -nf cmsketch -flavor kernel -packets 2000 -profile)" && \
+		printf '%s\n' "$$out" | grep -q '^cmsketch/Kernel: 2000 packets, 0 insns, [1-9][0-9]* ns total' && \
+		echo "obs smoke: Kernel-flavour -profile printed a metered report" || { printf '%s\n' "$$out"; exit 1; }
+	@out="$$($(GO) run ./cmd/nfrun -nf conntrack -flavor ebpf -shards 2 -percpu -packets 4000 -trials 1)" && \
+		printf '%s\n' "$$out" | grep -q '^percpu: 2 private copies, [1-9][0-9]* flows live after merge' && \
+		echo "obs smoke: per-CPU conntrack merged its flow table" || { printf '%s\n' "$$out"; exit 1; }
+	@out="$$($(GO) run ./cmd/nfrun -nf cmsketch -flavor enetstl -shards 2 -percpu -packets 4000 -trials 1)" && \
+		printf '%s\n' "$$out" | grep -q '^estimate: flow 0 [1-9][0-9]* packets' && \
+		echo "obs smoke: per-CPU cmsketch answered a merged estimate" || { printf '%s\n' "$$out"; exit 1; }
+	@out="$$($(GO) run ./cmd/nfrun -nf cmsketch -flavor ebpf -disasm)" && \
+		printf '%s\n' "$$out" | grep -q '^cmsketch (eBPF): [1-9][0-9]* instructions' && \
+		echo "obs smoke: -disasm listed the eBPF program" || { printf '%s\n' "$$out"; exit 1; }
 
 # Daemon lifecycle end-to-end: start nfd on a loopback port, run the
 # full module lifecycle over HTTP (create a guarded traced module, push
-# a batch, probe the estimator, stats and /profile, scrape /metrics,
+# a batch, probe the estimator, create, feed and probe a sharded
+# per-CPU module, create one seeded from an attack scenario, read the
+# index and the module list, stats and /profile, scrape /metrics,
 # delete, 404), then shut down cleanly. Exits non-zero on any step.
+# Then the options body nfrun -print-options prints (the body a create
+# request carries) must configure an nfrun replay through -options.
 nfd-smoke:
 	$(GO) run ./cmd/nfd -smoke
+	@opts="$$($(GO) run ./cmd/nfrun -nf cmsketch -flavor enetstl -shards 2 -stats -print-options)" && \
+		$(GO) run ./cmd/nfrun -nf cmsketch -flavor enetstl -options "$$opts" -packets 2000 -trials 1 >/dev/null && \
+		echo "nfd smoke: nfrun -print-options round-trips through -options"
+
+# The paper's experiments end to end at a size that runs in seconds:
+# every experiment enetstl-bench knows, one trial of 2000 packets each.
+paper-smoke:
+	$(GO) run ./cmd/enetstl-bench -packets 2000 -trials 1 >/dev/null
+
+# Every example program and the trace generator run to completion.
+examples-smoke:
+	$(GO) run ./examples/quickstart >/dev/null
+	$(GO) run ./examples/loadbalancer >/dev/null
+	$(GO) run ./examples/sketchmonitor >/dev/null
+	$(GO) run ./examples/trafficshaper >/dev/null
+	$(GO) run ./cmd/pktgen -packets 20000 -flows 256 -top 3 >/dev/null
 
 # Ungated developer aid (the in-package BenchmarkDispatch* micros, and
 # BenchmarkCreate: ms/create and B/op of Registry.Create on each

@@ -59,18 +59,17 @@ func main() {
 		fmt.Printf("(%s took %.1fs)\n\n", r.ID, time.Since(start).Seconds())
 	}
 
-	if *id == "all" {
-		for _, r := range experiments.All() {
+	found := false
+	for _, r := range experiments.All() {
+		if *id == "all" || r.ID == *id {
 			run(r)
+			found = true
 		}
-		return
 	}
-	r, ok := experiments.ByID(*id)
-	if !ok {
+	if !found {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *id)
 		os.Exit(2)
 	}
-	run(r)
 }
 
 // runAttack replays the full NF catalog under each adversarial scenario

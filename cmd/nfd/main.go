@@ -10,8 +10,10 @@
 //	curl -X DELETE localhost:8080/modules/cmsketch-1
 //
 // -smoke runs a self-contained lifecycle check over a loopback
-// listener (create → ingest → trace → estimate → stats → profile →
-// metrics → delete → shutdown) and exits non-zero on any failure — the `make nfd-smoke` gate.
+// listener (create → ingest → trace → estimate → sharded per-CPU
+// module → scenario-seeded module → index → list → stats → profile →
+// metrics → delete → shutdown) and exits non-zero on any failure — the
+// `make nfd-smoke` gate.
 package main
 
 import (
@@ -138,6 +140,72 @@ func runSmoke(srv *nfd.Server) int {
 		return fail("estimate", fmt.Errorf("flow 0 estimate is zero after 5000 packets"))
 	}
 
+	// A sharded module over one per-CPU counter matrix: its estimate is
+	// the merge-on-read sum across the shards' private copies.
+	var sharded struct {
+		ID string `json:"id"`
+	}
+	if err := call(base, "POST", "/modules", `{
+		"name": "nitrosketch", "flavor": "enetstl",
+		"options": {"shards": 2, "percpu": true},
+		"trace": {"flows": 128, "packets": 2000, "seed": 7}
+	}`, http.StatusCreated, &sharded); err != nil {
+		return fail("sharded create", err)
+	}
+	// Skewed traffic: a sampled sketch's row minimum reads 0 for a flow
+	// too light to be sampled in every row.
+	if err := call(base, "POST", "/modules/"+sharded.ID+"/packets",
+		`{"flows": 128, "packets": 5000, "zipf": 1.1, "seed": 7}`, http.StatusOK, nil); err != nil {
+		return fail("sharded ingest", err)
+	}
+	est.Estimate = 0
+	if err := call(base, "GET", "/modules/"+sharded.ID+"/estimates?flow=0", "", http.StatusOK, &est); err != nil {
+		return fail("sharded estimate", err)
+	}
+	if est.Estimate == 0 {
+		return fail("sharded estimate", fmt.Errorf("flow 0 merged estimate is zero after 5000 packets"))
+	}
+
+	// A module seeded from an attack scenario takes that scenario's flow
+	// table, built with its packets.
+	var seeded struct {
+		ID string `json:"id"`
+	}
+	if err := call(base, "POST", "/modules", `{
+		"name": "conntrack", "flavor": "ebpf",
+		"trace": {"flows": 64, "packets": 500, "seed": 3, "scenario": "churn"}
+	}`, http.StatusCreated, &seeded); err != nil {
+		return fail("scenario-seeded create", err)
+	}
+
+	// The index names the API, and the module list holds all three.
+	var index struct {
+		Service   string   `json:"service"`
+		Endpoints []string `json:"endpoints"`
+	}
+	if err := call(base, "GET", "/", "", http.StatusOK, &index); err != nil {
+		return fail("index", err)
+	}
+	if index.Service != "nfd" || len(index.Endpoints) == 0 {
+		return fail("index", fmt.Errorf("unexpected index %+v", index))
+	}
+	var list struct {
+		Modules []struct {
+			ID string `json:"id"`
+		} `json:"modules"`
+	}
+	if err := call(base, "GET", "/modules", "", http.StatusOK, &list); err != nil {
+		return fail("list", err)
+	}
+	if len(list.Modules) != 3 {
+		return fail("list", fmt.Errorf("%d modules listed, want 3", len(list.Modules)))
+	}
+	for _, id := range []string{sharded.ID, seeded.ID} {
+		if err := call(base, "DELETE", "/modules/"+id, "", http.StatusOK, nil); err != nil {
+			return fail("delete "+id, err)
+		}
+	}
+
 	// Stats flowed into the per-module collector.
 	var stats struct {
 		Programs []struct {
@@ -184,7 +252,7 @@ func runSmoke(srv *nfd.Server) int {
 	if err := srv.Shutdown(ctx); err != nil {
 		return fail("shutdown", err)
 	}
-	fmt.Println("nfd-smoke: ok (create → ingest → trace → estimate → stats → profile → metrics → delete → shutdown)")
+	fmt.Println("nfd-smoke: ok (create → ingest → trace → estimate → sharded per-CPU module → scenario-seeded module → index → list → stats → profile → metrics → delete → shutdown)")
 	return 0
 }
 

@@ -346,7 +346,7 @@ func finishServe(srv *obs.Server, base string, smoke, hold bool, st *vm.Stats) {
 			fmt.Fprintln(os.Stderr, "obs smoke:", err)
 			os.Exit(1)
 		}
-		fmt.Println("obs smoke: /metrics /trace /profile /debug/pprof OK")
+		fmt.Println("obs smoke: / /metrics /trace /profile /debug/pprof OK")
 	}
 	if hold {
 		fmt.Fprintf(os.Stderr, "obs: replay done, holding %s (SIGINT to exit)\n", base)
@@ -374,6 +374,13 @@ func smokeCheck(base string, st *vm.Stats) error {
 			return "", fmt.Errorf("GET %s: status %d", path, resp.StatusCode)
 		}
 		return string(body), nil
+	}
+	index, err := get("/")
+	if err != nil {
+		return err
+	}
+	if !strings.Contains(index, "/metrics") {
+		return fmt.Errorf("/: index does not link /metrics")
 	}
 	metrics, err := get("/metrics")
 	if err != nil {
@@ -483,6 +490,18 @@ func runSharded(name string, flavor nf.Flavor, tr *pktgen.Trace, o runtime.Optio
 		}
 		fmt.Printf("percpu: %d private copies, %d flows live after merge, %d packets tracked, %d evictions\n",
 			p.NumCPU(), live, tracked, p.Evictions())
+	}
+	if est, ok := sh.Estimate(tr.FlowKeys[0][:]); ok {
+		// The control-plane estimator over every shard: summed per-shard
+		// sketches, or one merge-on-read over the per-CPU copies.
+		sent := 0
+		for _, f := range tr.FlowOf {
+			if f == 0 {
+				sent++
+			}
+		}
+		// The warm-up pass counts too.
+		fmt.Printf("estimate: flow 0 %d packets (%d sent over %d passes)\n", est, sent*(res.Trials+1), res.Trials+1)
 	}
 	publish := func(reg *telemetry.Registry) {
 		if st != nil {

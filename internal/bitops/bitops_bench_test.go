@@ -3,7 +3,7 @@ package bitops
 import "testing"
 
 // The Table 2 "bit manipulation" row at component level: hardware-
-// lowered FFS/POPCNT (math/bits) against the software sequences an
+// lowered FFS (math/bits) against the software sequences an
 // eBPF program must inline.
 
 var sinkInt int
@@ -19,26 +19,5 @@ func BenchmarkFFSSoftware(b *testing.B) {
 	x := uint64(0x8000_0100_0000_0000)
 	for i := 0; i < b.N; i++ {
 		sinkInt = SoftFFS(x + uint64(i&1))
-	}
-}
-
-func BenchmarkPopcntHardware(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sinkInt = Popcnt(uint64(i) * 0x9e3779b97f4a7c15)
-	}
-}
-
-func BenchmarkPopcntSoftware(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sinkInt = SoftPopcnt(uint64(i) * 0x9e3779b97f4a7c15)
-	}
-}
-
-func BenchmarkBitmapFirstSet(b *testing.B) {
-	bm := NewBitmap(4096)
-	bm.Set(4000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkInt = bm.FirstSet(0)
 	}
 }

@@ -1,9 +1,11 @@
 package bitops
 
-// Software references for the hardware-lowered bit operations: the
-// shift-and-test sequences an eBPF program must inline, which FuzzBitops
-// and TestSoftMatchesHard check FFS and Popcnt against and the Table 2
-// micro-benchmarks compare with.
+import "math/bits"
+
+// Software reference for the hardware-lowered FFS: the shift-and-test
+// sequence an eBPF program must inline, which FuzzBitops and
+// TestSoftMatchesHard check FFS against and the Table 2 micro-benchmark
+// compares with.
 
 // SoftFFS is the software ffs: a binary search over halves.
 func SoftFFS(x uint64) int {
@@ -37,10 +39,29 @@ func SoftFFS(x uint64) int {
 	return n
 }
 
-// SoftPopcnt is the software population count (parallel reduction).
-func SoftPopcnt(x uint64) int {
-	x = x - (x>>1)&0x5555555555555555
-	x = x&0x3333333333333333 + (x>>2)&0x3333333333333333
-	x = (x + x>>4) & 0x0f0f0f0f0f0f0f0f
-	return int(x * 0x0101010101010101 >> 56)
+// FirstSet returns the index of the first set bit at or after from, or
+// -1 if none, scanning O(n/64) words with one TZCNT per candidate word
+// (the paper's O(ceil(n/64)) lookup). No product path scans a bitmap;
+// the bitmap tests and FuzzBitmapScan read it through this.
+func (b Bitmap) FirstSet(from int) int {
+	if from < 0 {
+		from = 0
+	}
+	n := len(b) * 64
+	if from >= n {
+		return -1
+	}
+	w := from >> 6
+	// Mask off bits below `from` in the first word.
+	cur := b[w] & (^uint64(0) << (uint(from) & 63))
+	for {
+		if cur != 0 {
+			return w<<6 + bits.TrailingZeros64(cur)
+		}
+		w++
+		if w >= len(b) {
+			return -1
+		}
+		cur = b[w]
+	}
 }

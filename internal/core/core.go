@@ -18,17 +18,12 @@ import (
 // Kfunc IDs exposed by the library, grouped as in Table 2.
 const (
 	// Bit manipulation algorithms.
-	KfFFS64     int32 = 2001
-	KfFLS64     int32 = 2002
-	KfPopcnt64  int32 = 2003
-	KfBitmapFFS int32 = 2004
+	KfFFS64 int32 = 2001
 
 	// Hashing and unified post-hashing operations.
-	KfHashCRC    int32 = 2101
 	KfHashFast64 int32 = 2102
 	KfHashN      int32 = 2103 // low-level: copies all hashes out (Fig. 6)
 	KfHashCnt    int32 = 2104
-	KfHashMin    int32 = 2105
 	KfHashSet    int32 = 2106
 	KfHashTest   int32 = 2107
 	KfHashCmp    int32 = 2108
@@ -37,26 +32,17 @@ const (
 	KfFindU32 int32 = 2201
 	KfFindU16 int32 = 2202
 	KfMinU32  int32 = 2203
-	KfMaxU32  int32 = 2204
 	// Low-level per-instruction SIMD wrappers (Fig. 6 ablation).
 	KfVecCmpU32   int32 = 2251
 	KfVecMoveMask int32 = 2252
-	KfVecMulU32   int32 = 2253
 
 	// Random pools.
-	KfRpoolNext   int32 = 2301
-	KfRpoolFill   int32 = 2302
-	KfGeoNext     int32 = 2303
-	KfRpoolRefill int32 = 2304
+	KfRpoolNext int32 = 2301
+	KfGeoNext   int32 = 2303
 
 	// List-buckets.
-	KfBktNew           int32 = 2401
-	KfBktDestroy       int32 = 2402
-	KfBktInsertFront   int32 = 2403
-	KfBktPushBack      int32 = 2404
-	KfBktPopFront      int32 = 2405
-	KfBktFirstNonEmpty int32 = 2406
-	KfBktLen           int32 = 2407
+	KfBktPushBack int32 = 2404
+	KfBktPopFront int32 = 2405
 
 	// Memory wrapper.
 	KfNodeAlloc      int32 = 2501
@@ -120,9 +106,6 @@ func Attach(machine *vm.VM, cfg Config) *Lib {
 	l.registerMemWrapper()
 	return l
 }
-
-// VM returns the bound machine.
-func (l *Lib) VM() *vm.VM { return l.vm }
 
 // --- Native-side object management (the control-plane path) ---
 

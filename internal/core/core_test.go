@@ -32,13 +32,9 @@ func TestBitKfuncs(t *testing.T) {
 	b := asm.New()
 	b.LoadImm64(asm.R1, 0x8000000000000100)
 	b.Kfunc(core.KfFFS64) // -> 9
-	b.Mov(asm.R6, asm.R0)
-	b.LoadImm64(asm.R1, 0x8000000000000100)
-	b.Kfunc(core.KfPopcnt64) // -> 2
-	b.Mul(asm.R0, asm.R6)    // 18
 	b.Exit()
-	if got := runKfuncProg(t, machine, b, nil, verifier.Options{}); got != 18 {
-		t.Fatalf("got %d, want 18", got)
+	if got := runKfuncProg(t, machine, b, nil, verifier.Options{}); got != 9 {
+		t.Fatalf("got %d, want 9", got)
 	}
 }
 
@@ -89,16 +85,20 @@ func TestFindKfunc(t *testing.T) {
 }
 
 func TestBucketListKfuncLifecycle(t *testing.T) {
-	// The get-or-init pattern of Listing 5: create a list-buckets
-	// instance from the program, persist its handle with kptr_xchg,
-	// insert and pop an element.
+	// The control plane installs a list-buckets instance and stores its
+	// handle in a map (timewheel's wiring); the program loads the handle,
+	// pushes an element into a bucket and pops it back.
 	machine := vm.New()
-	core.Attach(machine, core.Config{})
+	lib := core.Attach(machine, core.Config{})
+	h := core.MustHandle(lib.NewBucketsHandle(4, 8, 16))
 	state := maps.Must(maps.NewArray(8, 1))
 	fd := machine.RegisterMap(state)
+	d := state.Data()
+	for i := 0; i < 8; i++ {
+		d[i] = byte(h >> (8 * i))
+	}
 
 	b := asm.New()
-	b.Mov(asm.R6, asm.R1)
 	b.StoreImm(asm.R10, -4, 0, 4)
 	b.LoadMap(asm.R1, fd)
 	b.Mov(asm.R2, asm.R10).AddImm(asm.R2, -4)
@@ -106,54 +106,39 @@ func TestBucketListKfuncLifecycle(t *testing.T) {
 	b.JmpImm(asm.JNE, asm.R0, 0, "have_slot")
 	b.MovImm(asm.R0, 1).Exit()
 	b.Label("have_slot")
-	b.Mov(asm.R7, asm.R0)
-	// h = bktlist_new(4 buckets, 8B elems)
-	b.MovImm(asm.R1, 4)
-	b.MovImm(asm.R2, 8)
-	b.Kfunc(core.KfBktNew)
-	b.JmpImm(asm.JNE, asm.R0, 0, "created")
-	b.MovImm(asm.R0, 2).Exit()
-	b.Label("created")
-	// persist: old = kptr_xchg(slot, h); old must be 0 here.
-	b.Mov(asm.R2, asm.R0)
-	b.Mov(asm.R1, asm.R7)
-	b.Call(vm.HelperKptrXchg)
-	b.JmpImm(asm.JEQ, asm.R0, 0, "no_old")
-	// Nonzero old handle: destroy it.
-	b.Mov(asm.R1, asm.R0)
-	b.Kfunc(core.KfBktDestroy)
-	b.Label("no_old")
-	// reload handle and use it
-	b.Load(asm.R8, asm.R7, 0, 8)
+	b.Load(asm.R8, asm.R0, 0, 8)
 	b.JmpImm(asm.JNE, asm.R8, 0, "use")
-	b.MovImm(asm.R0, 3).Exit()
+	b.MovImm(asm.R0, 2).Exit()
 	b.Label("use")
 	b.StoreImm(asm.R10, -16, 0x55, 8)
 	b.Mov(asm.R1, asm.R8)
 	b.MovImm(asm.R2, 2) // bucket 2
 	b.Mov(asm.R3, asm.R10).AddImm(asm.R3, -16)
 	b.MovImm(asm.R4, 8)
-	b.Kfunc(core.KfBktInsertFront)
-	// first_nonempty -> 1+2
-	b.Mov(asm.R1, asm.R8)
-	b.MovImm(asm.R2, 0)
-	b.Kfunc(core.KfBktFirstNonEmpty)
+	b.Kfunc(core.KfBktPushBack) // -> 0
 	b.Mov(asm.R9, asm.R0)
+	b.StoreImm(asm.R10, -16, 0, 8)
 	// pop it back
 	b.Mov(asm.R1, asm.R8)
 	b.MovImm(asm.R2, 2)
 	b.Mov(asm.R3, asm.R10).AddImm(asm.R3, -16)
 	b.MovImm(asm.R4, 8)
-	b.Kfunc(core.KfBktPopFront)
-	b.Add(asm.R0, asm.R9) // 1 (popped) + 3 (bucket+1) = 4
+	b.Kfunc(core.KfBktPopFront) // -> 1
+	b.Add(asm.R0, asm.R9)
+	b.Load(asm.R1, asm.R10, -16, 8)
+	b.Add(asm.R0, asm.R1) // 1 (popped) + 0x55 (the element) = 0x56
 	b.Exit()
 
-	if got := runKfuncProg(t, machine, b, make([]byte, 64), verifier.Options{CtxSize: 64}); got != 4 {
-		t.Fatalf("got %d, want 4", got)
+	if got := runKfuncProg(t, machine, b, make([]byte, 64), verifier.Options{CtxSize: 64}); got != 0x56 {
+		t.Fatalf("got %#x, want 0x56", got)
 	}
-	// Run again: the persisted handle is reused, the freshly created
-	// instance is destroyed via the old-handle path... (second create
-	// happens first, then xchg returns it; ensure no error).
+	lb, err := lib.Buckets(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lb.PopFront(2, make([]byte, 8)) {
+		t.Fatal("the popped element is still queued")
+	}
 }
 
 func TestMemWrapperKfuncsListing3(t *testing.T) {
@@ -161,6 +146,8 @@ func TestMemWrapperKfuncsListing3(t *testing.T) {
 	machine := vm.New()
 	lib := core.Attach(machine, core.Config{NodeDataSize: 32})
 	proxy := memwrapper.Must(memwrapper.NewProxy(32, 2))
+	freed := 0
+	proxy.OnFree = func(*memwrapper.Node) { freed++ }
 	ph := lib.NewProxyHandle(proxy)
 	root, err := proxy.Alloc(2)
 	if err != nil {
@@ -241,8 +228,12 @@ func TestMemWrapperKfuncsListing3(t *testing.T) {
 	if got != 0xCD {
 		t.Fatalf("walked value = %#x, want 0xCD", got)
 	}
-	if proxy.Live() != 2 {
-		t.Fatalf("live nodes = %d, want 2 (root + new)", proxy.Live())
+	// Two allocations (root + new) and no free: both nodes are live.
+	if freed != 0 {
+		t.Fatalf("%d nodes freed, want 0 (root + new stay live)", freed)
+	}
+	if err := proxy.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -54,44 +54,9 @@ func (l *Lib) registerBitops() {
 		Impl: func(_ *vm.VM, a1, _, _, _, _ uint64) (uint64, error) {
 			return uint64(bitops.FFS(a1)), nil
 		}})
-	l.vm.RegisterKfunc(&vm.Kfunc{ID: KfFLS64, Name: "enetstl_fls64", Meta: scalar1,
-		Impl: func(_ *vm.VM, a1, _, _, _, _ uint64) (uint64, error) {
-			return uint64(bitops.FLS(a1)), nil
-		}})
-	l.vm.RegisterKfunc(&vm.Kfunc{ID: KfPopcnt64, Name: "enetstl_popcnt64", Meta: scalar1,
-		Impl: func(_ *vm.VM, a1, _, _, _, _ uint64) (uint64, error) {
-			return uint64(bitops.Popcnt(a1)), nil
-		}})
-	// kf_bitmap_ffs(bitmapPtr, bitmapBytes, fromBit) -> 1+bit or 0.
-	l.vm.RegisterKfunc(&vm.Kfunc{ID: KfBitmapFFS, Name: "enetstl_bitmap_ffs",
-		Meta: vm.KfuncMeta{NumArgs: 3, Args: [5]vm.ArgSpec{
-			{Kind: vm.ArgPtrToMem, SizeArg: 2}, {Kind: vm.ArgScalar}, {Kind: vm.ArgScalar},
-		}, Ret: vm.RetScalar},
-		Impl: func(machine *vm.VM, a1, a2, a3, _, _ uint64) (uint64, error) {
-			b, err := machine.Bytes(a1, int(a2))
-			if err != nil {
-				return 0, err
-			}
-			if a2%8 != 0 {
-				return 0, fmt.Errorf("bitmap size %d not a multiple of 8", a2)
-			}
-			return uint64(bitops.FirstSetLE(b, int(a3)) + 1), nil
-		}})
 }
 
 func (l *Lib) registerHash() {
-	// kf_hash_crc(keyPtr, keyLen, seed) -> u32.
-	l.vm.RegisterKfunc(&vm.Kfunc{ID: KfHashCRC, Name: "enetstl_hash_crc",
-		Meta: vm.KfuncMeta{NumArgs: 3, Args: [5]vm.ArgSpec{
-			{Kind: vm.ArgPtrToMem, SizeArg: 2}, {Kind: vm.ArgScalar}, {Kind: vm.ArgScalar},
-		}, Ret: vm.RetScalar},
-		Impl: func(machine *vm.VM, a1, a2, a3, _, _ uint64) (uint64, error) {
-			key, err := machine.Bytes(a1, int(a2))
-			if err != nil {
-				return 0, err
-			}
-			return uint64(nhash.CRC32(key, uint32(a3))), nil
-		}})
 	// kf_hash_fast64(keyPtr, keyLen, seed) -> u64.
 	l.vm.RegisterKfunc(&vm.Kfunc{ID: KfHashFast64, Name: "enetstl_hash_fast64",
 		Meta: vm.KfuncMeta{NumArgs: 3, Args: [5]vm.ArgSpec{
@@ -163,18 +128,6 @@ func (l *Lib) registerHash() {
 			incU32(buf, i*w+int(h&mask))
 		}
 		return 0
-	})
-	// kf_hash_min: fused multi-hash + min-reduction (count-min query).
-	matrixOp(KfHashMin, "enetstl_hash_min", func(buf []byte, rows int, mask uint32, key []byte) uint64 {
-		w := int(mask) + 1
-		min := ^uint32(0)
-		for i := 0; i < rows; i++ {
-			h := nhash.FastHash32(key, nhash.Seed(i))
-			if c := getU32(buf, i*w+int(h&mask)); c < min {
-				min = c
-			}
-		}
-		return uint64(min)
 	})
 
 	// kf_hash_cmp: the fused "comparing after hashing" of §4.3 ([27],
@@ -285,7 +238,7 @@ func (l *Lib) registerSIMD() {
 	memOnly := vm.KfuncMeta{NumArgs: 2, Args: [5]vm.ArgSpec{
 		{Kind: vm.ArgPtrToMem, SizeArg: 2}, {Kind: vm.ArgScalar},
 	}, Ret: vm.RetScalar}
-	// kf_min_u32 / kf_max_u32 -> idx<<32 | value.
+	// kf_min_u32 -> idx<<32 | value.
 	l.vm.RegisterKfunc(&vm.Kfunc{ID: KfMinU32, Name: "enetstl_min_u32", Meta: memOnly,
 		Impl: func(machine *vm.VM, a1, a2, _, _, _ uint64) (uint64, error) {
 			b, err := machine.Bytes(a1, int(a2))
@@ -293,15 +246,6 @@ func (l *Lib) registerSIMD() {
 				return 0, err
 			}
 			idx, val := simd.MinU32LE(b)
-			return uint64(uint32(idx))<<32 | uint64(val), nil
-		}})
-	l.vm.RegisterKfunc(&vm.Kfunc{ID: KfMaxU32, Name: "enetstl_max_u32", Meta: memOnly,
-		Impl: func(machine *vm.VM, a1, a2, _, _, _ uint64) (uint64, error) {
-			b, err := machine.Bytes(a1, int(a2))
-			if err != nil {
-				return 0, err
-			}
-			idx, val := simd.MaxU32LE(b)
 			return uint64(uint32(idx))<<32 | uint64(val), nil
 		}})
 
@@ -341,31 +285,6 @@ func (l *Lib) registerSIMD() {
 			v := simd.VecLoad(u32Slice(src))
 			return uint64(simd.VecMoveMask(v)), nil
 		}})
-	// kf_vec_mul_u32(destPtr, lhsPtr, rhsPtr) — Listing 1's
-	// bpf_mm256_mul_epu32 with its load/store round trips.
-	l.vm.RegisterKfunc(&vm.Kfunc{ID: KfVecMulU32, Name: "enetstl_vec_mul_u32",
-		Meta: vm.KfuncMeta{NumArgs: 3, Args: [5]vm.ArgSpec{
-			{Kind: vm.ArgPtrToMem, Size: vecBytes},
-			{Kind: vm.ArgPtrToMem, Size: vecBytes},
-			{Kind: vm.ArgPtrToMem, Size: vecBytes},
-		}, Ret: vm.RetVoid},
-		Impl: func(machine *vm.VM, a1, a2, a3, _, _ uint64) (uint64, error) {
-			dst, err := machine.Bytes(a1, vecBytes)
-			if err != nil {
-				return 0, err
-			}
-			lhs, err := machine.Bytes(a2, vecBytes)
-			if err != nil {
-				return 0, err
-			}
-			rhs, err := machine.Bytes(a3, vecBytes)
-			if err != nil {
-				return 0, err
-			}
-			r := simd.VecMul(simd.VecLoad(u32Slice(lhs)), simd.VecLoad(u32Slice(rhs)))
-			putU32Slice(dst, r[:])
-			return 0, nil
-		}})
 }
 
 func (l *Lib) registerRpool() {
@@ -382,55 +301,6 @@ func (l *Lib) registerRpool() {
 				return 0, vm.ErrBadHandle
 			}
 			return uint64(p.Next()), nil
-		}})
-	// kf_rpool_fill(handle, outPtr, outBytes): one call per packet
-	// instead of one helper call per row.
-	l.vm.RegisterKfunc(&vm.Kfunc{ID: KfRpoolFill, Name: "enetstl_rpool_fill",
-		Meta: vm.KfuncMeta{NumArgs: 3, Args: [5]vm.ArgSpec{
-			{Kind: vm.ArgHandle}, {Kind: vm.ArgPtrToMem, SizeArg: 3}, {Kind: vm.ArgScalar},
-		}, Ret: vm.RetVoid},
-		Impl: func(machine *vm.VM, a1, a2, a3, _, _ uint64) (uint64, error) {
-			o, err := machine.Object(a1)
-			if err != nil {
-				return 0, err
-			}
-			p, ok := o.(*rpool.Pool)
-			if !ok {
-				return 0, vm.ErrBadHandle
-			}
-			out, err := machine.Bytes(a2, int(a3))
-			if err != nil {
-				return 0, err
-			}
-			n := int(a3) / 4
-			for i := 0; i < n; i++ {
-				v := p.Next()
-				j := i * 4
-				out[j], out[j+1], out[j+2], out[j+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-			}
-			return 0, nil
-		}})
-	// kf_rpool_refill(bufPtr, bytes): refill a program-resident random
-	// pool in place (the "automatic reinjection" of §4.3). Programs read
-	// the pooled numbers directly from map memory and call this only
-	// when the pool drains, amortizing the call to ~zero per packet.
-	l.vm.RegisterKfunc(&vm.Kfunc{ID: KfRpoolRefill, Name: "enetstl_rpool_refill",
-		Meta: vm.KfuncMeta{NumArgs: 2, Args: [5]vm.ArgSpec{
-			{Kind: vm.ArgPtrToMem, SizeArg: 2}, {Kind: vm.ArgScalar},
-		}, Ret: vm.RetVoid,
-			// Error-injectable: a skipped refill leaves the program
-			// serving its previous batch — stale randomness, never UB.
-			ErrInject: true},
-		Impl: func(machine *vm.VM, a1, a2, _, _, _ uint64) (uint64, error) {
-			buf, err := machine.Bytes(a1, int(a2))
-			if err != nil {
-				return 0, err
-			}
-			for j := 0; j+4 <= len(buf); j += 4 {
-				v := machine.Rand32()
-				buf[j], buf[j+1], buf[j+2], buf[j+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-			}
-			return 0, nil
 		}})
 
 	// kf_geo_next(handle) -> geometric skip count.
@@ -461,61 +331,32 @@ func (l *Lib) buckets(machine *vm.VM, h uint64) (*listbuckets.ListBuckets, error
 }
 
 func (l *Lib) registerBuckets() {
-	// kf_bktlist_new(nBuckets, elemSize) -> handle.
-	l.vm.RegisterKfunc(&vm.Kfunc{ID: KfBktNew, Name: "enetstl_bktlist_new",
-		Meta: vm.KfuncMeta{NumArgs: 2, Args: [5]vm.ArgSpec{
-			{Kind: vm.ArgScalar}, {Kind: vm.ArgScalar},
-		}, Ret: vm.RetHandle, Acquire: true, MayBeNull: true, ErrInject: true},
-		Impl: func(machine *vm.VM, a1, a2, _, _, _ uint64) (uint64, error) {
-			if a1 == 0 || a1 > 1<<20 || a2 == 0 || a2 > uint64(l.cfg.MaxBktElem) {
-				return 0, nil // allocation failure -> NULL
-			}
-			lb, err := listbuckets.New(int(a1), int(a2), 64)
-			if err != nil {
-				return 0, nil // allocation failure -> NULL
-			}
-			return machine.AllocHandle(lb), nil
-		}})
-	// kf_bktlist_destroy(handle).
-	l.vm.RegisterKfunc(&vm.Kfunc{ID: KfBktDestroy, Name: "enetstl_bktlist_destroy",
-		Meta: vm.KfuncMeta{NumArgs: 1, Args: [5]vm.ArgSpec{{Kind: vm.ArgHandle}},
-			Ret: vm.RetVoid, ReleaseArg: 1},
-		Impl: func(machine *vm.VM, a1, _, _, _, _ uint64) (uint64, error) {
-			return 0, machine.FreeHandle(a1)
-		}})
 
-	insert := func(id int32, name string, front bool) {
-		l.vm.RegisterKfunc(&vm.Kfunc{ID: id, Name: name,
-			Meta: vm.KfuncMeta{NumArgs: 4, Args: [5]vm.ArgSpec{
-				{Kind: vm.ArgHandle}, {Kind: vm.ArgScalar},
-				{Kind: vm.ArgPtrToMem, SizeArg: 4}, {Kind: vm.ArgScalar},
-			}, Ret: vm.RetScalar,
-				// Error-injectable: a failed insert returns the same -1
-				// the bad-argument path already produces; the element is
-				// shed, the structure stays consistent.
-				ErrInject: true},
-			Impl: func(machine *vm.VM, a1, a2, a3, a4, _ uint64) (uint64, error) {
-				lb, err := l.buckets(machine, a1)
-				if err != nil {
-					return 0, err
-				}
-				if int(a2) >= lb.NumBuckets() || int(a4) != lb.ElemSize() {
-					return ^uint64(0), nil
-				}
-				data, err := machine.Bytes(a3, int(a4))
-				if err != nil {
-					return 0, err
-				}
-				if front {
-					lb.InsertFront(int(a2), data)
-				} else {
-					lb.PushBack(int(a2), data)
-				}
-				return 0, nil
-			}})
-	}
-	insert(KfBktInsertFront, "enetstl_bktlist_insert_front", true)
-	insert(KfBktPushBack, "enetstl_bktlist_push_back", false)
+	// kf_bktlist_push_back(handle, idx, dataPtr, dataLen) -> 0 or -1.
+	l.vm.RegisterKfunc(&vm.Kfunc{ID: KfBktPushBack, Name: "enetstl_bktlist_push_back",
+		Meta: vm.KfuncMeta{NumArgs: 4, Args: [5]vm.ArgSpec{
+			{Kind: vm.ArgHandle}, {Kind: vm.ArgScalar},
+			{Kind: vm.ArgPtrToMem, SizeArg: 4}, {Kind: vm.ArgScalar},
+		}, Ret: vm.RetScalar,
+			// Error-injectable: a failed insert returns the same -1
+			// the bad-argument path already produces; the element is
+			// shed, the structure stays consistent.
+			ErrInject: true},
+		Impl: func(machine *vm.VM, a1, a2, a3, a4, _ uint64) (uint64, error) {
+			lb, err := l.buckets(machine, a1)
+			if err != nil {
+				return 0, err
+			}
+			if int(a2) >= lb.NumBuckets() || int(a4) != lb.ElemSize() {
+				return ^uint64(0), nil
+			}
+			data, err := machine.Bytes(a3, int(a4))
+			if err != nil {
+				return 0, err
+			}
+			lb.PushBack(int(a2), data)
+			return 0, nil
+		}})
 
 	// kf_bktlist_pop_front(handle, idx, outPtr, outLen) -> 1 or 0.
 	l.vm.RegisterKfunc(&vm.Kfunc{ID: KfBktPopFront, Name: "enetstl_bktlist_pop_front",
@@ -539,32 +380,5 @@ func (l *Lib) registerBuckets() {
 				return 1, nil
 			}
 			return 0, nil
-		}})
-	// kf_bktlist_first_nonempty(handle, from) -> 1+idx or 0.
-	l.vm.RegisterKfunc(&vm.Kfunc{ID: KfBktFirstNonEmpty, Name: "enetstl_bktlist_first_nonempty",
-		Meta: vm.KfuncMeta{NumArgs: 2, Args: [5]vm.ArgSpec{
-			{Kind: vm.ArgHandle}, {Kind: vm.ArgScalar},
-		}, Ret: vm.RetScalar},
-		Impl: func(machine *vm.VM, a1, a2, _, _, _ uint64) (uint64, error) {
-			lb, err := l.buckets(machine, a1)
-			if err != nil {
-				return 0, err
-			}
-			return uint64(lb.FirstNonEmpty(int(a2)) + 1), nil
-		}})
-	// kf_bktlist_len(handle, idx) -> element count.
-	l.vm.RegisterKfunc(&vm.Kfunc{ID: KfBktLen, Name: "enetstl_bktlist_len",
-		Meta: vm.KfuncMeta{NumArgs: 2, Args: [5]vm.ArgSpec{
-			{Kind: vm.ArgHandle}, {Kind: vm.ArgScalar},
-		}, Ret: vm.RetScalar},
-		Impl: func(machine *vm.VM, a1, a2, _, _, _ uint64) (uint64, error) {
-			lb, err := l.buckets(machine, a1)
-			if err != nil {
-				return 0, err
-			}
-			if int(a2) >= lb.NumBuckets() {
-				return 0, nil
-			}
-			return uint64(lb.Len(int(a2))), nil
 		}})
 }

@@ -91,9 +91,6 @@ func TestKfuncTrailingBytes(t *testing.T) {
 		{"min_u32", core.KfMinU32, []uint64{scanPtr, uint64(len(scan))}, 6<<32 | 1},
 		{"min_u32 first of ties", core.KfMinU32, []uint64{scanPtr + 8, 4*4 + 2}, 2<<32 | 3},
 		{"min_u32 empty", core.KfMinU32, []uint64{scanPtr, 3}, 0xffffffff << 32},
-		{"max_u32", core.KfMaxU32, []uint64{scanPtr, uint64(len(scan))}, 2<<32 | 0xDEAD},
-		{"max_u32 six lanes", core.KfMaxU32, []uint64{scanPtr + 12, 6*4 + 1}, 2<<32 | 0xDEAD},
-		{"max_u32 empty", core.KfMaxU32, []uint64{scanPtr, 2}, 0xffffffff << 32},
 	} {
 		if got := e.call(c.id, c.args...); got != c.want {
 			t.Errorf("%s: got %#x, want %#x", c.name, got, c.want)
@@ -108,19 +105,6 @@ func TestKfuncTrailingBytes(t *testing.T) {
 	wantOut := append(u32Image(0xf056f0a5, 0xf1a748a7, 0xbbabaa65), 0xEE, 0xEE)
 	if !bytes.Equal(out, wantOut) {
 		t.Errorf("hash_n out = %x, want %x", out, wantOut)
-	}
-
-	// bitmap_ffs over two words, from each side of the word boundary.
-	bm := make([]byte, 16)
-	bm[1], bm[9] = 0x10, 0x01 // bits 12 and 72
-	bmPtr := e.mem(bm)
-	for _, c := range []struct{ from, want uint64 }{{0, 13}, {12, 13}, {13, 73}, {72, 73}, {73, 0}, {128, 0}, {1 << 40, 0}} {
-		if got := e.call(core.KfBitmapFFS, bmPtr, 16, c.from); got != c.want {
-			t.Errorf("bitmap_ffs from %d: got %d, want %d", c.from, got, c.want)
-		}
-	}
-	if _, err := e.m.KfuncByID(core.KfBitmapFFS).Impl(e.m, bmPtr, 12, 0, 0, 0); err == nil {
-		t.Error("bitmap_ffs accepted a 12-byte bitmap")
 	}
 }
 
@@ -159,39 +143,23 @@ func TestDataPathKfuncsDoNotAllocate(t *testing.T) {
 	const rows4 = uint64(4) << 32
 	calls := map[int32]func(){
 		core.KfFFS64:      func() { e.call(core.KfFFS64, 0x100) },
-		core.KfFLS64:      func() { e.call(core.KfFLS64, 0x100) },
-		core.KfPopcnt64:   func() { e.call(core.KfPopcnt64, 0x1234) },
-		core.KfBitmapFFS:  func() { e.call(core.KfBitmapFFS, bufPtr, 64, 3) },
-		core.KfHashCRC:    func() { e.call(core.KfHashCRC, keyPtr, 16, 7) },
 		core.KfHashFast64: func() { e.call(core.KfHashFast64, keyPtr, 16, 7) },
 		core.KfHashN:      func() { e.call(core.KfHashN, keyPtr, 16, bufPtr, 32) },
 		core.KfHashCnt:    func() { e.call(core.KfHashCnt, bufPtr, 256, keyPtr, 16, rows4|15) },
-		core.KfHashMin:    func() { e.call(core.KfHashMin, bufPtr, 256, keyPtr, 16, rows4|15) },
 		core.KfHashSet:    func() { e.call(core.KfHashSet, bufPtr, 256, keyPtr, 16, rows4|2047) },
 		core.KfHashTest:   func() { e.call(core.KfHashTest, bufPtr, 256, keyPtr, 16, rows4|2047) },
 		core.KfHashCmp:    func() { e.call(core.KfHashCmp, bufPtr, 256, keyPtr, 16, rows4|31) },
 		core.KfFindU32:    func() { e.call(core.KfFindU32, bufPtr, 256, 0xDEAD) },
 		core.KfFindU16:    func() { e.call(core.KfFindU16, bufPtr, 256, 0xDEAD) },
 		core.KfMinU32:     func() { e.call(core.KfMinU32, bufPtr, 256) },
-		core.KfMaxU32:     func() { e.call(core.KfMaxU32, bufPtr, 256) },
 		core.KfRpoolNext:  func() { e.call(core.KfRpoolNext, pool) },
-		core.KfRpoolFill:  func() { e.call(core.KfRpoolFill, pool, bufPtr, 32) },
 		core.KfGeoNext:    func() { e.call(core.KfGeoNext, geo) },
-		core.KfRpoolRefill: func() {
-			e.call(core.KfRpoolRefill, bufPtr, 64)
-		},
 		// Steady state of a queue: every insert is matched by a pop.
-		core.KfBktInsertFront: func() {
-			e.call(core.KfBktInsertFront, bkt, 1, elemPtr, 8)
-			e.call(core.KfBktPopFront, bkt, 1, elemPtr, 8)
-		},
 		core.KfBktPushBack: func() {
 			e.call(core.KfBktPushBack, bkt, 2, elemPtr, 8)
 			e.call(core.KfBktPopFront, bkt, 2, elemPtr, 8)
 		},
-		core.KfBktPopFront:      func() { e.call(core.KfBktPopFront, bkt, 3, elemPtr, 8) },
-		core.KfBktFirstNonEmpty: func() { e.call(core.KfBktFirstNonEmpty, bkt, 0) },
-		core.KfBktLen:           func() { e.call(core.KfBktLen, bkt, 1) },
+		core.KfBktPopFront: func() { e.call(core.KfBktPopFront, bkt, 3, elemPtr, 8) },
 		core.KfNodeSetOwner: func() {
 			e.call(core.KfNodeSetOwner, b)
 			e.call(core.KfNodeUnsetOwner, b)
@@ -215,9 +183,6 @@ func TestDataPathKfuncsDoNotAllocate(t *testing.T) {
 		// Not data-path calls, or copies by design.
 		core.KfVecCmpU32:   nil, // Fig. 6: the load/store round trip is the measurement
 		core.KfVecMoveMask: nil, // Fig. 6
-		core.KfVecMulU32:   nil, // Fig. 6
-		core.KfBktNew:      nil, // allocator
-		core.KfBktDestroy:  nil, // frees what bktlist_new allocated
 		core.KfNodeAlloc:   nil, // allocator
 	}
 	for id := int32(2001); id < 2600; id++ {

@@ -165,9 +165,6 @@ func (h *BucketHash) Type() Type     { return TypeHash }
 func (h *BucketHash) KeySize() int   { return h.keySize }
 func (h *BucketHash) ValueSize() int { return h.valueSize }
 
-// Len returns the number of stored entries.
-func (h *BucketHash) Len() int { return h.count }
-
 func (h *BucketHash) tagAt(i int) uint8 {
 	return uint8(h.tags[i>>3] >> ((i & 7) * 8))
 }

@@ -54,3 +54,10 @@ func AddU32Lanes(acc, lane []byte) {
 		binary.LittleEndian.PutUint32(acc[off:], s)
 	}
 }
+
+// Len reports a hash map's stored entries, for the tests' model
+// checks; no product path counts entries.
+func (h *BucketHash) Len() int { return h.count }
+
+// Len reports an LRU map's stored entries.
+func (l *LRUHash) Len() int { return l.core.count }

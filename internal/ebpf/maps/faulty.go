@@ -49,16 +49,6 @@ func (f *Faulty) Update(key, value []byte) error {
 // htab_map_delete_elem cannot fail with -ENOMEM).
 func (f *Faulty) Delete(key []byte) error { return f.M.Delete(key) }
 
-// Len forwards to the decorated map when it exposes an entry count, so
-// telemetry and capacity probes see through the fault layer. Maps
-// without a count report -1 rather than lying with 0.
-func (f *Faulty) Len() int {
-	if c, ok := f.M.(interface{ Len() int }); ok {
-		return c.Len()
-	}
-	return -1
-}
-
 // ArenaCount forwards to the decorated map.
 func (f *Faulty) ArenaCount() int { return f.M.ArenaCount() }
 

@@ -17,14 +17,6 @@ func (l *LRUHash) Footprint() int {
 	return 4*(len(l.prev)+len(l.next)) + l.core.Footprint()
 }
 
-// Footprint passes through to the decorated map.
-func (f *Faulty) Footprint() int {
-	if m, ok := f.M.(interface{ Footprint() int }); ok {
-		return m.Footprint()
-	}
-	return 0
-}
-
 // FootprintOf reports a map's backing-store bytes, 0 for maps that
 // don't implement the meter.
 func FootprintOf(m Map) int {

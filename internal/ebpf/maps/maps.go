@@ -188,20 +188,9 @@ func (p *PerCPUArray) MaxEntries() int { return p.per[0].MaxEntries() }
 
 // --- Hash ---
 
-// HashMap is what NewHash returns: an arena-backed map that can report
-// its entry count.
-type HashMap interface {
-	ArenaMap
-	Len() int
-}
-
 // NewHash creates a hash map (a BucketHash).
-func NewHash(keySize, valueSize, maxEntries int) (HashMap, error) {
-	h, err := NewBucketHash(keySize, valueSize, maxEntries)
-	if err != nil {
-		return nil, err // a bare nil, not a typed nil pointer in the interface
-	}
-	return h, nil
+func NewHash(keySize, valueSize, maxEntries int) (*BucketHash, error) {
+	return NewBucketHash(keySize, valueSize, maxEntries)
 }
 
 // --- LRUHash ---
@@ -246,9 +235,6 @@ func (l *LRUHash) Type() Type      { return TypeLRUHash }
 func (l *LRUHash) KeySize() int    { return l.core.keySize }
 func (l *LRUHash) ValueSize() int  { return l.core.valueSize }
 func (l *LRUHash) MaxEntries() int { return l.core.maxEntries }
-
-// Len returns the number of stored entries.
-func (l *LRUHash) Len() int { return l.core.count }
 
 func (l *LRUHash) unlink(i int32) {
 	if l.prev[i] >= 0 {

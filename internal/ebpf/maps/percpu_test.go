@@ -254,8 +254,8 @@ func TestPerCPUConcurrentViews(t *testing.T) {
 }
 
 // TestFaultyPerCPUPassthrough: a Faulty decorator over one per-CPU
-// copy forwards Len, and injected faults hit only that copy, leaving
-// its siblings untouched.
+// copy forwards updates to that copy, and injected faults hit only
+// that copy, leaving its siblings untouched.
 func TestFaultyPerCPUPassthrough(t *testing.T) {
 	p := Must(NewPerCPULRUHash(8, 8, 16, 2))
 	fail := false
@@ -266,17 +266,14 @@ func TestFaultyPerCPUPassthrough(t *testing.T) {
 	if p.CPU(1).Len() != 1 || p.CPU(0).Len() != 0 {
 		t.Fatal("update through Faulty missed its copy")
 	}
-	if f.Len() != 1 {
-		t.Fatalf("Faulty.Len() = %d, want 1", f.Len())
-	}
 	fail = true
 	if err := f.Update(pcKey(2), pcVal(1, 1)); err != ErrNoSpace {
 		t.Fatalf("injected update: %v", err)
 	}
-	if f.Len() != 1 || p.CPU(0).Len() != 0 {
+	if p.CPU(1).Len() != 1 || p.CPU(0).Len() != 0 {
 		t.Fatal("injected failure mutated the map")
 	}
-	// LRU flavour: telemetry surfaces visible through the decorator.
+	// LRU flavour: evictions happen below the decorator.
 	l := Must(NewLRUHash(8, 8, 4))
 	fl := &Faulty{M: l}
 	for i := uint64(0); i < 6; i++ {
@@ -284,16 +281,11 @@ func TestFaultyPerCPUPassthrough(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if fl.Len() != 4 {
-		t.Fatalf("Faulty.Len over LRU = %d, want 4", fl.Len())
+	if l.Len() != 4 {
+		t.Fatalf("LRU under Faulty holds %d entries, want 4", l.Len())
 	}
 	if l.Evictions != 2 {
 		t.Fatalf("evictions %d, want 2", l.Evictions)
-	}
-	// A Faulty over a plain Array (no Len surface) reports -1, not 0.
-	fa := &Faulty{M: Must(NewArray(8, 4))}
-	if fa.Len() != -1 {
-		t.Fatalf("Faulty.Len over array = %d, want -1", fa.Len())
 	}
 }
 

@@ -119,3 +119,15 @@ func (vm *VM) ReadOnlyMem(b []byte) uint64 { return vm.allocRegion(b, false) << 
 
 // Recorder returns the attached flight recorder, or nil.
 func (vm *VM) Recorder() *trace.Recorder { return vm.rec }
+
+// FreeHandle removes a handle from the object table: the release half
+// of a test kfunc's acquire/release pair. No library kfunc releases a
+// handle; programs keep what the control plane installs.
+func (vm *VM) FreeHandle(h uint64) error {
+	idx := int(h) - 1
+	if idx < 0 || idx >= len(vm.objects) || vm.objects[idx] == nil {
+		return ErrBadHandle
+	}
+	vm.objects[idx] = nil
+	return nil
+}

@@ -150,8 +150,8 @@ func TestTraceSampledOut(t *testing.T) {
 	if rec.SampledPackets() != 0 {
 		t.Fatalf("sampled %d packets at rate 1e-9", rec.SampledPackets())
 	}
-	if rec.Len() != 0 {
-		t.Fatalf("%d buffered events for unsampled packets", rec.Len())
+	if n := len(rec.Drain(0)); n != 0 {
+		t.Fatalf("%d buffered events for unsampled packets", n)
 	}
 }
 

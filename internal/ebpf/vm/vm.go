@@ -109,10 +109,8 @@ type VM struct {
 	// kRunLookupArray fast path (which inlines the built-in) must not run.
 	lookupReplaced bool
 
-	objects     []any
-	freeObjects []int
+	objects []any
 
-	rngState uint64
 	taus     [4]uint32
 	lockHeld int
 	lockWord uint32
@@ -172,7 +170,6 @@ func New() *VM {
 		regions:   make([]region, 1, 64), // region 0 reserved
 		helperIdx: make(map[int32]int32),
 		kfuncIdx:  make(map[int32]int32),
-		rngState:  0x9e3779b97f4a7c15,
 		Budget:    1 << 22,
 	}
 	vm.stackID = vm.allocRegion(make([]byte, StackSize), true)
@@ -338,23 +335,13 @@ func (vm *VM) SetAllocFault(fn func() bool) { vm.allocFault = fn }
 // harness asserts it is zero after every packet.
 func (vm *VM) LockHeld() int { return vm.lockHeld }
 
-// Rand32 steps the VM's xorshift PRNG (the bpf_get_prandom_u32 source).
-func (vm *VM) Rand32() uint32 {
-	x := vm.rngState
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	vm.rngState = x
-	return uint32(x)
-}
-
 // Prandom32 is the bpf_get_prandom_u32 implementation: the kernel's
 // four-LFSR tausworthe generator (prandom_u32_state), kept faithful so
 // the helper carries its real per-call cost.
 func (vm *VM) Prandom32() uint32 {
 	s := &vm.taus
 	if s[0] == 0 {
-		seed := uint32(vm.rngState) | 1
+		const seed = 0x7f4a7c15
 		s[0], s[1], s[2], s[3] = seed^0x9e3779b9, seed^0x7f4a7c15, seed^0x85ebca6b, seed^0xc2b2ae35
 		// Satisfy the generators' minimum-seed constraints.
 		if s[0] < 2 {
@@ -380,12 +367,6 @@ func (vm *VM) Prandom32() uint32 {
 // AllocHandle stores obj in the kernel object table and returns a
 // non-zero opaque handle (the kptr analogue).
 func (vm *VM) AllocHandle(obj any) uint64 {
-	if n := len(vm.freeObjects); n > 0 {
-		idx := vm.freeObjects[n-1]
-		vm.freeObjects = vm.freeObjects[:n-1]
-		vm.objects[idx] = obj
-		return uint64(idx + 1)
-	}
 	vm.objects = append(vm.objects, obj)
 	return uint64(len(vm.objects))
 }
@@ -397,17 +378,6 @@ func (vm *VM) Object(h uint64) (any, error) {
 		return nil, ErrBadHandle
 	}
 	return vm.objects[idx], nil
-}
-
-// FreeHandle removes a handle from the object table.
-func (vm *VM) FreeHandle(h uint64) error {
-	idx := int(h) - 1
-	if idx < 0 || idx >= len(vm.objects) || vm.objects[idx] == nil {
-		return ErrBadHandle
-	}
-	vm.objects[idx] = nil
-	vm.freeObjects = append(vm.freeObjects, idx)
-	return nil
 }
 
 // Stack returns the stack region bytes (for tests).

@@ -114,16 +114,6 @@ func All() []Runner {
 	}
 }
 
-// ByID returns the experiment with the given ID.
-func ByID(id string) (Runner, bool) {
-	for _, r := range All() {
-		if r.ID == id {
-			return r, true
-		}
-	}
-	return Runner{}, false
-}
-
 func mpps(pps float64) string   { return fmt.Sprintf("%.3f", pps/1e6) }
 func pct(x float64) string      { return fmt.Sprintf("%.1f%%", x*100) }
 func ratio(a, b float64) string { return fmt.Sprintf("%.2fx", a/b) }

@@ -18,8 +18,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"enetstl/internal/trace"
 )
 
 // Standard site names for the runtime's failure surfaces. A Plane will
@@ -87,16 +85,7 @@ type Site struct {
 	armed     atomic.Bool
 	evaluated atomic.Uint64
 	injected  atomic.Uint64
-
-	// rec receives a KindFault event for every injected fault, so the
-	// flight recorder can correlate injections with the packets whose
-	// verdicts they changed. Nil when tracing is off; fixed when the
-	// plane creates the site.
-	rec *trace.Recorder
 }
-
-// Name returns the site name.
-func (s *Site) Name() string { return s.name }
 
 // Evaluated returns how many times the site was consulted.
 func (s *Site) Evaluated() uint64 {
@@ -142,11 +131,6 @@ func (s *Site) Fire() bool {
 	}
 	if fire {
 		s.injected.Add(1)
-		if r := s.rec; r != nil {
-			// Fault events bypass packet sampling: injections are rare and
-			// each one explains a verdict, so every injection is recorded.
-			r.Emit(trace.Event{Kind: trace.KindFault, Name: s.name, Val: n})
-		}
 	}
 	return fire
 }
@@ -154,9 +138,6 @@ func (s *Site) Fire() bool {
 // Plane owns the sites of one fault domain (typically: one chaos run).
 type Plane struct {
 	seed uint64
-	// rec is handed to every site the plane creates; nil (what New
-	// starts with) records no fault events.
-	rec *trace.Recorder
 
 	mu    sync.Mutex
 	sites map[string]*Site
@@ -181,7 +162,7 @@ func (p *Plane) Site(name string) *Site {
 		for _, c := range []byte(name) {
 			h = splitmix64(h ^ uint64(c))
 		}
-		s = &Site{name: name, seed: h, rec: p.rec}
+		s = &Site{name: name, seed: h}
 		p.sites[name] = s
 	}
 	return s

@@ -3,8 +3,6 @@ package faultinject
 import (
 	"slices"
 	"testing"
-
-	"enetstl/internal/trace"
 )
 
 func firePattern(seed uint64, sched Schedule, n int) []bool {
@@ -143,30 +141,27 @@ func BenchmarkFireNil(b *testing.B) {
 	}
 }
 
+// TestFireEmitsFaultEvents: every injected fault is reported, at the
+// call index it fired on, in the plane's per-site Counts, and a site
+// armed later on the same plane reports its own.
 func TestFireEmitsFaultEvents(t *testing.T) {
-	rec := trace.NewRecorder(trace.Config{Capacity: 64})
 	p := New(7)
-	p.rec = rec
 	s := p.Arm("boom", Schedule{EveryNth: 3})
-	for i := 0; i < 9; i++ {
-		s.Fire()
-	}
-	evs := rec.Drain(0)
-	if len(evs) != 3 {
-		t.Fatalf("%d fault events, want 3", len(evs))
-	}
-	for i, ev := range evs {
-		if ev.Kind != trace.KindFault || ev.Name != "boom" {
-			t.Fatalf("event %d: %+v", i, ev)
-		}
-		if want := uint64(3 * (i + 1)); ev.Val != want {
-			t.Fatalf("event %d: call index %d, want %d", i, ev.Val, want)
+	var fired []int
+	for i := 1; i <= 9; i++ {
+		if s.Fire() {
+			fired = append(fired, i)
 		}
 	}
-	// Sites created later inherit the plane's recorder.
+	if want := []int{3, 6, 9}; !slices.Equal(fired, want) {
+		t.Fatalf("fired at calls %v, want %v", fired, want)
+	}
 	s2 := p.Arm("boom2", Schedule{EveryNth: 1})
-	s2.Fire()
-	if evs := rec.Drain(0); len(evs) != 1 || evs[0].Name != "boom2" {
-		t.Fatalf("new site events: %+v", evs)
+	if !s2.Fire() {
+		t.Fatal("new site did not fire")
+	}
+	want := []SiteCount{{Site: "boom", Evaluated: 9, Injected: 3}, {Site: "boom2", Evaluated: 1, Injected: 1}}
+	if got := p.Counts(); !slices.Equal(got, want) {
+		t.Fatalf("Counts() = %+v, want %+v", got, want)
 	}
 }

@@ -4,7 +4,7 @@
 // unified API. It avoids the two costs of eBPF's native linked lists:
 // per-operation spin locks (list-buckets instances are per-CPU and
 // lock-free) and one bpf_map_lookup_elem per list (all buckets live in
-// one object). A non-empty bitmap provides O(n/64) first-bucket scans.
+// one object). A non-empty bitmap mirrors which buckets hold elements.
 package listbuckets
 
 import (
@@ -112,9 +112,6 @@ func (lb *ListBuckets) NumBuckets() int { return len(lb.heads) }
 // ElemSize returns the element payload size in bytes.
 func (lb *ListBuckets) ElemSize() int { return lb.elemSize }
 
-// Len returns the number of elements queued in bucket i.
-func (lb *ListBuckets) Len(i int) int { return int(lb.lens[i]) }
-
 func (lb *ListBuckets) grow(n int) {
 	base := len(lb.next)
 	for i := 0; i < n; i++ {
@@ -143,20 +140,6 @@ func (lb *ListBuckets) release(idx int32) {
 func (lb *ListBuckets) slot(idx int32) []byte {
 	off := int(idx) * lb.elemSize
 	return lb.data[off : off+lb.elemSize]
-}
-
-// InsertFront pushes data onto the front of bucket i (LIFO insert — the
-// bktlist_insert_front of Listing 5).
-func (lb *ListBuckets) InsertFront(i int, data []byte) {
-	idx := lb.alloc()
-	copy(lb.slot(idx), data)
-	lb.next[idx] = lb.heads[i]
-	if lb.heads[i] == nilIdx {
-		lb.tails[i] = idx
-	}
-	lb.heads[i] = idx
-	lb.lens[i]++
-	lb.occupied.Set(i)
 }
 
 // PushBack appends data to the back of bucket i (FIFO insert).
@@ -192,10 +175,4 @@ func (lb *ListBuckets) PopFront(i int, out []byte) bool {
 	lb.lens[i]--
 	lb.release(idx)
 	return true
-}
-
-// FirstNonEmpty returns the index of the first non-empty bucket at or
-// after from, or -1 — one FFS-based bitmap scan (observation O1).
-func (lb *ListBuckets) FirstNonEmpty(from int) int {
-	return lb.occupied.FirstSet(from)
 }

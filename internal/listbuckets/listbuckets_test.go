@@ -28,24 +28,6 @@ func TestFIFOOrder(t *testing.T) {
 	}
 }
 
-func TestLIFOOrder(t *testing.T) {
-	lb := Must(New(4, 8, 16))
-	for i := 0; i < 5; i++ {
-		var e [8]byte
-		binary.LittleEndian.PutUint64(e[:], uint64(i))
-		lb.InsertFront(0, e[:])
-	}
-	for i := 4; i >= 0; i-- {
-		var e [8]byte
-		if !lb.PopFront(0, e[:]) {
-			t.Fatal("unexpected empty")
-		}
-		if got := binary.LittleEndian.Uint64(e[:]); got != uint64(i) {
-			t.Fatalf("got %d, want %d", got, i)
-		}
-	}
-}
-
 func TestBucketsIndependent(t *testing.T) {
 	lb := Must(New(8, 4, 4))
 	lb.PushBack(1, []byte{1, 0, 0, 0})
@@ -61,20 +43,29 @@ func TestBucketsIndependent(t *testing.T) {
 
 func TestOccupancyBitmap(t *testing.T) {
 	lb := Must(New(128, 4, 8))
-	if got := lb.FirstNonEmpty(0); got != -1 {
-		t.Fatalf("FirstNonEmpty on empty = %d", got)
+	occupied := func() []int {
+		var on []int
+		for i := 0; i < lb.NumBuckets(); i++ {
+			if lb.occupied.Test(i) {
+				on = append(on, i)
+			}
+		}
+		return on
+	}
+	if got := occupied(); len(got) != 0 {
+		t.Fatalf("occupied on empty = %v", got)
 	}
 	lb.PushBack(100, []byte{1, 2, 3, 4})
 	lb.PushBack(7, []byte{1, 2, 3, 4})
-	if got := lb.FirstNonEmpty(0); got != 7 {
-		t.Fatalf("FirstNonEmpty(0) = %d, want 7", got)
-	}
-	if got := lb.FirstNonEmpty(8); got != 100 {
-		t.Fatalf("FirstNonEmpty(8) = %d, want 100", got)
+	if got := occupied(); len(got) != 2 || got[0] != 7 || got[1] != 100 {
+		t.Fatalf("occupied = %v, want [7 100]", got)
 	}
 	lb.PopFront(7, nil)
-	if got := lb.FirstNonEmpty(0); got != 100 {
-		t.Fatalf("after drain, FirstNonEmpty = %d, want 100", got)
+	if got := occupied(); len(got) != 1 || got[0] != 100 {
+		t.Fatalf("after drain, occupied = %v, want [100]", got)
+	}
+	if err := lb.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -108,14 +99,11 @@ func TestModelEquivalence(t *testing.T) {
 			i := rng.Intn(nb)
 			var e [8]byte
 			binary.LittleEndian.PutUint64(e[:], rng.Uint64())
-			switch rng.Intn(3) {
+			switch rng.Intn(2) {
 			case 0:
 				lb.PushBack(i, e[:])
 				model[i] = append(model[i], e)
 			case 1:
-				lb.InsertFront(i, e[:])
-				model[i] = append([][8]byte{e}, model[i]...)
-			case 2:
 				var got [8]byte
 				ok := lb.PopFront(i, got[:])
 				if ok != (len(model[i]) > 0) {
@@ -128,7 +116,7 @@ func TestModelEquivalence(t *testing.T) {
 					model[i] = model[i][1:]
 				}
 			}
-			if lb.Len(i) != len(model[i]) {
+			if int(lb.lens[i]) != len(model[i]) {
 				return false
 			}
 		}

@@ -114,9 +114,6 @@ func Must(p *Proxy, err error) *Proxy {
 // DataSize returns the payload size of nodes from this proxy.
 func (p *Proxy) DataSize() int { return p.dataSize }
 
-// Live returns the number of live (unfreed) nodes.
-func (p *Proxy) Live() int { return p.liveNodes }
-
 // Alloc creates a node with nOuts out-slots (at most maxOuts) and an
 // initial reference held by the caller (the node_alloc of Listing 3).
 func (p *Proxy) Alloc(nOuts int) (*Node, error) {

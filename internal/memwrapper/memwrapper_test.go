@@ -74,8 +74,8 @@ func TestListAddPattern(t *testing.T) {
 		cur = next
 		curRef = true
 	}
-	if p.Live() != 4 {
-		t.Fatalf("live nodes = %d, want 4", p.Live())
+	if p.liveNodes != 4 {
+		t.Fatalf("live nodes = %d, want 4", p.liveNodes)
 	}
 }
 
@@ -245,7 +245,7 @@ func TestStats(t *testing.T) {
 	a := alloc(t, p, 1)
 	_ = alloc(t, p, 1)
 	p.Release(a)
-	if p.allocs != 2 || p.frees != 1 || p.Live() != 1 {
-		t.Fatalf("stats = (%d,%d), live %d", p.allocs, p.frees, p.Live())
+	if p.allocs != 2 || p.frees != 1 || p.liveNodes != 1 {
+		t.Fatalf("stats = (%d,%d), live %d", p.allocs, p.frees, p.liveNodes)
 	}
 }

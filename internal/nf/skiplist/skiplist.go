@@ -174,16 +174,6 @@ func (s *SkipList) CheckInvariants() error {
 	return s.proxy.CheckInvariants()
 }
 
-// Len returns the number of live elements (excluding the head).
-func (s *SkipList) Len() int {
-	if s.proxy != nil {
-		return s.proxy.Live() - 1
-	}
-	// ENetSTL flavour: count along level 0 natively via the shared
-	// proxy is not exposed; tests use verdicts instead.
-	return -1
-}
-
 func keyOf(pkt []byte) (uint64, uint64) {
 	return binary.LittleEndian.Uint64(pkt[0:]), binary.LittleEndian.Uint64(pkt[8:])
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"enetstl/internal/memwrapper"
 	"enetstl/internal/nf"
 	"enetstl/internal/pktgen"
 )
@@ -151,6 +152,7 @@ func TestOrderedDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	freed := countFrees(s)
 	keys := make([][nf.KeyLen]byte, 50)
 	order := rand.New(rand.NewSource(44)).Perm(50)
 	for i, j := range order {
@@ -167,9 +169,23 @@ func TestOrderedDrain(t *testing.T) {
 			t.Fatalf("drain %d: %d", i, got)
 		}
 	}
-	if s.Len() != 0 {
-		t.Fatalf("residue: %d nodes", s.Len())
+	if *freed != len(keys) {
+		t.Fatalf("residue: %d of %d nodes freed", *freed, len(keys))
 	}
+}
+
+// countFrees counts the nodes s's proxy frees from now on: every
+// element a delete removes must come back to the proxy.
+func countFrees(s *SkipList) *int {
+	n := new(int)
+	prev := s.proxy.OnFree
+	s.proxy.OnFree = func(nd *memwrapper.Node) {
+		*n++
+		if prev != nil {
+			prev(nd)
+		}
+	}
+	return n
 }
 
 // TestNoLeaksAfterChurn verifies the proxy frees everything on delete.
@@ -178,6 +194,7 @@ func TestNoLeaksAfterChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	freed := countFrees(s)
 	trace := pktgen.Generate(pktgen.Config{Flows: 100, Packets: 0, Seed: 45})
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 100; i++ {
@@ -188,8 +205,8 @@ func TestNoLeaksAfterChurn(t *testing.T) {
 				t.Fatalf("round %d delete %d: %d", round, i, got)
 			}
 		}
-		if s.Len() != 0 {
-			t.Fatalf("round %d: %d leaked nodes", round, s.Len())
+		if *freed != 100*(round+1) {
+			t.Fatalf("round %d: %d leaked nodes", round, 100*(round+1)-*freed)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -26,9 +27,22 @@ func post(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
 	return rec
 }
 
+// trailing reports whether body holds one JSON value followed by
+// anything but whitespace.
+func trailing(body []byte) bool {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	var v json.RawMessage
+	if dec.Decode(&v) != nil {
+		return false
+	}
+	_, err := dec.Token()
+	return err != io.EOF
+}
+
 // FuzzCreateRequest feeds arbitrary bytes to POST /modules on a fresh
 // daemon: the handler never panics, answers with one of the documented
-// statuses, and anything but a 201 leaves the registry empty — no
+// statuses, refuses a body with data after its JSON value with a 400,
+// and anything but a 201 leaves the registry empty — no
 // partially-created module.
 func FuzzCreateRequest(f *testing.F) {
 	for _, body := range []string{
@@ -61,6 +75,9 @@ func FuzzCreateRequest(f *testing.F) {
 		rec := post(srv.Handler(), "/modules", body)
 		if !answerable[rec.Code] {
 			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		if trailing(body) && rec.Code != http.StatusBadRequest {
+			t.Fatalf("status %d for a body with data after its JSON value: %s", rec.Code, rec.Body)
 		}
 		mods := srv.Registry.List()
 		if rec.Code == http.StatusCreated {

@@ -143,6 +143,49 @@ func TestCreateRejections(t *testing.T) {
 	}
 }
 
+// TestStrictBodies pins that a request body is one JSON value: trailing
+// bytes or a second value make the whole request a 400 bad_spec that
+// creates no module and ingests no packet, on both JSON endpoints, while
+// trailing whitespace (a curl body's newline) is still accepted.
+func TestStrictBodies(t *testing.T) {
+	srv, ts := newTestServer(t)
+	const create = `{"name": "cmsketch", "flavor": "kernel"}`
+	for _, c := range []struct{ name, body string }{
+		{"trailing garbage", create + ` trailing`},
+		{"two objects", create + ` {"name": "x"}`},
+		{"second object, no space", create + `{"name": "bloom", "flavor": "kernel"}`},
+	} {
+		var e struct{ Reason string }
+		if code, data := do(t, "POST", ts.URL+"/modules", c.body, &e); code != http.StatusBadRequest || e.Reason != "bad_spec" {
+			t.Errorf("create with %s: status %d body %s, want 400 bad_spec", c.name, code, data)
+		}
+	}
+	if mods := srv.Registry.List(); len(mods) != 0 {
+		t.Fatalf("refused creates left modules behind: %+v", mods)
+	}
+	var st nfd.Status
+	if code, data := do(t, "POST", ts.URL+"/modules", create+"\n", &st); code != http.StatusCreated {
+		t.Fatalf("create with a trailing newline: status %d body %s, want 201", code, data)
+	}
+	url := ts.URL + "/modules/" + st.ID + "/packets"
+	const batch = `{"flows": 16, "packets": 64, "seed": 3}`
+	for _, c := range []struct{ name, body string }{
+		{"trailing garbage", batch + ` trailing`},
+		{"two objects", batch + ` {"packets": 10}`},
+	} {
+		var e struct{ Reason string }
+		if code, data := do(t, "POST", url, c.body, &e); code != http.StatusBadRequest || e.Reason != "bad_spec" {
+			t.Errorf("batch with %s: status %d body %s, want 400 bad_spec", c.name, code, data)
+		}
+	}
+	if m, _ := srv.Registry.Get(st.ID); m.Status().Packets != 0 {
+		t.Fatalf("refused batches moved the packet counter to %d", m.Status().Packets)
+	}
+	if code, data := do(t, "POST", url, batch+"\n", nil); code != http.StatusOK {
+		t.Fatalf("batch with a trailing newline: status %d body %s, want 200", code, data)
+	}
+}
+
 // TestConcurrentCreateDelete exercises the registry's lifecycle paths
 // from racing handlers: creates, batches, lists, scrapes, and deletes
 // all interleave. Run under -race this pins the locking design.

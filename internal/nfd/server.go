@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -344,17 +345,23 @@ func (s *Server) handleEstimates(w http.ResponseWriter, r *http.Request) {
 type BatchResponse = harness.BatchResult
 
 // decodeStrict decodes the size-capped JSON body into v, rejecting
-// unknown fields. On failure it has already answered — 413 for a body
-// over MaxBodyBytes, 400 for anything else — and returns false.
+// unknown fields and anything but whitespace after the value. On
+// failure it has already answered — 413 for a body over MaxBodyBytes,
+// 400 for anything else — and returns false.
 func (s *Server) decodeStrict(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
+	var tooBig *http.MaxBytesError
 	if err == nil {
-		return true
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if !errors.As(err, &tooBig) {
+			err = errors.New("data after the JSON value")
+		}
 	}
 	code, reason := http.StatusBadRequest, reasonBadSpec
-	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
 		code, reason = http.StatusRequestEntityTooLarge, reasonTooLarge
 	}

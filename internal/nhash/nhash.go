@@ -1,22 +1,10 @@
 // Package nhash implements eNetSTL's hashing algorithms (paper §4.3,
-// "Algorithms: unified post-hashing operations"): a hardware-CRC single
-// hash, a multiply-mix software hash shared bit-for-bit with the
-// bytecode emitter (so eBPF/eNetSTL/kernel flavours compute identical
-// sketches), multi-seed hash batteries, and the fused post-hashing
+// "Algorithms: unified post-hashing operations"): a multiply-mix
+// software hash shared bit-for-bit with the bytecode emitter (so
+// eBPF/eNetSTL/kernel flavours compute identical sketches), multi-seed hash batteries, and the fused post-hashing
 // operations (count, set/test bits, min-query) that avoid copying hash
 // values back to the caller.
 package nhash
-
-import "hash/crc32"
-
-// castagnoli selects CRC-32C, which amd64 computes with the SSE4.2 CRC32
-// instruction — the hw_hash_crc of the paper.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// CRC32 returns the hardware CRC-32C of key mixed with seed.
-func CRC32(key []byte, seed uint32) uint32 {
-	return crc32.Update(seed, castagnoli, key)
-}
 
 // FastHash64 constants (the fast-hash mixer the paper's listings name
 // "fasthash"). The same algorithm is emitted as eBPF bytecode by

@@ -2,20 +2,13 @@ package nhash
 
 import "testing"
 
-// Component-level hashing benchmarks: the hardware CRC against the
-// portable mixer, and the fused count-min update against the
+// Component-level hashing benchmarks: the portable mixer, and the fused count-min update against the
 // hash-then-copy pattern it replaces (Table 2's hashing rows).
 
 var (
 	sink32 uint32
 	key16  = []byte("0123456789abcdef")
 )
-
-func BenchmarkCRC32Hardware(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink32 = CRC32(key16, uint32(i))
-	}
-}
 
 func BenchmarkFastHash64(b *testing.B) {
 	var s uint64

@@ -51,24 +51,6 @@ func Instrument(inst nf.Instance, reg *telemetry.Registry) nf.Instance {
 func (w *instrumented) Name() string      { return w.inner.Name() }
 func (w *instrumented) Flavor() nf.Flavor { return w.inner.Flavor() }
 
-// VM exposes the wrapped instance's machine so harness attachment
-// (stats, flight recorders) sees through the instrumentation; nil when
-// the inner instance is not VM-backed.
-func (w *instrumented) VM() *vm.VM {
-	if v, ok := w.inner.(interface{ VM() *vm.VM }); ok {
-		return v.VM()
-	}
-	return nil
-}
-
-// Stages likewise unwraps pipeline instances.
-func (w *instrumented) Stages() []nf.Instance {
-	if s, ok := w.inner.(interface{ Stages() []nf.Instance }); ok {
-		return s.Stages()
-	}
-	return nil
-}
-
 func (w *instrumented) Process(pkt []byte) (uint64, error) {
 	start := time.Now()
 	v, err := w.inner.Process(pkt)

@@ -91,19 +91,3 @@ func (m *Metered) Process(pkt []byte) (uint64, error) {
 	m.st.RecordRun(m.Instance.Name(), time.Since(start))
 	return ret, err
 }
-
-// VM delegates to the inner instance.
-func (m *Metered) VM() *vm.VM {
-	if v, ok := m.Instance.(interface{ VM() *vm.VM }); ok {
-		return v.VM()
-	}
-	return nil
-}
-
-// Stages delegates to the inner instance.
-func (m *Metered) Stages() []nf.Instance {
-	if s, ok := m.Instance.(interface{ Stages() []nf.Instance }); ok {
-		return s.Stages()
-	}
-	return nil
-}

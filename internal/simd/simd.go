@@ -1,10 +1,10 @@
 // Package simd implements eNetSTL's parallel comparing and reducing
 // algorithms (paper §4.3). The paper wraps AVX2 lane operations behind
-// high-level interfaces (find_simd, min/max reduction) so one call
+// high-level interfaces (find_simd, min reduction) so one call
 // replaces a software scan; here the lanes are unrolled wide compares
 // the Go compiler keeps in registers, standing in for SIMD registers.
 // The package also exposes the deliberately low-level per-instruction
-// interface (Vec32, Load/Mul/Cmp/Store) that Listing 1 warns against,
+// interface (Vec32, Load/CmpEq/MoveMask) that Listing 1 warns against,
 // used by the Fig. 6 ablation.
 package simd
 
@@ -156,21 +156,6 @@ func min4(a0, a1, a2, a3 uint32) (int, uint32) {
 	return bi, bv
 }
 
-// max4 is min4 for the first maximum.
-func max4(a0, a1, a2, a3 uint32) (int, uint32) {
-	bi, bv := 0, a0
-	if a1 > bv {
-		bi, bv = 1, a1
-	}
-	if a2 > bv {
-		bi, bv = 2, a2
-	}
-	if a3 > bv {
-		bi, bv = 3, a3
-	}
-	return bi, bv
-}
-
 // MinU32 returns the index and value of the first minimum element. It
 // is the paper's parallel min-reduction over contiguous buckets
 // (HeavyKeeper / space-saving style eviction scans): a tournament inside
@@ -217,28 +202,6 @@ func MinU32LE(b []byte) (idx int, val uint32) {
 	return idx, val
 }
 
-// MaxU32LE is MaxU32 over the little-endian byte image (see FindU32LE).
-func MaxU32LE(b []byte) (idx int, val uint32) {
-	n := len(b) / 4
-	if n == 0 {
-		return -1, 0
-	}
-	idx, val = 0, le32(b)
-	i := 1
-	for ; i+4 <= n; i += 4 {
-		a := (*[16]byte)(b[i*4:])
-		if bi, bv := max4(le32(a[0:4]), le32(a[4:8]), le32(a[8:12]), le32(a[12:16])); bv > val {
-			idx, val = i+bi, bv
-		}
-	}
-	for ; i < n; i++ {
-		if v := le32(b[i*4:]); v > val {
-			idx, val = i, v
-		}
-	}
-	return idx, val
-}
-
 // le32 and le16 are the byte views' lane loads (one MOV each on
 // little-endian hardware); le16 widens so both lane widths share eq8.
 func le32(b []byte) uint32 { return binary.LittleEndian.Uint32(b) }
@@ -256,15 +219,6 @@ func VecLoad(mem []uint32) Vec32 {
 	var v Vec32
 	copy(v[:], mem[:LaneWidth])
 	return v
-}
-
-// VecMul multiplies lanes (the _mm256_mul_epu32 analogue).
-func VecMul(a, b Vec32) Vec32 {
-	var r Vec32
-	for i := range r {
-		r[i] = a[i] * b[i]
-	}
-	return r
 }
 
 // VecCmpEq compares lanes against key, producing an all-ones/zero mask

@@ -78,14 +78,19 @@ func TestMinMaxMatchLinear(t *testing.T) {
 		if gi != wi || (wi >= 0 && gv != wv) {
 			return false
 		}
-		gi, gv = MaxU32(arr)
+		// The first maximum is the first minimum of the complements.
+		neg := make([]uint32, len(arr))
+		for i, v := range arr {
+			neg[i] = ^v
+		}
+		gi, gv = MinU32(neg)
 		wi, wv = -1, 0
 		for i, v := range arr {
 			if wi == -1 || v > wv {
 				wi, wv = i, v
 			}
 		}
-		return gi == wi && (wi < 0 || gv == wv)
+		return gi == wi && (wi < 0 || ^gv == wv)
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -106,34 +111,4 @@ func TestVecOps(t *testing.T) {
 	if got := VecMoveMask(m); got != 1<<4 {
 		t.Fatalf("movemask = %#x, want %#x", got, 1<<4)
 	}
-	prod := VecMul(v, v)
-	out := make([]uint32, 8)
-	copy(out, prod[:])
-	for i, x := range mem {
-		if out[i] != x*x {
-			t.Fatalf("lane %d: %d, want %d", i, out[i], x*x)
-		}
-	}
-}
-
-// MaxU32 returns the index and value of the first maximum element: the
-// slice reference MaxU32LE is checked against.
-func MaxU32(arr []uint32) (idx int, val uint32) {
-	if len(arr) == 0 {
-		return -1, 0
-	}
-	idx, val = 0, arr[0]
-	i := 1
-	for ; i+4 <= len(arr); i += 4 {
-		a := (*[4]uint32)(arr[i:])
-		if bi, bv := max4(a[0], a[1], a[2], a[3]); bv > val {
-			idx, val = i+bi, bv
-		}
-	}
-	for ; i < len(arr); i++ {
-		if arr[i] > val {
-			idx, val = i, arr[i]
-		}
-	}
-	return idx, val
 }

@@ -1,7 +1,6 @@
 // Package trace is the runtime's flight recorder: a BPF-ringbuf-style
 // MPSC ring of structured events (packet-in, verdict, map op+miss,
-// helper/kfunc call, fault injection) that the VM, the map helpers, the
-// fault plane, and the replay harness emit into, and that the
+// helper/kfunc call) that the VM emits into, and that the
 // observability server (internal/obs) streams back out as JSONL.
 //
 // Design points, mirroring the kernel's BPF ring buffer:
@@ -43,10 +42,6 @@ const (
 	KindMapOp                    // a map helper ran (op name, miss flag)
 	KindHelper                   // a helper call completed
 	KindKfunc                    // a kfunc call completed
-	KindFault                    // the fault plane injected a failure
-	KindShed                     // the overload guard entered/left shedding (Val 1/0)
-	KindDegrade                  // a degradation policy engaged/released (Val 1/0)
-	KindWatchdog                 // the per-packet cost watchdog tripped (Val = cost)
 )
 
 var kindNames = [...]string{
@@ -55,10 +50,6 @@ var kindNames = [...]string{
 	KindMapOp:    "map_op",
 	KindHelper:   "helper",
 	KindKfunc:    "kfunc",
-	KindFault:    "fault",
-	KindShed:     "shed",
-	KindDegrade:  "degrade",
-	KindWatchdog: "watchdog",
 }
 
 func (k Kind) String() string {
@@ -115,15 +106,15 @@ type Event struct {
 	Pkt uint64 `json:"pkt"`
 	// Flow is the RSS FlowHash of the packet's 5-tuple (filter key).
 	Flow uint32 `json:"flow"`
-	// Name is the program (packet_in/verdict), helper, kfunc, map type,
-	// or fault-site name.
+	// Name is the program (packet_in/verdict), helper, kfunc or map
+	// type.
 	Name string `json:"name,omitempty"`
 	// Op is the map operation for map_op events (lookup/update/delete).
 	Op string `json:"op,omitempty"`
 	// Miss marks a map lookup that found no element.
 	Miss bool `json:"miss,omitempty"`
 	// Val is the verdict (verdict events), R0 (helper/kfunc events),
-	// packet length (packet_in), or site call index (fault).
+	// or packet length (packet_in).
 	Val uint64 `json:"val,omitempty"`
 	// LatNs is the packet's in-VM processing time on verdict events.
 	LatNs uint64 `json:"lat_ns,omitempty"`
@@ -373,9 +364,6 @@ func (r *Recorder) Drain(max int) []Event {
 	}
 	return out
 }
-
-// Len reports the number of buffered events.
-func (r *Recorder) Len() int { return int(r.head.Load() - r.tail.Load()) }
 
 // Emitted returns how many events were written successfully.
 func (r *Recorder) Emitted() uint64 { return r.emitted.Load() }

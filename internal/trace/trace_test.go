@@ -63,14 +63,14 @@ func TestRingOverrunDrops(t *testing.T) {
 			t.Fatalf("capacity %d: after draining %d, %d re-admitted with drops %d, want %d with %d",
 				tc.capacity, k, got, r.Drops(), k, over)
 		}
-		if r.Emit(Event{Kind: KindFault}) || r.Drops() != over+1 {
+		if r.Emit(Event{Kind: KindVerdict}) || r.Drops() != over+1 {
 			t.Fatalf("capacity %d: a full ring admitted an event (drops %d)", tc.capacity, r.Drops())
 		}
 		// What is left of the first lap, then the refill, in order.
 		drain(int(n-k), k)
 		drain(int(k), refill)
-		if r.Len() != 0 || len(r.Drain(0)) != 0 {
-			t.Fatalf("capacity %d: %d events left after draining everything", tc.capacity, r.Len())
+		if left := len(r.Drain(0)); left != 0 {
+			t.Fatalf("capacity %d: %d events left after draining everything", tc.capacity, left)
 		}
 	}
 }
@@ -322,7 +322,7 @@ func TestForShardDerivation(t *testing.T) {
 		t.Fatal("ForShard must preserve capacity and rate")
 	}
 	r := NewRecorder(c1)
-	r.Emit(Event{Kind: KindFault})
+	r.Emit(Event{Kind: KindVerdict})
 	if evs := r.Drain(0); len(evs) != 1 || evs[0].Shard != 1 {
 		t.Fatalf("emitted event not stamped with shard: %+v", evs)
 	}

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -104,6 +105,68 @@ func TestOneShardRunner(t *testing.T) {
 			})
 		}
 	})
+}
+
+// TestEveryKfuncHasACaller keeps the library to what its programs use.
+// A kfunc body is a closure inside one of internal/core's register
+// functions, so no function-level audit can see it run: this test reads
+// the kfunc IDs those functions register (the Kf* constants their bodies
+// name) and refuses any that no program builder outside internal/core
+// names as core.Kf*. A kfunc nobody calls goes, with the natives only it
+// reaches.
+func TestEveryKfuncHasACaller(t *testing.T) {
+	ids := map[string]bool{}  // Kf* constants internal/core declares
+	used := map[string]bool{} // identifiers its function bodies name
+	named := map[string]bool{}
+	walkProduct(t, func(path string, f *ast.File) {
+		inCore := filepath.ToSlash(filepath.Dir(path)) == "internal/core"
+		for _, decl := range f.Decls {
+			if gd, ok := decl.(*ast.GenDecl); ok && inCore && gd.Tok == token.CONST {
+				for _, spec := range gd.Specs {
+					for _, name := range spec.(*ast.ValueSpec).Names {
+						if strings.HasPrefix(name.Name, "Kf") {
+							ids[name.Name] = true
+						}
+					}
+				}
+			}
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.Ident:
+					if inCore {
+						used[x.Name] = true
+					}
+				case *ast.SelectorExpr:
+					if pkg, ok := x.X.(*ast.Ident); ok && !inCore && pkg.Name == "core" && strings.HasPrefix(x.Sel.Name, "Kf") {
+						named[x.Sel.Name] = true
+					}
+				}
+				return true
+			})
+		}
+	})
+	var registered int
+	var uncalled []string
+	for id := range ids {
+		if !used[id] {
+			continue
+		}
+		registered++
+		if !named[id] {
+			uncalled = append(uncalled, id)
+		}
+	}
+	if registered == 0 {
+		t.Fatal("no kfunc registrations found in internal/core")
+	}
+	sort.Strings(uncalled)
+	for _, id := range uncalled {
+		t.Errorf("internal/core registers %s, but no program builder outside internal/core calls it: delete the kfunc and the natives only it reaches", id)
+	}
 }
 
 // funcName is fn's name, qualified by its receiver's type for a method.
