@@ -1,10 +1,10 @@
 # Developer entry points. `make check` is the pre-PR gate: formatting,
 # vet, build, the execution audit, full tests, race coverage of the
-# whole module, the conformance grid (one runner, `nfrun -grid`:
-# difftest, chaos-smoke and attack-smoke are selections of its axes), a
-# bounded fuzz smoke over every native fuzz target, the observability,
-# daemon, paper-experiment and example smokes, and the benchmark
-# module's own vet + tests.
+# whole module, the conformance grid (a test, TestGrid in
+# internal/difftest: difftest, chaos-smoke and attack-smoke each run its
+# rows), a bounded fuzz smoke over every native fuzz target, the
+# observability, daemon, paper-experiment and example smokes, and the
+# benchmark module's own vet + tests.
 
 GO ?= go
 
@@ -31,15 +31,16 @@ build:
 # Execution audit (scripts/cover.sh): every function declared in a
 # non-test file under internal/ executes at least one statement in a
 # user run, or scripts/cover.allow excuses it. The run set is this
-# Makefile's own smoke invocations (difftest, chaos-smoke,
-# attack-smoke, obs-smoke, nfd-smoke, paper-smoke, examples-smoke and
-# bench-test), re-run with coverage counters on, so a function only
-# tests reach, or that a binary links but no target runs, fails here:
-# delete it, move it into its package's _test.go or export_test.go when
-# only that package's tests call it, exercise it from a make target, or
-# excuse it in scripts/cover.allow (rule classes: String/Error/Unwrap
-# methods and error constructors; named entries for functions tests in
-# other packages need, with those tests named). A named entry that
+# Makefile's own smoke invocations of the user binaries (obs-smoke,
+# nfd-smoke, paper-smoke, examples-smoke and bench-test), re-run with
+# coverage counters on, so a function only tests reach, or that a
+# binary links but no target runs, fails here: delete it, move it into
+# its package's _test.go or export_test.go when only that package's
+# tests call it, exercise it from a make target, or excuse it in
+# scripts/cover.allow (rule classes: String/Error/Unwrap methods, error
+# constructors, and test-only packages such as the conformance grid,
+# which no non-test file may import; named entries for functions tests
+# in other packages need, with those tests named). A named entry that
 # executes, or that no file declares any more, fails too. About 20 s
 # with a warm build cache.
 cover:
@@ -52,20 +53,19 @@ race:
 	$(GO) test -race ./...
 
 # The conformance grid walks every NF in every supported flavour along
-# the axes named by -grid. A failing axis prints `axis=<name> FAILED`
-# ahead of its report, each violation names the case and the variant
-# that diverged, and the exit is non-zero.
+# the axes of one TestGrid row (internal/difftest/grid_test.go, which
+# states each row's sizes). A row prints its axis reports; a failing
+# axis prints `axis=<name> FAILED` ahead of its report, each violation
+# names the case and the variant that diverged, and the test fails.
 #
 # Differential conformance: flavour against flavour and interpreter tier
-# against tier over identical seeded traces, plus generated programs
-# cross-checked between the production VM and the reference interpreter.
-# 4000 packets matches the grid's defaults. The second run is the
-# flavour axis at 9000 flows: past the cuckoo filter's 4096 slots and
-# the cuckoo switch's 8192, so both preloads walk their kick chains and
-# then saturate, and every flavour must still agree.
+# against tier over identical seeded traces (4000 packets, 256 flows),
+# plus 200 generated programs cross-checked between the production VM
+# and the reference interpreter; then the flavour axis at 9000 flows,
+# past both cuckoo tables' slots, so their preloads walk their kick
+# chains and saturate, and every flavour must still agree.
 difftest:
-	$(GO) run ./cmd/nfrun -grid flavour,tier,vm -packets 4000 -flows 256 -vm-trials 200
-	$(GO) run ./cmd/nfrun -grid flavour -packets 4000 -flows 9000
+	$(GO) test -v -run '^TestGrid$$/^equivalence' ./internal/difftest/
 
 # Bounded native fuzzing: every Fuzz* target for FUZZTIME each, seeded
 # from the committed corpora under testdata/fuzz/. A crash writes its
@@ -89,16 +89,15 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIngestBody$$' -fuzztime $(FUZZTIME) ./internal/nfd/
 	$(GO) test -run '^$$' -fuzz '^FuzzZipfSampler$$' -fuzztime $(FUZZTIME) ./internal/pktgen/
 
-# 1500 packets is the smallest trace that exercises every fault site
-# (rpool refills happen once per ~4096 draws).
+# Every NF/flavour and composed app under every fault schedule, at 1500
+# packets, the smallest trace that exercises every fault site.
 chaos-smoke:
-	$(GO) run ./cmd/nfrun -grid chaos -packets 1500 -flows 256
+	$(GO) test -v -run '^TestGrid$$/^chaos$$' ./internal/difftest/
 
 # Adversarial grid smoke: every NF/flavour under every scenario, guard
-# off and on. 1500 packets keeps the shedder past its AutoBudget
-# calibration window inside every attack burst.
+# off and on, at 1500 packets over 192 flows.
 attack-smoke:
-	$(GO) run ./cmd/nfrun -grid attack -packets 1500 -flows 192
+	$(GO) test -v -run '^TestGrid$$/^attack$$' ./internal/difftest/
 
 # Observability plane end-to-end: replay with the flight recorder and
 # the HTTP server up, then self-scrape /metrics, /trace (filtered
@@ -112,8 +111,13 @@ attack-smoke:
 # Kernel-flavour replay, which is metered (run time, no instructions).
 # The sixth and seventh replay over per-CPU maps and must print the
 # merge-on-read views: conntrack's flow table across its private
-# copies, and cmsketch's estimate. The last disassembles an eBPF
-# program.
+# copies, and cmsketch's estimate; the eighth sums a Kernel-flavour
+# cmsketch's per-shard estimates, which must not undercount the flow.
+# The ninth disassembles an eBPF program. The tenth replays a
+# hash-collision attack trace into a guarded conntrack, which must shed
+# part of it; the last builds each remaining NF with guard wiring of its
+# own (heavykeeper, nitrosketch) and skiplist behind the guard, each of
+# which must print the guard's accounting.
 obs-smoke:
 	$(GO) run ./cmd/nfrun -nf cmsketch -flavor enetstl -packets 20000 -serve 127.0.0.1:0 -trace -smoke
 	$(GO) run ./cmd/nfrun -nf cmsketch -flavor enetstl -shards 2 -packets 4000 -serve 127.0.0.1:0 -trace -smoke
@@ -132,9 +136,19 @@ obs-smoke:
 	@out="$$($(GO) run ./cmd/nfrun -nf cmsketch -flavor enetstl -shards 2 -percpu -packets 4000 -trials 1)" && \
 		printf '%s\n' "$$out" | grep -q '^estimate: flow 0 [1-9][0-9]* packets' && \
 		echo "obs smoke: per-CPU cmsketch answered a merged estimate" || { printf '%s\n' "$$out"; exit 1; }
+	@out="$$($(GO) run ./cmd/nfrun -nf cmsketch -flavor kernel -shards 2 -packets 4000 -trials 1)" && \
+		printf '%s\n' "$$out" | awk '/^estimate: flow 0 / { sub(/\(/, "", $$6); ok = $$4 + 0 >= $$6 + 0 } END { exit !ok }' && \
+		echo "obs smoke: Kernel-flavour cmsketch summed its shards' estimates" || { printf '%s\n' "$$out"; exit 1; }
 	@out="$$($(GO) run ./cmd/nfrun -nf cmsketch -flavor ebpf -disasm)" && \
 		printf '%s\n' "$$out" | grep -q '^cmsketch (eBPF): [1-9][0-9]* instructions' && \
 		echo "obs smoke: -disasm listed the eBPF program" || { printf '%s\n' "$$out"; exit 1; }
+	@out="$$($(GO) run ./cmd/nfrun -nf conntrack -flavor ebpf -guard -scenario hash-collision -packets 2000)" && \
+		printf '%s\n' "$$out" | grep -q '^guard: .* shed=[1-9]' && \
+		echo "obs smoke: guarded conntrack shed part of a hash-collision attack" || { printf '%s\n' "$$out"; exit 1; }
+	@for n in heavykeeper nitrosketch skiplist; do \
+		out="$$($(GO) run ./cmd/nfrun -nf $$n -flavor enetstl -guard -packets 2000)" && \
+		printf '%s\n' "$$out" | grep -q '^guard: budget=[1-9]' || { printf '%s\n' "$$out"; exit 1; }; \
+	done; echo "obs smoke: guarded heavykeeper, nitrosketch and skiplist replays accounted"
 
 # Daemon lifecycle end-to-end: start nfd on a loopback port, run the
 # full module lifecycle over HTTP (create a guarded traced module, push

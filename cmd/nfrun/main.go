@@ -11,6 +11,10 @@
 // VM counters and /profile reports are published when it ends:
 //
 //	nfrun -nf cuckooswitch -flavor ebpf -serve :8080 -trace -hold
+//
+// The conformance grid (every NF in every flavour, held to flavour and
+// tier equivalence, fault schedules and attack scenarios) is a test, not
+// a mode of this command: go test -run TestGrid ./internal/difftest/.
 package main
 
 import (
@@ -27,7 +31,6 @@ import (
 	"time"
 
 	"enetstl/internal/cliopts"
-	"enetstl/internal/difftest"
 	"enetstl/internal/ebpf/isa"
 	"enetstl/internal/ebpf/vm"
 	"enetstl/internal/harness"
@@ -42,15 +45,12 @@ import (
 
 func main() {
 	var (
-		name      = flag.String("nf", "cmsketch", "network function: skiplist cuckooswitch cmsketch nitrosketch cuckoofilter bloom vbf eiffel timewheel edf tss heavykeeper spacesaving daryhash conntrack")
-		flavorS   = flag.String("flavor", "enetstl", "kernel | ebpf | enetstl")
-		trials    = flag.Int("trials", 3, "measurement trials")
-		disasm    = flag.Bool("disasm", false, "print the NF's bytecode and exit (VM flavours)")
-		profile   = flag.Bool("profile", false, "replay the trace once and attribute execution time to helpers/kfuncs, then exit")
-		grid      = flag.String("grid", "", "run the conformance grid along these comma-separated axes and exit: "+strings.Join(difftest.Axes(), ",")+" (every NF in every flavour: flavour and tier equivalence, the VM-vs-reference sweep, the fault-schedule grid, the adversarial scenarios guard off and on); exits non-zero naming the axis that failed")
-		chaosSeed = flag.Uint64("chaos-seed", 0, "fault-plane seed for the chaos axis (0 = default); a failing seed replays bit-for-bit")
-		vmTrials  = flag.Int("vm-trials", 200, "generated programs for the vm axis")
-		guardOn   = flag.Bool("guard", false, "front the instance with the overload-guard plane (token-bucket shedding, watchdog, degradation) during the replay; single shard only")
+		name    = flag.String("nf", "cmsketch", "network function: skiplist cuckooswitch cmsketch nitrosketch cuckoofilter bloom vbf eiffel timewheel edf tss heavykeeper spacesaving daryhash conntrack")
+		flavorS = flag.String("flavor", "enetstl", "kernel | ebpf | enetstl")
+		trials  = flag.Int("trials", 3, "measurement trials")
+		disasm  = flag.Bool("disasm", false, "print the NF's bytecode and exit (VM flavours)")
+		profile = flag.Bool("profile", false, "replay the trace once and attribute execution time to helpers/kfuncs, then exit")
+		guardOn = flag.Bool("guard", false, "front the instance with the overload-guard plane (token-bucket shedding, watchdog, degradation) during the replay; single shard only")
 
 		serve       = flag.String("serve", "", "serve the observability plane (/metrics /trace /profile /debug/pprof) on this address during the replay; implies -stats")
 		doTrace     = flag.Bool("trace", false, "attach the flight recorder to the replay; events go to /trace when -serve is set, else dumped as JSONL on stdout")
@@ -93,21 +93,6 @@ func main() {
 	}
 	ropts = ropts.Canon()
 	stats := ropts.Stats
-
-	if *grid != "" {
-		cfg := nfcatalog.GridConfig{Packets: tfl.Packets(), Flows: tfl.Flows(), Seed: tfl.Seed(),
-			ZipfS: tfl.Zipf(), FaultSeed: *chaosSeed, VMTrials: *vmTrials}
-		if sc := tfl.Scenario(); sc != "" {
-			kind, ok := pktgen.ScenarioFromString(sc)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown scenario %q (syn-flood|churn|hash-collision)\n", sc)
-				os.Exit(2)
-			}
-			cfg.Scenarios = []pktgen.ScenarioKind{kind}
-		}
-		runGrid(strings.Split(*grid, ","), cfg, stats)
-		return
-	}
 
 	flavor, err := nf.ParseFlavor(*flavorS)
 	if err != nil {
@@ -530,38 +515,6 @@ func runSharded(name string, flavor nf.Flavor, tr *pktgen.Trace, o runtime.Optio
 	}
 	printStats(o.Stats, publish)
 	return st
-}
-
-// runGrid walks the conformance grid along each named axis in turn and
-// prints its report. A failing axis is announced by an `axis=<name>`
-// line ahead of its report (whose violations each name the case and the
-// variant that diverged), and the exit is non-zero once every axis ran.
-func runGrid(axes []string, cfg nfcatalog.GridConfig, stats bool) {
-	reg := telemetry.NewRegistry()
-	failed := false
-	for _, axis := range axes {
-		rep, err := difftest.Run(axis, cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if rep.Failed() {
-			fmt.Printf("axis=%s FAILED\n", axis)
-			failed = true
-		}
-		fmt.Println(rep)
-		rep.Publish(reg)
-	}
-	if stats {
-		fmt.Println()
-		if err := reg.WriteText(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if failed {
-		os.Exit(1)
-	}
 }
 
 // runGuarded replays the trace through a single guarded instance on the

@@ -19,21 +19,3 @@ func FFS(x uint64) int {
 
 // CTZ returns the number of trailing zero bits (64 when x is 0).
 func CTZ(x uint64) int { return bits.TrailingZeros64(x) }
-
-// Bitmap is a multi-word bitmap used to encode bucket occupancy
-// (observation O1: "bit i is set iff buckets[i] contains elements").
-type Bitmap []uint64
-
-// NewBitmap returns a bitmap capable of holding nbits bits.
-func NewBitmap(nbits int) Bitmap {
-	return make(Bitmap, (nbits+63)/64)
-}
-
-// Set sets bit i.
-func (b Bitmap) Set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
-
-// Clear clears bit i.
-func (b Bitmap) Clear(i int) { b[i>>6] &^= 1 << (uint(i) & 63) }
-
-// Test reports whether bit i is set.
-func (b Bitmap) Test(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }

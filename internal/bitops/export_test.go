@@ -39,10 +39,31 @@ func SoftFFS(x uint64) int {
 	return n
 }
 
+// The multi-word bitmap the paper encodes bucket occupancy in. No
+// product path keeps one, so it lives here, where the bitmap tests and
+// FuzzBitmapScan exercise FirstSet's word scan against it.
+
+// Bitmap is a multi-word bitmap encoding bucket occupancy (observation
+// O1: "bit i is set iff buckets[i] contains elements").
+type Bitmap []uint64
+
+// NewBitmap returns a bitmap capable of holding nbits bits.
+func NewBitmap(nbits int) Bitmap {
+	return make(Bitmap, (nbits+63)/64)
+}
+
+// Set sets bit i.
+func (b Bitmap) Set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
+
+// Clear clears bit i.
+func (b Bitmap) Clear(i int) { b[i>>6] &^= 1 << (uint(i) & 63) }
+
+// Test reports whether bit i is set.
+func (b Bitmap) Test(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+
 // FirstSet returns the index of the first set bit at or after from, or
 // -1 if none, scanning O(n/64) words with one TZCNT per candidate word
-// (the paper's O(ceil(n/64)) lookup). No product path scans a bitmap;
-// the bitmap tests and FuzzBitmapScan read it through this.
+// (the paper's O(ceil(n/64)) lookup).
 func (b Bitmap) FirstSet(from int) int {
 	if from < 0 {
 		from = 0

@@ -121,19 +121,3 @@ func (t *Trace) Spec() runtime.TraceSpec {
 		Scenario: *t.scenario,
 	}
 }
-
-// Packets returns the -packets value (some subcommands consume it
-// directly).
-func (t *Trace) Packets() int { return *t.packets }
-
-// Flows returns the -flows value.
-func (t *Trace) Flows() int { return *t.flows }
-
-// Zipf returns the -zipf value.
-func (t *Trace) Zipf() float64 { return *t.zipf }
-
-// Seed returns the -seed value.
-func (t *Trace) Seed() int64 { return *t.seed }
-
-// Scenario returns the -scenario value.
-func (t *Trace) Scenario() string { return *t.scenario }

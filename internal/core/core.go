@@ -68,10 +68,6 @@ type Config struct {
 	// MaxBktElem is the largest element the list-bucket kfuncs accept.
 	// Defaults to 256.
 	MaxBktElem int
-	// AllocFault, when it returns true, makes the node_alloc kfunc fail
-	// (NULL to programs) — the library's ALLOW_ERROR_INJECTION surface,
-	// wired to the fault plane by the chaos harness.
-	AllocFault func() bool
 }
 
 // Lib is the library instance attached to one VM.

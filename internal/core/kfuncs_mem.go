@@ -35,9 +35,6 @@ func (l *Lib) registerMemWrapper() {
 			if p.DataSize() != nodeSize {
 				return 0, vm.ErrBadHandle
 			}
-			if l.cfg.AllocFault != nil && l.cfg.AllocFault() {
-				return 0, nil // injected allocation failure -> NULL
-			}
 			n, err := p.Alloc(int(a2))
 			if err != nil {
 				return 0, nil // allocation failure -> NULL

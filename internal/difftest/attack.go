@@ -64,18 +64,18 @@ func (r *Report) scenarios() []string {
 
 // attackAxis walks every cell of every scenario in cfg.Scenarios — all
 // of them by default.
-func attackAxis(r *Report, cfg nfcatalog.GridConfig) error {
+func attackAxis(r *Report, cfg GridConfig) error {
 	if len(cfg.Scenarios) == 0 {
 		cfg.Scenarios = pktgen.Scenarios()
 	}
-	r.attack(nfcatalog.Cells(cfg))
+	r.attack(Cells(cfg))
 	return nil
 }
 
 // attack replays every cell bare and guarded. Each arm is a fresh build
 // replaying its own trace clone, so the two never share state and see
 // identical bytes.
-func (r *Report) attack(cells []nfcatalog.Cell) {
+func (r *Report) attack(cells []Cell) {
 	for _, c := range cells {
 		r.Cases++
 		var bounds []float64 // bare, then guarded, when both evaluated one
@@ -93,7 +93,7 @@ func (r *Report) attack(cells []nfcatalog.Cell) {
 			inst := b.Inst
 			var g *guard.Guard // nil on the bare arm
 			if guardOn {
-				a := nfcatalog.Attach(runtime.Options{Guard: nfcatalog.GuardPolicy()}, c.Name, b)
+				a := nfcatalog.Attach(runtime.Options{Guard: nfcatalog.GuardPolicy()}, c.Name, b.Built)
 				inst, g = a.Insts[0], a.Guards[0]
 			}
 			got := r.replay(at, inst, c.Trace.Clone())

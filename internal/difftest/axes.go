@@ -20,19 +20,19 @@ import (
 
 // flavourAxis walks one benign stream per NF: flavours groups adjacent
 // cells of a name as that NF's flavours.
-func flavourAxis(r *Report, cfg nfcatalog.GridConfig) error {
+func flavourAxis(r *Report, cfg GridConfig) error {
 	cfg.Scenarios = nil
-	r.flavours(nfcatalog.Cells(cfg))
+	r.flavours(Cells(cfg))
 	return nil
 }
 
 // flavours replays every NF's flavours over clones of one stream and
 // holds each to the first (Kernel).
-func (r *Report) flavours(cells []nfcatalog.Cell) {
+func (r *Report) flavours(cells []Cell) {
 	var (
-		ref      nfcatalog.Cell
+		ref      Cell
 		refRun   run
-		refBuilt nfcatalog.Built
+		refBuilt Built
 	)
 	for _, c := range cells {
 		at := site{AxisFlavour, c.String(), c.Flavor.String()}
@@ -75,8 +75,8 @@ func (r *Report) flavours(cells []nfcatalog.Cell) {
 // tiers lists the interpreter tiers; the first is the reference.
 var tiers = []vm.Tier{vm.TierPredecoded, vm.TierWire, vm.TierJIT}
 
-func tierAxis(r *Report, cfg nfcatalog.GridConfig) error {
-	r.tiers(nfcatalog.Cells(cfg))
+func tierAxis(r *Report, cfg GridConfig) error {
+	r.tiers(Cells(cfg))
 	return nil
 }
 
@@ -86,7 +86,7 @@ func tierAxis(r *Report, cfg nfcatalog.GridConfig) error {
 // difference is an interpreter bug, not noise. A jit block compiler that
 // drops an instruction, mis-orders a fused pair or mischarges the budget
 // shows up here.
-func (r *Report) tiers(cells []nfcatalog.Cell) {
+func (r *Report) tiers(cells []Cell) {
 	for _, c := range cells {
 		if c.Flavor == nf.Kernel {
 			continue // native Go: no interpreter to vary
@@ -133,7 +133,7 @@ func vmCtx() []byte {
 // vmAxis cross-checks cfg.VMTrials generated programs between the
 // production VM's tiers and the reference interpreter. A program the
 // verifier rejects is counted, not failed: Replays is what executed.
-func vmAxis(r *Report, cfg nfcatalog.GridConfig) error {
+func vmAxis(r *Report, cfg GridConfig) error {
 	for seed := uint64(0); seed < uint64(cfg.VMTrials); seed++ {
 		at := site{AxisVM, fmt.Sprintf("seed %d", seed), "refvm"}
 		r.Cases++
@@ -175,10 +175,10 @@ func (r *Report) checkBloomStream(at site, t *pktgen.Trace, verdicts []uint64) {
 
 // checkVBFStream asserts the vector filter's membership contract over
 // the verdict stream: every packet queries its flow, which was inserted
-// into set flow%VBFSets at construction.
+// into set flow%vbf.Sets at construction.
 func (r *Report) checkVBFStream(at site, t *pktgen.Trace, verdicts []uint64) {
 	for p := range verdicts {
-		set := int(t.FlowOf[p]) % nfcatalog.VBFSets
+		set := int(t.FlowOf[p]) % vbf.Sets
 		r.Probes++
 		mask := verdicts[p] - vbf.MatchBase
 		if verdicts[p] < vbf.MatchBase || mask&(1<<uint(set)) == 0 {

@@ -1,6 +1,6 @@
 // Estimator oracles: for every NF with a control-plane estimator, the
 // error bound its estimates must hold against ground truth, stated once
-// in the geometry construct builds the NF with. Ground truth is
+// in the geometry nfcatalog builds the NF with. Ground truth is
 // whatever per-flow packet counts the caller observed reaching the NF:
 // every packet on a benign replay, the admitted substream behind an
 // overload guard (shed and head-sampled packets never reached the
@@ -12,12 +12,14 @@
 // analytical error terms plus slack, so they hold for any trace in the
 // same regime rather than pinning exact values.
 
-package nfcatalog
+package difftest
 
 import (
 	"fmt"
 
 	"enetstl/internal/nf"
+	"enetstl/internal/nf/vbf"
+	"enetstl/internal/nfcatalog"
 )
 
 // Bound checks an estimator against counts, the per-flow ground truth
@@ -55,7 +57,7 @@ func sum(counts []uint32) (n uint64) {
 // rows·N/width plus slack is orders of magnitude of room.
 func countMinBound(est func([]byte) uint32) Bound {
 	return func(keys [][nf.KeyLen]byte, counts []uint32) (float64, error) {
-		rows, width := uint64(cmsketchCfg.Rows), uint64(cmsketchCfg.Width)
+		rows, width := uint64(nfcatalog.CMSketchConfig.Rows), uint64(nfcatalog.CMSketchConfig.Width)
 		bound := float64(rows*sum(counts)/width + uint64(slack(len(keys), 16, 32)))
 		for f, key := range keys {
 			tc, got := counts[f], est(key[:])
@@ -75,7 +77,7 @@ func countMinBound(est func([]byte) uint32) Bound {
 // ±(true/2 + 24·sample) band is >6 sigma for every flow in this regime.
 func nitroBound(est func([]byte) uint32) Bound {
 	return func(keys [][nf.KeyLen]byte, counts []uint32) (float64, error) {
-		sample := uint32(1) << nitrosketchCfg.ProbLog2
+		sample := uint32(1) << nfcatalog.NitroSketchConfig.ProbLog2
 		bound := float64(sum(counts)/2 + 24*uint64(sample))
 		for f, key := range keys {
 			tc, got := counts[f], est(key[:])
@@ -111,7 +113,7 @@ func heavyKeeperBound(est func([]byte) uint32) Bound {
 // error N/slots (doubled for slack); unmonitored keys read 0.
 func spaceSavingBound(est func([]byte) uint32) Bound {
 	return func(keys [][nf.KeyLen]byte, counts []uint32) (float64, error) {
-		bound := float64(2 * sum(counts) / uint64(spacesavingCfg.Slots))
+		bound := float64(2 * sum(counts) / uint64(nfcatalog.SpaceSavingConfig.Slots))
 		for f, key := range keys {
 			tc, got := counts[f], est(key[:])
 			if got != 0 && float64(got) > float64(tc)+bound {
@@ -124,12 +126,13 @@ func spaceSavingBound(est func([]byte) uint32) Bound {
 
 // vbfBound: membership of the set inserted at construction survives any
 // replay (the datapath only queries), so no flow may go missing from
-// the set construct put it in — whatever the counts.
+// the set nfcatalog put it in at preload (flow f in set f%vbf.Sets) —
+// whatever the counts.
 func vbfBound(query func([]byte) uint32) Bound {
 	return func(keys [][nf.KeyLen]byte, _ []uint32) (float64, error) {
 		for f, key := range keys {
-			if mask := query(key[:]); mask&(1<<uint(f%VBFSets)) == 0 {
-				return 0, fmt.Errorf("vbf false negative: flow %d missing from set %d (mask %#x)", f, f%VBFSets, mask)
+			if mask := query(key[:]); mask&(1<<uint(f%vbf.Sets)) == 0 {
+				return 0, fmt.Errorf("vbf false negative: flow %d missing from set %d (mask %#x)", f, f%vbf.Sets, mask)
 			}
 		}
 		return 0, nil

@@ -1,35 +1,32 @@
-// The conformance grid's one enumerator. Every axis internal/difftest
-// runs — flavour against flavour, tier against tier, fault schedules,
-// attack scenarios bare and guarded — walks the cells listed here, so
-// "every NF in every flavour it supports" is decided in one place and a
-// new axis is a loop over Cells, not another case builder.
+// The grid's one enumerator and its per-NF table. Every axis — flavour
+// against flavour, tier against tier, fault schedules, attack scenarios
+// bare and guarded — walks the cells listed here, so "every NF in every
+// flavour it supports" is decided in one place and a new axis is a loop
+// over Cells, not another case builder. What the grid holds an NF to
+// beyond the per-packet contract (its structural invariants, its
+// estimator's error bound, its own fault hooks) is stated here too,
+// reached through the one handle nfcatalog.Built carries to the NF
+// behind the instance.
 
-package nfcatalog
+package difftest
 
 import (
 	"fmt"
 
 	"enetstl/internal/apps"
+	"enetstl/internal/faultinject"
 	"enetstl/internal/nf"
+	"enetstl/internal/nf/cmsketch"
+	"enetstl/internal/nf/conntrack"
+	"enetstl/internal/nf/heavykeeper"
+	"enetstl/internal/nf/nitrosketch"
+	"enetstl/internal/nf/skiplist"
+	"enetstl/internal/nf/spacesaving"
+	"enetstl/internal/nf/timewheel"
+	"enetstl/internal/nf/vbf"
+	"enetstl/internal/nfcatalog"
 	"enetstl/internal/pktgen"
 )
-
-// Supports reports whether name is a registered NF that can be built in
-// flavor.
-func Supports(name string, flavor nf.Flavor) bool {
-	switch {
-	case name == "skiplist" && flavor == nf.EBPF:
-		return false // not implementable in pure eBPF (paper P1)
-	case name == "conntrack" && flavor == nf.ENetSTL:
-		return false // pure maps+helpers NF; no eNetSTL flavour
-	}
-	for _, n := range Names() {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
 
 var flavors = []nf.Flavor{nf.Kernel, nf.EBPF, nf.ENetSTL}
 
@@ -38,7 +35,7 @@ var flavors = []nf.Flavor{nf.Kernel, nf.EBPF, nf.ENetSTL}
 func SupportedFlavors(name string) []nf.Flavor {
 	out := make([]nf.Flavor, 0, len(flavors))
 	for _, fl := range flavors {
-		if Supports(name, fl) {
+		if nfcatalog.Supports(name, fl) {
 			out = append(out, fl)
 		}
 	}
@@ -47,9 +44,9 @@ func SupportedFlavors(name string) []nf.Flavor {
 
 // GridConfig describes one conformance-grid run. Cells reads the trace
 // shape, Apps and Scenarios; the remaining fields select within an axis
-// and are read by the axis runners in internal/difftest. The zero value
-// is the standing gate: 4000 benign packets over 256 zipf(1.1) flows,
-// seed 1, every schedule, every scenario.
+// and are read by the axis runners. The zero value is the standing
+// gate: 4000 benign packets over 256 zipf(1.1) flows, seed 1, every
+// schedule, every scenario.
 type GridConfig struct {
 	Packets int     // trace length (default 4000)
 	Flows   int     // distinct benign flows (default 256)
@@ -73,8 +70,8 @@ type GridConfig struct {
 	VMTrials int
 }
 
-// Norm fills the defaults.
-func (c GridConfig) Norm() GridConfig {
+// norm fills the defaults.
+func (c GridConfig) norm() GridConfig {
 	if c.Packets <= 0 {
 		c.Packets = 4000
 	}
@@ -93,6 +90,76 @@ func (c GridConfig) Norm() GridConfig {
 	return c
 }
 
+// Built is one cell's instance with what the grid holds it to: the
+// catalog's build, its structural invariant check, the error bound of
+// its estimator, and the NF's own fault hooks. Each is nil where the NF
+// has none.
+type Built struct {
+	nfcatalog.Built
+	Check func() error
+	// Bound is the oracle for Est (bound.go).
+	Bound Bound
+	// Arm wires the NF's native fault hooks to plane p's sites; the
+	// generic VM surfaces are the chaos axis's own (chaos.go).
+	Arm func(p *faultinject.Plane)
+}
+
+// oracles adds the grid's per-NF table to a catalog build.
+func oracles(b nfcatalog.Built) Built {
+	g := Built{Built: b}
+	switch n := b.NF.(type) {
+	case *skiplist.SkipList:
+		g.Check = func() error {
+			if pr := n.Proxy(); pr != nil {
+				return pr.CheckInvariants()
+			}
+			return nil
+		}
+		g.Arm = func(p *faultinject.Plane) {
+			if pr := n.Proxy(); pr != nil {
+				pr.FailAlloc = p.Site(faultinject.SiteAlloc).Fire
+			}
+		}
+	case *timewheel.Wheel:
+		g.Check = n.CheckInvariants
+	case *cmsketch.Sketch:
+		g.Bound = countMinBound(n.Estimate)
+	case *nitrosketch.Sketch:
+		g.Bound = nitroBound(n.Estimate)
+		g.Arm = func(p *faultinject.Plane) {
+			if pool := n.GeoPool(); pool != nil {
+				pool.FailRefill = p.Site(faultinject.SiteRefill).Fire
+			}
+		}
+	case *heavykeeper.Sketch:
+		g.Bound = heavyKeeperBound(n.Estimate)
+		g.Arm = func(p *faultinject.Plane) {
+			if pool := n.Pool(); pool != nil {
+				pool.FailRefill = p.Site(faultinject.SiteRefill).Fire
+			}
+		}
+	case *spacesaving.Summary:
+		g.Bound = spaceSavingBound(n.Estimate)
+	case *vbf.VBF:
+		g.Bound = vbfBound(n.Query)
+	case *conntrack.Tracker:
+		g.Arm = func(p *faultinject.Plane) {
+			// Kernel flavour: decorate the backing map directly (the EBPF
+			// flavour's map is wrapped generically through the VM).
+			if m := n.Map(); m != nil {
+				if f, ok := m.(*faultyMap); ok {
+					m = f.ArenaMap
+				}
+				n.SetMap(&faultyMap{ArenaMap: m,
+					failUpdate: p.Site(faultinject.SiteMapUpdate).Fire,
+					missLookup: p.Site(faultinject.SiteMapLookup).Fire,
+				})
+			}
+		}
+	}
+	return g
+}
+
 // Cell is one point of the grid: an NF (or composed app) in one flavour
 // over one trace.
 type Cell struct {
@@ -104,8 +171,9 @@ type Cell struct {
 	// write into packet payloads), never the trace itself.
 	Trace *pktgen.Trace
 	// Build constructs a fresh instance with its full wiring, tables
-	// preloaded from Trace's flow table. It leaves Trace alone, so every
-	// call — another arm, another tier — starts from the same state.
+	// preloaded from Trace's flow table. It leaves Trace's bytes as they
+	// are, so every call — another arm, another tier — starts from the
+	// same state.
 	Build func() (Built, error)
 }
 
@@ -118,7 +186,7 @@ func (c Cell) String() string { return fmt.Sprintf("%s/%v", c.Name, c.Flavor) }
 // Nothing is constructed until a cell's Build is called, so a
 // construction failure is the caller's to report against that cell.
 func Cells(cfg GridConfig) []Cell {
-	cfg = cfg.Norm()
+	cfg = cfg.norm()
 	base := pktgen.Config{Flows: cfg.Flows, Packets: cfg.Packets, ZipfS: cfg.ZipfS, Seed: cfg.Seed}
 	var cells []Cell
 	// add appends name's cells. Each trace is generated per name because
@@ -132,7 +200,7 @@ func Cells(cfg GridConfig) []Cell {
 			traces = append(traces, pktgen.Generate(base))
 		}
 		for _, tr := range traces {
-			PrepareTrace(name, tr)
+			nfcatalog.PrepareTrace(name, tr)
 		}
 		for _, fl := range in {
 			for _, tr := range traces {
@@ -141,9 +209,12 @@ func Cells(cfg GridConfig) []Cell {
 			}
 		}
 	}
-	for _, name := range Names() {
+	for _, name := range nfcatalog.Names() {
 		add(name, SupportedFlavors(name), func(fl nf.Flavor, tr *pktgen.Trace) (Built, error) {
-			return construct(name, fl, tr)
+			// BuildFull re-applies the op mix, which rewrites the
+			// trace's bytes with what they already are.
+			b, err := nfcatalog.BuildFull(name, fl, tr)
+			return oracles(b), err
 		})
 	}
 	if cfg.Apps {
@@ -161,7 +232,7 @@ func Cells(cfg GridConfig) []Cell {
 				if err != nil {
 					return Built{}, err
 				}
-				return Built{Inst: a}, nil
+				return Built{Built: nfcatalog.Built{Inst: a}}, nil
 			})
 		}
 	}

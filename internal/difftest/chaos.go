@@ -15,7 +15,6 @@ import (
 	"enetstl/internal/ebpf/vm"
 	"enetstl/internal/faultinject"
 	"enetstl/internal/nf"
-	"enetstl/internal/nfcatalog"
 	"enetstl/internal/runtime"
 )
 
@@ -58,21 +57,56 @@ func Schedules() []Schedule {
 	}
 }
 
+// faultyMap decorates a map with the two map fault surfaces, modeling
+// the error-injection points of the kernel map ops: bpf_map_update_elem
+// returning -E2BIG/-ENOMEM under memory pressure, and a lookup missing
+// because the entry was reclaimed. The other methods pass through; a
+// delete is not a fault surface (htab_map_delete_elem cannot fail with
+// -ENOMEM).
+type faultyMap struct {
+	maps.ArenaMap
+	// failUpdate, when it returns true, makes Update fail with
+	// ErrNoSpace without touching the underlying map; missLookup makes
+	// Lookup and LookupArena report a miss (programs see NULL) without
+	// consulting it.
+	failUpdate, missLookup func() bool
+}
+
+func (f *faultyMap) Lookup(key []byte) []byte {
+	if f.missLookup() {
+		return nil
+	}
+	return f.ArenaMap.Lookup(key)
+}
+
+func (f *faultyMap) Update(key, value []byte) error {
+	if f.failUpdate() {
+		return maps.ErrNoSpace
+	}
+	return f.ArenaMap.Update(key, value)
+}
+
+func (f *faultyMap) LookupArena(key []byte) (int, int, bool) {
+	if f.missLookup() {
+		return 0, 0, false
+	}
+	return f.ArenaMap.LookupArena(key)
+}
+
 // surfaces routes an instance's generic VM fault surfaces to the sites
 // of whichever plane is current. The hooks are installed once and read
 // the site pointers on every call; each schedule swaps in its plane's.
 type surfaces struct{ upd, lkp, alloc, kf *faultinject.Site }
 
 // wire installs the hooks on every machine behind inst: map updates and
-// lookups through a Faulty wrapper, node allocation, and kfunc returns.
+// lookups through a faultyMap, node allocation, and kfunc returns.
 // NF-specific native hooks are Built.Arm's business.
 func (s *surfaces) wire(inst nf.Instance) {
 	for _, m := range runtime.VMs(inst) {
 		m.WrapMaps(func(mm maps.ArenaMap) maps.ArenaMap {
-			return &maps.Faulty{
-				M:          mm,
-				FailUpdate: func() bool { return s.upd.Fire() },
-				MissLookup: func() bool { return s.lkp.Fire() },
+			return &faultyMap{ArenaMap: mm,
+				failUpdate: func() bool { return s.upd.Fire() },
+				missLookup: func() bool { return s.lkp.Fire() },
 			}
 		})
 		m.SetAllocFault(func() bool { return s.alloc.Fire() })
@@ -106,7 +140,7 @@ func (s *surfaces) point(p *faultinject.Plane) {
 
 // chaosAxis walks every cell and the composed apps under every
 // schedule, or the one cfg.Schedule names.
-func chaosAxis(r *Report, cfg nfcatalog.GridConfig) error {
+func chaosAxis(r *Report, cfg GridConfig) error {
 	schedules := Schedules()
 	if cfg.Schedule != "" {
 		i := slices.IndexFunc(schedules, func(s Schedule) bool { return s.Name == cfg.Schedule })
@@ -116,7 +150,7 @@ func chaosAxis(r *Report, cfg nfcatalog.GridConfig) error {
 		schedules = schedules[i : i+1]
 	}
 	cfg.Apps = true
-	r.chaos(nfcatalog.Cells(cfg), schedules, cfg.FaultSeed)
+	r.chaos(Cells(cfg), schedules, cfg.FaultSeed)
 	return nil
 }
 
@@ -124,7 +158,7 @@ func chaosAxis(r *Report, cfg nfcatalog.GridConfig) error {
 // trace clone serve all of a cell's schedules in turn, so state a fault
 // left behind is carried into the next schedule. seed feeds the
 // deterministic fault streams: a failing run replays bit-for-bit.
-func (r *Report) chaos(cells []nfcatalog.Cell, schedules []Schedule, seed uint64) {
+func (r *Report) chaos(cells []Cell, schedules []Schedule, seed uint64) {
 	agg := map[string]*faultinject.SiteCount{}
 	for _, c := range cells {
 		r.Cases++

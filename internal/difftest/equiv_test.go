@@ -7,7 +7,7 @@ import (
 	"enetstl/internal/nfcatalog"
 )
 
-func runAxis(t *testing.T, axis string, cfg nfcatalog.GridConfig) *Report {
+func runAxis(t *testing.T, axis string, cfg GridConfig) *Report {
 	t.Helper()
 	rep, err := Run(axis, cfg)
 	if err != nil {
@@ -19,7 +19,7 @@ func runAxis(t *testing.T, axis string, cfg nfcatalog.GridConfig) *Report {
 // TestFlavourEquivalence is the standing conformance gate: every
 // registered NF, in every flavour pair, over seeded identical traces.
 func TestFlavourEquivalence(t *testing.T) {
-	rep := runAxis(t, AxisFlavour, nfcatalog.GridConfig{})
+	rep := runAxis(t, AxisFlavour, GridConfig{})
 	t.Log(rep)
 	if rep.Failed() {
 		t.Fatalf("flavour divergences:\n%s", rep)
@@ -30,7 +30,7 @@ func TestFlavourEquivalence(t *testing.T) {
 	// 15 NFs × 3 flavours, minus skiplist/eBPF and conntrack/eNetSTL.
 	want := 0
 	for _, name := range nfcatalog.Names() {
-		want += len(nfcatalog.SupportedFlavors(name))
+		want += len(SupportedFlavors(name))
 	}
 	if rep.Replays != want {
 		t.Fatalf("replayed %d instances, want %d", rep.Replays, want)
@@ -47,7 +47,7 @@ func TestFlavourEquivalenceSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed replay is slow")
 	}
-	for _, cfg := range []nfcatalog.GridConfig{
+	for _, cfg := range []GridConfig{
 		{Seed: 7, ZipfS: 1.3},
 		{Seed: 99, ZipfS: 0.000001, Packets: 2000}, // effectively uniform
 	} {
@@ -63,14 +63,14 @@ func TestFlavourEquivalenceSeeds(t *testing.T) {
 // (see tierAxis for why exactness is the right oracle even for the
 // sampling sketches).
 func TestInterpEquivalence(t *testing.T) {
-	rep := runAxis(t, AxisTier, nfcatalog.GridConfig{})
+	rep := runAxis(t, AxisTier, GridConfig{})
 	t.Log(rep)
 	if rep.Failed() {
 		t.Fatalf("interp divergences:\n%s", rep)
 	}
 	want := 0
 	for _, name := range nfcatalog.Names() {
-		for _, fl := range nfcatalog.SupportedFlavors(name) {
+		for _, fl := range SupportedFlavors(name) {
 			if fl != nf.Kernel {
 				want++
 			}
@@ -94,7 +94,7 @@ func TestInterpEquivalenceSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed replay is slow")
 	}
-	if rep := runAxis(t, AxisTier, nfcatalog.GridConfig{Seed: 7, ZipfS: 1.3, Packets: 2000}); rep.Failed() {
+	if rep := runAxis(t, AxisTier, GridConfig{Seed: 7, ZipfS: 1.3, Packets: 2000}); rep.Failed() {
 		t.Fatalf("seed 7: interp divergences:\n%s", rep)
 	}
 }

@@ -1,7 +1,7 @@
 // Package difftest is the conformance subsystem: one grid — every
-// registered NF in every flavour it supports, enumerated once by
-// nfcatalog.Cells — walked along several axes, each holding the replay
-// to a contract:
+// registered NF in every flavour it supports, enumerated once by Cells
+// (cells.go) — walked along several axes, each holding the replay to a
+// contract:
 //
 //   - flavour: the flavours of an NF compute the same function. Identical
 //     seeded streams, verdict-for-verdict equality against the Kernel
@@ -39,8 +39,12 @@
 // kernel's fail_function fault attributes with a BPF exception handler
 // watching for aborts, next to a differential test of its JIT.
 //
-// Native fuzz targets for maps, verifier, nhash and bitops live in the
-// subject packages, seeded from committed corpora.
+// The grid is test code that ships in no binary: only tests import this
+// package, and TestGrid (grid_test.go) runs the standing gate, one row
+// per make target (`make difftest`, `chaos-smoke`, `attack-smoke`).
+// The fault plane it arms (internal/faultinject) is imported from here
+// alone. Native fuzz targets for maps, verifier, nhash and bitops live
+// in the subject packages, seeded from committed corpora.
 package difftest
 
 import (
@@ -52,13 +56,11 @@ import (
 	"enetstl/internal/faultinject"
 	"enetstl/internal/guard"
 	"enetstl/internal/nf"
-	"enetstl/internal/nfcatalog"
 	"enetstl/internal/pktgen"
 	"enetstl/internal/runtime"
-	"enetstl/internal/telemetry"
 )
 
-// The axes, in the order `nfrun -grid` and `make check` run them.
+// The axes, in the order TestGrid runs them.
 const (
 	AxisFlavour = "flavour"
 	AxisTier    = "tier"
@@ -69,7 +71,7 @@ const (
 
 var axes = []struct {
 	name string
-	run  func(*Report, nfcatalog.GridConfig) error
+	run  func(*Report, GridConfig) error
 }{
 	{AxisFlavour, flavourAxis},
 	{AxisTier, tierAxis},
@@ -90,11 +92,11 @@ func Axes() []string {
 // Run walks the grid cfg describes along one axis. The error is for a
 // request that names no axis or no schedule; contract breaches are in
 // the Report.
-func Run(axis string, cfg nfcatalog.GridConfig) (*Report, error) {
+func Run(axis string, cfg GridConfig) (*Report, error) {
 	for _, a := range axes {
 		if a.name == axis {
 			r := &Report{Axis: axis}
-			if err := a.run(r, cfg.Norm()); err != nil {
+			if err := a.run(r, cfg.norm()); err != nil {
 				return nil, err
 			}
 			return r, nil
@@ -183,24 +185,6 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, "\n  %s", v)
 	}
 	return b.String()
-}
-
-// Publish exports the run into reg: the aggregated fault counters in the
-// series the fault plane itself uses, so chaos injections appear in the
-// -stats exposition, and the axis's violation count.
-func (r *Report) Publish(reg *telemetry.Registry) {
-	if len(r.SiteCounts) > 0 {
-		reg.SetHelp("fault_site_evaluated_total", "fault-injection site consultations")
-		reg.SetHelp("fault_site_injected_total", "faults injected at each site")
-	}
-	for _, c := range r.SiteCounts {
-		l := telemetry.L("site", c.Site)
-		reg.Counter("fault_site_evaluated_total", l).Add(c.Evaluated)
-		reg.Counter("fault_site_injected_total", l).Add(c.Injected)
-	}
-	name := r.Axis + "_violations_total"
-	reg.SetHelp(name, "conformance-contract breaches observed on the "+r.Axis+" axis")
-	reg.Counter(name).Add(r.Total)
 }
 
 // site is where in the grid a replay sits; violations found there carry
@@ -295,7 +279,7 @@ func (r *Report) replay(at site, inst nf.Instance, tr *pktgen.Trace) run {
 // structural invariants and, given ground-truth counts, its estimator
 // bound. ok reports whether a bound was evaluated; the axis that has no
 // ground truth (chaos: injected faults drop updates) passes nil counts.
-func (r *Report) check(at site, b nfcatalog.Built, keys [][nf.KeyLen]byte, counts []uint32) (bound float64, ok bool) {
+func (r *Report) check(at site, b Built, keys [][nf.KeyLen]byte, counts []uint32) (bound float64, ok bool) {
 	if b.Check != nil {
 		if err := b.Check(); err != nil {
 			r.violate(at, -1, "invariant", err.Error())

@@ -13,6 +13,47 @@ import (
 	"enetstl/internal/runtime"
 )
 
+// TestGrid is the grid's standing gate, one row per make target at the
+// sizes that target runs: `make difftest` runs the two equivalence rows,
+// `make chaos-smoke` and `make attack-smoke` the chaos and attack rows
+// (go test -v -run '^TestGrid$/^<row>$' ./internal/difftest/). A row
+// walks its axes in order and prints each axis's report on stdout; a
+// failing axis prints `axis=<name> FAILED` ahead of its report, whose
+// violation lines each name the case and the variant that diverged.
+func TestGrid(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		axes []string
+		cfg  GridConfig
+	}{
+		// Flavour against flavour, tier against tier, and 200 generated
+		// programs against the reference interpreter.
+		{"equivalence", []string{AxisFlavour, AxisTier, AxisVM}, GridConfig{Packets: 4000, Flows: 256, VMTrials: 200}},
+		// Past the cuckoo filter's 4096 slots and the cuckoo switch's
+		// 8192, so both preloads walk their kick chains and then
+		// saturate, and every flavour must still agree.
+		{"equivalence-9000-flows", []string{AxisFlavour}, GridConfig{Packets: 4000, Flows: 9000}},
+		// 1500 packets is the smallest trace that exercises every fault
+		// site (rpool refills happen once per ~4096 draws).
+		{"chaos", []string{AxisChaos}, GridConfig{Packets: 1500, Flows: 256}},
+		// Every NF/flavour under every scenario, guard off and on; 1500
+		// packets keeps the shedder past its AutoBudget calibration
+		// window inside every attack burst.
+		{"attack", []string{AxisAttack}, GridConfig{Packets: 1500, Flows: 192}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			for _, axis := range row.axes {
+				rep := runAxis(t, axis, row.cfg)
+				if rep.Failed() {
+					fmt.Printf("axis=%s FAILED\n", axis)
+					t.Errorf("axis=%s: %d violations", axis, rep.Total)
+				}
+				fmt.Println(rep)
+			}
+		})
+	}
+}
+
 // saboteur wraps a real instance and misbehaves on exactly one packet,
 // the strikeAt-th it is handed, provided armed (when set) agrees.
 type saboteur struct {
@@ -60,18 +101,18 @@ func (s *skipper) Process(pkt []byte) (uint64, error) {
 
 // gridCells returns the cells of one NF with the Build of the cell in
 // flavour fl rewired through wrap.
-func gridCells(t *testing.T, name string, fl nf.Flavor, wrap func(*nfcatalog.Built)) []nfcatalog.Cell {
+func gridCells(t *testing.T, name string, fl nf.Flavor, wrap func(*Built)) []Cell {
 	t.Helper()
-	var out []nfcatalog.Cell
+	var out []Cell
 	hit := false
-	for _, c := range nfcatalog.Cells(nfcatalog.GridConfig{Packets: 400}) {
+	for _, c := range Cells(GridConfig{Packets: 400}) {
 		if c.Name != name {
 			continue
 		}
 		if c.Flavor == fl {
 			hit = true
 			build := c.Build
-			c.Build = func() (nfcatalog.Built, error) {
+			c.Build = func() (Built, error) {
 				b, err := build()
 				if err == nil {
 					wrap(&b)
@@ -87,10 +128,10 @@ func gridCells(t *testing.T, name string, fl nf.Flavor, wrap func(*nfcatalog.Bui
 	return out
 }
 
-func only(cells []nfcatalog.Cell, fl nf.Flavor) []nfcatalog.Cell {
+func only(cells []Cell, fl nf.Flavor) []Cell {
 	for _, c := range cells {
 		if c.Flavor == fl {
-			return []nfcatalog.Cell{c}
+			return []Cell{c}
 		}
 	}
 	return nil
@@ -101,8 +142,8 @@ func only(cells []nfcatalog.Cell, fl nf.Flavor) []nfcatalog.Cell {
 // must report exactly one violation, on the right axis, of the right
 // kind, against the right variant.
 func TestGridNegativeControls(t *testing.T) {
-	strikeWith := func(strike func(uint64) (uint64, error)) func(*nfcatalog.Built) {
-		return func(b *nfcatalog.Built) { b.Inst = &saboteur{Instance: b.Inst, strike: strike} }
+	strikeWith := func(strike func(uint64) (uint64, error)) func(*Built) {
+		return func(b *Built) { b.Inst = &saboteur{Instance: b.Inst, strike: strike} }
 	}
 	flip := func(v uint64) (uint64, error) { return v + 1, nil }
 	for _, tc := range []struct {
@@ -124,17 +165,17 @@ func TestGridNegativeControls(t *testing.T) {
 			r.chaos(only(cells, nf.EBPF), Schedules(), 1)
 		}},
 		{"broken Check", AxisFlavour, "invariant", "Kernel", -1, func(r *Report) {
-			cells := gridCells(t, "timewheel", nf.Kernel, func(b *nfcatalog.Built) {
+			cells := gridCells(t, "timewheel", nf.Kernel, func(b *Built) {
 				b.Check = func() error { return errors.New("wheel slot out of order") }
 			})
 			r.flavours(only(cells, nf.Kernel))
 		}},
 		{"estimator outside Bound", AxisFlavour, "bound", "Kernel", -1, func(r *Report) {
-			cells := gridCells(t, "cmsketch", nf.Kernel, func(b *nfcatalog.Built) { b.Inst = &skipper{Instance: b.Inst} })
+			cells := gridCells(t, "cmsketch", nf.Kernel, func(b *Built) { b.Inst = &skipper{Instance: b.Inst} })
 			r.flavours(only(cells, nf.Kernel))
 		}},
 		{"verdict flipped on one tier", AxisTier, "verdict", "wire", strikeAt, func(r *Report) {
-			cells := gridCells(t, "cuckooswitch", nf.EBPF, func(b *nfcatalog.Built) {
+			cells := gridCells(t, "cuckooswitch", nf.EBPF, func(b *Built) {
 				m := runtime.VMs(b.Inst)[0]
 				b.Inst = &saboteur{Instance: b.Inst, strike: flip, armed: func() bool { return m.Tier() == vm.TierWire }}
 			})
@@ -144,20 +185,20 @@ func TestGridNegativeControls(t *testing.T) {
 			r.flavours(gridCells(t, "cuckooswitch", nf.EBPF, strikeWith(flip)))
 		}},
 		{"estimator diverged on one flavour", AxisFlavour, "estimate", "eNetSTL", -1, func(r *Report) {
-			r.flavours(gridCells(t, "spacesaving", nf.ENetSTL, func(b *nfcatalog.Built) {
+			r.flavours(gridCells(t, "spacesaving", nf.ENetSTL, func(b *Built) {
 				est := b.Est
 				b.Est = func(key []byte) uint32 { return est(key) + 1 }
 			}))
 		}},
 		{"guard loosens the bound", AxisAttack, "bound-compare", "syn-flood/guarded", -1, func(r *Report) {
-			cells := nfcatalog.Cells(nfcatalog.GridConfig{Packets: 400, Flows: 192,
+			cells := Cells(GridConfig{Packets: 400, Flows: 192,
 				Scenarios: []pktgen.ScenarioKind{pktgen.ScenarioSYNFlood}})
 			for _, c := range cells {
 				if c.String() != "cmsketch/Kernel" {
 					continue
 				}
 				build, builds := c.Build, 0
-				c.Build = func() (nfcatalog.Built, error) {
+				c.Build = func() (Built, error) {
 					b, err := build()
 					builds++
 					if bound := b.Bound; builds == 2 { // the guarded arm
@@ -168,7 +209,7 @@ func TestGridNegativeControls(t *testing.T) {
 					}
 					return b, err
 				}
-				r.attack([]nfcatalog.Cell{c})
+				r.attack([]Cell{c})
 			}
 		}},
 	} {
@@ -196,7 +237,7 @@ func TestGridCoverage(t *testing.T) {
 	const packets = 64
 	var cells, vmCells []string
 	for _, name := range nfcatalog.Names() {
-		for _, fl := range nfcatalog.SupportedFlavors(name) {
+		for _, fl := range SupportedFlavors(name) {
 			cells = append(cells, fmt.Sprintf("%s/%v", name, fl))
 			if fl != nf.Kernel {
 				vmCells = append(vmCells, cells[len(cells)-1])
@@ -218,7 +259,7 @@ func TestGridCoverage(t *testing.T) {
 		{AxisChaos, len(cells) + apps, (len(cells) + apps) * schedules},
 		{AxisAttack, len(cells) * scenarios, len(cells) * scenarios * 2},
 	} {
-		rep = runAxis(t, tc.axis, nfcatalog.GridConfig{Packets: packets, Flows: 32})
+		rep = runAxis(t, tc.axis, GridConfig{Packets: packets, Flows: 32})
 		if rep.Cases != tc.cases || rep.Replays != tc.replays || rep.Packets != tc.replays*packets {
 			t.Errorf("%s: %d cases, %d replays, %d packets; want %d, %d, %d",
 				tc.axis, rep.Cases, rep.Replays, rep.Packets, tc.cases, tc.replays, tc.replays*packets)
@@ -249,10 +290,10 @@ func TestGridCoverage(t *testing.T) {
 // TestRunRejectsUnknownSelections: a typo in an axis or schedule name is
 // an error, not a grid that ran nothing and passed.
 func TestRunRejectsUnknownSelections(t *testing.T) {
-	if _, err := Run("flavor", nfcatalog.GridConfig{}); err == nil {
+	if _, err := Run("flavor", GridConfig{}); err == nil {
 		t.Error("unknown axis accepted")
 	}
-	if _, err := Run(AxisChaos, nfcatalog.GridConfig{Schedule: "map-fulll"}); err == nil {
+	if _, err := Run(AxisChaos, GridConfig{Schedule: "map-fulll"}); err == nil {
 		t.Error("unknown fault schedule accepted")
 	}
 }

@@ -1,10 +1,6 @@
 package difftest
 
-import (
-	"testing"
-
-	"enetstl/internal/nfcatalog"
-)
+import "testing"
 
 // TestVMDifferential cross-checks the production interpreter against
 // the reference interpreter on a seeded corpus of generated
@@ -15,7 +11,7 @@ func TestVMDifferential(t *testing.T) {
 	if testing.Short() {
 		trials = 50
 	}
-	rep := runAxis(t, AxisVM, nfcatalog.GridConfig{VMTrials: trials})
+	rep := runAxis(t, AxisVM, GridConfig{VMTrials: trials})
 	t.Log(rep)
 	if rep.Failed() {
 		t.Fatalf("vm divergences:\n%s", rep)

@@ -165,8 +165,9 @@ func TestLRUChurnOrderModel(t *testing.T) {
 }
 
 // TestLRUInsertFails exercises the refusal counter through a full probe
-// group: a Faulty wrapper is the usual source, but a raw table refuses
-// only when the arena itself does, so force it via the inner hash.
+// group: the conformance grid's fault decorator is the usual source, but
+// a raw table refuses only when the arena itself does, so force it via
+// the inner hash.
 func TestLRUInsertFails(t *testing.T) {
 	l := Must(NewLRUHash(8, 8, 2))
 	if err := l.Update(lruKey(1), make([]byte, 4)); err == nil {

@@ -319,45 +319,6 @@ func TestLRUPressure(t *testing.T) {
 	}
 }
 
-func TestFaultyDecorator(t *testing.T) {
-	base := Must(NewHash(4, 4, 16))
-	fail, miss := false, false
-	f := &Faulty{M: base, FailUpdate: func() bool { return fail }, MissLookup: func() bool { return miss }}
-	k, v := []byte{1, 2, 3, 4}, []byte{9, 9, 9, 9}
-	if f.Type() != TypeHash || f.KeySize() != 4 || f.ValueSize() != 4 {
-		t.Fatal("metadata not forwarded")
-	}
-	if err := f.Update(k, v); err != nil {
-		t.Fatalf("pass-through update: %v", err)
-	}
-	if !bytes.Equal(f.Lookup(k), v) {
-		t.Fatal("pass-through lookup missed")
-	}
-	if _, _, ok := f.LookupArena(k); !ok {
-		t.Fatal("pass-through LookupArena missed")
-	}
-	fail = true
-	if err := f.Update([]byte{5, 6, 7, 8}, v); err != ErrNoSpace {
-		t.Fatalf("injected update: %v, want ErrNoSpace", err)
-	}
-	if base.Lookup([]byte{5, 6, 7, 8}) != nil {
-		t.Fatal("injected update reached underlying map")
-	}
-	miss = true
-	if f.Lookup(k) != nil {
-		t.Fatal("injected miss returned a value")
-	}
-	if _, _, ok := f.LookupArena(k); ok {
-		t.Fatal("injected arena miss resolved")
-	}
-	if f.Unwrap() != ArenaMap(base) {
-		t.Fatal("Unwrap lost the base map")
-	}
-	if err := f.Delete(k); err != nil {
-		t.Fatalf("delete not forwarded: %v", err)
-	}
-}
-
 func TestPerCPUIsolation(t *testing.T) {
 	p := Must(NewPerCPUArray(4, 2, 3))
 	if err := p.CPU(1).Update(key4(0), []byte{7, 0, 0, 0}); err != nil {

@@ -253,42 +253,6 @@ func TestPerCPUConcurrentViews(t *testing.T) {
 	}
 }
 
-// TestFaultyPerCPUPassthrough: a Faulty decorator over one per-CPU
-// copy forwards updates to that copy, and injected faults hit only
-// that copy, leaving its siblings untouched.
-func TestFaultyPerCPUPassthrough(t *testing.T) {
-	p := Must(NewPerCPULRUHash(8, 8, 16, 2))
-	fail := false
-	f := &Faulty{M: p.CPU(1), FailUpdate: func() bool { return fail }}
-	if err := f.Update(pcKey(1), pcVal(1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if p.CPU(1).Len() != 1 || p.CPU(0).Len() != 0 {
-		t.Fatal("update through Faulty missed its copy")
-	}
-	fail = true
-	if err := f.Update(pcKey(2), pcVal(1, 1)); err != ErrNoSpace {
-		t.Fatalf("injected update: %v", err)
-	}
-	if p.CPU(1).Len() != 1 || p.CPU(0).Len() != 0 {
-		t.Fatal("injected failure mutated the map")
-	}
-	// LRU flavour: evictions happen below the decorator.
-	l := Must(NewLRUHash(8, 8, 4))
-	fl := &Faulty{M: l}
-	for i := uint64(0); i < 6; i++ {
-		if err := fl.Update(pcKey(i), pcVal(0, 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if l.Len() != 4 {
-		t.Fatalf("LRU under Faulty holds %d entries, want 4", l.Len())
-	}
-	if l.Evictions != 2 {
-		t.Fatalf("evictions %d, want 2", l.Evictions)
-	}
-}
-
 // TestPerCPUTypesAndArenas pins what a VM attaches for a per-CPU map:
 // each copy is a plain map of the base type with one arena of its own,
 // and a write through one copy resolves in that arena and no other.

@@ -5,9 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"enetstl/internal/difftest"
 	"enetstl/internal/ebpf/vm"
 	"enetstl/internal/nf"
-	"enetstl/internal/nfcatalog"
 )
 
 // TestFusedKindsOccurInCatalog pins the peephole fuser to the traffic:
@@ -31,7 +31,7 @@ func TestFusedKindsOccurInCatalog(t *testing.T) {
 	}
 	sites, users := map[key]int{}, map[key]int{} // decoded slots; programs with at least one
 	programs := map[nf.Flavor]int{}
-	for _, cell := range nfcatalog.Cells(nfcatalog.GridConfig{Apps: true, Packets: 64, Flows: 64}) {
+	for _, cell := range difftest.Cells(difftest.GridConfig{Apps: true, Packets: 64, Flows: 64}) {
 		if cell.Flavor == nf.Kernel {
 			continue
 		}

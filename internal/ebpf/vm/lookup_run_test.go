@@ -315,6 +315,28 @@ func observe(t *testing.T, tier vm.Tier, s runShape, n int, arm func(m *vm.VM)) 
 	return o
 }
 
+// missingMap reports a lookup miss whenever miss says so, the way an
+// entry reclaimed under memory pressure reads; everything else passes
+// through.
+type missingMap struct {
+	maps.ArenaMap
+	miss func() bool
+}
+
+func (m *missingMap) Lookup(key []byte) []byte {
+	if m.miss() {
+		return nil
+	}
+	return m.ArenaMap.Lookup(key)
+}
+
+func (m *missingMap) LookupArena(key []byte) (int, int, bool) {
+	if m.miss() {
+		return 0, 0, false
+	}
+	return m.ArenaMap.LookupArena(key)
+}
+
 // TestLookupRunObservedLikeWire: with a plane attached after Load — a
 // fault decorator on the map, stats, a recorder sampling every packet —
 // the fast loop reports what the wire loop reports.
@@ -324,7 +346,7 @@ func TestLookupRunObservedLikeWire(t *testing.T) {
 			return func(m *vm.VM) {
 				calls := 0
 				m.WrapMaps(func(inner maps.ArenaMap) maps.ArenaMap {
-					return &maps.Faulty{M: inner, MissLookup: func() bool { calls++; return calls%2 == 0 }}
+					return &missingMap{ArenaMap: inner, miss: func() bool { calls++; return calls%2 == 0 }}
 				})
 			}
 		},
@@ -336,7 +358,7 @@ func TestLookupRunObservedLikeWire(t *testing.T) {
 			return func(m *vm.VM) {
 				m.SetStats(vm.NewStats())
 				m.WrapMaps(func(inner maps.ArenaMap) maps.ArenaMap {
-					return &maps.Faulty{M: inner, MissLookup: func() bool { return true }}
+					return &missingMap{ArenaMap: inner, miss: func() bool { return true }}
 				})
 			}
 		},

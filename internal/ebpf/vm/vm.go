@@ -311,10 +311,10 @@ func (vm *VM) mapPointer(fd int32) (uint64, bool) {
 
 // WrapMaps rewrites every attached map through wrap. Loaded programs'
 // map pointers name the FD, so they resolve to the wrapper from then on.
-// Returning the input (or nil) leaves that map untouched. The chaos
-// harness uses it to interpose maps.Faulty decorators after programs
-// are loaded; arena regions keep aliasing the original backing stores,
-// so existing value pointers stay valid.
+// Returning the input (or nil) leaves that map untouched. The
+// conformance grid's chaos axis uses it to interpose fault decorators
+// after programs are loaded; arena regions keep aliasing the original
+// backing stores, so existing value pointers stay valid.
 func (vm *VM) WrapMaps(wrap func(m maps.ArenaMap) maps.ArenaMap) {
 	for fd, m := range vm.mapsByFD {
 		if w := wrap(m); w != nil {
@@ -331,8 +331,8 @@ func (vm *VM) SetKfuncFault(fn func(k *Kfunc) (uint64, bool)) { vm.kfuncFault = 
 // hook for HelperObjNew.
 func (vm *VM) SetAllocFault(fn func() bool) { vm.allocFault = fn }
 
-// LockHeld returns the spin-lock depth (0 when balanced); the chaos
-// harness asserts it is zero after every packet.
+// LockHeld returns the spin-lock depth (0 when balanced); the
+// conformance grid asserts it is zero after every packet.
 func (vm *VM) LockHeld() int { return vm.lockHeld }
 
 // Prandom32 is the bpf_get_prandom_u32 implementation: the kernel's

@@ -4,14 +4,12 @@
 // unified API. It avoids the two costs of eBPF's native linked lists:
 // per-operation spin locks (list-buckets instances are per-CPU and
 // lock-free) and one bpf_map_lookup_elem per list (all buckets live in
-// one object). A non-empty bitmap mirrors which buckets hold elements.
+// one object).
 package listbuckets
 
 import (
 	"errors"
 	"fmt"
-
-	"enetstl/internal/bitops"
 )
 
 const nilIdx = -1
@@ -27,7 +25,6 @@ type ListBuckets struct {
 	heads    []int32
 	tails    []int32
 	lens     []int32
-	occupied bitops.Bitmap
 
 	next []int32
 	data []byte
@@ -58,7 +55,6 @@ func New(nBuckets, elemSize, capacity int) (*ListBuckets, error) {
 		heads:    make([]int32, nBuckets),
 		tails:    make([]int32, nBuckets),
 		lens:     make([]int32, nBuckets),
-		occupied: bitops.NewBitmap(nBuckets),
 		free:     nilIdx,
 	}
 	for i := range lb.heads {
@@ -71,9 +67,8 @@ func New(nBuckets, elemSize, capacity int) (*ListBuckets, error) {
 
 // CheckInvariants walks every bucket chain and audits the structure:
 // chain lengths must match the per-bucket counters and sum to the used
-// count, the occupancy bitmap must mirror non-emptiness, tails must be
-// reachable, and no chain may cycle. The chaos harness runs it after
-// every fault storm.
+// count, tails must be reachable, and no chain may cycle. The
+// conformance grid runs it (through timewheel) after every replay.
 func (lb *ListBuckets) CheckInvariants() error {
 	total := 0
 	for i := range lb.heads {
@@ -94,9 +89,6 @@ func (lb *ListBuckets) CheckInvariants() error {
 		}
 		if lb.tails[i] != last {
 			return fmt.Errorf("listbuckets: bucket %d tail %d unreachable (last is %d)", i, lb.tails[i], last)
-		}
-		if got, want := lb.occupied.Test(i), n > 0; got != want {
-			return fmt.Errorf("listbuckets: bucket %d occupancy bit %v, want %v", i, got, want)
 		}
 		total += n
 	}
@@ -154,7 +146,6 @@ func (lb *ListBuckets) PushBack(i int, data []byte) {
 	}
 	lb.tails[i] = idx
 	lb.lens[i]++
-	lb.occupied.Set(i)
 }
 
 // PopFront removes the first element of bucket i into out, reporting
@@ -170,7 +161,6 @@ func (lb *ListBuckets) PopFront(i int, out []byte) bool {
 	lb.heads[i] = lb.next[idx]
 	if lb.heads[i] == nilIdx {
 		lb.tails[i] = nilIdx
-		lb.occupied.Clear(i)
 	}
 	lb.lens[i]--
 	lb.release(idx)

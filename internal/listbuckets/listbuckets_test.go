@@ -41,34 +41,6 @@ func TestBucketsIndependent(t *testing.T) {
 	}
 }
 
-func TestOccupancyBitmap(t *testing.T) {
-	lb := Must(New(128, 4, 8))
-	occupied := func() []int {
-		var on []int
-		for i := 0; i < lb.NumBuckets(); i++ {
-			if lb.occupied.Test(i) {
-				on = append(on, i)
-			}
-		}
-		return on
-	}
-	if got := occupied(); len(got) != 0 {
-		t.Fatalf("occupied on empty = %v", got)
-	}
-	lb.PushBack(100, []byte{1, 2, 3, 4})
-	lb.PushBack(7, []byte{1, 2, 3, 4})
-	if got := occupied(); len(got) != 2 || got[0] != 7 || got[1] != 100 {
-		t.Fatalf("occupied = %v, want [7 100]", got)
-	}
-	lb.PopFront(7, nil)
-	if got := occupied(); len(got) != 1 || got[0] != 100 {
-		t.Fatalf("after drain, occupied = %v, want [100]", got)
-	}
-	if err := lb.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSlabGrowsAndRecycles(t *testing.T) {
 	lb := Must(New(1, 8, 2))
 	var e [8]byte
@@ -88,7 +60,8 @@ func TestSlabGrowsAndRecycles(t *testing.T) {
 }
 
 // TestModelEquivalence drives random operations against a per-bucket
-// slice-of-slices model and compares observable behaviour.
+// slice-of-slices model, compares observable behaviour, and audits the
+// chains with CheckInvariants at the end.
 func TestModelEquivalence(t *testing.T) {
 	if err := quick.Check(func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -120,7 +93,7 @@ func TestModelEquivalence(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		return lb.CheckInvariants() == nil
 	}, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}

@@ -138,8 +138,9 @@ func (t *Tracker) VM() *vm.VM {
 	return nil
 }
 
-// SetMap swaps the backing map, letting harnesses decorate it with a
-// fault-injecting wrapper.
+// SetMap swaps the kernel flavour's backing map, letting the
+// conformance grid's chaos axis decorate it with a fault-injecting
+// wrapper.
 func (t *Tracker) SetMap(m maps.ArenaMap) { t.m = m }
 
 // LRU returns the undecorated flow table, in both flavours — the

@@ -38,12 +38,17 @@ func TestFlavorsAgree(t *testing.T) {
 	}
 }
 
+// refusingMap refuses every insert, the way a table out of memory does.
+type refusingMap struct{ maps.ArenaMap }
+
+func (refusingMap) Update(key, value []byte) error { return maps.ErrNoSpace }
+
 func TestShedsWhenUpdateRefused(t *testing.T) {
 	k, err := New(nf.Kernel, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.SetMap(&maps.Faulty{M: k.Map(), FailUpdate: func() bool { return true }})
+	k.SetMap(refusingMap{k.Map()})
 	pkt := make([]byte, nf.PktSize)
 	pkt[0] = 7
 	v, err := k.Process(pkt)

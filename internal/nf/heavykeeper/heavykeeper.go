@@ -309,6 +309,6 @@ func buildProgram(fd, sFD int32, cfg Config, enetstl bool) *asm.Builder {
 }
 
 // Pool exposes the Kernel flavour's randomness pool (nil for the
-// bytecode flavours, whose pools live behind eNetSTL handles). Chaos
-// harnesses use it to inject refill faults.
+// bytecode flavours, whose pools live behind eNetSTL handles). The
+// conformance grid's chaos axis injects refill faults through it.
 func (s *Sketch) Pool() *rpool.Pool { return s.pool }

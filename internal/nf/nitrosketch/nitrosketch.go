@@ -360,5 +360,5 @@ func buildENetSTL(fd, stateFD int32, cfg Config, inc uint32) *asm.Builder {
 
 // GeoPool exposes the Kernel flavour's geometric sampling pool (nil
 // for the bytecode flavours, whose pools live behind eNetSTL handles).
-// Chaos harnesses use it to inject refill faults.
+// The conformance grid's chaos axis injects refill faults through it.
 func (s *Sketch) GeoPool() *rpool.GeoPool { return s.geo }

@@ -159,20 +159,13 @@ func (s *SkipList) Process(pkt []byte) (uint64, error) {
 }
 
 // Proxy exposes the memory-wrapper proxy backing the structure (nil
-// for the pure-eBPF flavour, which cannot be built anyway). Chaos
-// harnesses use it to inject allocation faults and check invariants.
+// for the pure-eBPF flavour, which cannot be built anyway). The
+// conformance grid injects allocation faults through it and checks its
+// invariants.
 func (s *SkipList) Proxy() *memwrapper.Proxy { return s.proxy }
 
 // VM exposes the backing machine (nil for the Kernel flavour).
 func (s *SkipList) VM() *vm.VM { return s.machine }
-
-// CheckInvariants validates the proxy's structural invariants.
-func (s *SkipList) CheckInvariants() error {
-	if s.proxy == nil {
-		return nil
-	}
-	return s.proxy.CheckInvariants()
-}
 
 func keyOf(pkt []byte) (uint64, uint64) {
 	return binary.LittleEndian.Uint64(pkt[0:]), binary.LittleEndian.Uint64(pkt[8:])

@@ -29,6 +29,10 @@ import (
 // is distinguishable from program failure).
 const MatchBase = 1 << 32
 
+// Sets is the number of sets the vector holds: one bit of a table word
+// each.
+const Sets = 32
+
 // Config sizes the filter vector.
 type Config struct {
 	Bits   int // table entries (u32 words), power of two
@@ -89,7 +93,7 @@ func New(flavor nf.Flavor, cfg Config) (*VBF, error) {
 
 // Insert adds key to set setID (control plane; shared across flavours).
 func (v *VBF) Insert(key []byte, setID int) {
-	if setID < 0 || setID > 31 {
+	if setID < 0 || setID >= Sets {
 		panic("vbf: setID out of range")
 	}
 	mask := uint32(v.cfg.Bits - 1)

@@ -1,11 +1,9 @@
 // Package nfcatalog is the single registry of runnable NF instances:
 // it knows how to construct every network function in every flavour
 // (with the trace-derived table contents and op mixes each needs) and
-// what comes with each one — the native fault hooks to arm, the
-// structural invariants to check, the control-plane estimator and the
-// error bound that estimator must hold. It also enumerates the
-// conformance grid (Cells): every NF in every flavour it supports over
-// one prepared trace. The daemon, the CLIs and internal/difftest all
+// what comes with each one — the control-plane estimator and the
+// overload-guard opt-ins. The daemon, the CLIs, the benchmark and the
+// conformance grid (internal/difftest, which only tests import) all
 // build from here, so "every registered NF" means the same set
 // everywhere.
 package nfcatalog
@@ -13,9 +11,9 @@ package nfcatalog
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"enetstl/internal/ebpf/maps"
-	"enetstl/internal/faultinject"
 	"enetstl/internal/guard"
 	"enetstl/internal/nf"
 	"enetstl/internal/nf/bloom"
@@ -45,19 +43,34 @@ func Names() []string {
 	}
 }
 
-// Built is one constructed NF plus its full wiring: the chaos-plane
-// fault hooks and invariant check, the control-plane estimator with the
-// error bound the conformance grid holds it to after a replay, and the
-// guard policy opt-ins. The daemon and the CLIs both consume it, so "an
-// NF with its wiring" means the same thing over HTTP and over flags.
+// Supports reports whether name is a registered NF that can be built in
+// flavor.
+func Supports(name string, flavor nf.Flavor) bool {
+	switch {
+	case name == "skiplist" && flavor == nf.EBPF:
+		return false // not implementable in pure eBPF (paper P1)
+	case name == "conntrack" && flavor == nf.ENetSTL:
+		return false // pure maps+helpers NF; no eNetSTL flavour
+	}
+	return slices.Contains(Names(), name)
+}
+
+// Built is one constructed NF plus its wiring: the control-plane
+// estimator and the guard policy opt-ins. The daemon and the CLIs both
+// consume it, so "an NF with its wiring" means the same thing over HTTP
+// and over flags.
 type Built struct {
-	Inst  nf.Instance
-	Arm   func(p *faultinject.Plane)
-	Check func() error
-	Est   func(key []byte) uint32
-	// Bound is the oracle for Est (bound.go); nil for NFs whose
-	// verdicts carry the whole signal.
-	Bound Bound
+	Inst nf.Instance
+	// NF is the object construct built behind Inst (*cmsketch.Sketch,
+	// *skiplist.SkipList, ...): the one handle to an NF's own state for
+	// a caller that looks past the instance. It is set only where Inst
+	// or Est already keeps that object alive, so it never holds a
+	// control-plane table (a cuckoo table's native image, say) past
+	// the build; nil elsewhere.
+	NF any
+	// Est is the control-plane estimator; nil for NFs whose verdicts
+	// carry the whole signal.
+	Est func(key []byte) uint32
 	// GuardWire wires the NF's overload-guard opt-ins (degradation
 	// policy, watermark probes) into a guard fronting this instance; nil
 	// for NFs with no bespoke policy (generic budget shedding still
@@ -99,18 +112,14 @@ func BuildFull(name string, flavor nf.Flavor, trace *pktgen.Trace) (Built, error
 	return construct(name, flavor, trace)
 }
 
-// Sketch geometry, stated once: construct, the per-CPU wiring and the
-// estimator oracles all read these.
+// Sketch geometry, stated once: construct and the per-CPU wiring build
+// with it, and the conformance grid states its estimator bounds in it.
+// Read-only.
 var (
-	cmsketchCfg    = cmsketch.Config{Rows: 8, Width: 4096}
-	nitrosketchCfg = nitrosketch.Config{Rows: 8, Width: 4096, ProbLog2: 4}
-	spacesavingCfg = spacesaving.Config{Slots: 64}
+	CMSketchConfig    = cmsketch.Config{Rows: 8, Width: 4096}
+	NitroSketchConfig = nitrosketch.Config{Rows: 8, Width: 4096, ProbLog2: 4}
+	SpaceSavingConfig = spacesaving.Config{Slots: 64}
 )
-
-// VBFSets is the number of sets vbf's flows are spread over at preload:
-// flow f is inserted into set f%VBFSets. Exported for the verdict-stream
-// oracle in internal/difftest, which reads set membership off verdicts.
-const VBFSets = 32
 
 // construct builds the instance and preloads its tables from the
 // trace's flow table, reading nothing else. It never mutates the trace,
@@ -123,11 +132,7 @@ func construct(name string, flavor nf.Flavor, trace *pktgen.Trace) (Built, error
 		if err != nil {
 			return Built{}, err
 		}
-		return Built{Inst: s, Check: s.CheckInvariants, Arm: func(p *faultinject.Plane) {
-			if pr := s.Proxy(); pr != nil {
-				pr.FailAlloc = p.Site(faultinject.SiteAlloc).Fire
-			}
-		}}, nil
+		return Built{Inst: s, NF: s}, nil
 	case "cuckooswitch":
 		s, err := cuckooswitch.New(flavor, cuckooswitch.Config{Buckets: 1024})
 		if err != nil {
@@ -138,22 +143,19 @@ func construct(name string, flavor nf.Flavor, trace *pktgen.Trace) (Built, error
 		}
 		return Built{Inst: s.Instance}, nil
 	case "cmsketch":
-		s, err := cmsketch.New(flavor, cmsketchCfg)
+		s, err := cmsketch.New(flavor, CMSketchConfig)
 		if err != nil {
 			return Built{}, err
 		}
-		return Built{Inst: s.Instance, Est: s.Estimate, Bound: countMinBound(s.Estimate),
+		return Built{Inst: s.Instance, NF: s, Est: s.Estimate,
 			GuardWire: func(g *guard.Guard) { g.SetHeadSample(s.DegradeHeadSample()) }}, nil
 	case "nitrosketch":
-		s, err := nitrosketch.New(flavor, nitrosketchCfg)
+		s, err := nitrosketch.New(flavor, NitroSketchConfig)
 		if err != nil {
 			return Built{}, err
 		}
-		return Built{Inst: s.Instance, Est: s.Estimate, Bound: nitroBound(s.Estimate), Arm: func(p *faultinject.Plane) {
-			if g := s.GeoPool(); g != nil {
-				g.FailRefill = p.Site(faultinject.SiteRefill).Fire
-			}
-		}, GuardWire: func(g *guard.Guard) { g.SetHeadSample(s.DegradeHeadSample()) }}, nil
+		return Built{Inst: s.Instance, NF: s, Est: s.Estimate,
+			GuardWire: func(g *guard.Guard) { g.SetHeadSample(s.DegradeHeadSample()) }}, nil
 	case "cuckoofilter":
 		f, err := cuckoofilter.New(flavor, cuckoofilter.Config{Buckets: 1024})
 		if err != nil {
@@ -169,9 +171,9 @@ func construct(name string, flavor nf.Flavor, trace *pktgen.Trace) (Built, error
 			return Built{}, err
 		}
 		for i := range trace.FlowKeys {
-			v.Insert(trace.FlowKeys[i][:], i%VBFSets)
+			v.Insert(trace.FlowKeys[i][:], i%vbf.Sets)
 		}
-		return Built{Inst: v.Instance, Est: v.Query, Bound: vbfBound(v.Query)}, nil
+		return Built{Inst: v.Instance, NF: v, Est: v.Query}, nil
 	case "eiffel":
 		q, err := eiffel.New(flavor, eiffel.Config{Levels: 2})
 		if err != nil {
@@ -183,7 +185,7 @@ func construct(name string, flavor nf.Flavor, trace *pktgen.Trace) (Built, error
 		if err != nil {
 			return Built{}, err
 		}
-		return Built{Inst: w, Check: w.CheckInvariants}, nil
+		return Built{Inst: w, NF: w}, nil
 	case "edf":
 		e, err := edf.New(flavor, edf.Config{Groups: 1024, Targets: 64})
 		if err != nil {
@@ -204,11 +206,8 @@ func construct(name string, flavor nf.Flavor, trace *pktgen.Trace) (Built, error
 		if err != nil {
 			return Built{}, err
 		}
-		return Built{Inst: h.Instance, Est: h.Estimate, Bound: heavyKeeperBound(h.Estimate), Arm: func(p *faultinject.Plane) {
-			if pl := h.Pool(); pl != nil {
-				pl.FailRefill = p.Site(faultinject.SiteRefill).Fire
-			}
-		}, GuardWire: func(g *guard.Guard) { g.SetHeadSample(h.DegradeHeadSample()) }}, nil
+		return Built{Inst: h.Instance, NF: h, Est: h.Estimate,
+			GuardWire: func(g *guard.Guard) { g.SetHeadSample(h.DegradeHeadSample()) }}, nil
 	case "bloom":
 		f, err := bloom.New(flavor, bloom.Config{Bits: 1 << 16, Hashes: 4})
 		if err != nil {
@@ -216,11 +215,11 @@ func construct(name string, flavor nf.Flavor, trace *pktgen.Trace) (Built, error
 		}
 		return Built{Inst: f.Instance}, nil
 	case "spacesaving":
-		s, err := spacesaving.New(flavor, spacesavingCfg)
+		s, err := spacesaving.New(flavor, SpaceSavingConfig)
 		if err != nil {
 			return Built{}, err
 		}
-		return Built{Inst: s.Instance, Est: s.Estimate, Bound: spaceSavingBound(s.Estimate)}, nil
+		return Built{Inst: s.Instance, NF: s, Est: s.Estimate}, nil
 	case "conntrack":
 		// Sized below the flow count so the LRU churns and the update
 		// path stays hot for the whole replay.
@@ -228,20 +227,7 @@ func construct(name string, flavor nf.Flavor, trace *pktgen.Trace) (Built, error
 		if err != nil {
 			return Built{}, err
 		}
-		return Built{Inst: t, Arm: func(p *faultinject.Plane) {
-			// Kernel flavour: decorate the backing map directly (the EBPF
-			// flavour's map is wrapped generically through the VM).
-			if m := t.Map(); m != nil {
-				if f, ok := m.(*maps.Faulty); ok {
-					m = f.Unwrap()
-				}
-				t.SetMap(&maps.Faulty{
-					M:          m,
-					FailUpdate: p.Site(faultinject.SiteMapUpdate).Fire,
-					MissLookup: p.Site(faultinject.SiteMapLookup).Fire,
-				})
-			}
-		}, GuardWire: func(g *guard.Guard) {
+		return Built{Inst: t, NF: t, GuardWire: func(g *guard.Guard) {
 			g.OnDegrade(t.Degrade)
 			// The flow table runs full under benign load, so occupancy is
 			// meaningless for an LRU; the overload signal is the eviction
@@ -322,7 +308,7 @@ func newPerCPU(name string, flavor nf.Flavor, shards int) (*Sharded, error) {
 			buildCPU: func(shard int) (nf.Instance, error) { return conntrack.NewOnCPU(flavor, p, shard) },
 		}, nil
 	case "cmsketch":
-		cfg := cmsketchCfg
+		cfg := CMSketchConfig
 		p, err := maps.NewPerCPUArray(cfg.Rows*cfg.Width*4, 1, shards)
 		if err != nil {
 			return nil, err
@@ -338,7 +324,7 @@ func newPerCPU(name string, flavor nf.Flavor, shards int) (*Sharded, error) {
 			estCPU: func(key []byte) uint32 { return cmsketch.EstimatePerCPU(p, cfg, key) },
 		}, nil
 	case "nitrosketch":
-		cfg := nitrosketchCfg
+		cfg := NitroSketchConfig
 		p, err := maps.NewPerCPUArray(cfg.Rows*cfg.Width*4, 1, shards)
 		if err != nil {
 			return nil, err

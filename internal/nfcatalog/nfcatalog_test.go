@@ -54,7 +54,10 @@ func TestPreloadCostRatio(t *testing.T) {
 func BenchmarkBuildFull(b *testing.B) {
 	trace := pktgen.Generate(pktgen.Config{Flows: 4096, Seed: 1})
 	for _, name := range Names() {
-		for _, flavor := range SupportedFlavors(name) {
+		for _, flavor := range []nf.Flavor{nf.Kernel, nf.EBPF, nf.ENetSTL} {
+			if !Supports(name, flavor) {
+				continue
+			}
 			b.Run(name+"/"+flavor.String(), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := BuildFull(name, flavor, trace); err != nil {
@@ -92,6 +95,30 @@ func TestENetSTLReplayDoesNotAllocate(t *testing.T) {
 		replay() // tables, free lists and region tables reach their working size
 		if n := testing.AllocsPerRun(3, replay); n != 0 {
 			t.Errorf("%s: %.0f allocations per %d-packet replay, want 0", name, n, len(trace.Packets))
+		}
+	}
+}
+
+// TestSupports pins the two flavour gaps and that unknown names are
+// supported in no flavour; the daemon and the conformance grid both
+// decide from here.
+func TestSupports(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		flavor nf.Flavor
+		want   bool
+	}{
+		{"skiplist", nf.Kernel, true},
+		{"skiplist", nf.EBPF, false},
+		{"skiplist", nf.ENetSTL, true},
+		{"conntrack", nf.EBPF, true},
+		{"conntrack", nf.ENetSTL, false},
+		{"cmsketch", nf.EBPF, true},
+		{"nosuch", nf.Kernel, false},
+		{"katran", nf.EBPF, false}, // an app, not a registered NF
+	} {
+		if got := Supports(tc.name, tc.flavor); got != tc.want {
+			t.Errorf("Supports(%q, %v) = %v, want %v", tc.name, tc.flavor, got, tc.want)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	goruntime "runtime"
 	"testing"
 
+	"enetstl/internal/difftest"
 	"enetstl/internal/harness"
 	"enetstl/internal/nf"
 	"enetstl/internal/nfcatalog"
@@ -87,7 +88,7 @@ func TestCreateMatchesSeedTraceBuild(t *testing.T) {
 	}
 	var cells []cell
 	for _, name := range nfcatalog.Names() {
-		for _, fl := range nfcatalog.SupportedFlavors(name) {
+		for _, fl := range difftest.SupportedFlavors(name) {
 			cells = append(cells, cell{name, fl, runtime.Options{}})
 		}
 	}

@@ -12,6 +12,7 @@ package nfd
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"enetstl/internal/ebpf/vm"
@@ -234,7 +235,7 @@ func (r *Registry) Create(req CreateRequest) (*Module, error) {
 		return nil, err
 	}
 	if !nfcatalog.Supports(req.Name, flavor) {
-		if len(nfcatalog.SupportedFlavors(req.Name)) == 0 {
+		if !slices.Contains(nfcatalog.Names(), req.Name) {
 			return nil, fmt.Errorf("unknown NF %q", req.Name)
 		}
 		return nil, fmt.Errorf("%s has no %s flavour", req.Name, flavor)

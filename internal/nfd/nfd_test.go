@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"enetstl/internal/difftest"
 	"enetstl/internal/harness"
 	"enetstl/internal/nf"
 	"enetstl/internal/nfcatalog"
@@ -66,7 +67,7 @@ func do(t *testing.T, method, url, body string, out any) (int, []byte) {
 func TestLifecycleAllCatalog(t *testing.T) {
 	_, ts := newTestServer(t)
 	for _, name := range nfcatalog.Names() {
-		for _, flavor := range nfcatalog.SupportedFlavors(name) {
+		for _, flavor := range difftest.SupportedFlavors(name) {
 			flavorS := map[nf.Flavor]string{
 				nf.Kernel: "kernel", nf.EBPF: "ebpf", nf.ENetSTL: "enetstl",
 			}[flavor]

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"enetstl/internal/difftest"
 	"enetstl/internal/harness"
 	"enetstl/internal/nfcatalog"
 	"enetstl/internal/pktgen"
@@ -114,7 +115,7 @@ func TestIngestRecyclesBatches(t *testing.T) {
 	batches := recycleBatches()
 	seed := runtime.TraceSpec{Flows: 64, Packets: 300, Seed: 2}
 	for _, name := range nfcatalog.Names() {
-		for _, fl := range nfcatalog.SupportedFlavors(name) {
+		for _, fl := range difftest.SupportedFlavors(name) {
 			for _, shards := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/%s/shards=%d", name, fl, shards), func(t *testing.T) {
 					reg := NewRegistry()

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"testing"
 
+	"enetstl/internal/difftest"
 	"enetstl/internal/ebpf/vm"
 	"enetstl/internal/nf"
 	"enetstl/internal/nfcatalog"
@@ -62,7 +63,7 @@ func TestUnderMapBytesQuota(t *testing.T) {
 // flavour that draws one; the eBPF flavour draws none and builds.
 func TestUnderRPoolQuota(t *testing.T) {
 	for _, name := range []string{"heavykeeper", "nitrosketch"} {
-		for _, flavor := range nfcatalog.SupportedFlavors(name) {
+		for _, flavor := range difftest.SupportedFlavors(name) {
 			need := nfcatalog.PoolCap(name, flavor)
 			if (need == 0) != (flavor == nf.EBPF) {
 				t.Fatalf("%s/%v: PoolCap = %d", name, flavor, need)

@@ -15,10 +15,10 @@ import (
 // TestNoPackageState keeps configuration off package level: whoever
 // builds an instance configures it, so no process-wide switch decides
 // what a VM, recorder or fault plane starts with. In every non-test Go
-// file under internal/ and cmd/ it refuses the two shapes such a switch
-// takes — a package-level variable whose type comes from sync or
-// sync/atomic (the switch), and an exported package-level Set* function
-// (its writer).
+// file under internal/, cmd/ and examples/ it refuses the two shapes
+// such a switch takes — a package-level variable whose type comes from
+// sync or sync/atomic (the switch), and an exported package-level Set*
+// function (its writer).
 //
 // sync.Pool is exempt: a cache of recycled buffers holds no
 // configuration, and what it hands out is the same whichever caller put
@@ -40,9 +40,14 @@ func TestNoPackageState(t *testing.T) {
 // expression whose body calls a Process or ProcessAt method, except in
 // harness.ReplayBatch (the loop) and harness.Latency, which reads the
 // clock around every packet, a cost the other callers must not pay.
+// The examples are not held to it: each shows an instance's API by
+// driving it by hand, and none reports a figure the harness produces.
 func TestOnePacketLoop(t *testing.T) {
 	allowed := map[string]bool{"ReplayBatch": true, "Latency": true}
 	walkProduct(t, func(path string, f *ast.File) {
+		if strings.HasPrefix(filepath.ToSlash(path), "examples/") {
+			return
+		}
 		harness := filepath.ToSlash(filepath.Dir(path)) == "internal/harness"
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -72,9 +77,9 @@ func TestOnePacketLoop(t *testing.T) {
 // shards to harness.ReplayShards, which threads each shard's arrival
 // clock on and reports the first error in shard order, so a sharded
 // module and a sharded run replay the same way. In every non-test Go
-// file under internal/ and cmd/ it refuses a call to ReplayBatch inside
-// a loop or a go statement, except in ReplayShards and in Throughput,
-// whose passes replay one unsharded instance.
+// file under internal/, cmd/ and examples/ it refuses a call to
+// ReplayBatch inside a loop or a go statement, except in ReplayShards
+// and in Throughput, whose passes replay one unsharded instance.
 func TestOneShardRunner(t *testing.T) {
 	allowed := map[string]bool{"ReplayShards": true, "Throughput": true}
 	walkProduct(t, func(path string, f *ast.File) {
@@ -103,6 +108,29 @@ func TestOneShardRunner(t *testing.T) {
 				}
 				return true
 			})
+		}
+	})
+}
+
+// TestGridShipsInNoBinary keeps the oracle stack out of the product:
+// the conformance grid (internal/difftest, with its reference
+// interpreter and program generator) and the fault plane it arms
+// (internal/faultinject) are test code, run by go test, as the kernel
+// builds its BPF selftests outside the image it ships. No non-test Go
+// file under internal/, cmd/ or examples/ outside those two packages may
+// import either, so no binary links them and a user run never counts
+// their code as product code.
+func TestGridShipsInNoBinary(t *testing.T) {
+	testOnly := map[string]bool{"internal/difftest": true, "internal/faultinject": true}
+	walkProduct(t, func(path string, f *ast.File) {
+		if testOnly[filepath.ToSlash(filepath.Dir(path))] {
+			return
+		}
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if dir := strings.TrimPrefix(p, "enetstl/"); testOnly[dir] {
+				t.Errorf("%s imports %s, which only tests may import", path, p)
+			}
 		}
 	})
 }
@@ -217,13 +245,13 @@ func callsProcess(body ast.Node) bool {
 	return found
 }
 
-// walkProduct parses every non-test Go file under internal/ and cmd/
-// and hands it to visit.
+// walkProduct parses every non-test Go file under internal/, cmd/ and
+// examples/ and hands it to visit.
 func walkProduct(t *testing.T, visit func(path string, f *ast.File)) {
 	t.Helper()
 	fset := token.NewFileSet()
 	var files int
-	for _, root := range []string{"internal", "cmd"} {
+	for _, root := range []string{"internal", "cmd", "examples"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 				return err

@@ -12,10 +12,12 @@
 # (bench's tests, a module of their own, count what they execute under
 # enetstl/internal/...). Between them the targets build and run every
 # user binary: cmd/{nfrun,nfd,enetstl-bench,pktgen}, examples/* and
-# bench's run paths. A target that fails under instrumentation is
-# reported and its coverage up to the failure still counts; the target
-# itself is gated uninstrumented by `make check` (bench's accounting
-# check, a timing ratio, fails more often with counters on).
+# bench's run paths. The conformance grid's targets (difftest,
+# chaos-smoke, attack-smoke) are test runs, not user runs, and stay out
+# of the set. A target that fails under instrumentation is reported and
+# its coverage up to the failure still counts; the target itself is
+# gated uninstrumented by `make check` (bench's accounting check, a
+# timing ratio, fails more often with counters on).
 #
 # The declared set comes from `func` lines in the source, as
 # <dir>.<Func> or <dir>.<Type>.<Method> with its file:line; a function
@@ -24,16 +26,18 @@
 # audit also covers everything a link audit would.
 #
 # The script fails on (a) an unexecuted function that cover.allow does
-# not excuse, printed as `<dir>.<Func> <file>:<line>`, and (b) a named
+# not excuse, printed as `<dir>.<Func> <file>:<line>`, (b) a named
 # cover.allow entry that executed or that no file declares any more, or
-# an iface rule that excuses nothing. Needs bash, go, make and the POSIX
-# text tools; about 20 s with a warm build cache.
+# an iface or testpkg rule that excuses nothing, and (c) a non-test Go
+# file, outside the testpkg packages themselves, that imports a testpkg
+# package. Needs bash, go, make and the POSIX text tools; about 20 s
+# with a warm build cache.
 set -euo pipefail
 export LC_ALL=C
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 allow="$root/scripts/cover.allow"
-targets="difftest chaos-smoke attack-smoke obs-smoke nfd-smoke paper-smoke examples-smoke bench-test"
+targets="obs-smoke nfd-smoke paper-smoke examples-smoke bench-test"
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -77,12 +81,14 @@ join -1 2 -2 1 -v 1 -o 1.1,1.2 "$tmp/declared" "$tmp/executed" | sort >"$tmp/une
 # name, `errctor <reason>` every error constructor (see is_errctor),
 # `iface <dir>.<Interface> <reason>` every method declared in <dir>
 # whose name the interface (with the interfaces it embeds) declares,
-# and `<symbol> <reason>` one function. Every line needs a reason.
+# `testpkg <dir> <reason>` every function declared in <dir>, a package
+# only tests may import, and `<symbol> <reason>` one function. Every
+# line needs a reason.
 bad=0
 awk '!/^[[:space:]]*(#|$)/ {
-		n = ($1 == "method" || $1 == "iface") ? 3 : 2
+		n = ($1 == "method" || $1 == "iface" || $1 == "testpkg") ? 3 : 2
 		if (NF <= n) { print "cover.allow:" NR ": no reason given" > "/dev/stderr"; bad = 1 }
-		if ($1 == "method" || $1 == "iface") print $1, $2; else if ($1 == "errctor") print "errctor"; else print "name", $1
+		if ($1 == "method" || $1 == "iface" || $1 == "testpkg") print $1, $2; else if ($1 == "errctor") print "errctor"; else print "name", $1
 	}
 	END { exit bad }' "$allow" >"$tmp/entries" || bad=1
 awk '$1 == "name" { print $2 }' "$tmp/entries" | sort >"$tmp/names"
@@ -91,7 +97,31 @@ if [ -n "$(uniq -d "$tmp/names")" ]; then
 	bad=1
 fi
 awk '$1 == "method" { print $2 }' "$tmp/entries" >"$tmp/methods"
+awk '$1 == "testpkg" { print $2 }' "$tmp/entries" | sort -u >"$tmp/testpkgs"
 errctor="$(awk '$1 == "errctor" { print "yes"; exit }' "$tmp/entries")"
+
+# A testpkg package ships in no binary: no package in the repository
+# (bench's module included) imports it from a non-test file, except the
+# testpkg packages themselves.
+{
+	go list -f '{{.Dir}} {{join .Imports " "}}' ./...
+	(cd bench && go list -f '{{.Dir}} {{join .Imports " "}}' ./...)
+} | sed "s#^$root/##" >"$tmp/imports"
+while read -r dir; do
+	if [ -z "$(find "$dir" -maxdepth 1 -name '*.go' ! -name '*_test.go' 2>/dev/null)" ]; then
+		echo "cover.allow: testpkg $dir: no such package" >&2
+		bad=1
+	fi
+done <"$tmp/testpkgs"
+awk -v list="$tmp/testpkgs" '
+	BEGIN { while ((getline d < list) > 0) test[d] = 1 }
+	!($1 in test) { for (i = 2; i <= NF; i++) { p = $i; sub(/^enetstl\//, "", p); if (p in test) print $1 " imports " $i } }' \
+	"$tmp/imports" >"$tmp/importers"
+if [ -s "$tmp/importers" ]; then
+	echo "cover: test-only packages (cover.allow testpkg) that a non-test file imports, so a binary links them:" >&2
+	sed 's/^/  /' "$tmp/importers" >&2
+	bad=1
+fi
 
 # iface_methods <dir> <Interface>: the method names the interface
 # declares in <dir>'s non-test files, following embedded interfaces
@@ -143,6 +173,10 @@ is_errctor() {
 : >"$tmp/ruled"
 while read -r sym loc; do
 	if grep -qxF "$sym" "$tmp/names"; then continue; fi
+	if grep -qxF "${sym%%.*}" "$tmp/testpkgs"; then
+		echo "$sym $loc testpkg ${sym%%.*}" >>"$tmp/ruled"
+		continue
+	fi
 	method="${sym##*.}"
 	if [ "$(tr -cd . <<<"${sym#internal/}" | wc -c)" -ge 2 ]; then
 		if grep -qxF "$method" "$tmp/methods"; then
@@ -163,12 +197,18 @@ while read -r sym loc; do
 	echo "$sym $loc" >>"$tmp/missing"
 done <"$tmp/unexecuted"
 
-# An iface rule that excuses nothing is stale, like a named entry.
+# An iface or testpkg rule that excuses nothing is stale, like a named
+# entry.
 while read -r rule _; do
 	if ! awk -v r="$rule" '$3 == "iface" && $4 == r { found = 1 } END { exit !found }' "$tmp/ruled"; then
 		echo "$rule" >>"$tmp/stale.rules"
 	fi
 done <"$tmp/ifaces"
+while read -r rule; do
+	if ! awk -v r="$rule" '$3 == "testpkg" && $4 == r { found = 1 } END { exit !found }' "$tmp/ruled"; then
+		echo "testpkg $rule" >>"$tmp/stale.rules"
+	fi
+done <"$tmp/testpkgs"
 
 awk '{ print $1 }' "$tmp/unexecuted" | sort -u >"$tmp/unexecuted.syms"
 stale="$(comm -23 <(sort -u "$tmp/names") "$tmp/unexecuted.syms"; cat "$tmp/stale.rules" 2>/dev/null || true)"
