@@ -2,8 +2,8 @@
 # vet, build, the execution audit, full tests, race coverage of the
 # whole module, the conformance grid (a test, TestGrid in
 # internal/difftest: difftest, chaos-smoke and attack-smoke each run its
-# rows), a bounded fuzz smoke over every native fuzz target, the
-# observability, daemon, paper-experiment and example smokes, and the
+# rows), a bounded fuzz smoke over every native fuzz target, the batch
+# CLI's, daemon, paper-experiment and example smokes, and the
 # benchmark module's own vet + tests.
 
 GO ?= go
@@ -99,28 +99,33 @@ chaos-smoke:
 attack-smoke:
 	$(GO) test -v -run '^TestGrid$$/^attack$$' ./internal/difftest/
 
-# Observability plane end-to-end: replay with the flight recorder and
-# the HTTP server up, then self-scrape /metrics, /trace (filtered
-# JSONL), /profile, and pprof, failing on any malformed payload or on a
-# scraped vm_run_cnt that is not the run count of the stats nfrun
-# attached. The second run does the same sharded, where the per-shard
-# stats are merged once. The third is a guarded replay with -trace and
-# no server: it must dump its recording as JSONL, at least one verdict
-# event. The fourth profiles a sharded per-CPU replay: it must print an
-# attribution report with instructions counted; the fifth profiles a
-# Kernel-flavour replay, which is metered (run time, no instructions).
-# The sixth and seventh replay over per-CPU maps and must print the
-# merge-on-read views: conntrack's flow table across its private
-# copies, and cmsketch's estimate; the eighth sums a Kernel-flavour
-# cmsketch's per-shard estimates, which must not undercount the flow.
-# The ninth disassembles an eBPF program. The tenth replays a
-# hash-collision attack trace into a guarded conntrack, which must shed
-# part of it; the last builds each remaining NF with guard wiring of its
-# own (heavykeeper, nitrosketch) and skiplist behind the guard, each of
-# which must print the guard's accounting.
+# The batch CLI's observability outputs and replay modes, each run
+# checked on what it prints. The first prints -stats: its latency
+# histogram must count every packet once. The second dumps a 2-shard
+# replay's merged recording: a verdict event per packet per pass (the
+# warm-up and one trial), no more and no fewer. The third is a guarded
+# replay with -trace: it must dump its recording as JSONL, at least one
+# verdict event. The fourth profiles a sharded per-CPU replay: it must
+# print an attribution report with instructions counted; the fifth
+# profiles a Kernel-flavour replay, which is metered (run time, no
+# instructions). The sixth and seventh replay over per-CPU maps and
+# must print the merge-on-read views: conntrack's flow table across its
+# private copies, and cmsketch's estimate; the eighth sums a
+# Kernel-flavour cmsketch's per-shard estimates, which must not
+# undercount the flow. The ninth disassembles an eBPF program. The
+# tenth replays a hash-collision attack trace into a guarded conntrack,
+# which must shed part of it; the last builds each remaining NF with
+# guard wiring of its own (heavykeeper, nitrosketch) and skiplist behind
+# the guard, each of which must print the guard's accounting. The live
+# surface (/metrics, filtered traces, /profile, pprof) is nfd's, checked
+# by nfd-smoke.
 obs-smoke:
-	$(GO) run ./cmd/nfrun -nf cmsketch -flavor enetstl -packets 20000 -serve 127.0.0.1:0 -trace -smoke
-	$(GO) run ./cmd/nfrun -nf cmsketch -flavor enetstl -shards 2 -packets 4000 -serve 127.0.0.1:0 -trace -smoke
+	@out="$$($(GO) run ./cmd/nfrun -nf cmsketch -flavor enetstl -packets 2000 -trials 1 -stats)" && \
+		printf '%s\n' "$$out" | grep -q '^nf_latency_ns_count{flavor="eNetSTL",nf="cmsketch"} 2000$$' && \
+		echo "obs smoke: -stats printed the latency histogram over every packet" || { printf '%s\n' "$$out"; exit 1; }
+	@out="$$($(GO) run ./cmd/nfrun -nf cmsketch -flavor enetstl -shards 2 -packets 4000 -trials 1 -trace)" && \
+		n="$$(printf '%s\n' "$$out" | grep -c '"kind":"verdict"')"; \
+		echo "obs smoke: sharded -trace merged $${n:-0} verdict events"; [ "$${n:-0}" -eq 8000 ]
 	@out="$$($(GO) run ./cmd/nfrun -nf conntrack -flavor ebpf -guard -trace -packets 2000)" && \
 		n="$$(printf '%s\n' "$$out" | grep -c '"kind":"verdict"')"; \
 		echo "obs smoke: guarded -trace dumped $${n:-0} verdict events"; [ "$${n:-0}" -gt 0 ]
@@ -152,12 +157,17 @@ obs-smoke:
 
 # Daemon lifecycle end-to-end: start nfd on a loopback port, run the
 # full module lifecycle over HTTP (create a guarded traced module, push
-# a batch, probe the estimator, create, feed and probe a sharded
-# per-CPU module, create one seeded from an attack scenario, read the
-# index and the module list, stats and /profile, scrape /metrics,
-# delete, 404), then shut down cleanly. Exits non-zero on any step.
-# Then the options body nfrun -print-options prints (the body a create
-# request carries) must configure an nfrun replay through -options.
+# a batch, drain its verdict events with ?kind=verdict, probe the
+# estimator, create, feed and probe a sharded per-CPU module, create one
+# seeded from an attack scenario, read the index and the module list),
+# then read the live surface before deleting what it reads: each
+# stats-enabled module's stats, and /metrics, where every program's
+# vm_run_cnt must equal its module's run count (the 2-shard module's,
+# merged once, the packets it ingested); then /profile and
+# /debug/pprof/cmdline, delete, 404, and a clean shutdown. Exits
+# non-zero on any step. Then the options body nfrun -print-options
+# prints (the body a create request carries) must configure an nfrun
+# replay through -options.
 nfd-smoke:
 	$(GO) run ./cmd/nfd -smoke
 	@opts="$$($(GO) run ./cmd/nfrun -nf cmsketch -flavor enetstl -shards 2 -stats -print-options)" && \

@@ -1,6 +1,7 @@
 // Command nfd is the long-lived NF daemon: it serves the module
 // lifecycle REST API (create/list/get/delete NF instances, push packet
-// batches) with the observability plane mounted on the same listener.
+// batches) and, on the same listener, the observability surface: the
+// modules' metrics, flight recordings and profiles, and pprof.
 //
 //	nfd -listen :8080
 //	curl -X POST localhost:8080/modules -d '{"name":"cmsketch","flavor":"enetstl"}'
@@ -10,10 +11,10 @@
 //	curl -X DELETE localhost:8080/modules/cmsketch-1
 //
 // -smoke runs a self-contained lifecycle check over a loopback
-// listener (create → ingest → trace → estimate → sharded per-CPU
-// module → scenario-seeded module → index → list → stats → profile →
-// metrics → delete → shutdown) and exits non-zero on any failure — the
-// `make nfd-smoke` gate.
+// listener (create → ingest → filtered trace → estimate → sharded
+// per-CPU module → scenario-seeded module → index → list → stats →
+// metrics → profile → pprof → delete → shutdown) and exits non-zero on
+// any failure — the `make nfd-smoke` gate.
 package main
 
 import (
@@ -26,6 +27,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -113,19 +115,22 @@ func runSmoke(srv *nfd.Server) int {
 		return fail("ingest", fmt.Errorf("replayed %d packets, want 5000", batch.Packets))
 	}
 
-	// The module's flight recorder holds the batch: drain it as NDJSON,
-	// every line one event.
-	ndjson, err := get(base + "/modules/" + created.ID + "/trace?limit=256")
+	// The module's flight recorder holds the batch: drain its verdicts
+	// as NDJSON, every line one verdict event.
+	ndjson, err := get(base + "/modules/" + created.ID + "/trace?kind=verdict&limit=5")
 	if err != nil {
 		return fail("trace", err)
 	}
 	if strings.TrimSpace(ndjson) == "" {
-		return fail("trace", fmt.Errorf("no events after a 5000-packet batch"))
+		return fail("trace", fmt.Errorf("no verdict events after a 5000-packet batch"))
 	}
 	for _, line := range strings.Split(strings.TrimSpace(ndjson), "\n") {
 		var ev trace.Event
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			return fail("trace", fmt.Errorf("bad NDJSON line %q: %w", line, err))
+		}
+		if ev.Kind != trace.KindVerdict {
+			return fail("trace", fmt.Errorf("?kind=verdict served a %s event", ev.Kind))
 		}
 	}
 
@@ -141,13 +146,14 @@ func runSmoke(srv *nfd.Server) int {
 	}
 
 	// A sharded module over one per-CPU counter matrix: its estimate is
-	// the merge-on-read sum across the shards' private copies.
+	// the merge-on-read sum across the shards' private copies, and its
+	// shards count into one Stats.
 	var sharded struct {
 		ID string `json:"id"`
 	}
 	if err := call(base, "POST", "/modules", `{
 		"name": "nitrosketch", "flavor": "enetstl",
-		"options": {"shards": 2, "percpu": true},
+		"options": {"shards": 2, "percpu": true, "stats": true},
 		"trace": {"flows": 128, "packets": 2000, "seed": 7}
 	}`, http.StatusCreated, &sharded); err != nil {
 		return fail("sharded create", err)
@@ -200,23 +206,63 @@ func runSmoke(srv *nfd.Server) int {
 	if len(list.Modules) != 3 {
 		return fail("list", fmt.Errorf("%d modules listed, want 3", len(list.Modules)))
 	}
+
+	// Stats flowed into each stats-enabled module's collector.
+	progs := map[string]uint64{} // program -> run_cnt, both modules
+	for _, id := range []string{created.ID, sharded.ID} {
+		var stats struct {
+			Programs []struct {
+				Prog   string `json:"prog"`
+				RunCnt uint64 `json:"run_cnt"`
+			} `json:"programs"`
+		}
+		if err := call(base, "GET", "/modules/"+id+"/stats", "", http.StatusOK, &stats); err != nil {
+			return fail("stats", err)
+		}
+		if len(stats.Programs) == 0 || stats.Programs[0].RunCnt == 0 {
+			return fail("stats", fmt.Errorf("%s: no run counts in %+v", id, stats))
+		}
+		var runs uint64
+		for _, p := range stats.Programs {
+			if _, dup := progs[p.Prog]; dup {
+				return fail("stats", fmt.Errorf("program %s runs in both modules; vm_run_cnt cannot tell them apart", p.Prog))
+			}
+			progs[p.Prog] = p.RunCnt
+			runs += p.RunCnt
+		}
+		// The sharded module's shards share one Stats: it counts each
+		// ingested packet once.
+		if id == sharded.ID && runs != 5000 {
+			return fail("stats", fmt.Errorf("%s: %d runs for 5000 ingested packets", id, runs))
+		}
+	}
+
+	// /metrics carries the module series, and each program's vm_run_cnt
+	// is the run count its module's stats show: published once, the
+	// sharded module's shards merged exactly once.
+	text, err := get(base + "/metrics")
+	if err != nil {
+		return fail("metrics", err)
+	}
+	for _, want := range []string{"nfd_modules", "nfd_module_packets_total", "nfd_module_verdicts_total", "nf_guard_admitted_total", "vm_run_cnt"} {
+		if !strings.Contains(text, want) {
+			return fail("metrics", fmt.Errorf("missing %s series", want))
+		}
+	}
+	for prog, want := range progs {
+		got, err := sample(text, `vm_run_cnt{prog="`+prog+`"}`)
+		if err != nil {
+			return fail("metrics", err)
+		}
+		if got != want {
+			return fail("metrics", fmt.Errorf("vm_run_cnt{prog=%q} = %d, the module's stats counted %d", prog, got, want))
+		}
+	}
+
 	for _, id := range []string{sharded.ID, seeded.ID} {
 		if err := call(base, "DELETE", "/modules/"+id, "", http.StatusOK, nil); err != nil {
 			return fail("delete "+id, err)
 		}
-	}
-
-	// Stats flowed into the per-module collector.
-	var stats struct {
-		Programs []struct {
-			RunCnt uint64 `json:"run_cnt"`
-		} `json:"programs"`
-	}
-	if err := call(base, "GET", "/modules/"+created.ID+"/stats", "", http.StatusOK, &stats); err != nil {
-		return fail("stats", err)
-	}
-	if len(stats.Programs) == 0 || stats.Programs[0].RunCnt == 0 {
-		return fail("stats", fmt.Errorf("no run counts in %+v", stats))
 	}
 
 	// /profile reports the stats-enabled module's programs.
@@ -228,15 +274,9 @@ func runSmoke(srv *nfd.Server) int {
 		return fail("profile", fmt.Errorf("no report for %s in %+v", created.ID, reports))
 	}
 
-	// /metrics carries the module series.
-	text, err := get(base + "/metrics")
-	if err != nil {
-		return fail("metrics", err)
-	}
-	for _, want := range []string{"nfd_modules", "nfd_module_packets_total", "nf_guard_admitted_total", "vm_run_cnt"} {
-		if !strings.Contains(text, want) {
-			return fail("metrics", fmt.Errorf("missing %s series", want))
-		}
+	// The Go runtime profiler is mounted.
+	if _, err := get(base + "/debug/pprof/cmdline"); err != nil {
+		return fail("pprof", err)
 	}
 
 	// Delete drains and removes; a second delete 404s.
@@ -252,7 +292,7 @@ func runSmoke(srv *nfd.Server) int {
 	if err := srv.Shutdown(ctx); err != nil {
 		return fail("shutdown", err)
 	}
-	fmt.Println("nfd-smoke: ok (create → ingest → trace → estimate → sharded per-CPU module → scenario-seeded module → index → list → stats → profile → metrics → delete → shutdown)")
+	fmt.Println("nfd-smoke: ok (create → ingest → filtered trace → estimate → sharded per-CPU module → scenario-seeded module → index → list → stats → metrics → profile → pprof → delete → shutdown)")
 	return 0
 }
 
@@ -296,4 +336,15 @@ func get(url string) (string, error) {
 		return "", fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
 	}
 	return string(data), nil
+}
+
+// sample reads the value of the one exposition line that begins with
+// series (its name and label set).
+func sample(text, series string) (uint64, error) {
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			return strconv.ParseUint(v, 10, 64)
+		}
+	}
+	return 0, fmt.Errorf("no %s sample", series)
 }

@@ -6,11 +6,10 @@
 //
 //	nfrun -nf cmsketch -flavor enetstl -packets 100000 -flows 1024 -zipf 1.1
 //
-// With -serve it also mounts the observability plane (/metrics, /trace,
-// /profile, /debug/pprof) for the duration of the replay; the replay's
-// VM counters and /profile reports are published when it ends:
-//
-//	nfrun -nf cuckooswitch -flavor ebpf -serve :8080 -trace -hold
+// -stats prints the replay's metrics exposition, -profile its time
+// attribution, and -trace its flight recording as JSONL on stdout. A
+// live view of NF instances while they run is the nfd daemon's
+// (/metrics, /modules/{id}/trace, /profile, /debug/pprof).
 //
 // The conformance grid (every NF in every flavour, held to flavour and
 // tier equivalence, fault schedules and attack scenarios) is a test, not
@@ -21,13 +20,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
-	"os/signal"
-	"strconv"
-	"strings"
-	"syscall"
 	"time"
 
 	"enetstl/internal/cliopts"
@@ -36,7 +29,6 @@ import (
 	"enetstl/internal/harness"
 	"enetstl/internal/nf"
 	"enetstl/internal/nfcatalog"
-	"enetstl/internal/obs"
 	"enetstl/internal/pktgen"
 	"enetstl/internal/runtime"
 	"enetstl/internal/telemetry"
@@ -52,13 +44,10 @@ func main() {
 		profile = flag.Bool("profile", false, "replay the trace once and attribute execution time to helpers/kfuncs, then exit")
 		guardOn = flag.Bool("guard", false, "front the instance with the overload-guard plane (token-bucket shedding, watchdog, degradation) during the replay; single shard only")
 
-		serve       = flag.String("serve", "", "serve the observability plane (/metrics /trace /profile /debug/pprof) on this address during the replay; implies -stats")
-		doTrace     = flag.Bool("trace", false, "attach the flight recorder to the replay; events go to /trace when -serve is set, else dumped as JSONL on stdout")
+		doTrace     = flag.Bool("trace", false, "attach the flight recorder to the replay and dump its events as JSONL on stdout")
 		traceCap    = flag.Int("trace-cap", 1<<16, "flight-recorder ring capacity (rounded up to a power of two)")
 		traceSample = flag.Float64("trace-sample", 1.0, "head-sampling rate in [0,1]; 1 records every packet")
 		traceSeed   = flag.Uint64("trace-seed", 1, "sampling seed (same seed + trace = same sampled packets)")
-		hold        = flag.Bool("hold", false, "with -serve: keep serving after the replay until SIGINT/SIGTERM")
-		smoke       = flag.Bool("smoke", false, "with -serve: self-scrape every endpoint after the replay and exit non-zero on failure")
 	)
 	rt := cliopts.Bind(flag.CommandLine)
 	tfl := cliopts.BindTrace(flag.CommandLine, 100000, 1024, 1.1)
@@ -68,11 +57,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	if *serve != "" {
-		// -serve publishes the replay's VM counters: /metrics carries
-		// them and /profile reports from them.
-		ropts.Stats = true
 	}
 	if *doTrace {
 		ropts.Trace = &runtime.TraceOptions{Capacity: *traceCap, SampleRate: *traceSample, Seed: *traceSeed}
@@ -92,7 +76,6 @@ func main() {
 		return
 	}
 	ropts = ropts.Canon()
-	stats := ropts.Stats
 
 	flavor, err := nf.ParseFlavor(*flavorS)
 	if err != nil {
@@ -105,27 +88,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	var srv *obs.Server
-	var base string
-	if *serve != "" {
-		srv = obs.New()
-		addr, err := srv.Start(*serve)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		base = "http://" + addr
-		fmt.Fprintf(os.Stderr, "obs: serving /metrics /trace /profile /debug/pprof on %s\n", base)
-	}
-
 	if _, guarded := ropts.GuardConfig(); guarded {
 		if ropts.Shards > 1 || ropts.PerCPU || *profile || *disasm {
 			fmt.Fprintln(os.Stderr, "-guard supports the plain single-shard replay only")
 			os.Exit(2)
 		}
-		a := runGuarded(*name, flavor, tr, ropts, srv)
-		dumpRecording(a.Rec, srv)
-		finishServe(srv, base, *smoke, *hold, a.Stats)
+		dumpRecording(runGuarded(*name, flavor, tr, ropts))
 		return
 	}
 	if *profile {
@@ -133,11 +101,10 @@ func main() {
 		return
 	}
 	if ropts.Shards > 1 || ropts.PerCPU {
-		st := runSharded(*name, flavor, tr, ropts, *trials, srv)
-		finishServe(srv, base, *smoke, *hold, st)
+		runSharded(*name, flavor, tr, ropts, *trials)
 		return
 	}
-	a := openOne(ropts, *name, flavor, tr, srv)
+	a := openOne(ropts, *name, flavor, tr)
 	inst := a.Insts[0]
 	if *disasm {
 		v, ok := inst.(*nf.VMInstance)
@@ -148,11 +115,6 @@ func main() {
 		fmt.Printf("%s (%s): %d instructions\n", v.Name(), v.Flavor(), v.Prog.Len())
 		fmt.Print(isa.Disassemble(v.Prog.Instructions()))
 		return
-	}
-	if srv != nil {
-		// Live instrumentation: per-packet latency and verdict counters
-		// land in the server's registry while the replay runs.
-		inst = obs.Instrument(inst, srv.Registry())
 	}
 	res, err := harness.Throughput(inst, tr, *trials)
 	if err != nil {
@@ -181,28 +143,21 @@ func main() {
 		reg.SetHelp("nf_ns_per_pkt", "mean per-packet processing time")
 		lat.Publish(reg)
 	}
-	serveStats(srv, publish, a.Stats, flavor.String())
-	printStats(stats, publish)
-	dumpRecording(a.Rec, srv)
-	finishServe(srv, base, *smoke, *hold, a.Stats)
+	printStats(ropts.Stats, publish)
+	dumpRecording(a.Rec)
 }
 
 // openOne builds the NF's one unsharded instance through
 // nfcatalog.Open and attaches it (nfcatalog.Attach) — the build and
-// attach steps the daemon runs — handing its recorder to the server, if
-// any. Counting and recording start here, so they cover the replay and
-// not the programs NF constructors ran.
-func openOne(o runtime.Options, name string, flavor nf.Flavor, tr *pktgen.Trace, srv *obs.Server) nfcatalog.Attached {
+// attach steps the daemon runs. Counting and recording start here, so
+// they cover the replay and not the programs NF constructors ran.
+func openOne(o runtime.Options, name string, flavor nf.Flavor, tr *pktgen.Trace) nfcatalog.Attached {
 	built, _, err := nfcatalog.Open(o, name, flavor, tr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	a := nfcatalog.Attach(o, name, built...)
-	if srv != nil && a.Rec != nil {
-		srv.SetRecorder(a.Rec)
-	}
-	return a
+	return nfcatalog.Attach(o, name, built...)
 }
 
 // openShards builds the NF's shards through nfcatalog.Open — one, or
@@ -263,23 +218,8 @@ func mergedStats(shards []nfcatalog.Attached) *vm.Stats {
 	return merged
 }
 
-// serveStats publishes a finished replay into the server's static
-// registry exactly once — its VM counters (st, through publish) among
-// the rest — and registers st as the /profile source, its reports
-// labelled with the flavour. It runs after the replay because vm.Stats
-// is not safe to read while a run mutates it. No-op when -serve is off.
-func serveStats(srv *obs.Server, publish func(*telemetry.Registry), st *vm.Stats, flavor string) {
-	if srv == nil {
-		return
-	}
-	publish(srv.Registry())
-	if st != nil {
-		srv.SetProfile(func() []*harness.ProfileReport { return harness.Reports(st, flavor) })
-	}
-}
-
 // printStats writes what publish publishes to stdout as metrics
-// exposition text when -stats (or -serve) is on.
+// exposition text when -stats is on.
 func printStats(on bool, publish func(*telemetry.Registry)) {
 	if !on {
 		return
@@ -293,11 +233,10 @@ func printStats(on bool, publish func(*telemetry.Registry)) {
 	}
 }
 
-// dumpRecording ends a single-shard replay, plain or guarded: -trace
-// without -serve dumps the flight recording as JSONL (with -serve,
-// /trace serves it instead).
-func dumpRecording(rec *trace.Recorder, srv *obs.Server) {
-	if rec == nil || srv != nil {
+// dumpRecording ends a single-shard replay, plain or guarded: with
+// -trace it dumps the flight recording as JSONL.
+func dumpRecording(rec *trace.Recorder) {
+	if rec == nil {
 		return
 	}
 	fmt.Fprintf(os.Stderr, "trace: %d events emitted, %d dropped, %d/%d packets sampled\n",
@@ -305,8 +244,8 @@ func dumpRecording(rec *trace.Recorder, srv *obs.Server) {
 	dumpEvents(rec.Drain(0))
 }
 
-// dumpEvents writes events as JSONL on stdout, the same shape /trace
-// serves.
+// dumpEvents writes events as JSONL on stdout, the same shape nfd's
+// /modules/{id}/trace serves.
 func dumpEvents(evs []trace.Event) {
 	enc := json.NewEncoder(os.Stdout)
 	for i := range evs {
@@ -317,138 +256,14 @@ func dumpEvents(evs []trace.Event) {
 	}
 }
 
-// finishServe runs the post-replay server phases: the -smoke self-scrape
-// and the -hold wait. st is the Stats nfrun attached (merged across
-// shards), which /metrics must carry exactly once. No-op when -serve is
-// off.
-func finishServe(srv *obs.Server, base string, smoke, hold bool, st *vm.Stats) {
-	if srv == nil {
-		return
-	}
-	defer srv.Close()
-	if smoke {
-		if err := smokeCheck(base, st); err != nil {
-			fmt.Fprintln(os.Stderr, "obs smoke:", err)
-			os.Exit(1)
-		}
-		fmt.Println("obs smoke: / /metrics /trace /profile /debug/pprof OK")
-	}
-	if hold {
-		fmt.Fprintf(os.Stderr, "obs: replay done, holding %s (SIGINT to exit)\n", base)
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-		<-ch
-	}
-}
-
-// smokeCheck self-scrapes every observability endpoint and validates the
-// payload shapes — the CI gate behind `make obs-smoke` — and that the
-// scraped vm_run_cnt series sum to st's run count.
-func smokeCheck(base string, st *vm.Stats) error {
-	get := func(path string) (string, error) {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			return "", fmt.Errorf("GET %s: %w", path, err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return "", fmt.Errorf("GET %s: %w", path, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			return "", fmt.Errorf("GET %s: status %d", path, resp.StatusCode)
-		}
-		return string(body), nil
-	}
-	index, err := get("/")
-	if err != nil {
-		return err
-	}
-	if !strings.Contains(index, "/metrics") {
-		return fmt.Errorf("/: index does not link /metrics")
-	}
-	metrics, err := get("/metrics")
-	if err != nil {
-		return err
-	}
-	for _, want := range []string{"vm_run_cnt", "nf_latency_ns_bucket", "nf_pps"} {
-		if !strings.Contains(metrics, want) {
-			return fmt.Errorf("/metrics missing family %q", want)
-		}
-	}
-	var scraped, attached float64
-	for _, line := range strings.Split(metrics, "\n") {
-		if strings.HasPrefix(line, "vm_run_cnt{") || strings.HasPrefix(line, "vm_run_cnt ") {
-			f := strings.Fields(line)
-			n, err := strconv.ParseFloat(f[len(f)-1], 64)
-			if err != nil {
-				return fmt.Errorf("/metrics: bad sample %q: %w", line, err)
-			}
-			scraped += n
-		}
-	}
-	if st != nil {
-		for _, name := range st.ProgNames() {
-			ps, _ := st.ProgSnapshot(name)
-			attached += float64(ps.RunCnt)
-		}
-	}
-	if scraped != attached {
-		return fmt.Errorf("/metrics vm_run_cnt sums to %.0f, the attached stats counted %.0f", scraped, attached)
-	}
-	traceBody, err := get("/trace?kind=verdict&limit=5")
-	if err != nil {
-		return err
-	}
-	verdicts := 0
-	for _, line := range strings.Split(strings.TrimSpace(traceBody), "\n") {
-		if line == "" {
-			continue
-		}
-		var ev trace.Event
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			return fmt.Errorf("/trace: bad JSONL %q: %w", line, err)
-		}
-		if ev.Kind != trace.KindVerdict {
-			return fmt.Errorf("/trace: kind filter leaked a %s event", ev.Kind)
-		}
-		verdicts++
-	}
-	if verdicts == 0 {
-		return fmt.Errorf("/trace returned no verdict events")
-	}
-	profBody, err := get("/profile")
-	if err != nil {
-		return err
-	}
-	var reports []harness.ProfileReport
-	if err := json.Unmarshal([]byte(profBody), &reports); err != nil {
-		return fmt.Errorf("/profile: bad JSON: %w", err)
-	}
-	if len(reports) == 0 {
-		return fmt.Errorf("/profile returned no reports")
-	}
-	if _, err := get("/debug/pprof/cmdline"); err != nil {
-		return err
-	}
-	return nil
-}
-
 // runSharded replays the trace RSS-style: the NF's op mix is applied
 // to the full trace, the trace is hash-partitioned by flow 5-tuple
 // across the shards, and each shard replays on its own instance (own VM
 // and maps) concurrently. Prints the merged result plus the per-shard
-// breakdown, and returns the merged stats (nil when off). With o.Trace
-// set, each shard gets its own flight-recorder ring and the
-// timestamp-merged stream goes to the obs server's /trace (or stdout as
-// JSONL when not serving).
-func runSharded(name string, flavor nf.Flavor, tr *pktgen.Trace, o runtime.Options, trials int, srv *obs.Server) *vm.Stats {
+// breakdown. With o.Trace set, each shard gets its own flight-recorder
+// ring and the timestamp-merged stream is dumped as JSONL on stdout.
+func runSharded(name string, flavor nf.Flavor, tr *pktgen.Trace, o runtime.Options, trials int) {
 	sh, insts, shards := openShards(o, name, flavor, tr)
-	if srv != nil {
-		for s := range insts {
-			insts[s] = obs.Instrument(insts[s], srv.Registry())
-		}
-	}
 	res, err := harness.ParallelRun(tr, insts, trials)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -496,7 +311,6 @@ func runSharded(name string, flavor nf.Flavor, tr *pktgen.Trace, o runtime.Optio
 			telemetry.L("nf", res.Name), telemetry.L("flavor", res.Flavor),
 			telemetry.L("shards", fmt.Sprint(res.Shards))).Set(res.PPS)
 	}
-	serveStats(srv, publish, st, res.Flavor)
 	if o.Trace != nil {
 		var emitted, drops uint64
 		chunks := make([][]trace.Event, len(shards))
@@ -507,26 +321,21 @@ func runSharded(name string, flavor nf.Flavor, tr *pktgen.Trace, o runtime.Optio
 		}
 		fmt.Fprintf(os.Stderr, "trace: %d events emitted, %d dropped across %d shard rings\n",
 			emitted, drops, len(shards))
-		if events := trace.MergeByTime(chunks...); srv != nil {
-			srv.AddEvents(events)
-		} else {
-			dumpEvents(events)
-		}
+		dumpEvents(trace.MergeByTime(chunks...))
 	}
 	printStats(o.Stats, publish)
-	return st
 }
 
 // runGuarded replays the trace through a single guarded instance on the
 // trace's arrival clock, so attack-window bursts hit the shedder the
 // way back-to-back line-rate packets would, then reports the guard's
-// accounting next to throughput.
-func runGuarded(name string, flavor nf.Flavor, tr *pktgen.Trace, o runtime.Options, srv *obs.Server) nfcatalog.Attached {
-	a := openOne(o, name, flavor, tr, srv)
+// accounting next to throughput. It returns the flight recorder, nil
+// without -trace.
+func runGuarded(name string, flavor nf.Flavor, tr *pktgen.Trace, o runtime.Options) *trace.Recorder {
+	a := openOne(o, name, flavor, tr)
 	inst, g := a.Insts[0], a.Guards[0]
 	// ReplayBatch keeps the trace's arrival clock, so attack-window
-	// bursts are visible to the token bucket; obs.Instrument would
-	// flatten the replay back onto the one-tick-per-packet clock.
+	// bursts are visible to the token bucket.
 	res, _, err := harness.ReplayBatch(inst, tr, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -545,7 +354,6 @@ func runGuarded(name string, flavor nf.Flavor, tr *pktgen.Trace, o runtime.Optio
 			a.Stats.Publish(reg)
 		}
 	}
-	serveStats(srv, publish, a.Stats, flavor.String())
 	printStats(o.Stats, publish)
-	return a
+	return a.Rec
 }

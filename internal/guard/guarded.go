@@ -6,8 +6,8 @@ import (
 )
 
 // Guarded is an nf.Instance with the overload guard on its ingress. It
-// delegates VM()/Stages() like obs.Instrument so harness attachment
-// (stats, flight recorders, chaos map wrapping) sees through it.
+// delegates VM()/Stages() so harness attachment (stats, flight
+// recorders, chaos map wrapping) sees through it.
 type Guarded struct {
 	inner nf.Instance
 	g     *Guard

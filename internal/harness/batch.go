@@ -28,7 +28,7 @@ type BatchResult struct {
 
 func (r *BatchResult) finish(start time.Time) {
 	r.Ns = time.Since(start).Nanoseconds()
-	r.VerdictMap = r.Verdicts.asMap()
+	r.VerdictMap = r.Verdicts.Map()
 }
 
 // Add folds o into r, as one batch replayed in parts (a sharded
@@ -40,7 +40,7 @@ func (r *BatchResult) Add(o BatchResult) {
 	r.Sampled += o.Sampled
 	r.Ns += o.Ns
 	r.Verdicts.Add(o.Verdicts)
-	r.VerdictMap = r.Verdicts.asMap()
+	r.VerdictMap = r.Verdicts.Map()
 }
 
 // arrivalClocked is the guard-fronted ingress (guard.Guarded): packets

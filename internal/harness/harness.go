@@ -56,8 +56,8 @@ func (v *VerdictCounts) Add(o VerdictCounts) {
 	v.Other += o.Other
 }
 
-// asMap is the tally in BatchResult's serializable form.
-func (v VerdictCounts) asMap() map[string]uint64 {
+// Map is the tally by verdict name, BatchResult's serializable form.
+func (v VerdictCounts) Map() map[string]uint64 {
 	return map[string]uint64{
 		"aborted": v.Aborted,
 		"drop":    v.Drop,

@@ -43,7 +43,7 @@ type ProfileReport struct {
 
 // Reports builds one attribution table per program st has counted,
 // each over that program's run count and labelled label in the Flavor
-// column — what the obs server's /profile serves.
+// column — what nfd's /profile serves and nfrun -profile prints.
 func Reports(st *vm.Stats, label string) []*ProfileReport {
 	var out []*ProfileReport
 	for _, name := range st.ProgNames() {

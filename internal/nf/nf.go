@@ -132,9 +132,9 @@ func (n *NativeInstance) Process(pkt []byte) (uint64, error) {
 }
 
 // VMs collects the machines backing an instance: the instance's own
-// and, for pipelines (anything with Stages), every stage's. Wrappers
-// that delegate VM()/Stages() — the overload guard, obs.Instrument —
-// are seen through. This is the one place that duck typing is spelled;
+// and, for pipelines (anything with Stages), every stage's. A wrapper
+// that delegates VM()/Stages(), the overload guard, is seen through.
+// This is the one place that duck typing is spelled;
 // runtime.VMs is its name for callers above the runtime layer.
 func VMs(inst Instance) []*vm.VM {
 	var out []*vm.VM

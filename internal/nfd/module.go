@@ -5,8 +5,8 @@
 // same serializable struct the CLIs parse from flags, so a JSON request
 // body and a flag set construct bit-identically the same instance.
 // Packet streams are pushed in batches over HTTP and replayed
-// through the module's persistent instances; the obs plane mounts on
-// the same listener.
+// through the module's persistent instances; the same listener serves
+// the modules' metrics, flight recordings and profiles.
 package nfd
 
 import (
@@ -103,6 +103,7 @@ type Module struct {
 	batches  uint64
 	packets  uint64
 	shed     uint64
+	verdicts harness.VerdictCounts // summed over every batch
 }
 
 // Status is the serializable module view.
@@ -334,6 +335,7 @@ func (m *Module) Ingest(spec runtime.TraceSpec) (harness.BatchResult, error) {
 	m.batches++
 	m.packets += uint64(total.Packets)
 	m.shed += total.Shed
+	m.verdicts.Add(total.Verdicts)
 	return total, err
 }
 
@@ -384,6 +386,10 @@ func (m *Module) Publish(reg *telemetry.Registry) {
 	reg.Counter("nfd_module_batches_total", lbl...).Add(m.batches)
 	reg.SetHelp("nfd_module_packets_total", "packets pushed through the module")
 	reg.Counter("nfd_module_packets_total", lbl...).Add(m.packets)
+	reg.SetHelp("nfd_module_verdicts_total", "verdicts the module's batches returned, sheds included")
+	for verdict, n := range m.verdicts.Map() {
+		reg.Counter("nfd_module_verdicts_total", append(lbl, telemetry.L("verdict", verdict))...).Add(n)
+	}
 	for _, g := range m.guards {
 		g.Publish(reg)
 	}

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -429,18 +428,8 @@ func TestRPoolQuotaAnswers429(t *testing.T) {
 // errorsTotal reads nfd_http_errors_total{code,reason} off /metrics.
 func errorsTotal(t *testing.T, base string, code int, reason string) int {
 	t.Helper()
-	_, data := do(t, "GET", base+"/metrics", "", nil)
-	series := fmt.Sprintf(`nfd_http_errors_total{code="%d",reason=%q} `, code, reason)
-	for _, line := range strings.Split(string(data), "\n") {
-		if v, ok := strings.CutPrefix(line, series); ok {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				t.Fatalf("metrics line %q: %v", line, err)
-			}
-			return n
-		}
-	}
-	return 0
+	return int(sumSeries(t, scrape(t, base), "nfd_http_errors_total",
+		fmt.Sprintf(`code="%d"`, code), fmt.Sprintf(`reason=%q`, reason)))
 }
 
 // TestErrorReasons: every refusal names its reason in the body and

@@ -8,9 +8,18 @@
 //	                              429 when the module's guard shed,
 //	                              409 when the module is draining
 //	GET    /modules/{id}/stats    per-module VM stats snapshot
-//	GET    /modules/{id}/trace    per-module flight-recorder JSONL
+//	GET    /modules/{id}/trace    drain the module's flight recorder as
+//	                              JSONL (filters: flow, verdict, kind,
+//	                              nf, limit)
 //	GET    /modules/{id}/estimates?flow=N | ?key=HEX
-//	/metrics /trace /profile /debug/pprof  the obs plane
+//	/metrics                      Prometheus text: every module's
+//	                              counters and the daemon's own
+//	/profile                      attribution tables (JSON) of the
+//	                              stats-enabled modules
+//	/debug/pprof/                 the Go runtime profiler
+//
+// This is the product's one observability surface: nothing else in it
+// listens or serves HTTP.
 //
 // Request bodies are capped at MaxBodyBytes; a larger one is a 413.
 // Every error body carries, beside the message, a machine-readable
@@ -27,14 +36,16 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"enetstl/internal/harness"
-	"enetstl/internal/obs"
 	"enetstl/internal/runtime"
 	"enetstl/internal/telemetry"
+	"enetstl/internal/trace"
 )
 
 // MaxBodyBytes caps a request body. The largest body a client has
@@ -67,25 +78,23 @@ const (
 	reasonReplayFailed = "replay_failed" // 500: a packet faulted inside the NF
 )
 
-// Server glues the registry to HTTP and mounts the obs plane on the
-// same mux.
+// Server glues the registry to HTTP. What it observes is the modules
+// and its own refusals: /metrics gathers the registry's per-module
+// series and /profile its stats-enabled modules' reports, so a deleted
+// module leaves nothing behind on either.
 type Server struct {
 	Registry *Registry
-	Obs      *obs.Server
+	// errs holds nfd_http_errors_total, the one series the server
+	// counts itself rather than gathering it at scrape time.
+	errs *telemetry.Registry
 
 	mu      sync.Mutex
 	httpSrv *http.Server
 }
 
-// NewServer builds a daemon server whose obs plane serves the modules
-// and nothing else: /metrics gathers the registry's per-module series
-// and /profile its stats-enabled modules' reports, so a deleted module
-// leaves nothing behind on either.
+// NewServer builds a daemon server over an empty registry.
 func NewServer() *Server {
-	s := &Server{Registry: NewRegistry(), Obs: obs.New()}
-	s.Obs.AddGatherer(s.Registry.Publish)
-	s.Obs.SetProfile(s.Registry.Profile)
-	return s
+	return &Server{Registry: NewRegistry(), errs: telemetry.NewRegistry()}
 }
 
 // Handler builds the daemon's route table.
@@ -99,14 +108,19 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /modules/{id}/stats", s.handleStats)
 	mux.HandleFunc("GET /modules/{id}/trace", s.handleModuleTrace)
 	mux.HandleFunc("GET /modules/{id}/estimates", s.handleEstimates)
+	mux.HandleFunc("/metrics", s.handleMetrics)
+	mux.HandleFunc("/profile", s.handleProfile)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("GET /{$}", s.handleIndex)
-	s.Obs.Mount(mux)
 	return mux
 }
 
-// Start serves the daemon mux (lifecycle routes + mounted obs plane)
-// in the background on addr (":0" picks a free port), returning the
-// bound address.
+// Start serves the daemon mux in the background on addr (":0" picks a
+// free port), returning the bound address.
 func (s *Server) Start(addr string) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -147,7 +161,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, _ *http.Request) {
 			"GET /modules", "POST /modules", "GET /modules/{id}",
 			"DELETE /modules/{id}", "POST /modules/{id}/packets",
 			"GET /modules/{id}/stats", "GET /modules/{id}/trace",
-			"GET /modules/{id}/estimates", "/metrics", "/trace", "/profile",
+			"GET /modules/{id}/estimates", "/metrics", "/profile",
+			"/debug/pprof/",
 		},
 	})
 }
@@ -268,29 +283,90 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"module": m.ID, "programs": out})
 }
 
+// traceFilter is the parsed GET /modules/{id}/trace query. A field
+// whose flag is unset, or an empty nf, matches every event.
+type traceFilter struct {
+	flow, verdict, kind bool // which of the fields below to match
+	flowHash            uint32
+	verdictVal          uint64
+	kindVal             trace.Kind
+	nf                  string
+	limit               int
+}
+
+func (f traceFilter) match(ev trace.Event) bool {
+	return (!f.flow || ev.Flow == f.flowHash) &&
+		(!f.verdict || ev.Kind == trace.KindVerdict && ev.Val == f.verdictVal) &&
+		(!f.kind || ev.Kind == f.kindVal) &&
+		(f.nf == "" || ev.Name == f.nf)
+}
+
+func parseTraceFilter(r *http.Request) (traceFilter, error) {
+	q := r.URL.Query()
+	f := traceFilter{limit: 10000, nf: q.Get("nf")}
+	if v := q.Get("flow"); v != "" {
+		// Decimal, as events carry it, or 0x-prefixed hex.
+		digits, base := v, 10
+		if h, ok := strings.CutPrefix(v, "0x"); ok {
+			digits, base = h, 16
+		}
+		n, err := strconv.ParseUint(digits, base, 32)
+		if err != nil {
+			return f, fmt.Errorf("bad flow %q", v)
+		}
+		f.flow, f.flowHash = true, uint32(n)
+	}
+	if v := q.Get("verdict"); v != "" {
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			return f, fmt.Errorf("bad verdict %q", v)
+		}
+		f.verdict, f.verdictVal = true, n
+	}
+	if v := q.Get("kind"); v != "" {
+		k, ok := trace.KindFromString(v)
+		if !ok {
+			return f, fmt.Errorf("unknown kind %q", v)
+		}
+		f.kind, f.kindVal = true, k
+	}
+	if v := q.Get("limit"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n <= 0 {
+			return f, fmt.Errorf("bad limit %q", v)
+		}
+		f.limit = n
+	}
+	return f, nil
+}
+
+// handleModuleTrace drains the module's flight recorder as JSONL, at
+// most limit events, each served once across requests, like reading a
+// BPF ring buffer. It never drains more than it still may serve, so an
+// unfiltered request consumes exactly the events it answers. A filtered
+// one consumes the events its filter skips as well: the ring has one
+// reader and no cursor per filter.
 func (s *Server) handleModuleTrace(w http.ResponseWriter, r *http.Request) {
 	m, ok := s.module(w, r)
 	if !ok {
 		return
 	}
-	limit := 10000
-	if v := r.URL.Query().Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			s.writeErr(w, http.StatusBadRequest, reasonBadSpec, fmt.Errorf("bad limit %q", v))
-			return
-		}
-		limit = n
+	f, err := parseTraceFilter(r)
+	if err != nil {
+		s.writeErr(w, http.StatusBadRequest, reasonBadSpec, err)
+		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
-	written := 0
-	for written < limit {
-		batch := m.DrainTrace(min(4096, limit-written))
+	for written := 0; written < f.limit; {
+		batch := m.DrainTrace(min(4096, f.limit-written))
 		if len(batch) == 0 {
-			break
+			return
 		}
 		for _, ev := range batch {
+			if !f.match(ev) {
+				continue
+			}
 			if enc.Encode(ev) != nil {
 				return // client gone
 			}
@@ -338,6 +414,23 @@ func (s *Server) handleEstimates(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"module": m.ID, "key": hex.EncodeToString(key), "estimate": est,
 	})
+}
+
+// handleMetrics writes a fresh registry per scrape: every module's live
+// counters, then the server's own series merged in, one exposition
+// block per family.
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	scrape := telemetry.NewRegistry()
+	s.Registry.Publish(scrape)
+	scrape.Merge(s.errs)
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	scrape.WriteText(w) //nolint:errcheck // client gone
+}
+
+// handleProfile reports attribution for the stats-enabled modules, one
+// report per program; [] when there are none.
+func (s *Server) handleProfile(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, append([]*harness.ProfileReport{}, s.Registry.Profile()...))
 }
 
 // BatchResponse documents the POST packets body shape for clients; the
@@ -391,9 +484,8 @@ func (s *Server) writeErr(w http.ResponseWriter, code int, reason string, err er
 		body["max"] = lim.Max
 	}
 	body["reason"] = reason
-	reg := s.Obs.Registry()
-	reg.Counter("nfd_http_errors_total",
+	s.errs.Counter("nfd_http_errors_total",
 		telemetry.L("code", strconv.Itoa(code)), telemetry.L("reason", reason)).Inc()
-	reg.SetHelp("nfd_http_errors_total", "requests the daemon answered with an error body, by status and reason")
+	s.errs.SetHelp("nfd_http_errors_total", "requests the daemon answered with an error body, by status and reason")
 	writeJSON(w, code, body)
 }

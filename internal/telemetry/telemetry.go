@@ -200,9 +200,9 @@ func (r *Registry) MergeHistogram(name string, src *Histogram, labels ...Label) 
 
 // Merge folds every series of src into r: counters add, gauges take
 // src's current value, histograms merge observation-wise, and help
-// strings fill in where r has none. The obs server uses it to combine
-// per-scrape gatherer output with its long-lived registry without
-// emitting duplicate families.
+// strings fill in where r has none. nfd's /metrics uses it to combine
+// the modules' per-scrape series with the daemon's long-lived counters
+// without emitting duplicate families.
 func (r *Registry) Merge(src *Registry) {
 	if src == nil || src == r {
 		return

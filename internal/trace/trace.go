@@ -1,7 +1,7 @@
 // Package trace is the runtime's flight recorder: a BPF-ringbuf-style
 // MPSC ring of structured events (packet-in, verdict, map op+miss,
-// helper/kfunc call) that the VM emits into, and that the
-// observability server (internal/obs) streams back out as JSONL.
+// helper/kfunc call) that the VM emits into, and that nfd's
+// GET /modules/{id}/trace and nfrun -trace stream back out as JSONL.
 //
 // Design points, mirroring the kernel's BPF ring buffer:
 //
@@ -12,7 +12,7 @@
 //   - overrun drops the NEW event and counts it (bpf_ringbuf_reserve
 //     returning NULL), so a slow or absent consumer can never stall a
 //     producer — the datapath always wins;
-//   - single consumer (Drain); the obs server or the harness owns it;
+//   - single consumer (Drain); the daemon's module or nfrun owns it;
 //   - seeded head-sampling at packet granularity: the sample decision is
 //     a pure function of (seed, packet arrival index), so the same seed
 //     replayed over the same trace records the same event set;

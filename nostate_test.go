@@ -135,6 +135,48 @@ func TestGridShipsInNoBinary(t *testing.T) {
 	})
 }
 
+// TestOneHTTPServer keeps one observability surface: the nfd daemon's
+// route table, behind its timeouts and body limits, is the only place
+// the product listens. In every non-test Go file under internal/, cmd/
+// and examples/ outside internal/nfd it refuses a call to net.Listen or
+// http.ListenAndServe, an http.Server value, and an import of
+// net/http/pprof. Clients (http.Get, the smokes) are not servers and
+// pass.
+func TestOneHTTPServer(t *testing.T) {
+	walkProduct(t, func(path string, f *ast.File) {
+		if filepath.ToSlash(filepath.Dir(path)) == "internal/nfd" {
+			return
+		}
+		names := map[string]string{} // local name -> import path
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if p == "net/http/pprof" {
+				t.Errorf("%s imports net/http/pprof; the profiler is nfd's /debug/pprof/", path)
+			}
+			local := p[strings.LastIndexByte(p, '/')+1:]
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			names[local] = p
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			pkg, ok := sel.X.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			switch what := names[pkg.Name] + "." + sel.Sel.Name; what {
+			case "net.Listen", "net/http.Server", "net/http.ListenAndServe", "net/http.ListenAndServeTLS", "net/http.Serve":
+				t.Errorf("%s: uses %s; the product's one HTTP server is nfd's (internal/nfd)", path, what)
+			}
+			return true
+		})
+	})
+}
+
 // TestEveryKfuncHasACaller keeps the library to what its programs use.
 // A kfunc body is a closure inside one of internal/core's register
 // functions, so no function-level audit can see it run: this test reads
